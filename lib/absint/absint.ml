@@ -15,7 +15,15 @@
    [If] whose condition is decided is spliced out.  Everything is a
    sound over-approximation: joins at control merges, havoc for scalars
    mutated in loop bodies, a single abstract pass per loop body whose
-   entry state subsumes every concrete iteration. *)
+   entry state subsumes every concrete iteration.
+
+   Beside the reduced product every value carries a race form: the same
+   affine domain over a wider symbol universe (loop trip counters and
+   opaque div/mod results), kept apart so that bounds, guard decisions
+   and traffic estimates stay exactly those of the product.  Accesses
+   record their race form together with a static barrier-interval id and
+   the guard facts on their path; [prove_race_free] discharges race
+   freedom from them. *)
 
 open Kft_cuda.Ast
 module Loc = Kft_cuda.Loc
@@ -128,6 +136,10 @@ let equal_aff a b = a.const = b.const && Imap.equal ( = ) a.coef b.coef
 
 type status = Proved | Oob | Unknown
 type space = Global | Shared
+type form = aff
+
+(* a path condition: [f_form] lies in [f_itv] *)
+type fact = { f_form : aff; f_itv : itv }
 
 type access = {
   acc_array : string;
@@ -140,6 +152,10 @@ type access = {
   acc_tx_stride : int option;
   acc_bytes : float;
   acc_exact : bool;
+  acc_form : form option;
+  acc_interval : int;
+  acc_facts : fact list;
+  acc_outside : fact list list;
 }
 
 type guard = {
@@ -152,6 +168,9 @@ type guard = {
 
 type footprint = { fp_reads : itv option; fp_writes : itv option }
 
+type sym_info = { rng : itv; s_uni : bool }
+type syms = (int, sym_info) Hashtbl.t
+
 type result = {
   res_kernel : string;
   res_accesses : access list;
@@ -163,13 +182,23 @@ type result = {
   res_est_bytes : float;
   res_est_exact : bool;
   res_footprints : (string * footprint) list;
+  res_syms : syms;
 }
 
-type sym_info = { rng : itv; s_uni : bool }
+type divmod = Quot | Rem
 
 type ctx = {
-  syms : (int, sym_info) Hashtbl.t;
+  syms : syms;
   mutable next_sym : int;
+  mutable next_rsym : int;  (* race-form-only symbols: trip counters, div/mod *)
+  opaque : (divmod * int * (int * int) list * int, int) Hashtbl.t;
+      (* (kind, divisor, operand form) -> its symbol *)
+  opaque_of : (int, divmod * int * aff) Hashtbl.t;
+  mutable facts : fact list;  (* path conditions of the current point *)
+  mutable outside : fact list list;  (* negated guard boxes on the path *)
+  mutable interval : int;  (* static barrier interval of the current point *)
+  mutable next_interval : int;
+  iv_parent : (int, int) Hashtbl.t;  (* union-find over interval ids *)
   global_cells : (string * int) list;
   shared : (string, int list) Hashtbl.t;
   mutable record : bool;  (* off while deciding conditions *)
@@ -192,6 +221,18 @@ let fresh_sym ctx info =
   Hashtbl.replace ctx.syms s info;
   s
 
+(* race-form symbols are numbered apart from the product's loop symbols,
+   so allocating them never renumbers (and so never reorders) the forms
+   the product computes *)
+let fresh_rsym ctx rng =
+  let s = ctx.next_rsym in
+  ctx.next_rsym <- s + 1;
+  Hashtbl.replace ctx.syms s { rng; s_uni = false };
+  s
+
+let sym_range syms s =
+  match Hashtbl.find_opt syms s with Some i -> i.rng | None -> itop
+
 let sym_info ctx s =
   match Hashtbl.find_opt ctx.syms s with
   | Some i -> i
@@ -201,21 +242,86 @@ let sym_info ctx s =
 (* abstract values: reduced product                                    *)
 (* ------------------------------------------------------------------ *)
 
-type aval = { aff : aff option; itv : itv; uni : bool }
+type aval = { aff : aff option; itv : itv; uni : bool; rf : aff option }
 (* [uni]: the value is uniformly distributed over the integers of [itv]
    across the threads/iterations it ranges over — licenses exact
    narrowing fractions for traffic prediction (never affects
-   soundness). *)
+   soundness).  [rf]: the race form, read only by the race prover. *)
 
-let top_val = { aff = None; itv = itop; uni = false }
-let const_val n = { aff = Some (aconst (clamp n)); itv = iconst n; uni = true }
+let top_val = { aff = None; itv = itop; uni = false; rf = None }
 
-let range_of_aff ctx a =
+let const_val n =
+  let a = Some (aconst (clamp n)) in
+  { aff = a; itv = iconst n; uni = true; rf = a }
+
+let range_in syms a =
+  Imap.fold (fun s c acc -> iadd acc (imul (iconst c) (sym_range syms s))) a.coef (iconst a.const)
+
+let range_of_aff ctx a = range_in ctx.syms a
+
+(* fold the symbols whose range is a single value into the constant *)
+let pin syms a =
   Imap.fold
     (fun s c acc ->
-      let r = (sym_info ctx s).rng in
-      iadd acc (imul (iconst c) r))
-    a.coef (iconst a.const)
+      let r = sym_range syms s in
+      if r.lo = r.hi then { coef = Imap.remove s acc.coef; const = acc.const + (c * r.lo) }
+      else acc)
+    a.coef a
+
+(* [p = d * q + r] with every term of [r] below [d] and [0 <= r < d]:
+   for a nonnegative [p], [q] and [r] are its quotient and remainder *)
+let mixed_radix ctx p d =
+  let low = Imap.filter (fun _ c -> c mod d <> 0) p.coef in
+  let r = { coef = low; const = ((p.const mod d) + d) mod d } in
+  let rr = range_of_aff ctx r in
+  if (range_of_aff ctx p).lo < 0 || rr.lo < 0 || rr.hi >= d then None
+  else
+    Option.map (fun q -> (q, r))
+      (adiv_exact { coef = Imap.filter (fun _ c -> c mod d = 0) p.coef; const = p.const - r.const } d)
+
+(* The race form of [p / d] or [p mod d] (constant d > 0): exact when
+   [p] splits in radix [d] (e.g. tid / bx = ty), otherwise a symbol that
+   stands for that function of [p]'s symbols, so one operand always maps
+   to one symbol, and [d * (p / d) + p mod d] can be folded back to [p]
+   (see [fold_divmod]). *)
+let divmod_form ctx kind p d =
+  let p = pin ctx.syms p in
+  match (kind, adiv_exact p d, mixed_radix ctx p d) with
+  | Quot, Some q, _ | Quot, None, Some (q, _) -> q
+  | Rem, Some _, _ -> aconst 0
+  | Rem, None, Some (_, r) -> r
+  | _ ->
+      let key = (kind, d, Imap.bindings p.coef, p.const) in
+      let s =
+        match Hashtbl.find_opt ctx.opaque key with
+        | Some s -> s
+        | None ->
+            let r = range_of_aff ctx p in
+            let rng = match kind with Quot -> idiv r (iconst d) | Rem -> imod r (iconst d) in
+            let s = fresh_rsym ctx rng in
+            Hashtbl.replace ctx.opaque key s;
+            Hashtbl.replace ctx.opaque_of s (kind, d, p);
+            s
+      in
+      asym s
+
+(* d * (p / d) + (p mod d) = p under truncating division, whatever the
+   sign of p: fold every such pair (same multiplier k) back to k * p.
+   Only applied when p is provably nonnegative, the case in which both
+   terms are subscripts of one in-bounds tile cell. *)
+let fold_divmod ctx a =
+  Imap.fold
+    (fun s c acc ->
+      match Hashtbl.find_opt ctx.opaque_of s with
+      | Some (Rem, d, p) when (range_of_aff ctx p).lo >= 0 -> (
+          match
+            Hashtbl.find_opt ctx.opaque (Quot, d, Imap.bindings p.coef, p.const)
+          with
+          | Some q when Imap.find_opt q acc.coef = Some (c * d) && Imap.find_opt s acc.coef = Some c ->
+              aadd (asub acc (aadd (ascale (c * d) (asym q)) (ascale c (asym s)))) (ascale c p)
+          | _ -> acc)
+      | _ -> acc)
+    a.coef a
 
 (* Mixed-radix completeness: sorted by |coef| ascending, the smallest
    coefficient is 1 and each next equals the product of the widths so
@@ -240,20 +346,24 @@ let covers ctx a =
            go 1 sorted
          end
 
-let mk ctx aff itv =
+let mk ctx ?rf aff itv =
   match aff with
-  | None -> { aff = None; itv; uni = is_const itv }
+  | None -> { aff = None; itv; uni = is_const itv; rf }
   | Some a ->
       let r = range_of_aff ctx a in
       let itv = match imeet itv r with Some m -> m | None -> itv in
-      { aff; itv; uni = covers ctx a }
+      { aff; itv; uni = covers ctx a; rf }
 
-let sym_val ctx s = mk ctx (Some (asym s)) itop
+let sym_val ctx s = mk ctx ~rf:(asym s) (Some (asym s)) itop
+
+let same_form a b =
+  match (a, b) with Some x, Some y when equal_aff x y -> a | _ -> None
 
 let join_val ctx a b =
+  let rf = same_form a.rf b.rf in
   match (a.aff, b.aff) with
-  | Some x, Some y when equal_aff x y -> mk ctx (Some x) (ijoin a.itv b.itv)
-  | _ -> mk ctx None (ijoin a.itv b.itv)
+  | Some x, Some y when equal_aff x y -> mk ctx ?rf (Some x) (ijoin a.itv b.itv)
+  | _ -> mk ctx ?rf None (ijoin a.itv b.itv)
 
 let join_env ctx a b =
   Senv.merge
@@ -267,7 +377,7 @@ let join_env ctx a b =
 
 type weight = { trips : float; frac : float; w_exact : bool }
 
-let bool_itv lo hi = { aff = None; itv = { lo; hi }; uni = false }
+let bool_itv lo hi = { aff = None; itv = { lo; hi }; uni = false; rf = None }
 
 let builtin_val ctx ~block:(bx, by, bz) ~grid:(gx, gy, gz) = function
   | Thread_idx X -> sym_val ctx sym_tx
@@ -318,7 +428,7 @@ let rec eval st (env : env) ~w e : aval =
   | Binop (op, a, b) -> eval_binop st env ~w op a b
   | Unop (Neg, a) ->
       let v = eval st env ~w a in
-      mk ctx (Option.map aneg v.aff) (ineg v.itv)
+      mk ctx ?rf:(Option.map aneg v.rf) (Option.map aneg v.aff) (ineg v.itv)
   | Unop (Not, a) ->
       let v = eval st env ~w a in
       (* !x: 1 when x = 0 *)
@@ -350,28 +460,28 @@ let rec eval st (env : env) ~w e : aval =
 and eval_binop st env ~w op a b =
   let ctx = st.c in
   let x = eval st env ~w a and y = eval st env ~w b in
+  let lift2 f p q = match (p, q) with Some p, Some q -> Some (f p q) | _ -> None in
+  let scaled p q =
+    if is_const x.itv then Option.map (ascale x.itv.lo) q
+    else if is_const y.itv then Option.map (ascale y.itv.lo) p
+    else None
+  in
+  let divisor = if is_const y.itv && y.itv.lo > 0 then Some y.itv.lo else None in
+  let divmod kind =
+    match divisor with
+    | Some d -> Option.map (fun p -> divmod_form ctx kind p d) x.rf
+    | None -> None
+  in
   match op with
-  | Add ->
-      let aff = match (x.aff, y.aff) with Some p, Some q -> Some (aadd p q) | _ -> None in
-      mk ctx aff (iadd x.itv y.itv)
-  | Sub ->
-      let aff = match (x.aff, y.aff) with Some p, Some q -> Some (asub p q) | _ -> None in
-      mk ctx aff (isub x.itv y.itv)
-  | Mul ->
-      let aff =
-        if is_const x.itv then Option.map (ascale x.itv.lo) y.aff
-        else if is_const y.itv then Option.map (ascale y.itv.lo) x.aff
-        else None
-      in
-      mk ctx aff (imul x.itv y.itv)
+  | Add -> mk ctx ?rf:(lift2 aadd x.rf y.rf) (lift2 aadd x.aff y.aff) (iadd x.itv y.itv)
+  | Sub -> mk ctx ?rf:(lift2 asub x.rf y.rf) (lift2 asub x.aff y.aff) (isub x.itv y.itv)
+  | Mul -> mk ctx ?rf:(scaled x.rf y.rf) (scaled x.aff y.aff) (imul x.itv y.itv)
   | Div ->
       let aff =
-        if is_const y.itv && y.itv.lo > 0 then
-          Option.bind x.aff (fun p -> adiv_exact p y.itv.lo)
-        else None
+        match divisor with Some d -> Option.bind x.aff (fun p -> adiv_exact p d) | None -> None
       in
-      mk ctx aff (idiv x.itv y.itv)
-  | Mod -> mk ctx None (imod x.itv y.itv)
+      mk ctx ?rf:(divmod Quot) aff (idiv x.itv y.itv)
+  | Mod -> mk ctx ?rf:(divmod Rem) None (imod x.itv y.itv)
   | (Lt | Le | Gt | Ge | Eq | Ne) as op -> (
       match cmp_val op (isub x.itv y.itv) with
       | Some true -> const_val 1
@@ -504,7 +614,7 @@ and record_access st ~w ~write a (vals : aval list) =
       if List.length dims <> List.length vals then
         push_access ctx ~a ~space:Shared ~write ~status:Unknown ~range:itop
           ~extent:(List.fold_left ( * ) 1 dims)
-          ~stride:None ~bytes:0.0 ~exact:false
+          ~stride:None ~bytes:0.0 ~exact:false ~form:None
       else begin
         let statuses =
           List.map2
@@ -537,9 +647,18 @@ and record_access st ~w ~write a (vals : aval list) =
             (fun p -> match Imap.find_opt sym_tx p.coef with Some c -> c | None -> 0)
             lin.aff
         in
+        (* the race form linearizes the same way, then folds the
+           cooperative-load subscripts [a / W][a % W] back to [a] *)
+        let form =
+          List.fold_left2
+            (fun acc d (v : aval) ->
+              match (acc, v.rf) with Some p, Some q -> Some (aadd (ascale d p) q) | _ -> None)
+            (Some (aconst 0)) dims vals
+          |> Option.map (fold_divmod ctx)
+        in
         push_access ctx ~a ~space:Shared ~write ~status ~range:lin.itv
           ~extent:(List.fold_left ( * ) 1 dims)
-          ~stride ~bytes:0.0 ~exact:false
+          ~stride ~bytes:0.0 ~exact:false ~form
       end
   | None -> (
       match (List.assoc_opt a ctx.global_cells, vals) with
@@ -556,18 +675,18 @@ and record_access st ~w ~write a (vals : aval list) =
           in
           let bytes = 8.0 *. ctx.threads *. w.frac *. w.trips in
           push_access ctx ~a ~space:Global ~write ~status ~range:v.itv ~extent:cells
-            ~stride ~bytes ~exact:w.w_exact
+            ~stride ~bytes ~exact:w.w_exact ~form:v.rf
       | Some cells, _ ->
           (* global arrays are linearized in the subset: anything else
              is outside the domain *)
           push_access ctx ~a ~space:Global ~write ~status:Unknown ~range:itop
-            ~extent:cells ~stride:None ~bytes:0.0 ~exact:false
+            ~extent:cells ~stride:None ~bytes:0.0 ~exact:false ~form:None
       | None, _ ->
           (* unknown array (not a parameter of this launch): imprecise *)
           push_access ctx ~a ~space:Global ~write ~status:Unknown ~range:itop ~extent:0
-            ~stride:None ~bytes:0.0 ~exact:false)
+            ~stride:None ~bytes:0.0 ~exact:false ~form:None)
 
-and push_access ctx ~a ~space ~write ~status ~range ~extent ~stride ~bytes ~exact =
+and push_access ctx ~a ~space ~write ~status ~range ~extent ~stride ~bytes ~exact ~form =
   ctx.accesses <-
     {
       acc_array = a;
@@ -580,6 +699,10 @@ and push_access ctx ~a ~space ~write ~status ~range ~extent ~stride ~bytes ~exac
       acc_tx_stride = stride;
       acc_bytes = bytes;
       acc_exact = exact;
+      acc_form = form;
+      acc_interval = ctx.interval;
+      acc_facts = ctx.facts;
+      acc_outside = ctx.outside;
     }
     :: ctx.accesses
 
@@ -613,6 +736,76 @@ let thread_dep env c =
       | _ -> false)
     false c
 
+(* static barrier intervals: a union-find over interval ids, merged
+   wherever two barrier-free paths meet (branch joins, loop back edges) *)
+let rec iv_find ctx i =
+  match Hashtbl.find_opt ctx.iv_parent i with
+  | Some p when p <> i ->
+      let r = iv_find ctx p in
+      Hashtbl.replace ctx.iv_parent i r;
+      r
+  | _ -> i
+
+let iv_union ctx a b =
+  let ra = iv_find ctx a and rb = iv_find ctx b in
+  if ra <> rb then Hashtbl.replace ctx.iv_parent (max ra rb) (min ra rb)
+
+let rec conjuncts = function Binop (And, a, b) -> conjuncts a @ conjuncts b | c -> [ c ]
+
+(* what a comparison atom states about race forms, when both sides have one *)
+let fact_of_atom st env atom =
+  match atom with
+  | Binop (((Lt | Le | Gt | Ge | Eq) as op), a, b) -> (
+      let w1 = { trips = 1.0; frac = 1.0; w_exact = false } in
+      let x = eval st env ~w:w1 a and y = eval st env ~w:w1 b in
+      match (x.rf, y.rf) with
+      | Some p, Some q ->
+          let f_itv =
+            match op with
+            | Lt -> { lo = -big; hi = -1 }
+            | Le -> { lo = -big; hi = 0 }
+            | Gt -> { lo = 1; hi = big }
+            | Ge -> { lo = 0; hi = big }
+            | _ -> iconst 0
+          in
+          Some { f_form = asub p q; f_itv }
+      | _ -> None)
+  | _ -> None
+
+(* path conditions of both arms of [if (c)]: the then arm learns every
+   atom; the else arm learns the negated atom when [c] is a single
+   half-bounded one, else that it lies outside the box of all atoms
+   (only when every atom is understood) *)
+let branch_facts st env c =
+  let ctx = st.c in
+  if not ctx.record then ([], [])
+  else begin
+    ctx.record <- false;
+    let atoms = conjuncts c in
+    let facts = List.filter_map (fact_of_atom st env) atoms in
+    ctx.record <- true;
+    let negated =
+      if List.length facts <> List.length atoms then []
+      else
+        match facts with
+        | [ { f_form; f_itv } ] when f_itv.lo <= -big ->
+            [ `Fact { f_form; f_itv = { lo = f_itv.hi + 1; hi = big } } ]
+        | [ { f_form; f_itv } ] when f_itv.hi >= big ->
+            [ `Fact { f_form; f_itv = { lo = -big; hi = f_itv.lo - 1 } } ]
+        | _ -> [ `Outside facts ]
+    in
+    (facts, negated)
+  end
+
+let with_path ctx facts outside f =
+  let sf = ctx.facts and so = ctx.outside in
+  ctx.facts <- facts @ sf;
+  ctx.outside <- outside @ so;
+  let r = f () in
+  ctx.facts <- sf;
+  ctx.outside <- so;
+  r
+
 let rec exec st env ~w stmts : env * stmt list =
   let ctx = st.c in
   let env, rev =
@@ -643,7 +836,10 @@ and exec_stmt st env ~w s : env * stmt list =
       let vals = List.map (eval st env ~w) idxs in
       if ctx.record then record_access st ~w ~write:true a vals;
       (env, [ s ])
-  | Syncthreads -> (env, [ s ])
+  | Syncthreads ->
+      ctx.interval <- ctx.next_interval;
+      ctx.next_interval <- ctx.next_interval + 1;
+      (env, [ s ])
   | Return ->
       ctx.returns <- true;
       (env, [ s ])
@@ -667,10 +863,18 @@ and exec_if st env ~w s c t e =
       }
       :: ctx.guards
   in
+  let facts, negated = branch_facts st env c in
+  let in_then f = with_path ctx facts [] f in
+  let in_else f =
+    match negated with
+    | [ `Fact n ] -> with_path ctx [ n ] [] f
+    | [ `Outside box ] -> with_path ctx [] [ box ] f
+    | _ -> f ()
+  in
   match d with
   | Some true ->
       push_guard 1.0;
-      let env', t' = exec st env ~w t in
+      let env', t' = in_then (fun () -> exec st env ~w t) in
       if st.c.simplify then begin
         ctx.eliminated <- ctx.eliminated + 1;
         (env', t')
@@ -678,7 +882,7 @@ and exec_if st env ~w s c t e =
       else (env', [ s ])
   | Some false ->
       push_guard 0.0;
-      let env', e' = exec st env ~w e in
+      let env', e' = in_else (fun () -> exec st env ~w e) in
       if st.c.simplify then begin
         ctx.eliminated <- ctx.eliminated + 1;
         (env', e')
@@ -688,23 +892,32 @@ and exec_if st env ~w s c t e =
       let rt = refine st env c in
       let frac_t, exact_t = match rt with None -> (0.0, true) | Some (_, f, ex) -> (f, ex) in
       push_guard frac_t;
+      let i0 = ctx.interval in
       let env_t, t', feasible_t =
         match rt with
         | None -> (env, t, false) (* then-branch unreachable *)
         | Some (env_c, _, _) ->
             let env1, t' =
-              exec st env_c ~w:{ w with frac = w.frac *. frac_t; w_exact = w.w_exact && exact_t } t
+              in_then (fun () ->
+                  exec st env_c
+                    ~w:{ w with frac = w.frac *. frac_t; w_exact = w.w_exact && exact_t }
+                    t)
             in
             (env1, t', true)
       in
+      let i_then = ctx.interval in
+      ctx.interval <- i0;
       let frac_e = Float.max 0.0 (1.0 -. frac_t) in
       let env_e, e' =
         if e = [] then (env, [])
         else
-          exec st env
-            ~w:{ w with frac = w.frac *. frac_e; w_exact = w.w_exact && exact_t }
-            e
+          in_else (fun () ->
+              exec st env
+                ~w:{ w with frac = w.frac *. frac_e; w_exact = w.w_exact && exact_t }
+                e)
       in
+      iv_union ctx i_then ctx.interval;
+      ctx.interval <- iv_find ctx i_then;
       let env' = if feasible_t then join_env st.c env_t env_e else env_e in
       (env', if st.c.simplify then [ If (c, t', e') ] else [ s ])
 
@@ -729,12 +942,27 @@ and exec_for st env ~w s (l : for_loop) =
         (fun e v -> if Senv.mem v e then Senv.add v top_val e else e)
         env (assigned_scalars l.body)
     in
-    let env0 = Senv.add l.index (mk ctx (Some (asym sym)) iv_rng) env0 in
+    (* race form of the index: lo + step * m over a fresh trip counter
+       m, so a cooperative-load counter c = tid + step * m stays tied to
+       the thread id; a body that assigns the index gets a bare symbol *)
+    let rf =
+      match lov.rf with
+      | Some lo when l.step >= 1 && not (List.mem l.index (assigned_scalars l.body)) ->
+          let m = fresh_rsym ctx { lo = 0; hi = max 0 ((iv_rng.hi - lov.itv.lo) / step) } in
+          aadd lo (ascale step (asym m))
+      | _ -> asym sym
+    in
+    let env0 = Senv.add l.index (mk ctx ~rf (Some (asym sym)) iv_rng) env0 in
+    let i0 = ctx.interval in
     let env1, body' =
       exec st env0
         ~w:{ trips = w.trips *. trips; frac = w.frac; w_exact = w.w_exact && texact }
         l.body
     in
+    (* a barrier in the body: the tail of one iteration shares its
+       interval with the head of the next and with the code after *)
+    iv_union ctx i0 ctx.interval;
+    ctx.interval <- iv_find ctx i0;
     let out = join_env st.c env env1 in
     let out =
       match saved_iv with
@@ -754,6 +982,14 @@ let run ~simplify ~block ~grid ~int_params ~global_cells (k : kernel) =
     {
       syms = Hashtbl.create 16;
       next_sym = 6;
+      next_rsym = 1 lsl 30;
+      opaque = Hashtbl.create 8;
+      opaque_of = Hashtbl.create 8;
+      facts = [];
+      outside = [];
+      interval = 0;
+      next_interval = 1;
+      iv_parent = Hashtbl.create 8;
       global_cells;
       shared = Hashtbl.create 4;
       record = not simplify;
@@ -782,7 +1018,9 @@ let run ~simplify ~block ~grid ~int_params ~global_cells (k : kernel) =
   (ctx, body')
 
 let result_of (ctx : ctx) k_name =
-  let accesses = List.rev ctx.accesses in
+  let accesses =
+    List.rev_map (fun a -> { a with acc_interval = iv_find ctx a.acc_interval }) ctx.accesses
+  in
   let count st = List.length (List.filter (fun a -> a.acc_status = st) accesses) in
   let globals = List.filter (fun a -> a.acc_space = Global) accesses in
   let est_bytes = List.fold_left (fun s a -> s +. a.acc_bytes) 0.0 globals in
@@ -820,6 +1058,7 @@ let result_of (ctx : ctx) k_name =
     res_est_bytes = est_bytes;
     res_est_exact = est_exact;
     res_footprints = footprints;
+    res_syms = ctx.syms;
   }
 
 let analyze_kernel ~block ~grid ~int_params ~global_cells k =
@@ -856,6 +1095,236 @@ let analyze_launch (p : program) (l : launch) =
 let simplify_kernel ~block ~grid ~int_params k =
   let ctx, body' = run ~simplify:true ~block ~grid ~int_params ~global_cells:[] k in
   ({ k with k_body = body' }, ctx.eliminated)
+
+(* ------------------------------------------------------------------ *)
+(* race freedom                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let regions_disjoint (a : itv) (b : itv) = a.hi < b.lo || b.hi < a.lo
+
+type race_verdict = Race_free of string list | Race_unsettled of string
+
+let is_block s = s >= 3 && s <= 5
+let width syms s = itv_width (sym_range syms s)
+let restrict a keep = { coef = Imap.filter (fun s _ -> keep s) a.coef; const = 0 }
+let span syms a = Imap.fold (fun s c acc -> sat_add acc (sat_mul (abs c) (width syms s - 1))) a.coef 0
+let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
+
+(* [a] takes distinct values at distinct points of its symbols' box and
+   mentions every non-degenerate symbol of [must]: sorted by magnitude,
+   each coefficient exceeds the span of the smaller terms *)
+let injective syms ~must a =
+  List.for_all (fun s -> width syms s <= 1 || Imap.mem s a.coef) must
+  &&
+  let terms =
+    Imap.bindings a.coef
+    |> List.filter (fun (s, _) -> width syms s > 1)
+    |> List.sort (fun (_, c1) (_, c2) -> compare (abs c1) (abs c2))
+  in
+  let rec go sp = function
+    | [] -> true
+    | (s, c) :: rest -> abs c > sp && go (sat_add sp (sat_mul (abs c) (width syms s - 1))) rest
+  in
+  go 0 terms
+
+(* Can the cells of [fa] and [fb] only coincide for one and the same
+   thread?  The thread is named by the thread and block ids (global
+   memory) or by the thread ids alone (a block's shared memory, where
+   the block ids are common to both sides); every other symbol is
+   private to a thread.  Either both forms are one injective form, or
+   they share an injective thread part g and differ elsewhere only by
+   multiples of some M > span(g). *)
+let own_cell syms ~shared fa fb =
+  let ident s = if shared then s <= 2 else s <= 5 in
+  let common s = shared && is_block s in
+  let private_ s = not (ident s || common s) in
+  let must = List.filter ident [ 0; 1; 2; 3; 4; 5 ] in
+  (equal_aff fa fb && injective syms ~must (restrict fa (fun s -> not (common s))))
+  ||
+  let g = restrict fa ident in
+  equal_aff g (restrict fb ident)
+  && equal_aff (restrict fa common) (restrict fb common)
+  && injective syms ~must g
+  &&
+  let gcd_of a acc = Imap.fold (fun _ c acc -> gcd acc c) (restrict a private_).coef acc in
+  let m = gcd_of fa (gcd_of fb (fa.const - fb.const)) in
+  m = 0 || span syms g < m
+
+let div_nearest a b = if a >= 0 then (a + (b / 2)) / b else -((-a + (b / 2)) / b)
+
+(* one form per coordinate of a linearized index over [dims] (innermost
+   first): each term goes to the outermost coordinate whose stride
+   divides it, the constant is split nearest-first from the outside *)
+let coordinates dims a =
+  let n = List.length dims in
+  let strides = Array.make n 1 in
+  List.iteri (fun i d -> if i + 1 < n then strides.(i + 1) <- strides.(i) * d) dims;
+  let coords = Array.make n (aconst 0) in
+  Imap.iter
+    (fun s c ->
+      let k = ref (n - 1) in
+      while !k > 0 && c mod strides.(!k) <> 0 do decr k done;
+      coords.(!k) <- aadd coords.(!k) (ascale (c / strides.(!k)) (asym s)))
+    a.coef;
+  let rem = ref a.const in
+  for k = n - 1 downto 1 do
+    let q = div_nearest !rem strides.(k) in
+    coords.(k) <- aadd coords.(k) (aconst q);
+    rem := !rem - (q * strides.(k))
+  done;
+  coords.(0) <- aadd coords.(0) (aconst !rem);
+  coords
+
+(* a fact on [coord] shifted by a constant bounds the coordinate itself *)
+let fact_on coord f =
+  let d = asub f.f_form coord in
+  if Imap.is_empty d.coef then
+    Some { lo = sat_add f.f_itv.lo (-d.const); hi = sat_add f.f_itv.hi (-d.const) }
+  else None
+
+(* the guard box of an access: per coordinate, its symbol range met
+   with every path fact on it; [None] for a coordinate means the facts
+   contradict each other, so the access never runs *)
+let guard_box syms facts coords =
+  Array.map
+    (fun c ->
+      List.fold_left
+        (fun acc f ->
+          match (acc, fact_on c f) with Some i, Some j -> imeet i j | acc, _ -> acc)
+        (Some (range_in syms c)) facts)
+    coords
+
+(* the coordinate box an access is known to lie outside of, if every
+   atom of the negated guard bounds one of its coordinates *)
+let outside_box coords box =
+  List.fold_left
+    (fun acc f ->
+      Option.bind acc (fun cons ->
+          let rec find k =
+            if k = Array.length coords then None
+            else match fact_on coords.(k) f with Some i -> Some ((k, i) :: cons) | None -> find (k + 1)
+          in
+          find 0))
+    (Some []) box
+
+(* Disjointness of two global accesses by array coordinates.  The split
+   is the array's own mixed-radix decomposition once every inner
+   coordinate provably lies inside its dimension, so equal cells mean
+   equal coordinates: the accesses are apart when their guard boxes miss
+   each other on some coordinate, or one box lies inside a box the other
+   access is guarded to stay outside of (a produced-tile preload reading
+   exactly where the writer's guard does not hold). *)
+let apart syms dims a b =
+  match (a.acc_form, b.acc_form) with
+  | Some fa, Some fb when dims <> [] ->
+      let ca = coordinates dims fa and cb = coordinates dims fb in
+      let dims = Array.of_list dims in
+      let ba = guard_box syms a.acc_facts ca and bb = guard_box syms b.acc_facts cb in
+      let unreachable bx = Array.exists Option.is_none bx in
+      let valid bx =
+        let ok = ref true in
+        Array.iteri
+          (fun k i ->
+            if k < Array.length dims - 1 then
+              match i with Some i -> ok := !ok && i.lo >= 0 && i.hi < dims.(k) | None -> ())
+          bx;
+        !ok
+      in
+      let inside bx outside coords =
+        List.exists
+          (fun box ->
+            match outside_box coords box with
+            | Some cons ->
+                List.for_all
+                  (fun (k, i) ->
+                    match bx.(k) with Some j -> i.lo <= j.lo && j.hi <= i.hi | None -> true)
+                  cons
+            | None -> false)
+          outside
+      in
+      if unreachable ba || unreachable bb then Some "disjoint-ranges"
+      else if not (valid ba && valid bb) then None
+      else if
+        Array.exists2
+          (fun x y -> match (x, y) with Some i, Some j -> imeet i j = None | _ -> true)
+          ba bb
+      then Some "disjoint-ranges"
+      else if inside ba b.acc_outside cb || inside bb a.acc_outside ca then Some "outside-guard"
+      else None
+  | _ -> None
+
+exception Unsettled of string
+
+let prove_race_free ~host_of ~dims_of (r : result) =
+  if not r.res_all_proved then Race_unsettled "bounds are not proved"
+  else begin
+    let syms = r.res_syms in
+    let rules = ref [] in
+    let use rule = if not (List.mem rule !rules) then rules := rule :: !rules in
+    (* accesses grouped by the memory they touch: a host array (several
+       parameters may alias it) or a block's shared tile *)
+    let groups = Hashtbl.create 16 and order = ref [] in
+    List.iter
+      (fun a ->
+        let key =
+          match a.acc_space with Global -> "g:" ^ host_of a.acc_array | Shared -> "s:" ^ a.acc_array
+        in
+        match Hashtbl.find_opt groups key with
+        | Some l -> Hashtbl.replace groups key (a :: l)
+        | None ->
+            order := key :: !order;
+            Hashtbl.replace groups key [ a ])
+      r.res_accesses;
+    let describe a =
+      Printf.sprintf "%s of %s at %s" (if a.acc_write then "write" else "read") a.acc_array
+        (Loc.pp a.acc_loc)
+    in
+    let settle a b self =
+      let shared = a.acc_space = Shared in
+      if self then
+        if not shared then use "same-site"
+        else
+          match a.acc_form with
+          | Some f when own_cell syms ~shared f f -> use "injective-write"
+          | _ -> raise (Unsettled (describe a ^ " is not injective in the thread id"))
+      else if shared && a.acc_interval <> b.acc_interval then use "barrier"
+      else if regions_disjoint a.acc_range b.acc_range then use "disjoint-ranges"
+      else
+        match (a.acc_form, b.acc_form) with
+        | Some fa, Some fb when own_cell syms ~shared fa fb -> use "own-cell"
+        | _ -> (
+            let dims = if shared then [] else Option.value ~default:[] (dims_of (host_of a.acc_array)) in
+            match apart syms dims a b with
+            | Some rule -> use rule
+            | None -> raise (Unsettled (describe a ^ " may meet " ^ describe b)))
+    in
+    let pin_fact f = { f with f_form = pin syms f.f_form } in
+    let pinned a =
+      {
+        a with
+        acc_form = Option.map (pin syms) a.acc_form;
+        acc_facts = List.map pin_fact a.acc_facts;
+        acc_outside = List.map (List.map pin_fact) a.acc_outside;
+      }
+    in
+    match
+      List.iter
+        (fun key ->
+          let accs = Array.of_list (List.rev_map pinned (Hashtbl.find groups key)) in
+          if not (Array.exists (fun a -> a.acc_write) accs) then use "read-only"
+          else
+            Array.iteri
+              (fun i a ->
+                for j = i to Array.length accs - 1 do
+                  let b = accs.(j) in
+                  if a.acc_write || b.acc_write then settle a b (i = j)
+                done)
+              accs)
+        (List.rev !order)
+    with
+    | () -> Race_free (List.sort compare !rules)
+    | exception Unsettled why -> Race_unsettled why
+  end
 
 (* Install this analyzer as the vector backend's bounds prover: a launch
    whose every global access is proved in bounds may run with unchecked

@@ -8,10 +8,12 @@
     and shared access in bounds, to decide generated guards, and to
     predict per-kernel global traffic exactly for affine kernels.
 
-    Three clients:
+    Four clients:
     - {!analyze_kernel} / {!analyze_launch}: proved bounds and per-array
       footprints (replaces kft_verify's sampled bounds pass when every
       access is proved);
+    - {!prove_race_free}: kft_verify's race proof, from the race forms,
+      barrier intervals and guard facts the access records carry;
     - {!simplify_kernel}: guard elimination for fused kernels — an [If]
       whose condition is decided by the block domain is spliced away;
     - the access / guard records consumed by {!Lint}. *)
@@ -29,6 +31,15 @@ type status =
 
 type space = Global | Shared
 
+type form
+(** Race form of an index: an affine form over the thread and block
+    ids, one trip counter per loop (a loop index is [lo + step * m]) and
+    one symbol per distinct [p / d] or [p % d] with constant [d].  Kept
+    apart from the forms that decide bounds and guards. *)
+
+type fact
+(** A path condition: an affine form lies in an interval. *)
+
 type access = {
   acc_array : string;  (** kernel parameter name *)
   acc_space : space;
@@ -41,6 +52,17 @@ type access = {
       (** d(linearized index)/d(threadIdx.x) when the index is affine *)
   acc_bytes : float;  (** estimated global traffic of this site, bytes *)
   acc_exact : bool;  (** the traffic estimate is exact, not an upper bound *)
+  acc_form : form option;
+      (** race form of the linearized index; on a shared tile of inner
+          dimension [W], subscripts [[a / W][a % W]] fold back to [a]
+          when [a >= 0] *)
+  acc_interval : int;
+      (** static barrier interval: two accesses of one block with
+          different ids are separated by a [__syncthreads()] *)
+  acc_facts : fact list;  (** conditions of the enclosing then-branches *)
+  acc_outside : fact list list;
+      (** guard boxes of enclosing else-branches: the access runs only
+          where not every fact of the box holds *)
 }
 
 type guard = {
@@ -52,6 +74,9 @@ type guard = {
 }
 
 type footprint = { fp_reads : itv option; fp_writes : itv option }
+
+type syms
+(** Ranges of the symbols race forms are built over. *)
 
 type result = {
   res_kernel : string;
@@ -65,6 +90,7 @@ type result = {
   res_est_exact : bool;  (** every estimate exact and no early [return] *)
   res_footprints : (string * footprint) list;
       (** per global array (parameter name), sorted *)
+  res_syms : syms;
 }
 
 val analyze_kernel :
@@ -97,3 +123,35 @@ val simplify_kernel :
     rewritten kernel and the number of guards eliminated.  Sound by
     construction — only decided conditions are touched — and intended
     to be translation-validated by kft_verify downstream. *)
+
+val regions_disjoint : itv -> itv -> bool
+(** No cell lies in both intervals.  The one region test shared by the
+    race prover and kft_schedflow's dependence refinement. *)
+
+type race_verdict =
+  | Race_free of string list
+      (** no two distinct threads of the launch touch one cell with at
+          least one write and no ordering barrier; carries the sorted
+          names of the rules that settled the access pairs *)
+  | Race_unsettled of string  (** the first pair no rule settles *)
+
+val prove_race_free :
+  host_of:(string -> string) -> dims_of:(string -> int list option) -> result -> race_verdict
+(** Prove one analyzed launch race-free, pair by pair over the accesses
+    to one memory: a host array ([host_of] maps each array parameter to
+    it, so aliases meet) or a shared tile.  Requires every bound proved.
+    Rules, by name:
+    - [read-only]: an array no access writes;
+    - [same-site]: a global write meeting itself in another thread
+      (exempt: halo recompute rewrites the same value);
+    - [injective-write]: a shared write whose form is injective in the
+      thread id and trip counters;
+    - [barrier]: shared accesses in different barrier intervals;
+    - [disjoint-ranges]: disjoint index intervals, or coordinate guard
+      boxes ([dims_of] gives a host array's dimensions, innermost first)
+      that miss each other;
+    - [own-cell]: the forms can only coincide for one thread;
+    - [outside-guard]: one access's guard box lies inside a box the
+      other is guarded to stay outside of.
+    Global accesses of one block in different barrier intervals are not
+    treated as ordered. *)

@@ -566,6 +566,8 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
         Trace.add trace "launches_checked" vr.Verify.stats.launches_checked;
         Trace.add trace "bounds_proved" vr.Verify.stats.bounds_proved;
         Trace.add trace "bounds_fallback" vr.Verify.stats.bounds_fallback;
+        Trace.add trace "races_proved" vr.Verify.stats.races_proved;
+        Trace.add trace "races_fallback" vr.Verify.stats.races_fallback;
         Trace.add trace "sched_deps_checked" vr.Verify.stats.sched_deps_checked;
         Trace.add trace "sched_fallback" vr.Verify.stats.sched_fallback;
         vr)
@@ -835,11 +837,13 @@ let stage_report r =
   (let v = r.verify_report in
    if v.stats.launches_checked = 0 && v.diagnostics = [] then p "  skipped (verify_mode = off)"
    else begin
-     p "  %d launches checked, %d blocks sampled, %d threads walked, %d events%s"
+     p "  %d launches checked; fallback walk: %d blocks sampled, %d threads walked, %d events%s"
        v.stats.launches_checked v.stats.blocks_sampled v.stats.threads_walked v.stats.events
        (if v.complete then "" else " (budget exhausted: report incomplete)");
      p "  bounds: %d launches proved by absint, %d on sampled fallback"
        v.stats.bounds_proved v.stats.bounds_fallback;
+     p "  races: %d launches proved by absint, %d on sampled fallback"
+       v.stats.races_proved v.stats.races_fallback;
      if v.stats.sched_deps_checked > 0 || v.stats.sched_fallback > 0 then
        p "  schedule: %d source dependences checked end-to-end, %d launches unplaced"
          v.stats.sched_deps_checked v.stats.sched_fallback;

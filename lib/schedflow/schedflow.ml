@@ -236,11 +236,6 @@ let build_arrays p ops =
 (* Schedule DDG                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let regions_disjoint ra rb =
-  match (ra, rb) with
-  | Region a, Region b -> a.Absint.hi < b.Absint.lo || b.Absint.hi < a.Absint.lo
-  | _ -> false
-
 let build_deps ops =
   let arr = Array.of_list ops in
   let n = Array.length arr in
@@ -250,14 +245,12 @@ let build_deps ops =
       let consider kind side_i side_j =
         List.iter
           (fun (a, ri) ->
-            match List.assoc_opt a side_j with
-            | None -> ()
-            | Some rj ->
-                if regions_disjoint ri rj then incr refined
-                else
-                  kept :=
-                    { dep_src = i; dep_dst = j; dep_array = a; dep_kind = kind }
-                    :: !kept)
+            match (ri, List.assoc_opt a side_j) with
+            | _, None -> ()
+            | Region r, Some (Region r') when Absint.regions_disjoint r r' -> incr refined
+            | _, Some _ ->
+                kept :=
+                  { dep_src = i; dep_dst = j; dep_array = a; dep_kind = kind } :: !kept)
           side_i
       in
       consider Raw arr.(i).op_writes arr.(j).op_reads;

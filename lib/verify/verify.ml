@@ -7,6 +7,7 @@ module Fusion = Kft_codegen.Fusion
 module Canonical = Kft_codegen.Canonical
 module Codegen = Kft_codegen.Codegen
 module Schedflow = Kft_schedflow.Schedflow
+module Absint = Kft_absint.Absint
 
 type pass = Race | Barrier | Bounds | Translation | Schedule | Engine
 
@@ -39,6 +40,8 @@ type stats = {
   events : int;
   bounds_proved : int;  (* launches whose every access absint proved in bounds *)
   bounds_fallback : int;  (* launches that needed the sampled bounds walk *)
+  races_proved : int;  (* launches proved race-free from the absint access forms *)
+  races_fallback : int;  (* launches the proof left to the sampled thread walk *)
   sched_deps_checked : int;  (* source schedule dependences checked end-to-end *)
   sched_fallback : int;  (* source launches the member mapping could not place *)
 }
@@ -53,6 +56,8 @@ let empty_stats =
     events = 0;
     bounds_proved = 0;
     bounds_fallback = 0;
+    races_proved = 0;
+    races_fallback = 0;
     sched_deps_checked = 0;
     sched_fallback = 0;
   }
@@ -105,6 +110,8 @@ let merge a b =
         events = a.stats.events + b.stats.events;
         bounds_proved = a.stats.bounds_proved + b.stats.bounds_proved;
         bounds_fallback = a.stats.bounds_fallback + b.stats.bounds_fallback;
+        races_proved = a.stats.races_proved + b.stats.races_proved;
+        races_fallback = a.stats.races_fallback + b.stats.races_fallback;
         sched_deps_checked = a.stats.sched_deps_checked + b.stats.sched_deps_checked;
         sched_fallback = a.stats.sched_fallback + b.stats.sched_fallback;
       };
@@ -118,8 +125,20 @@ let default_budget = 10_000_000
 (* Diagnostic collection                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* One-line statement rendering is quoted in diagnostics and in the
+   access bookkeeping; the walker may reach the same physical statement
+   millions of times, so the rendering is memoized on physical identity
+   (same bucket/equality discipline as [Loc.Tbl]), per collector. *)
+module Stmt_memo = Hashtbl.Make (struct
+  type t = stmt
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
 type collector = {
   seen : (string, unit) Hashtbl.t;
+  memo : string Stmt_memo.t;
   mutable out : diagnostic list;  (* reversed *)
   mutable events : int;
   budget : int;
@@ -129,6 +148,8 @@ type collector = {
   mutable threads : int;
   mutable bproved : int;
   mutable bfallback : int;
+  mutable rproved : int;
+  mutable rfallback : int;
   mutable sdeps : int;
   mutable sfallback : int;
 }
@@ -136,6 +157,7 @@ type collector = {
 let new_collector budget =
   {
     seen = Hashtbl.create 64;
+    memo = Stmt_memo.create 64;
     out = [];
     events = 0;
     budget;
@@ -145,25 +167,14 @@ let new_collector budget =
     threads = 0;
     bproved = 0;
     bfallback = 0;
+    rproved = 0;
+    rfallback = 0;
     sdeps = 0;
     sfallback = 0;
   }
 
-(* One-line statement rendering is quoted in diagnostics and in the
-   access bookkeeping; the walker may reach the same physical statement
-   millions of times, so the rendering is memoized on physical identity
-   (same bucket/equality discipline as [Loc.Tbl]). *)
-module Stmt_memo = Hashtbl.Make (struct
-  type t = stmt
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-let stmt_memo : string Stmt_memo.t = Stmt_memo.create 512
-
-let stmt_line s =
-  match Stmt_memo.find_opt stmt_memo s with
+let stmt_line col s =
+  match Stmt_memo.find_opt col.memo s with
   | Some text -> text
   | None ->
       let text = Pp.stmt ~indent:0 s in
@@ -172,7 +183,7 @@ let stmt_line s =
       in
       let text = String.trim text in
       let text = if String.length text > 72 then String.sub text 0 69 ^ "..." else text in
-      Stmt_memo.replace stmt_memo s text;
+      Stmt_memo.replace col.memo s text;
       text
 
 let emit col ~pass ~kernel ~loc ~stmt ?(array = "") ~key fmt =
@@ -209,6 +220,8 @@ let report_of col =
         events = col.events;
         bounds_proved = col.bproved;
         bounds_fallback = col.bfallback;
+        races_proved = col.rproved;
+        races_fallback = col.rfallback;
         sched_deps_checked = col.sdeps;
         sched_fallback = col.sfallback;
       };
@@ -265,12 +278,12 @@ let barrier_pass col kname body =
             if div && not under then begin
               if contains_barrier t || contains_barrier e then begin
                 divergent := true;
-                emit col ~pass:Barrier ~kernel:kname ~loc ~stmt:(stmt_line s) ~key:"div-if"
+                emit col ~pass:Barrier ~kernel:kname ~loc ~stmt:(stmt_line col s) ~key:"div-if"
                   "__syncthreads() under thread-dependent conditional"
               end;
               if has_barrier && (contains_return t || contains_return e) then begin
                 divergent := true;
-                emit col ~pass:Barrier ~kernel:kname ~loc ~stmt:(stmt_line s) ~key:"div-return"
+                emit col ~pass:Barrier ~kernel:kname ~loc ~stmt:(stmt_line col s) ~key:"div-return"
                   "thread-dependent early return in a kernel that uses __syncthreads()"
               end
             end;
@@ -287,7 +300,7 @@ let barrier_pass col kname body =
             let div = tainted_expr tainted l.lo || tainted_expr tainted l.hi in
             if div && (not under) && contains_barrier l.body then begin
               divergent := true;
-              emit col ~pass:Barrier ~kernel:kname ~loc ~stmt:(stmt_line s) ~key:"div-for"
+              emit col ~pass:Barrier ~kernel:kname ~loc ~stmt:(stmt_line col s) ~key:"div-for"
                 "__syncthreads() inside loop with thread-dependent trip count"
             end;
             let inner = if div then Sset.add l.index tainted else tainted in
@@ -350,7 +363,7 @@ type tstate = {
 
 (* Rendered lazily: most accesses never surface in a diagnostic, so the
    string is only built when emitting or remembering an access. *)
-let stmt_of st = match st.cstmt with Some s -> stmt_line s | None -> ""
+let stmt_of ctx st = match st.cstmt with Some s -> stmt_line ctx.col s | None -> ""
 
 let same_site a b = match (a, b) with Some x, Some y -> x == y | _ -> false
 
@@ -457,7 +470,7 @@ and record_access ctx st ~write a idxs =
       else begin
         let vals = List.map (eval ctx st) idxs in
         if List.exists (fun v -> v = None) vals then
-          emit ctx.col ~pass:Engine ~kernel:ctx.kname ~loc ~stmt:(stmt_of st)
+          emit ctx.col ~pass:Engine ~kernel:ctx.kname ~loc ~stmt:(stmt_of ctx st)
             ~key:("ssub|" ^ a)
             "subscript of shared %s is not statically evaluable; race/bounds analysis is incomplete for it"
             a
@@ -469,7 +482,7 @@ and record_access ctx st ~write a idxs =
               if v < 0 || v >= d then begin
                 in_bounds := false;
                 if ctx.check_bounds then
-                  emit ctx.col ~pass:Bounds ~kernel:ctx.kname ~loc ~stmt:(stmt_of st)
+                  emit ctx.col ~pass:Bounds ~kernel:ctx.kname ~loc ~stmt:(stmt_of ctx st)
                     ~key:(Printf.sprintf "sb|%s|%d" a i)
                     "subscript %d of shared %s out of range: %d not in [0,%d)" i a v d
               end)
@@ -487,7 +500,7 @@ and record_access ctx st ~write a idxs =
           | [ idx ] -> (
               match eval ctx st idx with
               | None ->
-                  emit ctx.col ~pass:Engine ~kernel:ctx.kname ~loc ~stmt:(stmt_of st)
+                  emit ctx.col ~pass:Engine ~kernel:ctx.kname ~loc ~stmt:(stmt_of ctx st)
                     ~key:("gsub|" ^ a)
                     "index of global %s is not statically evaluable; race/bounds analysis is incomplete for it"
                     a
@@ -497,7 +510,7 @@ and record_access ctx st ~write a idxs =
                   in
                   if v < 0 || v >= cells then begin
                     if ctx.check_bounds then
-                      emit ctx.col ~pass:Bounds ~kernel:ctx.kname ~loc ~stmt:(stmt_of st)
+                      emit ctx.col ~pass:Bounds ~kernel:ctx.kname ~loc ~stmt:(stmt_of ctx st)
                         ~key:(Printf.sprintf "gb|%s|%s" a (if write then "w" else "r"))
                         "out-of-bounds %s of %s: index %d outside extent of %d cells (halo not guarded?)"
                         (if write then "write" else "read")
@@ -517,7 +530,7 @@ and shared_conflicts ctx st ~write ~loc a idxs lin =
         e
   in
   let report kind (other : sacc) =
-    emit ctx.col ~pass:Race ~kernel:ctx.kname ~loc ~stmt:(stmt_of st)
+    emit ctx.col ~pass:Race ~kernel:ctx.kname ~loc ~stmt:(stmt_of ctx st)
       ~key:(Printf.sprintf "%s|%s|%s|%s" kind a (Loc.pp other.s_loc) other.s_stmt)
       "%s race on shared %s: threads %d and %d of one block touch the same cell (index %d) \
        between the same barriers; other access%s: %s [subscripts: %s]"
@@ -534,14 +547,14 @@ and shared_conflicts ctx st ~write ~loc a idxs lin =
     | Some r -> report "rw" r
     | None -> ());
     if (not (List.exists (fun w -> w.s_tid = st.tid) entry.sw)) && List.length entry.sw < 4
-    then entry.sw <- { s_tid = st.tid; s_loc = loc; s_stmt = stmt_of st } :: entry.sw
+    then entry.sw <- { s_tid = st.tid; s_loc = loc; s_stmt = stmt_of ctx st } :: entry.sw
   end
   else begin
     (match List.find_opt (fun w -> w.s_tid <> st.tid) entry.sw with
     | Some w -> report "rw" w
     | None -> ());
     if (not (List.exists (fun r -> r.s_tid = st.tid) entry.sr)) && List.length entry.sr < 4
-    then entry.sr <- { s_tid = st.tid; s_loc = loc; s_stmt = stmt_of st } :: entry.sr
+    then entry.sr <- { s_tid = st.tid; s_loc = loc; s_stmt = stmt_of ctx st } :: entry.sr
   end
 
 and global_conflicts ctx st ~write ~loc host lin =
@@ -559,7 +572,7 @@ and global_conflicts ctx st ~write ~loc host lin =
      nothing orders accesses of different blocks within one launch *)
   let unordered (o : gacc) = o.g_bid <> st.bid || o.g_iv = st.interval in
   let report kind (other : gacc) =
-    emit ctx.col ~pass:Race ~kernel:ctx.kname ~loc ~stmt:(stmt_of st)
+    emit ctx.col ~pass:Race ~kernel:ctx.kname ~loc ~stmt:(stmt_of ctx st)
       ~key:(Printf.sprintf "%s|%s|%s|%s" kind host (Loc.pp other.g_loc) other.g_stmt)
       "%s race on global %s: %s threads access the same cell (index %d) with no ordering \
        barrier; other access%s: %s"
@@ -584,7 +597,7 @@ and global_conflicts ctx st ~write ~loc host lin =
           g_tid = st.tid;
           g_iv = st.interval;
           g_loc = loc;
-          g_stmt = stmt_of st;
+          g_stmt = stmt_of ctx st;
           g_site = st.cstmt;
         }
   in
@@ -636,7 +649,7 @@ let rec exec ctx st stmts =
                 (* pass 2 proved the condition uniform, but we cannot
                    resolve it — taking one branch would desynchronize the
                    interval counter, so flag and follow the then-branch *)
-                emit ctx.col ~pass:Engine ~kernel:ctx.kname ~loc:st.cloc ~stmt:(stmt_line s)
+                emit ctx.col ~pass:Engine ~kernel:ctx.kname ~loc:st.cloc ~stmt:(stmt_line ctx.col s)
                   ~key:"if-barrier"
                   "conditional guarding __syncthreads() is not statically evaluable";
                 exec ctx st t
@@ -682,7 +695,7 @@ let rec exec ctx st stmts =
               restore ()
           | _ ->
               if contains_barrier l.body then
-                emit ctx.col ~pass:Engine ~kernel:ctx.kname ~loc:st.cloc ~stmt:(stmt_line s)
+                emit ctx.col ~pass:Engine ~kernel:ctx.kname ~loc:st.cloc ~stmt:(stmt_line ctx.col s)
                   ~key:"for-barrier"
                   "bounds of loop containing __syncthreads() are not statically evaluable";
               Hashtbl.replace st.scalars l.index None;
@@ -714,7 +727,22 @@ let sample_blocks (gx, gy, gz) =
   let rec take n = function [] -> [] | x :: r -> if n = 0 then [] else x :: take (n - 1) r in
   take 8 all
 
-let verify_launch_into col prog (l : launch) =
+let all_blocks (gx, gy, gz) =
+  List.concat_map
+    (fun z -> List.concat_map (fun y -> List.init gx (fun x -> (x, y, z))) (List.init gy Fun.id))
+    (List.init gz Fun.id)
+
+(* the race proof of one analyzed launch: array parameters meet through
+   their host arrays, whose declared dimensions split global indices
+   into coordinates *)
+let race_verdict prog host_of absint =
+  Absint.prove_race_free absint
+    ~host_of:(fun p -> match List.assoc_opt p host_of with Some h -> h | None -> p)
+    ~dims_of:(fun h ->
+      match find_array prog h with d -> Some d.a_dims | exception Not_found -> None)
+
+(* [exhaustive]: no race proof, and the walk covers every block *)
+let verify_launch_into ?(exhaustive = false) col prog (l : launch) =
   match find_kernel prog l.l_kernel with
   | exception Not_found -> () (* Check.program reports it *)
   | k ->
@@ -747,30 +775,40 @@ let verify_launch_into col prog (l : launch) =
          the same dedupe keys the walker would use, so the two passes
          never double-report one defect. *)
       let absint =
-        Kft_absint.Absint.analyze_kernel ~block:l.l_block ~grid:(grid_of_launch l)
-          ~int_params ~global_cells k
+        Absint.analyze_kernel ~block:l.l_block ~grid:(grid_of_launch l) ~int_params
+          ~global_cells k
       in
-      let bounds_proved = absint.Kft_absint.Absint.res_all_proved in
+      let bounds_proved = absint.Absint.res_all_proved in
       if bounds_proved then col.bproved <- col.bproved + 1
       else col.bfallback <- col.bfallback + 1;
       List.iter
-        (fun (a : Kft_absint.Absint.access) ->
+        (fun (a : Absint.access) ->
           match (a.acc_status, a.acc_space) with
-          | Kft_absint.Absint.Oob, Kft_absint.Absint.Global ->
+          | Absint.Oob, Absint.Global ->
               emit col ~pass:Bounds ~kernel:k.k_name ~loc:a.acc_loc ~stmt:""
                 ~key:(Printf.sprintf "gb|%s|%s" a.acc_array (if a.acc_write then "w" else "r"))
-                "out-of-bounds %s of %s: proved index range %s entirely outside extent of %d                  cells"
+                "out-of-bounds %s of %s: proved index range %s entirely outside extent of %d cells"
                 (if a.acc_write then "write" else "read")
-                a.acc_array
-                (Kft_absint.Absint.pp_itv a.acc_range)
-                a.acc_extent
+                a.acc_array (Absint.pp_itv a.acc_range) a.acc_extent
           | _ -> ())
-        absint.Kft_absint.Absint.res_accesses;
+        absint.Absint.res_accesses;
       let divergent = barrier_pass col k.k_name k.k_body in
+      (* races are proved from the access forms the bounds pass already
+         computed; the walk below runs only on launches the proof cannot
+         settle (bounds not proved, or an access pair no rule covers) *)
+      let races_proved =
+        (not exhaustive) && (not divergent) && bounds_proved
+        &&
+        match race_verdict prog host_of absint with
+        | Absint.Race_free _ -> true
+        | Absint.Race_unsettled _ -> false
+      in
+      if races_proved then col.rproved <- col.rproved + 1
+      else if not (exhaustive || divergent) then col.rfallback <- col.rfallback + 1;
       if divergent then
         emit col ~pass:Engine ~kernel:k.k_name ~loc:Loc.none ~stmt:"" ~key:"skip-races"
           "race analysis skipped: kernel has statically divergent barriers"
-      else begin
+      else if not races_proved then begin
         let grid = grid_of_launch l in
         let bx, by, bz = l.l_block in
         let gx, gy, _ = grid in
@@ -817,7 +855,7 @@ let verify_launch_into col prog (l : launch) =
                   done
                 done
               done)
-            (sample_blocks grid)
+            (if exhaustive then all_blocks grid else sample_blocks grid)
         with Budget ->
           col.complete <- false;
           emit col ~pass:Engine ~kernel:k.k_name ~loc:Loc.none ~stmt:"" ~key:"budget"
@@ -986,3 +1024,21 @@ let validate ?(budget = default_budget) ?(options = Fusion.auto_options) ~source
       | _ -> ())
     deps;
   report_of col
+
+module Internal = struct
+  let walk_all_blocks ?(budget = default_budget) prog l =
+    let col = new_collector budget in
+    verify_launch_into ~exhaustive:true col prog l;
+    report_of col
+
+  let race_verdict prog l =
+    Option.map
+      (fun r ->
+        let host_of =
+          match bind_args (find_kernel prog l.l_kernel) l.l_args with
+          | bound -> List.filter_map (function p, Arg_array a -> Some (p, a) | _ -> None) bound
+          | exception Invalid_argument _ -> []
+        in
+        race_verdict prog host_of r)
+      (Absint.analyze_launch prog l)
+end

@@ -9,26 +9,39 @@
     launch, with four cooperating passes:
 
     {ol
-    {- {b Shared-memory race detection} — a may-happen-in-parallel
-       analysis. Each kernel body is segmented at [__syncthreads()]
-       barriers (sound because pass 2 first proves every barrier is
-       uniform); per-thread index expressions of shared-array accesses
-       are evaluated exactly for every thread of a sampled set of
-       blocks (the affine probe of [Analysis.Access.affine_threads]
-       classifies the subscripts; the concrete walker decides overlap,
-       which also covers the non-affine cooperative-load subscripts
-       [c % w] / [c / w] the code generator emits). Two accesses to the
-       same cell by distinct threads inside one barrier interval with at
-       least one write is a race.}
+    {- {b Race freedom} — proved per launch from the kft_absint result
+       the bounds pass computes anyway ({!Kft_absint.Absint.prove_race_free}).
+       Every access carries the affine form of its cell over the thread
+       and block ids, loop trip counters and div/mod results, a static
+       barrier-interval id, and the guard facts on its path.  Each pair
+       of accesses to one host array or shared tile, at least one a
+       write, must be settled by a named rule: read-only arrays; disjoint
+       index ranges or coordinate boxes (boundary copies); forms that
+       meet only within one thread (in-place own-cell updates); a read
+       confined to the complement of the writer's guard box
+       (produced-tile preloads); shared writes injective in the thread
+       id and trip counter (cooperative tile loads, whose [[c / W][c % W]]
+       subscripts fold back to [c]); shared accesses in different
+       barrier intervals.  Global write-write pairs of one statement stay
+       exempt (idempotent halo recompute); shared ones do not.  A launch
+       no rule settles falls back to the concrete thread walk: every
+       thread of a sampled set of blocks (grid corners plus their first
+       interior neighbours, at most 8) is executed statement by
+       statement, and two accesses to one cell by distinct threads inside
+       one barrier interval, at least one a write, are a race.  The walk
+       is unsound (a race in an unsampled block goes unseen), hence
+       [races_fallback] in the stats.}
     {- {b Barrier divergence} — statically proves no barrier sits under
        a thread-dependent conditional or inside a loop whose trip count
        depends on [threadIdx] (a taint analysis from [threadIdx] through
-       scalar assignments; the simulator only catches this dynamically).}
-    {- {b Bounds / halo checking} — every global access's linearized
-       index is checked against the bound array's extent for every
-       walked thread, and shared subscripts against the declared tile
-       shape, so an out-of-bounds halo read is reported with the exact
-       offending index.}
+       scalar assignments; the simulator only catches this dynamically).
+       The race proof needs uniform barriers, so a divergent kernel gets
+       no race analysis at all.}
+    {- {b Bounds / halo checking} — kft_absint proves every access in
+       bounds over the whole launch domain, reporting proved
+       out-of-bounds accesses with their index range; a launch with an
+       access it cannot decide falls back to checking every subscript
+       of the sampled walk against the extent.}
     {- {b Translation validation} — passes 1–3 run over every kernel
        [Codegen]/[Fusion] emit, and fused kernels are additionally
        checked to preserve the member-order dependences recorded in the
@@ -44,11 +57,8 @@
        transformed schedule, complementing the per-group member-order
        check with inter-kernel coverage.}}
 
-    Sampling: blocks are enumerated at the grid corners plus the first
-    interior neighbours (where halo overlap between adjacent blocks
-    materializes); threads are enumerated exhaustively within each
-    sampled block. An event budget bounds the walk; exhausting it marks
-    the report incomplete rather than wrong. *)
+    An event budget bounds the fallback walk; exhausting it marks the
+    report incomplete rather than wrong. *)
 
 type pass = Race | Barrier | Bounds | Translation | Schedule | Engine
 
@@ -74,15 +84,20 @@ val pp_diagnostic : diagnostic -> string
 
 type stats = {
   launches_checked : int;
-  blocks_sampled : int;
-  threads_walked : int;
-  events : int;  (** statements executed by the per-thread walker *)
+  blocks_sampled : int;  (** blocks of the fallback walks only *)
+  threads_walked : int;  (** threads of the fallback walks only *)
+  events : int;  (** statements executed by the fallback walks only *)
   bounds_proved : int;
       (** launches whose every access the kft_absint bounds pass proved
           in bounds (no sampling needed for subscripts) *)
   bounds_fallback : int;
       (** launches with at least one access the abstract domain could
           not decide: the sampled bounds walk remains authoritative *)
+  races_proved : int;
+      (** launches proved race-free from the kft_absint access forms *)
+  races_fallback : int;
+      (** launches the proof could not settle: the sampled thread walk
+          decides them (unsound outside the sampled blocks) *)
   sched_deps_checked : int;
       (** source schedule dependences checked end-to-end by {!validate} *)
   sched_fallback : int;
@@ -133,3 +148,18 @@ val validate :
     checks plus end-to-end dependence preservation, with
     [sched_deps_checked] / [sched_fallback] recorded in the stats).
     Diagnostics carry the {e fused} kernel's name. *)
+
+(** Test-only access to the race proof and to its fallback walker. *)
+module Internal : sig
+  val walk_all_blocks :
+    ?budget:int -> Kft_cuda.Ast.program -> Kft_cuda.Ast.launch -> report
+  (** Passes 1–3 on one launch with the race proof off and the thread
+      walk over every block of the grid instead of the sampled ones: the
+      exhaustive oracle the race proof is tested against. Its cost grows
+      with the grid; meant for small launches. *)
+
+  val race_verdict :
+    Kft_cuda.Ast.program -> Kft_cuda.Ast.launch -> Kft_absint.Absint.race_verdict option
+  (** The race proof of one launch ([None] if the launch does not
+      resolve against the program). *)
+end

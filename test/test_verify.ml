@@ -9,10 +9,11 @@
 open Kft_cuda.Ast
 module V = Kft_verify.Verify
 module F = Kft_framework.Framework
+module Absint = Kft_absint.Absint
 
 let dims = (32, 8, 4)
 
-let program_of ?(block = (16, 4, 1)) ~arrays ~src launches =
+let program_of ?(dims = dims) ?(block = (16, 4, 1)) ~arrays ~src launches =
   let nx, ny, nz = dims in
   {
     p_name = "fixture";
@@ -163,12 +164,53 @@ let test_order_violation () =
   Alcotest.(check bool) "diagnostic names the fused kernel" true
     (String.length d.d_kernel > 0 && d.d_kernel <> "produce" && d.d_kernel <> "consume")
 
+(* A producer the race proof settles and a consumer it cannot: race-free
+   with bounds proved, but the even and odd cells of a row are written
+   by different statements whose forms 2*gi and 2*gi+1 interleave, so
+   the consumer falls back to the walk. *)
+let fallback_program () =
+  let src =
+    {|
+__global__ void produce(const double *U, double *A, int nx, int ny) {
+  int gi = blockIdx.x * blockDim.x + threadIdx.x;
+  int gj = blockIdx.y * blockDim.y + threadIdx.y;
+  if (gi >= 1 && gi < nx - 1 && gj < ny) {
+    A[gj * nx + gi] = U[gj * nx + gi - 1] + U[gj * nx + gi + 1];
+  }
+}
+__global__ void pairs(const double *A, double *B, int nx, int ny) {
+  int gi = blockIdx.x * blockDim.x + threadIdx.x;
+  int gj = blockIdx.y * blockDim.y + threadIdx.y;
+  if (gi < 16 && gj < ny) {
+    B[gj * nx + 2 * gi] = A[gj * nx + 2 * gi];
+    B[gj * nx + 2 * gi + 1] = A[gj * nx + 2 * gi + 1];
+  }
+}
+|}
+  in
+  let nx, ny, _ = dims in
+  program_of ~arrays:[ "U"; "A"; "B" ] ~src
+    [
+      ("produce", [ Arg_array "U"; Arg_array "A"; Arg_int nx; Arg_int ny ]);
+      ("pairs", [ Arg_array "A"; Arg_array "B"; Arg_int nx; Arg_int ny ]);
+    ]
+
 let test_clean_program_is_clean () =
-  let prog = Util.producer_consumer_program () in
-  let r = V.verify_program prog in
+  let r = V.verify_program (fallback_program ()) in
   Alcotest.(check bool) "clean" true (V.is_clean r);
   Alcotest.(check bool) "complete" true r.complete;
+  Alcotest.(check int) "bounds proved" 2 r.stats.bounds_proved;
+  Alcotest.(check int) "producer proved" 1 r.stats.races_proved;
+  Alcotest.(check int) "consumer falls back" 1 r.stats.races_fallback;
   Alcotest.(check bool) "walked threads" true (r.stats.threads_walked > 0)
+
+let test_proved_program_walks_nothing () =
+  let r = V.verify_program (Util.producer_consumer_program ()) in
+  Alcotest.(check bool) "clean" true (V.is_clean r);
+  Alcotest.(check int) "races proved" 2 r.stats.races_proved;
+  Alcotest.(check int) "no race fallback" 0 r.stats.races_fallback;
+  Alcotest.(check int) "no thread walked" 0 r.stats.threads_walked;
+  Alcotest.(check int) "no event" 0 r.stats.events
 
 (* ------------------------------------------------------------------ *)
 (* six applications: sources verify clean; pipeline output validates   *)
@@ -200,10 +242,236 @@ let test_pipeline_validates () =
     (rep.verify_report.stats.launches_checked > 0)
 
 let test_budget_exhaustion () =
-  let prog = Util.producer_consumer_program () in
+  let prog = fallback_program () in
   let r = V.verify_program ~budget:100 prog in
   Alcotest.(check bool) "incomplete under a tiny budget" true (not r.complete);
   Alcotest.(check bool) "not clean (engine note)" true (not (V.is_clean r))
+
+(* ------------------------------------------------------------------ *)
+(* race proof: one clean kernel per rule, and its limits               *)
+(* ------------------------------------------------------------------ *)
+
+let std_launch name arrays =
+  let nx, ny, _ = dims in
+  (name, List.map (fun a -> Arg_array a) arrays @ [ Arg_int nx; Arg_int ny ])
+
+(* the launch is proved race-free without walking a thread, and [rule]
+   is among the rules that settled it *)
+let check_proved ~rule prog =
+  let r = V.verify_program prog in
+  Alcotest.(check bool) "clean" true (V.is_clean r);
+  Alcotest.(check int) "no race fallback" 0 r.stats.races_fallback;
+  Alcotest.(check int) "proved" 1 r.stats.races_proved;
+  Alcotest.(check int) "no thread walked" 0 r.stats.threads_walked;
+  let l = List.find_map (function Launch l -> Some l | _ -> None) prog.p_schedule in
+  match V.Internal.race_verdict prog (Option.get l) with
+  | Some (Absint.Race_free rules) ->
+      if not (List.mem rule rules) then
+        Alcotest.failf "rule %s not used (used: %s)" rule (String.concat ", " rules)
+  | _ -> Alcotest.fail "no race-free verdict"
+
+let test_rule_read_only () =
+  let src =
+    {|
+__global__ void copy(const double *A, double *B, int nx, int ny) {
+  int gi = blockIdx.x * blockDim.x + threadIdx.x;
+  int gj = blockIdx.y * blockDim.y + threadIdx.y;
+  if (gi >= 1 && gi < nx - 1 && gj < ny) {
+    B[gj * nx + gi] = A[gj * nx + gi - 1] + A[gj * nx + gi + 1];
+  }
+}
+|}
+  in
+  check_proved ~rule:"read-only"
+    (program_of ~arrays:[ "A"; "B" ] ~src [ std_launch "copy" [ "A"; "B" ] ])
+
+let test_rule_disjoint_ranges () =
+  (* boundary copy: plane 3 is written from plane 2 of the same array *)
+  let src =
+    {|
+__global__ void bc(double *P, int nx, int ny) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  int j = blockIdx.y * blockDim.y + threadIdx.y;
+  if (i < nx && j < ny) {
+    P[(3 * ny + j) * nx + i] = 0.5 * P[(2 * ny + j) * nx + i];
+  }
+}
+|}
+  in
+  check_proved ~rule:"disjoint-ranges" (program_of ~arrays:[ "P" ] ~src [ std_launch "bc" [ "P" ] ])
+
+let test_rule_own_cell () =
+  (* in-place update of the thread's own cell, every plane *)
+  let src =
+    {|
+__global__ void upd(const double *H, double *E, int nx, int ny) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  int j = blockIdx.y * blockDim.y + threadIdx.y;
+  for (int k = 0; k < 4; k++) {
+    E[(k * ny + j) * nx + i] = 0.5 * (H[(k * ny + j) * nx + i] + E[(k * ny + j) * nx + i]);
+  }
+}
+|}
+  in
+  check_proved ~rule:"own-cell" (program_of ~arrays:[ "H"; "E" ] ~src [ std_launch "upd" [ "H"; "E" ] ])
+
+(* the produced-tile pattern of a fused kernel: a cooperative preload
+   of a (16+2)x(4+2) tile reading A only outside the interior the block
+   later writes back, a barrier, then the own-cell writeback *)
+let tile_src =
+  {|
+__global__ void tile(double *A, int nx, int ny) {
+  int tx = threadIdx.x;
+  int ty = threadIdx.y;
+  int tid = ty * 16 + tx;
+  int gi = blockIdx.x * 16 + tx;
+  int gj = blockIdx.y * 4 + ty;
+  __shared__ double s_A[6][18];
+  for (int c = tid; c < 108; c += 64) {
+    int lx = c % 18;
+    int ly = c / 18;
+    int gx = blockIdx.x * 16 + lx - 1;
+    int gy = blockIdx.y * 4 + ly - 1;
+    if (gx >= 0 && gx < 32 && gy >= 0 && gy < 8) {
+      if (gx >= 1 && gx < 31 && gy >= 1 && gy < 7) {
+        ;
+      } else {
+        s_A[ly][lx] = A[32 * gy + gx];
+      }
+    }
+  }
+  __syncthreads();
+  if (gi >= 1 && gi < 31 && gj >= 1 && gj < 7) {
+    A[32 * gj + gi] = s_A[ty][tx + 1] + s_A[ty + 2][tx + 1];
+  }
+}
+|}
+
+let tile_program () = program_of ~arrays:[ "A" ] ~src:tile_src [ std_launch "tile" [ "A" ] ]
+let test_rule_outside_guard () = check_proved ~rule:"outside-guard" (tile_program ())
+let test_rule_injective_write () = check_proved ~rule:"injective-write" (tile_program ())
+let test_rule_barrier () = check_proved ~rule:"barrier" (tile_program ())
+
+let test_rule_same_site () =
+  (* every thread of a row writes the row's first cell from one
+     statement: exempt on global memory, as in the walker *)
+  let src =
+    {|
+__global__ void halo(double *B, int nx, int ny) {
+  int gj = blockIdx.y * blockDim.y + threadIdx.y;
+  if (gj < ny) {
+    B[gj * nx] = 1.0;
+  }
+}
+|}
+  in
+  check_proved ~rule:"same-site" (program_of ~arrays:[ "B" ] ~src [ std_launch "halo" [ "B" ] ])
+
+let test_proved_oob_message () =
+  let src =
+    {|
+__global__ void far(double *B, int nx, int ny) {
+  int gi = blockIdx.x * blockDim.x + threadIdx.x;
+  int gj = blockIdx.y * blockDim.y + threadIdx.y;
+  if (gi < nx && gj < ny) {
+    B[gj * nx + gi + 100000] = 1.0;
+  }
+}
+|}
+  in
+  let r = V.verify_program (program_of ~arrays:[ "B" ] ~src [ std_launch "far" [ "B" ] ]) in
+  Alcotest.(check string) "message"
+    "out-of-bounds write of B: proved index range [100000,100255] entirely outside extent of \
+     1024 cells"
+    (diag_of V.Bounds r).d_message
+
+let test_race_in_unsampled_block () =
+  (* 6 blocks along x: the walk samples blocks 0, 1 and 5 only; block 3's
+     second write lands on cells block 4 writes *)
+  let src =
+    {|
+__global__ void mid(double *B, int nx, int ny) {
+  int gi = blockIdx.x * blockDim.x + threadIdx.x;
+  int gj = blockIdx.y * blockDim.y + threadIdx.y;
+  if (gi < nx && gj < ny) {
+    B[gj * nx + gi] = 1.0;
+    if (blockIdx.x == 3 && gi < nx - 16) {
+      B[gj * nx + gi + 16] = 2.0;
+    }
+  }
+}
+|}
+  in
+  let dims = (96, 4, 1) in
+  let prog =
+    program_of ~dims ~block:(16, 4, 1) ~arrays:[ "B" ] ~src
+      [ ("mid", [ Arg_array "B"; Arg_int 96; Arg_int 4 ]) ]
+  in
+  let r = V.verify_program prog in
+  Alcotest.(check int) "bounds proved" 1 r.stats.bounds_proved;
+  Alcotest.(check int) "falls back" 1 r.stats.races_fallback;
+  Alcotest.(check int) "never proved" 0 r.stats.races_proved;
+  let l = List.find_map (function Launch l -> Some l | _ -> None) prog.p_schedule in
+  (match V.Internal.race_verdict prog (Option.get l) with
+  | Some (Absint.Race_free _) -> Alcotest.fail "the racy launch was proved race-free"
+  | _ -> ());
+  Alcotest.(check bool) "the exhaustive walk finds the race" true
+    (has_pass V.Race (V.Internal.walk_all_blocks prog (Option.get l)))
+
+let test_shared_neighbour_race () =
+  (* each thread reads its right neighbour's tile cell with no barrier
+     after the write: a read-write race inside one barrier interval *)
+  let src =
+    {|
+__global__ void nb(const double *A, double *B, int nx, int ny) {
+  int tx = threadIdx.x;
+  int ty = threadIdx.y;
+  int gi = blockIdx.x * 16 + tx;
+  int gj = blockIdx.y * 4 + ty;
+  __shared__ double s[4][17];
+  s[ty][tx] = A[gj * nx + gi];
+  B[gj * nx + gi] = s[ty][tx + 1];
+}
+|}
+  in
+  let r = V.verify_program (program_of ~arrays:[ "A"; "B" ] ~src [ std_launch "nb" [ "A"; "B" ] ]) in
+  Alcotest.(check int) "never proved" 0 r.stats.races_proved;
+  Alcotest.(check bool) "race reported" true (has_pass V.Race r)
+
+(* soundness of the prover against the exhaustive walk, on the fuzzed
+   stencil chains, on the fused kernel of each whole chain, and on the
+   chain run in place (each kernel's output bound to its input: racy
+   whenever a stencil offset is nonzero) *)
+let prop_proved_means_race_free =
+  QCheck.Test.make ~name:"a launch the race proof clears has no race on any block" ~count:40
+    Util.fuzz_sample_arb (fun s ->
+      let prog = s.Util.fz_program in
+      let launches = List.filter_map (function Launch l -> Some l | _ -> None) prog.p_schedule in
+      let fused = (Kft_codegen.Codegen.transform Util.device prog ~groups:[ launches ]).program in
+      let in_place =
+        {
+          prog with
+          p_schedule =
+            List.map
+              (function
+                | Launch ({ l_args = Arg_array a :: Arg_array _ :: rest; _ } as l) ->
+                    Launch { l with l_args = Arg_array a :: Arg_array a :: rest }
+                | op -> op)
+              prog.p_schedule;
+        }
+      in
+      List.for_all
+        (fun p ->
+          List.for_all
+            (function
+              | Launch l -> (
+                  match V.Internal.race_verdict p l with
+                  | Some (Absint.Race_free _) ->
+                      not (has_pass V.Race (V.Internal.walk_all_blocks p l))
+                  | _ -> true)
+              | _ -> true)
+            p.p_schedule)
+        [ prog; fused; in_place ])
 
 (* ------------------------------------------------------------------ *)
 (* round-trip: Parse (Pp.kernels k) == k                               *)
@@ -255,6 +523,23 @@ let suite =
       test_pipeline_validates;
     Alcotest.test_case "event budget exhaustion is reported, not wrong" `Quick
       test_budget_exhaustion;
+    Alcotest.test_case "proved program walks no thread" `Quick test_proved_program_walks_nothing;
+    Alcotest.test_case "race rule: read-only arrays" `Quick test_rule_read_only;
+    Alcotest.test_case "race rule: disjoint ranges (boundary copy)" `Quick
+      test_rule_disjoint_ranges;
+    Alcotest.test_case "race rule: own cell (in-place update)" `Quick test_rule_own_cell;
+    Alcotest.test_case "race rule: outside the writer's guard (tile preload)" `Quick
+      test_rule_outside_guard;
+    Alcotest.test_case "race rule: injective shared write (cooperative load)" `Quick
+      test_rule_injective_write;
+    Alcotest.test_case "race rule: barrier-separated shared accesses" `Quick test_rule_barrier;
+    Alcotest.test_case "race rule: same-site global writes exempt" `Quick test_rule_same_site;
+    Alcotest.test_case "proved out-of-bounds message text" `Quick test_proved_oob_message;
+    Alcotest.test_case "race in an unsampled block falls back, never proved" `Quick
+      test_race_in_unsampled_block;
+    Alcotest.test_case "shared read-write race in one interval is never proved" `Quick
+      test_shared_neighbour_race;
+    QCheck_alcotest.to_alcotest prop_proved_means_race_free;
   ]
 
 let roundtrip_suite =

@@ -7,10 +7,12 @@
       programs and the output of the full pipeline under the automated
       codegen options (small GGA budget, fatal verification gate).
 
-   Exits non-zero on any diagnostic, incomplete report, or rejected
-   group, so the alias fails loudly when a transformation regression
-   introduces a race, divergent barrier, out-of-bounds access, or an
-   order-violating fusion. *)
+   Exits non-zero on any diagnostic, incomplete report, rejected group,
+   or launch whose bounds or race freedom kft_absint could not prove
+   (the sampled walk it would fall back to is unsound), so the alias
+   fails loudly when a transformation regression introduces a race,
+   divergent barrier, out-of-bounds access, or an order-violating
+   fusion, or leaves the provers' reach. *)
 
 module F = Kft_framework.Framework
 module V = Kft_verify.Verify
@@ -18,17 +20,24 @@ module V = Kft_verify.Verify
 let failures = ref 0
 
 let check what (r : V.report) =
-  let ok = V.is_clean r && r.complete in
-  Printf.printf "%-28s %s  (%d launches, %d blocks, %d threads, %d events, %d/%d bounds proved)\n"
+  let s = r.stats in
+  let proved = s.bounds_fallback = 0 && s.races_fallback = 0 in
+  let ok = V.is_clean r && r.complete && proved in
+  Printf.printf "%-28s %s  (%d launches, %d/%d bounds proved, %d/%d races proved, %d threads walked)\n"
     what
-    (if ok then "clean" else "DEFECTS")
-    r.stats.launches_checked r.stats.blocks_sampled r.stats.threads_walked r.stats.events
-    r.stats.bounds_proved
-    (r.stats.bounds_proved + r.stats.bounds_fallback);
+    (if ok then "clean" else if proved then "DEFECTS" else "UNPROVED")
+    s.launches_checked s.bounds_proved
+    (s.bounds_proved + s.bounds_fallback)
+    s.races_proved
+    (s.races_proved + s.races_fallback)
+    s.threads_walked;
   if not ok then begin
     incr failures;
     List.iter (fun d -> Printf.printf "    %s\n" (V.pp_diagnostic d)) r.diagnostics;
-    if not r.complete then print_endline "    (event budget exhausted: report incomplete)"
+    if not r.complete then print_endline "    (event budget exhausted: report incomplete)";
+    if not proved then
+      Printf.printf "    %d bounds and %d race fallbacks to the sampled walk\n" s.bounds_fallback
+        s.races_fallback
   end
 
 (* the three-kernel program of examples/quickstart.ml *)
