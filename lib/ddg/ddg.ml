@@ -12,12 +12,60 @@ type node =
   | Kernel_node of invocation
   | Array_node of { base : string; version : int }
 
+(* Fixed-width bitsets over node indices, [Sys.int_size] bits a word. *)
+module Bits = struct
+  let create n = Array.make ((n + Sys.int_size - 1) / Sys.int_size) 0
+
+  let add b i = b.(i / Sys.int_size) <- b.(i / Sys.int_size) lor (1 lsl (i mod Sys.int_size))
+
+  let mem b i = b.(i / Sys.int_size) land (1 lsl (i mod Sys.int_size)) <> 0
+
+  let union_into dst src = Array.iteri (fun w x -> dst.(w) <- dst.(w) lor x) src
+end
+
+(* Reachability closure of the OEG: node [i] is the [i]-th invocation;
+   [desc.(i)] / [anc.(i)] hold the nodes reachable from / reaching [i]
+   through at least one edge. Read-only once built. *)
+type closure = {
+  index : (string, int) Hashtbl.t;
+  desc : int array array;
+  anc : int array array;
+}
+
 type t = {
   ddg : node G.t;
   oeg : node G.t;
   invocations : invocation list;
   versioned_arrays : (string * int) list;
+  closure : closure;
 }
+
+(* Every OEG edge goes from an earlier invocation to a later one, so one
+   sweep in each direction over the schedule closes the relation. *)
+let close oeg invocations =
+  let keys = Array.of_list (List.map (fun inv -> inv.inv_key) invocations) in
+  let n = Array.length keys in
+  let index = Hashtbl.create n in
+  Array.iteri (fun i k -> Hashtbl.replace index k i) keys;
+  let desc = Array.init n (fun _ -> Bits.create n) in
+  let anc = Array.init n (fun _ -> Bits.create n) in
+  (* [reach.(i)] gains [j] and everything [j] already reaches *)
+  let extend reach i j =
+    Bits.add reach.(i) j;
+    Bits.union_into reach.(i) reach.(j)
+  in
+  for i = n - 1 downto 0 do
+    List.iter
+      (fun s ->
+        let j = Hashtbl.find index s in
+        assert (j > i);
+        extend desc i j)
+      (G.succs oeg keys.(i))
+  done;
+  for i = 0 to n - 1 do
+    List.iter (fun p -> extend anc i (Hashtbl.find index p)) (G.preds oeg keys.(i))
+  done;
+  { index; desc; anc }
 
 let dedup l =
   let seen = Hashtbl.create 8 in
@@ -125,18 +173,37 @@ let build prog =
       G.remove_edge oeg a b;
       if not (G.reachable oeg ~src:a ~dst:b) then G.add_edge oeg a b)
     edges;
-  { ddg; oeg; invocations; versioned_arrays }
+  { ddg; oeg; invocations; versioned_arrays; closure = close oeg invocations }
 
-let oeg_precedes t a b = a <> b && G.reachable t.oeg ~src:a ~dst:b
+let node_index t k =
+  match Hashtbl.find_opt t.closure.index k with
+  | Some i -> i
+  | None -> raise (G.No_such_node k)
 
+let oeg_precedes t a b =
+  a <> b
+  &&
+  let i = node_index t a and j = node_index t b in
+  Bits.mem t.closure.desc.(i) j
+
+(* Contracting [group] closes a cycle iff some node outside the group
+   lies on a path between two members: a descendant of one member that
+   is also an ancestor of one. *)
 let fusion_feasible t group =
-  match group with
-  | [] | [ _ ] -> true
-  | _ ->
-      let in_group k = List.mem k group in
-      let group_of k = if in_group k then "__fused__" else k in
-      let q = G.quotient t.oeg ~group_of in
-      G.is_dag q
+  let c = t.closure in
+  let n = Array.length c.desc in
+  let members = Bits.create n and below = Bits.create n and above = Bits.create n in
+  List.iter
+    (fun k ->
+      match Hashtbl.find_opt c.index k with
+      | Some i ->
+          Bits.add members i;
+          Bits.union_into below c.desc.(i);
+          Bits.union_into above c.anc.(i)
+      | None -> ())
+    group;
+  Array.iteri (fun w m -> below.(w) <- below.(w) land above.(w) land lnot m) members;
+  Array.for_all (fun w -> w = 0) below
 
 let group_has_internal_precedence t group =
   List.exists (fun a -> List.exists (fun b -> oeg_precedes t a b) group) group

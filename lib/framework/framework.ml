@@ -267,16 +267,12 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
   let member_cache : (string, (Canonical.member, string) Stdlib.result) Hashtbl.t =
     Hashtbl.create 64
   in
-  let launch_of_key p key =
-    let invs = (Ddg.build p).invocations in
-    (List.find (fun (i : Ddg.invocation) -> i.inv_key = key) invs).inv_launch
-  in
-  let cache_member source_prog key =
+  let cache_member source_prog (invocations : Ddg.invocation list) key =
     if not (Hashtbl.mem member_cache key) then begin
       let r =
         match
           Canonical.extract ~deep:config.codegen_options.deep_nest_strategy ~index:0 source_prog
-            (launch_of_key source_prog key)
+            (List.find (fun (i : Ddg.invocation) -> i.inv_key = key) invocations).inv_launch
         with
         | m -> Ok m
         | exception Canonical.Not_canonical reason -> Error reason
@@ -285,13 +281,14 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
       Hashtbl.replace member_cache key r
     end
   in
-  List.iter (fun t -> cache_member prog t.invocation.inv_key) eligible;
+  List.iter (fun t -> cache_member prog graphs.invocations t.invocation.inv_key) eligible;
   (match (prog_fissioned, fission_plans) with
   | Some pf, plans ->
+      let invocations = (Ddg.build pf).invocations in
       List.iter
         (fun (_, (plan : Fission.plan)) ->
           List.iter
-            (fun (part : Fission.part) -> cache_member pf part.part_kernel.k_name)
+            (fun (part : Fission.part) -> cache_member pf invocations part.part_kernel.k_name)
             plan.parts)
         plans
   | None, _ -> ());
@@ -428,37 +425,90 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
   in
   (* joint schedulability: expand OEG edges over the units actually
      present in a solution (parts replace their fissioned original),
-     contract all groups at once and check acyclicity *)
-  let parts_of =
-    List.map
-      (fun (orig, (plan : Fission.plan)) ->
-        (orig, List.map (fun (p : Fission.part) -> p.part_kernel.k_name) plan.parts))
-      fission_plans
+     contract all groups at once and check acyclicity. Every unit name
+     gets an integer id up front; a query then only labels units with
+     group ids and runs Kahn over int arrays. *)
+  let unit_id : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let id_of name =
+    match Hashtbl.find_opt unit_id name with
+    | Some u -> u
+    | None ->
+        let u = Hashtbl.length unit_id in
+        Hashtbl.replace unit_id name u;
+        u
   in
-  let oeg_edges = Kft_graph.Digraph.edges graphs.oeg in
-  let all_invocations = List.map (fun (i : Ddg.invocation) -> i.inv_key) graphs.invocations in
+  (* invocation [i] is unit [i]; fission parts follow *)
+  List.iter (fun (inv : Ddg.invocation) -> ignore (id_of inv.inv_key)) graphs.invocations;
+  let n_inv = Hashtbl.length unit_id in
+  let part_units =
+    Array.of_list
+      (List.map
+         (fun (inv : Ddg.invocation) ->
+           Option.map
+             (fun (plan : Fission.plan) ->
+               List.map (fun (p : Fission.part) -> id_of p.part_kernel.k_name) plan.parts)
+             (List.assoc_opt inv.inv_key fission_plans))
+         graphs.invocations)
+  in
+  let n_units = Hashtbl.length unit_id in
+  let oeg_edges =
+    List.map
+      (fun (a, b) -> (Hashtbl.find unit_id a, Hashtbl.find unit_id b))
+      (Kft_graph.Digraph.edges graphs.oeg)
+  in
   let solution_feasible ~groups ~fissioned =
-    let expand k =
-      if List.mem k fissioned then
-        match List.assoc_opt k parts_of with Some parts -> parts | None -> [ k ]
-      else [ k ]
-    in
-    let g = Kft_graph.Digraph.create () in
+    let units = Array.init n_inv (fun i -> [ i ]) in
     List.iter
-      (fun k -> List.iter (fun u -> Kft_graph.Digraph.ensure_node g ~key:u ()) (expand k))
-      all_invocations;
+      (fun k ->
+        match Hashtbl.find_opt unit_id k with
+        | Some i when i < n_inv -> Option.iter (fun parts -> units.(i) <- parts) part_units.(i)
+        | _ -> ())
+      fissioned;
+    (* quotient node of each unit: its group's index, or a singleton id
+       past the group range *)
+    let n_groups = List.length groups in
+    let gid = Array.init n_units (fun u -> n_groups + u) in
+    List.iteri
+      (fun g group ->
+        List.iter
+          (fun name -> Option.iter (fun u -> gid.(u) <- g) (Hashtbl.find_opt unit_id name))
+          group)
+      groups;
+    let n = n_groups + n_units in
+    let present = Array.make n false and indeg = Array.make n 0 and succs = Array.make n [] in
+    Array.iter (List.iter (fun u -> present.(gid.(u)) <- true)) units;
     List.iter
       (fun (a, b) ->
         List.iter
-          (fun ua -> List.iter (fun ub -> Kft_graph.Digraph.add_edge g ua ub) (expand b))
-          (expand a))
+          (fun ua ->
+            List.iter
+              (fun ub ->
+                let ga = gid.(ua) and gb = gid.(ub) in
+                if ga <> gb then begin
+                  succs.(ga) <- gb :: succs.(ga);
+                  indeg.(gb) <- indeg.(gb) + 1
+                end)
+              units.(b))
+          units.(a))
       oeg_edges;
-    let gid = Hashtbl.create 64 in
-    List.iteri
-      (fun i group -> List.iter (fun u -> Hashtbl.replace gid u (Printf.sprintf "g%d" i)) group)
-      groups;
-    let group_of k = match Hashtbl.find_opt gid k with Some x -> x | None -> "solo:" ^ k in
-    Kft_graph.Digraph.is_dag (Kft_graph.Digraph.quotient g ~group_of)
+    (* Kahn: the quotient is acyclic iff every present node gets emitted *)
+    let ready = Stack.create () and remaining = ref 0 in
+    Array.iteri
+      (fun q p ->
+        if p then begin
+          incr remaining;
+          if indeg.(q) = 0 then Stack.push q ready
+        end)
+      present;
+    while not (Stack.is_empty ready) do
+      decr remaining;
+      List.iter
+        (fun s ->
+          indeg.(s) <- indeg.(s) - 1;
+          if indeg.(s) = 0 then Stack.push s ready)
+        succs.(Stack.pop ready)
+    done;
+    !remaining = 0
   in
   let problem =
     {

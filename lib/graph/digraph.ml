@@ -116,41 +116,51 @@ let find_cycle_among g remaining =
     assert false
   with Found c -> c
 
+(* ready nodes ordered by insertion index; the indices are unique, so the
+   key never takes part in the comparison *)
+module Frontier = Set.Make (struct
+  type t = int * string
+
+  let compare (a, _) (b, _) = Int.compare a b
+end)
+
 (* Kahn's algorithm with a stable frontier: among ready nodes always pick
-   the one with the smallest insertion index. *)
+   the one with the smallest insertion index. O((V + E) log V). *)
 let topo_sort g =
   let indeg = Hashtbl.create 64 in
-  List.iter (fun k -> Hashtbl.replace indeg k (List.length (preds g k))) (nodes g);
-  let ready () =
-    let best = ref None in
-    Hashtbl.iter
-      (fun k d ->
-        if d = 0 then
-          match !best with
-          | Some b when (node g b).order < (node g k).order -> ()
-          | _ -> best := Some k)
-      indeg;
-    !best
+  let ready k frontier = Frontier.add ((node g k).order, k) frontier in
+  let frontier =
+    List.fold_left
+      (fun frontier k ->
+        let d = List.length (node g k).preds in
+        Hashtbl.replace indeg k d;
+        if d = 0 then ready k frontier else frontier)
+      Frontier.empty (nodes g)
   in
-  let rec loop acc =
-    match ready () with
+  let rec loop acc frontier =
+    match Frontier.min_elt_opt frontier with
     | None ->
         if Hashtbl.length indeg = 0 then List.rev acc
         else
-          (* remaining nodes all sit on cycles; report one *)
+          (* remaining nodes all sit on cycles or downstream of one;
+             report one cycle *)
           let remaining = Hashtbl.fold (fun k _ l -> k :: l) indeg [] in
           raise (Cycle (find_cycle_among g remaining))
-    | Some k ->
+    | Some ((_, k) as min) ->
         Hashtbl.remove indeg k;
-        List.iter
-          (fun s ->
-            match Hashtbl.find_opt indeg s with
-            | Some d -> Hashtbl.replace indeg s (d - 1)
-            | None -> ())
-          (succs g k);
-        loop (k :: acc)
+        let frontier =
+          List.fold_left
+            (fun frontier s ->
+              match Hashtbl.find_opt indeg s with
+              | Some d ->
+                  Hashtbl.replace indeg s (d - 1);
+                  if d = 1 then ready s frontier else frontier
+              | None -> frontier)
+            (Frontier.remove min frontier) (succs g k)
+        in
+        loop (k :: acc) frontier
   in
-  loop []
+  loop [] frontier
 
 let find_cycle g =
   match topo_sort g with

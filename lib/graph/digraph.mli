@@ -62,8 +62,9 @@ val fold_nodes : 'a t -> init:'b -> f:('b -> string -> 'a -> 'b) -> 'b
 val iter_nodes : 'a t -> f:(string -> 'a -> unit) -> unit
 
 val topo_sort : 'a t -> string list
-(** Stable topological order (ties broken by insertion order). Raises
-    {!Cycle} when the graph is cyclic. *)
+(** Stable topological order: Kahn's algorithm that always emits the
+    ready node with the smallest insertion index. O((V + E) log V).
+    Raises {!Cycle} when the graph is cyclic. *)
 
 val find_cycle : 'a t -> string list option
 (** [Some cycle] when the graph has a directed cycle, [None] otherwise. *)

@@ -23,7 +23,10 @@ let test_ddg_structure () =
 let test_oeg_precedence () =
   let g = D.build prog in
   Alcotest.(check bool) "produce before consume" true (D.oeg_precedes g "produce" "consume");
-  Alcotest.(check bool) "not the reverse" false (D.oeg_precedes g "consume" "produce")
+  Alcotest.(check bool) "not the reverse" false (D.oeg_precedes g "consume" "produce");
+  Alcotest.(check bool) "not itself" false (D.oeg_precedes g "produce" "produce");
+  Alcotest.check_raises "unknown key" (G.No_such_node "ghost") (fun () ->
+      ignore (D.oeg_precedes g "ghost" "produce"))
 
 let chain_prog n =
   (* k_i : X_i -> X_{i+1}, a pointwise chain *)
@@ -127,6 +130,71 @@ let test_dot_outputs () =
   let edges = D.oeg_of_amended_dot g oeg_dot in
   Alcotest.(check (list (pair string string))) "oeg edges" [ ("produce", "consume") ] edges
 
+(* Random launch orders over a few shared arrays: three pointwise
+   kernels, each launch binding its two inputs and its output to random
+   host arrays. Re-launches give "#n" keys; in-place launches (output
+   also an input) and launches with no common array occur too. *)
+let random_schedule_gen =
+  let arrays = [| "A"; "B"; "C"; "D"; "E" |] and kernels = [| "ka"; "kb"; "kc" |] in
+  QCheck.Gen.(
+    list_size (int_range 1 10)
+      (quad (int_bound 2) (int_bound 4) (int_bound 4) (int_bound 4)))
+  |> QCheck.Gen.map (fun launches ->
+         List.map
+           (fun (k, a, b, d) -> (kernels.(k), [ arrays.(a); arrays.(b); arrays.(d) ]))
+           launches)
+
+let random_schedule_program launches =
+  let dims = (8, 4, 2) in
+  let src =
+    String.concat ""
+      (List.map (fun k -> Util.pointwise_src ~name:k ~a:"P" ~b:"Q" ~dst:"R") [ "ka"; "kb"; "kc" ])
+  in
+  {
+    p_name = "random";
+    p_arrays = List.map (Util.arr3 dims) [ "A"; "B"; "C"; "D"; "E" ];
+    p_kernels = Kft_cuda.Parse.kernels src;
+    p_schedule =
+      List.map
+        (fun (k, args) ->
+          Launch
+            { l_kernel = k; l_domain = (8, 4, 1); l_block = (8, 4, 1);
+              l_args = Util.std_args dims args 0.5 })
+        launches;
+  }
+
+(* a random schedule plus random picks into its invocation keys for the
+   group; picks past the keys name nodes that are not in the OEG, and
+   repeated picks give duplicates *)
+let schedule_and_picks_arb =
+  QCheck.make
+    ~print:(fun (launches, picks) ->
+      Printf.sprintf "schedule=[%s] picks=[%s]"
+        (String.concat "; "
+           (List.map (fun (k, args) -> k ^ "(" ^ String.concat "," args ^ ")") launches))
+        (String.concat "," (List.map string_of_int picks)))
+    QCheck.Gen.(pair random_schedule_gen (list_size (int_bound 6) (int_bound 13)))
+
+(* property: the closure test agrees with contracting the group in the
+   OEG and checking the quotient for a cycle, and [oeg_precedes] with a
+   DFS over the OEG *)
+let prop_closure_matches_quotient =
+  QCheck.Test.make ~name:"fusion_feasible = acyclic OEG quotient" ~count:300
+    schedule_and_picks_arb
+    (fun (launches, picks) ->
+      let g = D.build (random_schedule_program launches) in
+      let keys = List.map (fun (i : D.invocation) -> i.inv_key) g.invocations in
+      let names = keys @ [ "ghost"; "ka#99"; "__fused__x" ] in
+      let group = List.filter_map (List.nth_opt names) picks in
+      let group_of k = if List.mem k group then "__fused__" else k in
+      D.fusion_feasible g group = G.is_dag (G.quotient g.oeg ~group_of)
+      && List.for_all
+           (fun a ->
+             List.for_all
+               (fun b -> D.oeg_precedes g a b = (a <> b && G.reachable g.oeg ~src:a ~dst:b))
+               keys)
+           keys)
+
 let suite =
   [
     Alcotest.test_case "arrays touched" `Quick test_arrays_touched;
@@ -138,4 +206,5 @@ let suite =
     Alcotest.test_case "multi-writer versioning" `Quick test_multi_writer_versioning;
     Alcotest.test_case "repeated invocation keys" `Quick test_repeated_invocation_keys;
     Alcotest.test_case "DOT outputs" `Quick test_dot_outputs;
+    QCheck_alcotest.to_alcotest prop_closure_matches_quotient;
   ]

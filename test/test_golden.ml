@@ -1,8 +1,8 @@
 (* Golden bit-exactness regression.
 
    Pins the GGA search outcome (best fitness, fusion groups, fissioned
-   set) for the quickstart example and two of the six applications at a
-   fixed small budget. The engine determinism contract says these values
+   set) for the quickstart example and three of the six applications at
+   a fixed small budget. The engine determinism contract says these values
    are a pure function of (program, params, seed) — independent of the
    worker count and of whether the memo cache is on — so any drift here
    means a behavioural change in the search, the performance model, or
@@ -96,7 +96,7 @@ let render (report : F.report) =
     (Printf.sprintf "fissioned=%s\n" (String.concat "," report.fissioned));
   Buffer.contents b
 
-let check_golden name program golden () =
+let check_golden ?(config = config) name program golden () =
   let report = F.transform ~config program in
   Alcotest.(check string) (name ^ " search outcome pinned") golden (render report)
 
@@ -116,6 +116,28 @@ let fluam_golden =
      part_02 part_03 part_04 part_05 part_06 part_07 part_08 part_09 part_10 part_11 part_12 \
      rk_01 rk_02 rk_03 rk_04 rk_05 rk_06 rk_07 rk_09 rk_10\n" ^ "fissioned=\n"
 
+(* SCALE-LES has the most fusion candidates of the six applications, so
+   its search issues the most OEG legality queries; pinned at a larger
+   budget than the others so those queries cover many candidate groups. *)
+let scale_les_config =
+  {
+    config with
+    gga_params = { config.gga_params with generations = 20; population = 20 };
+  }
+
+let scale_les_golden =
+  "fitness=10.607728507775059\n" ^ "violations=0 evaluations=380\n"
+  ^ "groups=flux_01+flux_10 flux_02 flux_03 flux_04+flux_05+tend_25 flux_06 flux_07+upd_08 \
+     flux_08+flux_09+tend_15+tend_17 flux_11 flux_12+tend_03 flux_13 flux_14+upd_17 \
+     flux_15+tend_04 flux_16+upd_27 flux_17 flux_18 flux_19+tend_10 flux_20 flux_21 \
+     flux_22 flux_23 flux_24+upd_10 flux_25 flux_26+tend_06+upd_12 flux_27 \
+     flux_28+tend_28+upd_22 tend_01+upd_01 tend_02 tend_05 tend_07+tend_12+tend_27 \
+     tend_08+upd_11 tend_09+upd_03 tend_11 tend_13 tend_14 tend_16 tend_18+upd_09 \
+     tend_19+upd_14 tend_20 tend_21 tend_22 tend_23+upd_02 tend_24 tend_26 upd_04 \
+     upd_05+upd_16 upd_06 upd_07 upd_13 upd_15 upd_18 upd_19 upd_20 upd_21 upd_23 \
+     upd_24 upd_25 upd_26 upd_28 vint_01 vint_02 vint_03 vint_04 vint_05 vint_06 \
+     vint_07\n" ^ "fissioned=\n"
+
 let suite =
   [
     Alcotest.test_case "quickstart golden" `Quick
@@ -124,4 +146,8 @@ let suite =
       (fun () -> check_golden "mitgcm" (Apps.mitgcm ()).program mitgcm_golden ());
     Alcotest.test_case "Fluam golden" `Quick
       (fun () -> check_golden "fluam" (Apps.fluam ()).program fluam_golden ());
+    Alcotest.test_case "SCALE-LES golden" `Quick
+      (fun () ->
+        check_golden ~config:scale_les_config "scale-les" (Apps.scale_les ()).program
+          scale_les_golden ());
   ]

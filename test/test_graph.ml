@@ -160,6 +160,126 @@ let prop_topo_respects_edges =
         (fun (a, b) -> a = b || List.assoc (string_of_int (min a b)) pos < List.assoc (string_of_int (max a b)) pos)
         pairs)
 
+(* The quadratic Kahn's algorithm [G.topo_sort] replaced: every step
+   scans the whole in-degree table for the ready node with the smallest
+   insertion index. Kept here as the reference the new frontier must
+   match, witness cycles included. *)
+let reference_find_cycle_among g remaining =
+  let restricted = Hashtbl.create 16 in
+  List.iter (fun k -> Hashtbl.replace restricted k ()) remaining;
+  let color = Hashtbl.create 16 in
+  let exception Found of string list in
+  let rec dfs path k =
+    match Hashtbl.find_opt color k with
+    | Some 1 ->
+        let rec cut acc = function
+          | [] -> k :: acc
+          | x :: _ when x = k -> k :: acc
+          | x :: tl -> cut (x :: acc) tl
+        in
+        raise (Found (cut [] path))
+    | Some _ -> ()
+    | None ->
+        Hashtbl.replace color k 1;
+        List.iter (fun s -> if Hashtbl.mem restricted s then dfs (k :: path) s) (G.succs g k);
+        Hashtbl.replace color k 2
+  in
+  try
+    List.iter (fun k -> dfs [] k) remaining;
+    assert false
+  with Found c -> c
+
+let reference_topo_sort g =
+  let order = Hashtbl.create 64 in
+  List.iteri (fun i k -> Hashtbl.replace order k i) (G.nodes g);
+  let indeg = Hashtbl.create 64 in
+  List.iter (fun k -> Hashtbl.replace indeg k (List.length (G.preds g k))) (G.nodes g);
+  let ready () =
+    let best = ref None in
+    Hashtbl.iter
+      (fun k d ->
+        if d = 0 then
+          match !best with
+          | Some b when Hashtbl.find order b < Hashtbl.find order k -> ()
+          | _ -> best := Some k)
+      indeg;
+    !best
+  in
+  let rec loop acc =
+    match ready () with
+    | None ->
+        if Hashtbl.length indeg = 0 then List.rev acc
+        else
+          let remaining = Hashtbl.fold (fun k _ l -> k :: l) indeg [] in
+          raise (G.Cycle (reference_find_cycle_among g remaining))
+    | Some k ->
+        Hashtbl.remove indeg k;
+        List.iter
+          (fun s ->
+            match Hashtbl.find_opt indeg s with
+            | Some d -> Hashtbl.replace indeg s (d - 1)
+            | None -> ())
+          (G.succs g k);
+        loop (k :: acc)
+  in
+  loop []
+
+(* a random graph: [n] nodes inserted in a shuffled key order, plus edges
+   between node indices; [~dag] orients every edge by a random rank
+   unrelated to insertion order *)
+let random_graph_gen ~dag =
+  QCheck.Gen.(
+    int_range 1 16 >>= fun n ->
+    shuffle_l (List.init n Fun.id) >>= fun keys ->
+    shuffle_l (List.init n Fun.id) >>= fun rank ->
+    list_size (int_bound (3 * n)) (pair (int_bound (n - 1)) (int_bound (n - 1)))
+    >|= fun pairs ->
+    let key i = Printf.sprintf "n%d" (List.nth keys i) and rank = Array.of_list rank in
+    let edges =
+      List.filter_map
+        (fun (a, b) ->
+          if not dag then Some (key a, key b)
+          else if rank.(a) < rank.(b) then Some (key a, key b)
+          else if rank.(b) < rank.(a) then Some (key b, key a)
+          else None)
+        pairs
+    in
+    (List.init n key, edges))
+
+let random_graph_arb ~dag =
+  QCheck.make
+    ~print:(fun (nodes, edges) ->
+      Printf.sprintf "nodes=[%s] edges=[%s]" (String.concat ";" nodes)
+        (String.concat ";" (List.map (fun (a, b) -> a ^ "->" ^ b) edges)))
+    (random_graph_gen ~dag)
+
+let topo_outcome f g = match f g with order -> Ok order | exception G.Cycle c -> Error c
+
+(* property: on random DAGs the frontier topo_sort returns exactly the
+   reference order *)
+let prop_topo_matches_reference_dag =
+  QCheck.Test.make ~name:"topo_sort = quadratic reference on DAGs" ~count:300
+    (random_graph_arb ~dag:true)
+    (fun (nodes, edges) ->
+      let g = mk edges nodes in
+      G.topo_sort g = reference_topo_sort g)
+
+(* property: on arbitrary graphs both raise Cycle with the same witness,
+   and the witness is a real cycle of the graph *)
+let prop_topo_matches_reference_cyclic =
+  QCheck.Test.make ~name:"topo_sort cycle witness = reference" ~count:300
+    (random_graph_arb ~dag:false)
+    (fun (nodes, edges) ->
+      let g = mk edges nodes in
+      let got = topo_outcome G.topo_sort g in
+      got = topo_outcome reference_topo_sort g
+      &&
+      match got with
+      | Ok _ -> true
+      | Error cycle ->
+          cycle <> []
+          && List.for_all2 (G.mem_edge g) cycle (List.tl cycle @ [ List.hd cycle ]))
+
 (* property: components partition the node set *)
 let prop_components_partition =
   QCheck.Test.make ~name:"components partition nodes" ~count:100
@@ -198,5 +318,7 @@ let suite =
     Alcotest.test_case "dot node attributes" `Quick test_dot_attrs;
     Alcotest.test_case "copy independence" `Quick test_copy_independent;
     QCheck_alcotest.to_alcotest prop_topo_respects_edges;
+    QCheck_alcotest.to_alcotest prop_topo_matches_reference_dag;
+    QCheck_alcotest.to_alcotest prop_topo_matches_reference_cyclic;
     QCheck_alcotest.to_alcotest prop_components_partition;
   ]
