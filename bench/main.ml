@@ -550,7 +550,7 @@ let despliced (p : Kft_cuda.Ast.program) =
 
 let sim () =
   print_endline
-    "== simulator throughput: interpret / compiled-affine / block-parallel / vectorized / auto ==";
+    "== simulator throughput: interpret / compiled-affine / block-parallel ==";
   Printf.printf "   (parallel configs at jobs=%d; this host reports %d core(s))\n%!" !jobs
     (Domain.recommended_domain_count ());
   let repeats = 2 in
@@ -589,17 +589,15 @@ let sim () =
       let cells = float_of_int (total_cells p) in
       let configs =
         [
-          ("interpret", 1, false, None);
-          ("compiled-affine", 1, true, None);
-          ("block-parallel", !jobs, true, None);
-          ("vectorized", 1, true, Some Kft_sim.Interp.Vector);
-          ("auto", !jobs, true, Some Kft_sim.Interp.Auto);
+          ("interpret", 1, false);
+          ("compiled-affine", 1, true);
+          ("block-parallel", !jobs, true);
         ]
       in
       let walls =
         List.map
-          (fun (cname, jobs, affine, backend) ->
-            let wall, _, _ = time ~jobs ~affine ?backend p in
+          (fun (cname, jobs, affine) ->
+            let wall, _, _ = time ~jobs ~affine p in
             (cname, wall))
           configs
       in
@@ -609,20 +607,6 @@ let sim () =
           Printf.printf "%-13s %-16s %7.3f %11.2f %9.2f %8.2fx\n%!" name cname wall
             (threads /. wall /. 1e6) (cells /. wall /. 1e6) (base /. wall))
         walls;
-      (* the adaptive dispatcher must never lose noticeably to the best
-         fixed backend on any app (>5% counts as a dispatch bug) *)
-      (let auto_w = List.assoc "auto" walls in
-       let best_fixed =
-         List.fold_left min infinity
-           (List.filter_map
-              (fun (c, w) -> if c = "auto" then None else Some w)
-              walls)
-       in
-       if auto_w > best_fixed *. 1.05 then
-         Printf.eprintf
-           "[bench] sim: WARNING: auto on %s is %.0f%% slower than the best fixed backend\n%!"
-           name
-           (100.0 *. ((auto_w /. best_fixed) -. 1.0)));
       (* bit-identity: every (jobs, affine, backend) setting must
          reproduce the sequential reference interpreter's memory and
          stats exactly *)
@@ -644,11 +628,6 @@ let sim () =
           (2, true, None);
           (4, false, None);
           (4, true, None);
-          (1, true, Some Kft_sim.Interp.Vector);
-          (2, true, Some Kft_sim.Interp.Vector);
-          (4, true, Some Kft_sim.Interp.Vector);
-          (1, true, Some Kft_sim.Interp.Auto);
-          (4, true, Some Kft_sim.Interp.Auto);
           (1, true, Some Kft_sim.Interp.Interpret);
         ];
       let fields =
@@ -666,7 +645,7 @@ let sim () =
           (String.concat ",\n" fields)
         :: !json_apps)
     all_app_names;
-  print_endline "  bit-identity across jobs in {1,2,4} x backends {interp,affine,vector,auto}: ok";
+  print_endline "  bit-identity across jobs in {1,2,4} x backends {interp,affine}: ok";
   (* guard elimination (kft_absint): wall-time effect of splicing
      provably-true guards, with bit-identity asserted before/after and
      across the jobs sweep on the spliced program *)
@@ -808,11 +787,11 @@ __global__ void probe(const double *A, double *B, int nx, int ny, int nz, double
    measurement is only meaningful at jobs=1; memory setup and teardown
    stay outside the measured window (the grids themselves are off-heap
    and never counted by the GC at all). *)
-let alloc_words ?backend ~affine (p : Kft_cuda.Ast.program) =
+let alloc_words ~affine (p : Kft_cuda.Ast.program) =
   let mem = Kft_sim.Memory.create p.p_arrays in
   Kft_sim.Memory.init_seeded mem ~seed:42;
   let w0 = Gc.minor_words () in
-  let runs = Kft_sim.Interp.run_schedule ~affine ?backend mem p in
+  let runs = Kft_sim.Interp.run_schedule ~affine mem p in
   let w1 = Gc.minor_words () in
   let threads =
     List.fold_left
@@ -822,8 +801,8 @@ let alloc_words ?backend ~affine (p : Kft_cuda.Ast.program) =
   Kft_sim.Memory.release mem;
   (w1 -. w0, threads)
 
-(* the substrate's hot-loop guarantee, asserted: on the affine and
-   vectorized fast paths, growing the domain 16x must not grow the
+(* the substrate's hot-loop guarantee, asserted: on the compiled-affine
+   fast path, growing the domain 16x must not grow the
    allocation proportionally — steady-state words per additional thread
    stay below a fixed budget that is an order of magnitude under what a
    single boxed float per executed statement would cost. (The small
@@ -832,42 +811,36 @@ let alloc_budget_words_per_thread = 8.0
 
 let assert_alloc_budget () =
   let dims_small = (16, 8, 6) and dims_large = (64, 32, 6) in
-  let configs =
-    [ ("compiled-affine", true, None); ("vectorized", true, Some Kft_sim.Interp.Vector) ]
-  in
-  List.iter
-    (fun (cname, affine, backend) ->
-      (* one warm-up run amortizes process-wide one-time setup *)
-      ignore (alloc_words ~affine ?backend (mem_probe_program dims_small));
-      let ws, ts = alloc_words ~affine ?backend (mem_probe_program dims_small) in
-      let wl, tl = alloc_words ~affine ?backend (mem_probe_program dims_large) in
-      let per_thread = (wl -. ws) /. float_of_int (tl - ts) in
-      if per_thread > alloc_budget_words_per_thread then begin
-        Printf.eprintf
-          "[bench] mem: %s allocates %.2f words/thread in steady state (budget %.1f): \
-           the hot loop is boxing\n%!"
-          cname per_thread alloc_budget_words_per_thread;
-        exit 1
-      end;
-      Printf.printf "  %-16s steady-state %.3f words/thread (budget %.1f)\n%!" cname
-        per_thread alloc_budget_words_per_thread)
-    configs
+  (* one warm-up run amortizes process-wide one-time setup *)
+  ignore (alloc_words ~affine:true (mem_probe_program dims_small));
+  let ws, ts = alloc_words ~affine:true (mem_probe_program dims_small) in
+  let wl, tl = alloc_words ~affine:true (mem_probe_program dims_large) in
+  let per_thread = (wl -. ws) /. float_of_int (tl - ts) in
+  if per_thread > alloc_budget_words_per_thread then begin
+    Printf.eprintf
+      "[bench] mem: compiled-affine allocates %.2f words/thread in steady state (budget \
+       %.1f): the hot loop is boxing\n%!"
+      per_thread alloc_budget_words_per_thread;
+    exit 1
+  end;
+  Printf.printf "  %-16s steady-state %.3f words/thread (budget %.1f)\n%!" "compiled-affine"
+    per_thread alloc_budget_words_per_thread
 
 (* liveness-driven arena overlay (kft_schedflow): per application, pool
    high-water of a profiled run with the packed layout vs under the
    overlay, where arrays whose live intervals never overlap share slots.
    The overlay is only sound for runs whose final memory is discarded;
    every per-kernel statistic must be — and is asserted here to be —
-   bit-identical to the packed run, across execution backends and
+   bit-identical to the packed run, on both execution paths and across
    worker counts. *)
 let overlay_bench () =
   print_endline "== liveness-driven arena overlay (kft_schedflow, seed 42) ==";
   print_endline
     "application   packed-Kcells  overlay-Kcells  high-water saving   stats";
   let module Sf = Kft_schedflow.Schedflow in
-  let run ?engine ?affine ?backend ?layout p =
+  let run ?engine ?affine ?layout p =
     Kft_sim.Memory.Pool.reset ();
-    let r = Kft_sim.Profiler.profile ?engine ?affine ?backend ?layout device p in
+    let r = Kft_sim.Profiler.profile ?engine ?affine ?layout device p in
     let sts =
       List.map
         (fun (kp : Kft_sim.Profiler.kernel_profile) -> (kp.kernel, kp.stats))
@@ -890,24 +863,18 @@ let overlay_bench () =
           let sts_plain, hw_plain = run p in
           let sts_ovl, hw_ovl = run ~layout p in
           (* bit-identity sweep: the overlay run must reproduce the packed
-             run's per-kernel stats on every backend, sequential and
+             run's per-kernel stats on both paths, sequential and
              block-parallel *)
-          let combos =
-            [
-              ("interpret", 1, false, None);
-              ("vectorized", 1, true, Some Kft_sim.Interp.Vector);
-              ("compiled-affine-j4", 4, true, None);
-            ]
-          in
+          let combos = [ ("interpret", 1, false); ("compiled-affine-j4", 4, true) ] in
           let identical =
             sts_plain = sts_ovl
             && List.for_all
-                 (fun (label, jobs, affine, backend) ->
+                 (fun (label, jobs, affine) ->
                    let sts, _ =
-                     if jobs <= 1 then run ~affine ?backend ~layout p
+                     if jobs <= 1 then run ~affine ~layout p
                      else
                        Engine.with_engine ~jobs ~memo:false (fun e ->
-                           run ~engine:e ~affine ?backend ~layout p)
+                           run ~engine:e ~affine ~layout p)
                    in
                    let ok = sts = sts_plain in
                    if not ok then
@@ -931,23 +898,19 @@ let mem_bench () =
     (fun name ->
       let p = (app name).program in
       List.iter
-        (fun (cname, affine, backend) ->
+        (fun (cname, affine) ->
           (* warm run: compile caches, pool warm-up; measured run then
              reflects the steady state the GGA's fitness loop lives in *)
-          ignore (alloc_words ~affine ?backend p);
+          ignore (alloc_words ~affine p);
           let s0 = Kft_sim.Memory.Pool.stats () in
-          let words, threads = alloc_words ~affine ?backend p in
+          let words, threads = alloc_words ~affine p in
           let s1 = Kft_sim.Memory.Pool.stats () in
           let dreq = s1.requests - s0.requests and dhit = s1.hits - s0.hits in
           let hitp = if dreq = 0 then 0.0 else 100.0 *. float_of_int dhit /. float_of_int dreq in
           Printf.printf "%-13s %-16s %12.3f %13.2f %10.1f\n%!" name cname (words /. 1e6)
             (words /. float_of_int threads)
             hitp)
-        [
-          ("interpret", false, None);
-          ("compiled-affine", true, None);
-          ("vectorized", true, Some Kft_sim.Interp.Vector);
-        ])
+        [ ("interpret", false); ("compiled-affine", true) ])
     all_app_names;
   assert_alloc_budget ();
   (let s = Kft_sim.Memory.Pool.stats () in
@@ -1014,9 +977,6 @@ let smoke () =
           end)
         [
           ("block-parallel@jobs=2", 2, true, None);
-          ("vectorized@jobs=1", 1, true, Some Kft_sim.Interp.Vector);
-          ("vectorized@jobs=4", 4, true, Some Kft_sim.Interp.Vector);
-          ("auto@jobs=4", 4, true, Some Kft_sim.Interp.Auto);
           ("interp@jobs=4", 4, false, Some Kft_sim.Interp.Interpret);
         ])
     (("quickstart", (Apps.quickstart ()).program)

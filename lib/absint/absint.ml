@@ -1325,17 +1325,3 @@ let prove_race_free ~host_of ~dims_of (r : result) =
     | () -> Race_free (List.sort compare !rules)
     | exception Unsettled why -> Race_unsettled why
   end
-
-(* Install this analyzer as the vector backend's bounds prover: a launch
-   whose every global access is proved in bounds may run with unchecked
-   array accesses. Registered by side effect at link time because the
-   sim library cannot depend on the analyzer (the analyzer's clients
-   already depend on the sim library). Linking kft_absint is enough to
-   activate it — the analyzer library is a dependency of every
-   executable and of the framework, so all production entry points run
-   with the prover installed. *)
-let () =
-  Kft_sim.Vector.set_prover (fun prog l ->
-      match analyze_launch prog l with
-      | Some r -> r.res_all_proved
-      | None -> false)

@@ -303,8 +303,7 @@ let transform_run app_name device_name generations population jobs no_memo no_si
     | None ->
         `Error
           ( false,
-            Printf.sprintf "unknown backend %S (expected auto, interp, affine or vector)"
-              backend_name )
+            Printf.sprintf "unknown backend %S (expected affine or interp)" backend_name )
     | Some backend -> (
     match Kft_apps.Apps.by_name app_name with
     | None ->
@@ -466,7 +465,7 @@ let transform_cmd =
     Arg.(value & opt (some string) None & info [ "trace-chrome" ] ~docv:"FILE" ~doc:"Write the pipeline trace in Chrome trace_event format; load it in about:tracing or Perfetto.")
   in
   let backend_name =
-    Arg.(value & opt string "auto" & info [ "backend" ] ~docv:"auto|interp|affine|vector" ~doc:"Simulator execution backend for every pipeline run. All backends produce bit-identical results; $(b,auto) picks the whole-grid vectorized backend for launches the abstract interpreter proves eligible and falls back to the affine lockstep interpreter otherwise.")
+    Arg.(value & opt string "affine" & info [ "backend" ] ~docv:"affine|interp" ~doc:"Simulator execution path for every pipeline run: $(b,affine), the compiled-affine fast path, or $(b,interp), the reference interpreter. Both produce bit-identical results.")
   in
   let no_schedflow =
     Arg.(value & flag & info [ "no-schedflow" ] ~doc:"Disable the whole-schedule dataflow stage: no schedflow stage report, no liveness-driven arena overlay for the fission pre-run, and no schedule-level lint rules.")

@@ -18,7 +18,8 @@ val transform_main : ?argv:string array -> unit -> int
 (** Evaluate the [kft-transform] command line. [argv] defaults to
     [Sys.argv]. Returns the exit code: 0 on success, 1 on a failed
     transformation (output or fatal static verification), 124 on a
-    command-line parse error. *)
+    command-line error: a parse error, or an unknown application,
+    device or [--backend] value (only [affine] and [interp] exist). *)
 
 val kft_main : ?argv:string array -> unit -> int
 (** Evaluate the [kft] umbrella command line ([kft lint ...]). Returns

@@ -37,9 +37,9 @@ type config = {
           (gathering, the fissioned-variant run, the transformed run and
           output verification); [None] disables caching *)
   backend : Kft_sim.Interp.backend;
-      (** simulator execution backend for those runs. Backends are
+      (** simulator execution path for those runs. Both paths are
           bit-identical, so this only affects pipeline wall time; the
-          default is {!Kft_sim.Interp.Auto}. *)
+          default is the compiled-affine path, {!Kft_sim.Interp.Affine}. *)
   schedflow : bool;
       (** run the whole-schedule dataflow analysis
           ({!Kft_schedflow.Schedflow}): a [schedflow] stage after DDG
@@ -53,7 +53,7 @@ val default_config : config
 (** K20X, the paper's GGA defaults, automated codegen, automated
     filtering, advisory static verification, the process-wide
     {!Kft_metadata.Metadata.Sim_cache.global} profile cache and the
-    {!Kft_sim.Interp.Auto} execution backend. *)
+    compiled-affine execution path ({!Kft_sim.Interp.Affine}). *)
 
 type hooks = {
   amend_metadata : Kft_metadata.Metadata.t -> Kft_metadata.Metadata.t;
@@ -113,9 +113,6 @@ type report = {
       (** arena-pool activity attributable to this transform: requests
           and cells are deltas over the run; [high_water] is the
           process-wide peak (the pool is global) *)
-  backends : (string * string) list;
-      (** (kernel, executed backend name) per distinct baseline launch
-          kernel, under [config.backend] — part of the stage report *)
   trace : Kft_trace.Trace.t option;
       (** the trace handed to {!transform}, echoed back so callers can
           render it next to the report; [None] when tracing was off *)

@@ -99,9 +99,9 @@ module Sim_cache = struct
      the program carries every kernel AST and the full launch schedule
      (grid/block configs and argument bindings), [seed] fixes the initial
      memory image, and the device fixes the timing model. The execution
-     backend is deliberately not part of the key: all backends are
-     bit-identical, so a profile produced under one backend is a valid
-     hit for any other.
+     path is deliberately not part of the key: the reference interpreter
+     and compiled-affine are bit-identical, so a profile produced on one
+     is a valid hit for the other.
 
      The key additionally carries a memory-representation tag. Entries
      written under a different device-memory substrate must read as

@@ -54,8 +54,8 @@ module Sim_cache : sig
       of the marshalled (program, seed, device) triple, which covers the
       canonicalized kernel ASTs, the grid/block configuration of every
       launch and the memory seed — runs at most once per cache. The
-      execution backend is deliberately excluded from the key: backends
-      are bit-identical, so one profile serves them all. Entries hold
+      execution path is deliberately excluded from the key: both paths
+      are bit-identical, so one profile serves both. Entries hold
       the final memory as a packed {!Kft_sim.Memory.snapshot}; a hit
       replays via [Array.blit] restore plus fresh stats records, so a
       replayed profile is bit-identical to the original run and

@@ -16,7 +16,7 @@
     divergence of conditionals and shared-memory hazards, which the
     profiler turns into the paper's performance metadata. *)
 
-type stats = Simc.stats = {
+type stats = {
   mutable global_read_bytes : int;
   mutable global_write_bytes : int;
   mutable flops : float;
@@ -44,37 +44,38 @@ exception
     message : string;
   }
 (** Out-of-bounds accesses, barrier divergence, unbound names, arity
-    errors. The same exception (physically: a rebinding of
-    {!Simc.Sim_error}) is raised by every execution backend. *)
+    errors. Both execution paths raise the same exception with the same
+    message. *)
 
 type backend =
-  | Auto  (** vectorized when the launch is eligible, affine otherwise *)
+  | Auto  (** alias of [Affine], kept only for [perfbench/bench.ml] *)
   | Interpret  (** the reference interpreter ([affine:false]) *)
   | Affine  (** lockstep with affine strength reduction (the default) *)
-  | Vector  (** whole-grid vectorized; falls back to [Affine] when the
-                launch is outside the provable fragment *)
-(** Execution backend selection. All backends produce bit-identical
-    memory, statistics and usage — backend choice is purely a
-    performance decision, which is what licenses [Auto] as a default. *)
+  | Vector  (** alias of [Affine], kept only for [perfbench/bench.ml] *)
+(** Execution path selection. The reference interpreter is the
+    differential oracle; compiled-affine is the one fast path. Both
+    produce bit-identical memory, statistics and usage, so the choice
+    only changes how fast a run is. *)
 
 val backend_name : backend -> string
-(** ["auto"] / ["interp"] / ["affine"] / ["vector"]. *)
+(** The name of the path that actually runs: ["interp"] or ["affine"]
+    (also for the aliases). *)
 
 val backend_of_string : string -> backend option
-(** Inverse of {!backend_name} (the CLI flag values). *)
+(** ["interp"] or ["affine"] (the CLI flag values); [None] otherwise. *)
 
 val selected_backend :
   ?affine:bool -> ?backend:backend ->
   Kft_cuda.Ast.program -> Kft_cuda.Ast.launch -> backend
-(** The concrete backend ({!Interpret}, {!Affine} or {!Vector}) a launch
-    with these options will execute on. Pure: runs the (static)
-    eligibility analysis only. *)
+(** The path ({!Interpret} or {!Affine}) a launch with these options
+    runs on. [backend] wins over [affine]; the program and launch do
+    not affect the choice. *)
 
 val chunk_override : int option ref
-(** Test hook (shared with the vector backend): force the block-range
-    chunk count, bypassing the adaptive serial-fallback policy, so the
-    ordered-merge path can be exercised deterministically on single-core
-    hosts. Reset to [None] after use. *)
+(** Test hook: force the block-range chunk count, bypassing the
+    adaptive serial-fallback policy, so the ordered-merge path can be
+    exercised deterministically on single-core hosts. Reset to [None]
+    after use. *)
 
 val access_trace : (write:bool -> string -> int -> unit) option ref
 (** Test hook: when set, every in-bounds global-memory access taken on
@@ -104,16 +105,12 @@ val launch :
     index expressions before compilation; it is observation-preserving
     (same values, same stats), only faster.
 
-    [backend] overrides the execution backend (see {!backend});
-    when absent, [affine] picks between the two lockstep modes as
-    before. [Auto]/[Vector] run the whole-grid vectorized backend when
-    the launch is in the provable fragment — results are bit-identical
-    whichever backend executes.
+    [backend] overrides [affine] (see {!selected_backend}).
 
     [trace] records one [launch:<kernel>] span per call with block,
-    thread and read/write byte totals plus the executed backend name in
-    the canonical channel, and the block-chunk split in the side channel
-    (see {!Kft_trace.Trace}). The trace is only touched from the calling
+    thread and read/write byte totals plus the executed path
+    ({!backend_name}) in the canonical channel, and the block-chunk
+    split in the side channel (see {!Kft_trace.Trace}). The trace is only touched from the calling
     (coordinator) domain. *)
 
 val launch_with_usage :

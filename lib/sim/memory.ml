@@ -11,8 +11,6 @@ type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) A1.t
 
 let alloc_buf n : buf = A1.create Bigarray.Float64 Bigarray.C_layout n
 
-let empty_buf : buf = alloc_buf 0
-
 type entry = { data : buf; edims : int list }
 
 (* One contiguous arena per memory; every entry is a zero-copy

@@ -19,9 +19,6 @@ type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
     arena. Element [i] is read as [b.{i}] (or [Array1.unsafe_get] on
     proved paths). *)
 
-val empty_buf : buf
-(** A zero-length buffer, for placeholder bindings. *)
-
 val alloc_buf : int -> buf
 (** A fresh (non-pooled, uninitialized) buffer of [n] cells. *)
 

@@ -24,9 +24,9 @@ val profile :
   Kft_device.Device.t -> Kft_cuda.Ast.program -> run
 (** Allocate and seed device memory (default seed 42), then run the full
     schedule. [engine] and [affine] are passed through to
-    {!Interp.launch}, as is [backend] (backend selection never changes
-    the profile — all backends are bit-identical — only how fast it is
-    produced). [layout] places the arrays by a liveness-driven overlay
+    {!Interp.launch}, as is [backend] (the reference interpreter and
+    the compiled-affine path are bit-identical, so the choice never
+    changes the profile, only how fast it is produced). [layout] places the arrays by a liveness-driven overlay
     (see {!Memory.layout}): statistics and timings are bit-identical,
     only the arena is smaller — use when the run's memory is discarded.
     [trace] records one span per launch. *)

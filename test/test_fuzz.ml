@@ -5,10 +5,9 @@
    survives a print/parse round-trip structurally unchanged.
 
    Property 2: the simulator's execution strategies agree — the
-   compiled-affine fast path ([affine:true]), the block-parallel engine
-   path (jobs=4) and the whole-grid vectorized backend ([Vector]/[Auto],
-   sequential and over the pool) reproduce the plain interpreter's
-   memory and launch statistics bit for bit on every fuzzed program. *)
+   compiled-affine fast path ([affine:true]) and the block-parallel
+   engine path (jobs=4) reproduce the plain interpreter's memory and
+   launch statistics bit for bit on every fuzzed program. *)
 
 open Kft_cuda.Ast
 module Interp = Kft_sim.Interp
@@ -23,10 +22,10 @@ let shared_engine =
      at_exit (fun () -> Engine.shutdown e);
      e)
 
-let run ?engine ~affine ?backend (p : program) =
+let run ?engine ~affine (p : program) =
   let mem = Memory.create p.p_arrays in
   Memory.init_seeded mem ~seed:7;
-  let runs = Interp.run_schedule ?engine ~affine ?backend mem p in
+  let runs = Interp.run_schedule ?engine ~affine mem p in
   (mem, List.map snd runs)
 
 let prop_roundtrip =
@@ -39,23 +38,19 @@ let prop_roundtrip =
 
 let prop_differential =
   QCheck.Test.make
-    ~name:"interpret / compiled-affine / block-parallel / vectorized simulations are bit-identical"
+    ~name:"interpret / compiled-affine / block-parallel simulations are bit-identical"
     ~count:120 Util.fuzz_sample_arb
     (fun s ->
       let p = s.Util.fz_program in
       let ref_mem, ref_stats = run ~affine:false p in
       List.for_all
-        (fun (engine, affine, backend) ->
-          let mem, stats = run ?engine ~affine ?backend p in
+        (fun (engine, affine) ->
+          let mem, stats = run ?engine ~affine p in
           Memory.equal_within ~tol:0.0 ref_mem mem && stats = ref_stats)
         [
-          (None, true, None);
-          (Some (Lazy.force shared_engine), false, None);
-          (Some (Lazy.force shared_engine), true, None);
-          (None, true, Some Interp.Vector);
-          (Some (Lazy.force shared_engine), true, Some Interp.Vector);
-          (None, true, Some Interp.Auto);
-          (Some (Lazy.force shared_engine), true, Some Interp.Auto);
+          (None, true);
+          (Some (Lazy.force shared_engine), false);
+          (Some (Lazy.force shared_engine), true);
         ])
 
 let suite =

@@ -152,6 +152,17 @@ let test_transform_bad_flag_value () =
   let rc, _, _ = transform (quickstart_args [| "--generations"; "many" |]) in
   Alcotest.(check int) "non-integer flag value" 124 rc
 
+(* only the two execution paths are valid backend names; the removed
+   ones get the located "unknown backend" error *)
+let test_transform_unknown_backend () =
+  List.iter
+    (fun name ->
+      let rc, _, err = transform (quickstart_args [| "-q"; "--backend"; name |]) in
+      Alcotest.(check int) (name ^ ": command-line error") 124 rc;
+      Alcotest.(check bool) (name ^ ": located unknown-backend error") true
+        (Util.contains err (Printf.sprintf "kft-transform: unknown backend %S" name)))
+    [ "vector"; "auto" ]
+
 let test_transform_report () =
   let rc, out, _ = transform (quickstart_args [||]) in
   Alcotest.(check int) "exit 0" 0 rc;
@@ -211,6 +222,8 @@ let cli_suite =
     Alcotest.test_case "transform bad flag exits 124" `Quick test_transform_bad_flag;
     Alcotest.test_case "transform bad flag value exits 124" `Quick
       test_transform_bad_flag_value;
+    Alcotest.test_case "transform unknown backend exits 124" `Quick
+      test_transform_unknown_backend;
     Alcotest.test_case "transform stage report" `Slow test_transform_report;
     Alcotest.test_case "transform --trace/--trace-chrome deterministic" `Slow
       test_transform_traced;
@@ -225,7 +238,6 @@ let () =
       ("cuda", Test_cuda.suite @ Test_cuda.checker_suite);
       ("analysis", Test_analysis.suite);
       ("sim", Test_sim.suite @ Test_sim.usage_suite @ Test_sim.semantics_suite @ Test_sim.parallel_suite);
-      ("vector", Test_vector.suite);
       ("metadata", Test_metadata.suite);
       ("ddg", Test_ddg.suite);
       ("fission", Test_fission.suite);

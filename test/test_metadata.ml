@@ -112,6 +112,30 @@ let test_profile_cache_replay () =
   Alcotest.(check bool) "mutation isolated from cache" true
     (Kft_sim.Memory.equal_within ~tol:0.0 r1.memory r3.memory)
 
+(* a replay restores the cached memory snapshot: bit-identical to the
+   first run, and a private copy that cannot poison the cache *)
+let test_sim_cache_replay () =
+  let prog = Util.quickstart_program () in
+  let cache = M.Sim_cache.create () in
+  let r1 = M.profile ~cache Util.device prog in
+  let r2 = M.profile ~cache Util.device prog in
+  let s = M.Sim_cache.stats cache in
+  Alcotest.(check int) "one miss" 1 s.misses;
+  Alcotest.(check int) "one hit" 1 s.hits;
+  Alcotest.(check bool) "replayed memory bit-identical" true
+    (Kft_sim.Memory.equal_within ~tol:0.0 r1.memory r2.memory);
+  Alcotest.(check bool) "replayed stats bit-identical" true
+    (List.for_all2
+       (fun (a : Kft_sim.Profiler.kernel_profile) (b : Kft_sim.Profiler.kernel_profile) ->
+         a.stats = b.stats)
+       r1.profiles r2.profiles);
+  (Kft_sim.Memory.get r2.memory "U").{0} <- -999.0;
+  (List.hd r2.profiles).stats.global_read_bytes <- 0;
+  let r3 = M.profile ~cache Util.device prog in
+  Alcotest.(check bool) "cache unaffected by caller mutation" true
+    (Kft_sim.Memory.equal_within ~tol:0.0 r1.memory r3.memory
+    && (List.hd r3.profiles).stats = (List.hd r1.profiles).stats)
+
 let test_cache_key_repr_versioned () =
   (* the digest is versioned by the memory-representation tag: a key
      computed under another substrate's tag can never collide with a
@@ -138,6 +162,7 @@ let suite =
     Alcotest.test_case "gather produces entries" `Quick test_gather_entries;
     Alcotest.test_case "profile cache replay" `Quick test_profile_cache_replay;
     Alcotest.test_case "profile cache keyed by seed" `Quick test_profile_cache_distinguishes_seed;
+    Alcotest.test_case "profile cache replays snapshots" `Quick test_sim_cache_replay;
     Alcotest.test_case "cache key is representation-versioned" `Quick test_cache_key_repr_versioned;
     Alcotest.test_case "shared arrays detected" `Quick test_shared_arrays_detected;
     Alcotest.test_case "operations fields" `Quick test_ops_fields;

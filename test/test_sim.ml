@@ -581,9 +581,144 @@ let test_pool_recycles () =
   let s2 = Mem.Pool.stats () in
   Alcotest.(check bool) "requests monotonic" true (s2.Mem.Pool.requests >= s1.Mem.Pool.requests + 2)
 
+(* ------------------------------------------------------------------ *)
+(* Execution paths: reference interpreter vs compiled-affine            *)
+(* ------------------------------------------------------------------ *)
+
+(* [Auto] and [Vector] are aliases of [Affine]: selection only ever
+   yields the reference interpreter or the compiled-affine path *)
+let test_backend_selection () =
+  let q = Util.quickstart_program () in
+  let l = Util.launch_of q "diffuse" in
+  let selected ?affine ?backend () = I.selected_backend ?affine ?backend q l in
+  Alcotest.(check bool) "auto selects affine" true (selected ~backend:I.Auto () = I.Affine);
+  Alcotest.(check bool) "vector selects affine" true (selected ~backend:I.Vector () = I.Affine);
+  Alcotest.(check bool) "explicit interp honoured" true
+    (selected ~backend:I.Interpret () = I.Interpret);
+  Alcotest.(check bool) "explicit affine honoured" true (selected ~backend:I.Affine () = I.Affine);
+  Alcotest.(check bool) "backend wins over the affine flag" true
+    (selected ~affine:false ~backend:I.Affine () = I.Affine);
+  Alcotest.(check bool) "no backend defers to affine flag" true
+    (selected ~affine:false () = I.Interpret);
+  Alcotest.(check bool) "affine is the default" true (selected () = I.Affine);
+  Alcotest.(check string) "auto names the path that runs" "affine" (I.backend_name I.Auto);
+  Alcotest.(check string) "vector names the path that runs" "affine" (I.backend_name I.Vector);
+  List.iter
+    (fun b ->
+      Alcotest.(check bool)
+        (I.backend_name b ^ " round-trips") true
+        (I.backend_of_string (I.backend_name b) = Some b))
+    [ I.Interpret; I.Affine ];
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " rejected") true (I.backend_of_string name = None))
+    [ "auto"; "vector"; "cuda" ]
+
+(* forcing the chunk count exercises the ordered per-block merge even on
+   a single-core host (where the adaptive policy always picks 1 chunk) *)
+let test_chunked_merge () =
+  let prog = Util.quickstart_program () in
+  let ref_mem, ref_stats = run_at ~jobs:1 ~affine:false prog in
+  Fun.protect
+    ~finally:(fun () -> I.chunk_override := None)
+    (fun () ->
+      I.chunk_override := Some 3;
+      let mem, stats = run_at ~jobs:2 ~affine:true prog in
+      Alcotest.(check bool) "lockstep 3-chunk merge memory" true
+        (Mem.equal_within ~tol:0.0 ref_mem mem);
+      Alcotest.(check bool) "lockstep 3-chunk merge stats" true (stats = ref_stats))
+
+(* out-of-bounds faults must surface identically (same exception, same
+   message, lowest-failing-block semantics) on either path *)
+let test_error_parity () =
+  let src =
+    {|
+__global__ void oob(const double *A, double *B, int nx, int ny, int nz, double c) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  B[i + 100000] = c * A[0];
+}
+|}
+  in
+  let prog = one_kernel_prog src "oob" [ "A"; "B" ] 1.0 in
+  let l = Util.launch_of prog "oob" in
+  let msg backend =
+    let mem = Mem.create prog.p_arrays in
+    match I.launch ~backend mem prog l with
+    | (_ : I.stats) -> Alcotest.fail "expected Sim_error"
+    | exception I.Sim_error { kernel; message } -> (kernel, message)
+  in
+  Alcotest.(check bool) "same Sim_error from both paths" true
+    (msg I.Affine = msg I.Interpret)
+
+let test_usage_parity () =
+  let prog = Util.producer_consumer_program () in
+  let usage backend =
+    let mem = Mem.create prog.p_arrays in
+    Mem.init_seeded mem ~seed:42;
+    snd (I.launch_with_usage ~backend mem prog (Util.launch_of prog "produce"))
+  in
+  Alcotest.(check bool) "dynamic usage identical" true
+    (usage I.Affine = usage I.Interpret)
+
+(* the profiler sees the same byte counts (and all other stats) from
+   both paths on the quickstart chain *)
+let test_profiler_backend_agreement () =
+  let prog = Util.quickstart_program () in
+  let stats_of backend =
+    List.map
+      (fun (p : Kft_sim.Profiler.kernel_profile) ->
+        ( p.kernel,
+          p.stats.I.global_read_bytes,
+          p.stats.I.global_write_bytes,
+          p.stats.I.flops,
+          p.stats.I.warp_cond_evals ))
+      (Kft_sim.Profiler.profile ~backend Util.device prog).Kft_sim.Profiler.profiles
+  in
+  Alcotest.(check bool) "profiler byte counts agree, affine vs interp" true
+    (stats_of I.Affine = stats_of I.Interpret)
+
+let test_trace_backend () =
+  let prog = Util.quickstart_program () in
+  let rendered backend =
+    let trace = Kft_trace.Trace.create "t" in
+    let mem = Mem.create prog.p_arrays in
+    Mem.init_seeded mem ~seed:42;
+    ignore (I.launch ?backend ~trace mem prog (Util.launch_of prog "diffuse"));
+    Kft_trace.Trace.render_json trace
+  in
+  Alcotest.(check bool) "affine recorded" true
+    (Util.contains (rendered None) "\"backend\":\"affine\"");
+  Alcotest.(check bool) "interp recorded" true
+    (Util.contains (rendered (Some I.Interpret)) "\"backend\":\"interp\"");
+  Alcotest.(check bool) "an alias records the path that ran" true
+    (Util.contains (rendered (Some I.Auto)) "\"backend\":\"affine\"")
+
+let test_memory_snapshot () =
+  let mem = Util.run_to_memory (Util.quickstart_program ()) in
+  let snap = Mem.snapshot mem in
+  let r1 = Mem.restore snap in
+  Alcotest.(check bool) "restore reproduces contents" true
+    (Mem.equal_within ~tol:0.0 mem r1);
+  Alcotest.(check bool) "names preserved" true (Mem.names mem = Mem.names r1);
+  Alcotest.(check bool) "dims preserved" true
+    (List.for_all (fun n -> Mem.dims mem n = Mem.dims r1 n) (Mem.names mem));
+  (* restores are independent: mutating one does not leak into the
+     snapshot or into a later restore *)
+  (Mem.get r1 "U").{0} <- 1234.5;
+  let r2 = Mem.restore snap in
+  Alcotest.(check bool) "snapshot unaffected by mutation" true
+    (Mem.equal_within ~tol:0.0 mem r2)
+
 let parallel_suite =
   [
     Alcotest.test_case "determinism across jobs x affine" `Quick test_block_parallel_determinism;
+    Alcotest.test_case "backend selection and names" `Quick test_backend_selection;
+    Alcotest.test_case "chunked ordered merge" `Quick test_chunked_merge;
+    Alcotest.test_case "runtime error parity" `Quick test_error_parity;
+    Alcotest.test_case "dynamic usage parity" `Quick test_usage_parity;
+    Alcotest.test_case "profiler agrees across backends" `Quick test_profiler_backend_agreement;
+    Alcotest.test_case "executed backend recorded in trace" `Quick test_trace_backend;
+    Alcotest.test_case "memory snapshot/restore" `Quick test_memory_snapshot;
     Alcotest.test_case "unknown array raises" `Quick test_unknown_array;
     Alcotest.test_case "one-sided diff is infinite" `Quick test_max_abs_diff_one_sided;
     Alcotest.test_case "affine rewrite structure" `Quick test_affine_rewrite_structure;
