@@ -1102,7 +1102,8 @@ let simplify_kernel ~block ~grid ~int_params k =
 
 let regions_disjoint (a : itv) (b : itv) = a.hi < b.lo || b.hi < a.lo
 
-type race_verdict = Race_free of string list | Race_unsettled of string
+type unsettled = { un_loc : Loc.pos; un_why : string; un_tried : string list }
+type race_verdict = Race_free of string list | Race_unsettled of unsettled
 
 let is_block s = s >= 3 && s <= 5
 let width syms s = itv_width (sym_range syms s)
@@ -1207,13 +1208,23 @@ let outside_box coords box =
           find 0))
     (Some []) box
 
-(* Disjointness of two global accesses by array coordinates.  The split
-   is the array's own mixed-radix decomposition once every inner
-   coordinate provably lies inside its dimension, so equal cells mean
-   equal coordinates: the accesses are apart when their guard boxes miss
-   each other on some coordinate, or one box lies inside a box the other
-   access is guarded to stay outside of (a produced-tile preload reading
-   exactly where the writer's guard does not hold). *)
+(* every inner coordinate of a guard box lies inside its dimension: the
+   split is then the array's own mixed-radix decomposition, so equal
+   cells mean equal coordinates *)
+let inner_valid dims bx =
+  let ok = ref true in
+  Array.iteri
+    (fun k i ->
+      if k < Array.length dims - 1 then
+        match i with Some i -> ok := !ok && i.lo >= 0 && i.hi < dims.(k) | None -> ())
+    bx;
+  !ok
+
+(* Disjointness of two global accesses by array coordinates: the
+   accesses are apart when their guard boxes miss each other on some
+   coordinate, or one box lies inside a box the other access is guarded
+   to stay outside of (a produced-tile preload reading exactly where the
+   writer's guard does not hold). *)
 let apart syms dims a b =
   match (a.acc_form, b.acc_form) with
   | Some fa, Some fb when dims <> [] ->
@@ -1221,15 +1232,6 @@ let apart syms dims a b =
       let dims = Array.of_list dims in
       let ba = guard_box syms a.acc_facts ca and bb = guard_box syms b.acc_facts cb in
       let unreachable bx = Array.exists Option.is_none bx in
-      let valid bx =
-        let ok = ref true in
-        Array.iteri
-          (fun k i ->
-            if k < Array.length dims - 1 then
-              match i with Some i -> ok := !ok && i.lo >= 0 && i.hi < dims.(k) | None -> ())
-          bx;
-        !ok
-      in
       let inside bx outside coords =
         List.exists
           (fun box ->
@@ -1243,7 +1245,7 @@ let apart syms dims a b =
           outside
       in
       if unreachable ba || unreachable bb then Some "disjoint-ranges"
-      else if not (valid ba && valid bb) then None
+      else if not (inner_valid dims ba && inner_valid dims bb) then None
       else if
         Array.exists2
           (fun x y -> match (x, y) with Some i, Some j -> imeet i j = None | _ -> true)
@@ -1253,10 +1255,50 @@ let apart syms dims a b =
       else None
   | _ -> None
 
-exception Unsettled of string
+(* Global accesses of one block in different barrier intervals are
+   ordered by the barrier between them, so only threads of two different
+   blocks can race on them.  They cannot when each block touches a tile
+   of its own: every block symbol is, alone, the block part of some
+   coordinate of both accesses, with a coefficient wider than the span
+   of the rest of that coordinate over both accesses. *)
+let block_tile syms dims a b fa fb =
+  a.acc_interval <> b.acc_interval
+  && dims <> []
+  &&
+  let ca = coordinates dims fa and cb = coordinates dims fb in
+  let dims = Array.of_list dims in
+  inner_valid dims (guard_box syms a.acc_facts ca)
+  && inner_valid dims (guard_box syms b.acc_facts cb)
+  && List.for_all
+       (fun s ->
+         width syms s <= 1
+         || Array.exists2
+              (fun xa xb ->
+                let pa = restrict xa is_block in
+                equal_aff pa (restrict xb is_block)
+                && Imap.bindings pa.coef |> List.map fst = [ s ]
+                &&
+                let ra = range_in syms (asub xa pa) and rb = range_in syms (asub xb pa) in
+                sat_add (max ra.hi rb.hi) (-min ra.lo rb.lo) < abs (Imap.find s pa.coef))
+              ca cb)
+       [ 3; 4; 5 ]
+
+(* no two points make the forms meet when the gcd of all their
+   coefficients does not divide the difference of their constants
+   (interleaved writes [2*i] and [2*i + 1]) *)
+let gcd_apart fa fb =
+  let g = Imap.fold (fun _ c g -> gcd g c) fb.coef (Imap.fold (fun _ c g -> gcd g c) fa.coef 0) in
+  g > 1 && (fb.const - fa.const) mod g <> 0
+
+exception Unsettled of unsettled
+
+let shared_rules = [ "barrier"; "disjoint-ranges"; "own-cell"; "gcd" ]
+let global_rules = [ "disjoint-ranges"; "own-cell"; "outside-guard"; "block-tile"; "gcd" ]
 
 let prove_race_free ~host_of ~dims_of (r : result) =
-  if not r.res_all_proved then Race_unsettled "bounds are not proved"
+  if not r.res_all_proved then
+    let a = List.find (fun a -> a.acc_status <> Proved) r.res_accesses in
+    Race_unsettled { un_loc = a.acc_loc; un_why = "bounds are not proved"; un_tried = [] }
   else begin
     let syms = r.res_syms in
     let rules = ref [] in
@@ -1281,22 +1323,28 @@ let prove_race_free ~host_of ~dims_of (r : result) =
     in
     let settle a b self =
       let shared = a.acc_space = Shared in
+      let unsettled why tried = raise (Unsettled { un_loc = a.acc_loc; un_why = why; un_tried = tried }) in
       if self then
         if not shared then use "same-site"
         else
           match a.acc_form with
           | Some f when own_cell syms ~shared f f -> use "injective-write"
-          | _ -> raise (Unsettled (describe a ^ " is not injective in the thread id"))
+          | _ -> unsettled (describe a ^ " is not injective in the thread id") [ "injective-write" ]
       else if shared && a.acc_interval <> b.acc_interval then use "barrier"
       else if regions_disjoint a.acc_range b.acc_range then use "disjoint-ranges"
       else
         match (a.acc_form, b.acc_form) with
         | Some fa, Some fb when own_cell syms ~shared fa fb -> use "own-cell"
-        | _ -> (
+        | forms -> (
             let dims = if shared then [] else Option.value ~default:[] (dims_of (host_of a.acc_array)) in
-            match apart syms dims a b with
-            | Some rule -> use rule
-            | None -> raise (Unsettled (describe a ^ " may meet " ^ describe b)))
+            match (apart syms dims a b, forms) with
+            | Some rule, _ -> use rule
+            | None, (Some fa, Some fb) when block_tile syms dims a b fa fb ->
+                use "block-tile"
+            | None, (Some fa, Some fb) when gcd_apart fa fb -> use "gcd"
+            | None, _ ->
+                unsettled (describe a ^ " may meet " ^ describe b)
+                  (if shared then shared_rules else global_rules))
     in
     let pin_fact f = { f with f_form = pin syms f.f_form } in
     let pinned a =
@@ -1323,5 +1371,5 @@ let prove_race_free ~host_of ~dims_of (r : result) =
         (List.rev !order)
     with
     | () -> Race_free (List.sort compare !rules)
-    | exception Unsettled why -> Race_unsettled why
+    | exception Unsettled u -> Race_unsettled u
   end

@@ -10,8 +10,7 @@
 
     Four clients:
     - {!analyze_kernel} / {!analyze_launch}: proved bounds and per-array
-      footprints (replaces kft_verify's sampled bounds pass when every
-      access is proved);
+      footprints (kft_verify's bounds pass);
     - {!prove_race_free}: kft_verify's race proof, from the race forms,
       barrier intervals and guard facts the access records carry;
     - {!simplify_kernel}: guard elimination for fused kernels — an [If]
@@ -27,7 +26,7 @@ val pp_itv : itv -> string
 type status =
   | Proved  (** every concrete index lies inside the extent *)
   | Oob  (** every concrete index lies outside the extent *)
-  | Unknown  (** the interval straddles the extent: fall back to sampling *)
+  | Unknown  (** the interval straddles the extent: not proved either way *)
 
 type space = Global | Shared
 
@@ -128,12 +127,20 @@ val regions_disjoint : itv -> itv -> bool
 (** No cell lies in both intervals.  The one region test shared by the
     race prover and kft_schedflow's dependence refinement. *)
 
+type unsettled = {
+  un_loc : Kft_cuda.Loc.pos;  (** the first site of the pair *)
+  un_why : string;
+      (** the pair, e.g. ["write of B at 6:5 may meet write of B at 7:5"],
+          or ["bounds are not proved"] *)
+  un_tried : string list;  (** the rules the pair was checked against *)
+}
+
 type race_verdict =
   | Race_free of string list
       (** no two distinct threads of the launch touch one cell with at
           least one write and no ordering barrier; carries the sorted
           names of the rules that settled the access pairs *)
-  | Race_unsettled of string  (** the first pair no rule settles *)
+  | Race_unsettled of unsettled  (** the first pair no rule settles *)
 
 val prove_race_free :
   host_of:(string -> string) -> dims_of:(string -> int list option) -> result -> race_verdict
@@ -152,6 +159,14 @@ val prove_race_free :
       that miss each other;
     - [own-cell]: the forms can only coincide for one thread;
     - [outside-guard]: one access's guard box lies inside a box the
-      other is guarded to stay outside of.
-    Global accesses of one block in different barrier intervals are not
-    treated as ordered. *)
+      other is guarded to stay outside of;
+    - [block-tile]: global accesses in different barrier intervals
+      whose cells, per block, lie inside a tile of that block (each
+      block symbol alone drives one coordinate, with a coefficient wider
+      than the rest of the coordinate spans), so only threads of one
+      block, which the barrier orders, can meet;
+    - [gcd]: the gcd of all coefficients of both forms does not divide
+      the difference of their constants (interleaved writes [2*i] and
+      [2*i + 1]).
+    A launch with an access not proved in bounds is unsettled at that
+    access, with no rule tried. *)

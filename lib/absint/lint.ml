@@ -72,7 +72,7 @@ let access_findings pname kernel (a : Absint.access) =
           mk "bounds" Warn
             (Printf.sprintf
                "cannot prove %s of %s %s in bounds: index range %s vs extent %d \
-                (verification falls back to sampling)"
+                (kft_verify reports it as unproved)"
                dir space a.acc_array
                (Absint.pp_itv a.acc_range)
                a.acc_extent);

@@ -519,49 +519,6 @@ let affine_of_expr env ~loops e =
             Some (List.filter (fun (_, c) -> c <> 0) named, f0)
           end)
 
-let affine_threads ?(block_idx = (0, 0, 0)) ~bindings ~loops e =
-  let base = { thread = (0, 0, 0); block_idx; bindings = List.map (fun v -> (v, 0)) loops @ bindings } in
-  let vars = [ Tx; Ty; Tz ] @ List.map (fun v -> Loop v) loops in
-  let f env_probe = try Some (eval_int env_probe e) with Not_integer _ -> None in
-  match f base with
-  | None -> None
-  | Some f0 -> (
-      let coeffs =
-        List.fold_left
-          (fun acc v ->
-            match acc with
-            | None -> None
-            | Some acc -> (
-                match (f (apply_displacement base v 1), f (apply_displacement base v 2)) with
-                | Some c1v, Some c2v ->
-                    let c1 = c1v - f0 and c2 = c2v - f0 in
-                    if c2 <> 2 * c1 then None else Some ((v, c1) :: acc)
-                | _ -> None))
-          (Some []) vars
-      in
-      match coeffs with
-      | None -> None
-      | Some coeffs ->
-          (* pairwise cross-check on the first two nonzero coefficients,
-             as in [affine_coeffs], to reject multiplicative mixing *)
-          let nonzero = List.filter (fun (_, c) -> c <> 0) coeffs in
-          let ok =
-            match nonzero with
-            | (v1, c1) :: (v2, c2) :: _ -> (
-                match f (apply_displacement (apply_displacement base v1 1) v2 1) with
-                | Some fp -> fp - f0 = c1 + c2
-                | None -> false)
-            | _ -> true
-          in
-          if not ok then None
-          else
-            let coef v = try List.assoc v coeffs with Not_found -> 0 in
-            let named =
-              [ ("tx", coef Tx); ("ty", coef Ty); ("tz", coef Tz) ]
-              @ List.map (fun v -> (v, coef (Loop v))) loops
-            in
-            Some (List.filter (fun (_, c) -> c <> 0) named, f0))
-
 let analyze_result k env =
   match analyze k env with
   | info -> Ok info

@@ -116,17 +116,3 @@ val affine_of_expr :
     the expression is not affine or mixes thread/block indices in a
     non-canonical way. *)
 
-val affine_threads :
-  ?block_idx:int * int * int ->
-  bindings:(string * int) list ->
-  loops:string list ->
-  Kft_cuda.Ast.expr ->
-  ((string * int) list * int) option
-(** Affine coefficients over the {e thread-local} variables ["tx"],
-    ["ty"], ["tz"] and the loop variables in scope, with blockIdx pinned
-    to [block_idx] (default origin) and free scalars bound by
-    [bindings]; plus the constant term. Unlike {!affine_of_expr} no
-    canonical grid-mapping is required, so thread-only expressions such
-    as [threadIdx.x + 34 * threadIdx.y] succeed — this is the probe the
-    static race detector ([Kft_verify]) uses to reason about
-    shared-memory subscripts within one block. *)

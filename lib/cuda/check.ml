@@ -168,6 +168,30 @@ let kernel (k : kernel) =
   check_stmts ~tainted:[] ~divergent:false k.k_body;
   dedupe (List.rev !errors)
 
+let launch_args ~declared k args =
+  if List.length k.k_params <> List.length args then
+    [ Printf.sprintf "expects %d arguments, got %d" (List.length k.k_params) (List.length args) ]
+  else
+    List.concat
+      (List.map2
+         (fun param arg ->
+           match (param, arg) with
+           | Array_param _, Arg_array a ->
+               if declared a then [] else [ Printf.sprintf "argument %s is not a declared device array" a ]
+           | Array_param { name; _ }, (Arg_int _ | Arg_double _) ->
+               [ Printf.sprintf "scalar passed for array parameter %s" name ]
+           | Scalar_param { ty = Int; name }, a ->
+               if (match a with Arg_int _ -> false | _ -> true) then
+                 [ Printf.sprintf "parameter %s expects an int argument" name ]
+               else []
+           | Scalar_param { ty = Double; name }, a ->
+               if (match a with Arg_double _ -> false | _ -> true) then
+                 [ Printf.sprintf "parameter %s expects a double argument" name ]
+               else []
+           | Scalar_param { ty = Bool; name }, _ ->
+               [ Printf.sprintf "bool parameter %s is not supported in launches" name ])
+         k.k_params args)
+
 let program (p : program) =
   let errors = ref [] in
   let err where fmt =
@@ -204,27 +228,7 @@ let program (p : program) =
           match List.find_opt (fun k -> k.k_name = l.l_kernel) p.p_kernels with
           | None -> err where "launch of undefined kernel"
           | Some k ->
-              if List.length k.k_params <> List.length l.l_args then
-                err where "expects %d arguments, got %d" (List.length k.k_params)
-                  (List.length l.l_args)
-              else
-                List.iter2
-                  (fun param arg ->
-                    match (param, arg) with
-                    | Array_param _, Arg_array a ->
-                        if not (Hashtbl.mem seen_arr a) then
-                          err where "argument %s is not a declared device array" a
-                    | Array_param { name; _ }, (Arg_int _ | Arg_double _) ->
-                        err where "scalar passed for array parameter %s" name
-                    | Scalar_param { ty = Int; name }, a ->
-                        if (match a with Arg_int _ -> false | _ -> true) then
-                          err where "parameter %s expects an int argument" name
-                    | Scalar_param { ty = Double; name }, a ->
-                        if (match a with Arg_double _ -> false | _ -> true) then
-                          err where "parameter %s expects a double argument" name
-                    | Scalar_param { ty = Bool; name }, _ ->
-                        err where "bool parameter %s is not supported in launches" name)
-                  k.k_params l.l_args;
+              List.iter (err where "%s") (launch_args ~declared:(Hashtbl.mem seen_arr) k l.l_args);
               let dx, dy, dz = l.l_domain and bx, by, bz = l.l_block in
               if dx <= 0 || dy <= 0 || dz <= 0 then err where "non-positive launch domain";
               if bx <= 0 || by <= 0 || bz <= 0 then err where "non-positive block";

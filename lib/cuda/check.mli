@@ -38,6 +38,12 @@ val kernel : Ast.kernel -> error list
       [threadIdx] (the statically-detectable core of barrier
       divergence; the full analysis lives in [Kft_verify]). *)
 
+val launch_args : declared:(string -> bool) -> Ast.kernel -> Ast.arg list -> string list
+(** The mismatches between a launch's arguments and the kernel's
+    parameters: arity, then per argument its kind (array, int, double)
+    and, for an array, whether [declared] knows it.  [[]] when the
+    launch binds. *)
+
 val program : Ast.program -> error list
 (** All kernel checks, plus:
     - kernel names are unique and arrays are declared once;

@@ -865,12 +865,10 @@ let stage_report r =
   (let v = r.verify_report in
    if v.stats.launches_checked = 0 && v.diagnostics = [] then p "  skipped (verify_mode = off)"
    else begin
-     p "  %d launches checked; fallback walk: %d blocks sampled, %d threads walked, %d events%s"
-       v.stats.launches_checked v.stats.blocks_sampled v.stats.threads_walked v.stats.events
-       (if v.complete then "" else " (budget exhausted: report incomplete)");
-     p "  bounds: %d launches proved by absint, %d on sampled fallback"
+     p "  %d launches checked" v.stats.launches_checked;
+     p "  bounds: %d launches proved by absint, %d unproved"
        v.stats.bounds_proved v.stats.bounds_fallback;
-     p "  races: %d launches proved by absint, %d on sampled fallback"
+     p "  races: %d launches proved by absint, %d unproved"
        v.stats.races_proved v.stats.races_fallback;
      if v.stats.sched_deps_checked > 0 || v.stats.sched_fallback > 0 then
        p "  schedule: %d source dependences checked end-to-end, %d launches unplaced"

@@ -1,7 +1,6 @@
 open Kft_cuda.Ast
 module Loc = Kft_cuda.Loc
 module Pp = Kft_cuda.Pp
-module Access = Kft_analysis.Access
 module Ddg = Kft_ddg.Ddg
 module Fusion = Kft_codegen.Fusion
 module Canonical = Kft_codegen.Canonical
@@ -35,13 +34,13 @@ let pp_diagnostic d =
 
 type stats = {
   launches_checked : int;
-  blocks_sampled : int;
-  threads_walked : int;
-  events : int;
+  blocks_sampled : int;  (* always 0: nothing is sampled *)
+  threads_walked : int;  (* always 0 *)
+  events : int;  (* always 0 *)
   bounds_proved : int;  (* launches whose every access absint proved in bounds *)
-  bounds_fallback : int;  (* launches that needed the sampled bounds walk *)
+  bounds_fallback : int;  (* launches left unproved, each reported as a diagnostic *)
   races_proved : int;  (* launches proved race-free from the absint access forms *)
-  races_fallback : int;  (* launches the proof left to the sampled thread walk *)
+  races_fallback : int;  (* launches left unproved, each reported as a diagnostic *)
   sched_deps_checked : int;  (* source schedule dependences checked end-to-end *)
   sched_fallback : int;  (* source launches the member mapping could not place *)
 }
@@ -105,9 +104,9 @@ let merge a b =
     stats =
       {
         launches_checked = a.stats.launches_checked + b.stats.launches_checked;
-        blocks_sampled = a.stats.blocks_sampled + b.stats.blocks_sampled;
-        threads_walked = a.stats.threads_walked + b.stats.threads_walked;
-        events = a.stats.events + b.stats.events;
+        blocks_sampled = 0;
+        threads_walked = 0;
+        events = 0;
         bounds_proved = a.stats.bounds_proved + b.stats.bounds_proved;
         bounds_fallback = a.stats.bounds_fallback + b.stats.bounds_fallback;
         races_proved = a.stats.races_proved + b.stats.races_proved;
@@ -115,37 +114,18 @@ let merge a b =
         sched_deps_checked = a.stats.sched_deps_checked + b.stats.sched_deps_checked;
         sched_fallback = a.stats.sched_fallback + b.stats.sched_fallback;
       };
-    complete = a.complete && b.complete;
+    complete = true;
   }
 
 let is_clean r = r.diagnostics = []
-let default_budget = 10_000_000
 
 (* ------------------------------------------------------------------ *)
 (* Diagnostic collection                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* One-line statement rendering is quoted in diagnostics and in the
-   access bookkeeping; the walker may reach the same physical statement
-   millions of times, so the rendering is memoized on physical identity
-   (same bucket/equality discipline as [Loc.Tbl]), per collector. *)
-module Stmt_memo = Hashtbl.Make (struct
-  type t = stmt
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
 type collector = {
-  seen : (string, unit) Hashtbl.t;
-  memo : string Stmt_memo.t;
   mutable out : diagnostic list;  (* reversed *)
-  mutable events : int;
-  budget : int;
-  mutable complete : bool;
   mutable launches : int;
-  mutable blocks : int;
-  mutable threads : int;
   mutable bproved : int;
   mutable bfallback : int;
   mutable rproved : int;
@@ -154,17 +134,10 @@ type collector = {
   mutable sfallback : int;
 }
 
-let new_collector budget =
+let new_collector () =
   {
-    seen = Hashtbl.create 64;
-    memo = Stmt_memo.create 64;
     out = [];
-    events = 0;
-    budget;
-    complete = true;
     launches = 0;
-    blocks = 0;
-    threads = 0;
     bproved = 0;
     bfallback = 0;
     rproved = 0;
@@ -173,40 +146,28 @@ let new_collector budget =
     sfallback = 0;
   }
 
-let stmt_line col s =
-  match Stmt_memo.find_opt col.memo s with
-  | Some text -> text
-  | None ->
-      let text = Pp.stmt ~indent:0 s in
-      let text =
-        match String.index_opt text '\n' with Some i -> String.sub text 0 i | None -> text
-      in
-      let text = String.trim text in
-      let text = if String.length text > 72 then String.sub text 0 69 ^ "..." else text in
-      Stmt_memo.replace col.memo s text;
-      text
+(* one-line statement rendering quoted in diagnostics *)
+let stmt_line s =
+  let text = Pp.stmt ~indent:0 s in
+  let text = match String.index_opt text '\n' with Some i -> String.sub text 0 i | None -> text in
+  let text = String.trim text in
+  if String.length text > 72 then String.sub text 0 69 ^ "..." else text
 
-let emit col ~pass ~kernel ~loc ~stmt ?(array = "") ~key fmt =
+(* the statement of [body] at [loc], rendered; [""] for synthesized ASTs *)
+let stmt_at body loc =
+  if Loc.is_none loc then ""
+  else
+    match fold_stmts (fun acc s -> if acc = None && Loc.find s = loc then Some s else acc) None body with
+    | Some s -> stmt_line s
+    | None -> ""
+
+(* duplicates (a kernel launched twice) collapse in [normalize_diagnostics] *)
+let emit col ~pass ~kernel ~loc ~stmt ?(array = "") fmt =
   Printf.ksprintf
     (fun msg ->
-      (* the array participates in the dedupe key: two different-array
-         findings at the same kernel:loc must both survive *)
-      let k =
-        Printf.sprintf "%s|%s|%s|%s|%s" (pass_name pass) kernel (Loc.pp loc) array key
-      in
-      if not (Hashtbl.mem col.seen k) then begin
-        Hashtbl.replace col.seen k ();
-        col.out <-
-          {
-            d_kernel = kernel;
-            d_pass = pass;
-            d_loc = loc;
-            d_stmt = stmt;
-            d_array = array;
-            d_message = msg;
-          }
-          :: col.out
-      end)
+      col.out <-
+        { d_kernel = kernel; d_pass = pass; d_loc = loc; d_stmt = stmt; d_array = array; d_message = msg }
+        :: col.out)
     fmt
 
 let report_of col =
@@ -214,10 +175,8 @@ let report_of col =
     diagnostics = normalize_diagnostics (List.rev col.out);
     stats =
       {
+        empty_stats with
         launches_checked = col.launches;
-        blocks_sampled = col.blocks;
-        threads_walked = col.threads;
-        events = col.events;
         bounds_proved = col.bproved;
         bounds_fallback = col.bfallback;
         races_proved = col.rproved;
@@ -225,7 +184,7 @@ let report_of col =
         sched_deps_checked = col.sdeps;
         sched_fallback = col.sfallback;
       };
-    complete = col.complete;
+    complete = true;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -278,12 +237,12 @@ let barrier_pass col kname body =
             if div && not under then begin
               if contains_barrier t || contains_barrier e then begin
                 divergent := true;
-                emit col ~pass:Barrier ~kernel:kname ~loc ~stmt:(stmt_line col s) ~key:"div-if"
+                emit col ~pass:Barrier ~kernel:kname ~loc ~stmt:(stmt_line s)
                   "__syncthreads() under thread-dependent conditional"
               end;
               if has_barrier && (contains_return t || contains_return e) then begin
                 divergent := true;
-                emit col ~pass:Barrier ~kernel:kname ~loc ~stmt:(stmt_line col s) ~key:"div-return"
+                emit col ~pass:Barrier ~kernel:kname ~loc ~stmt:(stmt_line s)
                   "thread-dependent early return in a kernel that uses __syncthreads()"
               end
             end;
@@ -300,7 +259,7 @@ let barrier_pass col kname body =
             let div = tainted_expr tainted l.lo || tainted_expr tainted l.hi in
             if div && (not under) && contains_barrier l.body then begin
               divergent := true;
-              emit col ~pass:Barrier ~kernel:kname ~loc ~stmt:(stmt_line col s) ~key:"div-for"
+              emit col ~pass:Barrier ~kernel:kname ~loc ~stmt:(stmt_line s)
                 "__syncthreads() inside loop with thread-dependent trip count"
             end;
             let inner = if div then Sset.add l.index tainted else tainted in
@@ -312,425 +271,8 @@ let barrier_pass col kname body =
   !divergent
 
 (* ------------------------------------------------------------------ *)
-(* Passes 1 & 3: per-thread concrete walker                            *)
+(* Passes 1 & 3: bounds and races, proved from kft_absint               *)
 (* ------------------------------------------------------------------ *)
-
-exception Returned
-exception Budget
-
-(* shared-access bookkeeping: per (array, barrier interval, linear cell) *)
-type sacc = { s_tid : int; s_loc : Loc.pos; s_stmt : string }
-type sentry = { mutable sw : sacc list; mutable sr : sacc list }
-
-(* global-access bookkeeping: per (host array, linear cell) *)
-type gacc = {
-  g_bid : int;
-  g_tid : int;
-  g_iv : int;
-  g_loc : Loc.pos;
-  g_stmt : string;
-  g_site : stmt option;  (* physical identity of the accessing statement *)
-}
-
-type gentry = { mutable gw : gacc list; mutable gr : gacc list }
-
-type ctx = {
-  col : collector;
-  kname : string;
-  block : int * int * int;
-  grid : int * int * int;
-  int_params : (string * int) list;
-  host_of : (string * string) list;  (* array param -> host array *)
-  global_cells : (string * int) list;  (* array param -> extent in cells *)
-  shared : (string * int list) list;  (* shared array -> declared dims *)
-  shared_tab : (string * int * int, sentry) Hashtbl.t;  (* reset per block *)
-  global_tab : (string * int, gentry) Hashtbl.t;  (* per launch *)
-  check_bounds : bool;
-      (* false when kft_absint proved every access of this launch in
-         bounds: the sampled walk then only feeds race analysis *)
-}
-
-type tstate = {
-  mutable scalars : (string, int option) Hashtbl.t;
-  mutable interval : int;
-  mutable cloc : Loc.pos;
-  mutable cstmt : stmt option;
-  tid : int;
-  bid : int;
-  thread : int * int * int;
-  block_idx : int * int * int;
-}
-
-(* Rendered lazily: most accesses never surface in a diagnostic, so the
-   string is only built when emitting or remembering an access. *)
-let stmt_of ctx st = match st.cstmt with Some s -> stmt_line ctx.col s | None -> ""
-
-let same_site a b = match (a, b) with Some x, Some y -> x == y | _ -> false
-
-(* classification of a subscript via the affine thread probe — quoted in
-   race diagnostics so the reader sees the per-thread access pattern *)
-let classify_subscripts ctx idxs =
-  let one e =
-    match Access.affine_threads ~bindings:ctx.int_params ~loops:[] e with
-    | Some (coeffs, c0) ->
-        let terms =
-          List.map (fun (v, c) -> Printf.sprintf "%d*%s" c v) coeffs
-          @ (if c0 <> 0 || coeffs = [] then [ string_of_int c0 ] else [])
-        in
-        "affine " ^ String.concat "+" terms
-    | None -> "non-affine"
-  in
-  String.concat ", " (List.map one idxs)
-
-let rec eval ctx st e =
-  match e with
-  | Int_lit i -> Some i
-  | Double_lit _ -> None
-  | Var v -> ( match Hashtbl.find_opt st.scalars v with Some x -> x | None -> None)
-  | Builtin b -> (
-      let tx, ty, tz = st.thread
-      and bix, biy, biz = st.block_idx
-      and bx, by, bz = ctx.block
-      and gx, gy, gz = ctx.grid in
-      match b with
-      | Thread_idx X -> Some tx
-      | Thread_idx Y -> Some ty
-      | Thread_idx Z -> Some tz
-      | Block_idx X -> Some bix
-      | Block_idx Y -> Some biy
-      | Block_idx Z -> Some biz
-      | Block_dim X -> Some bx
-      | Block_dim Y -> Some by
-      | Block_dim Z -> Some bz
-      | Grid_dim X -> Some gx
-      | Grid_dim Y -> Some gy
-      | Grid_dim Z -> Some gz)
-  | Binop (And, a, b) -> (
-      match eval ctx st a with
-      | Some 0 -> Some 0 (* short circuit: b is not evaluated, so no access *)
-      | Some _ -> (
-          match eval ctx st b with Some vb -> Some (if vb <> 0 then 1 else 0) | None -> None)
-      | None -> None)
-  | Binop (Or, a, b) -> (
-      match eval ctx st a with
-      | Some v when v <> 0 -> Some 1
-      | Some _ -> (
-          match eval ctx st b with Some vb -> Some (if vb <> 0 then 1 else 0) | None -> None)
-      | None -> None)
-  | Binop (op, a, b) -> (
-      let va = eval ctx st a and vb = eval ctx st b in
-      match (va, vb) with
-      | Some va, Some vb -> (
-          match op with
-          | Add -> Some (va + vb)
-          | Sub -> Some (va - vb)
-          | Mul -> Some (va * vb)
-          | Div -> if vb = 0 then None else Some (va / vb)
-          | Mod -> if vb = 0 then None else Some (va mod vb)
-          | Lt -> Some (if va < vb then 1 else 0)
-          | Le -> Some (if va <= vb then 1 else 0)
-          | Gt -> Some (if va > vb then 1 else 0)
-          | Ge -> Some (if va >= vb then 1 else 0)
-          | Eq -> Some (if va = vb then 1 else 0)
-          | Ne -> Some (if va <> vb then 1 else 0)
-          | And | Or -> None (* handled above *))
-      | _ -> None)
-  | Unop (Neg, a) -> Option.map (fun v -> -v) (eval ctx st a)
-  | Unop (Not, a) -> Option.map (fun v -> if v = 0 then 1 else 0) (eval ctx st a)
-  | Ternary (c, a, b) -> (
-      match eval ctx st c with
-      | Some 0 -> eval ctx st b
-      | Some _ -> eval ctx st a
-      | None ->
-          (* over-approximate: record accesses of both arms *)
-          ignore (eval ctx st a);
-          ignore (eval ctx st b);
-          None)
-  | Call ("min", [ a; b ]) -> (
-      match (eval ctx st a, eval ctx st b) with
-      | Some x, Some y -> Some (min x y)
-      | _ -> None)
-  | Call ("max", [ a; b ]) -> (
-      match (eval ctx st a, eval ctx st b) with
-      | Some x, Some y -> Some (max x y)
-      | _ -> None)
-  | Call ("abs", [ a ]) -> Option.map abs (eval ctx st a)
-  | Call (_, args) ->
-      List.iter (fun a -> ignore (eval ctx st a)) args;
-      None
-  | Index (a, idxs) ->
-      record_access ctx st ~write:false a idxs;
-      None
-
-and record_access ctx st ~write a idxs =
-  let loc = st.cloc in
-  match List.assoc_opt a ctx.shared with
-  | Some dims ->
-      if List.length idxs <> List.length dims then () (* Check.kernel reports the rank error *)
-      else begin
-        let vals = List.map (eval ctx st) idxs in
-        if List.exists (fun v -> v = None) vals then
-          emit ctx.col ~pass:Engine ~kernel:ctx.kname ~loc ~stmt:(stmt_of ctx st)
-            ~key:("ssub|" ^ a)
-            "subscript of shared %s is not statically evaluable; race/bounds analysis is incomplete for it"
-            a
-        else begin
-          let ivals = List.map Option.get vals in
-          let in_bounds = ref true in
-          List.iteri
-            (fun i (v, d) ->
-              if v < 0 || v >= d then begin
-                in_bounds := false;
-                if ctx.check_bounds then
-                  emit ctx.col ~pass:Bounds ~kernel:ctx.kname ~loc ~stmt:(stmt_of ctx st)
-                    ~key:(Printf.sprintf "sb|%s|%d" a i)
-                    "subscript %d of shared %s out of range: %d not in [0,%d)" i a v d
-              end)
-            (List.combine ivals dims);
-          if !in_bounds then
-            let lin = List.fold_left2 (fun acc v d -> (acc * d) + v) 0 ivals dims in
-            shared_conflicts ctx st ~write ~loc a idxs lin
-        end
-      end
-  | None -> (
-      match List.assoc_opt a ctx.global_cells with
-      | None -> () (* unknown array: Check.kernel reports it *)
-      | Some cells -> (
-          match idxs with
-          | [ idx ] -> (
-              match eval ctx st idx with
-              | None ->
-                  emit ctx.col ~pass:Engine ~kernel:ctx.kname ~loc ~stmt:(stmt_of ctx st)
-                    ~key:("gsub|" ^ a)
-                    "index of global %s is not statically evaluable; race/bounds analysis is incomplete for it"
-                    a
-              | Some v ->
-                  let host =
-                    match List.assoc_opt a ctx.host_of with Some h -> h | None -> a
-                  in
-                  if v < 0 || v >= cells then begin
-                    if ctx.check_bounds then
-                      emit ctx.col ~pass:Bounds ~kernel:ctx.kname ~loc ~stmt:(stmt_of ctx st)
-                        ~key:(Printf.sprintf "gb|%s|%s" a (if write then "w" else "r"))
-                        "out-of-bounds %s of %s: index %d outside extent of %d cells (halo not guarded?)"
-                        (if write then "write" else "read")
-                        a v cells
-                  end
-                  else global_conflicts ctx st ~write ~loc host v)
-          | _ -> () (* rank error: Check.kernel reports it *)))
-
-and shared_conflicts ctx st ~write ~loc a idxs lin =
-  let key = (a, st.interval, lin) in
-  let entry =
-    match Hashtbl.find_opt ctx.shared_tab key with
-    | Some e -> e
-    | None ->
-        let e = { sw = []; sr = [] } in
-        Hashtbl.replace ctx.shared_tab key e;
-        e
-  in
-  let report kind (other : sacc) =
-    emit ctx.col ~pass:Race ~kernel:ctx.kname ~loc ~stmt:(stmt_of ctx st)
-      ~key:(Printf.sprintf "%s|%s|%s|%s" kind a (Loc.pp other.s_loc) other.s_stmt)
-      "%s race on shared %s: threads %d and %d of one block touch the same cell (index %d) \
-       between the same barriers; other access%s: %s [subscripts: %s]"
-      (if kind = "ww" then "write-write" else "read-write")
-      a st.tid other.s_tid lin
-      (if Loc.is_none other.s_loc then "" else " at " ^ Loc.pp other.s_loc)
-      other.s_stmt (classify_subscripts ctx idxs)
-  in
-  if write then begin
-    (match List.find_opt (fun w -> w.s_tid <> st.tid) entry.sw with
-    | Some w -> report "ww" w
-    | None -> ());
-    (match List.find_opt (fun r -> r.s_tid <> st.tid) entry.sr with
-    | Some r -> report "rw" r
-    | None -> ());
-    if (not (List.exists (fun w -> w.s_tid = st.tid) entry.sw)) && List.length entry.sw < 4
-    then entry.sw <- { s_tid = st.tid; s_loc = loc; s_stmt = stmt_of ctx st } :: entry.sw
-  end
-  else begin
-    (match List.find_opt (fun w -> w.s_tid <> st.tid) entry.sw with
-    | Some w -> report "rw" w
-    | None -> ());
-    if (not (List.exists (fun r -> r.s_tid = st.tid) entry.sr)) && List.length entry.sr < 4
-    then entry.sr <- { s_tid = st.tid; s_loc = loc; s_stmt = stmt_of ctx st } :: entry.sr
-  end
-
-and global_conflicts ctx st ~write ~loc host lin =
-  let key = (host, lin) in
-  let entry =
-    match Hashtbl.find_opt ctx.global_tab key with
-    | Some e -> e
-    | None ->
-        let e = { gw = []; gr = [] } in
-        Hashtbl.replace ctx.global_tab key e;
-        e
-  in
-  let distinct (o : gacc) = o.g_bid <> st.bid || o.g_tid <> st.tid in
-  (* a barrier orders accesses of the same block in different intervals;
-     nothing orders accesses of different blocks within one launch *)
-  let unordered (o : gacc) = o.g_bid <> st.bid || o.g_iv = st.interval in
-  let report kind (other : gacc) =
-    emit ctx.col ~pass:Race ~kernel:ctx.kname ~loc ~stmt:(stmt_of ctx st)
-      ~key:(Printf.sprintf "%s|%s|%s|%s" kind host (Loc.pp other.g_loc) other.g_stmt)
-      "%s race on global %s: %s threads access the same cell (index %d) with no ordering \
-       barrier; other access%s: %s"
-      (if kind = "ww" then "write-write" else "read-write")
-      host
-      (if other.g_bid <> st.bid then "different blocks'" else "two")
-      lin
-      (if Loc.is_none other.g_loc then "" else " at " ^ Loc.pp other.g_loc)
-      other.g_stmt
-  in
-  let remember l mk cap =
-    if
-      (not
-         (List.exists
-            (fun (o : gacc) -> o.g_bid = st.bid && o.g_tid = st.tid && same_site o.g_site st.cstmt)
-            l))
-      && List.length l < cap
-    then
-      mk
-        {
-          g_bid = st.bid;
-          g_tid = st.tid;
-          g_iv = st.interval;
-          g_loc = loc;
-          g_stmt = stmt_of ctx st;
-          g_site = st.cstmt;
-        }
-  in
-  if write then begin
-    (* cooperative recompute in fused producers re-executes the same
-       statement in several blocks' halos, duplicating an idempotent
-       write: same-site write-write pairs are deliberately not races *)
-    (match
-       List.find_opt (fun w -> distinct w && unordered w && not (same_site w.g_site st.cstmt)) entry.gw
-     with
-    | Some w -> report "ww" w
-    | None -> ());
-    (match List.find_opt (fun r -> distinct r && unordered r) entry.gr with
-    | Some r -> report "rw" r
-    | None -> ());
-    remember entry.gw (fun x -> entry.gw <- x :: entry.gw) 6
-  end
-  else begin
-    (match List.find_opt (fun w -> distinct w && unordered w) entry.gw with
-    | Some w -> report "rw" w
-    | None -> ());
-    remember entry.gr (fun x -> entry.gr <- x :: entry.gr) 6
-  end
-
-let rec exec ctx st stmts =
-  List.iter
-    (fun s ->
-      ctx.col.events <- ctx.col.events + 1;
-      if ctx.col.events > ctx.col.budget then raise Budget;
-      let saved_loc = st.cloc and saved_stmt = st.cstmt in
-      let l = Loc.find s in
-      if not (Loc.is_none l) then st.cloc <- l;
-      st.cstmt <- Some s;
-      (match s with
-      | Decl (_, v, init) ->
-          let value = match init with Some e -> eval ctx st e | None -> None in
-          Hashtbl.replace st.scalars v value
-      | Shared_decl _ -> ()
-      | Assign (Lvar v, e) -> Hashtbl.replace st.scalars v (eval ctx st e)
-      | Assign (Lindex (a, idxs), e) ->
-          ignore (eval ctx st e);
-          record_access ctx st ~write:true a idxs
-      | If (c, t, els) -> (
-          match eval ctx st c with
-          | Some 0 -> exec ctx st els
-          | Some _ -> exec ctx st t
-          | None ->
-              if contains_barrier t || contains_barrier els then begin
-                (* pass 2 proved the condition uniform, but we cannot
-                   resolve it — taking one branch would desynchronize the
-                   interval counter, so flag and follow the then-branch *)
-                emit ctx.col ~pass:Engine ~kernel:ctx.kname ~loc:st.cloc ~stmt:(stmt_line ctx.col s)
-                  ~key:"if-barrier"
-                  "conditional guarding __syncthreads() is not statically evaluable";
-                exec ctx st t
-              end
-              else begin
-                let snapshot = Hashtbl.copy st.scalars in
-                exec ctx st t;
-                let after_t = st.scalars in
-                st.scalars <- snapshot;
-                exec ctx st els;
-                (* merge: agreeing bindings survive, the rest go unknown *)
-                let merged = Hashtbl.create (Hashtbl.length after_t) in
-                Hashtbl.iter
-                  (fun k v ->
-                    match Hashtbl.find_opt after_t k with
-                    | Some v' when v' = v -> Hashtbl.replace merged k v
-                    | Some _ -> Hashtbl.replace merged k None
-                    | None -> Hashtbl.replace merged k None)
-                  st.scalars;
-                Hashtbl.iter
-                  (fun k v ->
-                    if not (Hashtbl.mem merged k) then
-                      Hashtbl.replace merged k (if Hashtbl.mem st.scalars k then None else v))
-                  after_t;
-                st.scalars <- merged
-              end)
-      | For l -> (
-          let lo = eval ctx st l.lo and hi = eval ctx st l.hi in
-          let saved = Hashtbl.find_opt st.scalars l.index in
-          let restore () =
-            match saved with
-            | Some v -> Hashtbl.replace st.scalars l.index v
-            | None -> Hashtbl.remove st.scalars l.index
-          in
-          match (lo, hi) with
-          | Some lo, Some hi ->
-              let i = ref lo in
-              while !i < hi do
-                Hashtbl.replace st.scalars l.index (Some !i);
-                exec ctx st l.body;
-                i := !i + l.step
-              done;
-              restore ()
-          | _ ->
-              if contains_barrier l.body then
-                emit ctx.col ~pass:Engine ~kernel:ctx.kname ~loc:st.cloc ~stmt:(stmt_line ctx.col s)
-                  ~key:"for-barrier"
-                  "bounds of loop containing __syncthreads() are not statically evaluable";
-              Hashtbl.replace st.scalars l.index None;
-              exec ctx st l.body;
-              restore ())
-      | Syncthreads -> st.interval <- st.interval + 1
-      | Return ->
-          st.cloc <- saved_loc;
-          st.cstmt <- saved_stmt;
-          raise Returned);
-      st.cloc <- saved_loc;
-      st.cstmt <- saved_stmt)
-    stmts
-
-(* ------------------------------------------------------------------ *)
-(* Launch driver                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* corner blocks plus the first interior neighbours, where halo overlap
-   between adjacent blocks materializes; capped at 8 blocks *)
-let sample_blocks (gx, gy, gz) =
-  let axis n = List.sort_uniq compare (List.filter (fun v -> v >= 0 && v < n) [ 0; 1; n - 1 ]) in
-  let out = ref [] in
-  List.iter
-    (fun z ->
-      List.iter (fun y -> List.iter (fun x -> out := (x, y, z) :: !out) (axis gx)) (axis gy))
-    (axis gz);
-  let all = List.rev !out in
-  let rec take n = function [] -> [] | x :: r -> if n = 0 then [] else x :: take (n - 1) r in
-  take 8 all
-
-let all_blocks (gx, gy, gz) =
-  List.concat_map
-    (fun z -> List.concat_map (fun y -> List.init gx (fun x -> (x, y, z))) (List.init gy Fun.id))
-    (List.init gz Fun.id)
 
 (* the race proof of one analyzed launch: array parameters meet through
    their host arrays, whose declared dimensions split global indices
@@ -741,156 +283,92 @@ let race_verdict prog host_of absint =
     ~dims_of:(fun h ->
       match find_array prog h with d -> Some d.a_dims | exception Not_found -> None)
 
-(* [exhaustive]: no race proof, and the walk covers every block *)
-let verify_launch_into ?(exhaustive = false) col prog (l : launch) =
+(* the host array bound to each array parameter, or the first mismatch
+   between the launch's arguments and the kernel's parameters *)
+let bind_launch prog k (l : launch) =
+  let declared a = List.exists (fun d -> d.a_name = a) prog.p_arrays in
+  match Kft_cuda.Check.launch_args ~declared k l.l_args with
+  | why :: _ -> Error why
+  | [] ->
+      Ok (List.filter_map (function p, Arg_array a -> Some (p, a) | _ -> None) (bind_args k l.l_args))
+
+(* Every access must be proved in bounds and the launch race-free; an
+   access or a pair the proof leaves open is a diagnostic, never a
+   sample. *)
+let verify_launch_into col prog (l : launch) =
   match find_kernel prog l.l_kernel with
   | exception Not_found -> () (* Check.program reports it *)
-  | k ->
+  | k -> (
       col.launches <- col.launches + 1;
-      let bound = try bind_args k l.l_args with Invalid_argument _ -> [] in
-      let int_params =
-        List.filter_map (function name, Arg_int v -> Some (name, v) | _ -> None) bound
-      in
-      let host_of =
-        List.filter_map (function name, Arg_array a -> Some (name, a) | _ -> None) bound
-      in
-      let global_cells =
-        List.filter_map
-          (fun (p, a) ->
-            match find_array prog a with
-            | d -> Some (p, array_cells d)
-            | exception Not_found -> None)
-          host_of
-      in
-      let shared =
-        fold_stmts
-          (fun acc s -> match s with Shared_decl (_, n, dims) -> (n, dims) :: acc | _ -> acc)
-          [] k.k_body
-      in
-      (* sound bounds pass: abstract interpretation over the launch
-         domain.  When it proves every access in bounds the sampled walk
-         below stops double-checking subscripts (race analysis only);
-         any access it cannot prove falls back to the sampled bounds
-         checks.  Proved out-of-bounds accesses are reported here with
-         the same dedupe keys the walker would use, so the two passes
-         never double-report one defect. *)
-      let absint =
-        Absint.analyze_kernel ~block:l.l_block ~grid:(grid_of_launch l) ~int_params
-          ~global_cells k
-      in
-      let bounds_proved = absint.Absint.res_all_proved in
-      if bounds_proved then col.bproved <- col.bproved + 1
-      else col.bfallback <- col.bfallback + 1;
-      List.iter
-        (fun (a : Absint.access) ->
-          match (a.acc_status, a.acc_space) with
-          | Absint.Oob, Absint.Global ->
-              emit col ~pass:Bounds ~kernel:k.k_name ~loc:a.acc_loc ~stmt:""
-                ~key:(Printf.sprintf "gb|%s|%s" a.acc_array (if a.acc_write then "w" else "r"))
-                "out-of-bounds %s of %s: proved index range %s entirely outside extent of %d cells"
-                (if a.acc_write then "write" else "read")
-                a.acc_array (Absint.pp_itv a.acc_range) a.acc_extent
-          | _ -> ())
-        absint.Absint.res_accesses;
-      let divergent = barrier_pass col k.k_name k.k_body in
-      (* races are proved from the access forms the bounds pass already
-         computed; the walk below runs only on launches the proof cannot
-         settle (bounds not proved, or an access pair no rule covers) *)
-      let races_proved =
-        (not exhaustive) && (not divergent) && bounds_proved
-        &&
-        match race_verdict prog host_of absint with
-        | Absint.Race_free _ -> true
-        | Absint.Race_unsettled _ -> false
-      in
-      if races_proved then col.rproved <- col.rproved + 1
-      else if not (exhaustive || divergent) then col.rfallback <- col.rfallback + 1;
-      if divergent then
-        emit col ~pass:Engine ~kernel:k.k_name ~loc:Loc.none ~stmt:"" ~key:"skip-races"
-          "race analysis skipped: kernel has statically divergent barriers"
-      else if not races_proved then begin
-        let grid = grid_of_launch l in
-        let bx, by, bz = l.l_block in
-        let gx, gy, _ = grid in
-        let ctx =
-          {
-            col;
-            kname = k.k_name;
-            block = l.l_block;
-            grid;
-            int_params;
-            host_of;
-            global_cells;
-            shared;
-            shared_tab = Hashtbl.create 1024;
-            global_tab = Hashtbl.create 4096;
-            check_bounds = not bounds_proved;
-          }
-        in
-        try
+      match bind_launch prog k l with
+      | Error why ->
+          col.bfallback <- col.bfallback + 1;
+          col.rfallback <- col.rfallback + 1;
+          emit col ~pass:Engine ~kernel:k.k_name
+            ~loc:(match k.k_body with s :: _ -> Loc.find s | [] -> Loc.none)
+            ~stmt:"" "launch arguments do not match the parameters of %s: %s; launch not analyzed"
+            k.k_name why
+      | Ok host_of ->
+          (* [analyze_launch] binds the same arguments *)
+          let absint = Option.get (Absint.analyze_launch prog l) in
+          if absint.Absint.res_all_proved then col.bproved <- col.bproved + 1
+          else col.bfallback <- col.bfallback + 1;
           List.iter
-            (fun (bix, biy, biz) ->
-              col.blocks <- col.blocks + 1;
-              Hashtbl.reset ctx.shared_tab;
-              let bid = ((biz * gy) + biy) * gx + bix in
-              for tz = 0 to bz - 1 do
-                for ty = 0 to by - 1 do
-                  for tx = 0 to bx - 1 do
-                    col.threads <- col.threads + 1;
-                    let scalars = Hashtbl.create 32 in
-                    List.iter (fun (p, v) -> Hashtbl.replace scalars p (Some v)) int_params;
-                    let st =
-                      {
-                        scalars;
-                        interval = 0;
-                        cloc = Loc.none;
-                        cstmt = None;
-                        tid = ((tz * by) + ty) * bx + tx;
-                        bid;
-                        thread = (tx, ty, tz);
-                        block_idx = (bix, biy, biz);
-                      }
-                    in
-                    try exec ctx st k.k_body with Returned -> ()
-                  done
-                done
-              done)
-            (if exhaustive then all_blocks grid else sample_blocks grid)
-        with Budget ->
-          col.complete <- false;
-          emit col ~pass:Engine ~kernel:k.k_name ~loc:Loc.none ~stmt:"" ~key:"budget"
-            "verification event budget exhausted; analysis incomplete"
-      end
+            (fun (a : Absint.access) ->
+              let kind = if a.acc_write then "write" else "read" in
+              let range = Absint.pp_itv a.acc_range in
+              let stmt = stmt_at k.k_body a.acc_loc in
+              match (a.acc_status = Absint.Oob, a.acc_space) with
+              | true, Absint.Global ->
+                  emit col ~pass:Bounds ~kernel:k.k_name ~loc:a.acc_loc ~stmt
+                    "out-of-bounds %s of %s: proved index range %s entirely outside extent of %d cells"
+                    kind a.acc_array range a.acc_extent
+              | true, Absint.Shared ->
+                  emit col ~pass:Bounds ~kernel:k.k_name ~loc:a.acc_loc ~stmt
+                    "out-of-bounds %s of shared %s: a subscript lies entirely outside its dimension \
+                     (linearized range %s, %d cells)"
+                    kind a.acc_array range a.acc_extent
+              | false, space ->
+                  emit col ~pass:Bounds ~kernel:k.k_name ~loc:a.acc_loc ~stmt
+                    "%s of %s%s not proved in bounds: proved index range %s, extent of %d cells" kind
+                    (if space = Absint.Shared then "shared " else "")
+                    a.acc_array range a.acc_extent)
+            (List.filter (fun (a : Absint.access) -> a.acc_status <> Absint.Proved) absint.res_accesses);
+          if barrier_pass col k.k_name k.k_body then begin
+            col.rfallback <- col.rfallback + 1;
+            emit col ~pass:Engine ~kernel:k.k_name ~loc:Loc.none ~stmt:""
+              "race analysis skipped: kernel has statically divergent barriers"
+          end
+          else begin
+            match race_verdict prog host_of absint with
+            | Absint.Race_free _ -> col.rproved <- col.rproved + 1
+            | Absint.Race_unsettled u ->
+                col.rfallback <- col.rfallback + 1;
+                emit col ~pass:Race ~kernel:k.k_name ~loc:u.un_loc ~stmt:(stmt_at k.k_body u.un_loc)
+                  "race freedom not proved: %s%s" u.un_why
+                  (match u.un_tried with
+                  | [] -> ""
+                  | rules -> " (rules tried: " ^ String.concat ", " rules ^ ")")
+          end)
 
-let verify_launch ?(budget = default_budget) prog l =
-  let col = new_collector budget in
+let verify_launch prog l =
+  let col = new_collector () in
   verify_launch_into col prog l;
   report_of col
 
-let verify_program ?(budget = default_budget) prog =
-  let col = new_collector budget in
-  List.iter
-    (fun op ->
-      match op with
-      | Launch l when col.complete -> verify_launch_into col prog l
-      | _ -> ())
-    prog.p_schedule;
+let verify_program prog =
+  let col = new_collector () in
+  List.iter (function Launch l -> verify_launch_into col prog l | _ -> ()) prog.p_schedule;
   report_of col
 
 (* ------------------------------------------------------------------ *)
 (* Pass 4: translation validation                                      *)
 (* ------------------------------------------------------------------ *)
 
-let validate ?(budget = default_budget) ?(options = Fusion.auto_options) ~source
-    (res : Codegen.result) =
-  let col = new_collector budget in
+let validate ?(options = Fusion.auto_options) ~source (res : Codegen.result) =
+  let col = new_collector () in
   (* passes 1-3 over everything the generator emitted *)
-  List.iter
-    (fun op ->
-      match op with
-      | Launch l when col.complete -> verify_launch_into col res.program l
-      | _ -> ())
-    res.program.p_schedule;
+  List.iter (function Launch l -> verify_launch_into col res.program l | _ -> ()) res.program.p_schedule;
   (* member-order dependences + legality re-derivation for fused kernels *)
   let graphs = Ddg.build source in
   let launch_of name =
@@ -908,7 +386,6 @@ let validate ?(budget = default_budget) ?(options = Fusion.auto_options) ~source
           for j = i + 1 to n - 1 do
             if Ddg.oeg_precedes graphs members.(j) members.(i) then
               emit col ~pass:Translation ~kernel:rep.new_kernel ~loc:Loc.none ~stmt:""
-                ~key:(Printf.sprintf "order|%s|%s" members.(i) members.(j))
                 "fused member order violates the source DDG: %s must execute before %s"
                 members.(j) members.(i)
           done
@@ -928,13 +405,13 @@ let validate ?(budget = default_budget) ?(options = Fusion.auto_options) ~source
             | Ok _ -> ()
             | Error e ->
                 emit col ~pass:Translation ~kernel:rep.new_kernel ~loc:Loc.none ~stmt:""
-                  ~key:"legality" "legality re-check of the fused group failed: %s" e)
+                  "legality re-check of the fused group failed: %s" e)
         | exception Canonical.Not_canonical r ->
             emit col ~pass:Translation ~kernel:rep.new_kernel ~loc:Loc.none ~stmt:""
-              ~key:"canon" "a fused member is no longer canonical on re-extraction: %s" r
+              "a fused member is no longer canonical on re-extraction: %s" r
         | exception Not_found ->
             emit col ~pass:Translation ~kernel:rep.new_kernel ~loc:Loc.none ~stmt:""
-              ~key:"launch" "a fused member has no launch in the source schedule"
+              "a fused member has no launch in the source schedule"
       end)
     res.reports;
   (* schedule pass: whole-schedule dataflow issues on the transformed
@@ -954,12 +431,10 @@ let validate ?(budget = default_budget) ?(options = Fusion.auto_options) ~source
       | Schedflow.Read_before_write { rb_array; rb_op } ->
           emit col ~pass:Schedule ~kernel:(op_kernel rb_op) ~loc:Loc.none ~stmt:""
             ~array:rb_array
-            ~key:(Printf.sprintf "rbw|%d" rb_op)
             "array %s is read at schedule op %d before any write" rb_array rb_op
       | Schedflow.Dead_store { ds_array; ds_op } ->
           emit col ~pass:Schedule ~kernel:(op_kernel ds_op) ~loc:Loc.none ~stmt:""
             ~array:ds_array
-            ~key:(Printf.sprintf "dead|%d" ds_op)
             "the write to array %s at schedule op %d is never read back" ds_array ds_op)
     sf_out.Schedflow.issues;
   let deps = Schedflow.launch_deps (Schedflow.analyze source) in
@@ -1003,7 +478,7 @@ let validate ?(budget = default_budget) ?(options = Fusion.auto_options) ~source
   col.sdeps <- col.sdeps + List.length deps;
   if unplaced > 0 || leftover > 0 then begin
     col.sfallback <- col.sfallback + unplaced + leftover;
-    emit col ~pass:Schedule ~kernel:"" ~loc:Loc.none ~stmt:"" ~key:"coverage"
+    emit col ~pass:Schedule ~kernel:"" ~loc:Loc.none ~stmt:""
       "schedule DDG validation incomplete: %d source launch%s unplaced, %d transformed member%s unmatched"
       unplaced
       (if unplaced = 1 then "" else "es")
@@ -1016,7 +491,6 @@ let validate ?(budget = default_budget) ?(options = Fusion.auto_options) ~source
       | Some pi, Some pj when pi > pj ->
           emit col ~pass:Schedule ~kernel:src_launches.(j).l_kernel ~loc:Loc.none
             ~stmt:"" ~array:a
-            ~key:(Printf.sprintf "ddg|%d|%d" i j)
             "transformed schedule reorders a source dependence on %s: %s (launch %d) \
              must precede %s (launch %d)"
             a
@@ -1026,19 +500,11 @@ let validate ?(budget = default_budget) ?(options = Fusion.auto_options) ~source
   report_of col
 
 module Internal = struct
-  let walk_all_blocks ?(budget = default_budget) prog l =
-    let col = new_collector budget in
-    verify_launch_into ~exhaustive:true col prog l;
-    report_of col
-
   let race_verdict prog l =
-    Option.map
-      (fun r ->
-        let host_of =
-          match bind_args (find_kernel prog l.l_kernel) l.l_args with
-          | bound -> List.filter_map (function p, Arg_array a -> Some (p, a) | _ -> None) bound
-          | exception Invalid_argument _ -> []
-        in
-        race_verdict prog host_of r)
-      (Absint.analyze_launch prog l)
+    match find_kernel prog l.l_kernel with
+    | exception Not_found -> None
+    | k -> (
+        match bind_launch prog k l with
+        | Ok host_of -> Option.map (race_verdict prog host_of) (Absint.analyze_launch prog l)
+        | Error _ -> None)
 end

@@ -22,15 +22,14 @@
        (produced-tile preloads); shared writes injective in the thread
        id and trip counter (cooperative tile loads, whose [[c / W][c % W]]
        subscripts fold back to [c]); shared accesses in different
-       barrier intervals.  Global write-write pairs of one statement stay
-       exempt (idempotent halo recompute); shared ones do not.  A launch
-       no rule settles falls back to the concrete thread walk: every
-       thread of a sampled set of blocks (grid corners plus their first
-       interior neighbours, at most 8) is executed statement by
-       statement, and two accesses to one cell by distinct threads inside
-       one barrier interval, at least one a write, are a race.  The walk
-       is unsound (a race in an unsampled block goes unseen), hence
-       [races_fallback] in the stats.}
+       barrier intervals; global accesses in different barrier intervals
+       that stay inside their block's tile; forms whose coefficients'
+       gcd does not divide their constant difference (interleaved
+       writes).  Global write-write pairs of one statement stay exempt
+       (idempotent halo recompute); shared ones do not.  A launch no
+       rule settles is a [race] diagnostic at the first site of the
+       open pair, naming both sites and the rules tried: the verifier
+       proves or rejects, it never samples.}
     {- {b Barrier divergence} — statically proves no barrier sits under
        a thread-dependent conditional or inside a loop whose trip count
        depends on [threadIdx] (a taint analysis from [threadIdx] through
@@ -38,10 +37,9 @@
        The race proof needs uniform barriers, so a divergent kernel gets
        no race analysis at all.}
     {- {b Bounds / halo checking} — kft_absint proves every access in
-       bounds over the whole launch domain, reporting proved
-       out-of-bounds accesses with their index range; a launch with an
-       access it cannot decide falls back to checking every subscript
-       of the sampled walk against the extent.}
+       bounds over the whole launch domain.  An access proved out of
+       bounds, or not proved either way, is a [bounds] diagnostic with
+       its proved index range and the extent.}
     {- {b Translation validation} — passes 1–3 run over every kernel
        [Codegen]/[Fusion] emit, and fused kernels are additionally
        checked to preserve the member-order dependences recorded in the
@@ -57,8 +55,9 @@
        transformed schedule, complementing the per-group member-order
        check with inter-kernel coverage.}}
 
-    An event budget bounds the fallback walk; exhausting it marks the
-    report incomplete rather than wrong. *)
+    A launch whose arguments do not match its kernel's parameters
+    (arity or kind) is one [engine] diagnostic and is not analyzed
+    further. *)
 
 type pass = Race | Barrier | Bounds | Translation | Schedule | Engine
 
@@ -84,20 +83,24 @@ val pp_diagnostic : diagnostic -> string
 
 type stats = {
   launches_checked : int;
-  blocks_sampled : int;  (** blocks of the fallback walks only *)
-  threads_walked : int;  (** threads of the fallback walks only *)
-  events : int;  (** statements executed by the fallback walks only *)
+  blocks_sampled : int;
+  threads_walked : int;
+  events : int;
+      (** [blocks_sampled], [threads_walked] and [events] always read 0:
+          nothing is sampled or walked.  They stay for the pipeline
+          benchmark, which still reads them. *)
   bounds_proved : int;
       (** launches whose every access the kft_absint bounds pass proved
-          in bounds (no sampling needed for subscripts) *)
+          in bounds *)
   bounds_fallback : int;
-      (** launches with at least one access the abstract domain could
-          not decide: the sampled bounds walk remains authoritative *)
+      (** launches left unproved, each reported as a diagnostic: an
+          access not proved in bounds, or arguments that do not bind *)
   races_proved : int;
       (** launches proved race-free from the kft_absint access forms *)
   races_fallback : int;
-      (** launches the proof could not settle: the sampled thread walk
-          decides them (unsound outside the sampled blocks) *)
+      (** launches left unproved, each reported as a diagnostic: an
+          unsettled access pair, divergent barriers, or arguments that
+          do not bind *)
   sched_deps_checked : int;
       (** source schedule dependences checked end-to-end by {!validate} *)
   sched_fallback : int;
@@ -108,7 +111,7 @@ type stats = {
 type report = {
   diagnostics : diagnostic list;
   stats : stats;
-  complete : bool;  (** [false] when the event budget was exhausted *)
+  complete : bool;  (** always [true]; kept for the pipeline benchmark *)
 }
 
 val empty_report : report
@@ -123,17 +126,13 @@ val is_clean : report -> bool
 (** No diagnostics at all (engine notes included: an advisory the engine
     could not resolve statically is not a clean bill). *)
 
-val default_budget : int
-
-val verify_launch :
-  ?budget:int -> Kft_cuda.Ast.program -> Kft_cuda.Ast.launch -> report
+val verify_launch : Kft_cuda.Ast.program -> Kft_cuda.Ast.launch -> report
 (** Passes 1–3 over one launch of the program's schedule. *)
 
-val verify_program : ?budget:int -> Kft_cuda.Ast.program -> report
+val verify_program : Kft_cuda.Ast.program -> report
 (** Passes 1–3 over every launch of the schedule. *)
 
 val validate :
-  ?budget:int ->
   ?options:Kft_codegen.Fusion.options ->
   source:Kft_cuda.Ast.program ->
   Kft_codegen.Codegen.result ->
@@ -149,17 +148,11 @@ val validate :
     [sched_deps_checked] / [sched_fallback] recorded in the stats).
     Diagnostics carry the {e fused} kernel's name. *)
 
-(** Test-only access to the race proof and to its fallback walker. *)
+(** Test-only access to the race proof. *)
 module Internal : sig
-  val walk_all_blocks :
-    ?budget:int -> Kft_cuda.Ast.program -> Kft_cuda.Ast.launch -> report
-  (** Passes 1–3 on one launch with the race proof off and the thread
-      walk over every block of the grid instead of the sampled ones: the
-      exhaustive oracle the race proof is tested against. Its cost grows
-      with the grid; meant for small launches. *)
-
   val race_verdict :
     Kft_cuda.Ast.program -> Kft_cuda.Ast.launch -> Kft_absint.Absint.race_verdict option
-  (** The race proof of one launch ([None] if the launch does not
-      resolve against the program). *)
+  (** The race proof of one launch, whatever the barrier pass finds
+      ([None] if the kernel is missing or the arguments do not match its
+      parameters). *)
 end

@@ -251,6 +251,7 @@ let () =
       ("end-to-end", Test_endtoend.suite);
       ("golden", Test_golden.suite);
       ("verify", Test_verify.suite @ Test_verify.roundtrip_suite);
+      ("defects", Test_defects.suite);
       ("absint", Test_absint.suite);
       ("schedflow", Test_schedflow.suite);
       ("trace", Test_trace.suite);

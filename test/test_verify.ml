@@ -164,12 +164,14 @@ let test_order_violation () =
   Alcotest.(check bool) "diagnostic names the fused kernel" true
     (String.length d.d_kernel > 0 && d.d_kernel <> "produce" && d.d_kernel <> "consume")
 
-(* A producer the race proof settles and a consumer it cannot: race-free
-   with bounds proved, but the even and odd cells of a row are written
-   by different statements whose forms 2*gi and 2*gi+1 interleave, so
-   the consumer falls back to the walk. *)
-let fallback_program () =
+(* A producer and a consumer whose even and odd cells of a row are
+   written by different statements: the forms 2*gi and 2*gi+[odd]
+   interleave, which only the gcd rule settles.  [odd = 2] makes the
+   writes share a parity: thread gi's second write meets thread gi+1's
+   first. *)
+let pairs_program ?(odd = 1) () =
   let src =
+    Printf.sprintf
     {|
 __global__ void produce(const double *U, double *A, int nx, int ny) {
   int gi = blockIdx.x * blockDim.x + threadIdx.x;
@@ -183,10 +185,11 @@ __global__ void pairs(const double *A, double *B, int nx, int ny) {
   int gj = blockIdx.y * blockDim.y + threadIdx.y;
   if (gi < 16 && gj < ny) {
     B[gj * nx + 2 * gi] = A[gj * nx + 2 * gi];
-    B[gj * nx + 2 * gi + 1] = A[gj * nx + 2 * gi + 1];
+    B[gj * nx + 2 * gi + %d] = A[gj * nx + 2 * gi + 1];
   }
 }
 |}
+      odd
   in
   let nx, ny, _ = dims in
   program_of ~arrays:[ "U"; "A"; "B" ] ~src
@@ -196,13 +199,13 @@ __global__ void pairs(const double *A, double *B, int nx, int ny) {
     ]
 
 let test_clean_program_is_clean () =
-  let r = V.verify_program (fallback_program ()) in
+  let r = V.verify_program (pairs_program ()) in
   Alcotest.(check bool) "clean" true (V.is_clean r);
   Alcotest.(check bool) "complete" true r.complete;
   Alcotest.(check int) "bounds proved" 2 r.stats.bounds_proved;
-  Alcotest.(check int) "producer proved" 1 r.stats.races_proved;
-  Alcotest.(check int) "consumer falls back" 1 r.stats.races_fallback;
-  Alcotest.(check bool) "walked threads" true (r.stats.threads_walked > 0)
+  Alcotest.(check int) "both proved" 2 r.stats.races_proved;
+  Alcotest.(check int) "no launch unproved" 0 r.stats.races_fallback;
+  Alcotest.(check int) "no thread walked" 0 r.stats.threads_walked
 
 let test_proved_program_walks_nothing () =
   let r = V.verify_program (Util.producer_consumer_program ()) in
@@ -241,12 +244,6 @@ let test_pipeline_validates () =
   Alcotest.(check bool) "some launches checked" true
     (rep.verify_report.stats.launches_checked > 0)
 
-let test_budget_exhaustion () =
-  let prog = fallback_program () in
-  let r = V.verify_program ~budget:100 prog in
-  Alcotest.(check bool) "incomplete under a tiny budget" true (not r.complete);
-  Alcotest.(check bool) "not clean (engine note)" true (not (V.is_clean r))
-
 (* ------------------------------------------------------------------ *)
 (* race proof: one clean kernel per rule, and its limits               *)
 (* ------------------------------------------------------------------ *)
@@ -255,20 +252,40 @@ let std_launch name arrays =
   let nx, ny, _ = dims in
   (name, List.map (fun a -> Arg_array a) arrays @ [ Arg_int nx; Arg_int ny ])
 
-(* the launch is proved race-free without walking a thread, and [rule]
-   is among the rules that settled it *)
-let check_proved ~rule prog =
+let last_launch prog =
+  List.fold_left (fun acc op -> match op with Launch l -> Some l | _ -> acc) None prog.p_schedule
+  |> Option.get
+
+(* the last launch is proved race-free, [rule] is among the rules that
+   settled it, and the exhaustive oracle agrees *)
+let check_proved ?(launches = 1) ~rule prog =
   let r = V.verify_program prog in
   Alcotest.(check bool) "clean" true (V.is_clean r);
   Alcotest.(check int) "no race fallback" 0 r.stats.races_fallback;
-  Alcotest.(check int) "proved" 1 r.stats.races_proved;
-  Alcotest.(check int) "no thread walked" 0 r.stats.threads_walked;
-  let l = List.find_map (function Launch l -> Some l | _ -> None) prog.p_schedule in
-  match V.Internal.race_verdict prog (Option.get l) with
+  Alcotest.(check int) "proved" launches r.stats.races_proved;
+  let l = last_launch prog in
+  (match V.Internal.race_verdict prog l with
   | Some (Absint.Race_free rules) ->
       if not (List.mem rule rules) then
         Alcotest.failf "rule %s not used (used: %s)" rule (String.concat ", " rules)
-  | _ -> Alcotest.fail "no race-free verdict"
+  | _ -> Alcotest.fail "no race-free verdict");
+  Alcotest.(check (list string)) "the oracle finds nothing" []
+    (List.map Race_oracle.pp_finding (Race_oracle.walk prog l))
+
+(* the last launch stays unsettled, [verify_program] reports it as a
+   race naming the open pair, and the oracle shows the race is real *)
+let check_unsettled ~pair prog =
+  let r = V.verify_program prog in
+  let l = last_launch prog in
+  Alcotest.(check int) "one launch unproved" 1 r.stats.races_fallback;
+  (match V.Internal.race_verdict prog l with
+  | Some (Absint.Race_unsettled u) -> Alcotest.(check string) "open pair" pair u.un_why
+  | _ -> Alcotest.fail "the racy launch was settled");
+  Alcotest.(check bool) "race reported" true
+    (List.exists
+       (fun (d : V.diagnostic) -> d.d_pass = V.Race && d.d_kernel = l.l_kernel && Util.contains d.d_message pair)
+       r.diagnostics);
+  Alcotest.(check bool) "the oracle finds the race" true (Race_oracle.has_race (Race_oracle.walk prog l))
 
 let test_rule_read_only () =
   let src =
@@ -367,6 +384,77 @@ __global__ void halo(double *B, int nx, int ny) {
   in
   check_proved ~rule:"same-site" (program_of ~arrays:[ "B" ] ~src [ std_launch "halo" [ "B" ] ])
 
+(* gap (a): a block writes its tile, waits at a barrier, then reads the
+   tile mirrored; [reach = 16] reads one cell into the next block's
+   tile (inside the array, so only the tile width decides), and
+   [barrier = false] leaves the mirrored threads unordered *)
+let tile_flip_program ?(reach = 15) ?(barrier = true) () =
+  let src =
+    Printf.sprintf
+      {|
+__global__ void flip(double *B, double *C, int nx, int ny) {
+  int tx = threadIdx.x;
+  int gi = blockIdx.x * 16 + tx;
+  int gj = blockIdx.y * 4 + threadIdx.y;
+  B[gj * nx + gi] = 1.0;
+  %s
+  if (blockIdx.x * 16 + %d - tx < nx) {
+    C[gj * nx + gi] = B[gj * nx + blockIdx.x * 16 + %d - tx];
+  }
+}
+|}
+      (if barrier then "__syncthreads();" else ";")
+      reach reach
+  in
+  (* rows of 64 keep the offset 16 inside the row's coordinate *)
+  program_of ~dims:(64, 8, 4) ~arrays:[ "B"; "C" ] ~src
+    [ ("flip", [ Arg_array "B"; Arg_array "C"; Arg_int 64; Arg_int 8 ]) ]
+
+let test_rule_block_tile () = check_proved ~rule:"block-tile" (tile_flip_program ())
+
+let test_block_tile_crossed () =
+  let pair = "write of B at 6:3 may meet read of B at 9:5" in
+  check_unsettled ~pair (tile_flip_program ~reach:16 ());
+  check_unsettled ~pair (tile_flip_program ~barrier:false ())
+
+(* gap (b): interleaved writes by two statements *)
+let test_rule_gcd () = check_proved ~launches:2 ~rule:"gcd" (pairs_program ())
+
+let test_gcd_same_parity () =
+  check_unsettled ~pair:"write of B at 13:5 may meet write of B at 14:5" (pairs_program ~odd:2 ())
+
+let test_arg_mismatch () =
+  let src =
+    {|
+__global__ void copy(const double *A, double *B, int nx, int ny) {
+  int gi = blockIdx.x * blockDim.x + threadIdx.x;
+  int gj = blockIdx.y * blockDim.y + threadIdx.y;
+  if (gi < nx && gj < ny) {
+    B[gj * nx + gi] = A[gj * nx + gi];
+  }
+}
+|}
+  in
+  let nx, _, _ = dims in
+  List.iter
+    (fun (what, args, mismatch) ->
+      let prog = program_of ~arrays:[ "A"; "B" ] ~src [ ("copy", args) ] in
+      let r = V.verify_program prog in
+      Alcotest.(check (list string))
+        (what ^ ": one engine diagnostic")
+        [ "copy:3:3:[engine] launch arguments do not match the parameters of copy: " ^ mismatch
+          ^ "; launch not analyzed" ]
+        (List.map V.pp_diagnostic r.diagnostics);
+      Alcotest.(check int) (what ^ ": nothing proved") 0 (r.stats.bounds_proved + r.stats.races_proved);
+      Alcotest.(check bool) (what ^ ": no race verdict") true
+        (V.Internal.race_verdict prog (last_launch prog) = None))
+    [
+      ("missing ny", [ Arg_array "A"; Arg_array "B"; Arg_int nx ], "expects 4 arguments, got 3");
+      ( "array for nx",
+        [ Arg_array "A"; Arg_array "B"; Arg_array "A"; Arg_int nx ],
+        "parameter nx expects an int argument" );
+    ]
+
 let test_proved_oob_message () =
   let src =
     {|
@@ -386,8 +474,9 @@ __global__ void far(double *B, int nx, int ny) {
     (diag_of V.Bounds r).d_message
 
 let test_race_in_unsampled_block () =
-  (* 6 blocks along x: the walk samples blocks 0, 1 and 5 only; block 3's
-     second write lands on cells block 4 writes *)
+  (* 6 blocks along x: block 3's second write lands on cells block 4
+     writes.  A sampled walk of blocks 0, 1 and 5 never saw it; the
+     proof leaves the pair open and reports it. *)
   let src =
     {|
 __global__ void mid(double *B, int nx, int ny) {
@@ -409,14 +498,15 @@ __global__ void mid(double *B, int nx, int ny) {
   in
   let r = V.verify_program prog in
   Alcotest.(check int) "bounds proved" 1 r.stats.bounds_proved;
-  Alcotest.(check int) "falls back" 1 r.stats.races_fallback;
   Alcotest.(check int) "never proved" 0 r.stats.races_proved;
-  let l = List.find_map (function Launch l -> Some l | _ -> None) prog.p_schedule in
-  (match V.Internal.race_verdict prog (Option.get l) with
-  | Some (Absint.Race_free _) -> Alcotest.fail "the racy launch was proved race-free"
-  | _ -> ());
-  Alcotest.(check bool) "the exhaustive walk finds the race" true
-    (has_pass V.Race (V.Internal.walk_all_blocks prog (Option.get l)))
+  Alcotest.(check (list string)) "the open pair is reported"
+    [
+      "mid:6:5:[race] race freedom not proved: write of B at 6:5 may meet write of B at 8:7 (rules \
+       tried: disjoint-ranges, own-cell, outside-guard, block-tile, gcd) -- B[gj * nx + gi] = 1.0;";
+    ]
+    (List.map V.pp_diagnostic r.diagnostics);
+  Alcotest.(check bool) "the exhaustive oracle finds the race" true
+    (Race_oracle.has_race (Race_oracle.walk prog (last_launch prog)))
 
 let test_shared_neighbour_race () =
   (* each thread reads its right neighbour's tile cell with no barrier
@@ -438,7 +528,7 @@ __global__ void nb(const double *A, double *B, int nx, int ny) {
   Alcotest.(check int) "never proved" 0 r.stats.races_proved;
   Alcotest.(check bool) "race reported" true (has_pass V.Race r)
 
-(* soundness of the prover against the exhaustive walk, on the fuzzed
+(* soundness of the prover against the exhaustive oracle, on the fuzzed
    stencil chains, on the fused kernel of each whole chain, and on the
    chain run in place (each kernel's output bound to its input: racy
    whenever a stencil offset is nonzero) *)
@@ -466,8 +556,7 @@ let prop_proved_means_race_free =
             (function
               | Launch l -> (
                   match V.Internal.race_verdict p l with
-                  | Some (Absint.Race_free _) ->
-                      not (has_pass V.Race (V.Internal.walk_all_blocks p l))
+                  | Some (Absint.Race_free _) -> not (Race_oracle.has_race (Race_oracle.walk p l))
                   | _ -> true)
               | _ -> true)
             p.p_schedule)
@@ -521,8 +610,6 @@ let suite =
     Alcotest.test_case "six application sources verify clean" `Quick test_apps_sources_clean;
     Alcotest.test_case "pipeline output validates under the fatal gate" `Quick
       test_pipeline_validates;
-    Alcotest.test_case "event budget exhaustion is reported, not wrong" `Quick
-      test_budget_exhaustion;
     Alcotest.test_case "proved program walks no thread" `Quick test_proved_program_walks_nothing;
     Alcotest.test_case "race rule: read-only arrays" `Quick test_rule_read_only;
     Alcotest.test_case "race rule: disjoint ranges (boundary copy)" `Quick
@@ -535,7 +622,15 @@ let suite =
     Alcotest.test_case "race rule: barrier-separated shared accesses" `Quick test_rule_barrier;
     Alcotest.test_case "race rule: same-site global writes exempt" `Quick test_rule_same_site;
     Alcotest.test_case "proved out-of-bounds message text" `Quick test_proved_oob_message;
-    Alcotest.test_case "race in an unsampled block falls back, never proved" `Quick
+    Alcotest.test_case "race rule: block tile across a barrier (global)" `Quick
+      test_rule_block_tile;
+    Alcotest.test_case "race rule: gcd of interleaved writes" `Quick test_rule_gcd;
+    Alcotest.test_case "a read crossing the block tile, or the barrier, stays unsettled" `Quick
+      test_block_tile_crossed;
+    Alcotest.test_case "writes of one parity stay unsettled" `Quick test_gcd_same_parity;
+    Alcotest.test_case "launch arguments that do not bind are one engine diagnostic" `Quick
+      test_arg_mismatch;
+    Alcotest.test_case "race in an unsampled block is reported, never proved" `Quick
       test_race_in_unsampled_block;
     Alcotest.test_case "shared read-write race in one interval is never proved" `Quick
       test_shared_neighbour_race;
