@@ -538,7 +538,7 @@ let despliced (p : Kft_cuda.Ast.program) =
         match launches_of k.k_name with
         | l :: rest when List.for_all (fun l' -> config l' = config l) rest ->
             let k', n =
-              Kft_absint.Absint.simplify_kernel ~block:l.l_block
+              Kft_analysis.Absint.simplify_kernel ~block:l.l_block
                 ~grid:(grid_of_launch l) ~int_params:(int_params l) k
             in
             eliminated := !eliminated + n;

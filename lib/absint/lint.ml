@@ -4,6 +4,7 @@
 
 open Kft_cuda.Ast
 module Loc = Kft_cuda.Loc
+module Absint = Kft_analysis.Absint
 module Pm = Kft_perfmodel.Perfmodel
 
 type severity = Warn | Info

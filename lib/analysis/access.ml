@@ -38,6 +38,7 @@ let reason_to_string = function
 type launch_env = {
   block : int * int * int;
   domain : int * int * int;
+  grid : int * int * int;
   int_args : (string * int) list;
   array_dims : (string * int list) list;
   param_binding : (string * string) list;
@@ -55,10 +56,10 @@ let env_of_launch prog (l : launch) =
   let array_dims =
     List.map (fun (p, a) -> (p, (find_array prog a).a_dims)) param_binding
   in
-  { block = l.l_block; domain = l.l_domain; int_args; array_dims; param_binding }
+  { block = l.l_block; domain = l.l_domain; grid = grid_of_launch l; int_args; array_dims; param_binding }
 
 (* ------------------------------------------------------------------ *)
-(* Integer evaluation of index expressions under a probe assignment    *)
+(* Integer evaluation under a probe assignment                         *)
 (* ------------------------------------------------------------------ *)
 
 exception Not_integer of string
@@ -165,146 +166,6 @@ let inline_int_decls body =
   in
   go [] body
 
-(* ------------------------------------------------------------------ *)
-(* Affine probing                                                      *)
-(* ------------------------------------------------------------------ *)
-
-type probe_var = Tx | Ty | Tz | Bix | Biy | Biz | Loop of string
-
-let apply_displacement base v delta =
-  let tx, ty, tz = base.thread and bix, biy, biz = base.block_idx in
-  match v with
-  | Tx -> { base with thread = (tx + delta, ty, tz) }
-  | Ty -> { base with thread = (tx, ty + delta, tz) }
-  | Tz -> { base with thread = (tx, ty, tz + delta) }
-  | Bix -> { base with block_idx = (bix + delta, biy, biz) }
-  | Biy -> { base with block_idx = (bix, biy + delta, biz) }
-  | Biz -> { base with block_idx = (bix, biy, biz + delta) }
-  | Loop lv ->
-      let cur = try List.assoc lv base.bindings with Not_found -> 0 in
-      { base with bindings = (lv, cur + delta) :: List.remove_assoc lv base.bindings }
-
-(* Recover affine coefficients of [e] w.r.t. the probe variables; check
-   linearity with a double-step and one pairwise probe. *)
-let affine_coeffs ~array base vars e =
-  let f env = try eval_int env e with Not_integer _ -> raise (Irregular (Non_affine_index array)) in
-  let f0 = f base in
-  let coeffs =
-    List.map
-      (fun v ->
-        let c1 = f (apply_displacement base v 1) - f0 in
-        let c2 = f (apply_displacement base v 2) - f0 in
-        if c2 <> 2 * c1 then raise (Irregular (Non_affine_index array));
-        (v, c1))
-      vars
-  in
-  (* pairwise cross-check on the first two vars with nonzero coeffs *)
-  (match List.filter (fun (_, c) -> c <> 0) coeffs with
-  | (v1, c1) :: (v2, c2) :: _ ->
-      let fp = f (apply_displacement (apply_displacement base v1 1) v2 1) in
-      if fp - f0 <> c1 + c2 then raise (Irregular (Non_affine_index array))
-  | _ -> ());
-  (f0, coeffs)
-
-(* Decompose a constant linear offset against strides (sx, sy, sz) into
-   a small (dx, dy, dz), choosing the representative nearest to zero in
-   each dimension. *)
-let decompose_offset ~sx:_ ~sy ~sz d =
-  let div_nearest a b =
-    if b = 0 then 0
-    else
-      let q = if a >= 0 then (a + (b / 2)) / b else -((-a + (b / 2)) / b) in
-      q
-  in
-  let dz = if sz > 0 then div_nearest d sz else 0 in
-  let r = d - (dz * sz) in
-  let dy = if sy > 0 then div_nearest r sy else 0 in
-  let r = r - (dy * sy) in
-  let dx = r in
-  (dx, dy, dz)
-
-let dims3 dims =
-  match dims with
-  | [ nx ] -> (nx, 1, 1)
-  | [ nx; ny ] -> (nx, ny, 1)
-  | [ nx; ny; nz ] -> (nx, ny, nz)
-  | _ -> (1, 1, 1)
-
-(* ------------------------------------------------------------------ *)
-(* Main analysis                                                       *)
-(* ------------------------------------------------------------------ *)
-
-type collected = {
-  c_array : string;
-  c_rw : rw;
-  c_expr : expr;
-  c_loops : string list;  (* loop vars in scope, outermost first *)
-  c_depth : int;
-}
-
-let collect_accesses body =
-  let out = ref [] in
-  let add array rw expr loops depth = out := { c_array = array; c_rw = rw; c_expr = expr; c_loops = loops; c_depth = depth } :: !out in
-  let reads_in_expr loops depth e =
-    ignore
-      (fold_expr
-         (fun () e -> match e with Index (a, [ idx ]) -> add a Read idx loops depth | _ -> ())
-         () e)
-  in
-  let rec walk loops depth stmts =
-    List.iter
-      (fun s ->
-        match s with
-        | Decl (_, _, Some e) -> reads_in_expr loops depth e
-        | Decl (_, _, None) -> ()
-        | Assign (Lvar _, e) -> reads_in_expr loops depth e
-        | Assign (Lindex (a, [ idx ]), e) ->
-            add a Write idx loops depth;
-            reads_in_expr loops depth idx;
-            reads_in_expr loops depth e
-        | Assign (Lindex (a, idxs), e) ->
-            (* multi-dim index: shared arrays only; analysed separately *)
-            List.iter (reads_in_expr loops depth) idxs;
-            reads_in_expr loops depth e;
-            ignore a
-        | If (c, t, els) ->
-            reads_in_expr loops depth c;
-            walk loops depth t;
-            walk loops depth els
-        | For l ->
-            reads_in_expr loops depth l.lo;
-            reads_in_expr loops depth l.hi;
-            walk (loops @ [ l.index ]) (depth + 1) l.body
-        | Shared_decl _ | Syncthreads | Return -> ())
-      stmts
-  in
-  walk [] 0 body;
-  List.rev !out
-
-let collect_loops body int_bindings =
-  let base = { thread = (0, 0, 0); block_idx = (0, 0, 0); bindings = int_bindings } in
-  let out = ref [] in
-  let rec walk depth stmts =
-    List.iter
-      (fun s ->
-        match s with
-        | For l ->
-            let trip =
-              match (eval_int base l.lo, eval_int base l.hi) with
-              | lo, hi -> max 0 ((hi - lo + l.step - 1) / l.step)
-              | exception Not_integer _ -> 0
-            in
-            out := (l.index, trip, depth) :: !out;
-            walk (depth + 1) l.body
-        | If (_, t, e) ->
-            walk depth t;
-            walk depth e
-        | _ -> ())
-      stmts
-  in
-  walk 1 body;
-  List.rev !out
-
 let max_depth body =
   let rec go depth stmts =
     List.fold_left
@@ -316,6 +177,13 @@ let max_depth body =
       depth stmts
   in
   go 0 body
+
+let stencil_offset dims c =
+  match Absint.split_offset dims c with
+  | [ dx ] -> (dx, 0, 0)
+  | [ dx; dy ] -> (dx, dy, 0)
+  | [ dx; dy; dz ] -> (dx, dy, dz)
+  | _ -> invalid_arg "Access.stencil_offset: arrays have one to three dimensions"
 
 (* Active fraction of the top-level guard, evaluated numerically. *)
 let compute_active_fraction env body =
@@ -357,88 +225,68 @@ let compute_active_fraction env body =
       done;
       if !total = 0 then 1.0 else float_of_int !active /. float_of_int !total
 
+(* index expressions of the global (non-shared) array accesses *)
+let global_indices body =
+  let shared = fold_stmts (fun acc s -> match s with Shared_decl (_, n, _) -> n :: acc | _ -> acc) [] body in
+  let index acc = function Index (a, [ i ]) when not (List.mem a shared) -> i :: acc | _ -> acc in
+  fold_stmts
+    (fun acc s -> match s with Assign (Lindex (a, [ i ]), _) -> index acc (Index (a, [ i ])) | _ -> acc)
+    (fold_exprs_in_stmts (fold_expr index) [] body)
+    body
+
 let analyze (k : kernel) env =
+  let body = inline_int_decls (inline_launch_dims env.block env.grid k.k_body) in
   let mutated = mutated_scalars k.k_body in
-  let grid =
-    let dx, dy, dz = env.domain and bx, by, bz = env.block in
-    let cdiv a b = (a + b - 1) / b in
-    (cdiv dx bx, cdiv dy by, cdiv dz bz)
-  in
-  let body = inline_launch_dims env.block grid k.k_body in
-  let body = inline_int_decls body in
-  let int_bindings = env.int_args in
-  let shared_names =
-    fold_stmts (fun acc s -> match s with Shared_decl (_, n, _) -> n :: acc | _ -> acc) [] body
-  in
-  let raw = collect_accesses body in
-  let raw = List.filter (fun c -> not (List.mem c.c_array shared_names)) raw in
-  (* any mutated scalar appearing in a global index expression is fatal *)
   List.iter
-    (fun c ->
-      ignore
-        (fold_expr
-           (fun () e ->
-             match e with
-             | Var v when List.mem v mutated -> raise (Irregular (Mutated_index_variable v))
-             | _ -> ())
-           () c.c_expr))
-    raw;
-  let loops = collect_loops body int_bindings in
-  let base_bindings =
-    int_bindings @ List.map (fun (v, _, _) -> (v, 0)) loops
+    (fold_expr
+       (fun () e ->
+         match e with
+         | Var v when List.mem v mutated -> raise (Irregular (Mutated_index_variable v))
+         | _ -> ())
+       ())
+    (global_indices body);
+  let r =
+    Absint.analyze_kernel ~block:env.block ~grid:env.grid ~int_params:env.int_args
+      ~global_cells:(List.map (fun (p, d) -> (p, List.fold_left ( * ) 1 d)) env.array_dims)
+      k
   in
-  let base = { thread = (0, 0, 0); block_idx = (0, 0, 0); bindings = base_bindings } in
-  let bx, by, _bz = env.block in
-  let loop_strides : (string, int) Hashtbl.t = Hashtbl.create 8 in
+  let vertical = Hashtbl.create 4 in
+  let access (a : Absint.access) =
+    let array = a.acc_array in
+    let irregular r = raise (Irregular r) in
+    let dims =
+      match List.assoc_opt array env.array_dims with
+      | Some d when List.length d <= 3 -> d
+      | Some d -> irregular (Unsupported_feature (Printf.sprintf "array %s has %d dimensions" array (List.length d)))
+      | None -> irregular (Unsupported_feature ("array " ^ array ^ " has no bound dimensions"))
+    in
+    let nx, ny, nz = match dims @ [ 1; 1 ] with nx :: ny :: nz :: _ -> (nx, ny, nz) | _ -> (1, 1, 1) in
+    match Option.map (Absint.global_affine ~block:env.block ~grid:env.grid) a.acc_aff with
+    | None -> irregular (Non_affine_index array)
+    (* every term is a global or loop coordinate along one dimension *)
+    | Some (Some (terms, const)) when List.for_all (fun (_, c) -> c = 1 || c = nx || c = nx * ny) terms ->
+        List.iter (fun (s, c) -> if c = nx * ny && nz > 1 then Hashtbl.replace vertical s ()) terms;
+        { array; rw = (if a.acc_write then Write else Read); offset = stencil_offset dims const }
+    | Some _ -> irregular (Non_canonical_mapping array)
+  in
   let accesses =
-    List.map
-      (fun c ->
-        let dims =
-          match List.assoc_opt c.c_array env.array_dims with
-          | Some d -> d
-          | None -> raise (Irregular (Unsupported_feature ("array " ^ c.c_array ^ " has no bound dimensions")))
-        in
-        let nx, ny, nz = dims3 dims in
-        let sx = 1 and sy = nx and sz = nx * ny in
-        ignore nz;
-        let vars = [ Tx; Ty; Tz; Bix; Biy; Biz ] @ List.map (fun v -> Loop v) c.c_loops in
-        let f0, coeffs = affine_coeffs ~array:c.c_array base vars c.c_expr in
-        let coef v = try List.assoc v coeffs with Not_found -> 0 in
-        (* thread coordinates must combine into global coordinates *)
-        let check_pair ct cb bd =
-          if cb <> ct * bd then raise (Irregular (Non_canonical_mapping c.c_array))
-        in
-        check_pair (coef Tx) (coef Bix) bx;
-        check_pair (coef Ty) (coef Biy) by;
-        check_pair (coef Tz) (coef Biz) _bz;
-        let cgx = coef Tx and cgy = coef Ty and cgz = coef Tz in
-        let valid c = c = 0 || c = sx || c = sy || c = sz in
-        if not (valid cgx && valid cgy && valid cgz) then
-          raise (Irregular (Non_canonical_mapping c.c_array));
-        List.iter
-          (fun lv ->
-            let cl = coef (Loop lv) in
-            if not (valid cl) then raise (Irregular (Non_canonical_mapping c.c_array));
-            if cl <> 0 then Hashtbl.replace loop_strides lv (if cl = sz && nz > 1 then 3 else if cl = sy then 2 else 1))
-          c.c_loops;
-        let dx, dy, dz = decompose_offset ~sx ~sy ~sz f0 in
-        (* sanity: reconstruct *)
-        if dx + (dy * sy) + (dz * sz) <> f0 then raise (Irregular (Non_affine_index c.c_array));
-        { array = c.c_array; rw = c.c_rw; offset = (dx, dy, dz) })
-      raw
+    List.filter_map
+      (fun (a : Absint.access) -> if a.acc_space = Absint.Global then Some (access a) else None)
+      r.res_accesses
   in
-  let loop_infos =
+  let loops =
     List.map
-      (fun (v, trip, _) ->
-        let dimension =
-          match Hashtbl.find_opt loop_strides v with Some 3 -> `Vertical | _ -> `Other
-        in
-        { loop_var = v; trip_count = trip; dimension })
-      loops
+      (fun (l : Absint.loop) ->
+        {
+          loop_var = l.lp_index;
+          trip_count = Option.value ~default:0 l.lp_trips;
+          dimension = (if Hashtbl.mem vertical l.lp_sym then `Vertical else `Other);
+        })
+      r.res_loops
   in
   {
     accesses;
-    loops = loop_infos;
+    loops;
     max_nest_depth = max_depth body;
     active_fraction = compute_active_fraction env body;
   }
@@ -465,12 +313,7 @@ let prune_dead_int_decls body =
   go body
 
 let specialize env (k : kernel) =
-  let grid =
-    let dx, dy, dz = env.domain and bx, by, bz = env.block in
-    let cdiv a b = (a + b - 1) / b in
-    (cdiv dx bx, cdiv dy by, cdiv dz bz)
-  in
-  let body = inline_launch_dims env.block grid k.k_body in
+  let body = inline_launch_dims env.block env.grid k.k_body in
   let body =
     map_exprs_in_stmts
       (fun e ->
@@ -482,42 +325,6 @@ let specialize env (k : kernel) =
   in
   let body = inline_int_decls body in
   prune_dead_int_decls body
-
-let affine_of_expr env ~loops e =
-  let bx, by, bz = env.block in
-  let base = { thread = (0, 0, 0); block_idx = (0, 0, 0); bindings = List.map (fun v -> (v, 0)) loops } in
-  let vars = [ Tx; Ty; Tz; Bix; Biy; Biz ] @ List.map (fun v -> Loop v) loops in
-  let f env_probe = try Some (eval_int env_probe e) with Not_integer _ -> None in
-  match f base with
-  | None -> None
-  | Some f0 -> (
-      let coeffs =
-        List.fold_left
-          (fun acc v ->
-            match acc with
-            | None -> None
-            | Some acc -> (
-                match (f (apply_displacement base v 1), f (apply_displacement base v 2)) with
-                | Some c1v, Some c2v ->
-                    let c1 = c1v - f0 and c2 = c2v - f0 in
-                    if c2 <> 2 * c1 then None else Some ((v, c1) :: acc)
-                | _ -> None))
-          (Some []) vars
-      in
-      match coeffs with
-      | None -> None
-      | Some coeffs ->
-          let coef v = try List.assoc v coeffs with Not_found -> 0 in
-          (* thread/block coordinates must combine into globals *)
-          if coef Bix <> coef Tx * bx || coef Biy <> coef Ty * by || coef Biz <> coef Tz * bz
-          then None
-          else begin
-            let named =
-              [ ("gx", coef Tx); ("gy", coef Ty); ("gz", coef Tz) ]
-              @ List.map (fun v -> (v, coef (Loop v))) loops
-            in
-            Some (List.filter (fun (_, c) -> c <> 0) named, f0)
-          end)
 
 let analyze_result k env =
   match analyze k env with

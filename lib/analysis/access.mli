@@ -6,10 +6,10 @@
     possibly a loop iterating the vertical dimension) — the stencil
     offset (dx, dy, dz) relative to the thread's own cell.
 
-    The analysis is numeric-affine: integer index declarations are
-    inlined, then the index expression is probed at unit displacements of
-    the thread coordinates and loop indices to recover its affine
-    coefficients, which are matched against the array's strides. Kernels
+    The affine forms come from {!Absint}: each global access's product
+    form over the thread and block ids and the loop indices. Its
+    coefficients are matched against the array's strides, and its
+    constant is split into the offset by {!Absint.split_offset}. Kernels
     using non-affine or non-canonical indexing are reported as
     {!Irregular}, which downstream stages treat conservatively (excluded
     from fusion), mirroring the paper's "Data access" limitation. *)
@@ -24,24 +24,27 @@ type access = {
 
 type loop_info = {
   loop_var : string;
-  trip_count : int;
+  trip_count : int;  (** 0 unless both bounds are launch constants *)
   dimension : [ `Vertical | `Other ];
-      (** [`Vertical] when the loop strides the z dimension of the
-          accessed arrays (the canonical k-loop). *)
+      (** [`Vertical] when the loop strides the z dimension of an
+          accessed array with nz > 1 (the canonical k-loop). *)
 }
 
 type kernel_access_info = {
   accesses : access list;
-  loops : loop_info list;
+      (** in {!Absint}'s evaluation order: a store before the reads of
+          its right-hand side *)
+  loops : loop_info list;  (** {!Absint.res_loops}: the loops the analysis entered *)
   max_nest_depth : int;  (** loop-nest depth; > 1 flags "deep nested loops" (Fig. 6 defect) *)
   active_fraction : float;
-      (** fraction of launched threads passing the kernel's top-level
-          guard (1.0 when unguarded); evaluated over the launch domain,
-          sampled on one z-plane for large domains *)
+      (** fraction of the launch domain's cells passing the kernel's
+          top-level guard (1.0 when unguarded); evaluated on every cell,
+          or on the z-planes 0, nz/2 and nz-1 when the domain exceeds
+          2{^18} cells and nz > 4 *)
 }
 
 type failure_reason =
-  | Non_affine_index of string  (** array whose index defeated the probe *)
+  | Non_affine_index of string  (** array whose index has no affine form *)
   | Non_canonical_mapping of string
   | Mutated_index_variable of string
   | Unsupported_feature of string
@@ -53,6 +56,7 @@ val reason_to_string : failure_reason -> string
 type launch_env = {
   block : int * int * int;
   domain : int * int * int;
+  grid : int * int * int;  (** blocks per dimension *)
   int_args : (string * int) list;  (** scalar int params bound at launch *)
   array_dims : (string * int list) list;
       (** dims of each array parameter's bound array, innermost first *)
@@ -79,10 +83,17 @@ val writes_arrays : kernel_access_info -> string list
 
 val reads_arrays : kernel_access_info -> string list
 
-(** {1 Low-level probing API}
+val max_depth : Kft_cuda.Ast.stmt list -> int
+(** Loop-nest depth of a body. *)
 
-    Exposed for sibling analyses (cost estimation, classification) and
-    tests. *)
+val stencil_offset : int list -> int -> int * int * int
+(** {!Absint.split_offset} of a linearized index's constant over an
+    array's dims (one to three, innermost first), as (dx, dy, dz). *)
+
+(** {1 Integer evaluation}
+
+    Used for the active fraction, and exposed for cost estimation (loop
+    trip counts) and codegen (constant loop bounds). *)
 
 type probe = {
   thread : int * int * int;
@@ -104,15 +115,3 @@ val specialize : launch_env -> Kft_cuda.Ast.kernel -> Kft_cuda.Ast.stmt list
     code generator rewrites (generated kernels are specialized to the
     profiled problem size — the paper's "sensitivity to input"
     limitation, Section 7). *)
-
-val affine_of_expr :
-  launch_env ->
-  loops:string list ->
-  Kft_cuda.Ast.expr ->
-  ((string * int) list * int) option
-(** Affine coefficients of a (specialized) integer expression over the
-    pseudo-variables ["gx"], ["gy"], ["gz"] (global thread coordinates)
-    and the loop variables in scope, plus the constant term. [None] when
-    the expression is not affine or mixes thread/block indices in a
-    non-canonical way. *)
-

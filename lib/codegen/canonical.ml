@@ -1,5 +1,6 @@
 open Kft_cuda.Ast
 module Access = Kft_analysis.Access
+module Absint = Kft_analysis.Absint
 
 type member = {
   m_name : string;
@@ -62,23 +63,6 @@ let linear_index (decl : array_decl) ~x ~y ~z =
   if ny > 1 || nz > 1 then add (mul nx base) x else x
 
 (* ------------------------------------------------------------------ *)
-(* Offset decomposition                                                *)
-(* ------------------------------------------------------------------ *)
-
-let div_nearest a b =
-  if b = 0 then 0
-  else if a >= 0 then (a + (b / 2)) / b
-  else -((-a + (b / 2)) / b)
-
-let decompose ~nx ~ny ~nz d =
-  let sz = nx * ny and sy = nx in
-  let dz = if nz > 1 then div_nearest d sz else 0 in
-  let r = d - (dz * sz) in
-  let dy = if ny > 1 then div_nearest r sy else 0 in
-  let dx = r - (dy * sy) in
-  (dx, dy, dz)
-
-(* ------------------------------------------------------------------ *)
 (* Extraction                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -97,6 +81,9 @@ let record tbl host off =
   let cur = Option.value ~default:[] (Hashtbl.find_opt tbl host) in
   if not (List.mem off cur) then Hashtbl.replace tbl host (off :: cur)
 
+let affine ctx ~scope e =
+  Absint.affine_of_expr ~launch:(ctx.env.block, ctx.env.grid) ~vars:scope e
+
 let var_of_coeff ctx name =
   match name with
   | "gx" -> Var gi_var
@@ -114,7 +101,7 @@ let canon_index ctx ~scope ~param idx =
   let decl = find_array ctx.prog host in
   let nx, ny, nz = dims3 decl.a_dims in
   let sx = 1 and sy = nx and sz = nx * ny in
-  match Access.affine_of_expr ctx.env ~loops:scope idx with
+  match affine ctx ~scope idx with
   | None -> fail "non-affine index for array %s" host
   | Some (coeffs, const) ->
       let xs = ref [] and ys = ref [] and zs = ref [] in
@@ -126,8 +113,8 @@ let canon_index ctx ~scope ~param idx =
           else if c = sx then xs := v :: !xs
           else fail "stride %d of %s in array %s does not match any dimension" c name host)
         coeffs;
-      let dx, dy, dz = decompose ~nx ~ny ~nz const in
-      if dx + (dy * sy) + (dz * sz) <> const then fail "offset decomposition failed for %s" host;
+      let dx, dy, dz = Access.stencil_offset decl.a_dims const in
+      if (ny = 1 && dy <> 0) || (nz = 1 && dz <> 0) then fail "offset decomposition failed for %s" host;
       let x = sum_terms !xs dx and y = sum_terms !ys dy in
       let z = if nz > 1 then Some (sum_terms !zs dz) else None in
       (* bookkeeping: an access swept by a loop variable other than the
@@ -143,7 +130,7 @@ let canon_index ctx ~scope ~param idx =
       (host, (dx, dy, dz), linear_index decl ~x ~y ~z)
 
 let affine_side ctx ~scope e =
-  match Access.affine_of_expr ctx.env ~loops:scope e with
+  match affine ctx ~scope e with
   | Some (coeffs, const) ->
       Some (sum_terms (List.map (fun (n, c) -> mul c (var_of_coeff ctx n)) coeffs) const)
   | None -> None
@@ -204,18 +191,6 @@ and rw_stmt ctx ~scope s =
   | Syncthreads -> fail "kernel already contains __syncthreads; not fusable"
   | Return -> fail "return statements are not canonical (use a guard)"
 
-let max_depth body =
-  let rec go depth stmts =
-    List.fold_left
-      (fun acc s ->
-        match s with
-        | For l -> max acc (go (depth + 1) l.body)
-        | If (_, t, e) -> max acc (max (go depth t) (go depth e))
-        | _ -> acc)
-      depth stmts
-  in
-  go 0 body
-
 let collect_locals body =
   let acc = ref [] in
   let add v = if not (List.mem v !acc) then acc := v :: !acc in
@@ -247,7 +222,7 @@ let extract ~deep ~index prog (l : launch) =
   let kernel = find_kernel prog l.l_kernel in
   let env = Access.env_of_launch prog l in
   let body = Access.specialize env kernel in
-  let nest_depth = max_depth body in
+  let nest_depth = Access.max_depth body in
   (* split: leading double declarations, optional guard, content *)
   let rec split_decls acc = function
     | (Decl (Double, _, _) as d) :: rest -> split_decls (d :: acc) rest
@@ -316,62 +291,6 @@ let extract ~deep ~index prog (l : launch) =
     m_double_args = double_args;
     m_arrays;
   }
-
-(* numeric evaluation of a pure integer expression over Var bindings *)
-let rec eval_pure bind e =
-  let ( let* ) = Option.bind in
-  match e with
-  | Int_lit i -> Some i
-  | Var v -> bind v
-  | Binop (op, a, b) -> (
-      let* va = eval_pure bind a in
-      let* vb = eval_pure bind b in
-      match op with
-      | Add -> Some (va + vb)
-      | Sub -> Some (va - vb)
-      | Mul -> Some (va * vb)
-      | Div -> if vb = 0 then None else Some (va / vb)
-      | Mod -> if vb = 0 then None else Some (va mod vb)
-      | Lt -> Some (if va < vb then 1 else 0)
-      | Le -> Some (if va <= vb then 1 else 0)
-      | Gt -> Some (if va > vb then 1 else 0)
-      | Ge -> Some (if va >= vb then 1 else 0)
-      | Eq -> Some (if va = vb then 1 else 0)
-      | Ne -> Some (if va <> vb then 1 else 0)
-      | And -> Some (if va <> 0 && vb <> 0 then 1 else 0)
-      | Or -> Some (if va <> 0 || vb <> 0 then 1 else 0))
-  | Unop (Neg, a) -> Option.map (fun v -> -v) (eval_pure bind a)
-  | Unop (Not, a) -> Option.map (fun v -> if v = 0 then 1 else 0) (eval_pure bind a)
-  | Ternary (c, a, b) -> (
-      let* vc = eval_pure bind c in
-      if vc <> 0 then eval_pure bind a else eval_pure bind b)
-  | Double_lit _ | Builtin _ | Index _ | Call _ -> None
-
-let affine_over ~vars e =
-  let ( let* ) = Option.bind in
-  let eval assign = eval_pure (fun v -> List.assoc_opt v assign) e in
-  let zeros = List.map (fun v -> (v, 0)) vars in
-  let* f0 = eval zeros in
-  let rec coeffs acc = function
-    | [] -> Some (List.rev acc)
-    | v :: rest ->
-        let displaced d = List.map (fun (x, b) -> (x, if x = v then b + d else b)) zeros in
-        let* f1 = eval (displaced 1) in
-        let* f2 = eval (displaced 2) in
-        let c = f1 - f0 in
-        if f2 - f0 <> 2 * c then None
-        else coeffs (if c = 0 then acc else (v, c) :: acc) rest
-  in
-  let* cs = coeffs [] vars in
-  (* one pairwise cross-check *)
-  match cs with
-  | (v1, c1) :: (v2, c2) :: _ ->
-      let assign =
-        List.map (fun (x, _) -> (x, if x = v1 || x = v2 then 1 else 0)) zeros
-      in
-      let* fp = eval assign in
-      if fp - f0 <> c1 + c2 then None else Some (cs, f0)
-  | _ -> Some (cs, f0)
 
 let reads_of m host = Option.value ~default:[] (List.assoc_opt host m.m_reads)
 

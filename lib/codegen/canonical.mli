@@ -63,12 +63,9 @@ val writes_of : member -> string -> (int * int * int) list
 val touched_arrays : member -> string list
 (** Host arrays read or written, in first-touch order. *)
 
-val affine_over :
-  vars:string list -> Kft_cuda.Ast.expr -> ((string * int) list * int) option
-(** Affine coefficients of a pure integer expression over the named
-    variables (all other identifiers make it non-affine). Used by the
-    fusion builder to recover stencil offsets from already-canonical
-    index expressions. Zero coefficients are omitted. *)
+val dims3 : int list -> int * int * int
+(** An array's dims (innermost first) as [(nx, ny, nz)], padded with 1s;
+    raises {!Not_canonical} beyond three. *)
 
 val linear_index :
   Kft_cuda.Ast.array_decl ->

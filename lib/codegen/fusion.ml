@@ -7,7 +7,7 @@ type options = {
   tune_blocks : bool;
   eliminate_guards : bool;
       (* splice away generated guards the abstract interpreter proves
-         always-true under the block domain (kft_absint); the manual
+         always-true under the block domain (Absint); the manual
          scheme keeps them, mirroring hand-written code *)
 }
 
@@ -389,55 +389,30 @@ let member_cond g (m : C.member) ~rename_gi ~rename_gj =
    [tiles] maps array -> (tile name, base_x expr, base_y expr).
    [coord_gi]/[coord_gj] name the coordinate variables the body uses. *)
 let rewrite_staged_reads ~tiles ~coord_gi ~coord_gj body =
-  let int_vars body =
-    fold_stmts
-      (fun acc s ->
-        match s with
-        | Decl (Int, v, _) -> v :: acc
-        | For l -> l.index :: acc
-        | _ -> acc)
-      [] body
-  in
-  let vars = coord_gi :: coord_gj :: C.kv_var :: int_vars body in
+  (* a staged read is affine in the coordinates alone *)
+  let vars = [ coord_gi; coord_gj; C.kv_var ] in
   let rewrite_index a idx =
     match List.assoc_opt a tiles with
     | None -> None
     | Some (tile, base_x, base_y, decl) -> (
-        match C.affine_over ~vars idx with
+        match Kft_analysis.Absint.affine_of_expr ~vars idx with
         | None -> None
         | Some (coeffs, const) ->
-            let nx, ny, nz =
-              match decl.a_dims with
-              | [ nx ] -> (nx, 1, 1)
-              | [ nx; ny ] -> (nx, ny, 1)
-              | [ nx; ny; nz ] -> (nx, ny, nz)
-              | _ -> (1, 1, 1)
-            in
-            let sx = 1 and sy = nx and sz = nx * ny in
+            let nx, ny, _ = C.dims3 decl.a_dims in
             let ok =
               List.for_all
                 (fun (v, c) ->
-                  (v = coord_gi && c = sx)
-                  || (v = coord_gj && c = sy)
-                  || (v = C.kv_var && c = sz))
+                  (v = coord_gi && c = 1)
+                  || (v = coord_gj && c = nx)
+                  || (v = C.kv_var && c = nx * ny))
                 coeffs
             in
             let has v = List.mem_assoc v coeffs in
             if not (ok && has coord_gi && (ny = 1 || has coord_gj)) then None
-            else begin
-              (* recover the small stencil offsets via nearest decomposition *)
-              let div_nearest a b =
-                if b = 0 then 0
-                else if a >= 0 then (a + (b / 2)) / b
-                else -((-a + (b / 2)) / b)
-              in
-              let dz = if nz > 1 then div_nearest const sz else 0 in
-              let r = const - (dz * sz) in
-              let dy = if ny > 1 then div_nearest r sy else 0 in
-              let dx = r - (dy * sy) in
-              if dz <> 0 then None
-              else Some (Index (tile, [ e_add base_y dy; e_add base_x dx ]))
-            end)
+            else
+              match Kft_analysis.Access.stencil_offset decl.a_dims const with
+              | dx, dy, 0 when ny > 1 || dy = 0 -> Some (Index (tile, [ e_add base_y dy; e_add base_x dx ]))
+              | _ -> None)
   in
   map_exprs_in_stmts
     (fun e ->
@@ -495,13 +470,7 @@ let reuse_load g decls s =
   let r = s.s_radius in
   let w = g.bx + (2 * r) and h = g.by + (2 * r) in
   let decl = List.assoc s.s_array decls in
-  let nx, ny, nz =
-    match decl.a_dims with
-    | [ nx ] -> (nx, 1, 1)
-    | [ nx; ny ] -> (nx, ny, 1)
-    | [ nx; ny; nz ] -> (nx, ny, nz)
-    | _ -> (1, 1, 1)
-  in
+  let nx, ny, nz = C.dims3 decl.a_dims in
   let c = "c__" ^ s.s_array in
   let lx = "lx__" ^ s.s_array and ly = "ly__" ^ s.s_array in
   let gx = "gx__" ^ s.s_array and gy = "gy__" ^ s.s_array in
@@ -744,7 +713,7 @@ let build device options ~name ~block:(bx, by) plan =
        translation-validated downstream like any other fused kernel *)
     let kernel, eliminated =
       if options.eliminate_guards then
-        Kft_absint.Absint.simplify_kernel ~block:launch.l_block
+        Kft_analysis.Absint.simplify_kernel ~block:launch.l_block
           ~grid:(grid_of_launch launch) ~int_params:[] kernel
       else (kernel, 0)
     in

@@ -34,7 +34,7 @@ type options = {
   tune_blocks : bool;
   eliminate_guards : bool;
       (** drop generated guards whose condition the abstract interpreter
-          (kft_absint) proves implied by the block domain; the rewrite
+          (Absint) proves implied by the block domain; the rewrite
           is validated like any other fused kernel *)
 }
 

@@ -223,7 +223,7 @@ let gather ?cache ?engine ?backend ?trace ?layout ?(seed = 42) device prog =
         let host_of param =
           match List.assoc_opt param env.param_binding with Some h -> h | None -> param
         in
-        match p.access with
+        match Kft_analysis.Access.analyze_result kernel env with
         | Error reason ->
             {
               o_kernel = p.kernel;

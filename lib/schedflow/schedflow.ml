@@ -7,7 +7,7 @@
 
 open Kft_cuda.Ast
 module Loc = Kft_cuda.Loc
-module Absint = Kft_absint.Absint
+module Absint = Kft_analysis.Absint
 module Lint = Kft_absint.Lint
 module Memory = Kft_sim.Memory
 

@@ -5,7 +5,7 @@
     launch or host<->device copy) it derives the set of device arrays
     read and written — at array granularity always, refined to a proved
     linearized element region whenever the abstract interpreter
-    ({!Kft_absint.Absint}) proves every matching access and records an
+    ({!Kft_analysis.Absint}) proves every matching access and records an
     exact footprint. From the per-op access sets it computes:
 
     - def-use chains and liveness intervals per array (first/last
@@ -30,7 +30,7 @@
 
 type region =
   | Whole  (** the whole extent (no proof, or a fallback) *)
-  | Region of Kft_absint.Absint.itv
+  | Region of Kft_analysis.Absint.itv
       (** proved linearized cell interval touched by the op *)
 
 type op_kind =

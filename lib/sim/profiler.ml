@@ -7,7 +7,6 @@ type kernel_profile = {
   timing : Timing.breakdown;
   regs_per_thread : int;
   cost : Kft_analysis.Cost.t;
-  access : (Kft_analysis.Access.kernel_access_info, Kft_analysis.Access.failure_reason) result;
 }
 
 type run = {
@@ -26,8 +25,7 @@ let profile_launch ?engine ?affine ?backend ?trace device mem prog l =
     Timing.evaluate
       { device; stats; block = l.l_block; regs_per_thread; dependent_chain = cost.dependent_chain }
   in
-  let access = Kft_analysis.Access.analyze_result kernel env in
-  { kernel = l.l_kernel; launch = l; stats; timing; regs_per_thread; cost; access }
+  { kernel = l.l_kernel; launch = l; stats; timing; regs_per_thread; cost }
 
 let profile_with_memory ?engine ?affine ?backend ?trace device mem prog =
   let profiles =

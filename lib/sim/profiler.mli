@@ -9,7 +9,6 @@ type kernel_profile = {
   timing : Timing.breakdown;
   regs_per_thread : int;
   cost : Kft_analysis.Cost.t;
-  access : (Kft_analysis.Access.kernel_access_info, Kft_analysis.Access.failure_reason) result;
 }
 
 type run = {

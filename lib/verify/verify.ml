@@ -6,7 +6,7 @@ module Fusion = Kft_codegen.Fusion
 module Canonical = Kft_codegen.Canonical
 module Codegen = Kft_codegen.Codegen
 module Schedflow = Kft_schedflow.Schedflow
-module Absint = Kft_absint.Absint
+module Absint = Kft_analysis.Absint
 
 type pass = Race | Barrier | Bounds | Translation | Schedule | Engine
 
@@ -271,7 +271,7 @@ let barrier_pass col kname body =
   !divergent
 
 (* ------------------------------------------------------------------ *)
-(* Passes 1 & 3: bounds and races, proved from kft_absint               *)
+(* Passes 1 & 3: bounds and races, proved from Absint                   *)
 (* ------------------------------------------------------------------ *)
 
 (* the race proof of one analyzed launch: array parameters meet through

@@ -9,8 +9,8 @@
     launch, with four cooperating passes:
 
     {ol
-    {- {b Race freedom} — proved per launch from the kft_absint result
-       the bounds pass computes anyway ({!Kft_absint.Absint.prove_race_free}).
+    {- {b Race freedom} — proved per launch from the Absint result
+       the bounds pass computes anyway ({!Kft_analysis.Absint.prove_race_free}).
        Every access carries the affine form of its cell over the thread
        and block ids, loop trip counters and div/mod results, a static
        barrier-interval id, and the guard facts on its path.  Each pair
@@ -36,7 +36,7 @@
        scalar assignments; the simulator only catches this dynamically).
        The race proof needs uniform barriers, so a divergent kernel gets
        no race analysis at all.}
-    {- {b Bounds / halo checking} — kft_absint proves every access in
+    {- {b Bounds / halo checking} — Absint proves every access in
        bounds over the whole launch domain.  An access proved out of
        bounds, or not proved either way, is a [bounds] diagnostic with
        its proved index range and the extent.}
@@ -90,13 +90,13 @@ type stats = {
           nothing is sampled or walked.  They stay for the pipeline
           benchmark, which still reads them. *)
   bounds_proved : int;
-      (** launches whose every access the kft_absint bounds pass proved
+      (** launches whose every access the Absint bounds pass proved
           in bounds *)
   bounds_fallback : int;
       (** launches left unproved, each reported as a diagnostic: an
           access not proved in bounds, or arguments that do not bind *)
   races_proved : int;
-      (** launches proved race-free from the kft_absint access forms *)
+      (** launches proved race-free from the Absint access forms *)
   races_fallback : int;
       (** launches left unproved, each reported as a diagnostic: an
           unsettled access pair, divergent barriers, or arguments that
@@ -151,7 +151,7 @@ val validate :
 (** Test-only access to the race proof. *)
 module Internal : sig
   val race_verdict :
-    Kft_cuda.Ast.program -> Kft_cuda.Ast.launch -> Kft_absint.Absint.race_verdict option
+    Kft_cuda.Ast.program -> Kft_cuda.Ast.launch -> Kft_analysis.Absint.race_verdict option
   (** The race proof of one launch, whatever the barrier pass finds
       ([None] if the kernel is missing or the arguments do not match its
       parameters). *)

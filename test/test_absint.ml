@@ -3,7 +3,7 @@
    translation validation, and the lint surface. *)
 
 open Kft_cuda.Ast
-module A = Kft_absint.Absint
+module A = Kft_analysis.Absint
 
 let launches p = List.filter_map (function Launch l -> Some l | _ -> None) p.p_schedule
 

@@ -3,6 +3,8 @@
 
 open Kft_cuda.Ast
 module Access = Kft_analysis.Access
+module Absint = Kft_analysis.Absint
+module Canonical = Kft_codegen.Canonical
 module Cost = Kft_analysis.Cost
 module Deps = Kft_analysis.Deps
 module Classify = Kft_analysis.Classify
@@ -122,19 +124,132 @@ let test_specialize_inlines () =
   Alcotest.(check bool) "dimension params folded" false refs_params
 
 let test_affine_of_expr () =
-  let env = env_of stencil_prog "produce" in
-  (* blockIdx.x * blockDim.x + threadIdx.x is affine in gx with coeff 1
-     after blockDim is inlined -- probe directly on thread/block builtins *)
-  let e =
-    Binop
-      ( Add,
-        Binop (Mul, Builtin (Block_idx X), Int_lit 16),
-        Builtin (Thread_idx X) )
+  let parse = Kft_cuda.Parse.expr in
+  let check what ?launch ~vars e expected =
+    let got =
+      Option.map
+        (fun (cs, c) -> (List.sort compare cs, c))
+        (Absint.affine_of_expr ?launch ~vars (parse e))
+    in
+    Alcotest.(check (option (pair (list (pair string int)) int))) what expected got
   in
-  match Access.affine_of_expr env ~loops:[] e with
-  | Some ([ ("gx", 1) ], 0) -> ()
-  | Some _ -> Alcotest.fail "wrong coefficients"
-  | None -> Alcotest.fail "expected affine"
+  check "global x coordinate" ~launch:((16, 4, 1), (2, 4, 1)) ~vars:[]
+    "blockIdx.x * 16 + threadIdx.x" (Some ([ ("gx", 1) ], 0));
+  check "grid of one block" ~launch:((64, 1, 1), (1, 1, 1)) ~vars:[]
+    "blockIdx.x * 64 + threadIdx.x" (Some ([ ("gx", 1) ], 0));
+  check "thread id alone is not a global coordinate" ~launch:((16, 4, 1), (2, 4, 1)) ~vars:[]
+    "threadIdx.x" None;
+  check "builtin without a launch" ~vars:[] "threadIdx.x + 1" None;
+  check "clamp" ~vars:[ "i" ] "min(i + 1, 63)" None;
+  check "conditional" ~vars:[ "i" ] "i < 63 ? i + 1 : i" None
+
+(* An index clamped at the array's edge, by [min] or by a ternary, looks
+   linear near thread 0 but is not affine: it is no stencil offset, and
+   must not be rewritten into one. *)
+let clamp_program clamp =
+  let dims = (64, 16, 4) in
+  let nx, ny, _ = dims in
+  let src =
+    Printf.sprintf
+      {|
+__global__ void clampk(const double *U, double *V, int nx, int ny, int nz, double c) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  int j = blockIdx.y * blockDim.y + threadIdx.y;
+  if (i < nx && j < ny) {
+    for (int k = 0; k < nz; k++) {
+      V[(k * ny + j) * nx + i] = c * U[(k * ny + j) * nx + %s];
+    }
+  }
+}
+|}
+      clamp
+    ^ Util.pointwise_src ~name:"usev" ~a:"V" ~b:"U" ~dst:"W"
+  in
+  let launch k args =
+    Launch { l_kernel = k; l_domain = (nx, ny, 1); l_block = (16, 4, 1); l_args = Util.std_args dims args 0.5 }
+  in
+  {
+    p_name = "clamped";
+    p_arrays = List.map (Util.arr3 dims) [ "U"; "V"; "W" ];
+    p_kernels = Kft_cuda.Parse.kernels src;
+    p_schedule = [ launch "clampk" [ "U"; "V" ]; launch "usev" [ "V"; "U"; "W" ] ];
+  }
+
+let test_clamped_index_not_affine () =
+  let module F = Kft_framework.Framework in
+  List.iter
+    (fun clamp ->
+      let prog = clamp_program clamp in
+      let l = Util.launch_of prog "clampk" in
+      (match Access.analyze_result (find_kernel prog "clampk") (Access.env_of_launch prog l) with
+      | Error (Access.Non_affine_index "U") -> ()
+      | Error r -> Alcotest.failf "%s: wrong reason: %s" clamp (Access.reason_to_string r)
+      | Ok info ->
+          Alcotest.failf "%s: read as offsets %s" clamp
+            (String.concat " "
+               (List.map (fun (x, y, z) -> Printf.sprintf "(%d,%d,%d)" x y z) (Access.read_offsets info "U"))));
+      (match Canonical.extract ~deep:`Sequential ~index:0 prog l with
+      | exception Canonical.Not_canonical _ -> ()
+      | _ -> Alcotest.failf "%s: canonicalized" clamp);
+      let config =
+        {
+          F.default_config with
+          gga_params = { Kft_gga.Gga.default_params with generations = 10; population = 12 };
+        }
+      in
+      let r = F.transform ~config prog in
+      Alcotest.(check bool)
+        (clamp ^ ": clampk unfused") true
+        (List.mem [ "clampk" ] r.solution_groups
+        || not (List.exists (List.mem "clampk") r.solution_groups));
+      Alcotest.(check bool) (clamp ^ ": clampk still launched") true
+        (List.exists (function Launch l -> l.l_kernel = "clampk" | _ -> false) r.transformed.p_schedule);
+      Alcotest.(check bool) (clamp ^ ": output verified") true (r.verified = Ok ()))
+    [ "min(i + 1, nx - 1)"; "(i < nx - 1 ? i + 1 : i)" ]
+
+(* Access and Canonical split an index's constant the same way: on every
+   launch both accept, each host array has the same read and the same
+   write offsets under both (accesses Canonical marks as swept by a
+   non-canonical loop excepted). *)
+let test_access_canonical_agree () =
+  let programs = List.map (fun (a : Kft_apps.Apps.app) -> a.program) (Kft_apps.Apps.quickstart () :: Kft_apps.Apps.all ()) in
+  let compared = ref 0 in
+  List.iter
+    (fun prog ->
+      List.iter
+        (function
+          | Launch l -> (
+              let env = Access.env_of_launch prog l in
+              match
+                ( Access.analyze_result (find_kernel prog l.l_kernel) env,
+                  Canonical.extract ~deep:`Sequential ~index:0 prog l )
+              with
+              | Ok info, m ->
+                  let host p = List.assoc p env.param_binding in
+                  let access_offsets rw h =
+                    List.filter_map
+                      (fun (a : Access.access) -> if a.rw = rw && host a.array = h then Some a.offset else None)
+                      info.accesses
+                    |> List.sort_uniq compare
+                  in
+                  let wild (x, y, z) = List.mem Canonical.wild_offset [ x; y; z ] in
+                  List.iter
+                    (fun h ->
+                      List.iter
+                        (fun (rw, canon) ->
+                          if not (List.exists wild canon) then begin
+                            incr compared;
+                            Alcotest.(check (list (triple int int int)))
+                              (Printf.sprintf "%s %s %s" prog.p_name l.l_kernel h)
+                              canon (access_offsets rw h)
+                          end)
+                        [ (Access.Read, Canonical.reads_of m h); (Access.Write, Canonical.writes_of m h) ])
+                    (Canonical.touched_arrays m)
+              | Error _, _ | (exception Canonical.Not_canonical _) -> ())
+          | _ -> ())
+        prog.p_schedule)
+    programs;
+  Alcotest.(check bool) "launches compared" true (!compared > 100)
 
 let test_cost_counts () =
   let k = find_kernel stencil_prog "consume" in
@@ -311,6 +426,8 @@ let suite =
     Alcotest.test_case "non-affine rejected" `Quick test_irregular_nonaffine;
     Alcotest.test_case "specialization inlines ints" `Quick test_specialize_inlines;
     Alcotest.test_case "affine_of_expr" `Quick test_affine_of_expr;
+    Alcotest.test_case "clamped index is not affine" `Quick test_clamped_index_not_affine;
+    Alcotest.test_case "Access and Canonical offsets agree" `Quick test_access_canonical_agree;
     Alcotest.test_case "cost counting" `Quick test_cost_counts;
     Alcotest.test_case "register estimate bounded" `Quick test_registers_bounded;
     Alcotest.test_case "dependent chain" `Quick test_dependent_chain;

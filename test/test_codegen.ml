@@ -45,16 +45,17 @@ let test_canonical_wild_offsets () =
   let m' = extract prog ~deep:`Sequential 0 "deep" in
   Alcotest.(check bool) "nest opaque" true (m'.m_kloop = None)
 
+(* The product form canonicalization reads member indices through. *)
 let test_affine_over () =
   let e = Kft_cuda.Parse.expr "32 * (16 * kv + gj) + gi + 2" in
-  (match C.affine_over ~vars:[ "gi"; "gj"; "kv" ] e with
+  (match Kft_analysis.Absint.affine_of_expr ~vars:[ "gi"; "gj"; "kv" ] e with
   | Some (coeffs, 2) ->
       Alcotest.(check bool) "coeffs" true
         (List.sort compare coeffs = [ ("gi", 1); ("gj", 32); ("kv", 512) ])
   | _ -> Alcotest.fail "expected affine");
   (* non-affine *)
   Alcotest.(check bool) "quadratic rejected" true
-    (C.affine_over ~vars:[ "x" ] (Kft_cuda.Parse.expr "x * x") = None)
+    (Kft_analysis.Absint.affine_of_expr ~vars:[ "x" ] (Kft_cuda.Parse.expr "x * x") = None)
 
 let check_plan members = Fu.check_group members
 

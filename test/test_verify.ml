@@ -9,7 +9,7 @@
 open Kft_cuda.Ast
 module V = Kft_verify.Verify
 module F = Kft_framework.Framework
-module Absint = Kft_absint.Absint
+module Absint = Kft_analysis.Absint
 
 let dims = (32, 8, 4)
 
