@@ -56,6 +56,10 @@ val bcalm : ?dims:Gen.dims -> unit -> app
     per-component pipeline fusion removes the intermediate traffic the
     paper highlights. *)
 
+val quickstart_source : string
+(** CUDA C text of the quickstart's three kernels ([diffuse], [smooth],
+    [relax]), each taking its arrays then [nx], [ny], [nz] and [c]. *)
+
 val quickstart : ?dims:Gen.dims -> unit -> app
 (** The three-kernel diffuse/smooth/relax chain from the quickstart
     example, parsed from CUDA C text. Small enough for [dune runtest]

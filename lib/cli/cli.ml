@@ -22,24 +22,6 @@ let write_file path contents =
 
 let lint_apps () = Kft_apps.Apps.quickstart () :: Kft_apps.Apps.all ()
 
-(* measured global traffic, summed per kernel over the schedule (the
-   lint rule only consumes it for kernels launched exactly once) *)
-let measured_of device (a : Kft_apps.Apps.app) =
-  let run = Kft_sim.Profiler.profile device a.program in
-  let tbl : (string, float) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (p : Kft_sim.Profiler.kernel_profile) ->
-      let b =
-        float_of_int
-          (p.stats.Kft_sim.Interp.global_read_bytes
-         + p.stats.Kft_sim.Interp.global_write_bytes)
-      in
-      let cur = match Hashtbl.find_opt tbl p.kernel with Some c -> c | None -> 0.0 in
-      Hashtbl.replace tbl p.kernel (cur +. b))
-    run.profiles;
-  ( a.program.Kft_cuda.Ast.p_name,
-    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) )
-
 let lint_run json jobs strict no_profile only trace_file =
   let apps = lint_apps () in
   let known (a : Kft_apps.Apps.app) = a.program.Kft_cuda.Ast.p_name in
@@ -64,7 +46,12 @@ let lint_run json jobs strict no_profile only trace_file =
       in
       let measured =
         if no_profile then []
-        else List.map (measured_of Kft_device.Device.k20x) apps
+        else
+          List.map
+            (fun (a : Kft_apps.Apps.app) ->
+              ( a.program.Kft_cuda.Ast.p_name,
+                Kft_sim.Profiler.(traffic_by_kernel (profile Kft_device.Device.k20x a.program)) ))
+            apps
       in
       let findings =
         Trace.with_span trace "lint" (fun () ->
@@ -293,7 +280,7 @@ let list_apps () =
 
 let transform_run app_name device_name generations population jobs no_memo no_sim_cache
     no_fission no_tuning expert_codegen filter verify seed out_dir emit_cuda quiet list
-    trace_file chrome_file backend_name no_schedflow =
+    trace_file chrome_file backend_name =
   if list then begin
     list_apps ();
     `Ok ()
@@ -352,7 +339,6 @@ let transform_run app_name device_name generations population jobs no_memo no_si
                     seed;
                   };
                 backend;
-                schedflow = not no_schedflow;
               }
             in
             let trace =
@@ -467,15 +453,12 @@ let transform_cmd =
   let backend_name =
     Arg.(value & opt string "affine" & info [ "backend" ] ~docv:"affine|interp" ~doc:"Simulator execution path for every pipeline run: $(b,affine), the compiled-affine fast path, or $(b,interp), the reference interpreter. Both produce bit-identical results.")
   in
-  let no_schedflow =
-    Arg.(value & flag & info [ "no-schedflow" ] ~doc:"Disable the whole-schedule dataflow stage: no schedflow stage report, no liveness-driven arena overlay for the fission pre-run, and no schedule-level lint rules.")
-  in
   let term =
     Term.ret
       Term.(
         const transform_run $ app_arg $ device $ generations $ population $ jobs $ no_memo
         $ no_sim_cache $ no_fission $ no_tuning $ expert $ filter $ verify $ seed $ out_dir
-        $ emit_cuda $ quiet $ list $ trace_file $ chrome_file $ backend_name $ no_schedflow)
+        $ emit_cuda $ quiet $ list $ trace_file $ chrome_file $ backend_name)
   in
   Cmd.v
     (Cmd.info "kft-transform" ~version:"1.0.0"

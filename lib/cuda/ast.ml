@@ -138,6 +138,9 @@ let rec fold_stmt f acc s =
 
 and fold_stmts f acc stmts = List.fold_left (fold_stmt f) acc stmts
 
+let contains_barrier stmts = fold_stmts (fun acc s -> acc || s = Syncthreads) false stmts
+let contains_return stmts = fold_stmts (fun acc s -> acc || s = Return) false stmts
+
 let map_exprs_in_stmts f stmts =
   let fe = map_expr f in
   let on_stmt = function

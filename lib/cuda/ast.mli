@@ -129,6 +129,12 @@ val map_stmts : (stmt -> stmt) -> stmt list -> stmt list
 
 val fold_stmts : ('a -> stmt -> 'a) -> 'a -> stmt list -> 'a
 
+val contains_barrier : stmt list -> bool
+(** Some statement, at any depth, is [__syncthreads()]. *)
+
+val contains_return : stmt list -> bool
+(** Some statement, at any depth, is [return]. *)
+
 val map_exprs_in_stmts : (expr -> expr) -> stmt list -> stmt list
 (** Apply {!map_expr} to every expression position, including loop bounds
     and lvalue indices. *)

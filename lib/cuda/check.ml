@@ -23,26 +23,85 @@ let dedupe errs =
 
 type binding = Scalar of scalar_ty | Global_array of bool (* writable *) | Shared_array of int
 
-(* Scalars whose value may differ between threads of a block: anything
-   (transitively) computed from threadIdx.  blockIdx/blockDim/gridDim are
-   uniform across the block and do not taint. *)
+module Sset = Set.Make (String)
+
+(* An expression is thread-dependent when its value can differ between
+   threads of one block: it mentions threadIdx or a scalar tainted by
+   it.  blockIdx/blockDim/gridDim are uniform across the block.  A load
+   is uniform unless a subscript is thread-dependent, and subscripts are
+   sub-expressions of the fold. *)
 let thread_dependent tainted e =
   fold_expr
     (fun acc e ->
-      acc
-      ||
-      match e with
-      | Builtin (Thread_idx _) -> true
-      | Var v -> List.mem v tainted
-      | Index (_, _) ->
-          (* a load's value may differ per thread as soon as any subscript
-             does; subscripts are sub-expressions of this fold, so a
-             conservative "tainted if any subscript is" is what the
-             recursive fold already gives us. Treat the load itself as
-             uniform unless a subscript taints it. *)
-          false
-      | _ -> false)
+      acc || match e with Builtin (Thread_idx _) -> true | Var v -> Sset.mem v tainted | _ -> false)
     false e
+
+let assigned_scalars stmts =
+  fold_stmts
+    (fun acc s -> match s with Assign (Lvar v, _) | Decl (_, v, _) -> Sset.add v acc | _ -> acc)
+    Sset.empty stmts
+
+let barrier_divergence (k : kernel) =
+  let findings = ref [] in
+  (* Returns the tainted set after [stmts].  [under]: inside
+     thread-dependent control, whose outermost statement carries the
+     finding.  [follow]: a barrier can run after [stmts] end (later in
+     an enclosing list, or in an enclosing loop's next iteration). *)
+  let rec go tainted under follow loc0 = function
+    | [] -> tainted
+    | s :: rest ->
+        let loc =
+          let l = Loc.find s in
+          if Loc.is_none l then loc0 else l
+        in
+        let follow_s = follow || contains_barrier rest in
+        let flag what = findings := (loc, s, what) :: !findings in
+        let tainted =
+          match s with
+          | (Decl (_, v, Some e) | Assign (Lvar v, e)) when thread_dependent tainted e ->
+              Sset.add v tainted
+          | Decl _ | Assign _ | Shared_decl _ | Syncthreads | Return -> tainted
+          | If (c, t, e) ->
+              let div = thread_dependent tainted c in
+              if div && not under then begin
+                if contains_barrier t || contains_barrier e then
+                  flag "__syncthreads() under thread-dependent conditional";
+                (* a return after the last barrier is harmless *)
+                if follow_s && (contains_return t || contains_return e) then
+                  flag "thread-dependent early return in a kernel that uses __syncthreads()"
+              end;
+              let branch = go tainted (under || div) follow_s loc in
+              let after = Sset.union (branch t) (branch e) in
+              (* scalars assigned under a thread-dependent condition are
+                 thread-dependent after it *)
+              if div then Sset.union after (assigned_scalars (t @ e)) else after
+          | For l ->
+              let div = thread_dependent tainted l.lo || thread_dependent tainted l.hi in
+              if div && (not under) && contains_barrier l.body then
+                flag "__syncthreads() inside loop with thread-dependent trip count";
+              let follow_body = follow_s || contains_barrier l.body in
+              (* taint carried from one iteration into the next: re-analyse
+                 the body, dropping its findings, until nothing new is
+                 tainted *)
+              let rec settle t =
+                let before = !findings in
+                let t' = go t (under || div) follow_body loc l.body in
+                if Sset.equal t' t then t
+                else begin
+                  findings := before;
+                  settle t'
+                end
+              in
+              let after = settle (if div then Sset.add l.index tainted else tainted) in
+              (* threads leave the loop after different numbers of
+                 iterations, so what it assigns is thread-dependent *)
+              if div then Sset.union after (assigned_scalars l.body) else after
+        in
+        go tainted under follow loc0 rest
+  in
+  (* every finding needs a barrier somewhere in the kernel *)
+  if contains_barrier k.k_body then ignore (go Sset.empty false false Loc.none k.k_body);
+  List.rev !findings
 
 let kernel (k : kernel) =
   let errors = ref [] in
@@ -93,13 +152,7 @@ let kernel (k : kernel) =
         check_expr a;
         check_expr b
   in
-  let contains_barrier stmts =
-    fold_stmts (fun acc s -> acc || s = Syncthreads) false stmts
-  in
-  (* [tainted]: thread-dependent scalars in scope; [divergent]: are we
-     statically under a thread-dependent conditional? *)
-  let rec check_stmts ~tainted ~divergent stmts =
-    let tainted = ref tainted in
+  let rec check_stmts stmts =
     List.iter
       (fun s ->
         let saved = !current_loc in
@@ -108,9 +161,6 @@ let kernel (k : kernel) =
         (match s with
         | Decl (ty, v, init) ->
             Option.iter check_expr init;
-            (match init with
-            | Some e when thread_dependent !tainted e -> tainted := v :: !tainted
-            | _ -> ());
             declare v (Scalar ty)
         | Shared_decl (_, n, dims) ->
             if List.exists (fun d -> d <= 0) dims then
@@ -121,7 +171,6 @@ let kernel (k : kernel) =
             | Some (Scalar _) -> ()
             | Some _ -> err "array %s assigned as a scalar" v
             | None -> err "assignment to undeclared identifier %s" v);
-            if thread_dependent !tainted e then tainted := v :: !tainted;
             check_expr e
         | Assign (Lindex (a, idxs), e) ->
             (match Hashtbl.find_opt scope a with
@@ -139,11 +188,8 @@ let kernel (k : kernel) =
             check_expr e
         | If (c, t, e) ->
             check_expr c;
-            let div_here = divergent || thread_dependent !tainted c in
-            if (not divergent) && div_here && (contains_barrier t || contains_barrier e) then
-              err "__syncthreads() under thread-dependent conditional";
-            check_stmts ~tainted:!tainted ~divergent:div_here t;
-            check_stmts ~tainted:!tainted ~divergent:div_here e
+            check_stmts t;
+            check_stmts e
         | For l ->
             check_expr l.lo;
             check_expr l.hi;
@@ -151,21 +197,16 @@ let kernel (k : kernel) =
             (* the loop index scopes over its body only, but redeclaring an
                outer name is still a (shadowing) error in the subset *)
             declare l.index (Scalar Int);
-            let trip_divergent =
-              thread_dependent !tainted l.lo || thread_dependent !tainted l.hi
-            in
-            if (not divergent) && trip_divergent && contains_barrier l.body then
-              err "__syncthreads() inside loop with thread-dependent trip count";
-            let tainted' =
-              if trip_divergent then l.index :: !tainted else !tainted
-            in
-            check_stmts ~tainted:tainted' ~divergent:(divergent || trip_divergent) l.body;
+            check_stmts l.body;
             Hashtbl.remove scope l.index
         | Syncthreads | Return -> ());
         current_loc := saved)
       stmts
   in
-  check_stmts ~tainted:[] ~divergent:false k.k_body;
+  check_stmts k.k_body;
+  List.iter
+    (fun (loc, _, what) -> errors := { where = k.k_name; loc; what } :: !errors)
+    (barrier_divergence k);
   dedupe (List.rev !errors)
 
 let launch_args ~declared k args =

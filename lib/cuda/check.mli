@@ -4,9 +4,9 @@
     performs the frontend's semantic checks before a program enters the
     transformation pipeline: identifier resolution, duplicate
     declarations, arity and binding of launches, and the structural
-    restrictions the paper places on supported kernels (no barrier under
-    a thread-dependent conditional is checked dynamically by the
-    simulator; everything statically checkable is here). *)
+    restrictions the paper places on supported kernels, barrier
+    divergence included ({!barrier_divergence}, the one analysis of it:
+    [Kft_verify] reports the same findings). *)
 
 type error = {
   where : string;  (** kernel or launch the error was found in *)
@@ -33,10 +33,27 @@ val kernel : Ast.kernel -> error list
       global (pointer-parameter) arrays with a single linear index;
     - array parameters declared [const] are never written;
     - [__shared__] declarations have positive extents;
-    - no [__syncthreads()] sits under a statically thread-dependent
-      conditional or inside a loop whose trip count depends on
-      [threadIdx] (the statically-detectable core of barrier
-      divergence; the full analysis lives in [Kft_verify]). *)
+    - every barrier is uniform across the block: each
+      {!barrier_divergence} finding is an error. *)
+
+val barrier_divergence : Ast.kernel -> (Loc.pos * Ast.stmt * string) list
+(** Statements that can make a [__syncthreads()] diverge within a block,
+    outermost first, each with its position (the closest located
+    enclosing statement's when it has none) and one of three messages:
+    - a barrier under a thread-dependent conditional;
+    - a barrier inside a loop whose trip count is thread-dependent;
+    - a thread-dependent [return] that a barrier can follow (later in
+      an enclosing statement list or in an enclosing loop's body); a
+      return after the last barrier is accepted.
+
+    A value is thread-dependent when it is computed from [threadIdx]
+    (blockIdx, blockDim and gridDim are uniform), directly or through
+    scalars: a scalar is tainted by a thread-dependent right-hand side,
+    by an assignment under a thread-dependent condition, or by an
+    assignment inside a loop with a thread-dependent trip count (after
+    the loop).  Each loop body is analysed until its tainted set stops
+    growing, so taint carried from one iteration to the next counts.
+    Statements nested under a finding are not reported again. *)
 
 val launch_args : declared:(string -> bool) -> Ast.kernel -> Ast.arg list -> string list
 (** The mismatches between a launch's arguments and the kernel's

@@ -26,7 +26,6 @@ type config = {
   verify_tolerance : float;
   sim_cache : Meta.Sim_cache.t option;
   backend : Kft_sim.Interp.backend;
-  schedflow : bool;
 }
 
 let default_config =
@@ -40,7 +39,6 @@ let default_config =
     verify_tolerance = 1e-9;
     sim_cache = Some Kft_metadata.Metadata.Sim_cache.global;
     backend = Kft_sim.Interp.Affine;
-    schedflow = true;
   }
 
 type hooks = {
@@ -67,7 +65,7 @@ type report = {
   baseline : Kft_sim.Profiler.run;
   metadata : Meta.t;
   graphs : Ddg.t;
-  schedflow : Schedflow.t option;
+  schedflow : Schedflow.t;
   targets : target_info list;
   fission_plans : (string * Fission.plan) list;
   gga : Gga.result option;
@@ -186,18 +184,16 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
      where the abstract domain proves them, and its liveness intervals
      drive the arena overlay of the fission pre-run below. *)
   let schedflow =
-    if not config.schedflow then None
-    else
-      Trace.with_span trace "schedflow" (fun () ->
-          let sf = Schedflow.analyze prog in
-          Trace.add trace "ops" sf.Schedflow.stats.Schedflow.st_ops;
-          Trace.add trace "launches" sf.stats.st_launches;
-          Trace.add trace "deps" sf.stats.st_deps;
-          Trace.add trace "deps_refined" sf.stats.st_deps_refined;
-          Trace.add trace "regions_proved" sf.stats.st_regions_proved;
-          Trace.add trace "regions_fallback" sf.stats.st_regions_fallback;
-          Trace.add trace "issues" (List.length sf.Schedflow.issues);
-          Some sf)
+    Trace.with_span trace "schedflow" (fun () ->
+        let sf = Schedflow.analyze prog in
+        Trace.add trace "ops" sf.Schedflow.stats.Schedflow.st_ops;
+        Trace.add trace "launches" sf.stats.st_launches;
+        Trace.add trace "deps" sf.stats.st_deps;
+        Trace.add trace "deps_refined" sf.stats.st_deps_refined;
+        Trace.add trace "regions_proved" sf.stats.st_regions_proved;
+        Trace.add trace "regions_fallback" sf.stats.st_regions_fallback;
+        Trace.add trace "issues" (List.length sf.Schedflow.issues);
+        sf)
   in
   let targets, eligible =
     Trace.with_span trace "filter" (fun () ->
@@ -245,9 +241,7 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
                  whose live intervals never overlap share storage, and
                  the discarded arena is smaller. Stats and timings are
                  bit-identical either way (see [Memory.layout]). *)
-              let layout =
-                if config.schedflow then Schedflow.arena_layout (Schedflow.analyze p) else None
-              in
+              let layout = Schedflow.arena_layout (Schedflow.analyze p) in
               let m, grun =
                 Meta.gather ?cache ?engine ~backend ?trace ?layout ~seed:config.seed device p
               in
@@ -680,28 +674,13 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
   (* lint the emitted program; the measured per-kernel traffic from the
      profile run feeds the footprint-drift cross-check *)
   let lint_findings =
-    let tbl : (string, float) Hashtbl.t = Hashtbl.create 16 in
-    List.iter
-      (fun (p : Kft_sim.Profiler.kernel_profile) ->
-        let b =
-          float_of_int
-            (p.stats.Kft_sim.Interp.global_read_bytes
-           + p.stats.Kft_sim.Interp.global_write_bytes)
-        in
-        let cur = match Hashtbl.find_opt tbl p.kernel with Some c -> c | None -> 0.0 in
-        Hashtbl.replace tbl p.kernel (cur +. b))
-      transformed_run.profiles;
-    let measured = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
+    let measured = Kft_sim.Profiler.traffic_by_kernel transformed_run in
     Trace.with_span trace "lint" (fun () ->
         let fs = Kft_absint.Lint.program ~measured transformed in
         (* schedule-level rules (dead-array / redundant-copy /
            transient-global) join the per-kernel findings in the same
            normalized order *)
-        let fs =
-          if config.schedflow then
-            Kft_absint.Lint.normalize (fs @ Schedflow.lint_program transformed)
-          else fs
-        in
+        let fs = Kft_absint.Lint.normalize (fs @ Schedflow.lint_program transformed) in
         List.iter (fun (rule, n) -> Trace.add trace rule n) (Kft_absint.Lint.rule_counts fs);
         Trace.add trace "warnings" (Kft_absint.Lint.warnings fs);
         Trace.add trace "infos" (Kft_absint.Lint.infos fs);
@@ -818,17 +797,15 @@ let stage_report r =
   List.iter
     (fun (a, n) -> p "  redundant instances added for multi-writer array %s (%d copies)" a n)
     r.graphs.versioned_arrays;
-  (match r.schedflow with
-  | None -> ()
-  | Some sf ->
-      let s = sf.Schedflow.stats in
-      p "  schedflow: %d ops (%d launches), %d arrays, %d deps (%d refined away by proved regions)"
-        s.Schedflow.st_ops s.st_launches s.st_arrays s.st_deps s.st_deps_refined;
-      p "  schedflow regions: %d proved, %d whole-array fallback; %d dataflow issue%s"
-        s.st_regions_proved s.st_regions_fallback
-        (List.length sf.Schedflow.issues)
-        (if List.length sf.Schedflow.issues = 1 then "" else "s");
-      List.iter (fun i -> p "    %s" (Schedflow.pp_issue i)) sf.Schedflow.issues);
+  (let sf = r.schedflow in
+   let s = sf.Schedflow.stats in
+   p "  schedflow: %d ops (%d launches), %d arrays, %d deps (%d refined away by proved regions)"
+     s.Schedflow.st_ops s.st_launches s.st_arrays s.st_deps s.st_deps_refined;
+   p "  schedflow regions: %d proved, %d whole-array fallback; %d dataflow issue%s"
+     s.st_regions_proved s.st_regions_fallback
+     (List.length sf.Schedflow.issues)
+     (if List.length sf.Schedflow.issues = 1 then "" else "s");
+   List.iter (fun i -> p "    %s" (Schedflow.pp_issue i)) sf.Schedflow.issues);
   p "";
   p "== stage 4: GGA search ==";
   (match r.gga with

@@ -40,13 +40,6 @@ type config = {
       (** simulator execution path for those runs. Both paths are
           bit-identical, so this only affects pipeline wall time; the
           default is the compiled-affine path, {!Kft_sim.Interp.Affine}. *)
-  schedflow : bool;
-      (** run the whole-schedule dataflow analysis
-          ({!Kft_schedflow.Schedflow}): a [schedflow] stage after DDG
-          construction, a liveness-driven arena overlay for the
-          discarded fission pre-run, and the schedule-level lint rules
-          merged into [lint_findings]. On by default; [false] restores
-          the previous pipeline exactly. *)
 }
 
 val default_config : config
@@ -76,11 +69,12 @@ type report = {
   baseline : Kft_sim.Profiler.run;
   metadata : Kft_metadata.Metadata.t;
   graphs : Kft_ddg.Ddg.t;
-  schedflow : Kft_schedflow.Schedflow.t option;
+  schedflow : Kft_schedflow.Schedflow.t;
       (** whole-schedule dataflow analysis of the source program
           (liveness intervals, array-granularity dependences, read-
-          before-write / dead-store issues); [None] when
-          [config.schedflow] is [false] *)
+          before-write / dead-store issues); it also drives the arena
+          overlay of the fission pre-run, and its schedule-level lint
+          rules join [lint_findings] *)
   targets : target_info list;
   fission_plans : (string * Kft_fission.Fission.plan) list;
       (** lazy-fission pre-step: plan per fissionable target kernel *)

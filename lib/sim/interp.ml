@@ -904,9 +904,6 @@ type cstmt =
     }
   | CSync
 
-let has_sync stmts =
-  fold_stmts (fun acc s -> acc || s = Syncthreads) false stmts
-
 let stmts_read_var v stmts =
   let found = ref false in
   ignore
@@ -1241,7 +1238,7 @@ and compile_thread_stmt st lookup s : int -> unit =
   | Syncthreads -> err st "internal: __syncthreads inside a per-thread region"
 
 let rec compile_stmt st lookup s : cstmt =
-  if not (has_sync [ s ]) then
+  if not (contains_barrier [ s ]) then
     match s with
     | If (c, tb, eb) when st.fast && pure_int_cond lookup c ->
         GLeaf

@@ -71,3 +71,13 @@ let verify ?engine ?affine ?backend ?trace ?(seed = 42) ?(tol = 1e-9) device ~or
 let speedup ~original ~transformed =
   if transformed.total_time_us <= 0.0 then infinity
   else original.total_time_us /. transformed.total_time_us
+
+let traffic_by_kernel run =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun p ->
+      let b = float_of_int (p.stats.Interp.global_read_bytes + p.stats.Interp.global_write_bytes) in
+      let cur = Option.value ~default:0.0 (Hashtbl.find_opt tbl p.kernel) in
+      Hashtbl.replace tbl p.kernel (cur +. b))
+    run.profiles;
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])

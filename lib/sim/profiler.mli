@@ -50,3 +50,8 @@ val verify :
 
 val speedup : original:run -> transformed:run -> float
 (** Ratio of total modeled times. *)
+
+val traffic_by_kernel : run -> (string * float) list
+(** Measured global traffic (bytes read plus written) per kernel name,
+    summed over the kernel's launches in schedule order, sorted by
+    name. *)

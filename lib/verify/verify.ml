@@ -1,7 +1,6 @@
 open Kft_cuda.Ast
 module Loc = Kft_cuda.Loc
 module Pp = Kft_cuda.Pp
-module Ddg = Kft_ddg.Ddg
 module Fusion = Kft_codegen.Fusion
 module Canonical = Kft_codegen.Canonical
 module Codegen = Kft_codegen.Codegen
@@ -188,87 +187,18 @@ let report_of col =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Pass 2: barrier divergence (static taint analysis)                  *)
+(* Pass 2: barrier divergence                                          *)
 (* ------------------------------------------------------------------ *)
 
-let contains_barrier stmts = fold_stmts (fun acc s -> acc || s = Syncthreads) false stmts
-let contains_return stmts = fold_stmts (fun acc s -> acc || s = Return) false stmts
-
-module Sset = Set.Make (String)
-
-(* An expression is thread-dependent when its value can differ between
-   threads of one block: it mentions threadIdx directly or a scalar
-   tainted by it. blockIdx/blockDim/gridDim are uniform. A load is
-   treated as uniform unless a subscript taints it (the subscripts are
-   sub-expressions of the fold, so that case is already covered). *)
-let tainted_expr tainted e =
-  fold_expr
-    (fun acc e ->
-      acc
-      || match e with Builtin (Thread_idx _) -> true | Var v -> Sset.mem v tainted | _ -> false)
-    false e
-
-let assigned_scalars stmts =
-  fold_stmts
-    (fun acc s ->
-      match s with Assign (Lvar v, _) -> v :: acc | Decl (_, v, _) -> v :: acc | _ -> acc)
-    [] stmts
-
-(* Returns [true] when the kernel has (statically detectable) divergent
-   barriers — the race pass is then skipped because barrier intervals
-   are not well-defined. *)
-let barrier_pass col kname body =
-  let divergent = ref false in
-  let has_barrier = contains_barrier body in
-  let rec go tainted under loc0 stmts =
-    List.fold_left
-      (fun tainted s ->
-        let loc =
-          let l = Loc.find s in
-          if Loc.is_none l then loc0 else l
-        in
-        match s with
-        | Decl (_, v, Some e) when tainted_expr tainted e -> Sset.add v tainted
-        | Decl _ -> tainted
-        | Assign (Lvar v, e) when tainted_expr tainted e -> Sset.add v tainted
-        | Assign _ -> tainted
-        | If (c, t, e) ->
-            let div = tainted_expr tainted c in
-            if div && not under then begin
-              if contains_barrier t || contains_barrier e then begin
-                divergent := true;
-                emit col ~pass:Barrier ~kernel:kname ~loc ~stmt:(stmt_line s)
-                  "__syncthreads() under thread-dependent conditional"
-              end;
-              if has_barrier && (contains_return t || contains_return e) then begin
-                divergent := true;
-                emit col ~pass:Barrier ~kernel:kname ~loc ~stmt:(stmt_line s)
-                  "thread-dependent early return in a kernel that uses __syncthreads()"
-              end
-            end;
-            let t1 = go tainted (under || div) loc t in
-            let t2 = go tainted (under || div) loc e in
-            (* scalars assigned under a divergent condition become
-               thread-dependent themselves *)
-            let extra =
-              if div then Sset.of_list (assigned_scalars t @ assigned_scalars e)
-              else Sset.empty
-            in
-            Sset.union extra (Sset.union t1 t2)
-        | For l ->
-            let div = tainted_expr tainted l.lo || tainted_expr tainted l.hi in
-            if div && (not under) && contains_barrier l.body then begin
-              divergent := true;
-              emit col ~pass:Barrier ~kernel:kname ~loc ~stmt:(stmt_line s)
-                "__syncthreads() inside loop with thread-dependent trip count"
-            end;
-            let inner = if div then Sset.add l.index tainted else tainted in
-            go inner (under || div) loc l.body
-        | Shared_decl _ | Syncthreads | Return -> tainted)
-      tainted stmts
-  in
-  ignore (go Sset.empty false Loc.none body);
-  !divergent
+(* [true] when a barrier may diverge: the race pass is then skipped
+   because barrier intervals are not well-defined *)
+let barrier_pass col (k : kernel) =
+  let findings = Kft_cuda.Check.barrier_divergence k in
+  List.iter
+    (fun (loc, s, what) ->
+      emit col ~pass:Barrier ~kernel:k.k_name ~loc ~stmt:(stmt_line s) "%s" what)
+    findings;
+  findings <> []
 
 (* ------------------------------------------------------------------ *)
 (* Passes 1 & 3: bounds and races, proved from Absint                   *)
@@ -334,7 +264,7 @@ let verify_launch_into col prog (l : launch) =
                     (if space = Absint.Shared then "shared " else "")
                     a.acc_array range a.acc_extent)
             (List.filter (fun (a : Absint.access) -> a.acc_status <> Absint.Proved) absint.res_accesses);
-          if barrier_pass col k.k_name k.k_body then begin
+          if barrier_pass col k then begin
             col.rfallback <- col.rfallback + 1;
             emit col ~pass:Engine ~kernel:k.k_name ~loc:Loc.none ~stmt:""
               "race analysis skipped: kernel has statically divergent barriers"
@@ -369,8 +299,7 @@ let validate ?(options = Fusion.auto_options) ~source (res : Codegen.result) =
   let col = new_collector () in
   (* passes 1-3 over everything the generator emitted *)
   List.iter (function Launch l -> verify_launch_into col res.program l | _ -> ()) res.program.p_schedule;
-  (* member-order dependences + legality re-derivation for fused kernels *)
-  let graphs = Ddg.build source in
+  (* legality re-derivation for fused kernels *)
   let launch_of name =
     List.find_map
       (function Launch l when l.l_kernel = name -> Some l | _ -> None)
@@ -380,17 +309,6 @@ let validate ?(options = Fusion.auto_options) ~source (res : Codegen.result) =
     (fun (rep : Codegen.kernel_report) ->
       let fused = rep.fusion_kind <> `None && List.length rep.members >= 2 in
       if fused then begin
-        let members = Array.of_list rep.members in
-        let n = Array.length members in
-        for i = 0 to n - 1 do
-          for j = i + 1 to n - 1 do
-            if Ddg.oeg_precedes graphs members.(j) members.(i) then
-              emit col ~pass:Translation ~kernel:rep.new_kernel ~loc:Loc.none ~stmt:""
-                "fused member order violates the source DDG: %s must execute before %s"
-                members.(j) members.(i)
-          done
-        done;
-        (* re-derive group legality from scratch *)
         match
           List.mapi
             (fun i name ->
@@ -415,9 +333,8 @@ let validate ?(options = Fusion.auto_options) ~source (res : Codegen.result) =
       end)
     res.reports;
   (* schedule pass: whole-schedule dataflow issues on the transformed
-     schedule, then end-to-end preservation of the source schedule DDG
-     (the per-group member-order check above only sees pairs inside one
-     fused kernel; this check covers every source dependence) *)
+     schedule, then end-to-end preservation of the source schedule DDG,
+     fused member order included *)
   let sf_out = Schedflow.analyze res.program in
   let out_ops = Array.of_list sf_out.Schedflow.ops in
   let op_kernel i =
@@ -438,14 +355,16 @@ let validate ?(options = Fusion.auto_options) ~source (res : Codegen.result) =
             "the write to array %s at schedule op %d is never read back" ds_array ds_op)
     sf_out.Schedflow.issues;
   let deps = Schedflow.launch_deps (Schedflow.analyze source) in
-  (* transformed position of each source launch: reports are emitted in
-     transformed schedule order and list their source members by kernel
-     name, so per-kernel FIFO queues resolve re-launches in order *)
-  let queues : (string, int Queue.t) Hashtbl.t = Hashtbl.create 16 in
-  List.iteri
+  (* transformed position (report, member) of each source launch:
+     reports are emitted in transformed schedule order and list their
+     source members by kernel name, so per-kernel FIFO queues resolve
+     re-launches in order *)
+  let queues : (string, (int * int) Queue.t) Hashtbl.t = Hashtbl.create 16 in
+  let reports = Array.of_list res.reports in
+  Array.iteri
     (fun ti (rep : Codegen.kernel_report) ->
-      List.iter
-        (fun m ->
+      List.iteri
+        (fun mi m ->
           let q =
             match Hashtbl.find_opt queues m with
             | Some q -> q
@@ -454,9 +373,9 @@ let validate ?(options = Fusion.auto_options) ~source (res : Codegen.result) =
                 Hashtbl.replace queues m q;
                 q
           in
-          Queue.add ti q)
+          Queue.add (ti, mi) q)
         rep.members)
-    res.reports;
+    reports;
   let src_launches =
     List.filter_map (function Launch l -> Some l | _ -> None) source.p_schedule
     |> Array.of_list
@@ -485,16 +404,36 @@ let validate ?(options = Fusion.auto_options) ~source (res : Codegen.result) =
       leftover
       (if leftover = 1 then "" else "s")
   end;
+  (* a dependence ordered only through a launch outside a fused group
+     breaks a direct dependence at the report level, so direct ones
+     suffice for member order too *)
   List.iter
     (fun (i, j, a) ->
       match (pos.(i), pos.(j)) with
-      | Some pi, Some pj when pi > pj ->
+      | Some (pi, mi), Some (pj, mj) when pi = pj && mi > mj ->
+          emit col ~pass:Translation ~kernel:reports.(pi).new_kernel ~loc:Loc.none ~stmt:""
+            "fused member order violates the source DDG: %s must execute before %s"
+            src_launches.(i).l_kernel src_launches.(j).l_kernel
+      | Some (pi, _), Some (pj, _) when pi > pj ->
           emit col ~pass:Schedule ~kernel:src_launches.(j).l_kernel ~loc:Loc.none
             ~stmt:"" ~array:a
             "transformed schedule reorders a source dependence on %s: %s (launch %d) \
              must precede %s (launch %d)"
             a
-            src_launches.(i).l_kernel i src_launches.(j).l_kernel j
+            src_launches.(i).l_kernel i src_launches.(j).l_kernel j;
+          (* a fused kernel on either side may be the cause (its members
+             misordered through the other launch): name it, so a fatal
+             gate can split it *)
+          List.iter
+            (fun (rep : Codegen.kernel_report) ->
+              if rep.fusion_kind <> `None && List.length rep.members >= 2 then
+                emit col ~pass:Translation ~kernel:rep.new_kernel ~loc:Loc.none ~stmt:""
+                  ~array:a
+                  "fused kernel [%s] is on a reordered source dependence: %s (launch %d) \
+                   must precede %s (launch %d)"
+                  (String.concat "," rep.members)
+                  src_launches.(i).l_kernel i src_launches.(j).l_kernel j)
+            [ reports.(pi); reports.(pj) ]
       | _ -> ())
     deps;
   report_of col

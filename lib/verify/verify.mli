@@ -30,10 +30,12 @@
        rule settles is a [race] diagnostic at the first site of the
        open pair, naming both sites and the rules tried: the verifier
        proves or rejects, it never samples.}
-    {- {b Barrier divergence} — statically proves no barrier sits under
-       a thread-dependent conditional or inside a loop whose trip count
-       depends on [threadIdx] (a taint analysis from [threadIdx] through
-       scalar assignments; the simulator only catches this dynamically).
+    {- {b Barrier divergence} — each finding of
+       {!Kft_cuda.Check.barrier_divergence} (a barrier under a
+       thread-dependent conditional or in a loop with a thread-dependent
+       trip count, or a thread-dependent early return that a barrier can
+       follow) is a [barrier] diagnostic.  The frontend rejects the same
+       source kernels; here the analysis covers every emitted kernel.
        The race proof needs uniform barriers, so a divergent kernel gets
        no race analysis at all.}
     {- {b Bounds / halo checking} — Absint proves every access in
@@ -41,19 +43,23 @@
        bounds, or not proved either way, is a [bounds] diagnostic with
        its proved index range and the extent.}
     {- {b Translation validation} — passes 1–3 run over every kernel
-       [Codegen]/[Fusion] emit, and fused kernels are additionally
-       checked to preserve the member-order dependences recorded in the
-       source program's DDG/OEG, with the group's legality re-derived
-       through [Fusion.check_group]. A failed validation rejects the
-       group (the framework re-emits its members unfused), mirroring
-       {e and} cross-checking the forward legality rules.}
+       [Codegen]/[Fusion] emit, and each fused group's legality is
+       re-derived through [Fusion.check_group]; a source schedule
+       dependence between two members of one fused kernel whose member
+       order reverses it is a [translation] diagnostic on that kernel.
+       A failed validation rejects the group (the framework re-emits its
+       members unfused), mirroring {e and} cross-checking the forward
+       legality rules.}
     {- {b Schedule validation} — the whole-schedule dataflow analysis
        of [Kft_schedflow.Schedflow] runs over the transformed schedule
        (flagging non-input arrays read before any write and stores
        never read back) and every RAW / WAR / WAW dependence of the
        source schedule DDG is checked to hold end-to-end in the
-       transformed schedule, complementing the per-group member-order
-       check with inter-kernel coverage.}}
+       transformed schedule.  Those direct dependences decide member
+       order too: an order that holds only through a launch outside a
+       fused group breaks one of them between kernels, and each fused
+       kernel on either side of a broken one also gets a [translation]
+       diagnostic, so the group is rejected.}}
 
     A launch whose arguments do not match its kernel's parameters
     (arity or kind) is one [engine] diagnostic and is not analyzed
@@ -142,8 +148,10 @@ val validate :
     verifies every emitted kernel with passes 1–3, re-checks each fused
     group's legality through [Fusion.check_group] on freshly extracted
     canonical members, rejects fused kernels whose member order
-    contradicts the source OEG, and validates the whole transformed
-    schedule against the source schedule DDG (pass [schedule]: issue
+    reverses a source schedule dependence (a [translation] diagnostic on
+    the fused kernel, also for each fused kernel on either side of a
+    dependence the transformed schedule reorders), and validates the whole
+    transformed schedule against the source schedule DDG (pass [schedule]: issue
     checks plus end-to-end dependence preservation, with
     [sched_deps_checked] / [sched_fallback] recorded in the stats).
     Diagnostics carry the {e fused} kernel's name. *)

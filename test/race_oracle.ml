@@ -189,8 +189,6 @@ and global_access w t ~write host lin =
       ({ g_bid = t.bid; g_tid = t.tid; g_iv = t.interval; g_write = write; g_site = t.site }
       :: prev)
 
-let has_barrier stmts = fold_stmts (fun acc s -> acc || s = Syncthreads) false stmts
-
 let rec exec w t stmts =
   List.iter
     (fun s ->
@@ -207,7 +205,7 @@ let rec exec w t stmts =
           match eval w t c with
           | Some 0 -> exec w t el
           | Some _ -> exec w t th
-          | None when has_barrier th || has_barrier el -> exec w t th
+          | None when contains_barrier th || contains_barrier el -> exec w t th
           | None ->
               (* both arms; scalars they disagree on become unknown *)
               let before = Hashtbl.copy t.scalars in

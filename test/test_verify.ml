@@ -69,35 +69,125 @@ __global__ void collide(const double *A, double *B, int nx, int ny) {
     (let open String in
      length d.d_message > 0 && d.d_stmt <> "")
 
-let test_divergent_barrier () =
-  let src =
+(* One launch per kernel, each with a barrier that may diverge within a
+   block; [at] starts the line the finding must point at.  Each must be
+   rejected before the simulator runs: it raises [Sim_error] on all but
+   the early return. *)
+let divergent_barriers =
+  [
+    ("direct", "if (tx < 8)", {|
+  if (tx < 8) {
+    __syncthreads();
+  }|});
+    ("assigned under a condition", "if (t > 0)", {|
+  if (threadIdx.x < 8) {
+    t = 1;
+  }
+  if (t > 0) {
+    __syncthreads();
+  }|});
+    ("early return", "if (threadIdx.x >= 8)", {|
+  if (threadIdx.x >= 8) {
+    return;
+  }
+  __syncthreads();|});
+    ("assigned in a thread-dependent loop", "if (t > 0)", {|
+  for (int m = 0; m < threadIdx.x; m++) {
+    t = 1;
+  }
+  if (t > 0) {
+    __syncthreads();
+  }|});
+    ("loop-carried", "if (t > 0)", {|
+  for (int m = 0; m < 2; m++) {
+    if (t > 0) {
+      __syncthreads();
+    }
+    t = threadIdx.x;
+  }|});
+    ("early return before the next iteration's barrier", "if (tx >= 8)", {|
+  for (int m = 0; m < 2; m++) {
+    __syncthreads();
+    if (tx >= 8) {
+      return;
+    }
+  }|});
+  ]
+
+(* the [divergent_barriers] kernel around [body] *)
+let divb_src body =
+  Printf.sprintf
     {|
 __global__ void divb(double *B, int nx, int ny) {
   int tx = threadIdx.x;
   int gi = blockIdx.x * blockDim.x + tx;
   int gj = blockIdx.y * blockDim.y + threadIdx.y;
-  if (tx < 8) {
-    __syncthreads();
-  }
+  int t = 0;%s
   if (gi < nx && gj < ny) {
     B[gj * nx + gi] = 1.0;
   }
 }
 |}
-  in
-  let nx, ny, _ = dims in
-  let prog =
-    program_of ~arrays:[ "B" ] ~src
-      [ ("divb", [ Arg_array "B"; Arg_int nx; Arg_int ny ]) ]
-  in
-  let r = V.verify_program prog in
-  Alcotest.(check bool) "barrier divergence reported" true (has_pass V.Barrier r);
-  let d = diag_of V.Barrier r in
-  Alcotest.(check string) "kernel named" "divb" d.d_kernel;
-  Alcotest.(check bool) "carries a source line" true (d.d_loc.line > 0);
-  (* the frontend checker (same PR) rejects it statically too *)
-  let k = List.find (fun k -> k.k_name = "divb") prog.p_kernels in
-  Alcotest.(check bool) "Check.kernel rejects it" true (Kft_cuda.Check.kernel k <> [])
+    body
+
+let divb_program src =
+  program_of ~dims:(64, 16, 1) ~block:(16, 8, 1) ~arrays:[ "B" ] ~src
+    [ ("divb", [ Arg_array "B"; Arg_int 64; Arg_int 16 ]) ]
+
+let test_divergent_barrier () =
+  List.iter
+    (fun (name, at, body) ->
+      let src = divb_src body in
+      let line =
+        let rec find i = function
+          | [] -> Alcotest.failf "%s: no line starts with %s" name at
+          | l :: rest -> if String.starts_with ~prefix:at (String.trim l) then i else find (i + 1) rest
+        in
+        find 1 (String.split_on_char '\n' src)
+      in
+      let prog = divb_program src in
+      let errs = Kft_cuda.Check.kernel (List.hd prog.p_kernels) in
+      Alcotest.(check (list int)) (name ^ ": Check.kernel rejects it at the line") [ line ]
+        (List.map (fun (e : Kft_cuda.Check.error) -> e.loc.line) errs);
+      let r = V.verify_program prog in
+      Alcotest.(check (list (pair string int))) (name ^ ": one barrier diagnostic at the line")
+        [ ("divb", line) ]
+        (List.filter_map
+           (fun (d : V.diagnostic) -> if d.d_pass = V.Barrier then Some (d.d_kernel, d.d_loc.line) else None)
+           r.diagnostics);
+      match F.transform prog with
+      | _ -> Alcotest.failf "%s: Framework.transform accepted it" name
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool) (name ^ ": the error names the line") true
+            (Util.contains msg (Printf.sprintf "divb:%d:" line)))
+    divergent_barriers
+
+(* Threads that return after the last barrier can no longer miss one:
+   the usual tile-load, sync, early-exit shape is valid CUDA. *)
+let test_return_after_last_barrier () =
+  List.iter
+    (fun (name, body) ->
+      let prog = divb_program (divb_src body) in
+      Alcotest.(check (list string)) (name ^ ": Check.kernel accepts it") []
+        (List.map Kft_cuda.Check.pp_error (Kft_cuda.Check.kernel (List.hd prog.p_kernels)));
+      Alcotest.(check bool) (name ^ ": no barrier diagnostic") false
+        (has_pass V.Barrier (V.verify_program prog));
+      Alcotest.(check bool) (name ^ ": transformed and verified") true
+        ((F.transform prog).verified = Ok ()))
+    [
+      ("after a barrier", {|
+  __syncthreads();
+  if (tx >= 8) {
+    return;
+  }|});
+      ("after a loop of barriers", {|
+  for (int m = 0; m < 2; m++) {
+    __syncthreads();
+  }
+  if (tx >= 8) {
+    return;
+  }|});
+    ]
 
 let test_oob_halo () =
   (* unguarded left-halo read: thread (0,_) of block (0,_) reads A[-1] *)
@@ -163,6 +253,57 @@ let test_order_violation () =
   let d = diag_of V.Translation r in
   Alcotest.(check bool) "diagnostic names the fused kernel" true
     (String.length d.d_kernel > 0 && d.d_kernel <> "produce" && d.d_kernel <> "consume")
+
+(* [produce] and [consume] share no array: [consume] depends on
+   [produce] only through [middle], which stays outside their fused
+   group.  Fused in the wrong order, the group breaks a direct
+   dependence on one side of [middle] wherever [middle] is placed. *)
+let test_transitive_order_violation () =
+  let src =
+    String.concat "\n"
+      [
+        Util.pointwise_src ~name:"produce" ~a:"A" ~b:"A" ~dst:"V";
+        Util.pointwise_src ~name:"middle" ~a:"V" ~b:"V" ~dst:"W";
+        Util.pointwise_src ~name:"consume" ~a:"W" ~b:"W" ~dst:"X";
+      ]
+  in
+  let nx, ny, nz = dims in
+  let args arrays = Util.std_args (nx, ny, nz) arrays 0.5 in
+  let prog =
+    program_of ~arrays:[ "A"; "V"; "W"; "X" ] ~src
+      [
+        ("produce", args [ "A"; "A"; "V" ]);
+        ("middle", args [ "V"; "V"; "W" ]);
+        ("consume", args [ "W"; "W"; "X" ]);
+      ]
+  in
+  let launch name =
+    List.find_map (function Launch l when l.l_kernel = name -> Some l | _ -> None) prog.p_schedule
+    |> Option.get
+  in
+  List.iter
+    (fun groups ->
+      let res = Kft_codegen.Codegen.transform Util.device prog ~groups:(List.map (List.map launch) groups) in
+      Alcotest.(check bool) "the reversed pair does fuse" true
+        (List.exists
+           (fun (r : Kft_codegen.Codegen.kernel_report) ->
+             r.fusion_kind <> `None && r.members = [ "consume"; "produce" ])
+           res.reports);
+      let r = V.validate ~source:prog res in
+      Alcotest.(check bool) "a broken dependence is reported" true
+        (List.exists
+           (fun (d : V.diagnostic) ->
+             d.d_pass = V.Schedule && Util.contains d.d_message "reorders a source dependence")
+           r.diagnostics);
+      (* a fatal gate splits the fused kernels a diagnostic names *)
+      let fused =
+        List.find (fun (r : Kft_codegen.Codegen.kernel_report) -> r.fusion_kind <> `None) res.reports
+      in
+      Alcotest.(check bool) "the fused kernel is named" true
+        (List.exists
+           (fun (d : V.diagnostic) -> d.d_pass = V.Translation && d.d_kernel = fused.new_kernel)
+           r.diagnostics))
+    [ [ [ "consume"; "produce" ]; [ "middle" ] ]; [ [ "middle" ]; [ "consume"; "produce" ] ] ]
 
 (* A producer and a consumer whose even and odd cells of a row are
    written by different statements: the forms 2*gi and 2*gi+[odd]
@@ -605,6 +746,10 @@ let suite =
     Alcotest.test_case "out-of-bounds halo read is reported" `Quick test_oob_halo;
     Alcotest.test_case "DDG order violation fails translation validation" `Quick
       test_order_violation;
+    Alcotest.test_case "a fused order broken only through an outside launch is reported" `Quick
+      test_transitive_order_violation;
+    Alcotest.test_case "a return after the last barrier is accepted" `Quick
+      test_return_after_last_barrier;
     Alcotest.test_case "clean producer/consumer program verifies clean" `Quick
       test_clean_program_is_clean;
     Alcotest.test_case "six application sources verify clean" `Quick test_apps_sources_clean;

@@ -17,21 +17,6 @@
 
 module L = Kft_absint.Lint
 
-let measured_of device (a : Kft_apps.Apps.app) =
-  let run = Kft_sim.Profiler.profile device a.program in
-  let tbl : (string, float) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (p : Kft_sim.Profiler.kernel_profile) ->
-      let b =
-        float_of_int
-          (p.stats.Kft_sim.Interp.global_read_bytes
-         + p.stats.Kft_sim.Interp.global_write_bytes)
-      in
-      let cur = match Hashtbl.find_opt tbl p.kernel with Some c -> c | None -> 0.0 in
-      Hashtbl.replace tbl p.kernel (cur +. b))
-    run.profiles;
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-
 let () =
   let smoke = Array.length Sys.argv > 1 && Sys.argv.(1) = "smoke" in
   let apps =
@@ -43,7 +28,11 @@ let () =
   let crashes = ref 0 in
   List.iter
     (fun (a : Kft_apps.Apps.app) ->
-      match L.program ~measured:(measured_of device a) a.program with
+      match
+        L.program
+          ~measured:Kft_sim.Profiler.(traffic_by_kernel (profile device a.program))
+          a.program
+      with
       | fs ->
           let w = L.warnings fs in
           Printf.printf "%-28s %s  (%d warnings, %d advisory notes)\n"

@@ -33,47 +33,11 @@ let check what (r : V.report) =
     List.iter (fun d -> Printf.printf "    %s\n" (V.pp_diagnostic d)) r.diagnostics
   end
 
-(* the three-kernel program of examples/quickstart.ml *)
-let quickstart_source =
-  {|
-__global__ void diffuse(const double *U, double *V, int nx, int ny, int nz, double c) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  int j = blockIdx.y * blockDim.y + threadIdx.y;
-  if (i >= 1 && i < nx - 1 && j >= 1 && j < ny - 1) {
-    for (int k = 1; k < nz - 1; k++) {
-      V[(k * ny + j) * nx + i] = c * (U[(k * ny + j) * nx + i + 1] + U[(k * ny + j) * nx + i - 1]
-        + U[(k * ny + (j + 1)) * nx + i] + U[(k * ny + (j - 1)) * nx + i]
-        + U[((k + 1) * ny + j) * nx + i] + U[((k - 1) * ny + j) * nx + i]
-        - 6.0 * U[(k * ny + j) * nx + i]);
-    }
-  }
-}
-__global__ void smooth(const double *V, const double *U, double *W, int nx, int ny, int nz, double c) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  int j = blockIdx.y * blockDim.y + threadIdx.y;
-  if (i >= 2 && i < nx - 2 && j >= 2 && j < ny - 2) {
-    for (int k = 2; k < nz - 2; k++) {
-      W[(k * ny + j) * nx + i] = 0.25 * (V[(k * ny + j) * nx + i + 1] + V[(k * ny + j) * nx + i - 1]
-        + V[(k * ny + (j + 1)) * nx + i] + V[(k * ny + (j - 1)) * nx + i])
-        + c * U[(k * ny + j) * nx + i];
-    }
-  }
-}
-__global__ void relax(const double *W, double *U2, int nx, int ny, int nz, double c) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  int j = blockIdx.y * blockDim.y + threadIdx.y;
-  if (i < nx && j < ny) {
-    for (int k = 0; k < nz; k++) {
-      U2[(k * ny + j) * nx + i] = c * W[(k * ny + j) * nx + i];
-    }
-  }
-}
-|}
-
+(* the quickstart kernels at their own launch shape: block 16x8, c = 0.1 *)
 let quickstart_program () =
   let open Kft_cuda.Ast in
   let nx, ny, nz = (64, 16, 12) in
-  let kernels = Kft_cuda.Parse.kernels quickstart_source in
+  let kernels = Kft_cuda.Parse.kernels Kft_apps.Apps.quickstart_source in
   let arrays =
     List.map
       (fun a -> { a_name = a; a_elem_ty = Double; a_dims = [ nx; ny; nz ] })
