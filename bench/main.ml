@@ -4,7 +4,8 @@
    Usage:
      bench/main.exe                 -- run everything
      bench/main.exe table1 fig4 ... -- run selected experiments
-     bench/main.exe micro           -- Bechamel component micro-benchmarks
+     bench/main.exe micro           -- simulator launch ladder + Bechamel
+                                       component micro-benchmarks
 
    One transformation per (application, configuration) pair is computed
    lazily and cached, so tables and figures that share a configuration
@@ -553,17 +554,27 @@ let sim () =
     "== simulator throughput: interpret / compiled-affine / block-parallel ==";
   Printf.printf "   (parallel configs at jobs=%d; this host reports %d core(s))\n%!" !jobs
     (Domain.recommended_domain_count ());
-  let repeats = 2 in
-  let time ~jobs ~affine ?backend p =
-    (* best-of-N wall time; memory and stats are identical across repeats *)
-    let best = ref infinity and result = ref None in
-    for _ = 1 to repeats do
-      let wall, mem, stats = sim_run_at ~jobs ~affine ?backend p in
-      if wall < !best then best := wall;
-      result := Some (mem, stats)
+  let repeats = 9 in
+  (* [repeats] rounds, each running every given run once in turn, so a
+     burst of host load hits all of them alike. Per run: the median wall
+     time, its spread (max - min over the median), and the first
+     round's memory and stats (identical across rounds). *)
+  let time_all runs =
+    let first = List.map (fun run -> run ()) runs in
+    let walls = List.map (fun (wall, _, _) -> ref [ wall ]) first in
+    for _ = 2 to repeats do
+      List.iter2
+        (fun run ws ->
+          let wall, _, _ = run () in
+          ws := wall :: !ws)
+        runs walls
     done;
-    let mem, stats = Option.get !result in
-    (!best, mem, stats)
+    List.map2
+      (fun ws (_, mem, stats) ->
+        let ws = List.sort compare !ws in
+        let median = List.nth ws (repeats / 2) in
+        ((median, (List.nth ws (repeats - 1) -. List.hd ws) /. median), mem, stats))
+      walls first
   in
   let total_threads stats =
     List.fold_left (fun a (s : Kft_sim.Interp.stats) -> a + s.threads_launched) 0 stats
@@ -578,7 +589,8 @@ let sim () =
         | _ -> acc)
       0 p.p_schedule
   in
-  print_endline "application   config           wall(s)  Mthreads/s  Mcells/s  speedup";
+  print_endline
+    "application   config           wall(s) spread  Mthreads/s  Mcells/s  speedup";
   let json_apps = ref [] in
   List.iter
     (fun name ->
@@ -595,17 +607,17 @@ let sim () =
         ]
       in
       let walls =
-        List.map
-          (fun (cname, jobs, affine) ->
-            let wall, _, _ = time ~jobs ~affine p in
-            (cname, wall))
+        List.map2
+          (fun (cname, _, _) (wall, _, _) -> (cname, wall))
           configs
+          (time_all
+             (List.map (fun (_, jobs, affine) () -> sim_run_at ~jobs ~affine p) configs))
       in
-      let base = List.assoc "interpret" walls in
+      let base = fst (List.assoc "interpret" walls) in
       List.iter
-        (fun (cname, wall) ->
-          Printf.printf "%-13s %-16s %7.3f %11.2f %9.2f %8.2fx\n%!" name cname wall
-            (threads /. wall /. 1e6) (cells /. wall /. 1e6) (base /. wall))
+        (fun (cname, (wall, spread)) ->
+          Printf.printf "%-13s %-16s %7.3f %6.1f%% %11.2f %9.2f %8.2fx\n%!" name cname wall
+            (100.0 *. spread) (threads /. wall /. 1e6) (cells /. wall /. 1e6) (base /. wall))
         walls;
       (* bit-identity: every (jobs, affine, backend) setting must
          reproduce the sequential reference interpreter's memory and
@@ -632,10 +644,10 @@ let sim () =
         ];
       let fields =
         List.map
-          (fun (cname, wall) ->
+          (fun (cname, (wall, spread)) ->
             Printf.sprintf
-              {|      {"name": "%s", "wall_s": %.6f, "threads_per_s": %.0f, "cells_per_s": %.0f, "speedup": %.3f}|}
-              cname wall (threads /. wall) (cells /. wall) (base /. wall))
+              {|      {"name": "%s", "wall_s": %.6f, "spread": %.3f, "threads_per_s": %.0f, "cells_per_s": %.0f, "speedup": %.3f}|}
+              cname wall spread (threads /. wall) (cells /. wall) (base /. wall))
           walls
       in
       json_apps :=
@@ -653,8 +665,8 @@ let sim () =
   print_endline "program            guards  wall-before(s)  wall-after(s)  speedup";
   let guard_rows = ref [] in
   let datapoint name before after eliminated =
-    let wb, mb, _ = time ~jobs:1 ~affine:true before in
-    let wa, ma, _ = time ~jobs:1 ~affine:true after in
+    let timed = time_all [ (fun () -> sim_run ~affine:true before); (fun () -> sim_run ~affine:true after) ] in
+    let (wb, _), mb, _ = List.nth timed 0 and (wa, _), ma, _ = List.nth timed 1 in
     if not (Kft_sim.Memory.equal_within ~tol:0.0 mb ma) then begin
       Printf.eprintf "[bench] sim: guard elimination changed results on %s\n%!" name;
       exit 1
@@ -727,9 +739,10 @@ let sim () =
   in
   let json =
     Printf.sprintf
-      "{\n  \"bench\": \"sim\",\n  \"jobs\": %d,\n  \"cores\": %d,\n  \"seed\": 42,\n  \"deterministic\": true,\n  \"apps\": [\n%s\n  ],\n  \"guard_elimination\": [\n%s\n  ],\n  \"stage_breakdown\": [\n%s\n  ]\n}\n"
+      "{\n  \"bench\": \"sim\",\n  \"jobs\": %d,\n  \"cores\": %d,\n  \"seed\": 42,\n  \"repeats\": %d,\n  \"wall_s\": \"median\",\n  \"spread\": \"(max - min) / median\",\n  \"deterministic\": true,\n  \"apps\": [\n%s\n  ],\n  \"guard_elimination\": [\n%s\n  ],\n  \"stage_breakdown\": [\n%s\n  ]\n}\n"
       !jobs
       (Domain.recommended_domain_count ())
+      repeats
       (String.concat ",\n" (List.rev !json_apps))
       (String.concat ",\n" (List.rev !guard_rows))
       (String.concat ",\n" stage_rows)
@@ -991,7 +1004,135 @@ let smoke () =
 (* Bechamel micro-benchmarks of framework components                   *)
 (* ------------------------------------------------------------------ *)
 
+(* Per-launch cost ladder of the two simulator paths, on sim-bound's
+   256x64x12 grid: an empty body (per-thread overhead), one [double]
+   declaration (per-statement overhead), the compute-bound body's
+   32-term float chain without and with its vertical loop (per-flop
+   cost), and one shared-memory fused launch of a transformed MITgcm
+   (tile staging and hazard bookkeeping). Each rung is timed best-of-5
+   on freshly seeded memory, and both paths must agree bit for bit. *)
+let ladder () =
+  print_endline "== simulator launch ladder (reference interpreter vs compiled-affine) ==";
+  let open Kft_cuda.Ast in
+  let d = { Kft_apps.Gen.nx = 256; ny = 64; nz = 12 } in
+  let one_launch name body =
+    let src =
+      Printf.sprintf
+        "__global__ void %s(const double *A, double *B, int nx, int ny, int nz, double c) {\n%s\n}"
+        name body
+    in
+    {
+      p_name = name;
+      p_arrays = [ Kft_apps.Gen.arr3 d "A"; Kft_apps.Gen.arr3 d "B" ];
+      p_kernels = [ Kft_cuda.Parse.kernel src ];
+      p_schedule =
+        [
+          Launch
+            {
+              l_kernel = name;
+              l_domain = (d.nx, d.ny, 1);
+              l_block = (16, 8, 1);
+              l_args =
+                [ Arg_array "A"; Arg_array "B"; Arg_int d.nx; Arg_int d.ny; Arg_int d.nz;
+                  Arg_double 0.99 ];
+            };
+        ];
+    }
+  in
+  let chain =
+    String.concat "\n"
+      (List.init 32 (fun t ->
+           Printf.sprintf "  double t%d = x * %.2f + %.1f;" t (1.0 +. (0.01 *. float_of_int t))
+             (0.5 *. float_of_int t)))
+    ^ Printf.sprintf "\n  B[j * nx + i] = c * (%s);"
+        (String.concat " + " (List.init 32 (Printf.sprintf "t%d")))
+  in
+  let ij =
+    "  int i = blockIdx.x * blockDim.x + threadIdx.x;\n\
+    \  int j = blockIdx.y * blockDim.y + threadIdx.y;\n"
+  in
+  let eos = Kft_apps.Gen.compute_bound d ~name:"eos" ~out:"B" ~src:"A" () in
+  let fused =
+    let a = Apps.mitgcm () in
+    let config =
+      {
+        F.default_config with
+        device;
+        gga_params = gga ~generations:10 ~population:20 ();
+        codegen_options = Fusion.auto_options;
+        verify_mode = F.Verify_off;
+        seed = 42;
+      }
+    in
+    let r = F.transform ~config a.program in
+    let p = r.transformed in
+    let staged (l : launch) =
+      String.length l.l_kernel > 3
+      && String.sub l.l_kernel 0 3 = "K_f"
+      && fold_stmts
+           (fun acc s -> acc || match s with Shared_decl _ -> true | _ -> false)
+           false (find_kernel p l.l_kernel).k_body
+    in
+    match List.filter_map (function Launch l when staged l -> Some l | _ -> None) p.p_schedule with
+    | l :: _ -> Some ("MITgcm " ^ l.l_kernel, { p with p_schedule = [ Launch l ] })
+    | [] -> None
+  in
+  let rungs =
+    [
+      ("empty body", one_launch "empty" "");
+      ("one Decl Double", one_launch "decl" "  double x = A[threadIdx.x];");
+      ("32-term chain", one_launch "chain" (ij ^ "  double x = A[j * nx + i];\n" ^ chain));
+      ( "32-term chain, k-loop",
+        {
+          p_name = "eos";
+          p_arrays = eos.arrays;
+          p_kernels = [ eos.kernel ];
+          p_schedule = [ Launch eos.launch ];
+        } );
+    ]
+    @ Option.to_list fused
+  in
+  Printf.printf "  %-26s %-16s %9s %10s %9s %13s\n" "launch" "path" "ms" "ns/thread" "ns/flop"
+    "words/thread";
+  List.iter
+    (fun (name, (p : program)) ->
+      let l = List.find_map (function Launch l -> Some l | _ -> None) p.p_schedule |> Option.get in
+      let once affine =
+        let mem = Kft_sim.Memory.create p.p_arrays in
+        Kft_sim.Memory.init_seeded mem ~seed:42;
+        let w0 = Gc.minor_words () in
+        let t0 = Unix.gettimeofday () in
+        let stats = Kft_sim.Interp.launch ~affine mem p l in
+        (Unix.gettimeofday () -. t0, Gc.minor_words () -. w0, mem, stats)
+      in
+      (* the two paths alternate, so both see the same host load *)
+      let best = [| infinity; infinity |] and last = [| None; None |] in
+      for _ = 1 to 5 do
+        List.iteri
+          (fun i affine ->
+            let wall, words, mem, stats = once affine in
+            best.(i) <- Float.min best.(i) wall;
+            last.(i) <- Some (words, mem, stats))
+          [ false; true ]
+      done;
+      let words_i, mi, si = Option.get last.(0) and words_a, ma, sa = Option.get last.(1) in
+      if not (Kft_sim.Memory.equal_within ~tol:0.0 mi ma && si = sa) then begin
+        Printf.eprintf "[bench] ladder: %s differs between the two paths\n%!" name;
+        exit 1
+      end;
+      let threads = float_of_int si.threads_launched in
+      List.iter
+        (fun (path, wall, words) ->
+          Printf.printf "  %-26s %-16s %9.2f %10.1f %9s %13.2f\n%!" name path (1000.0 *. wall)
+            (1e9 *. wall /. threads)
+            (if si.flops > 0.0 then Printf.sprintf "%.2f" (1e9 *. wall /. si.flops) else "-")
+            (words /. threads))
+        [ ("interpret", best.(0), words_i); ("compiled-affine", best.(1), words_a) ])
+    rungs;
+  print_newline ()
+
 let micro () =
+  ladder ();
   print_endline "== component micro-benchmarks (Bechamel) ==";
   let open Bechamel in
   let a = app "MITgcm" in

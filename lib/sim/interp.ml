@@ -184,27 +184,46 @@ let rec float_flops lookup e =
 (* Expression compilation                                              *)
 (* ------------------------------------------------------------------ *)
 
+let shared_oob st name i d =
+  err st (Printf.sprintf "shared array %s index %d out of bounds [0,%d)" name i d)
+
 let shared_addr st dims idx_fns name t =
   let rec go dims fns acc =
     match (dims, fns) with
     | [], [] -> acc
     | d :: dims', f :: fns' ->
         let i = f t in
-        if i < 0 || i >= d then
-          err st (Printf.sprintf "shared array %s index %d out of bounds [0,%d)" name i d)
-        else go dims' fns' ((acc * d) + i)
+        if i < 0 || i >= d then shared_oob st name i d else go dims' fns' ((acc * d) + i)
     | _ -> err st (Printf.sprintf "shared array %s: wrong number of indices" name)
   in
   go dims idx_fns 0
 
-(* Left-leaning [+]/[-] chains, leftmost term first. [a + b - c] yields
-   [(true, a); (true, b); (false, c)]: the sign belongs to the term, and
-   since IEEE subtraction is addition of the negated operand, folding the
-   sign into the leaf closure is bit-exact. *)
-let rec sum_terms e acc =
+(* Fast-path tile address: a 1-D or 2-D tile in one closure, with
+   [shared_addr]'s per-dimension checks in its order and with its
+   messages; other ranks go through [shared_addr]. *)
+let shared_index st dims idx_fns name : int -> int =
+  match (dims, idx_fns) with
+  | [ d0 ], [ f0 ] ->
+      fun t ->
+        let i = f0 t in
+        if i < 0 || i >= d0 then shared_oob st name i d0 else i
+  | [ d0; d1 ], [ f0; f1 ] ->
+      fun t ->
+        let i = f0 t in
+        if i < 0 || i >= d0 then shared_oob st name i d0
+        else
+          let k = f1 t in
+          if k < 0 || k >= d1 then shared_oob st name k d1 else (i * d1) + k
+  | _ -> shared_addr st dims idx_fns name
+
+(* Left-leaning [+]/[-] chains, leftmost term first, as [(is_add, term)]
+   pairs: [a + b - c] yields [(true, a); (true, b); (false, c)]. The
+   chain follows the left spine only while the node is float-typed, so
+   an int-typed prefix stays one term and keeps its integer arithmetic. *)
+let rec float_sum_terms lookup e acc =
   match e with
-  | Binop (Add, l, r) -> sum_terms l ((true, r) :: acc)
-  | Binop (Sub, l, r) -> sum_terms l ((false, r) :: acc)
+  | Binop (((Add | Sub) as op), l, r) when ty_of lookup e = EFloat ->
+      float_sum_terms lookup l ((op = Add, r) :: acc)
   | _ -> (true, e) :: acc
 
 (* compile-time integer constants: literals, bound scalar parameters and
@@ -247,6 +266,98 @@ let const_float_of lookup e =
       | _ -> None)
   | _ -> None
 
+(* A float operand on the fast path. A register or a compile-time
+   constant is read inside its parent's closure; anything else is a
+   child closure that deposits its value in [st.acc]. *)
+type operand = Reg of float array | Imm of float | Clo of (int -> unit)
+
+let[@inline] read_operand acc o t =
+  match o with
+  | Reg a -> Array.unsafe_get a t
+  | Imm c -> c
+  | Clo f ->
+      f t;
+      acc.v
+
+let[@inline] arith op x y =
+  match op with
+  | Add -> x +. y
+  | Sub -> x -. y
+  | Mul -> x *. y
+  | Div -> x /. y
+  | _ -> Float.rem x y
+
+(* [l op r] in one closure. Operand order is kept, so rounding is the
+   reference's bit for bit; a register read after the other operand's
+   closure ran sees the same value, since expressions never write
+   registers. [+] and [*], the hot operators, are spelled out: matching
+   on [op] per evaluation costs about as much as the arithmetic. *)
+let float_binop st op l r : int -> unit =
+  let acc = st.acc in
+  match (op, l, r) with
+  | (Add | Sub | Mul | Div | Mod), Imm x, Imm y ->
+      let v = arith op x y in
+      fun _ -> acc.v <- v
+  | Add, Reg a, Imm y -> fun t -> acc.v <- Array.unsafe_get a t +. y
+  | Add, Imm x, Reg b -> fun t -> acc.v <- x +. Array.unsafe_get b t
+  | Add, Reg a, Reg b -> fun t -> acc.v <- Array.unsafe_get a t +. Array.unsafe_get b t
+  | Add, Clo f, Imm y -> fun t -> f t; acc.v <- acc.v +. y
+  | Add, Imm x, Clo g -> fun t -> g t; acc.v <- x +. acc.v
+  | Add, Clo f, Reg b -> fun t -> f t; acc.v <- acc.v +. Array.unsafe_get b t
+  | Add, Reg a, Clo g -> fun t -> g t; acc.v <- Array.unsafe_get a t +. acc.v
+  | Add, Clo f, Clo g -> fun t -> f t; let x = acc.v in g t; acc.v <- x +. acc.v
+  | Mul, Reg a, Imm y -> fun t -> acc.v <- Array.unsafe_get a t *. y
+  | Mul, Imm x, Reg b -> fun t -> acc.v <- x *. Array.unsafe_get b t
+  | Mul, Reg a, Reg b -> fun t -> acc.v <- Array.unsafe_get a t *. Array.unsafe_get b t
+  | Mul, Clo f, Imm y -> fun t -> f t; acc.v <- acc.v *. y
+  | Mul, Imm x, Clo g -> fun t -> g t; acc.v <- x *. acc.v
+  | Mul, Clo f, Reg b -> fun t -> f t; acc.v <- acc.v *. Array.unsafe_get b t
+  | Mul, Reg a, Clo g -> fun t -> g t; acc.v <- Array.unsafe_get a t *. acc.v
+  | Mul, Clo f, Clo g -> fun t -> f t; let x = acc.v in g t; acc.v <- x *. acc.v
+  | (Sub | Div | Mod), Reg a, Imm y -> fun t -> acc.v <- arith op (Array.unsafe_get a t) y
+  | (Sub | Div | Mod), Imm x, Reg b -> fun t -> acc.v <- arith op x (Array.unsafe_get b t)
+  | (Sub | Div | Mod), Reg a, Reg b ->
+      fun t -> acc.v <- arith op (Array.unsafe_get a t) (Array.unsafe_get b t)
+  | (Sub | Div | Mod), Clo f, Imm y -> fun t -> f t; acc.v <- arith op acc.v y
+  | (Sub | Div | Mod), Imm x, Clo g -> fun t -> g t; acc.v <- arith op x acc.v
+  | (Sub | Div | Mod), Clo f, Reg b -> fun t -> f t; acc.v <- arith op acc.v (Array.unsafe_get b t)
+  | (Sub | Div | Mod), Reg a, Clo g -> fun t -> g t; acc.v <- arith op (Array.unsafe_get a t) acc.v
+  | (Sub | Div | Mod), Clo f, Clo g -> fun t -> f t; let x = acc.v in g t; acc.v <- arith op x acc.v
+  | _ -> err st "comparison in float context"
+
+(* a [+]/[-] chain of any length in one closure, left to right, the
+   reference's association order and hence its rounding. A chain of
+   registers only (the compute-bound kernels' sum) skips the per-term
+   operand match. *)
+let float_sum_chain st terms : int -> unit =
+  let acc = st.acc in
+  let adds = Array.of_list (List.map fst terms) and ops = Array.of_list (List.map snd terms) in
+  let n = Array.length ops in
+  match List.filter_map (function _, Reg a -> Some a | _ -> None) terms with
+  | regs when List.compare_lengths regs terms = 0 ->
+      let regs = Array.of_list regs in
+      fun t ->
+        let s = ref (Array.unsafe_get (Array.unsafe_get regs 0) t) in
+        for i = 1 to n - 1 do
+          let x = Array.unsafe_get (Array.unsafe_get regs i) t in
+          s := if Array.unsafe_get adds i then !s +. x else !s -. x
+        done;
+        acc.v <- !s
+  | _ ->
+      fun t ->
+        let s = ref (read_operand acc (Array.unsafe_get ops 0) t) in
+        for i = 1 to n - 1 do
+          let x = read_operand acc (Array.unsafe_get ops i) t in
+          s := if Array.unsafe_get adds i then !s +. x else !s -. x
+        done;
+        acc.v <- !s
+
+(* the register file of an integer scalar, for peepholes that read it
+   inside their parent's closure *)
+let int_reg st lookup e =
+  match e with
+  | Var v -> ( match lookup v with Int_slot s -> Some st.iregs.(s) | _ -> None)
+  | _ -> None
 
 let rec compile_int st lookup e : int -> int =
   match (if st.fast then static_int lookup e else None) with
@@ -275,27 +386,33 @@ let rec compile_int st lookup e : int -> int =
           if st.fast then fun t -> Array.unsafe_get arr t else fun t -> arr.(t)
       | Const_float _ | Float_slot _ -> err st (Printf.sprintf "variable %s used as integer but is double" v)
       | Global _ | Shared _ -> err st (Printf.sprintf "array %s used as scalar" v))
-  (* peepholes for the post-affine hot shapes: slot +/- constant in one
-     closure instead of three. Register files are indexed by the thread
-     id, which the exec loops keep inside [0, nthreads), so the checked
-     access is provably redundant. *)
-  | (Binop (Add, Var v, Int_lit c) | Binop (Add, Int_lit c, Var v))
-    when st.fast && (match lookup v with Int_slot _ -> true | _ -> false) ->
-      let arr = match lookup v with Int_slot s -> st.iregs.(s) | _ -> assert false in
-      fun t -> Array.unsafe_get arr t + c
-  | Binop (Sub, Var v, Int_lit c)
-    when st.fast && (match lookup v with Int_slot _ -> true | _ -> false) ->
-      let arr = match lookup v with Int_slot s -> st.iregs.(s) | _ -> assert false in
-      fun t -> Array.unsafe_get arr t - c
-  | (Binop (Add, a, Int_lit c) | Binop (Add, Int_lit c, a)) when st.fast ->
-      let fa = compile_int st lookup a in
-      fun t -> fa t + c
-  | Binop (Sub, a, Int_lit c) when st.fast ->
-      let fa = compile_int st lookup a in
-      fun t -> fa t - c
+  (* peepholes for the post-affine hot shapes: an operand and a constant
+     in one closure, a register operand read in place. Register files
+     are indexed by the thread id, which the exec loops keep inside
+     [0, nthreads), so the checked access is provably redundant. *)
+  | (Binop (Add, a, Int_lit c) | Binop (Add, Int_lit c, a)) when st.fast -> (
+      match int_reg st lookup a with
+      | Some arr -> fun t -> Array.unsafe_get arr t + c
+      | None ->
+          let fa = compile_int st lookup a in
+          fun t -> fa t + c)
+  | Binop (Sub, a, Int_lit c) when st.fast -> (
+      match int_reg st lookup a with
+      | Some arr -> fun t -> Array.unsafe_get arr t - c
+      | None ->
+          let fa = compile_int st lookup a in
+          fun t -> fa t - c)
   | (Binop (Mul, a, Int_lit c) | Binop (Mul, Int_lit c, a)) when st.fast ->
       let fa = compile_int st lookup a in
       fun t -> fa t * c
+  (* a nonzero constant divisor needs no per-thread zero test; a zero
+     one keeps the reference's per-thread error *)
+  | Binop (((Div | Mod) as op), a, b) when st.fast -> (
+      match static_int lookup b with
+      | Some c when c <> 0 ->
+          let fa = compile_int st lookup a in
+          if op = Div then fun t -> fa t / c else fun t -> fa t mod c
+      | _ -> compile_int_binop st lookup op a b)
   (* the canonical thread-id expression [blockIdx.d * blockDim.d +
      threadIdx.d'] in one closure *)
   | Binop (Add, Binop (Mul, Builtin (Block_idx db), Int_lit c), Builtin (Thread_idx dt))
@@ -305,57 +422,30 @@ let rec compile_int st lookup e : int -> int =
       | X -> fun t -> (st.bix * c) + Array.unsafe_get tarr t
       | Y -> fun t -> (st.biy * c) + Array.unsafe_get tarr t
       | Z -> fun t -> (st.biz * c) + Array.unsafe_get tarr t)
-  (* guard compares against compile-time constants in one closure *)
-  | Binop (((Lt | Le | Gt | Ge | Eq | Ne) as op), Var v, b)
-    when st.fast
-         && (match lookup v with Int_slot _ -> true | _ -> false)
-         && static_int lookup b <> None -> (
-      let arr = match lookup v with Int_slot s -> st.iregs.(s) | _ -> assert false in
-      let c = Option.get (static_int lookup b) in
-      match op with
-      | Lt -> fun t -> if Array.unsafe_get arr t < c then 1 else 0
-      | Le -> fun t -> if Array.unsafe_get arr t <= c then 1 else 0
-      | Gt -> fun t -> if Array.unsafe_get arr t > c then 1 else 0
-      | Ge -> fun t -> if Array.unsafe_get arr t >= c then 1 else 0
-      | Eq -> fun t -> if Array.unsafe_get arr t = c then 1 else 0
-      | Ne -> fun t -> if Array.unsafe_get arr t <> c then 1 else 0
-      | _ -> assert false)
-  | Binop (((Lt | Le | Gt | Ge | Eq | Ne) as op), a, Var v)
-    when st.fast
-         && (match lookup v with Int_slot _ -> true | _ -> false)
-         && static_int lookup a <> None -> (
-      let arr = match lookup v with Int_slot s -> st.iregs.(s) | _ -> assert false in
-      let c = Option.get (static_int lookup a) in
-      match op with
-      | Lt -> fun t -> if c < Array.unsafe_get arr t then 1 else 0
-      | Le -> fun t -> if c <= Array.unsafe_get arr t then 1 else 0
-      | Gt -> fun t -> if c > Array.unsafe_get arr t then 1 else 0
-      | Ge -> fun t -> if c >= Array.unsafe_get arr t then 1 else 0
-      | Eq -> fun t -> if c = Array.unsafe_get arr t then 1 else 0
-      | Ne -> fun t -> if c <> Array.unsafe_get arr t then 1 else 0
-      | _ -> assert false)
-  | Binop (op, a, b) -> (
-      let fa = compile_int st lookup a and fb = compile_int st lookup b in
-      match op with
-      | Add -> fun t -> fa t + fb t
-      | Sub -> fun t -> fa t - fb t
-      | Mul -> fun t -> fa t * fb t
-      | Div ->
-          fun t ->
-            let d = fb t in
-            if d = 0 then err st "integer division by zero" else fa t / d
-      | Mod ->
-          fun t ->
-            let d = fb t in
-            if d = 0 then err st "integer modulo by zero" else fa t mod d
-      | Lt -> fun t -> if fa t < fb t then 1 else 0
-      | Le -> fun t -> if fa t <= fb t then 1 else 0
-      | Gt -> fun t -> if fa t > fb t then 1 else 0
-      | Ge -> fun t -> if fa t >= fb t then 1 else 0
-      | Eq -> fun t -> if fa t = fb t then 1 else 0
-      | Ne -> fun t -> if fa t <> fb t then 1 else 0
-      | And -> fun t -> if fa t <> 0 && fb t <> 0 then 1 else 0
-      | Or -> fun t -> if fa t <> 0 || fb t <> 0 then 1 else 0)
+  (* guard compares of a register against a compile-time constant in one
+     closure *)
+  | Binop (((Lt | Le | Gt | Ge | Eq | Ne) as op), a, b) when st.fast -> (
+      match (int_reg st lookup a, static_int lookup b, static_int lookup a, int_reg st lookup b) with
+      | Some arr, Some c, _, _ -> (
+          match op with
+          | Lt -> fun t -> if Array.unsafe_get arr t < c then 1 else 0
+          | Le -> fun t -> if Array.unsafe_get arr t <= c then 1 else 0
+          | Gt -> fun t -> if Array.unsafe_get arr t > c then 1 else 0
+          | Ge -> fun t -> if Array.unsafe_get arr t >= c then 1 else 0
+          | Eq -> fun t -> if Array.unsafe_get arr t = c then 1 else 0
+          | Ne -> fun t -> if Array.unsafe_get arr t <> c then 1 else 0
+          | _ -> assert false)
+      | _, _, Some c, Some arr -> (
+          match op with
+          | Lt -> fun t -> if c < Array.unsafe_get arr t then 1 else 0
+          | Le -> fun t -> if c <= Array.unsafe_get arr t then 1 else 0
+          | Gt -> fun t -> if c > Array.unsafe_get arr t then 1 else 0
+          | Ge -> fun t -> if c >= Array.unsafe_get arr t then 1 else 0
+          | Eq -> fun t -> if c = Array.unsafe_get arr t then 1 else 0
+          | Ne -> fun t -> if c <> Array.unsafe_get arr t then 1 else 0
+          | _ -> assert false)
+      | _ -> compile_int_binop st lookup op a b)
+  | Binop (op, a, b) -> compile_int_binop st lookup op a b
   | Unop (Neg, a) ->
       let f = compile_int st lookup a in
       fun t -> -f t
@@ -379,6 +469,31 @@ let rec compile_int st lookup e : int -> int =
   | Double_lit _ -> err st "double literal in integer context"
   | Index (a, _) -> err st (Printf.sprintf "array %s read in integer context" a)
   | Call (f, _) -> err st (Printf.sprintf "call to %s in integer context" f))
+
+(* the reference integer operators; Div/Mod test the divisor per
+   thread so a division by zero raises where it happens *)
+and compile_int_binop st lookup op a b : int -> int =
+  let fa = compile_int st lookup a and fb = compile_int st lookup b in
+  match op with
+  | Add -> fun t -> fa t + fb t
+  | Sub -> fun t -> fa t - fb t
+  | Mul -> fun t -> fa t * fb t
+  | Div ->
+      fun t ->
+        let d = fb t in
+        if d = 0 then err st "integer division by zero" else fa t / d
+  | Mod ->
+      fun t ->
+        let d = fb t in
+        if d = 0 then err st "integer modulo by zero" else fa t mod d
+  | Lt -> fun t -> if fa t < fb t then 1 else 0
+  | Le -> fun t -> if fa t <= fb t then 1 else 0
+  | Gt -> fun t -> if fa t > fb t then 1 else 0
+  | Ge -> fun t -> if fa t >= fb t then 1 else 0
+  | Eq -> fun t -> if fa t = fb t then 1 else 0
+  | Ne -> fun t -> if fa t <> fb t then 1 else 0
+  | And -> fun t -> if fa t <> 0 && fb t <> 0 then 1 else 0
+  | Or -> fun t -> if fa t <> 0 || fb t <> 0 then 1 else 0
 
 (* Comparison/logic over possibly-float operands, yielding int 0/1. *)
 and compile_cond st lookup e : int -> int =
@@ -641,164 +756,29 @@ and acompile_float ?(count = true) st lookup e : int -> unit =
                         acc.v <- A1.unsafe_get data i
                       end)
           | Shared (slot, dims) ->
-              let idx_fns = List.map (compile_int st lookup) idxs in
+              let addr = shared_index st dims (List.map (compile_int st lookup) idxs) a in
               let stats = st.stats in
+              (* tiles are refilled in place per block, never reallocated,
+                 and [addr] is in range by its per-dimension checks *)
+              let tile = st.shmem.(slot) and writer = st.sh_writer.(slot)
+              and written = st.sh_epoch.(slot) in
               fun t ->
-                let addr = shared_addr st dims idx_fns a t in
-                if st.sh_epoch.(slot).(addr) = st.epoch && st.sh_writer.(slot).(addr) <> t
-                   && st.sh_writer.(slot).(addr) >= 0
-                then stats.shared_hazards <- stats.shared_hazards + 1;
-                acc.v <- st.shmem.(slot).(addr)
+                let i = addr t in
+                if Array.unsafe_get written i = st.epoch then begin
+                  let w = Array.unsafe_get writer i in
+                  if w <> t && w >= 0 then stats.shared_hazards <- stats.shared_hazards + 1
+                end;
+                acc.v <- Array.unsafe_get tile i
           | _ -> err st (Printf.sprintf "%s indexed but is not an array" a))
-      | Binop ((Add | Sub), _, _)
-        when (let ts = sum_terms e [] in
-              let k = List.length ts in
-              (* every term float-typed: an all-int prefix would be
-                 evaluated in integer arithmetic by the nested
-                 compilation, which flattening must not change *)
-              k >= 3 && k <= 8
-              && List.for_all (fun (_, term) -> ty_of lookup term = EFloat) ts) -> (
-          (* flatten the chain into one closure: same left-associative
-             combination (and thus the same rounding) as the nested
-             [Binop] compilation, without the intermediate dispatches *)
-          let fns =
-            List.map
-              (fun (sign, term) ->
-                let f = acompile_float ~count st lookup term in
-                if sign then f
-                else
-                  fun t ->
-                    f t;
-                    acc.v <- -.acc.v)
-              (sum_terms e [])
-          in
-          match Array.of_list fns with
-          | [| a; b; c |] ->
-              fun t ->
-                a t;
-                let s = acc.v in
-                b t;
-                let s = s +. acc.v in
-                c t;
-                acc.v <- s +. acc.v
-          | [| a; b; c; d |] ->
-              fun t ->
-                a t;
-                let s = acc.v in
-                b t;
-                let s = s +. acc.v in
-                c t;
-                let s = s +. acc.v in
-                d t;
-                acc.v <- s +. acc.v
-          | [| a; b; c; d; e |] ->
-              fun t ->
-                a t;
-                let s = acc.v in
-                b t;
-                let s = s +. acc.v in
-                c t;
-                let s = s +. acc.v in
-                d t;
-                let s = s +. acc.v in
-                e t;
-                acc.v <- s +. acc.v
-          | [| a; b; c; d; e; f |] ->
-              fun t ->
-                a t;
-                let s = acc.v in
-                b t;
-                let s = s +. acc.v in
-                c t;
-                let s = s +. acc.v in
-                d t;
-                let s = s +. acc.v in
-                e t;
-                let s = s +. acc.v in
-                f t;
-                acc.v <- s +. acc.v
-          | [| a; b; c; d; e; f; g |] ->
-              fun t ->
-                a t;
-                let s = acc.v in
-                b t;
-                let s = s +. acc.v in
-                c t;
-                let s = s +. acc.v in
-                d t;
-                let s = s +. acc.v in
-                e t;
-                let s = s +. acc.v in
-                f t;
-                let s = s +. acc.v in
-                g t;
-                acc.v <- s +. acc.v
-          | [| a; b; c; d; e; f; g; h |] ->
-              fun t ->
-                a t;
-                let s = acc.v in
-                b t;
-                let s = s +. acc.v in
-                c t;
-                let s = s +. acc.v in
-                d t;
-                let s = s +. acc.v in
-                e t;
-                let s = s +. acc.v in
-                f t;
-                let s = s +. acc.v in
-                g t;
-                let s = s +. acc.v in
-                h t;
-                acc.v <- s +. acc.v
-          | _ -> assert false (* arity guarded above *))
-      | Binop (Mul, a, b) when const_float_of lookup a <> None ->
-          let c = Option.get (const_float_of lookup a) in
-          let fb = acompile_float ~count st lookup b in
-          fun t ->
-            fb t;
-            acc.v <- c *. acc.v
-      | Binop (Mul, a, b) when const_float_of lookup b <> None ->
-          let c = Option.get (const_float_of lookup b) in
-          let fa = acompile_float ~count st lookup a in
-          fun t ->
-            fa t;
-            acc.v <- acc.v *. c
       | Binop (op, a, b) -> (
-          let fa = acompile_float ~count st lookup a
-          and fb = acompile_float ~count st lookup b in
-          match op with
-          | Add ->
-              fun t ->
-                fa t;
-                let x = acc.v in
-                fb t;
-                acc.v <- x +. acc.v
-          | Sub ->
-              fun t ->
-                fa t;
-                let x = acc.v in
-                fb t;
-                acc.v <- x -. acc.v
-          | Mul ->
-              fun t ->
-                fa t;
-                let x = acc.v in
-                fb t;
-                acc.v <- x *. acc.v
-          | Div ->
-              fun t ->
-                fa t;
-                let x = acc.v in
-                fb t;
-                acc.v <- x /. acc.v
-          | Mod ->
-              fun t ->
-                fa t;
-                let x = acc.v in
-                fb t;
-                acc.v <- Float.rem x acc.v
-          | _ -> err st "comparison in float context")
+          match float_sum_terms lookup e [] with
+          | _ :: _ :: _ :: _ as terms ->
+              float_sum_chain st
+                (List.map (fun (add, term) -> (add, float_operand ~count st lookup term)) terms)
+          | _ ->
+              let l = float_operand ~count st lookup a in
+              let r = float_operand ~count st lookup b in
+              float_binop st op l r)
       | Unop (Neg, a) ->
           let f = acompile_float ~count st lookup a in
           fun t ->
@@ -880,6 +860,15 @@ and acompile_float ?(count = true) st lookup e : int -> unit =
               err st
                 (Printf.sprintf "unsupported function %s/%d" fname (List.length args)))
       | Int_lit _ | Builtin _ -> assert false (* EInt-typed *))
+
+and float_operand ~count st lookup e =
+  match (const_float_of lookup e, e) with
+  | Some c, _ -> Imm c
+  | None, Var v -> (
+      match lookup v with
+      | Float_slot s -> Reg st.fregs.(s)
+      | _ -> Clo (acompile_float ~count st lookup e))
+  | None, _ -> Clo (acompile_float ~count st lookup e)
 
 (* ------------------------------------------------------------------ *)
 (* Statement compilation                                               *)
@@ -980,17 +969,19 @@ and compile_thread_stmt st lookup s : int -> unit =
       match lookup v with
       | Int_slot slot -> (
           let arr = st.iregs.(slot) in
+          let plain () =
+            let f = compile_int st lookup e in
+            if st.fast then fun t -> Array.unsafe_set arr t (f t) else fun t -> arr.(t) <- f t
+          in
           match e with
           (* induction-variable increments from the affine pass *)
-          | Binop (Add, Var v', Int_lit c) when st.fast && v' = v ->
-              fun t -> Array.unsafe_set arr t (Array.unsafe_get arr t + c)
-          | Binop (Add, Var v', Var s)
-            when st.fast && v' = v && (match lookup s with Int_slot _ -> true | _ -> false) ->
-              let sarr = match lookup s with Int_slot i -> st.iregs.(i) | _ -> assert false in
-              fun t -> Array.unsafe_set arr t (Array.unsafe_get arr t + Array.unsafe_get sarr t)
-          | _ ->
-              let f = compile_int st lookup e in
-              if st.fast then fun t -> Array.unsafe_set arr t (f t) else fun t -> arr.(t) <- f t)
+          | Binop (Add, Var v', step) when st.fast && v' = v -> (
+              match (step, int_reg st lookup step) with
+              | Int_lit c, _ -> fun t -> Array.unsafe_set arr t (Array.unsafe_get arr t + c)
+              | _, Some sarr ->
+                  fun t -> Array.unsafe_set arr t (Array.unsafe_get arr t + Array.unsafe_get sarr t)
+              | _ -> plain ())
+          | _ -> plain ())
       | Float_slot slot ->
           let flops = float_of_int (float_flops lookup e) in
           let arr = st.fregs.(slot) in
@@ -1124,14 +1115,17 @@ and compile_thread_stmt st lookup s : int -> unit =
           let idx_fns = List.map (compile_int st lookup) idxs in
           let flops = float_of_int (float_flops lookup e) in
           if st.fast then
+            let addr = shared_index st dims idx_fns a in
             let rhs = acompile_float st lookup e in
             let acc = st.acc and fl = st.flacc in
+            let tile = st.shmem.(slot) and writer = st.sh_writer.(slot)
+            and written = st.sh_epoch.(slot) in
             fun t ->
-              let addr = shared_addr st dims idx_fns a t in
+              let i = addr t in
               rhs t;
-              st.shmem.(slot).(addr) <- acc.v;
-              st.sh_writer.(slot).(addr) <- t;
-              st.sh_epoch.(slot).(addr) <- st.epoch;
+              Array.unsafe_set tile i acc.v;
+              Array.unsafe_set writer i t;
+              Array.unsafe_set written i st.epoch;
               fl.v <- fl.v +. flops
           else
             let rhs = compile_float st lookup e in

@@ -237,7 +237,9 @@ let () =
       ("device", Test_device.suite);
       ("cuda", Test_cuda.suite @ Test_cuda.checker_suite);
       ("analysis", Test_analysis.suite);
-      ("sim", Test_sim.suite @ Test_sim.usage_suite @ Test_sim.semantics_suite @ Test_sim.parallel_suite);
+      ( "sim",
+        Test_sim.suite @ Test_sim.usage_suite @ Test_sim.semantics_suite @ Test_sim.parallel_suite
+        @ Test_sim.fast_path_suite );
       ("metadata", Test_metadata.suite);
       ("ddg", Test_ddg.suite);
       ("fission", Test_fission.suite);

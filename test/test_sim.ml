@@ -709,6 +709,92 @@ let test_memory_snapshot () =
   Alcotest.(check bool) "snapshot unaffected by mutation" true
     (Mem.equal_within ~tol:0.0 mem r2)
 
+(* Each closure form of the compiled-affine path against the reference
+   interpreter: final memory, every stats field and the dynamic usage
+   must be identical, or both paths must raise the same [Sim_error].
+   [expect] pins which of the two a row is meant to exercise. *)
+let fast_path_case (label, expect, body) =
+  let src =
+    Printf.sprintf
+      {|
+__global__ void d(const double *A, double *B, int nx, int ny, int nz, double c) {
+  int tx = threadIdx.x;
+  int ty = threadIdx.y;
+  int i = blockIdx.x * blockDim.x + tx;
+  int j = blockIdx.y * blockDim.y + ty;
+  int g = j * nx + i;
+  double x = A[g];
+  double y = A[g + 1] + 0.5;
+  %s
+}
+|}
+      body
+  in
+  let test () =
+    let prog = one_kernel_prog src "d" [ "A"; "B" ] 0.75 in
+    let run affine =
+      let mem = Mem.create prog.p_arrays in
+      Mem.init_seeded mem ~seed:23;
+      match I.launch_with_usage ~affine mem prog (Util.launch_of prog "d") with
+      | stats, usage -> Ok (mem, stats, usage)
+      | exception I.Sim_error { kernel; message } -> Error (kernel ^ ": " ^ message)
+    in
+    match (run false, run true) with
+    | Ok (m0, s0, u0), Ok (m1, s1, u1) ->
+        Alcotest.(check bool) "memory bit-identical" true (Mem.equal_within ~tol:0.0 m0 m1);
+        Alcotest.(check bool) "every stats field identical" true (s0 = s1);
+        Alcotest.(check bool) "usage identical" true (u0 = u1);
+        Alcotest.(check bool) "runs as the row expects" true
+          (match expect with `Runs -> true | `Hazards -> s0.shared_hazards > 0 | `Raises -> false)
+    | Error e0, Error e1 ->
+        Alcotest.(check string) "same Sim_error" e0 e1;
+        Alcotest.(check bool) "raises as the row expects" true (expect = `Raises)
+    | Ok _, Error e -> Alcotest.failf "only compiled-affine raised: %s" e
+    | Error e, Ok _ -> Alcotest.failf "only the reference raised: %s" e
+  in
+  Alcotest.test_case ("fast path vs reference: " ^ label) `Quick test
+
+(* an [n]-term [+]/[-] chain cycling through a register, a global read,
+   a constant and a computed term, every other term subtracted *)
+let chain n =
+  String.concat ""
+    (List.init n (fun k ->
+         let term = match k mod 4 with 0 -> "x" | 1 -> "A[g]" | 2 -> "0.25" | _ -> "(y * 1.5)" in
+         if k = 0 then term else (if k mod 2 = 1 then " - " else " + ") ^ term))
+
+let fast_path_rows =
+  [
+    ("- and / with the register on each side", `Runs,
+     "B[g] = (x - 1.5) * (2.5 - x) * (x / 3.0) * (3.0 / x) * ((x - y) / (y / x)) * ((c - x) / c)\n\
+     \      * (x - y * 2.0) * (y * 2.0 - x) * (x / (y + 1.0)) * ((y + 3.0) / x);");
+    ("3-term chain", `Runs, "B[g] = " ^ chain 3 ^ ";");
+    ("8-term chain", `Runs, "B[g] = " ^ chain 8 ^ ";");
+    ("9-term chain", `Runs, "B[g] = " ^ chain 9 ^ ";");
+    ("33-term chain", `Runs, "double s = " ^ chain 33 ^ "; B[g] = c * s;");
+    ("chain of registers only", `Runs,
+     "double a = x * 2.0; double b = y - x; B[g] = x - y + a - b - x + b;");
+    (* 2^53 + 1 is not a double: flattening [p + q] into float terms
+       would round it before the addition *)
+    ("int-typed leading terms stay integer", `Runs,
+     "int p = 9007199254740993; int q = 1; B[g] = p + q + x - p - q;");
+    ("/ and % by negative literals on negative dividends", `Runs,
+     "int n = -7 - 3 * i; B[g] = (n / -2) + (n % -3) + (n / 3) + (n % 4) + (n % -1) + x;");
+    ("integer division by a zero literal", `Raises, "B[g] = x + (i / 0);");
+    ("integer modulo by a zero literal", `Raises, "B[g] = x + (i % 0);");
+    ("2-D shared tile, hazards counted", `Hazards,
+     "__shared__ double s[4][8]; s[ty][tx] = x; B[g] = s[ty][(tx + 1) % 8] + s[ty][tx];");
+    ("1-D shared tile", `Runs,
+     "__shared__ double s[32]; s[ty * 8 + tx] = y; __syncthreads(); B[g] = s[(ty * 8 + tx + 3) % 32];");
+    ("shared read out of bounds on dimension 0", `Raises,
+     "__shared__ double s[4][8]; s[ty][tx] = x; __syncthreads(); B[g] = s[ty + 1][tx];");
+    ("shared read out of bounds on dimension 1", `Raises,
+     "__shared__ double s[4][8]; s[ty][tx] = x; __syncthreads(); B[g] = s[ty][tx + 1];");
+    ("shared write out of bounds on dimension 1", `Raises,
+     "__shared__ double s[4][8]; s[ty][tx + 1] = x; B[g] = x;");
+  ]
+
+let fast_path_suite = List.map fast_path_case fast_path_rows
+
 let parallel_suite =
   [
     Alcotest.test_case "determinism across jobs x affine" `Quick test_block_parallel_determinism;
