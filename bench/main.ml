@@ -941,7 +941,8 @@ let mem_bench () =
 let smoke () =
   print_endline "== smoke: one tiny experiment per mode ==";
   let a = app "MITgcm" in
-  List.iter
+  let transformed =
+    List.map
     (fun mode ->
       let base = config_of_mode mode in
       let config =
@@ -961,7 +962,8 @@ let smoke () =
         (String.concat " "
            (List.map
               (fun (stage, wall) -> Printf.sprintf "%s=%.1fms" stage (1000.0 *. wall))
-              (Trace.top_spans trace))))
+              (Trace.top_spans trace)));
+      (Printf.sprintf "%s/%s" a.app_name (mode_name mode), r.transformed))
     [
       Fusion_only;
       Fission_fusion;
@@ -972,11 +974,23 @@ let smoke () =
       Budget40 `Auto;
       Budget40 `Filtered;
       Budget40 `None_;
-    ];
+    ]
+  in
+  (* one small B-CALM transform: its fused kernels stage three tiles *)
+  let bcalm =
+    let base = config_of_mode Full_auto in
+    let config =
+      { base with gga_params = { base.gga_params with generations = 5; population = 10 } }
+    in
+    let r = F.transform ~config ~engine:(engine ()) (app "B-CALM").program in
+    ("B-CALM/" ^ mode_name Full_auto, r.transformed)
+  in
   (* backend determinism guard: every execution backend, sequential and
      parallel, must reproduce the sequential reference interpreter's
-     memory and stats bit-for-bit on every bundled app (runs under `dune
-     runtest` via the alias rule in bench/dune) *)
+     memory and stats bit-for-bit on every bundled app and on the
+     transformed programs above, whose staged fused kernels run the
+     tile loops (runs under `dune runtest` via the alias rule in
+     bench/dune) *)
   List.iter
     (fun (prog_name, (p : Kft_cuda.Ast.program)) ->
       let _, m_seq, s_seq = sim_run_at ~jobs:1 ~affine:false p in
@@ -992,9 +1006,11 @@ let smoke () =
           ("block-parallel@jobs=2", 2, true, None);
           ("interp@jobs=4", 4, false, Some Kft_sim.Interp.Interpret);
         ])
-    (("quickstart", (Apps.quickstart ()).program)
-    :: List.map (fun n -> (n, (app n).program)) all_app_names);
-  Printf.printf "  %-22s %-12s bit-identical to sequential\n%!" "all-backends" "all apps";
+    ((("quickstart", (Apps.quickstart ()).program)
+     :: List.map (fun n -> (n, (app n).program)) all_app_names)
+    @ transformed @ [ bcalm ]);
+  Printf.printf "  %-22s %-12s bit-identical to sequential\n%!" "all-backends"
+    "all apps and transforms";
   (* allocation-budget guard: the off-heap substrate's allocation-free
      hot loops must not regress (runs under `dune runtest`) *)
   assert_alloc_budget ();
@@ -1008,9 +1024,11 @@ let smoke () =
    256x64x12 grid: an empty body (per-thread overhead), one [double]
    declaration (per-statement overhead), the compute-bound body's
    32-term float chain without and with its vertical loop (per-flop
-   cost), and one shared-memory fused launch of a transformed MITgcm
-   (tile staging and hazard bookkeeping). Each rung is timed best-of-5
-   on freshly seeded memory, and both paths must agree bit for bit. *)
+   cost), a fused kernel's cooperative tile load alone (integer index
+   work), and the first shared-memory fused launch of a transformed
+   MITgcm and B-CALM (tile staging and hazard bookkeeping). Each rung
+   is timed best-of-5 on freshly seeded memory, and both paths must
+   agree bit for bit. *)
 let ladder () =
   print_endline "== simulator launch ladder (reference interpreter vs compiled-affine) ==";
   let open Kft_cuda.Ast in
@@ -1052,13 +1070,14 @@ let ladder () =
     \  int j = blockIdx.y * blockDim.y + threadIdx.y;\n"
   in
   let eos = Kft_apps.Gen.compute_bound d ~name:"eos" ~out:"B" ~src:"A" () in
-  let fused =
-    let a = Apps.mitgcm () in
+  (* the first shared-memory staged fused launch of [a]'s transform,
+     alone *)
+  let fused ?(generations = 10) ?(population = 20) (a : Apps.app) =
     let config =
       {
         F.default_config with
         device;
-        gga_params = gga ~generations:10 ~population:20 ();
+        gga_params = gga ~generations ~population ();
         codegen_options = Fusion.auto_options;
         verify_mode = F.Verify_off;
         seed = 42;
@@ -1074,8 +1093,26 @@ let ladder () =
            false (find_kernel p l.l_kernel).k_body
     in
     match List.filter_map (function Launch l when staged l -> Some l | _ -> None) p.p_schedule with
-    | l :: _ -> Some ("MITgcm " ^ l.l_kernel, { p with p_schedule = [ Launch l ] })
-    | [] -> None
+    | l :: _ -> [ (a.app_name ^ " " ^ l.l_kernel, { p with p_schedule = [ Launch l ] }) ]
+    | [] -> []
+  in
+  (* a fused kernel's cooperative tile load alone: a 12x20 halo tile of a
+     16x8 block, loaded per vertical level *)
+  let coop =
+    "  int tid = threadIdx.y * 16 + threadIdx.x;\n\
+    \  __shared__ double s[12][20];\n\
+    \  for (int kv = 0; kv < nz; kv++) {\n\
+    \    for (int q = tid; q < 240; q += 128) {\n\
+    \      int lx = q % 20;\n\
+    \      int ly = q / 20;\n\
+    \      int gx = blockIdx.x * 16 + lx - 2;\n\
+    \      int gy = blockIdx.y * 8 + ly - 2;\n\
+    \      if (gx >= 0 && gx < nx && gy >= 0 && gy < ny && kv >= 0 && kv < nz) {\n\
+    \        s[ly][lx] = A[nx * (ny * kv + gy) + gx];\n\
+    \      }\n\
+    \    }\n\
+    \    __syncthreads();\n\
+    \  }"
   in
   let rungs =
     [
@@ -1089,8 +1126,11 @@ let ladder () =
           p_kernels = [ eos.kernel ];
           p_schedule = [ Launch eos.launch ];
         } );
+      ("cooperative tile load", one_launch "coop" coop);
     ]
-    @ Option.to_list fused
+    @ fused (Apps.mitgcm ())
+    (* at 5x10, B-CALM's K_f01: three tiles, 12 shared reads per statement *)
+    @ fused ~generations:5 ~population:10 (Apps.bcalm ())
   in
   Printf.printf "  %-26s %-16s %9s %10s %9s %13s\n" "launch" "path" "ms" "ns/thread" "ns/flop"
     "words/thread";

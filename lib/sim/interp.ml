@@ -85,6 +85,7 @@ type st = {
   txs : int array;
   tys : int array;
   tzs : int array;
+  zeros : int array;  (* a register that is always 0: constant indexes *)
   mutable bix : int;
   mutable biy : int;
   mutable biz : int;
@@ -198,24 +199,6 @@ let shared_addr st dims idx_fns name t =
   in
   go dims idx_fns 0
 
-(* Fast-path tile address: a 1-D or 2-D tile in one closure, with
-   [shared_addr]'s per-dimension checks in its order and with its
-   messages; other ranks go through [shared_addr]. *)
-let shared_index st dims idx_fns name : int -> int =
-  match (dims, idx_fns) with
-  | [ d0 ], [ f0 ] ->
-      fun t ->
-        let i = f0 t in
-        if i < 0 || i >= d0 then shared_oob st name i d0 else i
-  | [ d0; d1 ], [ f0; f1 ] ->
-      fun t ->
-        let i = f0 t in
-        if i < 0 || i >= d0 then shared_oob st name i d0
-        else
-          let k = f1 t in
-          if k < 0 || k >= d1 then shared_oob st name k d1 else (i * d1) + k
-  | _ -> shared_addr st dims idx_fns name
-
 (* Left-leaning [+]/[-] chains, leftmost term first, as [(is_add, term)]
    pairs: [a + b - c] yields [(true, a); (true, b); (false, c)]. The
    chain follows the left spine only while the node is float-typed, so
@@ -266,15 +249,168 @@ let const_float_of lookup e =
       | _ -> None)
   | _ -> None
 
-(* A float operand on the fast path. A register or a compile-time
-   constant is read inside its parent's closure; anything else is a
-   child closure that deposits its value in [st.acc]. *)
-type operand = Reg of float array | Imm of float | Clo of (int -> unit)
+(* number of global-array reads one evaluation of [e] performs, or
+   [None] when the count is data-dependent (a [Ternary] picks a branch
+   at run time). Shared-memory reads are excluded: they do not touch
+   [global_read_bytes] and keep their per-access hazard accounting. *)
+let static_read_count lookup e =
+  let rec go e =
+    match e with
+    | Index (a, _) -> ( match lookup a with Global _ -> 1 | _ -> 0)
+    | Binop (_, a, b) -> go a + go b
+    | Unop (_, a) -> go a
+    | Call (_, args) -> List.fold_left (fun acc a -> acc + go a) 0 args
+    | Ternary _ -> raise Exit
+    | Int_lit _ | Double_lit _ | Var _ | Builtin _ -> 0
+  in
+  try Some (go e) with Exit -> None
+
+(* An integer expression as the linear form [c + Σ k·reg + Σ b_d·blockIdx_d],
+   each register (an int register file or a threadIdx array) listed once
+   with a nonzero coefficient. Integer arithmetic wraps modulo 2^63, a
+   ring, so regrouping the reference's operations this way is bit-exact. *)
+type linear = { c : int; regs : (int array * int) list; bk : int * int * int }
+
+let lin_const c = { c; regs = []; bk = (0, 0, 0) }
+
+let lin_scale k { c; regs; bk = x, y, z } =
+  {
+    c = k * c;
+    regs = List.filter (fun (_, m) -> m <> 0) (List.map (fun (a, m) -> (a, k * m)) regs);
+    bk = (k * x, k * y, k * z);
+  }
+
+let lin_add p q =
+  let add regs (a, k) =
+    match List.assq_opt a regs with
+    | None -> regs @ [ (a, k) ]
+    | Some m ->
+        let rest = List.filter (fun (b, _) -> b != a) regs in
+        if k + m = 0 then rest else rest @ [ (a, k + m) ]
+  in
+  let x, y, z = p.bk and x', y', z' = q.bk in
+  { c = p.c + q.c; regs = List.fold_left add p.regs q.regs; bk = (x + x', y + y', z + z') }
+
+(* [None] unless [e] is built from [+], [-], unary [-] and [*] by a
+   compile-time constant over int registers, threadIdx, blockIdx and
+   static ints; anything else keeps its reference compilation *)
+let rec linear_form st lookup e =
+  let reg a = Some { (lin_const 0) with regs = [ (a, 1) ] } in
+  match e with
+  | Var v -> (
+      match lookup v with
+      | Int_slot s -> reg st.iregs.(s)
+      | Const_int c -> Some (lin_const c)
+      | _ -> None)
+  | Builtin (Thread_idx d) -> reg (match d with X -> st.txs | Y -> st.tys | Z -> st.tzs)
+  | Builtin (Block_idx d) ->
+      let bk = match d with X -> (1, 0, 0) | Y -> (0, 1, 0) | Z -> (0, 0, 1) in
+      Some { (lin_const 0) with bk }
+  | Binop (((Add | Sub) as op), a, b) -> (
+      match (linear_form st lookup a, linear_form st lookup b) with
+      | Some p, Some q -> Some (lin_add p (if op = Add then q else lin_scale (-1) q))
+      | _ -> None)
+  | Binop (Mul, a, b) -> (
+      match (linear_form st lookup a, linear_form st lookup b) with
+      | Some p, Some { c = k; regs = []; bk = 0, 0, 0 }
+      | Some { c = k; regs = []; bk = 0, 0, 0 }, Some p ->
+          Some (lin_scale k p)
+      | _ -> None)
+  | Unop (Neg, a) -> Option.map (lin_scale (-1)) (linear_form st lookup a)
+  | _ -> Option.map lin_const (static_int lookup e)
+
+(* [e] as one register read in place at a constant offset: [1·reg + c],
+   or a constant, read from a register of zeros *)
+let reg_offset st lookup e =
+  match linear_form st lookup e with
+  | Some { c; regs = [ (a, 1) ]; bk = 0, 0, 0 } -> Some (a, c)
+  | Some { c; regs = []; bk = 0, 0, 0 } -> Some (st.zeros, c)
+  | _ -> None
+
+(* A linear form in one closure. The exec loops keep the thread id inside
+   [0, nthreads), so unchecked register reads are safe. *)
+let compile_linear st { c; regs; bk = kx, ky, kz } : int -> int =
+  let ra = Array.of_list (List.map fst regs) and ka = Array.of_list (List.map snd regs) in
+  let n = Array.length ra in
+  let sum t =
+    let s = ref 0 in
+    for i = 0 to n - 1 do
+      s := !s + (Array.unsafe_get ka i * Array.unsafe_get (Array.unsafe_get ra i) t)
+    done;
+    !s
+  in
+  if kx = 0 && ky = 0 && kz = 0 then
+    match regs with
+    | [] -> fun _ -> c
+    | [ (a, 1) ] -> fun t -> Array.unsafe_get a t + c
+    | [ (a, k) ] -> fun t -> (k * Array.unsafe_get a t) + c
+    | [ (a, k); (b, m) ] -> fun t -> (k * Array.unsafe_get a t) + (m * Array.unsafe_get b t) + c
+    | _ -> fun t -> sum t + c
+  else
+    (* the blockIdx part is fixed for the block being run *)
+    match regs with
+    | [] -> fun _ -> c + (kx * st.bix) + (ky * st.biy) + (kz * st.biz)
+    | [ (a, k) ] ->
+        fun t -> (k * Array.unsafe_get a t) + c + (kx * st.bix) + (ky * st.biy) + (kz * st.biz)
+    | _ -> fun t -> sum t + c + (kx * st.bix) + (ky * st.biy) + (kz * st.biz)
+
+(* the outcomes of a comparison [x op y] as 0/1 when [x < y], [x = y],
+   [x > y] and when a NaN leaves the operands unordered *)
+let cmp_outcomes = function
+  | Lt -> Some (1, 0, 0, 0)
+  | Le -> Some (1, 1, 0, 0)
+  | Gt -> Some (0, 0, 1, 0)
+  | Ge -> Some (0, 1, 1, 0)
+  | Eq -> Some (0, 1, 0, 0)
+  | Ne -> Some (1, 0, 1, 1)
+  | Add | Sub | Mul | Div | Mod | And | Or -> None
+
+let mirror = function Lt -> Gt | Le -> Ge | Gt -> Lt | Ge -> Le | op -> op
+
+(* A 1-D or 2-D tile access whose index on each dimension is [reg + c] or
+   a constant, as [(d0, r0, c0, d1, r1, c1)]; a 1-D tile is a 2-D one
+   with a leading dimension of size 1 indexed by 0. Other accesses go
+   through [shared_addr]. *)
+let tile_index st lookup dims idxs =
+  match (dims, List.map (reg_offset st lookup) idxs) with
+  | [ d1 ], [ Some (r1, c1) ] -> Some (1, st.zeros, 0, d1, r1, c1)
+  | [ d0; d1 ], [ Some (r0, c0); Some (r1, c1) ] -> Some (d0, r0, c0, d1, r1, c1)
+  | _ -> None
+
+(* [shared_addr]'s per-dimension checks, in its order and with its
+   messages, reading the index registers in place *)
+let[@inline] tile_addr st name d0 r0 c0 d1 r1 c1 t =
+  let i = Array.unsafe_get r0 t + c0 in
+  if i < 0 || i >= d0 then shared_oob st name i d0
+  else
+    let k = Array.unsafe_get r1 t + c1 in
+    if k < 0 || k >= d1 then shared_oob st name k d1 else (i * d1) + k
+
+(* a read of tile cell [i] another thread wrote since the last barrier *)
+let[@inline] note_hazard st writer written i t =
+  if Array.unsafe_get written i = st.epoch then begin
+    let w = Array.unsafe_get writer i in
+    if w <> t && w >= 0 then st.stats.shared_hazards <- st.stats.shared_hazards + 1
+  end
+
+(* A float operand on the fast path. A register, a compile-time constant
+   or a register scaled by a constant ([reg * k], or [k * reg] when
+   [reg_left] is false) is read inside its parent's closure; anything
+   else is a child closure that deposits its value in [st.acc]. *)
+type operand =
+  | Reg of float array
+  | Imm of float
+  | Scaled of float array * float * bool
+  | Clo of (int -> unit)
+
+let[@inline] scaled a k reg_left t =
+  if reg_left then Array.unsafe_get a t *. k else k *. Array.unsafe_get a t
 
 let[@inline] read_operand acc o t =
   match o with
   | Reg a -> Array.unsafe_get a t
   | Imm c -> c
+  | Scaled (a, k, reg_left) -> scaled a k reg_left t
   | Clo f ->
       f t;
       acc.v
@@ -323,23 +459,45 @@ let float_binop st op l r : int -> unit =
   | (Sub | Div | Mod), Clo f, Reg b -> fun t -> f t; acc.v <- arith op acc.v (Array.unsafe_get b t)
   | (Sub | Div | Mod), Reg a, Clo g -> fun t -> g t; acc.v <- arith op (Array.unsafe_get a t) acc.v
   | (Sub | Div | Mod), Clo f, Clo g -> fun t -> f t; let x = acc.v in g t; acc.v <- arith op x acc.v
+  | Add, Scaled (a, k, rl), Imm y -> fun t -> acc.v <- scaled a k rl t +. y
+  | Sub, Scaled (a, k, rl), Imm y -> fun t -> acc.v <- scaled a k rl t -. y
+  | (Add | Sub | Mul | Div | Mod), _, _ ->
+      (* the other shapes with a scaled operand *)
+      fun t ->
+        let x = read_operand acc l t in
+        acc.v <- arith op x (read_operand acc r t)
   | _ -> err st "comparison in float context"
 
 (* a [+]/[-] chain of any length in one closure, left to right, the
    reference's association order and hence its rounding. A chain of
-   registers only (the compute-bound kernels' sum) skips the per-term
-   operand match. *)
+   registers only (the compute-bound kernels' sum) or of closures only
+   (a stencil's reads) skips the per-term operand match. *)
 let float_sum_chain st terms : int -> unit =
   let acc = st.acc in
   let adds = Array.of_list (List.map fst terms) and ops = Array.of_list (List.map snd terms) in
   let n = Array.length ops in
-  match List.filter_map (function _, Reg a -> Some a | _ -> None) terms with
-  | regs when List.compare_lengths regs terms = 0 ->
-      let regs = Array.of_list regs in
+  let all f =
+    let xs = List.filter_map (fun (_, o) -> f o) terms in
+    if List.compare_lengths xs terms = 0 then Some (Array.of_list xs) else None
+  in
+  let regs = all (function Reg a -> Some a | _ -> None)
+  and clos = all (function Clo f -> Some f | _ -> None) in
+  match (regs, clos) with
+  | Some regs, _ ->
       fun t ->
         let s = ref (Array.unsafe_get (Array.unsafe_get regs 0) t) in
         for i = 1 to n - 1 do
           let x = Array.unsafe_get (Array.unsafe_get regs i) t in
+          s := if Array.unsafe_get adds i then !s +. x else !s -. x
+        done;
+        acc.v <- !s
+  | _, Some fs ->
+      fun t ->
+        (Array.unsafe_get fs 0) t;
+        let s = ref acc.v in
+        for i = 1 to n - 1 do
+          (Array.unsafe_get fs i) t;
+          let x = acc.v in
           s := if Array.unsafe_get adds i then !s +. x else !s -. x
         done;
         acc.v <- !s
@@ -352,28 +510,88 @@ let float_sum_chain st terms : int -> unit =
         done;
         acc.v <- !s
 
-(* the register file of an integer scalar, for peepholes that read it
-   inside their parent's closure *)
-let int_reg st lookup e =
+(* [e] as a comparison of an int register against a compile-time
+   constant, [(op, outcomes, reg, c)]; [c op reg] is [reg op' c] with
+   [op] mirrored *)
+let reg_cmp st lookup e =
+  let reg e = match reg_offset st lookup e with Some (r, 0) -> Some r | _ -> None in
   match e with
-  | Var v -> ( match lookup v with Int_slot s -> Some st.iregs.(s) | _ -> None)
+  | Binop (op, a, b) -> (
+      let shape =
+        match (reg a, static_int lookup b, static_int lookup a, reg b) with
+        | Some r, Some c, _, _ -> Some (op, r, c)
+        | _, _, Some c, Some r -> Some (mirror op, r, c)
+        | _ -> None
+      in
+      match shape with
+      | Some (op, r, c) -> Option.map (fun o -> (op, o, r, c)) (cmp_outcomes op)
+      | None -> None)
   | _ -> None
 
+(* [e] as register ranges [lo <= reg <= hi] that all hold exactly when
+   [e] does: an [&&] chain of [reg_cmp] compares other than [!=]. The
+   compares are pure, so the ranges on one register intersect into one
+   check and their order does not matter. *)
+let rec reg_ranges st lookup e =
+  match e with
+  | Binop (And, a, b) -> (
+      match (reg_ranges st lookup a, reg_ranges st lookup b) with
+      | Some p, Some q ->
+          let meet acc (r, lo, hi) =
+            match List.partition (fun (q, _, _) -> q == r) acc with
+            | [ (_, lo', hi') ], rest -> (r, max lo lo', min hi hi') :: rest
+            | _ -> (r, lo, hi) :: acc
+          in
+          Some (List.fold_left meet p q)
+      | _ -> None)
+  | _ -> (
+      (* an empty range is [(1, 0)] *)
+      match reg_cmp st lookup e with
+      | Some (Lt, _, r, c) -> Some [ (if c = min_int then (r, 1, 0) else (r, min_int, c - 1)) ]
+      | Some (Le, _, r, c) -> Some [ (r, min_int, c) ]
+      | Some (Gt, _, r, c) -> Some [ (if c = max_int then (r, 1, 0) else (r, c + 1, max_int)) ]
+      | Some (Ge, _, r, c) -> Some [ (r, c, max_int) ]
+      | Some (Eq, _, r, c) -> Some [ (r, c, c) ]
+      | _ -> None)
+
+(* register ranges in one closure, 1 when all hold *)
+let compile_ranges (ranges : (int array * int * int) list) : int -> int =
+  match ranges with
+  | [ (r, lo, hi) ] ->
+      fun t ->
+        let x = Array.unsafe_get r t in
+        if lo <= x && x <= hi then 1 else 0
+  | _ ->
+      let ra = Array.of_list (List.map (fun (r, _, _) -> r) ranges)
+      and los = Array.of_list (List.map (fun (_, lo, _) -> lo) ranges)
+      and his = Array.of_list (List.map (fun (_, _, hi) -> hi) ranges) in
+      let n = Array.length ra in
+      fun t ->
+        let i = ref 0 in
+        while
+          !i < n
+          &&
+          let x = Array.unsafe_get (Array.unsafe_get ra !i) t in
+          Array.unsafe_get los !i <= x && x <= Array.unsafe_get his !i
+        do
+          incr i
+        done;
+        if !i = n then 1 else 0
+
+(* Fast-path integer compilation: a linear form is one closure; the rest
+   keeps the reference operators, with two peepholes. *)
 let rec compile_int st lookup e : int -> int =
-  match (if st.fast then static_int lookup e else None) with
-  | Some c -> fun _ -> c
+  match (if st.fast then linear_form st lookup e else None) with
+  | Some l -> compile_linear st l
   | None -> (
   match e with
   | Int_lit i -> fun _ -> i
   | Builtin b -> (
       let { txs; tys; tzs; _ } = st in
       match b with
-      | Thread_idx X ->
-          if st.fast then fun t -> Array.unsafe_get txs t else fun t -> txs.(t)
-      | Thread_idx Y ->
-          if st.fast then fun t -> Array.unsafe_get tys t else fun t -> tys.(t)
-      | Thread_idx Z ->
-          if st.fast then fun t -> Array.unsafe_get tzs t else fun t -> tzs.(t)
+      | Thread_idx X -> fun t -> txs.(t)
+      | Thread_idx Y -> fun t -> tys.(t)
+      | Thread_idx Z -> fun t -> tzs.(t)
       | Block_idx X -> fun _ -> st.bix
       | Block_idx Y -> fun _ -> st.biy
       | Block_idx Z -> fun _ -> st.biz
@@ -383,68 +601,31 @@ let rec compile_int st lookup e : int -> int =
       | Const_int i -> fun _ -> i
       | Int_slot s ->
           let arr = st.iregs.(s) in
-          if st.fast then fun t -> Array.unsafe_get arr t else fun t -> arr.(t)
+          fun t -> arr.(t)
       | Const_float _ | Float_slot _ -> err st (Printf.sprintf "variable %s used as integer but is double" v)
       | Global _ | Shared _ -> err st (Printf.sprintf "array %s used as scalar" v))
-  (* peepholes for the post-affine hot shapes: an operand and a constant
-     in one closure, a register operand read in place. Register files
-     are indexed by the thread id, which the exec loops keep inside
-     [0, nthreads), so the checked access is provably redundant. *)
-  | (Binop (Add, a, Int_lit c) | Binop (Add, Int_lit c, a)) when st.fast -> (
-      match int_reg st lookup a with
-      | Some arr -> fun t -> Array.unsafe_get arr t + c
-      | None ->
-          let fa = compile_int st lookup a in
-          fun t -> fa t + c)
-  | Binop (Sub, a, Int_lit c) when st.fast -> (
-      match int_reg st lookup a with
-      | Some arr -> fun t -> Array.unsafe_get arr t - c
-      | None ->
-          let fa = compile_int st lookup a in
-          fun t -> fa t - c)
-  | (Binop (Mul, a, Int_lit c) | Binop (Mul, Int_lit c, a)) when st.fast ->
-      let fa = compile_int st lookup a in
-      fun t -> fa t * c
   (* a nonzero constant divisor needs no per-thread zero test; a zero
      one keeps the reference's per-thread error *)
   | Binop (((Div | Mod) as op), a, b) when st.fast -> (
       match static_int lookup b with
-      | Some c when c <> 0 ->
-          let fa = compile_int st lookup a in
-          if op = Div then fun t -> fa t / c else fun t -> fa t mod c
+      | Some c when c <> 0 -> (
+          match reg_offset st lookup a with
+          | Some (r, off) ->
+              if op = Div then fun t -> (Array.unsafe_get r t + off) / c
+              else fun t -> (Array.unsafe_get r t + off) mod c
+          | None ->
+              let fa = compile_int st lookup a in
+              if op = Div then fun t -> fa t / c else fun t -> fa t mod c)
       | _ -> compile_int_binop st lookup op a b)
-  (* the canonical thread-id expression [blockIdx.d * blockDim.d +
-     threadIdx.d'] in one closure *)
-  | Binop (Add, Binop (Mul, Builtin (Block_idx db), Int_lit c), Builtin (Thread_idx dt))
-    when st.fast ->
-      let tarr = match dt with X -> st.txs | Y -> st.tys | Z -> st.tzs in
-      (match db with
-      | X -> fun t -> (st.bix * c) + Array.unsafe_get tarr t
-      | Y -> fun t -> (st.biy * c) + Array.unsafe_get tarr t
-      | Z -> fun t -> (st.biz * c) + Array.unsafe_get tarr t)
-  (* guard compares of a register against a compile-time constant in one
-     closure *)
-  | Binop (((Lt | Le | Gt | Ge | Eq | Ne) as op), a, b) when st.fast -> (
-      match (int_reg st lookup a, static_int lookup b, static_int lookup a, int_reg st lookup b) with
-      | Some arr, Some c, _, _ -> (
-          match op with
-          | Lt -> fun t -> if Array.unsafe_get arr t < c then 1 else 0
-          | Le -> fun t -> if Array.unsafe_get arr t <= c then 1 else 0
-          | Gt -> fun t -> if Array.unsafe_get arr t > c then 1 else 0
-          | Ge -> fun t -> if Array.unsafe_get arr t >= c then 1 else 0
-          | Eq -> fun t -> if Array.unsafe_get arr t = c then 1 else 0
-          | Ne -> fun t -> if Array.unsafe_get arr t <> c then 1 else 0
-          | _ -> assert false)
-      | _, _, Some c, Some arr -> (
-          match op with
-          | Lt -> fun t -> if c < Array.unsafe_get arr t then 1 else 0
-          | Le -> fun t -> if c <= Array.unsafe_get arr t then 1 else 0
-          | Gt -> fun t -> if c > Array.unsafe_get arr t then 1 else 0
-          | Ge -> fun t -> if c >= Array.unsafe_get arr t then 1 else 0
-          | Eq -> fun t -> if c = Array.unsafe_get arr t then 1 else 0
-          | Ne -> fun t -> if c <> Array.unsafe_get arr t then 1 else 0
-          | _ -> assert false)
-      | _ -> compile_int_binop st lookup op a b)
+  (* a guard compare of a register against a compile-time constant in
+     one closure *)
+  | Binop (op, a, b) when st.fast -> (
+      match reg_cmp st lookup e with
+      | Some (_, (lt, eq, gt, _), r, c) ->
+          fun t ->
+            let x = Array.unsafe_get r t in
+            if x < c then lt else if x > c then gt else eq
+      | None -> compile_int_binop st lookup op a b)
   | Binop (op, a, b) -> compile_int_binop st lookup op a b
   | Unop (Neg, a) ->
       let f = compile_int st lookup a in
@@ -497,77 +678,49 @@ and compile_int_binop st lookup op a b : int -> int =
 
 (* Comparison/logic over possibly-float operands, yielding int 0/1. *)
 and compile_cond st lookup e : int -> int =
-  match e with
-  | Binop (((Lt | Le | Gt | Ge | Eq | Ne) as op), a, b)
-    when join (ty_of lookup a) (ty_of lookup b) = EFloat ->
-      if st.fast then begin
-        (* accumulator form with a direct (monomorphic, allocation-free)
-           comparison per operator: the generic [cmp] closure below would
-           box both float arguments at every call *)
-        let acc = st.acc in
-        let fa = acompile_float st lookup a and fb = acompile_float st lookup b in
-        match op with
-        | Lt ->
-            fun t ->
-              fa t;
-              let x = acc.v in
-              fb t;
-              if x < acc.v then 1 else 0
-        | Le ->
-            fun t ->
-              fa t;
-              let x = acc.v in
-              fb t;
-              if x <= acc.v then 1 else 0
-        | Gt ->
-            fun t ->
-              fa t;
-              let x = acc.v in
-              fb t;
-              if x > acc.v then 1 else 0
-        | Ge ->
-            fun t ->
-              fa t;
-              let x = acc.v in
-              fb t;
-              if x >= acc.v then 1 else 0
-        | Eq ->
-            fun t ->
-              fa t;
-              let x = acc.v in
-              fb t;
-              if x = acc.v then 1 else 0
-        | Ne ->
-            fun t ->
-              fa t;
-              let x = acc.v in
-              fb t;
-              if x <> acc.v then 1 else 0
-        | _ -> assert false
-      end
+  let float_cmp =
+    match e with
+    | Binop (op, a, b) when join (ty_of lookup a) (ty_of lookup b) = EFloat ->
+        Option.map (fun o -> (o, a, b)) (cmp_outcomes op)
+    | _ -> None
+  in
+  match (float_cmp, e) with
+  | Some ((lt, eq, gt, un), a, b), _ ->
+      if st.fast then
+        (* accumulator form, the comparison spelled out: a float returned
+           from a closure or passed to a call would be boxed *)
+        let acc = st.acc and stats = st.stats in
+        let sreads = static_read_count lookup e in
+        let rb = 8 * Option.value sreads ~default:0 in
+        let fa = acompile_float ~count:(sreads = None) st lookup a
+        and fb = acompile_float ~count:(sreads = None) st lookup b in
+        fun t ->
+          fa t;
+          let x = acc.v in
+          fb t;
+          let y = acc.v in
+          stats.global_read_bytes <- stats.global_read_bytes + rb;
+          if x < y then lt else if x > y then gt else if x = y then eq else un
       else
         let fa = compile_float st lookup a and fb = compile_float st lookup b in
-        let cmp : float -> float -> bool =
-          match op with
-          | Lt -> ( < )
-          | Le -> ( <= )
-          | Gt -> ( > )
-          | Ge -> ( >= )
-          | Eq -> ( = )
-          | Ne -> ( <> )
-          | _ -> assert false
-        in
-        fun t -> if cmp (fa t) (fb t) then 1 else 0
-  | Binop (And, a, b) ->
-      let fa = compile_cond st lookup a and fb = compile_cond st lookup b in
-      fun t -> if fa t <> 0 && fb t <> 0 then 1 else 0
-  | Binop (Or, a, b) ->
+        (* the right operand first, as in an application [cmp (fa t) (fb t)] *)
+        fun t ->
+          let y = fb t in
+          let x = fa t in
+          if x < y then lt else if x > y then gt else if x = y then eq else un
+  | None, Binop (And, a, b) -> (
+      match if st.fast then reg_ranges st lookup e else None with
+      | Some ranges -> compile_ranges ranges
+      | None ->
+          let fa = compile_cond st lookup a and fb = compile_cond st lookup b in
+          fun t -> if fa t <> 0 && fb t <> 0 then 1 else 0)
+  | None, Binop (Or, a, b) ->
       let fa = compile_cond st lookup a and fb = compile_cond st lookup b in
       fun t -> if fa t <> 0 || fb t <> 0 then 1 else 0
-  | Unop (Not, a) ->
+  | None, Unop (Not, a) ->
       let f = compile_cond st lookup a in
       fun t -> if f t = 0 then 1 else 0
-  | e -> compile_int st lookup e
+  | None, e -> compile_int st lookup e
 
 (* Reference float compilation ([st.fast = false] launches): closures
    return their float (boxed per indirect call — fine for the reference
@@ -707,68 +860,49 @@ and acompile_float ?(count = true) st lookup e : int -> unit =
               let oob i =
                 err st (Printf.sprintf "global array %s index %d out of bounds [0,%d)" a i n)
               in
-              let slot v = match lookup v with Int_slot s -> Some st.iregs.(s) | _ -> None in
-              (* fuse the post-affine index shapes (slot, slot +/- c) into
-                 the read closure: one call, one bounds check, one load *)
-              let fused =
-                match single with
-                | Var v -> Option.map (fun arr -> (arr, 0)) (slot v)
-                | Binop (Add, Var v, Int_lit c) | Binop (Add, Int_lit c, Var v) ->
-                    Option.map (fun arr -> (arr, c)) (slot v)
-                | Binop (Sub, Var v, Int_lit c) -> Option.map (fun arr -> (arr, -c)) (slot v)
-                | _ -> None
-              in
-              match fused with
-              | Some (arr, off) when count ->
-                  fun t ->
-                    let i = Array.unsafe_get arr t + off in
-                    if i < 0 || i >= n then oob i
-                    else begin
-                      stats.global_read_bytes <- stats.global_read_bytes + 8;
-                      touched := true;
-                      acc.v <- A1.unsafe_get data i
-                    end
-              | Some (arr, off) ->
-                  fun t ->
-                    let i = Array.unsafe_get arr t + off in
-                    if i < 0 || i >= n then oob i
-                    else begin
-                      touched := true;
-                      acc.v <- A1.unsafe_get data i
-                    end
-              | None ->
-                  let idx = compile_int st lookup single in
-                  if count then
+              let read =
+                match reg_offset st lookup single with
+                | Some (r, off) ->
                     fun t ->
-                      let i = idx t in
+                      let i = Array.unsafe_get r t + off in
                       if i < 0 || i >= n then oob i
                       else begin
-                        stats.global_read_bytes <- stats.global_read_bytes + 8;
                         touched := true;
                         acc.v <- A1.unsafe_get data i
                       end
-                  else
+                | None ->
+                    let idx = compile_int st lookup single in
                     fun t ->
                       let i = idx t in
                       if i < 0 || i >= n then oob i
                       else begin
                         touched := true;
                         acc.v <- A1.unsafe_get data i
-                      end)
-          | Shared (slot, dims) ->
-              let addr = shared_index st dims (List.map (compile_int st lookup) idxs) a in
-              let stats = st.stats in
+                      end
+              in
+              (* [count = false]: the statement bumps the byte counter *)
+              if count then
+                fun t ->
+                  read t;
+                  stats.global_read_bytes <- stats.global_read_bytes + 8
+              else read)
+          | Shared (slot, dims) -> (
               (* tiles are refilled in place per block, never reallocated,
-                 and [addr] is in range by its per-dimension checks *)
+                 and an address is in range by its per-dimension checks *)
               let tile = st.shmem.(slot) and writer = st.sh_writer.(slot)
               and written = st.sh_epoch.(slot) in
-              fun t ->
-                let i = addr t in
-                if Array.unsafe_get written i = st.epoch then begin
-                  let w = Array.unsafe_get writer i in
-                  if w <> t && w >= 0 then stats.shared_hazards <- stats.shared_hazards + 1
-                end;
-                acc.v <- Array.unsafe_get tile i
+              match tile_index st lookup dims idxs with
+              | Some (d0, r0, c0, d1, r1, c1) ->
+                  fun t ->
+                    let i = tile_addr st a d0 r0 c0 d1 r1 c1 t in
+                    note_hazard st writer written i t;
+                    acc.v <- Array.unsafe_get tile i
+              | None ->
+                  let addr = shared_addr st dims (List.map (compile_int st lookup) idxs) a in
+                  fun t ->
+                    let i = addr t in
+                    note_hazard st writer written i t;
+                    acc.v <- Array.unsafe_get tile i)
           | _ -> err st (Printf.sprintf "%s indexed but is not an array" a))
       | Binop (op, a, b) -> (
           match float_sum_terms lookup e [] with
@@ -862,13 +996,19 @@ and acompile_float ?(count = true) st lookup e : int -> unit =
       | Int_lit _ | Builtin _ -> assert false (* EInt-typed *))
 
 and float_operand ~count st lookup e =
+  let reg e =
+    match e with
+    | Var v -> ( match lookup v with Float_slot s -> Some st.fregs.(s) | _ -> None)
+    | _ -> None
+  in
   match (const_float_of lookup e, e) with
   | Some c, _ -> Imm c
-  | None, Var v -> (
-      match lookup v with
-      | Float_slot s -> Reg st.fregs.(s)
+  | None, Binop (Mul, a, b) -> (
+      match (reg a, const_float_of lookup b, const_float_of lookup a, reg b) with
+      | Some r, Some k, _, _ -> Scaled (r, k, true)
+      | _, _, Some k, Some r -> Scaled (r, k, false)
       | _ -> Clo (acompile_float ~count st lookup e))
-  | None, _ -> Clo (acompile_float ~count st lookup e)
+  | None, _ -> ( match reg e with Some r -> Reg r | None -> Clo (acompile_float ~count st lookup e))
 
 (* ------------------------------------------------------------------ *)
 (* Statement compilation                                               *)
@@ -919,26 +1059,51 @@ let rec pure_int_cond lookup e =
       pure_int_cond lookup c && pure_int_cond lookup a && pure_int_cond lookup b
   | Double_lit _ | Index _ | Call _ -> false
 
-(* number of global-array reads one evaluation of [e] performs, or
-   [None] when the count is data-dependent (a [Ternary] picks a branch
-   at run time). Shared-memory reads are excluded: they do not touch
-   [global_read_bytes] and keep their per-access hazard accounting. *)
-let static_read_count lookup e =
-  let rec go e =
-    match e with
-    | Index (a, _) -> ( match lookup a with Global _ -> 1 | _ -> 0)
-    | Binop (_, a, b) -> go a + go b
-    | Unop (_, a) -> go a
-    | Call (_, args) -> List.fold_left (fun acc a -> acc + go a) 0 args
-    | Ternary _ -> raise Exit
-    | Int_lit _ | Double_lit _ | Var _ | Builtin _ -> 0
-  in
-  try Some (go e) with Exit -> None
+(* A run of float register statements in one closure: each root
+   expression runs and its value is stored, then the run's global-read
+   bytes and flops are added once. Every flop addend is an
+   integer-valued float, so one sum per run is exact. The per-read byte
+   order is only observable on an aborting launch, whose stats are
+   unspecified. Entries are [(expression, register file, read bytes,
+   flops)]. *)
+let reg_run st entries : int -> unit =
+  let acc = st.acc and fl = st.flacc and stats = st.stats in
+  let rb = List.fold_left (fun s (_, _, b, _) -> s + b) 0 entries
+  and flops = List.fold_left (fun s (_, _, _, f) -> s +. f) 0.0 entries in
+  match entries with
+  | [ (f, dst, _, _) ] ->
+      fun t ->
+        f t;
+        Array.unsafe_set dst t acc.v;
+        stats.global_read_bytes <- stats.global_read_bytes + rb;
+        fl.v <- fl.v +. flops
+  | _ ->
+      let fs = Array.of_list (List.map (fun (f, _, _, _) -> f) entries)
+      and dsts = Array.of_list (List.map (fun (_, d, _, _) -> d) entries) in
+      let n = Array.length fs in
+      fun t ->
+        for i = 0 to n - 1 do
+          (Array.unsafe_get fs i) t;
+          Array.unsafe_set (Array.unsafe_get dsts i) t acc.v
+        done;
+        stats.global_read_bytes <- stats.global_read_bytes + rb;
+        fl.v <- fl.v +. flops
+
+(* a fast-path float register statement [slot = e] as a [reg_run] entry,
+   and whether its global-read count is static *)
+let reg_entry st lookup slot e =
+  let sreads = static_read_count lookup e in
+  let f = acompile_float ~count:(sreads = None) st lookup e in
+  let rb = 8 * Option.value sreads ~default:0 in
+  ((f, st.fregs.(slot), rb, float_of_int (float_flops lookup e)), sreads <> None)
 
 (* compile a statement list into a single per-thread closure (no syncs
    inside, guaranteed by caller) *)
 let rec compile_thread_fn st lookup stmts : int -> unit =
-  let fns = List.map (compile_thread_stmt st lookup) stmts in
+  let fns =
+    if st.fast then compile_runs st lookup stmts
+    else List.map (compile_thread_stmt st lookup) stmts
+  in
   match fns with
   | [ f ] -> f
   | [ f; g ] when st.fast ->
@@ -959,6 +1124,35 @@ let rec compile_thread_fn st lookup stmts : int -> unit =
         done
   | fns -> fun t -> List.iter (fun f -> f t) fns
 
+(* fast-path statements in order, consecutive float register statements
+   with a static read count grouped into one [reg_run]; a statement
+   whose count is data-dependent (a [Ternary]) is a run of its own *)
+and compile_runs st lookup stmts =
+  let out = ref [] and run = ref [] in
+  let flush () =
+    if !run <> [] then out := reg_run st (List.rev !run) :: !out;
+    run := []
+  in
+  List.iter
+    (fun s ->
+      let float_reg =
+        match s with
+        | Decl (_, v, Some e) | Assign (Lvar v, e) -> (
+            match lookup v with Float_slot slot -> Some (slot, e) | _ -> None)
+        | _ -> None
+      in
+      match Option.map (fun (slot, e) -> reg_entry st lookup slot e) float_reg with
+      | Some (entry, true) -> run := entry :: !run
+      | Some (entry, false) ->
+          flush ();
+          out := reg_run st [ entry ] :: !out
+      | None ->
+          flush ();
+          out := compile_thread_stmt st lookup s :: !out)
+    stmts;
+  flush ();
+  List.rev !out
+
 and compile_thread_stmt st lookup s : int -> unit =
   let stats = st.stats in
   match s with
@@ -969,61 +1163,30 @@ and compile_thread_stmt st lookup s : int -> unit =
       match lookup v with
       | Int_slot slot -> (
           let arr = st.iregs.(slot) in
-          let plain () =
-            let f = compile_int st lookup e in
-            if st.fast then fun t -> Array.unsafe_set arr t (f t) else fun t -> arr.(t) <- f t
-          in
-          match e with
-          (* induction-variable increments from the affine pass *)
-          | Binop (Add, Var v', step) when st.fast && v' = v -> (
-              match (step, int_reg st lookup step) with
-              | Int_lit c, _ -> fun t -> Array.unsafe_set arr t (Array.unsafe_get arr t + c)
-              | _, Some sarr ->
-                  fun t -> Array.unsafe_set arr t (Array.unsafe_get arr t + Array.unsafe_get sarr t)
-              | _ -> plain ())
-          | _ -> plain ())
+          (* [v = reg + c] and the affine pass's [v = v + stride] with the
+             registers read in place *)
+          match (if st.fast then linear_form st lookup e else None) with
+          | Some { c; regs = [ (r, 1) ]; bk = 0, 0, 0 } ->
+              fun t -> Array.unsafe_set arr t (Array.unsafe_get r t + c)
+          | Some { c; regs = [ (r, 1) ]; bk = kx, ky, kz } ->
+              fun t ->
+                Array.unsafe_set arr t
+                  (Array.unsafe_get r t + c + (kx * st.bix) + (ky * st.biy) + (kz * st.biz))
+          | Some { c = 0; regs = [ (r, 1); (q, 1) ]; bk = 0, 0, 0 } ->
+              fun t -> Array.unsafe_set arr t (Array.unsafe_get r t + Array.unsafe_get q t)
+          | _ ->
+              let f = compile_int st lookup e in
+              if st.fast then fun t -> Array.unsafe_set arr t (f t) else fun t -> arr.(t) <- f t)
+      | Float_slot slot when st.fast -> reg_run st [ fst (reg_entry st lookup slot e) ]
       | Float_slot slot ->
           let flops = float_of_int (float_flops lookup e) in
           let arr = st.fregs.(slot) in
-          if st.fast then begin
-            (* fast mode: count the statement's global reads statically
-               and bump the byte counter once per execution instead of
-               once per read (the per-read order is only observable on an
-               aborting launch, whose stats are unspecified); flops go to
-               the unboxed [flacc] accumulator, folded into [stats.flops]
-               at block exit *)
-            let sreads = static_read_count lookup e in
-            let rb = match sreads with Some k -> 8 * k | None -> 0 in
-            let f = acompile_float ~count:(sreads = None) st lookup e in
-            let acc = st.acc and fl = st.flacc in
-            if rb = 0 && flops = 0.0 then
-              fun t ->
-                f t;
-                Array.unsafe_set arr t acc.v
-            else if rb = 0 then
-              fun t ->
-                f t;
-                Array.unsafe_set arr t acc.v;
-                fl.v <- fl.v +. flops
-            else if flops = 0.0 then
-              fun t ->
-                f t;
-                Array.unsafe_set arr t acc.v;
-                stats.global_read_bytes <- stats.global_read_bytes + rb
-            else
-              fun t ->
-                f t;
-                Array.unsafe_set arr t acc.v;
-                stats.global_read_bytes <- stats.global_read_bytes + rb;
-                fl.v <- fl.v +. flops
-          end
+          let f = compile_float st lookup e in
+          if flops = 0.0 then fun t -> arr.(t) <- f t
           else
-            let f = compile_float st lookup e in
-            if flops = 0.0 then fun t -> arr.(t) <- f t
-            else
-              fun t ->
-                arr.(t) <- f t;
-                stats.flops <- stats.flops +. flops
+            fun t ->
+              arr.(t) <- f t;
+              stats.flops <- stats.flops +. flops
       | _ -> err st (Printf.sprintf "assignment to non-scalar %s" v))
   | Assign (Lindex (a, idxs), e) -> (
       match lookup a with
@@ -1043,52 +1206,22 @@ and compile_thread_stmt st lookup s : int -> unit =
             err st (Printf.sprintf "global array %s index %d out of bounds [0,%d)" a i n)
           in
           let acc = st.acc and fl = st.flacc in
-          let slot v = match lookup v with Int_slot s -> Some st.iregs.(s) | _ -> None in
-          let fused =
-            match single with
-            | Var v -> Option.map (fun arr -> (arr, 0)) (slot v)
-            | Binop (Add, Var v, Int_lit c) | Binop (Add, Int_lit c, Var v) ->
-                Option.map (fun arr -> (arr, c)) (slot v)
-            | Binop (Sub, Var v, Int_lit c) -> Option.map (fun arr -> (arr, -c)) (slot v)
-            | _ -> None
+          let[@inline] store t i =
+            if i < 0 || i >= n then oob i
+            else begin
+              rhs t;
+              A1.unsafe_set data i acc.v;
+              stats.global_read_bytes <- stats.global_read_bytes + rb;
+              stats.global_write_bytes <- stats.global_write_bytes + 8;
+              fl.v <- fl.v +. flops;
+              touched := true
+            end
           in
-          match fused with
-          | Some (arr, off) when rb = 0 ->
-              fun t ->
-                let i = Array.unsafe_get arr t + off in
-                if i < 0 || i >= n then oob i
-                else begin
-                  rhs t;
-                  A1.unsafe_set data i acc.v;
-                  stats.global_write_bytes <- stats.global_write_bytes + 8;
-                  fl.v <- fl.v +. flops;
-                  touched := true
-                end
-          | Some (arr, off) ->
-              fun t ->
-                let i = Array.unsafe_get arr t + off in
-                if i < 0 || i >= n then oob i
-                else begin
-                  rhs t;
-                  A1.unsafe_set data i acc.v;
-                  stats.global_read_bytes <- stats.global_read_bytes + rb;
-                  stats.global_write_bytes <- stats.global_write_bytes + 8;
-                  fl.v <- fl.v +. flops;
-                  touched := true
-                end
+          match reg_offset st lookup single with
+          | Some (r, off) -> fun t -> store t (Array.unsafe_get r t + off)
           | None ->
               let idx = compile_int st lookup single in
-              fun t ->
-                let i = idx t in
-                if i < 0 || i >= n then oob i
-                else begin
-                  rhs t;
-                  A1.unsafe_set data i acc.v;
-                  stats.global_read_bytes <- stats.global_read_bytes + rb;
-                  stats.global_write_bytes <- stats.global_write_bytes + 8;
-                  fl.v <- fl.v +. flops;
-                  touched := true
-                end)
+              fun t -> store t (idx t))
       | Global data ->
           let single =
             match idxs with
@@ -1111,30 +1244,40 @@ and compile_thread_stmt st lookup s : int -> unit =
               stats.flops <- stats.flops +. flops;
               touched := true
             end
+      | Shared (slot, dims) when st.fast -> (
+          let index =
+            match tile_index st lookup dims idxs with
+            | Some tile -> Either.Left tile
+            | None -> Either.Right (shared_addr st dims (List.map (compile_int st lookup) idxs) a)
+          in
+          let sreads = static_read_count lookup e in
+          let rb = 8 * Option.value sreads ~default:0 in
+          let rhs = acompile_float ~count:(sreads = None) st lookup e in
+          let flops = float_of_int (float_flops lookup e) in
+          let acc = st.acc and fl = st.flacc in
+          let tile = st.shmem.(slot) and writer = st.sh_writer.(slot)
+          and written = st.sh_epoch.(slot) in
+          let[@inline] store t i =
+            rhs t;
+            Array.unsafe_set tile i acc.v;
+            Array.unsafe_set writer i t;
+            Array.unsafe_set written i st.epoch;
+            stats.global_read_bytes <- stats.global_read_bytes + rb;
+            fl.v <- fl.v +. flops
+          in
+          match index with
+          | Left (d0, r0, c0, d1, r1, c1) -> fun t -> store t (tile_addr st a d0 r0 c0 d1 r1 c1 t)
+          | Right addr -> fun t -> store t (addr t))
       | Shared (slot, dims) ->
           let idx_fns = List.map (compile_int st lookup) idxs in
           let flops = float_of_int (float_flops lookup e) in
-          if st.fast then
-            let addr = shared_index st dims idx_fns a in
-            let rhs = acompile_float st lookup e in
-            let acc = st.acc and fl = st.flacc in
-            let tile = st.shmem.(slot) and writer = st.sh_writer.(slot)
-            and written = st.sh_epoch.(slot) in
-            fun t ->
-              let i = addr t in
-              rhs t;
-              Array.unsafe_set tile i acc.v;
-              Array.unsafe_set writer i t;
-              Array.unsafe_set written i st.epoch;
-              fl.v <- fl.v +. flops
-          else
-            let rhs = compile_float st lookup e in
-            fun t ->
-              let addr = shared_addr st dims idx_fns a t in
-              st.shmem.(slot).(addr) <- rhs t;
-              st.sh_writer.(slot).(addr) <- t;
-              st.sh_epoch.(slot).(addr) <- st.epoch;
-              stats.flops <- stats.flops +. flops
+          let rhs = compile_float st lookup e in
+          fun t ->
+            let addr = shared_addr st dims idx_fns a t in
+            st.shmem.(slot).(addr) <- rhs t;
+            st.sh_writer.(slot).(addr) <- t;
+            st.sh_epoch.(slot).(addr) <- st.epoch;
+            stats.flops <- stats.flops +. flops
       | _ -> err st (Printf.sprintf "%s is not an array" a))
   | If (c, tb, eb) ->
       let fc = compile_cond st lookup c in
@@ -1546,6 +1689,7 @@ let launch_ext ?engine ?affine ?backend ?trace mem prog (l : launch) =
         bx; by; bz;
         nthreads;
         txs; tys; tzs;
+        zeros = Array.make nthreads 0;
         bix = 0; biy = 0; biz = 0;
         iregs = Array.init n_int (fun _ -> Array.make nthreads 0);
         fregs = Array.init n_float (fun _ -> Array.make nthreads 0.0);

@@ -791,6 +791,60 @@ let fast_path_rows =
      "__shared__ double s[4][8]; s[ty][tx] = x; __syncthreads(); B[g] = s[ty][tx + 1];");
     ("shared write out of bounds on dimension 1", `Raises,
      "__shared__ double s[4][8]; s[ty][tx + 1] = x; B[g] = x;");
+    (* linear integer forms: regrouping must wrap exactly as the
+       reference's operations do *)
+    ("linear forms that wrap", `Runs,
+     "int w = i * 4611686018427387903 + j * 3;\n\
+     \      int v = (i + 3) * 4611686018427387903 - i * 4611686018427387903 - (0 - w) * 2;\n\
+     \      B[g] = x + (w % 7) + (v % 5) + ((-w) % 3);");
+    ("cancelling and duplicate registers", `Runs,
+     "int u = i + j - i; int v = tx + tx;\n\
+     \      B[g + v - tx - tx] = x + u + v + A[j * nx + i + i - i] + (tx - tx + ty - ty);");
+    ("blockIdx terms and four or more registers", `Runs,
+     "int w = blockIdx.x * 7 - blockIdx.y * 3 + tx;\n\
+     \      int z = tx + 2 * ty - 3 * i + 5 * j + w - blockIdx.x;\n\
+     \      B[g] = x + w + z + A[(blockIdx.y * 4 + ty) * nx + blockIdx.x * 8 + tx + w - w];");
+    ("guard ranges on registers and constants", `Runs,
+     "if (i >= 1 && i < 15 && 2 <= j && j <= 6 && i != 7 && tx > 0) { B[g] = x; }\n\
+     \      if (3 > tx && tx >= 0 && ty == 2) { B[g] = y; }\n\
+     \      for (int k = 0; k < 3; k++) { if (k >= 1 && k < 2 && i < 4611686018427387903) { B[g] = B[g] + x; } }\n\
+     \      if (i > -4611686018427387903 - 1 && j >= 0 && j > 4611686018427387903 - 9) { B[g] = 0.5; }\n\
+     \      if (j < -4611686018427387903 - 1 && i >= 0) { B[g] = 0.25; }");
+    (* tiles indexed in place *)
+    ("in-place tile indexes with nested constants", `Runs,
+     "__shared__ double s[8][12]; s[ty + 2][tx + 2] = x; __syncthreads();\n\
+     \      B[g] = s[ty + 2][tx + 2 + 2] + s[ty + 2 - 2][tx + 2] + s[3][tx];");
+    ("1-D in-place tile, hazards counted", `Hazards,
+     "__shared__ double s[16]; s[tx + 3] = x; B[g] = s[tx + 3] + s[7];");
+    ("shared read at a negative offset out of bounds on dimension 0", `Raises,
+     "__shared__ double s[4][8]; s[ty][tx] = x; __syncthreads(); B[g] = s[ty - 1][tx];");
+    ("shared write out of bounds on dimension 0", `Raises,
+     "__shared__ double s[4][8]; s[ty + 1][tx] = x; B[g] = x;");
+    ("3-D tile on the generic path", `Runs,
+     "__shared__ double s[2][4][8]; s[blockIdx.x][ty][tx] = x; __syncthreads();\n\
+     \      B[g] = s[blockIdx.x][ty][tx] + s[1][ty][7 - tx];");
+    ("3-D tile read out of bounds", `Raises,
+     "__shared__ double s[2][4][8]; s[blockIdx.x][ty][tx] = x; __syncthreads();\n\
+     \      B[g] = s[0][ty][tx + 1];");
+    (* float register statements run as one closure *)
+    ("register run reading a register written earlier in the run", `Runs,
+     "for (int k = 0; k < 2; k++) {\n\
+     \        double p = x * 2.0; double q = p + A[g + k]; p = q * p - y; q = q + p * A[g + 2];\n\
+     \        B[g] = p + q; }");
+    ("register run whose global read goes out of bounds", `Raises,
+     "if (i >= 0) { double p = x + 1.0; double q = A[g + 500 - 8 * tx] + p; double r = q * 2.0; B[g] = r; }");
+    ("register runs split by a Ternary and an int statement", `Runs,
+     "if (i >= 0) {\n\
+     \        double p = x * 2.0; double q = (x > y) ? A[g] : A[g + 1] + p; double r = q - p;\n\
+     \        int m = i + 1; double s2 = r * m + A[g + 2]; B[g] = s2 + p + q; }");
+    (* a register scaled by a constant, read in place *)
+    ("scaled register operands", `Runs,
+     "double a = x * 2.0 - y; double b = 2.0 * x + 1.0; double d = c * x; double e = x * c + y;\n\
+     \      double f = x * 2.0 - 1.5; double h = 3.0 * y - x; double u = y * 0.5 + 2.0 * x;\n\
+     \      B[g] = a + b - d + e + f * h + u + (y * 3.0) * (0.5 * x) - 1.5 * y / (x * 4.0);");
+    ("scaled register operand on an infinite register", `Runs,
+     "double big = x * 1e308 * 1e308; double n = big * 0.0; double m = 0.0 * big;\n\
+     \      B[g] = (n != n && m != m) ? 1.5 : 2.5;");
   ]
 
 let fast_path_suite = List.map fast_path_case fast_path_rows
