@@ -35,7 +35,7 @@ let () =
   Printf.printf "wrote %s/{performance,operations,device}.meta\n" out_dir;
   write (Filename.concat out_dir "ddg.dot") (Kft_ddg.Ddg.ddg_dot report.graphs);
   write (Filename.concat out_dir "oeg.dot") (Kft_ddg.Ddg.oeg_dot report.graphs);
-  write (Filename.concat out_dir "oeg_new.dot") (Kft_ddg.Ddg.oeg_dot report.new_graphs);
+  write (Filename.concat out_dir "oeg_new.dot") (Kft_ddg.Ddg.oeg_dot (Kft_ddg.Ddg.build report.transformed));
   write
     (Filename.concat out_dir "transformed.cu")
     (Kft_cuda.Pp.program report.transformed);

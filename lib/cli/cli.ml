@@ -368,10 +368,11 @@ let transform_run app_name device_name generations population jobs no_memo no_si
                 let write name contents =
                   write_file (Filename.concat dir name) contents
                 in
+                let new_graphs = Kft_ddg.Ddg.build report.transformed in
                 write "ddg.dot" (Kft_ddg.Ddg.ddg_dot report.graphs);
                 write "oeg.dot" (Kft_ddg.Ddg.oeg_dot report.graphs);
-                write "ddg_new.dot" (Kft_ddg.Ddg.ddg_dot report.new_graphs);
-                write "oeg_new.dot" (Kft_ddg.Ddg.oeg_dot report.new_graphs);
+                write "ddg_new.dot" (Kft_ddg.Ddg.ddg_dot new_graphs);
+                write "oeg_new.dot" (Kft_ddg.Ddg.oeg_dot new_graphs);
                 write "gga.params" (Kft_gga.Gga.params_to_text config.gga_params);
                 Printf.printf "stage artifacts written to %s/\n" dir
             | None -> ());

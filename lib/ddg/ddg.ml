@@ -1,5 +1,6 @@
 open Kft_cuda.Ast
 module G = Kft_graph.Digraph
+module Schedflow = Kft_schedflow.Schedflow
 
 type invocation = {
   inv_key : string;
@@ -40,10 +41,19 @@ type t = {
   closure : closure;
 }
 
-(* Every OEG edge goes from an earlier invocation to a later one, so one
-   sweep in each direction over the schedule closes the relation. *)
-let close oeg invocations =
-  let keys = Array.of_list (List.map (fun inv -> inv.inv_key) invocations) in
+let invocations prog =
+  let counts = Hashtbl.create 16 in
+  List.filter_map (function Launch l -> Some l | _ -> None) prog.p_schedule
+  |> List.mapi (fun i l ->
+         let n = Option.value ~default:0 (Hashtbl.find_opt counts l.l_kernel) in
+         Hashtbl.replace counts l.l_kernel (n + 1);
+         let inv_key = if n = 0 then l.l_kernel else Printf.sprintf "%s#%d" l.l_kernel (n + 1) in
+         { inv_key; inv_kernel = l.l_kernel; inv_index = i; inv_launch = l })
+
+(* [succs.(i)] lists the invocations that depend directly on invocation
+   [keys.(i)], every one later than [i] in the schedule, so one sweep in
+   each direction closes the relation. *)
+let close keys succs =
   let n = Array.length keys in
   let index = Hashtbl.create n in
   Array.iteri (fun i k -> Hashtbl.replace index k i) keys;
@@ -55,52 +65,19 @@ let close oeg invocations =
     Bits.union_into reach.(i) reach.(j)
   in
   for i = n - 1 downto 0 do
-    List.iter
-      (fun s ->
-        let j = Hashtbl.find index s in
-        assert (j > i);
-        extend desc i j)
-      (G.succs oeg keys.(i))
+    List.iter (fun j -> assert (j > i); extend desc i j) succs.(i)
   done;
   for i = 0 to n - 1 do
-    List.iter (fun p -> extend anc i (Hashtbl.find index p)) (G.preds oeg keys.(i))
+    List.iter (fun j -> extend anc j i) succs.(i)
   done;
   { index; desc; anc }
-
-let dedup l =
-  let seen = Hashtbl.create 8 in
-  List.filter (fun x -> if Hashtbl.mem seen x then false else (Hashtbl.replace seen x (); true)) l
-
-let arrays_touched prog (l : launch) =
-  let k = find_kernel prog l.l_kernel in
-  let binding = bind_args k l.l_args in
-  let host p = match List.assoc_opt p binding with Some (Arg_array h) -> Some h | _ -> None in
-  let shared_names =
-    fold_stmts (fun acc s -> match s with Shared_decl (_, n, _) -> n :: acc | _ -> acc) [] k.k_body
-  in
-  let global p = not (List.mem p shared_names) in
-  let reads =
-    arrays_read k.k_body |> List.filter global |> List.filter_map host |> dedup
-  in
-  let writes =
-    arrays_written k.k_body |> List.filter global |> List.filter_map host |> dedup
-  in
-  (reads, writes)
 
 let array_key base version =
   if version = 0 then base else Printf.sprintf "%s@%d" base version
 
-let build prog =
-  let invocations =
-    let counts = Hashtbl.create 16 in
-    List.filteri (fun _ _ -> true) prog.p_schedule
-    |> List.filter_map (function Launch l -> Some l | _ -> None)
-    |> List.mapi (fun i l ->
-           let n = Option.value ~default:0 (Hashtbl.find_opt counts l.l_kernel) in
-           Hashtbl.replace counts l.l_kernel (n + 1);
-           let inv_key = if n = 0 then l.l_kernel else Printf.sprintf "%s#%d" l.l_kernel (n + 1) in
-           { inv_key; inv_kernel = l.l_kernel; inv_index = i; inv_launch = l })
-  in
+let of_schedflow (sf : Schedflow.t) =
+  let invocations = invocations sf.program in
+  let launch_ops = List.filter (fun (op : Schedflow.op) -> op.op_launch <> None) sf.ops in
   let ddg = G.create () in
   (* multi-writer versioning: current version per array; a write by a
      second (or later) distinct invocation bumps the version, creating a
@@ -113,18 +90,17 @@ let build prog =
     G.ensure_node ddg ~key (Array_node { base; version = v });
     key
   in
-  List.iter
-    (fun inv ->
+  List.iter2
+    (fun inv (op : Schedflow.op) ->
       G.add_node ddg ~key:inv.inv_key (Kernel_node inv);
-      let reads, writes = arrays_touched prog inv.inv_launch in
       List.iter
-        (fun a ->
+        (fun (a, _) ->
           let v = Option.value ~default:0 (Hashtbl.find_opt version a) in
           let key = ensure_array a v in
           G.add_edge ddg key inv.inv_key)
-        reads;
+        op.op_reads;
       List.iter
-        (fun a ->
+        (fun (a, _) ->
           let prev_writers = Option.value ~default:[] (Hashtbl.find_opt writers a) in
           let v =
             if prev_writers = [] || List.mem inv.inv_key prev_writers then
@@ -140,40 +116,47 @@ let build prog =
           Hashtbl.replace writers a (inv.inv_key :: prev_writers);
           let key = ensure_array a v in
           G.add_edge ddg inv.inv_key key)
-        writes)
-    invocations;
+        op.op_writes)
+    invocations launch_ops;
   let versioned_arrays =
     Hashtbl.fold (fun a v acc -> (a, v + 1) :: acc) max_version [] |> List.sort compare
   in
-  (* OEG: RAW / WAR / WAW between invocations in schedule order; the host
-     invocation order orients every dependence, which is exactly the
-     cycle-breaking heuristic of Section 3.2.3 *)
+  (* OEG: every launch pair with a RAW / WAR / WAW dependence at array
+     granularity. The host invocation order orients each one, which is
+     exactly the cycle-breaking heuristic of Section 3.2.3. Region
+     refinement is deliberately ignored: it would make more groups
+     legal and so change the search. *)
+  let ops = Array.of_list sf.ops in
+  let succs = Array.make (List.length invocations) [] in
+  List.iter
+    (fun (d : Schedflow.dep) ->
+      match (ops.(d.dep_src).op_launch, ops.(d.dep_dst).op_launch) with
+      | Some a, Some b -> (
+          (* sorted by (src, dst): a repeated pair is adjacent *)
+          match succs.(a) with
+          | b' :: _ when b' = b -> ()
+          | l -> succs.(a) <- b :: l)
+      | _ -> ())
+    sf.array_deps;
+  let succs = Array.map List.rev succs in
+  let keys = Array.of_list (List.map (fun inv -> inv.inv_key) invocations) in
+  let closure = close keys succs in
+  (* transitive reduction for readability (the DOT files the programmer
+     inspects): drop i -> j when another direct successor of i reaches j.
+     No node reaches itself in a DAG, so the union over all of i's
+     successors names only the others. Reachability, and so the
+     closure, is unchanged. *)
   let oeg = G.create () in
   List.iter (fun inv -> G.add_node oeg ~key:inv.inv_key (Kernel_node inv)) invocations;
-  let touched = List.map (fun inv -> (inv, arrays_touched prog inv.inv_launch)) invocations in
-  let rec pairs = function
-    | [] -> ()
-    | (inv_a, (ra, wa)) :: rest ->
-        List.iter
-          (fun (inv_b, (rb, wb)) ->
-            let inter x y = List.exists (fun e -> List.mem e y) x in
-            let raw = inter wa rb in
-            let war = inter ra wb in
-            let waw = inter wa wb in
-            if raw || war || waw then G.add_edge oeg inv_a.inv_key inv_b.inv_key)
-          rest;
-        pairs rest
-  in
-  pairs touched;
-  (* transitive reduction for readability (the DOT files the programmer
-     inspects); reachability is preserved *)
-  let edges = G.edges oeg in
-  List.iter
-    (fun (a, b) ->
-      G.remove_edge oeg a b;
-      if not (G.reachable oeg ~src:a ~dst:b) then G.add_edge oeg a b)
-    edges;
-  { ddg; oeg; invocations; versioned_arrays; closure = close oeg invocations }
+  Array.iteri
+    (fun i js ->
+      let implied = Bits.create (Array.length keys) in
+      List.iter (fun k -> Bits.union_into implied closure.desc.(k)) js;
+      List.iter (fun j -> if not (Bits.mem implied j) then G.add_edge oeg keys.(i) keys.(j)) js)
+    succs;
+  { ddg; oeg; invocations; versioned_arrays; closure }
+
+let build prog = of_schedflow (Schedflow.analyze prog)
 
 let node_index t k =
   match Hashtbl.find_opt t.closure.index k with
@@ -205,9 +188,6 @@ let fusion_feasible t group =
   Array.iteri (fun w m -> below.(w) <- below.(w) land above.(w) land lnot m) members;
   Array.for_all (fun w -> w = 0) below
 
-let group_has_internal_precedence t group =
-  List.exists (fun a -> List.exists (fun b -> oeg_precedes t a b) group) group
-
 let node_attrs _key = function
   | Kernel_node inv -> [ ("shape", "box"); ("label", inv.inv_key) ]
   | Array_node { base; version } ->
@@ -221,6 +201,3 @@ let ddg_dot t = G.to_dot ~graph_name:"DDG" ~node_attrs:(fun k p -> node_attrs k 
 
 let oeg_dot t = G.to_dot ~graph_name:"OEG" ~node_attrs:(fun k p -> node_attrs k p) t.oeg
 
-let oeg_of_amended_dot t text =
-  let known k = G.mem_node t.oeg k in
-  G.of_dot_edges text |> List.filter (fun (a, b) -> known a && known b)

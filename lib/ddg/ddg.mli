@@ -5,7 +5,9 @@
     locality; array->kernel edges express reads, kernel->array edges
     express writes. The OEG has kernel invocations only; its edges are
     the inter-kernel precedences that the transformation must not
-    violate.
+    violate. Both are derived from one {!Kft_schedflow.Schedflow}
+    analysis: the DDG from its launch ops' access sets, the OEG from its
+    array-granularity dependences.
 
     Two graph optimizations from the paper are implemented:
     - write-read cycles between two kernels are broken by the precedence
@@ -16,7 +18,9 @@
 type invocation = {
   inv_key : string;  (** unique node key: kernel name, "#n"-suffixed on re-launch *)
   inv_kernel : string;
-  inv_index : int;  (** position in the host schedule *)
+  inv_index : int;
+      (** position among the schedule's launches; differs from the host
+          schedule position once [cudaMemcpy] ops are present *)
   inv_launch : Kft_cuda.Ast.launch;
 }
 
@@ -29,8 +33,8 @@ type node =
 type closure
 (** Reachability closure of the OEG: per invocation, the set of
     invocations it reaches and the set that reach it, as bitsets. Built
-    once by {!build} and read-only afterwards, so concurrent queries from
-    several domains are safe. *)
+    once by {!of_schedflow} and read-only afterwards, so concurrent
+    queries from several domains are safe. *)
 
 type t = {
   ddg : node Kft_graph.Digraph.t;
@@ -45,16 +49,26 @@ type t = {
           not update it *)
 }
 
-val build : Kft_cuda.Ast.program -> t
-(** Algorithm 1 + graph optimizations + OEG derivation. The OEG contains
-    an edge Ki -> Kj (i earlier than j in the host schedule) for every
-    RAW, WAR or WAW pair between the two invocations, reduced
-    transitively. Every edge therefore points forward in the schedule,
-    the OEG is a DAG, and its closure takes one sweep in each direction:
-    O(E·V/63) time and 2·V²/63 words. *)
+val invocations : Kft_cuda.Ast.program -> invocation list
+(** The schedule's launches as invocations, in order, without analysing
+    them: the keys and positions {!of_schedflow} assigns. *)
 
-val arrays_touched : Kft_cuda.Ast.program -> Kft_cuda.Ast.launch -> (string list * string list)
-(** (read host arrays, written host arrays) of one launch. *)
+val of_schedflow : Kft_schedflow.Schedflow.t -> t
+(** Algorithm 1 + graph optimizations + OEG derivation. DDG nodes and
+    versioning come from the launch ops' read/write sets. The OEG
+    contains an edge Ki -> Kj (i earlier than j in the host schedule)
+    for every launch pair of [array_deps], the dependences at array
+    granularity, not the region-refined [deps]: the OEG decides which
+    groups may fuse. It is reduced transitively by dropping Ki -> Kj
+    whenever another direct successor of Ki reaches Kj. Every edge
+    therefore points forward in the schedule, the OEG is a DAG, and its
+    closure takes one sweep in each direction: O(E·V/63) time and
+    2·V²/63 words. *)
+
+val build : Kft_cuda.Ast.program -> t
+(** [of_schedflow (Kft_schedflow.Schedflow.analyze prog)]. Never raises
+    on unresolved launches: one whose kernel or arguments do not resolve
+    reads and writes nothing. *)
 
 val oeg_precedes : t -> string -> string -> bool
 (** [oeg_precedes t a b]: invocation [a] must execute before [b]
@@ -70,14 +84,7 @@ val fusion_feasible : t -> string list -> bool
     closure in O(|G|·V/63). Keys that are not OEG nodes are ignored;
     duplicates are harmless. *)
 
-val group_has_internal_precedence : t -> string list -> bool
-(** True when some pair inside the group is ordered by the OEG — the
-    "complex fusion" case of Section 5.5.3. *)
-
 val ddg_dot : t -> string
 
 val oeg_dot : t -> string
 
-val oeg_of_amended_dot : t -> string -> (string * string) list
-(** Re-read OEG edges from a programmer-amended DOT file, keeping only
-    edges whose endpoints are known invocations (Section 3.2.4). *)

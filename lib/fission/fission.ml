@@ -129,14 +129,12 @@ let part_of_group original idx group =
   let body = prune_stmts group [] original.k_body in
   let body = cleanup_barriers body in
   let used = vars_used_in body @ group in
-  let arrays_touched =
-    Kft_cuda.Ast.arrays_read body @ Kft_cuda.Ast.arrays_written body
-  in
+  let arrays = Kft_cuda.Ast.arrays_read body @ Kft_cuda.Ast.arrays_written body in
   let params =
     List.filter
       (fun p ->
         match p with
-        | Array_param { name; _ } -> List.mem name arrays_touched
+        | Array_param { name; _ } -> List.mem name arrays
         | Scalar_param { name; _ } -> List.mem name used)
       original.k_params
   in

@@ -79,7 +79,6 @@ type report = {
   verify_report : Verify.report;
   lint_findings : Kft_absint.Lint.finding list;
   rejected_groups : (string * string) list;
-  new_graphs : Ddg.t;
   sim_cache_stats : Kft_engine.Engine.Cache.stats option;
   pool_stats : Kft_sim.Memory.Pool.stats;
   trace : Trace.t option;
@@ -89,13 +88,18 @@ type report = {
 (* Target identification                                               *)
 (* ------------------------------------------------------------------ *)
 
-let max_array_cells prog (l : launch) =
-  let reads, writes = Ddg.arrays_touched prog l in
+(* largest array the invocation reads or writes: its DDG neighbours *)
+let max_array_cells prog (graphs : Ddg.t) (inv : Ddg.invocation) =
   List.fold_left
-    (fun acc a -> max acc (array_cells (find_array prog a)))
-    0 (reads @ writes)
+    (fun acc k ->
+      match Kft_graph.Digraph.payload graphs.ddg k with
+      | Ddg.Array_node { base; _ } -> max acc (array_cells (find_array prog base))
+      | Ddg.Kernel_node _ -> acc)
+    0
+    (Kft_graph.Digraph.preds graphs.ddg inv.inv_key
+    @ Kft_graph.Digraph.succs graphs.ddg inv.inv_key)
 
-let classify_invocation mode (meta : Meta.t) prog (inv : Ddg.invocation) =
+let classify_invocation mode (meta : Meta.t) prog graphs (inv : Ddg.invocation) =
   let perf = Meta.find_perf meta inv.inv_kernel in
   let ops = Meta.find_ops meta inv.inv_kernel in
   let dx, dy, dz = ops.domain in
@@ -109,7 +113,7 @@ let classify_invocation mode (meta : Meta.t) prog (inv : Ddg.invocation) =
     ( perf.flops,
       perf.bytes,
       dx * dy * dz * vertical_trip,
-      max_array_cells prog inv.inv_launch,
+      max_array_cells prog graphs inv,
       ops.active_fraction )
   in
   let flops, bytes, domain_cells, max_cells, active = args in
@@ -125,7 +129,7 @@ let classify_invocation mode (meta : Meta.t) prog (inv : Ddg.invocation) =
 let identify_targets config meta prog (graphs : Ddg.t) =
   List.map
     (fun (inv : Ddg.invocation) ->
-      let classification = classify_invocation config.filter_mode meta prog inv in
+      let classification = classify_invocation config.filter_mode meta prog graphs inv in
       let ops = Meta.find_ops meta inv.inv_kernel in
       let repeated = String.contains inv.inv_key '#' in
       let eligible, reason =
@@ -169,32 +173,28 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
         (meta, baseline))
   in
   let meta = hooks.amend_metadata meta in
-  (* stage 2/3: graphs + targets *)
-  let graphs =
+  (* stage 2/3: graphs + targets. One whole-schedule dataflow analysis
+     yields both the invocation DDG / OEG and the element-region schedule
+     DDG, liveness and issues reported under "schedflow". *)
+  let graphs, schedflow =
     Trace.with_span trace "ddg" (fun () ->
-        let g = Ddg.build prog in
+        let sf = Schedflow.analyze prog in
+        let g = Ddg.of_schedflow sf in
         Trace.add trace "ddg_nodes" (Kft_graph.Digraph.node_count g.Ddg.ddg);
         Trace.add trace "ddg_edges" (Kft_graph.Digraph.edge_count g.Ddg.ddg);
         Trace.add trace "oeg_nodes" (Kft_graph.Digraph.node_count g.Ddg.oeg);
         Trace.add trace "oeg_edges" (Kft_graph.Digraph.edge_count g.Ddg.oeg);
-        g)
+        (g, sf))
   in
-  (* stage 3b: whole-schedule dataflow / liveness. The array-granularity
-     DDG complements [Ddg.build]'s invocation graph with element regions
-     where the abstract domain proves them, and its liveness intervals
-     drive the arena overlay of the fission pre-run below. *)
-  let schedflow =
-    Trace.with_span trace "schedflow" (fun () ->
-        let sf = Schedflow.analyze prog in
-        Trace.add trace "ops" sf.Schedflow.stats.Schedflow.st_ops;
-        Trace.add trace "launches" sf.stats.st_launches;
-        Trace.add trace "deps" sf.stats.st_deps;
-        Trace.add trace "deps_refined" sf.stats.st_deps_refined;
-        Trace.add trace "regions_proved" sf.stats.st_regions_proved;
-        Trace.add trace "regions_fallback" sf.stats.st_regions_fallback;
-        Trace.add trace "issues" (List.length sf.Schedflow.issues);
-        sf)
-  in
+  Trace.with_span trace "schedflow" (fun () ->
+      let s = schedflow.Schedflow.stats in
+      Trace.add trace "ops" s.Schedflow.st_ops;
+      Trace.add trace "launches" s.st_launches;
+      Trace.add trace "deps" s.st_deps;
+      Trace.add trace "deps_refined" s.st_deps_refined;
+      Trace.add trace "regions_proved" s.st_regions_proved;
+      Trace.add trace "regions_fallback" s.st_regions_fallback;
+      Trace.add trace "issues" (List.length schedflow.issues));
   let targets, eligible =
     Trace.with_span trace "filter" (fun () ->
         let targets0 = identify_targets config meta prog graphs in
@@ -218,7 +218,7 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
   in
   (* lazy-fission pre-step: plans + one profiled run of the fully
      fissioned variant to collect part metadata (Section 4.1) *)
-  let fission_plans, prog_fissioned, meta_fissioned =
+  let fission_plans, fissioned_flow, meta_fissioned =
     Trace.with_span trace "fission" (fun () ->
         let fission_plans =
           if not config.gga_params.fission_enabled then []
@@ -229,30 +229,31 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
                 Option.map (fun p -> (k.k_name, p)) (Fission.plan ~seed:config.seed k))
               eligible
         in
-        let prog_fissioned =
+        let fissioned_flow =
           if fission_plans = [] then None
-          else Some (Fission.apply_to_program ~plans:fission_plans prog)
+          else Some (Schedflow.analyze (Fission.apply_to_program ~plans:fission_plans prog))
         in
         let meta_fissioned =
           Option.map
-            (fun p ->
+            (fun (sf : Schedflow.t) ->
               (* only the metadata survives this pre-step, so the run
                  qualifies for the liveness-driven arena overlay: arrays
                  whose live intervals never overlap share storage, and
                  the discarded arena is smaller. Stats and timings are
                  bit-identical either way (see [Memory.layout]). *)
-              let layout = Schedflow.arena_layout (Schedflow.analyze p) in
+              let layout = Schedflow.arena_layout sf in
               let m, grun =
-                Meta.gather ?cache ?engine ~backend ?trace ?layout ~seed:config.seed device p
+                Meta.gather ?cache ?engine ~backend ?trace ?layout ~seed:config.seed device
+                  sf.program
               in
               (* recycle the profiled run's arena instead of waiting for
                  the GC *)
               Kft_sim.Memory.release grun.Kft_sim.Profiler.memory;
               m)
-            prog_fissioned
+            fissioned_flow
         in
         Trace.add trace "plans" (List.length fission_plans);
-        (fission_plans, prog_fissioned, meta_fissioned))
+        (fission_plans, fissioned_flow, meta_fissioned))
   in
   (* canonical-member cache for codegen-level feasibility *)
   let member_cache : (string, (Canonical.member, string) Stdlib.result) Hashtbl.t =
@@ -273,16 +274,17 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
     end
   in
   List.iter (fun t -> cache_member prog graphs.invocations t.invocation.inv_key) eligible;
-  (match (prog_fissioned, fission_plans) with
-  | Some pf, plans ->
-      let invocations = (Ddg.build pf).invocations in
+  Option.iter
+    (fun (sf : Schedflow.t) ->
+      let invocations = Ddg.invocations sf.program in
       List.iter
         (fun (_, (plan : Fission.plan)) ->
           List.iter
-            (fun (part : Fission.part) -> cache_member pf invocations part.part_kernel.k_name)
+            (fun (part : Fission.part) ->
+              cache_member sf.program invocations part.part_kernel.k_name)
             plan.parts)
-        plans
-  | None, _ -> ());
+        fission_plans)
+    fissioned_flow;
   (* schedule position of each unit (fission parts take their position in
      the fully-fissioned schedule); groups coming out of the GGA are
      unordered, while fusion feasibility and codegen are order-sensitive *)
@@ -544,10 +546,17 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
   in
   (* stage 5: apply fission, order groups, generate code *)
   let chosen_plans = List.filter (fun (k, _) -> List.mem k fissioned) fission_plans in
-  let prog' =
-    if chosen_plans = [] then prog else Fission.apply_to_program ~plans:chosen_plans prog
+  let flow', graphs' =
+    match (chosen_plans, fissioned_flow) with
+    | [], _ -> (schedflow, graphs)
+    | _, Some sf when List.length chosen_plans = List.length fission_plans ->
+        (* every plan chosen: the fully fissioned pre-run program *)
+        (sf, Ddg.of_schedflow sf)
+    | _ ->
+        let sf = Schedflow.analyze (Fission.apply_to_program ~plans:chosen_plans prog) in
+        (sf, Ddg.of_schedflow sf)
   in
-  let graphs' = Ddg.build prog' in
+  let prog' = flow'.program in
   let gid_of : (string, string) Hashtbl.t = Hashtbl.create 64 in
   List.iteri
     (fun i group -> List.iter (fun u -> Hashtbl.replace gid_of u (Printf.sprintf "g%d" i)) group)
@@ -601,7 +610,8 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
           match config.verify_mode with
           | Verify_off -> Verify.empty_report
           | Verify_advisory | Verify_fatal ->
-              Verify.validate ~options:config.codegen_options ~source:prog' cg
+              Verify.validate ~options:config.codegen_options ~source_flow:flow' ~source:prog'
+                cg
         in
         List.iter (fun (p, n) -> Trace.add trace p n) (Verify.pass_counts vr);
         Trace.add trace "launches_checked" vr.Verify.stats.launches_checked;
@@ -756,7 +766,6 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
     verify_report;
     lint_findings;
     rejected_groups;
-    new_graphs = Ddg.build transformed;
     sim_cache_stats;
     pool_stats;
     trace;

@@ -68,13 +68,11 @@ type target_info = {
 type report = {
   baseline : Kft_sim.Profiler.run;
   metadata : Kft_metadata.Metadata.t;
-  graphs : Kft_ddg.Ddg.t;
+  graphs : Kft_ddg.Ddg.t;  (** DDG / OEG of the source, derived from [schedflow] *)
   schedflow : Kft_schedflow.Schedflow.t;
       (** whole-schedule dataflow analysis of the source program
-          (liveness intervals, array-granularity dependences, read-
-          before-write / dead-store issues); it also drives the arena
-          overlay of the fission pre-run, and its schedule-level lint
-          rules join [lint_findings] *)
+          (liveness intervals, dependences, read-before-write /
+          dead-store issues) *)
   targets : target_info list;
   fission_plans : (string * Kft_fission.Fission.plan) list;
       (** lazy-fission pre-step: plan per fissionable target kernel *)
@@ -98,7 +96,6 @@ type report = {
   rejected_groups : (string * string) list;
       (** (fused kernel, reason) pairs for groups the fatal gate split
           back into singletons; always [] outside {!Verify_fatal} *)
-  new_graphs : Kft_ddg.Ddg.t;  (** DDG/OEG of the transformed program *)
   sim_cache_stats : Kft_engine.Engine.Cache.stats option;
       (** profile-cache hits/misses attributable to this transform ([size]
           is the cache's total entry count afterwards); [None] when
@@ -142,11 +139,6 @@ val transform :
     only, so {!Kft_trace.Trace.render_json} stays byte-identical at any
     worker count. The [stage_report] appends the rendered tree when the
     report carries a trace. *)
-
-val classify_invocation :
-  filter_mode -> Kft_metadata.Metadata.t -> Kft_cuda.Ast.program ->
-  Kft_ddg.Ddg.invocation -> Kft_analysis.Classify.kind
-(** Exposed for tests and the filtering benchmarks. *)
 
 val stage_report : report -> string
 (** Human-readable multi-stage report (the "report on the output of each

@@ -35,8 +35,6 @@ let ensure_node g ~key payload = if not (mem_node g key) then add_node g ~key pa
 
 let payload g key = (node g key).payload
 
-let set_payload g key p = (node g key).payload <- p
-
 let mem_edge g a b =
   match Hashtbl.find_opt g.tbl a with
   | None -> false
@@ -48,18 +46,6 @@ let add_edge g a b =
     na.succs <- b :: na.succs;
     nb.preds <- a :: nb.preds
   end
-
-let remove_edge g a b =
-  let na = node g a and nb = node g b in
-  na.succs <- List.filter (fun k -> k <> b) na.succs;
-  nb.preds <- List.filter (fun k -> k <> a) nb.preds
-
-let remove_node g key =
-  let n = node g key in
-  List.iter (fun s -> (node g s).preds <- List.filter (fun k -> k <> key) (node g s).preds) n.succs;
-  List.iter (fun p -> (node g p).succs <- List.filter (fun k -> k <> key) (node g p).succs) n.preds;
-  Hashtbl.remove g.tbl key;
-  g.keys_rev <- List.filter (fun k -> k <> key) g.keys_rev
 
 let succs g key = List.rev (node g key).succs
 
@@ -74,16 +60,7 @@ let edges g =
 
 let edge_count g = List.length (edges g)
 
-let fold_nodes g ~init ~f =
-  List.fold_left (fun acc k -> f acc k (payload g k)) init (nodes g)
-
 let iter_nodes g ~f = List.iter (fun k -> f k (payload g k)) (nodes g)
-
-let copy g =
-  let g' = create () in
-  iter_nodes g ~f:(fun k p -> add_node g' ~key:k p);
-  List.iter (fun (a, b) -> add_edge g' a b) (edges g);
-  g'
 
 (* DFS restricted to [remaining]; used to produce a witness when Kahn's
    algorithm detects a cycle. *)
@@ -162,12 +139,7 @@ let topo_sort g =
   in
   loop [] frontier
 
-let find_cycle g =
-  match topo_sort g with
-  | (_ : string list) -> None
-  | exception Cycle c -> Some c
-
-let is_dag g = Option.is_none (find_cycle g)
+let is_dag g = match topo_sort g with (_ : string list) -> true | exception Cycle _ -> false
 
 let reachable g ~src ~dst =
   let seen = Hashtbl.create 16 in
@@ -264,46 +236,3 @@ let to_dot ?(graph_name = "G") ?(node_attrs = fun _ _ -> []) ?(edge_attrs = fun 
     (edges g);
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-(* substring search without the Str library *)
-let index_of_sub line sub from =
-  let n = String.length line and m = String.length sub in
-  let rec go i = if i + m > n then None else if String.sub line i m = sub then Some i else go (i + 1) in
-  go (max 0 from)
-
-let of_dot_edges s =
-  let lines = String.split_on_char '\n' s in
-  let parse_line line =
-    (* expected form:  "a" -> "b" [...]; *)
-    let extract_quoted pos =
-      match String.index_from_opt line pos '"' with
-      | None -> None
-      | Some start ->
-          let buf = Buffer.create 16 in
-          let rec find_end i =
-            if i >= String.length line then None
-            else
-              match line.[i] with
-              | '\\' when i + 1 < String.length line ->
-                  Buffer.add_char buf line.[i + 1];
-                  find_end (i + 2)
-              | '"' -> Some (Buffer.contents buf, i)
-              | c ->
-                  Buffer.add_char buf c;
-                  find_end (i + 1)
-          in
-          (match find_end (start + 1) with
-          | None -> None
-          | Some (name, endpos) -> Some (name, endpos + 1))
-    in
-    match extract_quoted 0 with
-    | None -> None
-    | Some (a, pos) -> (
-        match index_of_sub line "->" pos with
-        | None -> None
-        | Some apos -> (
-            match extract_quoted (apos + 2) with
-            | Some (b, _) -> Some (a, b)
-            | None -> None))
-  in
-  List.filter_map parse_line lines

@@ -71,6 +71,7 @@ type t = {
   ops : op list;
   arrays : array_info list;
   deps : dep list;
+  array_deps : dep list;
   issues : issue list;
   stats : stats;
 }
@@ -87,7 +88,12 @@ let whole_region p name =
   | Some a -> Region { Absint.lo = 0; hi = array_cells a - 1 }
   | None -> Whole
 
-(* Host arrays touched by a launch in one direction, each with a proved
+let dedup l =
+  let seen = Hashtbl.create 8 in
+  List.filter (fun x -> if Hashtbl.mem seen x then false else (Hashtbl.replace seen x (); true)) l
+
+(* Host arrays touched by a launch in one direction, in the order the
+   kernel body first uses a parameter bound to them, each with a proved
    region when the abstract interpreter proved every access through
    every parameter bound to that array and recorded the footprint side
    (several parameters aliasing one array merge by interval hull). *)
@@ -107,11 +113,7 @@ let launch_sets p l =
           let res = Absint.analyze_launch p l in
           let direction ~write params_touched =
             let hosts =
-              List.sort_uniq compare
-                (List.filter_map
-                   (fun (pname, h) ->
-                     if List.mem pname params_touched then Some h else None)
-                   array_binds)
+              dedup (List.filter_map (fun pname -> List.assoc_opt pname array_binds) params_touched)
             in
             List.map
               (fun h ->
@@ -236,21 +238,25 @@ let build_arrays p ops =
 (* Schedule DDG                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Every RAW / WAR / WAW pair, both sorted: the region-refined
+   dependences and the array-granularity ones (refined included). *)
 let build_deps ops =
   let arr = Array.of_list ops in
   let n = Array.length arr in
-  let kept = ref [] and refined = ref 0 in
+  let kept = ref [] and all = ref [] in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
       let consider kind side_i side_j =
         List.iter
           (fun (a, ri) ->
-            match (ri, List.assoc_opt a side_j) with
-            | _, None -> ()
-            | Region r, Some (Region r') when Absint.regions_disjoint r r' -> incr refined
-            | _, Some _ ->
-                kept :=
-                  { dep_src = i; dep_dst = j; dep_array = a; dep_kind = kind } :: !kept)
+            match List.assoc_opt a side_j with
+            | None -> ()
+            | Some rj ->
+                let d = { dep_src = i; dep_dst = j; dep_array = a; dep_kind = kind } in
+                all := d :: !all;
+                (match (ri, rj) with
+                | Region r, Region r' when Absint.regions_disjoint r r' -> ()
+                | _ -> kept := d :: !kept))
           side_i
       in
       consider Raw arr.(i).op_writes arr.(j).op_reads;
@@ -258,15 +264,13 @@ let build_deps ops =
       consider Waw arr.(i).op_writes arr.(j).op_writes
     done
   done;
-  let deps =
-    List.sort
-      (fun a b ->
+  let sort =
+    List.sort (fun a b ->
         compare
           (a.dep_src, a.dep_dst, a.dep_array, dep_kind_name a.dep_kind)
           (b.dep_src, b.dep_dst, b.dep_array, dep_kind_name b.dep_kind))
-      !kept
   in
-  (deps, !refined)
+  (sort !kept, sort !all)
 
 (* ------------------------------------------------------------------ *)
 (* Issues                                                              *)
@@ -310,7 +314,7 @@ let count_regions ops =
 let analyze p =
   let ops = build_ops p in
   let arrays = build_arrays p ops in
-  let deps, refined = build_deps ops in
+  let deps, array_deps = build_deps ops in
   let issues = build_issues arrays in
   let proved, fallback = count_regions ops in
   {
@@ -318,6 +322,7 @@ let analyze p =
     ops;
     arrays;
     deps;
+    array_deps;
     issues;
     stats =
       {
@@ -326,7 +331,7 @@ let analyze p =
           List.length (List.filter (fun o -> o.op_launch <> None) ops);
         st_arrays = List.length arrays;
         st_deps = List.length deps;
-        st_deps_refined = refined;
+        st_deps_refined = List.length array_deps - List.length deps;
         st_regions_proved = proved;
         st_regions_fallback = fallback;
       };
@@ -587,6 +592,8 @@ let region_text = function
   | Whole -> "whole"
   | Region i -> Printf.sprintf "[%d,%d]" i.Absint.lo i.Absint.hi
 
+let by_name side = List.sort (fun (a, _) (b, _) -> compare a b) side
+
 let op_text op =
   match op.op_kind with
   | Launch_op l -> Printf.sprintf "launch %s" l.l_kernel
@@ -623,7 +630,7 @@ let render_human t =
                (List.map (fun (a, r) -> a ^ region_text r) l))
       in
       p "    op%-3d %-24s%s%s" op.op_index (op_text op)
-        (side "reads" op.op_reads) (side "writes" op.op_writes))
+        (side "reads" (by_name op.op_reads)) (side "writes" (by_name op.op_writes)))
     t.ops;
   p "  deps:";
   if t.deps = [] then p "    (none)"
@@ -685,7 +692,7 @@ let render_json ts =
                      (match r with
                      | Whole -> "\"whole\""
                      | Region i -> Printf.sprintf "[%d,%d]" i.Absint.lo i.Absint.hi))
-                 l)
+                 (by_name l))
           in
           Buffer.add_string b
             (Printf.sprintf

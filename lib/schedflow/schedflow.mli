@@ -17,10 +17,12 @@
       program inputs, and stores never observed by any later read or
       program output.
 
-    Three clients: the [schedule] pass of {!Kft_verify.Verify.validate}
-    (issues + end-to-end schedule-DDG preservation of transformed
-    schedules), three [kft lint] rules ({!lint}), and liveness-driven
-    arena reuse ({!arena_layout} feeding {!Kft_sim.Memory.create}).
+    Four clients: the invocation DDG and OEG of [Kft_ddg.Ddg], built
+    from the launch ops' access sets and {!field-array_deps}; the
+    [schedule] pass of {!Kft_verify.Verify.validate} (issues +
+    end-to-end schedule-DDG preservation of transformed schedules);
+    three [kft lint] rules ({!lint}); and liveness-driven arena reuse
+    ({!arena_layout} feeding {!Kft_sim.Memory.create}).
 
     Input/output conventions: with explicit [Copy_to_device] /
     [Copy_to_host] ops, the copied arrays are the program's inputs /
@@ -42,8 +44,10 @@ type op = {
   op_index : int;  (** position in the host schedule *)
   op_kind : op_kind;
   op_launch : int option;  (** position among launches, for launch ops *)
-  op_reads : (string * region) list;  (** host arrays read, name-sorted *)
-  op_writes : (string * region) list;  (** host arrays written, name-sorted *)
+  op_reads : (string * region) list;
+      (** host arrays read, in the order the kernel body first reads a
+          parameter bound to each *)
+  op_writes : (string * region) list;  (** host arrays written, same order *)
 }
 
 type array_info = {
@@ -84,7 +88,8 @@ type stats = {
   st_launches : int;
   st_arrays : int;
   st_deps : int;  (** dependences kept in {!field-deps} *)
-  st_deps_refined : int;  (** dropped: both end regions proved disjoint *)
+  st_deps_refined : int;
+      (** dropped from {!field-deps}: both end regions proved disjoint *)
   st_regions_proved : int;  (** access-set entries with a proved region *)
   st_regions_fallback : int;  (** entries that fell back to [Whole] *)
 }
@@ -93,7 +98,10 @@ type t = {
   program : Kft_cuda.Ast.program;
   ops : op list;  (** in schedule order *)
   arrays : array_info list;  (** name-sorted, one per declared array *)
-  deps : dep list;  (** ordered by (src, dst, array, kind) *)
+  deps : dep list;  (** region-refined, ordered by (src, dst, array, kind) *)
+  array_deps : dep list;
+      (** every dependence at array granularity, the refined-away ones
+          included; same order *)
   issues : issue list;
   stats : stats;
 }

@@ -295,7 +295,7 @@ let verify_program prog =
 (* Pass 4: translation validation                                      *)
 (* ------------------------------------------------------------------ *)
 
-let validate ?(options = Fusion.auto_options) ~source (res : Codegen.result) =
+let validate ?(options = Fusion.auto_options) ?source_flow ~source (res : Codegen.result) =
   let col = new_collector () in
   (* passes 1-3 over everything the generator emitted *)
   List.iter (function Launch l -> verify_launch_into col res.program l | _ -> ()) res.program.p_schedule;
@@ -354,7 +354,10 @@ let validate ?(options = Fusion.auto_options) ~source (res : Codegen.result) =
             ~array:ds_array
             "the write to array %s at schedule op %d is never read back" ds_array ds_op)
     sf_out.Schedflow.issues;
-  let deps = Schedflow.launch_deps (Schedflow.analyze source) in
+  let source_flow =
+    match source_flow with Some sf -> sf | None -> Schedflow.analyze source
+  in
+  let deps = Schedflow.launch_deps source_flow in
   (* transformed position (report, member) of each source launch:
      reports are emitted in transformed schedule order and list their
      source members by kernel name, so per-kernel FIFO queues resolve

@@ -140,6 +140,7 @@ val verify_program : Kft_cuda.Ast.program -> report
 
 val validate :
   ?options:Kft_codegen.Fusion.options ->
+  ?source_flow:Kft_schedflow.Schedflow.t ->
   source:Kft_cuda.Ast.program ->
   Kft_codegen.Codegen.result ->
   report
@@ -154,7 +155,8 @@ val validate :
     transformed schedule against the source schedule DDG (pass [schedule]: issue
     checks plus end-to-end dependence preservation, with
     [sched_deps_checked] / [sched_fallback] recorded in the stats).
-    Diagnostics carry the {e fused} kernel's name. *)
+    Diagnostics carry the {e fused} kernel's name. [source_flow] is
+    [Schedflow.analyze source] when the caller already has it. *)
 
 (** Test-only access to the race proof. *)
 module Internal : sig

@@ -38,17 +38,6 @@ let test_add_edge_idempotent () =
   let g = mk [ ("a", "b"); ("a", "b") ] [ "a"; "b" ] in
   Alcotest.(check int) "single edge" 1 (G.edge_count g)
 
-let test_remove_node () =
-  let g = mk [ ("a", "b"); ("b", "c"); ("a", "c") ] [ "a"; "b"; "c" ] in
-  G.remove_node g "b";
-  Alcotest.(check int) "nodes" 2 (G.node_count g);
-  Alcotest.(check (list (pair string string))) "edges" [ ("a", "c") ] (G.edges g)
-
-let test_remove_edge () =
-  let g = mk [ ("a", "b") ] [ "a"; "b" ] in
-  G.remove_edge g "a" "b";
-  Alcotest.(check int) "edges" 0 (G.edge_count g)
-
 let test_topo_order () =
   let g = mk [ ("a", "b"); ("b", "c"); ("a", "c") ] [ "a"; "b"; "c" ] in
   Alcotest.(check (list string)) "topo" [ "a"; "b"; "c" ] (G.topo_sort g)
@@ -61,8 +50,9 @@ let test_topo_stable () =
 let test_cycle_detection () =
   let g = mk [ ("a", "b"); ("b", "c"); ("c", "a") ] [ "a"; "b"; "c" ] in
   Alcotest.(check bool) "is_dag false" false (G.is_dag g);
-  (match G.find_cycle g with
-  | Some cycle ->
+  match G.topo_sort g with
+  | (_ : string list) -> Alcotest.fail "topo_sort should raise"
+  | exception G.Cycle cycle ->
       Alcotest.(check bool) "cycle has 3 nodes" true (List.length cycle = 3);
       (* consecutive edges (with wraparound) must exist *)
       let ok =
@@ -72,10 +62,6 @@ let test_cycle_detection () =
           (List.tl cycle @ [ List.hd cycle ])
       in
       Alcotest.(check bool) "witness edges exist" true ok
-  | None -> Alcotest.fail "expected a cycle");
-  match G.topo_sort g with
-  | (_ : string list) -> Alcotest.fail "topo_sort should raise"
-  | exception G.Cycle _ -> ()
 
 let test_self_loop_cycle () =
   let g = mk [ ("a", "a") ] [ "a" ] in
@@ -90,8 +76,8 @@ let test_reachable () =
 
 let test_bfs_undirected () =
   let g = mk [ ("a", "b"); ("c", "b") ] [ "a"; "b"; "c"; "d" ] in
-  let comp = G.bfs g ~root:"a" in
-  Alcotest.(check (list string)) "reaches through both directions" [ "a"; "b"; "c" ] comp
+  Alcotest.(check (list (list string))) "reaches through both directions"
+    [ [ "a"; "b"; "c" ]; [ "d" ] ] (G.components g)
 
 let test_components () =
   let g = mk [ ("a", "b"); ("c", "d") ] [ "a"; "b"; "c"; "d"; "e" ] in
@@ -115,10 +101,11 @@ let test_quotient_cycle () =
 
 let test_dot_roundtrip () =
   let g = mk [ ("k 1", "arr"); ("arr", "k\"2") ] [ "k 1"; "arr"; "k\"2" ] in
-  let dot = G.to_dot g in
-  let edges = G.of_dot_edges dot in
-  Alcotest.(check (list (pair string string)))
-    "edges recovered" [ ("k 1", "arr"); ("arr", "k\"2") ] edges
+  let lines = String.split_on_char '\n' (G.to_dot g) in
+  (* keys come back quoted and escaped, one edge per line *)
+  Alcotest.(check (list string)) "edge lines"
+    [ "  \"k 1\" -> \"arr\";"; "  \"arr\" -> \"k\\\"2\";" ]
+    (List.filter (fun l -> String.length l > 6 && String.contains l '>') lines)
 
 let contains hay needle =
   let n = String.length hay and m = String.length needle in
@@ -129,14 +116,6 @@ let test_dot_attrs () =
   let g = mk [ ("a", "b") ] [ "a"; "b" ] in
   let dot = G.to_dot ~node_attrs:(fun k () -> [ ("label", k ^ "!") ]) g in
   Alcotest.(check bool) "label emitted" true (contains dot "label=\"a!\"")
-
-let test_copy_independent () =
-  let g = mk [ ("a", "b") ] [ "a"; "b" ] in
-  let g' = G.copy g in
-  G.add_node g' ~key:"c" ();
-  G.add_edge g' "b" "c";
-  Alcotest.(check int) "original nodes" 2 (G.node_count g);
-  Alcotest.(check int) "copy nodes" 3 (G.node_count g')
 
 (* property: topological order respects every edge of a random DAG *)
 let prop_topo_respects_edges =
@@ -303,8 +282,6 @@ let suite =
     Alcotest.test_case "missing node" `Quick test_no_such_node;
     Alcotest.test_case "ensure_node idempotent" `Quick test_ensure_node_idempotent;
     Alcotest.test_case "add_edge idempotent" `Quick test_add_edge_idempotent;
-    Alcotest.test_case "remove node" `Quick test_remove_node;
-    Alcotest.test_case "remove edge" `Quick test_remove_edge;
     Alcotest.test_case "topological order" `Quick test_topo_order;
     Alcotest.test_case "topo stability" `Quick test_topo_stable;
     Alcotest.test_case "cycle detection" `Quick test_cycle_detection;
@@ -316,7 +293,6 @@ let suite =
     Alcotest.test_case "quotient cycle" `Quick test_quotient_cycle;
     Alcotest.test_case "dot round trip" `Quick test_dot_roundtrip;
     Alcotest.test_case "dot node attributes" `Quick test_dot_attrs;
-    Alcotest.test_case "copy independence" `Quick test_copy_independent;
     QCheck_alcotest.to_alcotest prop_topo_respects_edges;
     QCheck_alcotest.to_alcotest prop_topo_matches_reference_dag;
     QCheck_alcotest.to_alcotest prop_topo_matches_reference_cyclic;
