@@ -134,6 +134,32 @@ let test_quickstart_launch_deps () =
   Alcotest.(check (list (triple int int string)))
     "quickstart schedule DDG" [ (0, 1, "V"); (1, 2, "W") ] (Sf.launch_deps t)
 
+(* an op's access sets list arrays in the order the kernel body first
+   uses them (the DDG's DOT files follow it); the reports print them by
+   name *)
+let test_op_sets_body_order () =
+  let mix =
+    Kft_cuda.Parse.kernels
+      {|
+__global__ void mix(const double *Z, const double *Y, double *X, int m) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  if (i < m) X[i] = Z[i] + Y[i];
+}
+|}
+  in
+  let p =
+    { (program "order" [ "P"; "Q"; "R" ] [ launch "mix" [ "Q"; "P"; "R" ] ]) with
+      p_kernels = mix }
+  in
+  let t = Sf.analyze p in
+  Alcotest.(check (list string)) "reads in body order" [ "Q"; "P" ]
+    (List.map fst (List.hd t.Sf.ops).op_reads);
+  Alcotest.(check bool) "JSON reads by name" true
+    (Util.contains (Sf.render_json [ t ])
+       {|"reads":[{"array":"P","region":[0,63]},{"array":"Q","region":[0,63]}]|});
+  Alcotest.(check bool) "human reads by name" true
+    (Util.contains (Sf.render_human t) "reads P[0,63],Q[0,63]")
+
 (* ------------------------------------------------------------------ *)
 (* issues: read-before-write and dead store (need explicit copies)     *)
 (* ------------------------------------------------------------------ *)
@@ -392,6 +418,7 @@ let suite =
       test_write_only_output;
     Alcotest.test_case "redefinition between reads: RAW/WAR/WAW" `Quick test_redefinition_deps;
     Alcotest.test_case "quickstart launch-level schedule DDG" `Quick test_quickstart_launch_deps;
+    Alcotest.test_case "op sets in body order, reports by name" `Quick test_op_sets_body_order;
     Alcotest.test_case "read-before-write and dead-store issues" `Quick test_issues;
     Alcotest.test_case "lint: dead-array" `Quick test_lint_dead_array;
     Alcotest.test_case "lint: redundant-copy" `Quick test_lint_redundant_copy;

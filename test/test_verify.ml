@@ -218,10 +218,10 @@ __global__ void oob(const double *A, double *B, int nx, int ny) {
      in
      contains 0)
 
-let test_order_violation () =
-  (* producer/consumer fused in the wrong member order: check_group
-     accepts it (origin-only WAR), but the member order contradicts the
-     source DDG, which translation validation must reject *)
+(* producer/consumer fused in the wrong member order: check_group
+   accepts it (origin-only WAR), but the member order contradicts the
+   source DDG *)
+let reversed_fusion () =
   let src =
     String.concat "\n"
       [
@@ -239,9 +239,11 @@ let test_order_violation () =
     List.filter_map (function Launch l -> Some l | _ -> None) prog.p_schedule
   in
   let reversed = [ List.rev launches ] in
-  let res =
-    Kft_codegen.Codegen.transform Util.device prog ~groups:reversed
-  in
+  (prog, Kft_codegen.Codegen.transform Util.device prog ~groups:reversed)
+
+(* translation validation must reject the reversed fusion *)
+let test_order_violation () =
+  let prog, res = reversed_fusion () in
   let fused =
     List.exists
       (fun (r : Kft_codegen.Codegen.kernel_report) -> r.fusion_kind <> `None)
@@ -253,6 +255,15 @@ let test_order_violation () =
   let d = diag_of V.Translation r in
   Alcotest.(check bool) "diagnostic names the fused kernel" true
     (String.length d.d_kernel > 0 && d.d_kernel <> "produce" && d.d_kernel <> "consume")
+
+(* a caller that already analysed the source passes that analysis in;
+   the report is the one [validate] computes on its own *)
+let test_validate_source_flow () =
+  let prog, res = reversed_fusion () in
+  let own = V.validate ~source:prog res in
+  let given = V.validate ~source_flow:(Kft_schedflow.Schedflow.analyze prog) ~source:prog res in
+  Alcotest.(check bool) "a translation diagnostic" true (has_pass V.Translation own);
+  Alcotest.(check bool) "same report" true (own = given)
 
 (* [produce] and [consume] share no array: [consume] depends on
    [produce] only through [middle], which stays outside their fused
@@ -746,6 +757,8 @@ let suite =
     Alcotest.test_case "out-of-bounds halo read is reported" `Quick test_oob_halo;
     Alcotest.test_case "DDG order violation fails translation validation" `Quick
       test_order_violation;
+    Alcotest.test_case "validate reuses a given source analysis" `Quick
+      test_validate_source_flow;
     Alcotest.test_case "a fused order broken only through an outside launch is reported" `Quick
       test_transitive_order_violation;
     Alcotest.test_case "a return after the last barrier is accepted" `Quick
