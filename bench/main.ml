@@ -1011,6 +1011,42 @@ let smoke () =
     @ transformed @ [ bcalm ]);
   Printf.printf "  %-22s %-12s bit-identical to sequential\n%!" "all-backends"
     "all apps and transforms";
+  (* launch-memo replay guard: each transformed program is profiled on a
+     cache that has first profiled its source, so its unchanged launches
+     replay from the memo; memory and stats must still be the sequential
+     reference interpreter's, bit for bit *)
+  let bits_equal m1 m2 =
+    let module M = Kft_sim.Memory in
+    M.names m1 = M.names m2
+    && List.for_all
+         (fun a ->
+           let x = M.get m1 a and y = M.get m2 a in
+           let n = Bigarray.Array1.dim x in
+           let rec go i =
+             i >= n || (Int64.bits_of_float x.{i} = Int64.bits_of_float y.{i} && go (i + 1))
+           in
+           n = Bigarray.Array1.dim y && go 0)
+         (M.names m1)
+  in
+  let replays = ref 0 in
+  List.iter
+    (fun (prog_name, source, p) ->
+      let module Meta = Kft_metadata.Metadata in
+      let cache = Meta.Sim_cache.create () in
+      ignore (Meta.profile ~cache device source);
+      let run = Meta.profile ~cache device p in
+      replays := !replays + (Meta.Sim_cache.memo_stats cache).launch_hits;
+      let _, m_seq, s_seq = sim_run_at ~jobs:1 ~affine:false p in
+      let stats = List.map (fun (q : Kft_sim.Profiler.kernel_profile) -> q.stats) run.profiles in
+      if not (bits_equal m_seq run.memory && s_seq = stats) then begin
+        Printf.eprintf "[bench] smoke: launch-memo replay diverged from sequential on %s\n%!"
+          prog_name;
+        exit 1
+      end)
+    (List.map (fun (n, p) -> (n, a.program, p)) transformed
+    @ [ (fst bcalm, (app "B-CALM").program, snd bcalm) ]);
+  Printf.printf "  %-22s %-12s bit-identical to sequential (%d launches replayed)\n%!"
+    "launch-memo" "all transforms" !replays;
   (* allocation-budget guard: the off-heap substrate's allocation-free
      hot loops must not regress (runs under `dune runtest`) *)
   assert_alloc_budget ();

@@ -421,7 +421,7 @@ let transform_cmd =
     Arg.(value & flag & info [ "no-memo" ] ~doc:"Disable the genome-keyed fitness memo cache (ablation; results are unchanged, only slower).")
   in
   let no_sim_cache =
-    Arg.(value & flag & info [ "no-sim-cache" ] ~doc:"Disable the keyed profile cache that replays repeated simulations (ablation; results are unchanged, only slower).")
+    Arg.(value & flag & info [ "no-sim-cache" ] ~doc:"Disable the content-addressed simulation cache: whole-program entries and the launch memo that replays launches whose code, shape and input contents were simulated before (ablation; results are unchanged, only slower).")
   in
   let no_fission = Arg.(value & flag & info [ "no-fission" ] ~doc:"Disable lazy kernel fission.") in
   let no_tuning =

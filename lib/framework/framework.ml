@@ -80,6 +80,7 @@ type report = {
   lint_findings : Kft_absint.Lint.finding list;
   rejected_groups : (string * string) list;
   sim_cache_stats : Kft_engine.Engine.Cache.stats option;
+  launch_memo_stats : Meta.Sim_cache.memo_stats option;
   pool_stats : Kft_sim.Memory.Pool.stats;
   trace : Trace.t option;
 }
@@ -162,6 +163,7 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
   let cache = config.sim_cache in
   let backend = config.backend in
   let cache_stats_before = Option.map Meta.Sim_cache.stats cache in
+  let memo_stats_before = Option.map Meta.Sim_cache.memo_stats cache in
   let pool_stats_before = Kft_sim.Memory.Pool.stats () in
   (* stage 1: metadata (simulation runs go through the profile cache, so
      re-transforming a program — or verifying against it later — replays
@@ -604,14 +606,18 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
                 cg.Codegen.reports));
         cg)
   in
-  let validate cg =
+  (* with verification on, the emitted program's schedule analysis is
+     made once and shared with the lint stage *)
+  let validate (cg : Codegen.result) =
     Trace.with_span trace "verify" (fun () ->
-        let vr =
+        let vr, flow =
           match config.verify_mode with
-          | Verify_off -> Verify.empty_report
+          | Verify_off -> (Verify.empty_report, None)
           | Verify_advisory | Verify_fatal ->
-              Verify.validate ~options:config.codegen_options ~source_flow:flow' ~source:prog'
-                cg
+              let flow = Schedflow.analyze cg.program in
+              ( Verify.validate ~options:config.codegen_options ~source_flow:flow' ~flow
+                  ~source:prog' cg,
+                Some flow )
         in
         List.iter (fun (p, n) -> Trace.add trace p n) (Verify.pass_counts vr);
         Trace.add trace "launches_checked" vr.Verify.stats.launches_checked;
@@ -621,12 +627,12 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
         Trace.add trace "races_fallback" vr.Verify.stats.races_fallback;
         Trace.add trace "sched_deps_checked" vr.Verify.stats.sched_deps_checked;
         Trace.add trace "sched_fallback" vr.Verify.stats.sched_fallback;
-        vr)
+        (vr, flow))
   in
   let codegen0 = codegen_run groups in
-  let rec gate attempts groups (cg : Codegen.result) (vr : Verify.report) rejected =
+  let rec gate attempts groups (cg : Codegen.result) ((vr : Verify.report), flow) rejected =
     if config.verify_mode <> Verify_fatal || Verify.is_clean vr || attempts <= 0 then
-      (cg, vr, rejected)
+      (cg, vr, flow, rejected)
     else begin
       let flagged_kernels =
         List.sort_uniq compare (List.map (fun (d : Verify.diagnostic) -> d.d_kernel) vr.diagnostics)
@@ -641,7 +647,7 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
         (* the defects are not attributable to fusion (they would have to
            come from the source kernels themselves); unfusing further
            cannot help *)
-        (cg, vr, rejected)
+        (cg, vr, flow, rejected)
       else begin
         let flagged_members =
           List.concat_map (fun (r : Codegen.kernel_report) -> r.members) flagged_reports
@@ -668,18 +674,20 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
       end
     end
   in
-  let codegen, verify_report, rejected_groups = gate 4 groups codegen0 (validate codegen0) [] in
+  let codegen, verify_report, transformed_flow, rejected_groups =
+    gate 4 groups codegen0 (validate codegen0) []
+  in
   let transformed = codegen.program in
   let transformed_run =
     Trace.with_span trace "profile-transformed" (fun () ->
         Meta.profile ?cache ?engine ~backend ?trace ~seed:config.seed device transformed)
   in
-  (* both programs are now cached, so output verification costs two cache
-     hits rather than two fresh simulations *)
+  (* output verification compares the two runs already held: arrays
+     whose final content ids match are equal without a comparison *)
   let verified =
     Trace.with_span trace "output-verify" (fun () ->
-        Meta.verify ?cache ?engine ~backend ?trace ~seed:config.seed
-          ~tol:config.verify_tolerance device ~original:prog ~transformed)
+        Meta.compare_outputs ?cache ~seed:config.seed ~tol:config.verify_tolerance device
+          ~original:(prog, baseline) ~transformed:(transformed, transformed_run))
   in
   (* lint the emitted program; the measured per-kernel traffic from the
      profile run feeds the footprint-drift cross-check *)
@@ -690,7 +698,12 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
         (* schedule-level rules (dead-array / redundant-copy /
            transient-global) join the per-kernel findings in the same
            normalized order *)
-        let fs = Kft_absint.Lint.normalize (fs @ Schedflow.lint_program transformed) in
+        let sched_fs =
+          match transformed_flow with
+          | Some sf -> Schedflow.lint sf
+          | None -> Schedflow.lint_program transformed
+        in
+        let fs = Kft_absint.Lint.normalize (fs @ sched_fs) in
         List.iter (fun (rule, n) -> Trace.add trace rule n) (Kft_absint.Lint.rule_counts fs);
         Trace.add trace "warnings" (Kft_absint.Lint.warnings fs);
         Trace.add trace "infos" (Kft_absint.Lint.infos fs);
@@ -708,11 +721,29 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
           }
     | _ -> None
   in
-  (match sim_cache_stats with
-  | Some st ->
+  let launch_memo_stats =
+    match (cache, memo_stats_before) with
+    | Some c, Some m0 ->
+        let m1 = Meta.Sim_cache.memo_stats c in
+        Some
+          {
+            m1 with
+            Meta.Sim_cache.launch_hits = m1.launch_hits - m0.launch_hits;
+            launch_misses = m1.launch_misses - m0.launch_misses;
+            hashed_cells = m1.hashed_cells - m0.hashed_cells;
+            intern_s = m1.intern_s -. m0.intern_s;
+          }
+    | _ -> None
+  in
+  (match (sim_cache_stats, launch_memo_stats) with
+  | Some st, Some m ->
       Trace.add trace "sim_cache_hits" st.Kft_engine.Engine.Cache.hits;
-      Trace.add trace "sim_cache_misses" st.Kft_engine.Engine.Cache.misses
-  | None -> ());
+      Trace.add trace "sim_cache_misses" st.Kft_engine.Engine.Cache.misses;
+      Trace.add trace "launch_memo_hits" m.Meta.Sim_cache.launch_hits;
+      Trace.add trace "launch_memo_misses" m.launch_misses;
+      Trace.note trace "hashed_cells" (Trace.Int m.hashed_cells);
+      Trace.note trace "intern_s" (Trace.Float m.intern_s)
+  | _ -> ());
   (* memory-pool accounting for this run. Requests and cells are a pure
      function of the simulation call sequence, so they live in the
      canonical (byte-stable) channel; hit/miss/high-water depend on how
@@ -767,6 +798,7 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
     lint_findings;
     rejected_groups;
     sim_cache_stats;
+    launch_memo_stats;
     pool_stats;
     trace;
   }
@@ -781,6 +813,12 @@ let stage_report r =
   | Some s ->
       p "  profile cache: %d hits, %d misses this run (%d cached simulations)"
         s.Kft_engine.Engine.Cache.hits s.misses s.size
+  | None -> ());
+  (match r.launch_memo_stats with
+  | Some m ->
+      p "  launch memo: %d hits, %d misses this run (%d contents, %.1f Mcells stored)"
+        m.Meta.Sim_cache.launch_hits m.launch_misses m.contents
+        (float_of_int m.stored_cells /. 1e6)
   | None -> ());
   (let ps = r.pool_stats in
    if ps.Kft_sim.Memory.Pool.requests > 0 then

@@ -33,9 +33,11 @@ type config = {
   seed : int;
   verify_tolerance : float;
   sim_cache : Kft_metadata.Metadata.Sim_cache.t option;
-      (** profile cache for every simulation the pipeline performs
-          (gathering, the fissioned-variant run, the transformed run and
-          output verification); [None] disables caching *)
+      (** content-addressed simulation cache for every simulation the
+          pipeline performs (gathering, the fissioned-variant run and
+          the transformed run, each launch by launch through its launch
+          memo) and for output verification's comparison; [None]
+          disables caching *)
   backend : Kft_sim.Interp.backend;
       (** simulator execution path for those runs. Both paths are
           bit-identical, so this only affects pipeline wall time; the
@@ -100,6 +102,11 @@ type report = {
       (** profile-cache hits/misses attributable to this transform ([size]
           is the cache's total entry count afterwards); [None] when
           [config.sim_cache] is [None] *)
+  launch_memo_stats : Kft_metadata.Metadata.Sim_cache.memo_stats option;
+      (** launch-memo hits/misses, hashed cells and interning time
+          attributable to this transform (the content counts are the
+          cache's totals afterwards); [None] when [config.sim_cache] is
+          [None] *)
   pool_stats : Kft_sim.Memory.Pool.stats;
       (** arena-pool activity attributable to this transform: requests
           and cells are deltas over the run; [high_water] is the
@@ -115,15 +122,16 @@ val transform :
   Kft_cuda.Ast.program -> report
 (** Run the full pipeline. The transformed program's output is verified
     against the original on the simulator (the paper verified every
-    run); [speedup] is original/transformed modeled time.
+    run) by comparing the final memories of the baseline and
+    transformed runs; [speedup] is original/transformed modeled time.
 
     [engine] parallelizes two phases over its domain pool: the GGA
     search (stage 4) evaluates each generation's population in parallel
     with its memoization policy deciding whether identical genomes are
     re-scored (see {!Kft_engine.Engine} and [Gga.run ?engine]), and
     every simulation the pipeline runs — metadata gathering, the
-    fissioned-variant run, the transformed run and output verification —
-    executes its thread blocks in parallel ([Interp.launch ?engine]).
+    fissioned-variant run and the transformed run — executes its
+    thread blocks in parallel ([Interp.launch ?engine]).
     Both are deterministic: the search result, the profiles and the
     simulated memory — and therefore the whole transformation — are
     bit-identical at any worker count. Defaults to sequential evaluation

@@ -69,70 +69,7 @@ let touched_host_arrays prog (l : launch) =
 (* Profile cache                                                       *)
 (* ------------------------------------------------------------------ *)
 
-module Sim_cache = struct
-  module Cache = Kft_engine.Engine.Cache
-
-  (* A cached run holds the final memory as a packed {!Kft_sim.Memory}
-     snapshot rather than a live hashtable of arrays: replaying a hit is
-     then one contiguous [Array.blit] per array (Memory.restore) plus
-     fresh stats records — the fast path Sim_cache replays were paying
-     hashtable-copy overhead for. Profiles are stored with private stats
-     so neither the cache nor any replay aliases a caller's counters. *)
-  type entry = {
-    e_profiles : Kft_sim.Profiler.kernel_profile list;
-    e_total_us : float;
-    e_memory : Kft_sim.Memory.snapshot;
-  }
-
-  type t = entry Cache.t
-
-  let create () : t = Cache.create ()
-
-  let global : t = create ()
-
-  let stats : t -> Cache.stats = Cache.stats
-
-  let clear : t -> unit = Cache.clear
-
-  (* Structurally equal values marshal identically, so the digest of the
-     marshalled (program, seed, device) triple keys "the same simulation":
-     the program carries every kernel AST and the full launch schedule
-     (grid/block configs and argument bindings), [seed] fixes the initial
-     memory image, and the device fixes the timing model. The execution
-     path is deliberately not part of the key: the reference interpreter
-     and compiled-affine are bit-identical, so a profile produced on one
-     is a valid hit for the other.
-
-     The key additionally carries a memory-representation tag. Entries
-     written under a different device-memory substrate must read as
-     misses: their snapshots belong to the other representation, and a
-     silent hit would replay stale state. Bumping [repr_tag] on a
-     substrate change invalidates every old entry at once. *)
-  let repr_tag = "mem:bigarray-arena-v1"
-
-  let key ?(tag = repr_tag) ~seed device (prog : program) =
-    Digest.to_hex (Digest.string (Marshal.to_string (tag, prog, seed, device) []))
-
-  let copy_profiles ps =
-    List.map
-      (fun (p : Kft_sim.Profiler.kernel_profile) ->
-        { p with Kft_sim.Profiler.stats = Kft_sim.Interp.copy_stats p.stats })
-      ps
-
-  let entry_of_run (r : Kft_sim.Profiler.run) =
-    {
-      e_profiles = copy_profiles r.Kft_sim.Profiler.profiles;
-      e_total_us = r.Kft_sim.Profiler.total_time_us;
-      e_memory = Kft_sim.Memory.snapshot r.Kft_sim.Profiler.memory;
-    }
-
-  let run_of_entry e : Kft_sim.Profiler.run =
-    {
-      Kft_sim.Profiler.profiles = copy_profiles e.e_profiles;
-      total_time_us = e.e_total_us;
-      memory = Kft_sim.Memory.restore e.e_memory;
-    }
-end
+module Sim_cache = Sim_cache
 
 let profile ?cache ?engine ?backend ?trace ?layout ?(seed = 42) device prog =
   (* cache attribution is per profiled program: hit/miss counters are a
@@ -141,46 +78,30 @@ let profile ?cache ?engine ?backend ?trace ?layout ?(seed = 42) device prog =
   Kft_trace.Trace.with_span trace ("profile:" ^ prog.p_name) @@ fun () ->
   match cache with
   | None -> Kft_sim.Profiler.profile ?engine ?backend ?trace ?layout ~seed device prog
-  | Some c -> (
-      (* an overlay layout shares arena cells, so its snapshots are not
-         interchangeable with packed ones: the key carries a verdict tag
-         derived from the layout so each placement caches separately *)
-      let tag =
-        match layout with
-        | None -> Sim_cache.repr_tag
-        | Some l ->
-            Sim_cache.repr_tag ^ "+schedflow-overlay-v1:"
-            ^ Digest.to_hex (Digest.string (Marshal.to_string l []))
-      in
-      let key = Sim_cache.key ~tag ~seed device prog in
-      match Sim_cache.Cache.find c key with
-      | Some entry ->
-          Kft_trace.Trace.add trace "sim_cache_hits" 1;
-          Sim_cache.run_of_entry entry
-      | None ->
-          Kft_trace.Trace.add trace "sim_cache_misses" 1;
-          let run = Kft_sim.Profiler.profile ?engine ?backend ?trace ?layout ~seed device prog in
-          (* the cache holds a private snapshot: callers are free to
-             mutate the run they got back without corrupting future hits *)
-          Sim_cache.Cache.add c key (Sim_cache.entry_of_run run);
-          run)
+  | Some c -> Sim_cache.profile c ?engine ?backend ?trace ?layout ~seed device prog
 
-let verify ?cache ?engine ?backend ?trace ?(seed = 42) ?(tol = 1e-9) device ~original ~transformed =
-  match cache with
-  | None -> Kft_sim.Profiler.verify ?engine ?backend ?trace ~seed ~tol device ~original ~transformed
-  | Some _ ->
-      let m1 = (profile ?cache ?engine ?backend ?trace ~seed device original).Kft_sim.Profiler.memory in
-      let m2 = (profile ?cache ?engine ?backend ?trace ~seed device transformed).Kft_sim.Profiler.memory in
-      let diffs =
-        List.filter
-          (fun (n, d) -> Kft_sim.Memory.mem m1 n && Kft_sim.Memory.mem m2 n && d > tol)
-          (Kft_sim.Memory.max_abs_diff m1 m2)
-      in
-      (* whether freshly simulated or restored from a snapshot, both
-         memories are private to this verification — recycle them *)
-      Kft_sim.Memory.release m1;
-      Kft_sim.Memory.release m2;
-      if diffs = [] then Ok () else Error diffs
+let compare_outputs ?cache ?(seed = 42) ?(tol = 1e-9) device
+    ~original:(p1, (r1 : Kft_sim.Profiler.run)) ~transformed:(p2, (r2 : Kft_sim.Profiler.run)) =
+  (* arrays whose final content ids are equal are bitwise equal: only
+     the others are compared cell by cell *)
+  let equal =
+    match cache with
+    | None -> None
+    | Some c -> (
+        match (Sim_cache.final_ids c ~seed device p1, Sim_cache.final_ids c ~seed device p2) with
+        | Some ids1, Some ids2 ->
+            let tbl = Hashtbl.create 64 in
+            List.iter (fun (n, id) -> Hashtbl.replace tbl n id) ids1;
+            Some
+              (fun n ->
+                match (Hashtbl.find_opt tbl n, List.assoc_opt n ids2) with
+                | Some a, Some b -> a = b
+                | _ -> false)
+        | _ -> None)
+  in
+  match Kft_sim.Profiler.output_diffs ?equal ~tol r1.memory r2.memory with
+  | [] -> Ok ()
+  | diffs -> Error diffs
 
 let gather ?cache ?engine ?backend ?trace ?layout ?(seed = 42) device prog =
   let run = profile ?cache ?engine ?backend ?trace ?layout ~seed device prog in

@@ -49,67 +49,32 @@ type t = {
   device : Kft_device.Device.t;
 }
 
-module Sim_cache : sig
-  (** Keyed profile cache: each distinct simulation — keyed by the digest
-      of the marshalled (program, seed, device) triple, which covers the
-      canonicalized kernel ASTs, the grid/block configuration of every
-      launch and the memory seed — runs at most once per cache. The
-      execution path is deliberately excluded from the key: both paths
-      are bit-identical, so one profile serves both. Entries hold
-      the final memory as a packed {!Kft_sim.Memory.snapshot}; a hit
-      replays via [Array.blit] restore plus fresh stats records, so a
-      replayed profile is bit-identical to the original run and
-      mutation-safe. *)
-
-  type t
-
-  val create : unit -> t
-
-  val global : t
-  (** A process-wide cache, shared by default across framework stages and
-      bench modes. *)
-
-  val stats : t -> Kft_engine.Engine.Cache.stats
-  (** Hit/miss/size counters (surfaced in the framework stage report). *)
-
-  val clear : t -> unit
-
-  val repr_tag : string
-  (** The memory-representation tag baked into every key. Bumped when
-      the device-memory substrate changes shape, so entries written
-      under an older representation read as misses rather than
-      replaying stale snapshots. *)
-
-  val key : ?tag:string -> seed:int -> Kft_device.Device.t -> Kft_cuda.Ast.program -> string
-  (** The cache key for one simulation. [tag] defaults to {!repr_tag};
-      passing an explicit tag exists so tests can prove that entries
-      written under another representation miss. *)
-end
+module Sim_cache = Sim_cache
+(** The content-addressed simulation cache (see {!Sim_cache}). *)
 
 val profile :
   ?cache:Sim_cache.t -> ?engine:Kft_engine.Engine.t ->
   ?backend:Kft_sim.Interp.backend -> ?trace:Kft_trace.Trace.t ->
   ?layout:Kft_sim.Memory.layout -> ?seed:int ->
   Kft_device.Device.t -> Kft_cuda.Ast.program -> Kft_sim.Profiler.run
-(** {!Kft_sim.Profiler.profile} through the cache: a hit replays the
-    stored run (snapshot-restored) instead of re-simulating; a miss
-    simulates — block-parallel when [engine] is given, on [backend] when
-    given — and stores a private snapshot. [layout] runs under a
-    liveness-driven arena overlay; the cache key then gains a
-    schedflow-verdict tag (a digest of the layout), so overlay and
-    packed runs of the same program never replay each other's
-    snapshots. *)
+(** {!Kft_sim.Profiler.profile} inside a [profile:<program>] span,
+    through the cache when one is given ({!Sim_cache.profile}): a cached
+    program is rebuilt from the content store, a new one runs launch by
+    launch through the launch memo — block-parallel when [engine] is
+    given, on [backend] when given. [layout] runs under a
+    liveness-driven arena overlay, cached separately from packed runs. *)
 
-val verify :
-  ?cache:Sim_cache.t -> ?engine:Kft_engine.Engine.t ->
-  ?backend:Kft_sim.Interp.backend -> ?trace:Kft_trace.Trace.t -> ?seed:int -> ?tol:float ->
-  Kft_device.Device.t ->
-  original:Kft_cuda.Ast.program -> transformed:Kft_cuda.Ast.program ->
+val compare_outputs :
+  ?cache:Sim_cache.t -> ?seed:int -> ?tol:float -> Kft_device.Device.t ->
+  original:Kft_cuda.Ast.program * Kft_sim.Profiler.run ->
+  transformed:Kft_cuda.Ast.program * Kft_sim.Profiler.run ->
   (unit, (string * float) list) result
-(** {!Kft_sim.Profiler.verify} but sharing the cache: when both programs
-    were already profiled (e.g. during gathering and the transformed
-    run), verification costs two cache hits instead of two fresh
-    simulations. *)
+(** Output verification of two runs already simulated from the same
+    seed: the arrays common to both whose maximum absolute difference
+    exceeds [tol] ({!Kft_sim.Profiler.output_diffs}). When both runs
+    are [cache]'s unmodified packed-layout runs of these programs at
+    [seed], arrays with equal final content ids count as equal without
+    a comparison. *)
 
 val gather :
   ?cache:Sim_cache.t -> ?engine:Kft_engine.Engine.t ->

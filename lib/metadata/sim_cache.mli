@@ -1,0 +1,89 @@
+(** Content-addressed simulation cache: a content store, a launch memo
+    over it, and whole-program entries.
+
+    {b Content store.} Array contents are interned: an id names exactly
+    one content (length and cells, compared bit for bit through
+    [Int64.bits_of_float], so [-0.0] and [0.0] differ and a NaN equals
+    itself). A full hash only picks candidates; a bitwise comparison
+    decides, so two ids are equal if and only if the contents are.
+    Seeded initial contents are named by (seed, array name, length) and
+    never hashed; their cells are kept after the first run that seeds
+    them, so later runs copy instead of recomputing the pattern. Other
+    contents are copied into large slabs when interned.
+
+    {b Launch memo.} A launch's stats and writes are a function of its
+    kernel's parameters and body (not its name), [l_domain], [l_block],
+    its scalar arguments (doubles by their bits), and per array
+    argument its content id and which earlier arguments share its
+    storage (and at which offset). An entry holds the stats and, per
+    written argument, the id of its final contents; a hit blits those
+    into the live arrays. A launch that raises is not stored. An
+    argument the launch never read and changed in every cell cannot have
+    influenced it: its id is blanked in the stored key.
+
+    {b Program entries.} Each distinct (program, seed, device, layout)
+    runs at most once per cache; its entry holds the profiles and every
+    array's final content id, and a hit rebuilds the memory from the
+    store. A missed program runs launch by launch through the memo, so
+    a program that differs from a cached one in a few launches only
+    simulates those.
+
+    Everything a hit returns is bit-identical to a fresh simulation and
+    private to the caller. The execution path is not part of any key:
+    both paths are bit-identical. *)
+
+type t
+
+val create : unit -> t
+
+val global : t
+(** A process-wide cache, shared by default across framework stages and
+    bench modes. *)
+
+val stats : t -> Kft_engine.Engine.Cache.stats
+(** Program-level hit/miss/size counters (the stage report's profile
+    cache line). *)
+
+type memo_stats = {
+  launch_hits : int;
+  launch_misses : int;
+  contents : int;  (** distinct contents with an id *)
+  stored_cells : int;  (** cells copied into the store's slabs *)
+  hashed_cells : int;  (** cells hashed to intern a content *)
+  intern_s : float;  (** wall time spent interning (hash, compare, copy) *)
+}
+
+val memo_stats : t -> memo_stats
+(** Cumulative launch-memo and content-store counters. *)
+
+val clear : t -> unit
+
+val repr_tag : string
+(** The memory-representation tag baked into every program key. Bumped
+    when the device-memory substrate changes shape, so entries written
+    under an older representation read as misses. *)
+
+val key : ?tag:string -> seed:int -> Kft_device.Device.t -> Kft_cuda.Ast.program -> string
+(** The program key of one simulation: the marshalled (tag, program,
+    seed, device) tuple itself, so equal keys are equal simulations.
+    [tag] defaults to {!repr_tag}; passing an explicit tag exists so
+    tests can prove that entries written under another representation
+    miss. *)
+
+val profile :
+  t -> ?engine:Kft_engine.Engine.t -> ?backend:Kft_sim.Interp.backend ->
+  ?trace:Kft_trace.Trace.t -> ?layout:Kft_sim.Memory.layout -> seed:int ->
+  Kft_device.Device.t -> Kft_cuda.Ast.program -> Kft_sim.Profiler.run
+(** {!Kft_sim.Profiler.profile} through the cache. Records
+    [sim_cache_hits] / [sim_cache_misses] and, per launch of a missed
+    program, [launch_memo_hits] / [launch_memo_misses] on the open span
+    (canonical channel), and the cells hashed and interning time as
+    notes (side channel). A replayed launch still records its
+    [launch:<kernel>] span ({!Kft_sim.Interp.record_replay}). *)
+
+val final_ids :
+  t -> ?layout:Kft_sim.Memory.layout -> seed:int -> Kft_device.Device.t ->
+  Kft_cuda.Ast.program -> (string * int) list option
+(** The final content id of every array of a cached program run, [None]
+    when the run is not cached. Ids from one cache compare equal exactly
+    when the contents are bitwise equal. *)

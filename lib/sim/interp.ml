@@ -1611,6 +1611,16 @@ let chunks_for ~jobs ~workers ~blocks =
       if jobs <= 1 || workers <= 1 || blocks < 4 * workers then 1
       else min (workers * 2) (blocks / 4)
 
+(* per-launch trace record: block/byte totals are pure functions of the
+   launch (canonical channel); the chunk split varies with the worker
+   count and stays in the side channel *)
+let record_launch trace ~affine stats =
+  Trace.add trace "blocks" stats.blocks_launched;
+  Trace.add trace "threads" stats.threads_launched;
+  Trace.add trace "read_bytes" stats.global_read_bytes;
+  Trace.add trace "write_bytes" stats.global_write_bytes;
+  Trace.set trace "backend" (Trace.Str (if affine then "affine" else "interp"))
+
 (* Blocks are independent in the executed subset (no inter-block sync or
    atomics; kft_verify additionally proves per-thread write disjointness
    for verified kernels), so the grid loop fans out over the engine's
@@ -1766,14 +1776,7 @@ let launch_ext ?engine ?affine ?backend ?trace mem prog (l : launch) =
       stats.threads_active <- stats.threads_active + b.threads_active)
     per_block;
   let reads = List.concat_map fst usages and writes = List.concat_map snd usages in
-  (* per-launch trace record: block/byte totals are pure functions of the
-     launch (canonical channel); the chunk split varies with the worker
-     count and stays in the side channel *)
-  Trace.add trace "blocks" blocks;
-  Trace.add trace "threads" stats.threads_launched;
-  Trace.add trace "read_bytes" stats.global_read_bytes;
-  Trace.add trace "write_bytes" stats.global_write_bytes;
-  Trace.set trace "backend" (Trace.Str (if affine then "affine" else "interp"));
+  record_launch trace ~affine stats;
   Trace.note trace "chunks" (Trace.Int nchunks);
   (stats, usage_to_host kernel l.l_args (List.sort_uniq compare reads, List.sort_uniq compare writes))
 
@@ -1781,6 +1784,11 @@ let launch ?engine ?affine ?backend ?trace mem prog l =
   fst (launch_ext ?engine ?affine ?backend ?trace mem prog l)
 
 let launch_with_usage = launch_ext
+
+let record_replay ?affine ?backend ?trace prog (l : launch) stats =
+  Trace.with_span trace ("launch:" ^ l.l_kernel) @@ fun () ->
+  record_launch trace ~affine:(selected_backend ?affine ?backend prog l = Affine) stats;
+  Trace.note trace "replayed" (Trace.Bool true)
 
 let run_schedule ?engine ?affine ?backend ?trace mem prog =
   List.filter_map

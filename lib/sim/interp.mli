@@ -124,6 +124,14 @@ val launch_with_usage :
     answer to pointer aliasing (Section 7): a dynamic ground truth to
     validate the static dependence analysis against. *)
 
+val record_replay :
+  ?affine:bool -> ?backend:backend -> ?trace:Kft_trace.Trace.t ->
+  Kft_cuda.Ast.program -> Kft_cuda.Ast.launch -> stats -> unit
+(** Record the [launch:<kernel>] span of a launch whose [stats] were
+    replayed instead of simulated: the same canonical counters and
+    [backend] argument {!launch} records, plus a [replayed] note in the
+    side channel. *)
+
 val run_schedule :
   ?engine:Kft_engine.Engine.t -> ?affine:bool -> ?backend:backend ->
   ?trace:Kft_trace.Trace.t ->

@@ -14,8 +14,7 @@ let alloc_buf n : buf = A1.create Bigarray.Float64 Bigarray.C_layout n
 type entry = { data : buf; edims : int list }
 
 (* One contiguous arena per memory; every entry is a zero-copy
-   [A1.sub] view into it, laid out in sorted name order (the same
-   packing order snapshots have always used). [directory] rows are
+   [A1.sub] view into it, laid out in sorted name order. [directory] rows are
    (name, dims, offset); a row's length is the product of its dims, so
    an overlay layout may alias rows onto shared cells. *)
 type t = {
@@ -51,7 +50,7 @@ exception Unknown_array of string
 
 module Pool = struct
   type stats = {
-    requests : int;  (** arena acquisitions: create + copy + restore *)
+    requests : int;  (** arena acquisitions: create + copy *)
     hits : int;  (** served by recycling a released arena *)
     misses : int;  (** served by a fresh allocation *)
     cells_requested : int;  (** total cells across all requests *)
@@ -142,7 +141,7 @@ end
 
 (* Build the view table over [arena] from a directory whose offsets are
    a packed prefix of length [total]. The directory is immutable and is
-   shared freely between memories and snapshots. *)
+   shared freely between memories and their copies. *)
 let dims_cells dims = List.fold_left ( * ) 1 dims
 
 let of_arena ?seed_order arena total directory =
@@ -215,21 +214,33 @@ let mix h =
   let h = h * 0x85EBCA77 land max_int in
   h lxor (h lsr 13)
 
+(* cell [i] of the seeded pattern is a pure function of [seed], the
+   array name and [i]: values in (-1, 1), never exactly 0 to catch
+   masking bugs *)
+let seed_base ~seed name = seed + (Hashtbl.hash name * 31)
+
+let[@inline] seeded_value base i =
+  let h = mix (base + (i * 2654435761)) in
+  (float_of_int (h land 0xFFFFF) +. 1.0)
+  /. 1048577.0
+  *. (if h land 0x100000 = 0 then 1.0 else -1.0)
+
+let seeded_cell ~seed name =
+  let base = seed_base ~seed name in
+  fun i -> seeded_value base i
+
+let fill_seeded ~seed name (b : buf) =
+  let base = seed_base ~seed name in
+  for i = 0 to A1.dim b - 1 do
+    A1.unsafe_set b i (seeded_value base i)
+  done
+
 let init_seeded t ~seed =
   List.iter
     (fun name ->
       match Hashtbl.find_opt t.tbl name with
       | None -> ()
-      | Some e ->
-          let name_hash = Hashtbl.hash name in
-          for i = 0 to A1.dim e.data - 1 do
-            let h = mix (seed + (name_hash * 31) + (i * 2654435761)) in
-            (* values in (-1, 1), never exactly 0 to catch masking bugs *)
-            A1.unsafe_set e.data i
-              ((float_of_int (h land 0xFFFFF) +. 1.0)
-              /. 1048577.0
-              *. (if h land 0x100000 = 0 then 1.0 else -1.0))
-          done)
+      | Some e -> fill_seeded ~seed name e.data)
     t.seed_order
 
 let find t name =
@@ -250,6 +261,11 @@ let mem t name = Hashtbl.mem t.tbl name
 
 let names t = Array.to_list (Array.map (fun (n, _, _) -> n) t.directory)
 
+let placement t =
+  let row = Hashtbl.create (Array.length t.directory) in
+  Array.iter (fun (n, d, off) -> Hashtbl.replace row n (n, off, dims_cells d)) t.directory;
+  List.filter_map (Hashtbl.find_opt row) t.seed_order
+
 let copy t =
   if t.released then invalid_arg "Memory.copy: use after release";
   let arena = Pool.acquire t.total in
@@ -262,43 +278,21 @@ let release t =
   Hashtbl.reset t.tbl;
   Pool.release_arena t.arena
 
-(* Snapshots reuse the arena layout directly: entries are already
-   packed in sorted name order, so capture is one [A1.blit] of the used
-   prefix into a fresh exact-size buffer (not pooled — snapshots live
-   indefinitely inside Metadata.Sim_cache, and parking them in the pool
-   would leak them out of cache entries). Restore is the mirror blit
-   into a pooled arena. *)
-type snapshot = {
-  s_directory : (string * int list * int) array;
-  s_total : int;
-  s_buf : buf;
-}
-
-let snapshot t =
-  if t.released then invalid_arg "Memory.snapshot: use after release";
-  let buf = alloc_buf t.total in
-  A1.blit (A1.sub t.arena 0 t.total) buf;
-  { s_directory = t.directory; s_total = t.total; s_buf = buf }
-
-let restore s =
-  let arena = Pool.acquire s.s_total in
-  A1.blit s.s_buf (A1.sub arena 0 s.s_total);
-  of_arena arena s.s_total s.s_directory
+let array_max_abs_diff a b n =
+  if not (mem a n && mem b n) then infinity
+  else
+    let da = get a n and db = get b n in
+    if A1.dim da <> A1.dim db then infinity
+    else begin
+      let m = ref 0.0 in
+      for i = 0 to A1.dim da - 1 do
+        let d = Float.abs (A1.unsafe_get da i -. A1.unsafe_get db i) in
+        if d > !m then m := d
+      done;
+      !m
+    end
 
 let max_abs_diff a b =
-  List.sort_uniq compare (names a @ names b)
-  |> List.map (fun n ->
-         if not (mem a n && mem b n) then (n, infinity)
-         else
-           let da = get a n and db = get b n in
-           if A1.dim da <> A1.dim db then (n, infinity)
-           else begin
-             let m = ref 0.0 in
-             for i = 0 to A1.dim da - 1 do
-               let d = Float.abs (A1.unsafe_get da i -. A1.unsafe_get db i) in
-               if d > !m then m := d
-             done;
-             (n, !m)
-           end)
+  List.sort_uniq compare (names a @ names b) |> List.map (fun n -> (n, array_max_abs_diff a b n))
 
 let equal_within ~tol a b = List.for_all (fun (_, d) -> d <= tol) (max_abs_diff a b)

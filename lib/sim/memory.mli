@@ -9,10 +9,9 @@
 
     The off-heap representation buys three things with zero behavioural
     change (float64 Bigarray cells are the same IEEE-754 doubles as
-    [float array] cells): the GC never scans grid payloads,
-    {!snapshot} / {!restore} / {!copy} are single [Array1.blit]s
-    (memcpy), and arenas are recycled through {!Pool} across the GGA's
-    thousands of fitness simulations. *)
+    [float array] cells): the GC never scans grid payloads, {!copy} is
+    a single [Array1.blit] (memcpy), and arenas are recycled through
+    {!Pool} across the GGA's thousands of fitness simulations. *)
 
 type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Backing store of one array: a zero-copy sub-view of the memory's
@@ -55,6 +54,15 @@ val init_seeded : t -> seed:int -> unit
     memory's seeding order (name order by default, [l_seed_order] under
     an overlay layout, where later arrays win on shared cells). *)
 
+val seeded_cell : seed:int -> string -> int -> float
+(** [seeded_cell ~seed name i] is the value {!init_seeded} writes into
+    cell [i] of array [name] when no other array shares its cells: a
+    pure function of [seed], [name] and [i]. *)
+
+val fill_seeded : seed:int -> string -> buf -> unit
+(** Write the seeded pattern of array [name] into a buffer, cell by
+    cell as {!seeded_cell} gives it. *)
+
 val get : t -> string -> buf
 (** The backing store of an array — an aliasing view, not a copy.
     Raises {!Unknown_array}. *)
@@ -70,33 +78,26 @@ val mem : t -> string -> bool
 
 val names : t -> string list
 
+val placement : t -> (string * int * int) list
+(** [(name, offset, cells)] of every array in seeding order. Two arrays
+    share storage exactly when their cell ranges intersect; that only
+    happens under an overlay {!layout}. *)
+
 val copy : t -> t
 (** An independent memory with the same contents: one pooled arena
     acquisition plus one blit. *)
 
 val release : t -> unit
 (** Return the memory's arena to {!Pool} for recycling. The memory must
-    not be used afterwards ({!get} / {!copy} / {!snapshot} raise
+    not be used afterwards ({!get} / {!copy} raise
     [Invalid_argument]); releasing twice raises [Invalid_argument].
     Releasing is optional — an unreleased memory is reclaimed by the GC
     like before, its arena simply bypasses the pool. *)
 
-type snapshot
-(** An immutable-by-convention capture of a memory: the used arena
-    prefix (entries are packed in sorted name order) blitted into a
-    fresh exact-size buffer, plus the shared (name, dims, offset)
-    directory. Do not mutate a snapshot's interior. *)
-
-val snapshot : t -> snapshot
-(** Capture the current contents: one [Array1.blit], no serialization;
-    cheap enough to take per cached simulation run. The snapshot's
-    buffer is deliberately not pooled — snapshots live indefinitely
-    inside the profile cache. *)
-
-val restore : snapshot -> t
-(** A fresh memory with the captured contents (one pooled acquisition
-    plus one blit). Restoring twice yields independent memories
-    ([restore s != restore s] arrays). *)
+val array_max_abs_diff : t -> t -> string -> float
+(** The maximum absolute elementwise difference of one array between two
+    memories; [infinity] when the array is missing on one side or has a
+    different length. *)
 
 val max_abs_diff : t -> t -> (string * float) list
 (** For every array name present in {e either} memory, the maximum
@@ -112,7 +113,7 @@ val equal_within : tol:float -> t -> t -> bool
     smallest-fit over a bounded free list of released arenas. *)
 module Pool : sig
   type stats = {
-    requests : int;  (** arena acquisitions: create + copy + restore *)
+    requests : int;  (** arena acquisitions: create + copy *)
     hits : int;  (** served by recycling a released arena *)
     misses : int;  (** served by a fresh allocation *)
     cells_requested : int;  (** total cells across all requests *)

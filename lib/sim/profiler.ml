@@ -15,9 +15,10 @@ type run = {
   memory : Memory.t;
 }
 
-let profile_launch ?engine ?affine ?backend ?trace device mem prog l =
+(* the one place a launch's stats become a profile: a simulated launch
+   and one whose stats were replayed from a memo both go through here *)
+let profile_of_stats device prog l stats =
   let kernel = find_kernel prog l.l_kernel in
-  let stats = Interp.launch ?engine ?affine ?backend ?trace mem prog l in
   let env = Kft_analysis.Access.env_of_launch prog l in
   let cost = Kft_analysis.Cost.of_kernel kernel env in
   let regs_per_thread = Kft_analysis.Cost.estimate_registers kernel in
@@ -27,24 +28,40 @@ let profile_launch ?engine ?affine ?backend ?trace device mem prog l =
   in
   { kernel = l.l_kernel; launch = l; stats; timing; regs_per_thread; cost }
 
+let run_of_profiles profiles memory =
+  {
+    profiles;
+    total_time_us = List.fold_left (fun acc p -> acc +. p.timing.Timing.runtime_us) 0.0 profiles;
+    memory;
+  }
+
 let profile_with_memory ?engine ?affine ?backend ?trace device mem prog =
   let profiles =
     List.filter_map
       (function
-        | Launch l -> Some (profile_launch ?engine ?affine ?backend ?trace device mem prog l)
+        | Launch l ->
+            let stats = Interp.launch ?engine ?affine ?backend ?trace mem prog l in
+            Some (profile_of_stats device prog l stats)
         | Copy_to_device _ | Copy_to_host _ -> None)
       prog.p_schedule
   in
-  {
-    profiles;
-    total_time_us = List.fold_left (fun acc p -> acc +. p.timing.Timing.runtime_us) 0.0 profiles;
-    memory = mem;
-  }
+  run_of_profiles profiles mem
 
 let profile ?engine ?affine ?backend ?trace ?layout ?(seed = 42) device prog =
   let mem = Memory.create ?layout prog.p_arrays in
   Memory.init_seeded mem ~seed;
   profile_with_memory ?engine ?affine ?backend ?trace device mem prog
+
+(* only arrays common to both memories are compared: a transformation
+   may add or drop temporaries *)
+let output_diffs ?(equal = fun _ -> false) ~tol m1 m2 =
+  List.filter_map
+    (fun n ->
+      if not (Memory.mem m2 n) then None
+      else
+        let d = if equal n then 0.0 else Memory.array_max_abs_diff m1 m2 n in
+        if d > tol then Some (n, d) else None)
+    (List.sort_uniq compare (Memory.names m1))
 
 let verify ?engine ?affine ?backend ?trace ?(seed = 42) ?(tol = 1e-9) device ~original ~transformed =
   let run p =
@@ -54,14 +71,7 @@ let verify ?engine ?affine ?backend ?trace ?(seed = 42) ?(tol = 1e-9) device ~or
     mem
   in
   let m1 = run original and m2 = run transformed in
-  (* [max_abs_diff] spans the union of array names; verification keeps
-     its documented contract of comparing arrays common to both
-     programs (a transformation may add or drop temporaries) *)
-  let diffs =
-    List.filter
-      (fun (n, d) -> Memory.mem m1 n && Memory.mem m2 n && d > tol)
-      (Memory.max_abs_diff m1 m2)
-  in
+  let diffs = output_diffs ~tol m1 m2 in
   (* both memories are private to this verification: recycle their
      arenas instead of waiting for the GC *)
   Memory.release m1;

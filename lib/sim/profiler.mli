@@ -30,6 +30,16 @@ val profile :
     only the arena is smaller — use when the run's memory is discarded.
     [trace] records one span per launch. *)
 
+val profile_of_stats :
+  Kft_device.Device.t -> Kft_cuda.Ast.program -> Kft_cuda.Ast.launch -> Interp.stats ->
+  kernel_profile
+(** The profile of one launch from its execution statistics: static cost
+    analysis plus the timing model. Every profile is built here, whether
+    its stats come from a simulation or from a replayed one. *)
+
+val run_of_profiles : kernel_profile list -> Memory.t -> run
+(** A run from its profiles (in schedule order) and final memory. *)
+
 val profile_with_memory :
   ?engine:Kft_engine.Engine.t -> ?affine:bool -> ?backend:Interp.backend ->
   ?trace:Kft_trace.Trace.t ->
@@ -47,6 +57,14 @@ val verify :
     arrays common to both; [Error diffs] lists offending arrays with
     their max absolute difference. This is the output verification the
     paper performed "for every single run" (Section 6.1.2). *)
+
+val output_diffs :
+  ?equal:(string -> bool) -> tol:float -> Memory.t -> Memory.t -> (string * float) list
+(** The arrays present in both memories whose maximum absolute
+    difference exceeds [tol], with that difference, sorted by name: the
+    comparison {!verify} makes. [equal n] asserts that array [n] is
+    bitwise equal on both sides (its difference is then [0.0] without a
+    comparison); it defaults to asserting nothing. *)
 
 val speedup : original:run -> transformed:run -> float
 (** Ratio of total modeled times. *)

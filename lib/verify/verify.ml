@@ -295,7 +295,7 @@ let verify_program prog =
 (* Pass 4: translation validation                                      *)
 (* ------------------------------------------------------------------ *)
 
-let validate ?(options = Fusion.auto_options) ?source_flow ~source (res : Codegen.result) =
+let validate ?(options = Fusion.auto_options) ?source_flow ?flow ~source (res : Codegen.result) =
   let col = new_collector () in
   (* passes 1-3 over everything the generator emitted *)
   List.iter (function Launch l -> verify_launch_into col res.program l | _ -> ()) res.program.p_schedule;
@@ -335,7 +335,7 @@ let validate ?(options = Fusion.auto_options) ?source_flow ~source (res : Codege
   (* schedule pass: whole-schedule dataflow issues on the transformed
      schedule, then end-to-end preservation of the source schedule DDG,
      fused member order included *)
-  let sf_out = Schedflow.analyze res.program in
+  let sf_out = match flow with Some sf -> sf | None -> Schedflow.analyze res.program in
   let out_ops = Array.of_list sf_out.Schedflow.ops in
   let op_kernel i =
     match out_ops.(i).Schedflow.op_kind with

@@ -141,6 +141,7 @@ val verify_program : Kft_cuda.Ast.program -> report
 val validate :
   ?options:Kft_codegen.Fusion.options ->
   ?source_flow:Kft_schedflow.Schedflow.t ->
+  ?flow:Kft_schedflow.Schedflow.t ->
   source:Kft_cuda.Ast.program ->
   Kft_codegen.Codegen.result ->
   report
@@ -156,7 +157,8 @@ val validate :
     checks plus end-to-end dependence preservation, with
     [sched_deps_checked] / [sched_fallback] recorded in the stats).
     Diagnostics carry the {e fused} kernel's name. [source_flow] is
-    [Schedflow.analyze source] when the caller already has it. *)
+    [Schedflow.analyze source] and [flow] is [Schedflow.analyze
+    res.program] when the caller already has them. *)
 
 (** Test-only access to the race proof. *)
 module Internal : sig

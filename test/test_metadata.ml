@@ -157,6 +157,300 @@ let test_profile_cache_distinguishes_seed () =
   Alcotest.(check int) "different seeds are different keys" 2 s.misses;
   Alcotest.(check int) "no spurious hit" 0 s.hits
 
+(* ------------------------------------------------------------------ *)
+(* Content store and launch memo                                       *)
+(* ------------------------------------------------------------------ *)
+
+module Mem = Kft_sim.Memory
+module Profiler = Kft_sim.Profiler
+open Kft_cuda.Ast
+
+(* bitwise: -0.0 and 0.0 differ, a NaN equals itself *)
+let memory_bits_equal m1 m2 =
+  Mem.names m1 = Mem.names m2
+  && List.for_all
+       (fun a ->
+         let x = Mem.get m1 a and y = Mem.get m2 a in
+         let n = Bigarray.Array1.dim x in
+         let rec go i =
+           i >= n || (Int64.bits_of_float x.{i} = Int64.bits_of_float y.{i} && go (i + 1))
+         in
+         n = Bigarray.Array1.dim y && go 0)
+       (Mem.names m1)
+
+(* profiles through Marshal, so their floats compare by their bits
+   (without sharing: a replayed launch may share boxed fields with the
+   launch it replays) *)
+let same_run (a : Profiler.run) (b : Profiler.run) =
+  let bytes ps = Marshal.to_string ps [ Marshal.No_sharing ] in
+  bytes a.profiles = bytes b.profiles
+  && Int64.bits_of_float a.total_time_us = Int64.bits_of_float b.total_time_us
+  && memory_bits_equal a.memory b.memory
+
+let check_same_run what cached reference =
+  Alcotest.(check bool) (what ^ ": memo on = memo off, bit for bit") true (same_run cached reference)
+
+let memo_counts c =
+  let m = M.Sim_cache.memo_stats c in
+  (m.launch_hits, m.launch_misses)
+
+let test_memo_apps_bit_identical () =
+  let apps = Kft_apps.Apps.quickstart () :: Kft_apps.Apps.all () in
+  List.iter
+    (fun (app : Kft_apps.Apps.app) ->
+      let p = app.program in
+      let config =
+        {
+          Kft_framework.Framework.default_config with
+          gga_params = { Kft_gga.Gga.default_params with generations = 2; population = 6 };
+          verify_mode = Kft_framework.Framework.Verify_off;
+          sim_cache = Some (M.Sim_cache.create ());
+        }
+      in
+      let t = (Kft_framework.Framework.transform ~config p).transformed in
+      (* one cache: the transform's launches replay the source's where
+         their code, shape and inputs match, and the source's second
+         profile is a program hit rebuilt from the content store *)
+      let c = M.Sim_cache.create () in
+      let src = M.profile ~cache:c Util.device p in
+      let h0, _ = memo_counts c in
+      let tr = M.profile ~cache:c Util.device t in
+      let again = M.profile ~cache:c Util.device p in
+      let h1, _ = memo_counts c in
+      Alcotest.(check int) (p.p_name ^ ": source profiled once") 1 (M.Sim_cache.stats c).hits;
+      Alcotest.(check bool) (p.p_name ^ ": hit counter monotone") true (h1 >= h0);
+      let ref_src = Profiler.profile Util.device p in
+      check_same_run (p.p_name ^ " source") src ref_src;
+      check_same_run (p.p_name ^ " source, program hit") again ref_src;
+      check_same_run (p.p_name ^ " transformed") tr (Profiler.profile Util.device t))
+    apps
+
+(* the fuzzed program, renamed throughout: a program-level miss whose
+   every launch is a memo hit *)
+let renamed (p : program) =
+  let r n = "r_" ^ n in
+  {
+    p_name = r p.p_name;
+    p_arrays = p.p_arrays;
+    p_kernels = List.map (fun k -> { k with k_name = r k.k_name }) p.p_kernels;
+    p_schedule =
+      List.map
+        (function Launch l -> Launch { l with l_kernel = r l.l_kernel } | op -> op)
+        p.p_schedule;
+  }
+
+let prop_memo_fuzz =
+  QCheck.Test.make ~name:"launch memo: cached runs are bit-identical to fresh ones" ~count:40
+    Util.fuzz_sample_arb (fun s ->
+      let p = s.Util.fz_program in
+      let c = M.Sim_cache.create () in
+      let first = M.profile ~cache:c ~seed:7 Util.device p in
+      let h0, m0 = memo_counts c in
+      let second = M.profile ~cache:c ~seed:7 Util.device (renamed p) in
+      let h1, m1 = memo_counts c in
+      let launches =
+        List.length (List.filter (function Launch _ -> true | _ -> false) p.p_schedule)
+      in
+      same_run first (Profiler.profile ~seed:7 Util.device p)
+      && same_run second (Profiler.profile ~seed:7 Util.device (renamed p))
+      && h1 - h0 = launches && m1 = m0)
+
+(* one-dimensional kernels over [tiny_n] cells *)
+let tiny_n = 256
+
+let tiny_src =
+  {|
+__global__ void copy(const double *X, double *Y, int n) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  if (i < n) { Y[i] = X[i]; }
+}
+__global__ void addone(const double *X, double *Y, int n) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  if (i < n) { Y[i] = X[i] + 1.0; }
+}
+__global__ void scale5(double *X, int n, double c) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  if (i == 5) { X[i] = c * X[i]; }
+}
+__global__ void fill(double *X, int n, double c) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  if (i < n) { X[i] = c; }
+}
+__global__ void twice(double *X, int n) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  if (i < n) { X[i] = 2.0 * X[i]; }
+}
+__global__ void tail(double *X, int n, double c) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  if (i >= 1 && i < n) { X[i] = c; }
+}
+__global__ void oob(double *X, int n) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  if (i < n) { X[i + 1] = 1.0; }
+}
+|}
+
+let tiny ?(name = "tiny") ops =
+  {
+    p_name = name;
+    p_arrays =
+      List.map (fun a -> { a_name = a; a_elem_ty = Double; a_dims = [ tiny_n; 1; 1 ] }) [ "A"; "B"; "C"; "D" ];
+    p_kernels = Kft_cuda.Parse.kernels tiny_src;
+    p_schedule =
+      List.map
+        (fun (k, args) ->
+          Launch
+            {
+              l_kernel = k;
+              l_domain = (tiny_n, 1, 1);
+              l_block = (64, 1, 1);
+              l_args = List.map (fun a -> Arg_array a) args @ [ Arg_int tiny_n ];
+            })
+        ops;
+  }
+
+(* profile [p] on [c] and return the memo hits and misses it caused *)
+let memo_delta c ?layout p =
+  let h0, m0 = memo_counts c in
+  let run = M.profile ~cache:c ?layout Util.device p in
+  let h1, m1 = memo_counts c in
+  check_same_run p.p_name run (Profiler.profile ?layout Util.device p);
+  (h1 - h0, m1 - m0)
+
+let with_scalar c (p : program) =
+  {
+    p with
+    p_schedule =
+      List.map
+        (function
+          | Launch l when List.mem l.l_kernel [ "scale5"; "fill"; "tail" ] ->
+              Launch { l with l_args = l.l_args @ [ Arg_double c ] }
+          | op -> op)
+        p.p_schedule;
+  }
+
+let test_memo_one_cell_misses () =
+  let c = M.Sim_cache.create () in
+  Alcotest.(check (pair int int)) "first copy misses" (0, 1)
+    (memo_delta c (tiny ~name:"p1" [ ("copy", [ "A"; "B" ]) ]));
+  (* scaling one cell by 1.0 leaves A bitwise unchanged: the copy replays *)
+  Alcotest.(check (pair int int)) "unchanged input hits" (1, 1)
+    (memo_delta c
+       (with_scalar 1.0 (tiny ~name:"p2" [ ("scale5", [ "A" ]); ("copy", [ "A"; "B" ]) ])));
+  (* flipping the sign of one cell of A makes the copy a miss *)
+  Alcotest.(check (pair int int)) "one flipped cell misses" (0, 2)
+    (memo_delta c
+       (with_scalar (-1.0) (tiny ~name:"p3" [ ("scale5", [ "A" ]); ("copy", [ "A"; "B" ]) ])))
+
+let test_memo_aliasing_misses () =
+  let c = M.Sim_cache.create () in
+  (* after the copy, A and B hold equal contents: addone(A, A) has the
+     same content ids as addone(A, B) but another aliasing pattern *)
+  Alcotest.(check (pair int int)) "k(A, B)" (0, 2)
+    (memo_delta c (tiny ~name:"p1" [ ("copy", [ "A"; "B" ]); ("addone", [ "A"; "B" ]) ]));
+  Alcotest.(check (pair int int)) "k(A, A) misses" (1, 1)
+    (memo_delta c (tiny ~name:"p2" [ ("copy", [ "A"; "B" ]); ("addone", [ "A"; "A" ]) ]));
+  Alcotest.(check (pair int int)) "k(A, A) again hits" (2, 0)
+    (memo_delta c (tiny ~name:"p3" [ ("copy", [ "A"; "B" ]); ("addone", [ "A"; "A" ]) ]))
+
+let test_memo_write_only () =
+  let c = M.Sim_cache.create () in
+  Alcotest.(check (pair int int)) "fill(A) on seeded A" (0, 2)
+    (memo_delta c (with_scalar 2.0 (tiny ~name:"p1" [ ("fill", [ "A" ]); ("tail", [ "B" ]) ])));
+  (* fill writes every cell of A and reads none: A's initial contents
+     cannot matter, so it replays after A was overwritten. tail leaves
+     B's first cell alone, so B's initial contents still count. *)
+  Alcotest.(check (pair int int)) "fully overwritten argument is blanked" (1, 3)
+    (memo_delta c
+       (with_scalar 2.0
+          (tiny ~name:"p2"
+             [ ("copy", [ "C"; "A" ]); ("copy", [ "D"; "B" ]); ("fill", [ "A" ]); ("tail", [ "B" ]) ])));
+  (* twice rewrites every cell of A but reads it: A's contents count *)
+  Alcotest.(check (pair int int)) "twice(A) on seeded A" (0, 1)
+    (memo_delta c (tiny ~name:"p3" [ ("twice", [ "A" ]) ]));
+  Alcotest.(check (pair int int)) "a read argument is never blanked" (1, 1)
+    (memo_delta c (tiny ~name:"p4" [ ("copy", [ "C"; "A" ]); ("twice", [ "A" ]) ]))
+
+let test_memo_signed_zero () =
+  let c = M.Sim_cache.create () in
+  let fill a v =
+    Launch
+      {
+        l_kernel = "fill";
+        l_domain = (tiny_n, 1, 1);
+        l_block = (64, 1, 1);
+        l_args = [ Arg_array a; Arg_int tiny_n; Arg_double v ];
+      }
+  in
+  let p = { (tiny []) with p_schedule = [ fill "A" (-0.0); fill "B" 0.0; fill "C" 0.0 ] } in
+  let run = M.profile ~cache:c Util.device p in
+  check_same_run "signed zeros" run (Profiler.profile Util.device p);
+  match M.Sim_cache.final_ids c ~seed:42 Util.device p with
+  | None -> Alcotest.fail "the run is cached"
+  | Some ids ->
+      let id a = List.assoc a ids in
+      Alcotest.(check bool) "-0.0 and 0.0 contents have distinct ids" true (id "A" <> id "B");
+      Alcotest.(check bool) "equal contents share an id" true (id "B" = id "C");
+      Alcotest.(check bool) "seeded contents keep their own ids" true (id "D" <> id "B")
+
+let test_memo_overlay () =
+  let c = M.Sim_cache.create () in
+  (* a packed run stores addone(B, D) with B at its seeded contents *)
+  Alcotest.(check (pair int int)) "packed addone(B, D)" (0, 1)
+    (memo_delta c (tiny ~name:"packed" [ ("addone", [ "B"; "D" ]) ]));
+  (* A and B share a slot, B seeded last: writing A rewrites B, so the
+     addone(B, D) that follows must not replay the packed entry *)
+  let layout =
+    {
+      Mem.l_offsets = [ ("A", 0); ("B", 0); ("C", tiny_n); ("D", 2 * tiny_n) ];
+      l_total = 3 * tiny_n;
+      l_seed_order = [ "A"; "C"; "D"; "B" ];
+    }
+  in
+  let p = tiny ~name:"overlay" [ ("copy", [ "C"; "A" ]); ("addone", [ "B"; "D" ]) ] in
+  Alcotest.(check (pair int int)) "a write to A invalidates B" (0, 2) (memo_delta c ~layout p);
+  let run = M.profile ~cache:c ~layout Util.device p in
+  Alcotest.(check int) "overlay program hit" 1 (M.Sim_cache.stats c).hits;
+  check_same_run "overlay program hit" run (Profiler.profile ~layout Util.device p);
+  Alcotest.(check (pair int int)) "renamed overlay program replays" (2, 0)
+    (memo_delta c ~layout { p with p_name = "overlay2" })
+
+let test_memo_fission_prerun () =
+  let p = (Kft_apps.Apps.bcalm ()).program in
+  let plans =
+    List.filter_map
+      (fun k -> Option.map (fun pl -> (k.k_name, pl)) (Kft_fission.Fission.plan ~seed:42 k))
+      p.p_kernels
+  in
+  let pf = Kft_fission.Fission.apply_to_program ~plans p in
+  let layout = Kft_schedflow.Schedflow.arena_layout (Kft_schedflow.Schedflow.analyze pf) in
+  let shares =
+    match layout with
+    | Some l -> l.l_total < List.fold_left (fun n a -> n + array_cells a) 0 pf.p_arrays
+    | None -> false
+  in
+  Alcotest.(check bool) "the pre-run shares arena slots" true shares;
+  let c = M.Sim_cache.create () in
+  ignore (M.gather ~cache:c Util.device p);
+  let meta, run = M.gather ~cache:c ?layout Util.device pf in
+  let meta', run' = M.gather ?layout Util.device pf in
+  check_same_run "B-CALM fission pre-run" run run';
+  Alcotest.(check bool) "same metadata" true (meta = meta')
+
+let test_memo_raising_launch () =
+  let c = M.Sim_cache.create () in
+  let p = tiny [ ("copy", [ "A"; "B" ]); ("oob", [ "C" ]) ] in
+  let attempt () =
+    match M.profile ~cache:c Util.device p with
+    | (_ : Profiler.run) -> Alcotest.fail "expected Sim_error"
+    | exception Kft_sim.Interp.Sim_error { kernel; message } -> (kernel, message)
+  in
+  let e1 = attempt () in
+  let e2 = attempt () in
+  Alcotest.(check (pair string string)) "the same error again" e1 e2;
+  Alcotest.(check (pair int int)) "the raising launch is never a hit" (1, 3) (memo_counts c);
+  Alcotest.(check int) "no program entry" 0 (M.Sim_cache.stats c).size
+
 let suite =
   [
     Alcotest.test_case "gather produces entries" `Quick test_gather_entries;
@@ -171,4 +465,14 @@ let suite =
     Alcotest.test_case "text is amendable" `Quick test_amendable_text;
     Alcotest.test_case "files roundtrip" `Quick test_files_roundtrip;
     Alcotest.test_case "malformed text rejected" `Quick test_malformed_rejected;
+    Alcotest.test_case "memo on/off bit-identical: apps and transforms" `Slow
+      test_memo_apps_bit_identical;
+    QCheck_alcotest.to_alcotest prop_memo_fuzz;
+    Alcotest.test_case "memo: one flipped input cell misses" `Quick test_memo_one_cell_misses;
+    Alcotest.test_case "memo: k(A, A) and k(A, B) differ" `Quick test_memo_aliasing_misses;
+    Alcotest.test_case "memo: write-only full overwrite replays" `Quick test_memo_write_only;
+    Alcotest.test_case "memo: -0.0 and 0.0 get distinct ids" `Quick test_memo_signed_zero;
+    Alcotest.test_case "memo: overlay write invalidates shared slot" `Quick test_memo_overlay;
+    Alcotest.test_case "memo: B-CALM fission pre-run on and off" `Quick test_memo_fission_prerun;
+    Alcotest.test_case "memo: a raising launch is not stored" `Quick test_memo_raising_launch;
   ]

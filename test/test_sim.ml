@@ -487,7 +487,7 @@ let test_affine_rewrite_structure () =
     (contains (Kft_cuda.Pp.kernel k') "__aff")
 
 (* ------------------------------------------------------------------ *)
-(* Off-heap substrate: snapshots, pooling, lifetime edge cases          *)
+(* Off-heap substrate: copies, pooling, lifetime edge cases             *)
 (* ------------------------------------------------------------------ *)
 
 let test_zero_length_arrays () =
@@ -504,52 +504,14 @@ let test_zero_length_arrays () =
   (match List.assoc_opt "Z" (Mem.max_abs_diff mem1 mem2) with
   | Some d -> Util.check_float "empty array diff is 0" 0.0 d
   | None -> Alcotest.fail "Z missing from diff");
-  let s = Mem.snapshot mem1 in
-  Alcotest.(check bool) "snapshot round-trips empty arrays" true
-    (Mem.equal_within ~tol:0.0 mem1 (Mem.restore s))
-
-let test_snapshot_restore_bit_identity =
-  (* property: snapshot -> arbitrary mutations -> restore yields a
-     memory bit-identical to the capture, and independent of the source *)
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"snapshot/mutate/restore is bit-exact" ~count:100
-       QCheck.(
-         triple small_nat (list (pair small_nat (float_range (-1e6) 1e6))) small_nat)
-       (fun (seed, writes, extra) ->
-         let decls = [ Util.arr3 dims "A"; Util.arr3 dims "B" ] in
-         let mem = Mem.create decls in
-         Mem.init_seeded mem ~seed;
-         let s = Mem.snapshot mem in
-         let reference = Mem.get_array mem "A" in
-         (* mutate the source after capture: the snapshot must not alias *)
-         List.iter
-           (fun (i, v) ->
-             let b = Mem.get mem (if i mod 2 = 0 then "A" else "B") in
-             b.{i mod cells} <- v)
-           ((extra mod cells, 1e9) :: writes);
-         let r1 = Mem.restore s and r2 = Mem.restore s in
-         let a1 = Mem.get_array r1 "A" in
-         (* restored contents equal the capture exactly *)
-         let eq = a1 = reference in
-         (* restores are independent memories: mutating one leaves the
-            other (and the snapshot) untouched *)
-         (Mem.get r1 "A").{0} <- -12345.0;
-         let r3 = Mem.restore s in
-         let indep = Mem.get_array r2 "A" = reference && Mem.get_array r3 "A" = reference in
-         Mem.release mem;
-         Mem.release r1;
-         Mem.release r2;
-         Mem.release r3;
-         eq && indep))
+  Alcotest.(check bool) "copy round-trips empty arrays" true
+    (Mem.equal_within ~tol:0.0 mem1 (Mem.copy mem1))
 
 let test_release_lifecycle () =
   let mem = Mem.create [ Util.arr3 dims "A" ] in
   Mem.release mem;
   (match Mem.get mem "A" with
   | (_ : Mem.buf) -> Alcotest.fail "expected use-after-release failure"
-  | exception Invalid_argument _ -> ());
-  (match Mem.snapshot mem with
-  | (_ : Mem.snapshot) -> Alcotest.fail "expected snapshot-after-release failure"
   | exception Invalid_argument _ -> ());
   (match Mem.copy mem with
   | (_ : Mem.t) -> Alcotest.fail "expected copy-after-release failure"
@@ -696,22 +658,6 @@ let test_trace_backend () =
     (Util.contains (rendered (Some I.Interpret)) "\"backend\":\"interp\"");
   Alcotest.(check bool) "an alias records the path that ran" true
     (Util.contains (rendered (Some I.Auto)) "\"backend\":\"affine\"")
-
-let test_memory_snapshot () =
-  let mem = Util.run_to_memory (Util.quickstart_program ()) in
-  let snap = Mem.snapshot mem in
-  let r1 = Mem.restore snap in
-  Alcotest.(check bool) "restore reproduces contents" true
-    (Mem.equal_within ~tol:0.0 mem r1);
-  Alcotest.(check bool) "names preserved" true (Mem.names mem = Mem.names r1);
-  Alcotest.(check bool) "dims preserved" true
-    (List.for_all (fun n -> Mem.dims mem n = Mem.dims r1 n) (Mem.names mem));
-  (* restores are independent: mutating one does not leak into the
-     snapshot or into a later restore *)
-  (Mem.get r1 "U").{0} <- 1234.5;
-  let r2 = Mem.restore snap in
-  Alcotest.(check bool) "snapshot unaffected by mutation" true
-    (Mem.equal_within ~tol:0.0 mem r2)
 
 (* Each closure form of the compiled-affine path against the reference
    interpreter: final memory, every stats field and the dynamic usage
@@ -862,12 +808,10 @@ let parallel_suite =
     Alcotest.test_case "dynamic usage parity" `Quick test_usage_parity;
     Alcotest.test_case "profiler agrees across backends" `Quick test_profiler_backend_agreement;
     Alcotest.test_case "executed backend recorded in trace" `Quick test_trace_backend;
-    Alcotest.test_case "memory snapshot/restore" `Quick test_memory_snapshot;
     Alcotest.test_case "unknown array raises" `Quick test_unknown_array;
     Alcotest.test_case "one-sided diff is infinite" `Quick test_max_abs_diff_one_sided;
     Alcotest.test_case "affine rewrite structure" `Quick test_affine_rewrite_structure;
     Alcotest.test_case "zero-length arrays" `Quick test_zero_length_arrays;
-    test_snapshot_restore_bit_identity;
     Alcotest.test_case "release lifecycle" `Quick test_release_lifecycle;
     Alcotest.test_case "arena pool recycles" `Quick test_pool_recycles;
   ]
