@@ -69,8 +69,12 @@ let mode_name = function
   | Budget40 `None_ -> "no-filter@40gen"
   | Paper_budget -> "paper@500x100"
 
+(* one simulation cache shared by every mode's transforms: a mode
+   re-running an app replays the launches an earlier mode simulated *)
+let sim_cache = Kft_metadata.Metadata.Sim_cache.create ()
+
 let config_of_mode mode =
-  let base = { F.default_config with device } in
+  let base = { F.default_config with device; sim_cache = Some sim_cache } in
   match mode with
   | Fusion_only ->
       { base with
@@ -625,7 +629,7 @@ let sim () =
       List.iter
         (fun (jobs, affine, backend) ->
           let _, m, s = sim_run_at ~jobs ~affine ?backend p in
-          if not (Kft_sim.Memory.equal_within ~tol:0.0 ref_mem m && ref_stats = s) then begin
+          if not (Kft_sim.Memory.bits_equal ref_mem m && ref_stats = s) then begin
             Printf.eprintf
               "[bench] sim: %s diverged from sequential at jobs=%d affine=%b backend=%s\n%!"
               name jobs affine
@@ -667,13 +671,13 @@ let sim () =
   let datapoint name before after eliminated =
     let timed = time_all [ (fun () -> sim_run ~affine:true before); (fun () -> sim_run ~affine:true after) ] in
     let (wb, _), mb, _ = List.nth timed 0 and (wa, _), ma, _ = List.nth timed 1 in
-    if not (Kft_sim.Memory.equal_within ~tol:0.0 mb ma) then begin
+    if not (Kft_sim.Memory.bits_equal mb ma) then begin
       Printf.eprintf "[bench] sim: guard elimination changed results on %s\n%!" name;
       exit 1
     end;
     (* the spliced program keeps the jobs-sweep bit-identity guarantee *)
     let _, m4, _ = sim_run_at ~jobs:4 ~affine:true after in
-    if not (Kft_sim.Memory.equal_within ~tol:0.0 ma m4) then begin
+    if not (Kft_sim.Memory.bits_equal ma m4) then begin
       Printf.eprintf "[bench] sim: spliced %s diverged at jobs=4\n%!" name;
       exit 1
     end;
@@ -724,7 +728,6 @@ let sim () =
       {
         F.default_config with
         device;
-        sim_cache = Some (Kft_metadata.Metadata.Sim_cache.create ());
         gga_params = gga ~generations:20 ~population:12 ();
       }
     in
@@ -997,7 +1000,7 @@ let smoke () =
       List.iter
         (fun (label, jobs, affine, backend) ->
           let _, m, st = sim_run_at ~jobs ~affine ?backend p in
-          if not (Kft_sim.Memory.equal_within ~tol:0.0 m_seq m && s_seq = st) then begin
+          if not (Kft_sim.Memory.bits_equal m_seq m && s_seq = st) then begin
             Printf.eprintf "[bench] smoke: %s diverged from sequential on %s\n%!" label
               prog_name;
             exit 1
@@ -1015,19 +1018,6 @@ let smoke () =
      cache that has first profiled its source, so its unchanged launches
      replay from the memo; memory and stats must still be the sequential
      reference interpreter's, bit for bit *)
-  let bits_equal m1 m2 =
-    let module M = Kft_sim.Memory in
-    M.names m1 = M.names m2
-    && List.for_all
-         (fun a ->
-           let x = M.get m1 a and y = M.get m2 a in
-           let n = Bigarray.Array1.dim x in
-           let rec go i =
-             i >= n || (Int64.bits_of_float x.{i} = Int64.bits_of_float y.{i} && go (i + 1))
-           in
-           n = Bigarray.Array1.dim y && go 0)
-         (M.names m1)
-  in
   let replays = ref 0 in
   List.iter
     (fun (prog_name, source, p) ->
@@ -1038,7 +1028,7 @@ let smoke () =
       replays := !replays + (Meta.Sim_cache.memo_stats cache).launch_hits;
       let _, m_seq, s_seq = sim_run_at ~jobs:1 ~affine:false p in
       let stats = List.map (fun (q : Kft_sim.Profiler.kernel_profile) -> q.stats) run.profiles in
-      if not (bits_equal m_seq run.memory && s_seq = stats) then begin
+      if not (Kft_sim.Memory.bits_equal m_seq run.memory && s_seq = stats) then begin
         Printf.eprintf "[bench] smoke: launch-memo replay diverged from sequential on %s\n%!"
           prog_name;
         exit 1
@@ -1192,7 +1182,7 @@ let ladder () =
           [ false; true ]
       done;
       let words_i, mi, si = Option.get last.(0) and words_a, ma, sa = Option.get last.(1) in
-      if not (Kft_sim.Memory.equal_within ~tol:0.0 mi ma && si = sa) then begin
+      if not (Kft_sim.Memory.bits_equal mi ma && si = sa) then begin
         Printf.eprintf "[bench] ladder: %s differs between the two paths\n%!" name;
         exit 1
       end;

@@ -18,10 +18,13 @@ module F = Kft_framework.Framework
 
 let () =
   let app = Kft_apps.Apps.homme () in
+  (* both passes share one simulation cache: the guided re-run replays
+     the source profile and every launch the automated pass simulated *)
   let config =
     {
       F.default_config with
       device = Kft_apps.Apps.bench_device;
+      sim_cache = Some (Kft_metadata.Metadata.Sim_cache.create ());
       gga_params = { Kft_gga.Gga.default_params with generations = 100; population = 40 };
     }
   in

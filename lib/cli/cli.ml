@@ -278,7 +278,7 @@ let list_apps () =
         a.description)
     (transform_apps ())
 
-let transform_run app_name device_name generations population jobs no_memo no_sim_cache
+let transform_run app_name device_name generations population jobs no_memo
     no_fission no_tuning expert_codegen filter verify seed out_dir emit_cuda quiet list
     trace_file chrome_file backend_name =
   if list then begin
@@ -326,9 +326,6 @@ let transform_run app_name device_name generations population jobs no_memo no_si
                   | "fatal" -> Kft_framework.Framework.Verify_fatal
                   | _ -> Kft_framework.Framework.Verify_advisory);
                 codegen_options;
-                sim_cache =
-                  (if no_sim_cache then None
-                   else Kft_framework.Framework.default_config.sim_cache);
                 seed;
                 gga_params =
                   {
@@ -420,9 +417,6 @@ let transform_cmd =
   let no_memo =
     Arg.(value & flag & info [ "no-memo" ] ~doc:"Disable the genome-keyed fitness memo cache (ablation; results are unchanged, only slower).")
   in
-  let no_sim_cache =
-    Arg.(value & flag & info [ "no-sim-cache" ] ~doc:"Disable the content-addressed simulation cache: whole-program entries and the launch memo that replays launches whose code, shape and input contents were simulated before (ablation; results are unchanged, only slower).")
-  in
   let no_fission = Arg.(value & flag & info [ "no-fission" ] ~doc:"Disable lazy kernel fission.") in
   let no_tuning =
     Arg.(value & flag & info [ "no-tuning" ] ~doc:"Disable thread-block-size tuning.")
@@ -458,7 +452,7 @@ let transform_cmd =
     Term.ret
       Term.(
         const transform_run $ app_arg $ device $ generations $ population $ jobs $ no_memo
-        $ no_sim_cache $ no_fission $ no_tuning $ expert $ filter $ verify $ seed $ out_dir
+        $ no_fission $ no_tuning $ expert $ filter $ verify $ seed $ out_dir
         $ emit_cuda $ quiet $ list $ trace_file $ chrome_file $ backend_name)
   in
   Cmd.v

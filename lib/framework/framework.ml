@@ -37,7 +37,7 @@ let default_config =
     verify_mode = Verify_advisory;
     seed = 42;
     verify_tolerance = 1e-9;
-    sim_cache = Some Kft_metadata.Metadata.Sim_cache.global;
+    sim_cache = None;
     backend = Kft_sim.Interp.Affine;
   }
 
@@ -80,7 +80,7 @@ type report = {
   lint_findings : Kft_absint.Lint.finding list;
   rejected_groups : (string * string) list;
   sim_cache_stats : Kft_engine.Engine.Cache.stats option;
-  launch_memo_stats : Meta.Sim_cache.memo_stats option;
+  launch_memo_stats : Meta.Sim_cache.memo_stats;
   pool_stats : Kft_sim.Memory.Pool.stats;
   trace : Trace.t option;
 }
@@ -160,17 +160,21 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
         (Printf.sprintf "Framework.transform: program %s fails validation:\n%s" prog.p_name
            (String.concat "\n" (List.map Kft_cuda.Check.pp_error errs))));
   let device = config.device in
-  let cache = config.sim_cache in
+  (* every simulation of this transform goes through one cache: the
+     caller's, to share it with other transforms, or a private one *)
+  let cache =
+    match config.sim_cache with Some c -> c | None -> Meta.Sim_cache.create ()
+  in
   let backend = config.backend in
-  let cache_stats_before = Option.map Meta.Sim_cache.stats cache in
-  let memo_stats_before = Option.map Meta.Sim_cache.memo_stats cache in
+  let cache_stats_before = Meta.Sim_cache.stats cache in
+  let memo_stats_before = Meta.Sim_cache.memo_stats cache in
   let pool_stats_before = Kft_sim.Memory.Pool.stats () in
   (* stage 1: metadata (simulation runs go through the profile cache, so
      re-transforming a program — or verifying against it later — replays
      the stored run instead of re-simulating) *)
   let meta, baseline =
     Trace.with_span trace "gather" (fun () ->
-        let meta, baseline = Meta.gather ?cache ?engine ~backend ?trace ~seed:config.seed device prog in
+        let meta, baseline = Meta.gather ~cache ?engine ~backend ?trace ~seed:config.seed device prog in
         Trace.add trace "kernels" (List.length meta.Meta.performance);
         (meta, baseline))
   in
@@ -245,7 +249,7 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
                  bit-identical either way (see [Memory.layout]). *)
               let layout = Schedflow.arena_layout sf in
               let m, grun =
-                Meta.gather ?cache ?engine ~backend ?trace ?layout ~seed:config.seed device
+                Meta.gather ~cache ?engine ~backend ?trace ?layout ~seed:config.seed device
                   sf.program
               in
               (* recycle the profiled run's arena instead of waiting for
@@ -680,13 +684,13 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
   let transformed = codegen.program in
   let transformed_run =
     Trace.with_span trace "profile-transformed" (fun () ->
-        Meta.profile ?cache ?engine ~backend ?trace ~seed:config.seed device transformed)
+        Meta.profile ~cache ?engine ~backend ?trace ~seed:config.seed device transformed)
   in
   (* output verification compares the two runs already held: arrays
      whose final content ids match are equal without a comparison *)
   let verified =
     Trace.with_span trace "output-verify" (fun () ->
-        Meta.compare_outputs ?cache ~seed:config.seed ~tol:config.verify_tolerance device
+        Meta.compare_outputs ~cache ~seed:config.seed ~tol:config.verify_tolerance device
           ~original:(prog, baseline) ~transformed:(transformed, transformed_run))
   in
   (* lint the emitted program; the measured per-kernel traffic from the
@@ -710,40 +714,25 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
         fs)
   in
   let sim_cache_stats =
-    match (cache, cache_stats_before) with
-    | Some c, Some s0 ->
-        let s1 = Meta.Sim_cache.stats c in
-        Some
-          {
-            s1 with
-            Kft_engine.Engine.Cache.hits = s1.hits - s0.hits;
-            misses = s1.misses - s0.misses;
-          }
-    | _ -> None
+    let s1 = Meta.Sim_cache.stats cache and s0 = cache_stats_before in
+    { s1 with Kft_engine.Engine.Cache.hits = s1.hits - s0.hits; misses = s1.misses - s0.misses }
   in
   let launch_memo_stats =
-    match (cache, memo_stats_before) with
-    | Some c, Some m0 ->
-        let m1 = Meta.Sim_cache.memo_stats c in
-        Some
-          {
-            m1 with
-            Meta.Sim_cache.launch_hits = m1.launch_hits - m0.launch_hits;
-            launch_misses = m1.launch_misses - m0.launch_misses;
-            hashed_cells = m1.hashed_cells - m0.hashed_cells;
-            intern_s = m1.intern_s -. m0.intern_s;
-          }
-    | _ -> None
+    let m1 = Meta.Sim_cache.memo_stats cache and m0 = memo_stats_before in
+    {
+      m1 with
+      Meta.Sim_cache.launch_hits = m1.launch_hits - m0.launch_hits;
+      launch_misses = m1.launch_misses - m0.launch_misses;
+      hashed_cells = m1.hashed_cells - m0.hashed_cells;
+      intern_s = m1.intern_s -. m0.intern_s;
+    }
   in
-  (match (sim_cache_stats, launch_memo_stats) with
-  | Some st, Some m ->
-      Trace.add trace "sim_cache_hits" st.Kft_engine.Engine.Cache.hits;
-      Trace.add trace "sim_cache_misses" st.Kft_engine.Engine.Cache.misses;
-      Trace.add trace "launch_memo_hits" m.Meta.Sim_cache.launch_hits;
-      Trace.add trace "launch_memo_misses" m.launch_misses;
-      Trace.note trace "hashed_cells" (Trace.Int m.hashed_cells);
-      Trace.note trace "intern_s" (Trace.Float m.intern_s)
-  | _ -> ());
+  Trace.add trace "sim_cache_hits" sim_cache_stats.hits;
+  Trace.add trace "sim_cache_misses" sim_cache_stats.misses;
+  Trace.add trace "launch_memo_hits" launch_memo_stats.launch_hits;
+  Trace.add trace "launch_memo_misses" launch_memo_stats.launch_misses;
+  Trace.note trace "hashed_cells" (Trace.Int launch_memo_stats.hashed_cells);
+  Trace.note trace "intern_s" (Trace.Float launch_memo_stats.intern_s);
   (* memory-pool accounting for this run. Requests and cells are a pure
      function of the simulation call sequence, so they live in the
      canonical (byte-stable) channel; hit/miss/high-water depend on how
@@ -797,7 +786,7 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
     verify_report;
     lint_findings;
     rejected_groups;
-    sim_cache_stats;
+    sim_cache_stats = Some sim_cache_stats;
     launch_memo_stats;
     pool_stats;
     trace;
@@ -814,12 +803,10 @@ let stage_report r =
       p "  profile cache: %d hits, %d misses this run (%d cached simulations)"
         s.Kft_engine.Engine.Cache.hits s.misses s.size
   | None -> ());
-  (match r.launch_memo_stats with
-  | Some m ->
-      p "  launch memo: %d hits, %d misses this run (%d contents, %.1f Mcells stored)"
-        m.Meta.Sim_cache.launch_hits m.launch_misses m.contents
-        (float_of_int m.stored_cells /. 1e6)
-  | None -> ());
+  (let m = r.launch_memo_stats in
+   p "  launch memo: %d hits, %d misses this run (%d contents, %.1f Mcells stored)"
+     m.Meta.Sim_cache.launch_hits m.launch_misses m.contents
+     (float_of_int m.stored_cells /. 1e6));
   (let ps = r.pool_stats in
    if ps.Kft_sim.Memory.Pool.requests > 0 then
      p "  memory pool: %d arenas (%d recycled, %d fresh), %.1f Mcells requested"

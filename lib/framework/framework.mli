@@ -33,11 +33,13 @@ type config = {
   seed : int;
   verify_tolerance : float;
   sim_cache : Kft_metadata.Metadata.Sim_cache.t option;
-      (** content-addressed simulation cache for every simulation the
-          pipeline performs (gathering, the fissioned-variant run and
-          the transformed run, each launch by launch through its launch
-          memo) and for output verification's comparison; [None]
-          disables caching *)
+      (** the content-addressed simulation cache every simulation of the
+          transform goes through (gathering, the fissioned-variant run
+          and the transformed run, each launch by launch through its
+          launch memo), also used by output verification's comparison.
+          [None] means a fresh cache private to this transform; pass
+          [Some c] to share [c] with other transforms, e.g. an
+          automated pass and the guided re-run after it. *)
   backend : Kft_sim.Interp.backend;
       (** simulator execution path for those runs. Both paths are
           bit-identical, so this only affects pipeline wall time; the
@@ -46,9 +48,9 @@ type config = {
 
 val default_config : config
 (** K20X, the paper's GGA defaults, automated codegen, automated
-    filtering, advisory static verification, the process-wide
-    {!Kft_metadata.Metadata.Sim_cache.global} profile cache and the
-    compiled-affine execution path ({!Kft_sim.Interp.Affine}). *)
+    filtering, advisory static verification, a private simulation cache
+    per transform ([sim_cache = None]) and the compiled-affine execution
+    path ({!Kft_sim.Interp.Affine}). *)
 
 type hooks = {
   amend_metadata : Kft_metadata.Metadata.t -> Kft_metadata.Metadata.t;
@@ -100,13 +102,11 @@ type report = {
           back into singletons; always [] outside {!Verify_fatal} *)
   sim_cache_stats : Kft_engine.Engine.Cache.stats option;
       (** profile-cache hits/misses attributable to this transform ([size]
-          is the cache's total entry count afterwards); [None] when
-          [config.sim_cache] is [None] *)
-  launch_memo_stats : Kft_metadata.Metadata.Sim_cache.memo_stats option;
+          is the cache's total entry count afterwards); always [Some] *)
+  launch_memo_stats : Kft_metadata.Metadata.Sim_cache.memo_stats;
       (** launch-memo hits/misses, hashed cells and interning time
           attributable to this transform (the content counts are the
-          cache's totals afterwards); [None] when [config.sim_cache] is
-          [None] *)
+          cache's totals afterwards) *)
   pool_stats : Kft_sim.Memory.Pool.stats;
       (** arena-pool activity attributable to this transform: requests
           and cells are deltas over the run; [high_water] is the

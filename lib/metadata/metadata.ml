@@ -71,33 +71,29 @@ let touched_host_arrays prog (l : launch) =
 
 module Sim_cache = Sim_cache
 
-let profile ?cache ?engine ?backend ?trace ?layout ?(seed = 42) device prog =
+let profile ?(cache = Sim_cache.create ()) ?engine ?backend ?trace ?layout ?(seed = 42) device
+    prog =
   (* cache attribution is per profiled program: hit/miss counters are a
      pure function of the call sequence, so they stay in the canonical
      trace channel (byte-stable given a fresh cache per run) *)
   Kft_trace.Trace.with_span trace ("profile:" ^ prog.p_name) @@ fun () ->
-  match cache with
-  | None -> Kft_sim.Profiler.profile ?engine ?backend ?trace ?layout ~seed device prog
-  | Some c -> Sim_cache.profile c ?engine ?backend ?trace ?layout ~seed device prog
+  Sim_cache.profile cache ?engine ?backend ?trace ?layout ~seed device prog
 
-let compare_outputs ?cache ?(seed = 42) ?(tol = 1e-9) device
+let compare_outputs ~cache ?(seed = 42) ?(tol = 1e-9) device
     ~original:(p1, (r1 : Kft_sim.Profiler.run)) ~transformed:(p2, (r2 : Kft_sim.Profiler.run)) =
   (* arrays whose final content ids are equal are bitwise equal: only
      the others are compared cell by cell *)
   let equal =
-    match cache with
-    | None -> None
-    | Some c -> (
-        match (Sim_cache.final_ids c ~seed device p1, Sim_cache.final_ids c ~seed device p2) with
-        | Some ids1, Some ids2 ->
-            let tbl = Hashtbl.create 64 in
-            List.iter (fun (n, id) -> Hashtbl.replace tbl n id) ids1;
-            Some
-              (fun n ->
-                match (Hashtbl.find_opt tbl n, List.assoc_opt n ids2) with
-                | Some a, Some b -> a = b
-                | _ -> false)
-        | _ -> None)
+    match (Sim_cache.final_ids cache ~seed device p1, Sim_cache.final_ids cache ~seed device p2) with
+    | Some ids1, Some ids2 ->
+        let tbl = Hashtbl.create 64 in
+        List.iter (fun (n, id) -> Hashtbl.replace tbl n id) ids1;
+        Some
+          (fun n ->
+            match (Hashtbl.find_opt tbl n, List.assoc_opt n ids2) with
+            | Some a, Some b -> a = b
+            | _ -> false)
+    | _ -> None
   in
   match Kft_sim.Profiler.output_diffs ?equal ~tol r1.memory r2.memory with
   | [] -> Ok ()

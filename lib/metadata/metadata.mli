@@ -58,14 +58,15 @@ val profile :
   ?layout:Kft_sim.Memory.layout -> ?seed:int ->
   Kft_device.Device.t -> Kft_cuda.Ast.program -> Kft_sim.Profiler.run
 (** {!Kft_sim.Profiler.profile} inside a [profile:<program>] span,
-    through the cache when one is given ({!Sim_cache.profile}): a cached
-    program is rebuilt from the content store, a new one runs launch by
-    launch through the launch memo — block-parallel when [engine] is
-    given, on [backend] when given. [layout] runs under a
-    liveness-driven arena overlay, cached separately from packed runs. *)
+    through [cache] ({!Sim_cache.profile}); without one, through a
+    fresh cache private to this call. A cached program is rebuilt from
+    the content store, a new one runs launch by launch through the
+    launch memo — block-parallel when [engine] is given, on [backend]
+    when given. [layout] runs under a liveness-driven arena overlay,
+    cached separately from packed runs. *)
 
 val compare_outputs :
-  ?cache:Sim_cache.t -> ?seed:int -> ?tol:float -> Kft_device.Device.t ->
+  cache:Sim_cache.t -> ?seed:int -> ?tol:float -> Kft_device.Device.t ->
   original:Kft_cuda.Ast.program * Kft_sim.Profiler.run ->
   transformed:Kft_cuda.Ast.program * Kft_sim.Profiler.run ->
   (unit, (string * float) list) result
@@ -82,8 +83,8 @@ val gather :
   ?layout:Kft_sim.Memory.layout -> ?seed:int ->
   Kft_device.Device.t -> Kft_cuda.Ast.program -> t * Kft_sim.Profiler.run
 (** The metadata-gathering stage: one instrumented run on the simulated
-    device plus static analysis of every kernel. [cache] memoizes the
-    instrumented run; [engine] runs it block-parallel. *)
+    device ({!profile}, through [cache] or a fresh one) plus static
+    analysis of every kernel. [engine] runs it block-parallel. *)
 
 val find_perf : t -> string -> perf_entry
 (** Raises [Not_found]. *)

@@ -63,11 +63,6 @@ let hash_buf (b : Memory.buf) =
   done;
   !h
 
-let equal_bufs (a : Memory.buf) (b : Memory.buf) =
-  let n = A1.dim a in
-  let rec go i = i >= n || (bits (A1.unsafe_get a i) = bits (A1.unsafe_get b i) && go (i + 1)) in
-  n = A1.dim b && go 0
-
 (* a content as a length and a cell reader, for the rare comparisons
    that involve a seeded content *)
 let cells_of = function
@@ -122,7 +117,7 @@ let intern st (b : Memory.buf) =
   let h = hash_buf b in
   let is_b id =
     match st.contents.(id) with
-    | Stored s | Seeded { kept = Some s; _ } -> equal_bufs s b
+    | Stored s | Seeded { kept = Some s; _ } -> Memory.equal_bufs s b
     | Seeded _ as c -> equal_cells (cells_of c) (cells_of (Stored b))
   in
   let id =
@@ -318,7 +313,7 @@ type t = {
   memo : launch_entry Memo.t;
   blanks : (string * (int * int * int) * (int * int * int), int list) Hashtbl.t;
       (** (code, domain, block) -> each non-empty set of blanked positions stored *)
-  mutable store : store;
+  store : store;
   mutable launch_hits : int;
   mutable launch_misses : int;
 }
@@ -343,8 +338,6 @@ let create () =
     launch_misses = 0;
   }
 
-let global = create ()
-
 let stats (c : t) = Cache.stats c.programs
 
 let memo_stats (c : t) =
@@ -359,31 +352,12 @@ let memo_stats (c : t) =
         intern_s = st.intern_s;
       })
 
-let clear (c : t) =
-  Mutex.protect c.lock (fun () ->
-      Cache.clear c.programs;
-      Memo.reset c.memo;
-      Hashtbl.reset c.blanks;
-      c.store <- create_store ();
-      c.launch_hits <- 0;
-      c.launch_misses <- 0)
-
-let repr_tag = "mem:bigarray-arena-v1"
-
-(* The whole marshalled (tag, program, seed, device) tuple is the key,
-   so equal keys are equal simulations: no digest decides a hit. *)
-let key ?(tag = repr_tag) ~seed device (prog : program) =
-  Marshal.to_string (tag, prog, seed, device) []
-
-(* an overlay layout's runs end with other contents on shared slots, so
-   the layout is part of the program key *)
-let program_key ?layout ~seed device prog =
-  let tag =
-    match layout with
-    | None -> repr_tag
-    | Some (l : Memory.layout) -> repr_tag ^ "+overlay:" ^ Marshal.to_string l []
-  in
-  key ~tag ~seed device prog
+(* The whole marshalled (program, seed, device, layout) tuple is the
+   key, so equal keys are equal simulations: no digest decides a hit.
+   An overlay layout's runs end with other contents on shared slots, so
+   the layout is part of it. *)
+let program_key ?layout ~seed device (prog : program) =
+  Marshal.to_string (prog, seed, device, (layout : Memory.layout option)) []
 
 let copy_profiles ps =
   List.map

@@ -28,6 +28,13 @@
     a program that differs from a cached one in a few launches only
     simulates those.
 
+    {b Lifetime.} The caller owns a cache, and nothing evicts from it:
+    it lives as long as the value does. There is no process-wide cache.
+    [Framework.transform] creates a fresh one per transform unless its
+    caller passes one to share (a programmer-guided re-run, a bench
+    sweep). The cache is never persisted, so its keys carry no
+    representation tag.
+
     Everything a hit returns is bit-identical to a fresh simulation and
     private to the caller. The execution path is not part of any key:
     both paths are bit-identical. *)
@@ -35,10 +42,6 @@
 type t
 
 val create : unit -> t
-
-val global : t
-(** A process-wide cache, shared by default across framework stages and
-    bench modes. *)
 
 val stats : t -> Kft_engine.Engine.Cache.stats
 (** Program-level hit/miss/size counters (the stage report's profile
@@ -55,20 +58,6 @@ type memo_stats = {
 
 val memo_stats : t -> memo_stats
 (** Cumulative launch-memo and content-store counters. *)
-
-val clear : t -> unit
-
-val repr_tag : string
-(** The memory-representation tag baked into every program key. Bumped
-    when the device-memory substrate changes shape, so entries written
-    under an older representation read as misses. *)
-
-val key : ?tag:string -> seed:int -> Kft_device.Device.t -> Kft_cuda.Ast.program -> string
-(** The program key of one simulation: the marshalled (tag, program,
-    seed, device) tuple itself, so equal keys are equal simulations.
-    [tag] defaults to {!repr_tag}; passing an explicit tag exists so
-    tests can prove that entries written under another representation
-    miss. *)
 
 val profile :
   t -> ?engine:Kft_engine.Engine.t -> ?backend:Kft_sim.Interp.backend ->

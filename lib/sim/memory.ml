@@ -50,7 +50,7 @@ exception Unknown_array of string
 
 module Pool = struct
   type stats = {
-    requests : int;  (** arena acquisitions: create + copy *)
+    requests : int;  (** arena acquisitions, one per create *)
     hits : int;  (** served by recycling a released arena *)
     misses : int;  (** served by a fresh allocation *)
     cells_requested : int;  (** total cells across all requests *)
@@ -266,12 +266,6 @@ let placement t =
   Array.iter (fun (n, d, off) -> Hashtbl.replace row n (n, off, dims_cells d)) t.directory;
   List.filter_map (Hashtbl.find_opt row) t.seed_order
 
-let copy t =
-  if t.released then invalid_arg "Memory.copy: use after release";
-  let arena = Pool.acquire t.total in
-  A1.blit (A1.sub t.arena 0 t.total) (A1.sub arena 0 t.total);
-  of_arena arena t.total t.directory
-
 let release t =
   if t.released then invalid_arg "Memory.release: memory already released";
   t.released <- true;
@@ -286,8 +280,13 @@ let array_max_abs_diff a b n =
     else begin
       let m = ref 0.0 in
       for i = 0 to A1.dim da - 1 do
-        let d = Float.abs (A1.unsafe_get da i -. A1.unsafe_get db i) in
+        let x = A1.unsafe_get da i and y = A1.unsafe_get db i in
+        let d = Float.abs (x -. y) in
         if d > !m then m := d
+          (* a NaN difference fails every [d > m]: a NaN against a number
+             (or another NaN) must not pass as equal *)
+        else if Float.is_nan d && Int64.bits_of_float x <> Int64.bits_of_float y then
+          m := infinity
       done;
       !m
     end
@@ -296,3 +295,17 @@ let max_abs_diff a b =
   List.sort_uniq compare (names a @ names b) |> List.map (fun n -> (n, array_max_abs_diff a b n))
 
 let equal_within ~tol a b = List.for_all (fun (_, d) -> d <= tol) (max_abs_diff a b)
+
+(* cells compare by their bits: float equality would equate -0.0 with
+   0.0 and tell a NaN from itself *)
+let equal_bufs (a : buf) (b : buf) =
+  let n = A1.dim a in
+  let rec go i =
+    i >= n
+    || Int64.bits_of_float (A1.unsafe_get a i) = Int64.bits_of_float (A1.unsafe_get b i)
+       && go (i + 1)
+  in
+  n = A1.dim b && go 0
+
+let bits_equal a b =
+  names a = names b && List.for_all (fun n -> equal_bufs (get a n) (get b n)) (names a)

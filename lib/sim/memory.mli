@@ -9,9 +9,9 @@
 
     The off-heap representation buys three things with zero behavioural
     change (float64 Bigarray cells are the same IEEE-754 doubles as
-    [float array] cells): the GC never scans grid payloads, {!copy} is
-    a single [Array1.blit] (memcpy), and arenas are recycled through
-    {!Pool} across the GGA's thousands of fitness simulations. *)
+    [float array] cells): the GC never scans grid payloads, a blit is
+    a memcpy, and arenas are recycled through {!Pool} across the GGA's
+    thousands of fitness simulations. *)
 
 type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Backing store of one array: a zero-copy sub-view of the memory's
@@ -83,21 +83,18 @@ val placement : t -> (string * int * int) list
     share storage exactly when their cell ranges intersect; that only
     happens under an overlay {!layout}. *)
 
-val copy : t -> t
-(** An independent memory with the same contents: one pooled arena
-    acquisition plus one blit. *)
-
 val release : t -> unit
 (** Return the memory's arena to {!Pool} for recycling. The memory must
-    not be used afterwards ({!get} / {!copy} raise
-    [Invalid_argument]); releasing twice raises [Invalid_argument].
-    Releasing is optional — an unreleased memory is reclaimed by the GC
-    like before, its arena simply bypasses the pool. *)
+    not be used afterwards ({!get} raises [Invalid_argument]); releasing
+    twice raises [Invalid_argument]. Releasing is optional — an
+    unreleased memory is reclaimed by the GC like before, its arena
+    simply bypasses the pool. *)
 
 val array_max_abs_diff : t -> t -> string -> float
 (** The maximum absolute elementwise difference of one array between two
     memories; [infinity] when the array is missing on one side or has a
-    different length. *)
+    different length, or when a cell is NaN on one side and not bitwise
+    the same NaN on the other. *)
 
 val max_abs_diff : t -> t -> (string * float) list
 (** For every array name present in {e either} memory, the maximum
@@ -107,13 +104,22 @@ val max_abs_diff : t -> t -> (string * float) list
 
 val equal_within : tol:float -> t -> t -> bool
 (** True when every array of either memory agrees within [tol] (so a
-    one-sided array makes this false). *)
+    one-sided array makes this false). A tolerance check: [-0.0] passes
+    against [0.0], so bit identity is {!bits_equal}. *)
+
+val equal_bufs : buf -> buf -> bool
+(** Same length and every cell equal by [Int64.bits_of_float]: [-0.0]
+    and [0.0] differ, a NaN equals itself (with the same payload). *)
+
+val bits_equal : t -> t -> bool
+(** Bit identity of two memories: the same array names, and every array
+    {!equal_bufs}. *)
 
 (** Arena recycling across simulations. Global, mutex-guarded;
     smallest-fit over a bounded free list of released arenas. *)
 module Pool : sig
   type stats = {
-    requests : int;  (** arena acquisitions: create + copy *)
+    requests : int;  (** arena acquisitions, one per create *)
     hits : int;  (** served by recycling a released arena *)
     misses : int;  (** served by a fresh allocation *)
     cells_requested : int;  (** total cells across all requests *)

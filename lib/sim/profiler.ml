@@ -35,7 +35,9 @@ let run_of_profiles profiles memory =
     memory;
   }
 
-let profile_with_memory ?engine ?affine ?backend ?trace device mem prog =
+let profile ?engine ?affine ?backend ?trace ?layout ?(seed = 42) device prog =
+  let mem = Memory.create ?layout prog.p_arrays in
+  Memory.init_seeded mem ~seed;
   let profiles =
     List.filter_map
       (function
@@ -46,11 +48,6 @@ let profile_with_memory ?engine ?affine ?backend ?trace device mem prog =
       prog.p_schedule
   in
   run_of_profiles profiles mem
-
-let profile ?engine ?affine ?backend ?trace ?layout ?(seed = 42) device prog =
-  let mem = Memory.create ?layout prog.p_arrays in
-  Memory.init_seeded mem ~seed;
-  profile_with_memory ?engine ?affine ?backend ?trace device mem prog
 
 (* only arrays common to both memories are compared: a transformation
    may add or drop temporaries *)
@@ -64,12 +61,7 @@ let output_diffs ?(equal = fun _ -> false) ~tol m1 m2 =
     (List.sort_uniq compare (Memory.names m1))
 
 let verify ?engine ?affine ?backend ?trace ?(seed = 42) ?(tol = 1e-9) device ~original ~transformed =
-  let run p =
-    let mem = Memory.create p.p_arrays in
-    Memory.init_seeded mem ~seed;
-    ignore (profile_with_memory ?engine ?affine ?backend ?trace device mem p);
-    mem
-  in
+  let run p = (profile ?engine ?affine ?backend ?trace ~seed device p).memory in
   let m1 = run original and m2 = run transformed in
   let diffs = output_diffs ~tol m1 m2 in
   (* both memories are private to this verification: recycle their

@@ -40,13 +40,6 @@ val profile_of_stats :
 val run_of_profiles : kernel_profile list -> Memory.t -> run
 (** A run from its profiles (in schedule order) and final memory. *)
 
-val profile_with_memory :
-  ?engine:Kft_engine.Engine.t -> ?affine:bool -> ?backend:Interp.backend ->
-  ?trace:Kft_trace.Trace.t ->
-  Kft_device.Device.t -> Memory.t -> Kft_cuda.Ast.program -> run
-(** Run against caller-provided memory (mutated in place); used to
-    compare two program versions from identical initial state. *)
-
 val verify :
   ?engine:Kft_engine.Engine.t -> ?affine:bool -> ?backend:Interp.backend ->
   ?trace:Kft_trace.Trace.t -> ?seed:int -> ?tol:float ->

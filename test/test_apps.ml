@@ -89,7 +89,7 @@ let test_baselines_execute () =
 let test_deterministic_baseline () =
   let a = find "MITgcm" in
   let m1 = Util.run_to_memory a.program and m2 = Util.run_to_memory a.program in
-  Alcotest.(check bool) "bit-identical reruns" true (Kft_sim.Memory.equal_within ~tol:0.0 m1 m2)
+  Alcotest.(check bool) "bit-identical reruns" true (Kft_sim.Memory.bits_equal m1 m2)
 
 let test_awp_separable () =
   let a = find "AWP-ODC-GPU" in

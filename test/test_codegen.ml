@@ -299,7 +299,7 @@ let test_branch_schemes_agree () =
   in
   let m1 = run (build { Fu.auto_options with tune_blocks = false }) in
   let m2 = run (build Fu.manual_options) in
-  Alcotest.(check bool) "identical results" true (Kft_sim.Memory.equal_within ~tol:0.0 m1 m2)
+  Alcotest.(check bool) "identical results" true (Kft_sim.Memory.bits_equal m1 m2)
 
 (* fused kernels are named K_fNN in emission order *)
 let test_fused_naming () =

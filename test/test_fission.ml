@@ -81,7 +81,7 @@ let test_fission_preserves_semantics () =
   let fissioned = F.apply_to_program ~plans:[ ("kern_a", plan) ] fused_prog in
   Alcotest.(check int) "two kernels" 2 (List.length fissioned.p_kernels);
   let m1 = Util.run_to_memory fused_prog and m2 = Util.run_to_memory fissioned in
-  Alcotest.(check bool) "identical results" true (Kft_sim.Memory.equal_within ~tol:0.0 m1 m2)
+  Alcotest.(check bool) "identical results" true (Kft_sim.Memory.bits_equal m1 m2)
 
 let test_fission_semantics_all_apps_kernel () =
   (* the AWP velocity kernel (three groups) *)
@@ -91,7 +91,7 @@ let test_fission_semantics_all_apps_kernel () =
   Alcotest.(check int) "three parts" 3 (List.length plan.parts);
   let prog' = F.apply_to_program ~plans:[ ("vel_a", plan) ] app.program in
   let m1 = Util.run_to_memory app.program and m2 = Util.run_to_memory prog' in
-  Alcotest.(check bool) "identical results" true (Kft_sim.Memory.equal_within ~tol:0.0 m1 m2)
+  Alcotest.(check bool) "identical results" true (Kft_sim.Memory.bits_equal m1 m2)
 
 let test_iterate_plan_fixpoint () =
   match F.iterate_plan fused_built.kernel with

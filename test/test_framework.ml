@@ -135,9 +135,29 @@ let test_fission_flows_through () =
   Alcotest.(check bool) "parts or their fusions emitted" true
     (List.length part_names > 0 || List.exists (fun g -> List.length g > 1) r.solution_groups)
 
+(* the caller owns the simulation cache: a second transform on the same
+   [Some c] replays every program the first one simulated (the source
+   gather and the transformed run), while [None] gives each transform a
+   fresh cache, so nothing carries over *)
+let test_caller_owned_cache () =
+  let counts sim_cache =
+    match (F.transform ~config:{ config with sim_cache } pc).sim_cache_stats with
+    | Some s -> (s.hits, s.misses)
+    | None -> Alcotest.fail "the report carries cache stats"
+  in
+  let c = Kft_metadata.Metadata.Sim_cache.create () in
+  let h1, m1 = counts (Some c) in
+  Alcotest.(check int) "first transform on c: no program hit" 0 h1;
+  Alcotest.(check bool) "first transform on c simulates" true (m1 > 0);
+  Alcotest.(check (pair int int)) "second transform on c: every program hits" (m1, 0)
+    (counts (Some c));
+  Alcotest.(check (pair int int)) "None: first transform misses" (0, m1) (counts None);
+  Alcotest.(check (pair int int)) "None: second transform misses too" (0, m1) (counts None)
+
 let suite =
   [
     Alcotest.test_case "end-to-end verified" `Quick test_end_to_end_verified;
+    Alcotest.test_case "caller-owned simulation cache" `Quick test_caller_owned_cache;
     Alcotest.test_case "pipeline fuses the pair" `Quick test_pipeline_fuses_pair;
     Alcotest.test_case "target classification" `Quick test_targets_classified;
     Alcotest.test_case "manual filter sees latency kernels" `Quick test_manual_filter_sees_latency;

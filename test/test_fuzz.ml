@@ -46,7 +46,7 @@ let prop_differential =
       List.for_all
         (fun (engine, affine) ->
           let mem, stats = run ?engine ~affine p in
-          Memory.equal_within ~tol:0.0 ref_mem mem && stats = ref_stats)
+          Memory.bits_equal ref_mem mem && stats = ref_stats)
         [
           (None, true);
           (Some (Lazy.force shared_engine), false);

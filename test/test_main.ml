@@ -121,15 +121,10 @@ let test_schedflow_jobs_identical () =
 
 (* ---------------- kft-transform ---------------- *)
 
-(* a small, fast transformation; --no-sim-cache keeps in-process
-   repetitions independent of the process-wide profile cache, so trace
-   bytes depend only on the arguments *)
+(* a small, fast transformation *)
 let quickstart_args rest =
   Array.append
-    [|
-      "kft-transform"; "-a"; "quickstart"; "--generations"; "2"; "--population"; "6";
-      "--no-sim-cache";
-    |]
+    [| "kft-transform"; "-a"; "quickstart"; "--generations"; "2"; "--population"; "6" |]
     rest
 
 let test_transform_list () =
@@ -197,6 +192,20 @@ let test_transform_traced () =
   Alcotest.(check bool) "complete events with durations" true
     (Util.contains c "\"ph\":\"X\"")
 
+(* each transform simulates on its own cache, so a repeated run in the
+   same process re-simulates instead of replaying the first: the trace's
+   cache counters, and so its bytes, depend only on the arguments *)
+let test_transform_trace_in_process () =
+  with_tmp_files 2 @@ fun files ->
+  let f1, f2 = match files with [ a; b ] -> (a, b) | _ -> assert false in
+  let run file =
+    let rc, _, _ = transform (quickstart_args [| "-q"; "--seed"; "7"; "--trace"; file |]) in
+    Alcotest.(check int) "exit 0" 0 rc;
+    Util.read_file file
+  in
+  let t1 = run f1 in
+  Alcotest.(check string) "second in-process run writes the same trace" t1 (run f2)
+
 let test_transform_verify_modes () =
   let rc_off, _, _ = transform (quickstart_args [| "-q"; "--verify"; "off" |]) in
   Alcotest.(check int) "--verify off passes" 0 rc_off;
@@ -227,6 +236,8 @@ let cli_suite =
     Alcotest.test_case "transform stage report" `Slow test_transform_report;
     Alcotest.test_case "transform --trace/--trace-chrome deterministic" `Slow
       test_transform_traced;
+    Alcotest.test_case "transform --trace identical in-process" `Slow
+      test_transform_trace_in_process;
     Alcotest.test_case "transform --verify off/fatal" `Slow test_transform_verify_modes;
   ]
 

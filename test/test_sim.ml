@@ -33,9 +33,9 @@ let test_memory_seeded_deterministic () =
   let mem1 = Mem.create [ Util.arr3 dims "A" ] and mem2 = Mem.create [ Util.arr3 dims "A" ] in
   Mem.init_seeded mem1 ~seed:7;
   Mem.init_seeded mem2 ~seed:7;
-  Alcotest.(check bool) "same fill" true (Mem.equal_within ~tol:0.0 mem1 mem2);
+  Alcotest.(check bool) "same fill" true (Mem.bits_equal mem1 mem2);
   Mem.init_seeded mem2 ~seed:8;
-  Alcotest.(check bool) "different seed differs" false (Mem.equal_within ~tol:0.0 mem1 mem2);
+  Alcotest.(check bool) "different seed differs" false (Mem.bits_equal mem1 mem2);
   Alcotest.(check bool) "no zeros" true (Array.for_all (fun v -> v <> 0.0) (Mem.get_array mem1 "A"))
 
 let test_memory_diff () =
@@ -46,6 +46,28 @@ let test_memory_diff () =
   | _ -> Alcotest.fail "diff shape");
   Alcotest.(check bool) "not equal" false (Mem.equal_within ~tol:1.0 mem1 mem2);
   Alcotest.(check bool) "equal within 4" true (Mem.equal_within ~tol:4.0 mem1 mem2)
+
+(* bit identity is not the tolerance check: -0.0 and 0.0 differ, a NaN
+   equals itself, and both memories must hold the same arrays. The
+   tolerance check must not let a NaN pass against a number. *)
+let test_memory_bits_equal () =
+  let pair a b =
+    let m1 = Mem.create [ Util.arr3 dims "A" ] and m2 = Mem.create [ Util.arr3 dims "A" ] in
+    (Mem.get m1 "A").{3} <- a;
+    (Mem.get m2 "A").{3} <- b;
+    (m1, m2)
+  in
+  let m1, m2 = pair (-0.0) 0.0 in
+  Alcotest.(check bool) "-0.0 vs 0.0 within tolerance 0" true (Mem.equal_within ~tol:0.0 m1 m2);
+  Alcotest.(check bool) "-0.0 vs 0.0 differ bitwise" false (Mem.bits_equal m1 m2);
+  let m1, m2 = pair Float.nan 1.0 in
+  Alcotest.(check bool) "NaN vs 1.0 fails any tolerance" false (Mem.equal_within ~tol:1e12 m1 m2);
+  Alcotest.(check bool) "NaN vs 1.0 differ bitwise" false (Mem.bits_equal m1 m2);
+  let m1, m2 = pair Float.nan Float.nan in
+  Alcotest.(check bool) "NaN vs NaN within tolerance 0" true (Mem.equal_within ~tol:0.0 m1 m2);
+  Alcotest.(check bool) "NaN vs NaN equal bitwise" true (Mem.bits_equal m1 m2);
+  let m3 = Mem.create [ Util.arr3 dims "A"; Util.arr3 dims "B" ] in
+  Alcotest.(check bool) "different arrays differ" false (Mem.bits_equal m1 m3)
 
 let test_pointwise_execution () =
   let prog = one_kernel_prog (Util.pointwise_src ~name:"pw" ~a:"A" ~b:"B" ~dst:"C") "pw"
@@ -277,6 +299,7 @@ let suite =
     Alcotest.test_case "memory basics" `Quick test_memory_basics;
     Alcotest.test_case "seeded memory deterministic" `Quick test_memory_seeded_deterministic;
     Alcotest.test_case "memory diff" `Quick test_memory_diff;
+    Alcotest.test_case "memory bit identity" `Quick test_memory_bits_equal;
     Alcotest.test_case "pointwise execution" `Quick test_pointwise_execution;
     Alcotest.test_case "stencil execution vs reference" `Quick test_stencil_execution;
     Alcotest.test_case "divergence counted" `Quick test_guard_divergence_counted;
@@ -447,7 +470,7 @@ let test_block_parallel_determinism () =
       let mem, stats = run_at ~jobs ~affine prog in
       let label = Printf.sprintf "jobs=%d affine=%b" jobs affine in
       Alcotest.(check bool) (label ^ ": memory bit-identical") true
-        (Mem.equal_within ~tol:0.0 ref_mem mem);
+        (Mem.bits_equal ref_mem mem);
       Alcotest.(check bool) (label ^ ": stats identical") true (ref_stats = stats))
     [ (1, true); (2, false); (2, true); (4, false); (4, true) ]
 
@@ -500,12 +523,11 @@ let test_zero_length_arrays () =
   Mem.init_seeded mem2 ~seed:3;
   Alcotest.(check int) "zero cells" 0 (Bigarray.Array1.dim (Mem.get mem1 "Z"));
   Alcotest.(check bool) "dims kept" true (Mem.dims mem1 "Z" = [ 0; 4; 4 ]);
-  Alcotest.(check bool) "equal incl. empty array" true (Mem.equal_within ~tol:0.0 mem1 mem2);
+  Alcotest.(check bool) "equal incl. empty array" true (Mem.bits_equal mem1 mem2);
   (match List.assoc_opt "Z" (Mem.max_abs_diff mem1 mem2) with
   | Some d -> Util.check_float "empty array diff is 0" 0.0 d
   | None -> Alcotest.fail "Z missing from diff");
-  Alcotest.(check bool) "copy round-trips empty arrays" true
-    (Mem.equal_within ~tol:0.0 mem1 (Mem.copy mem1))
+  Alcotest.(check int) "empty heap copy" 0 (Array.length (Mem.get_array mem1 "Z"))
 
 let test_release_lifecycle () =
   let mem = Mem.create [ Util.arr3 dims "A" ] in
@@ -513,8 +535,8 @@ let test_release_lifecycle () =
   (match Mem.get mem "A" with
   | (_ : Mem.buf) -> Alcotest.fail "expected use-after-release failure"
   | exception Invalid_argument _ -> ());
-  (match Mem.copy mem with
-  | (_ : Mem.t) -> Alcotest.fail "expected copy-after-release failure"
+  (match Mem.get_array mem "A" with
+  | (_ : float array) -> Alcotest.fail "expected get_array-after-release failure"
   | exception Invalid_argument _ -> ());
   match Mem.release mem with
   | () -> Alcotest.fail "expected double-release failure"
@@ -535,15 +557,15 @@ let test_pool_recycles () =
   Alcotest.(check bool) "recycled arena zeroed" true
     (Array.for_all (fun v -> v = 0.0) (Mem.get_array m2 "A"));
   Mem.release m2;
-  (* a copy shares contents but not storage *)
-  let m3 = Mem.create decls in
+  (* two live memories hold equal contents but never share storage *)
+  let m3 = Mem.create decls and m4 = Mem.create decls in
   Mem.init_seeded m3 ~seed:9;
-  let c = Mem.copy m3 in
-  Alcotest.(check bool) "copy equal" true (Mem.equal_within ~tol:0.0 m3 c);
-  (Mem.get c "A").{1} <- 7.5;
-  Alcotest.(check bool) "copy does not alias" true (Mem.get_array m3 "A" = keep);
+  Mem.init_seeded m4 ~seed:9;
+  Alcotest.(check bool) "same contents" true (Mem.bits_equal m3 m4);
+  (Mem.get m4 "A").{1} <- 7.5;
+  Alcotest.(check bool) "no aliasing" true (Mem.get_array m3 "A" = keep);
   Mem.release m3;
-  Mem.release c;
+  Mem.release m4;
   let s2 = Mem.Pool.stats () in
   Alcotest.(check bool) "requests monotonic" true (s2.Mem.Pool.requests >= s1.Mem.Pool.requests + 2)
 
@@ -591,7 +613,7 @@ let test_chunked_merge () =
       I.chunk_override := Some 3;
       let mem, stats = run_at ~jobs:2 ~affine:true prog in
       Alcotest.(check bool) "lockstep 3-chunk merge memory" true
-        (Mem.equal_within ~tol:0.0 ref_mem mem);
+        (Mem.bits_equal ref_mem mem);
       Alcotest.(check bool) "lockstep 3-chunk merge stats" true (stats = ref_stats))
 
 (* out-of-bounds faults must surface identically (same exception, same
@@ -691,7 +713,7 @@ __global__ void d(const double *A, double *B, int nx, int ny, int nz, double c) 
     in
     match (run false, run true) with
     | Ok (m0, s0, u0), Ok (m1, s1, u1) ->
-        Alcotest.(check bool) "memory bit-identical" true (Mem.equal_within ~tol:0.0 m0 m1);
+        Alcotest.(check bool) "memory bit-identical" true (Mem.bits_equal m0 m1);
         Alcotest.(check bool) "every stats field identical" true (s0 = s1);
         Alcotest.(check bool) "usage identical" true (u0 = u1);
         Alcotest.(check bool) "runs as the row expects" true

@@ -158,10 +158,9 @@ let traced_quickstart ~jobs =
   let config =
     {
       F.default_config with
-      (* a fresh profile cache per run: the hit/miss counters in the
-         trace must depend only on the program, not on what else ran in
-         this test binary *)
-      sim_cache = Some (Kft_metadata.Metadata.Sim_cache.create ());
+      (* the default private cache per transform: the hit/miss counters
+         in the trace depend only on the program, not on what else ran
+         in this test binary *)
       gga_params = { Kft_gga.Gga.default_params with generations = 5; population = 10 };
     }
   in

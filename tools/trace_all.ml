@@ -10,9 +10,9 @@
 
    which is the canonical-channel contract of Kft_trace.Trace: logical
    sequence numbers and counters only, wall clock and scheduling shape
-   confined to the side channel. Every run gets a fresh profile cache
-   so the hit/miss counters in the trace depend only on the program,
-   never on what ran earlier in the process.
+   confined to the side channel. Every transform simulates on a cache of
+   its own (the default), so the hit/miss counters in the trace depend
+   only on the program, never on what ran earlier in the process.
 
    Usage: trace_all [smoke]   -- smoke checks quickstart only (runtest) *)
 
@@ -26,7 +26,6 @@ let traced ~jobs (p : Kft_cuda.Ast.program) =
   let config =
     {
       F.default_config with
-      sim_cache = Some (Kft_metadata.Metadata.Sim_cache.create ());
       gga_params = { Kft_gga.Gga.default_params with generations = 5; population = 10 };
     }
   in
