@@ -184,36 +184,6 @@ let program ?(measured = []) (p : program) =
   in
   normalize per_launch
 
-let programs ?(jobs = 1) ?(measured = []) (ps : program list) =
-  let arr = Array.of_list ps in
-  let out = Array.make (Array.length arr) [] in
-  let work i =
-    let p = arr.(i) in
-    let m = match List.assoc_opt p.p_name measured with Some m -> m | None -> [] in
-    out.(i) <- program ~measured:m p
-  in
-  let n = Array.length arr in
-  let jobs = max 1 (min jobs n) in
-  if jobs = 1 then
-    for i = 0 to n - 1 do
-      work i
-    done
-  else begin
-    let domains =
-      List.init jobs (fun j ->
-          Domain.spawn (fun () ->
-              let i = ref j in
-              while !i < n do
-                work !i;
-                i := !i + jobs
-              done))
-    in
-    List.iter Domain.join domains
-  end;
-  (* per-program results are already normalized; the concatenation is
-     sorted again so cross-program order never depends on scheduling *)
-  normalize (List.concat (Array.to_list out))
-
 (* ------------------------------------------------------------------ *)
 (* rendering                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -250,18 +220,7 @@ let render_human fs =
        (if infos fs = 1 then "" else "s"));
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_escape = Kft_trace.Trace.json_escape
 
 let render_json fs =
   let b = Buffer.create 4096 in

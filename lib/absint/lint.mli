@@ -17,8 +17,10 @@
     - [dead-guard] — info: a guard decided statically (spliceable).
 
     Output is deterministic: findings are totally ordered by (program,
-    kernel, line, col, rule, message) and deduplicated, so human and
-    JSON renderings are byte-stable across [--jobs] settings. *)
+    kernel, line, col, rule, message) and deduplicated. [kft lint -j N]
+    lints one program per task on the [Kft_engine.Engine] pool and
+    normalizes the concatenation, so its human and JSON renderings are
+    byte-stable across [--jobs] settings. *)
 
 type severity = Warn | Info
 
@@ -38,15 +40,6 @@ val program :
     [footprint-drift] cross-check; kernels launched more than once are
     exempt from that rule (their static estimates are per-launch). *)
 
-val programs :
-  ?jobs:int ->
-  ?measured:(string * (string * float) list) list ->
-  Kft_cuda.Ast.program list ->
-  finding list
-(** Lint several programs, optionally in parallel ([jobs] domains).
-    [measured] is keyed by program name. The result is identical for
-    every [jobs] value. *)
-
 val normalize : finding list -> finding list
 (** Sort into the total order and deduplicate. Producers of findings
     outside this module (the schedule-level rules of kft_schedflow)
@@ -57,7 +50,7 @@ val severity_name : severity -> string
 (** ["warning"] / ["info"] — the JSON field spelling. *)
 
 val json_escape : string -> string
-(** Minimal JSON string escaping used by {!render_json}. *)
+(** {!Kft_trace.Trace.json_escape}, the escaping {!render_json} uses. *)
 
 val render : finding -> string
 (** One line: [program:kernel:line:col: severity [rule] message]. *)

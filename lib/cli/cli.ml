@@ -17,72 +17,77 @@ let write_file path contents =
     (fun () -> output_string oc contents)
 
 (* ------------------------------------------------------------------ *)
-(* kft lint                                                            *)
+(* program selection                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let lint_apps () = Kft_apps.Apps.quickstart () :: Kft_apps.Apps.all ()
+(* what kft lint, kft schedflow and kft-transform --list know: the
+   quickstart program plus the six bundled applications *)
+let bundled_apps () = Kft_apps.Apps.quickstart () :: Kft_apps.Apps.all ()
 
-let lint_run json jobs strict no_profile only trace_file =
-  let apps = lint_apps () in
-  let known (a : Kft_apps.Apps.app) = a.program.Kft_cuda.Ast.p_name in
-  match
-    ( only,
-      List.filter (fun n -> not (List.exists (fun a -> known a = n) apps)) only )
-  with
-  | _ :: _, (_ :: _ as bad) ->
-      Printf.eprintf "kft lint: unknown program%s %s (have: %s)\n"
+let app_name (a : Kft_apps.Apps.app) = a.program.Kft_cuda.Ast.p_name
+
+(* Run [f] on the programs [-a] names (every bundled program when it
+   names none), in bundled order, with a trace named [tool] when
+   [--trace FILE] is given; FILE is written once [f] has returned its
+   exit code. An unknown name exits 2 before anything runs. *)
+let with_programs ~cmd ~tool only trace_file f =
+  let apps = bundled_apps () in
+  match List.filter (fun n -> not (List.exists (fun a -> app_name a = n) apps)) only with
+  | _ :: _ as bad ->
+      Printf.eprintf "kft %s: unknown program%s %s (have: %s)\n" cmd
         (if List.length bad = 1 then "" else "s")
         (String.concat ", " bad)
-        (String.concat ", " (List.map known apps));
+        (String.concat ", " (List.map app_name apps));
       2
-  | only, _ ->
+  | [] ->
       let apps =
-        match only with
-        | [] -> apps
-        | names -> List.filter (fun a -> List.mem (known a) names) apps
+        if only = [] then apps else List.filter (fun a -> List.mem (app_name a) only) apps
       in
-      let trace =
-        match trace_file with Some _ -> Some (Trace.create "kft-lint") | None -> None
-      in
-      let measured =
-        if no_profile then []
-        else
-          List.map
-            (fun (a : Kft_apps.Apps.app) ->
-              ( a.program.Kft_cuda.Ast.p_name,
-                Kft_sim.Profiler.(traffic_by_kernel (profile Kft_device.Device.k20x a.program)) ))
-            apps
-      in
-      let findings =
-        Trace.with_span trace "lint" (fun () ->
-            let fs =
-              L.programs ~jobs ~measured
-                (List.map (fun (a : Kft_apps.Apps.app) -> a.program) apps)
-            in
-            (* per-program child spans carry the per-rule counters; the
-               batch above already ran, so these record counts only
-               (their wall clock is a side channel anyway) *)
-            List.iter
-              (fun a ->
-                Trace.with_span trace ("lint:" ^ known a) (fun () ->
-                    let mine =
-                      List.filter (fun f -> f.L.f_program = known a) fs
-                    in
-                    List.iter
-                      (fun (rule, n) -> Trace.add trace rule n)
-                      (L.rule_counts mine);
-                    Trace.add trace "findings" (List.length mine)))
-              apps;
-            Trace.add trace "warnings" (L.warnings fs);
-            Trace.add trace "infos" (L.infos fs);
-            Trace.note trace "jobs" (Trace.Int jobs);
-            fs)
-      in
+      let trace = Option.map (fun _ -> Trace.create tool) trace_file in
+      let rc = f trace (List.map (fun (a : Kft_apps.Apps.app) -> a.program) apps) in
       (match (trace_file, trace) with
       | Some path, Some t -> write_file path (Trace.render_json t)
       | _ -> ());
-      print_string (if json then L.render_json findings else L.render_human findings);
-      if L.warnings findings > 0 || (strict && L.infos findings > 0) then 1 else 0
+      rc
+
+(* one program per task on [jobs] worker domains; results come back in
+   input order, so every rendering is identical at any [jobs] *)
+let map_programs ~jobs f progs =
+  Kft_engine.Engine.with_engine ~jobs ~memo:false (fun e -> Kft_engine.Engine.map e f progs)
+
+(* ------------------------------------------------------------------ *)
+(* kft lint                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let lint_run json jobs strict no_profile only trace_file =
+  with_programs ~cmd:"lint" ~tool:"kft-lint" only trace_file @@ fun trace progs ->
+  let lint (p : Kft_cuda.Ast.program) =
+    let measured =
+      if no_profile then []
+      else Kft_sim.Profiler.(traffic_by_kernel (profile Kft_device.Device.k20x p))
+    in
+    L.program ~measured p
+  in
+  let findings =
+    Trace.with_span trace "lint" (fun () ->
+        let per_program = map_programs ~jobs lint progs in
+        (* per-program child spans carry the per-rule counters; the
+           batch above already ran, so these record counts only
+           (their wall clock is a side channel anyway) *)
+        List.iter2
+          (fun (p : Kft_cuda.Ast.program) mine ->
+            Trace.with_span trace ("lint:" ^ p.p_name) (fun () ->
+                List.iter (fun (rule, n) -> Trace.add trace rule n) (L.rule_counts mine);
+                Trace.add trace "findings" (List.length mine)))
+          progs per_program;
+        let fs = L.normalize (List.concat per_program) in
+        Trace.add trace "warnings" (L.warnings fs);
+        Trace.add trace "infos" (L.infos fs);
+        Trace.note trace "jobs" (Trace.Int jobs);
+        fs)
+  in
+  print_string (if json then L.render_json findings else L.render_human findings);
+  if L.warnings findings > 0 || (strict && L.infos findings > 0) then 1 else 0
 
 let lint_cmd =
   let json =
@@ -128,93 +133,36 @@ let lint_cmd =
 
 module Sf = Kft_schedflow.Schedflow
 
-(* analyze the selected programs, optionally on worker domains; the
-   output order is the (deterministic) app order, so the rendering is
-   byte-identical at any worker count *)
-let schedflow_analyses ~jobs progs =
-  let arr = Array.of_list progs in
-  let n = Array.length arr in
-  let out = Array.make n None in
-  let work i = out.(i) <- Some (Sf.analyze arr.(i)) in
-  let jobs = max 1 (min jobs n) in
-  if jobs = 1 then
-    for i = 0 to n - 1 do
-      work i
-    done
-  else begin
-    let domains =
-      List.init jobs (fun j ->
-          Domain.spawn (fun () ->
-              let i = ref j in
-              while !i < n do
-                work !i;
-                i := !i + jobs
-              done))
-    in
-    List.iter Domain.join domains
-  end;
-  List.filter_map Fun.id (Array.to_list out)
-
 let schedflow_run json jobs strict only trace_file =
-  let apps = lint_apps () in
-  let known (a : Kft_apps.Apps.app) = a.program.Kft_cuda.Ast.p_name in
-  match
-    ( only,
-      List.filter (fun n -> not (List.exists (fun a -> known a = n) apps)) only )
-  with
-  | _ :: _, (_ :: _ as bad) ->
-      Printf.eprintf "kft schedflow: unknown program%s %s (have: %s)\n"
-        (if List.length bad = 1 then "" else "s")
-        (String.concat ", " bad)
-        (String.concat ", " (List.map known apps));
-      2
-  | only, _ ->
-      let apps =
-        match only with
-        | [] -> apps
-        | names -> List.filter (fun a -> List.mem (known a) names) apps
-      in
-      let trace =
-        match trace_file with Some _ -> Some (Trace.create "kft-schedflow") | None -> None
-      in
-      let analyses =
-        Trace.with_span trace "schedflow" (fun () ->
-            let ts =
-              schedflow_analyses ~jobs
-                (List.map (fun (a : Kft_apps.Apps.app) -> a.program) apps)
-            in
-            List.iter
-              (fun (sf : Sf.t) ->
-                Trace.with_span trace ("schedflow:" ^ sf.Sf.program.Kft_cuda.Ast.p_name)
-                  (fun () ->
-                    let s = sf.Sf.stats in
-                    Trace.add trace "ops" s.Sf.st_ops;
-                    Trace.add trace "launches" s.st_launches;
-                    Trace.add trace "arrays" s.st_arrays;
-                    Trace.add trace "deps" s.st_deps;
-                    Trace.add trace "deps_refined" s.st_deps_refined;
-                    Trace.add trace "regions_proved" s.st_regions_proved;
-                    Trace.add trace "regions_fallback" s.st_regions_fallback;
-                    Trace.add trace "issues" (List.length sf.Sf.issues);
-                    Trace.add trace "findings" (List.length (Sf.lint sf))))
-              ts;
-            Trace.note trace "jobs" (Trace.Int jobs);
-            ts)
-      in
-      (match (trace_file, trace) with
-      | Some path, Some t -> write_file path (Trace.render_json t)
-      | _ -> ());
-      print_string
-        (if json then Sf.render_json analyses
-         else String.concat "" (List.map Sf.render_human analyses));
-      let findings = L.normalize (List.concat_map Sf.lint analyses) in
-      let issues = List.concat_map (fun (sf : Sf.t) -> sf.Sf.issues) analyses in
-      if
-        issues <> []
-        || L.warnings findings > 0
-        || (strict && L.infos findings > 0)
-      then 1
-      else 0
+  with_programs ~cmd:"schedflow" ~tool:"kft-schedflow" only trace_file @@ fun trace progs ->
+  let analyses =
+    Trace.with_span trace "schedflow" (fun () ->
+        let ts = map_programs ~jobs Sf.analyze progs in
+        List.iter
+          (fun (sf : Sf.t) ->
+            Trace.with_span trace ("schedflow:" ^ sf.Sf.program.Kft_cuda.Ast.p_name)
+              (fun () ->
+                let s = sf.Sf.stats in
+                Trace.add trace "ops" s.Sf.st_ops;
+                Trace.add trace "launches" s.st_launches;
+                Trace.add trace "arrays" s.st_arrays;
+                Trace.add trace "deps" s.st_deps;
+                Trace.add trace "deps_refined" s.st_deps_refined;
+                Trace.add trace "regions_proved" s.st_regions_proved;
+                Trace.add trace "regions_fallback" s.st_regions_fallback;
+                Trace.add trace "issues" (List.length sf.Sf.issues);
+                Trace.add trace "findings" (List.length (Sf.lint sf))))
+          ts;
+        Trace.note trace "jobs" (Trace.Int jobs);
+        ts)
+  in
+  print_string
+    (if json then Sf.render_json analyses
+     else String.concat "" (List.map Sf.render_human analyses));
+  let findings = L.normalize (List.concat_map Sf.lint analyses) in
+  let issues = List.concat_map (fun (sf : Sf.t) -> sf.Sf.issues) analyses in
+  if issues <> [] || L.warnings findings > 0 || (strict && L.infos findings > 0) then 1
+  else 0
 
 let schedflow_cmd =
   let json =
@@ -267,8 +215,6 @@ let kft_main ?argv () = Cmd.eval' ?argv kft_cmd
 (* kft-transform                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let transform_apps () = Kft_apps.Apps.quickstart () :: Kft_apps.Apps.all ()
-
 let list_apps () =
   List.iter
     (fun (a : Kft_apps.Apps.app) ->
@@ -276,7 +222,7 @@ let list_apps () =
         (List.length a.program.p_kernels)
         (List.length a.program.p_arrays)
         a.description)
-    (transform_apps ())
+    (bundled_apps ())
 
 let transform_run app_name device_name generations population jobs no_memo
     no_fission no_tuning expert_codegen filter verify seed out_dir emit_cuda quiet list

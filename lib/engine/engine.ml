@@ -283,11 +283,6 @@ module Cache = struct
   let add c key v = if not (Hashtbl.mem c.tbl key) then Hashtbl.replace c.tbl key v
 
   let stats (c : 'a t) : stats = { hits = c.hits; misses = c.misses; size = Hashtbl.length c.tbl }
-
-  let clear c =
-    Hashtbl.reset c.tbl;
-    c.hits <- 0;
-    c.misses <- 0
 end
 
 (* ------------------------------------------------------------------ *)

@@ -108,9 +108,6 @@ module Cache : sig
       value). *)
 
   val stats : 'a t -> stats
-
-  val clear : 'a t -> unit
-  (** Drop all entries and reset the counters. *)
 end
 
 type t

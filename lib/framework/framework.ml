@@ -365,16 +365,17 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
         r
   in
   (* stage 4: GGA *)
-  (* a fission part K__fN collapses back to K for OEG feasibility *)
-  let original_of name =
-    let is_digit c = c >= '0' && c <= '9' in
-    let n = String.length name in
-    let rec find i =
-      if i + 3 > n then None
-      else if String.sub name i 3 = "__f" && i + 3 < n && is_digit name.[i + 3] then Some i
-      else find (i + 1)
-    in
-    match find 0 with Some i -> String.sub name 0 i | None -> name
+  (* a fission part collapses back to the kernel its plan split, for OEG
+     feasibility; every other name is a source kernel *)
+  let original_of =
+    let parts = Hashtbl.create 16 in
+    List.iter
+      (fun (orig, (plan : Fission.plan)) ->
+        List.iter
+          (fun (part : Fission.part) -> Hashtbl.replace parts part.part_kernel.k_name orig)
+          plan.parts)
+      fission_plans;
+    fun name -> Option.value (Hashtbl.find_opt parts name) ~default:name
   in
   let units =
     List.map (fun t -> Perfmodel.of_metadata meta t.invocation.inv_kernel) eligible

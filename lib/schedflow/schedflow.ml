@@ -560,30 +560,6 @@ let lint t =
 
 let lint_program p = lint (analyze p)
 
-let lint_programs ?(jobs = 1) ps =
-  let arr = Array.of_list ps in
-  let out = Array.make (Array.length arr) [] in
-  let work i = out.(i) <- lint_program arr.(i) in
-  let n = Array.length arr in
-  let jobs = max 1 (min jobs n) in
-  if jobs = 1 then
-    for i = 0 to n - 1 do
-      work i
-    done
-  else begin
-    let domains =
-      List.init jobs (fun j ->
-          Domain.spawn (fun () ->
-              let i = ref j in
-              while !i < n do
-                work !i;
-                i := !i + jobs
-              done))
-    in
-    List.iter Domain.join domains
-  end;
-  Lint.normalize (List.concat (Array.to_list out))
-
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)

@@ -149,11 +149,6 @@ val lint : t -> Kft_absint.Lint.finding list
 val lint_program : Kft_cuda.Ast.program -> Kft_absint.Lint.finding list
 (** [lint (analyze p)]. *)
 
-val lint_programs :
-  ?jobs:int -> Kft_cuda.Ast.program list -> Kft_absint.Lint.finding list
-(** Analyze several programs, optionally on [jobs] domains; the result
-    is identical at any worker count. *)
-
 (** {2 Reports} *)
 
 val render_human : t -> string
@@ -164,4 +159,7 @@ val render_json : t list -> string
 (** The whole analysis as one JSON document:
     [{"tool":"kft-schedflow","version":1,"programs":[...],
     "warnings":N,"infos":N}]. Stable field order, no floats, LF line
-    endings — byte-identical across runs and [--jobs] settings. *)
+    endings — byte-identical across runs. [kft schedflow -j N] analyzes
+    one program per task on the [Kft_engine.Engine] pool and renders
+    them in selection order, so its output is also byte-identical
+    across [--jobs] settings. *)

@@ -294,8 +294,6 @@ let array_max_abs_diff a b n =
 let max_abs_diff a b =
   List.sort_uniq compare (names a @ names b) |> List.map (fun n -> (n, array_max_abs_diff a b n))
 
-let equal_within ~tol a b = List.for_all (fun (_, d) -> d <= tol) (max_abs_diff a b)
-
 (* cells compare by their bits: float equality would equate -0.0 with
    0.0 and tell a NaN from itself *)
 let equal_bufs (a : buf) (b : buf) =

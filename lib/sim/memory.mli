@@ -102,11 +102,6 @@ val max_abs_diff : t -> t -> (string * float) list
     present with a different length — is reported as [infinity] rather
     than silently dropped. Sorted by name. *)
 
-val equal_within : tol:float -> t -> t -> bool
-(** True when every array of either memory agrees within [tol] (so a
-    one-sided array makes this false). A tolerance check: [-0.0] passes
-    against [0.0], so bit identity is {!bits_equal}. *)
-
 val equal_bufs : buf -> buf -> bool
 (** Same length and every cell equal by [Int64.bits_of_float]: [-0.0]
     and [0.0] differ, a NaN equals itself (with the same payload). *)

@@ -2,7 +2,7 @@
 
     Validates the repo's hand-rolled JSON emitters — {!Trace.render_json},
     {!Trace.render_chrome}, [Lint.render_json], the bench tables — in
-    tests and the [@trace] CI sweep without a JSON library dependency. *)
+    tests and the [@verify] CI sweep without a JSON library dependency. *)
 
 val check : string -> (unit, string) result
 (** [Ok ()] iff the whole input is exactly one valid JSON value

@@ -81,3 +81,9 @@ val render_chrome : t -> string
 (** Chrome [trace_event] JSON (complete "X" events with microsecond
     timestamps relative to trace creation) loadable in about:tracing and
     Perfetto. Includes the side channel. *)
+
+val json_escape : string -> string
+(** The body of a JSON string literal: escapes the double quote, the
+    backslash, newline and the other control characters, and copies
+    every other byte. The one escaper behind every JSON document the
+    tools write. *)

@@ -62,7 +62,7 @@ let empty_stats =
 let empty_report = { diagnostics = []; stats = empty_stats; complete = true }
 
 (* per-pass finding counts in a fixed pass order (trace counters and the
-   @trace sweep consume this; the fixed order keeps it byte-stable) *)
+   @verify sweep consume this; the fixed order keeps it byte-stable) *)
 let pass_counts r =
   List.map
     (fun p ->

@@ -263,17 +263,6 @@ let test_diagnostic_ordering () =
 
 module L = Kft_absint.Lint
 
-let lint_programs () =
-  List.map
-    (fun (a : Kft_apps.Apps.app) -> a.program)
-    (Kft_apps.Apps.quickstart () :: Kft_apps.Apps.all ())
-
-let test_lint_jobs_stable () =
-  let ps = lint_programs () in
-  let j1 = L.render_json (L.programs ~jobs:1 ps) in
-  let j4 = L.render_json (L.programs ~jobs:4 ps) in
-  Alcotest.(check string) "JSON byte-stable across --jobs" j1 j4
-
 let test_lint_golden_quickstart () =
   let p = (Kft_apps.Apps.quickstart ()).program in
   let fs = L.program p in
@@ -326,7 +315,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_footprint_sound;
       Alcotest.test_case "kft_verify: merged diagnostics are deterministically ordered"
         `Quick test_diagnostic_ordering;
-      Alcotest.test_case "lint: JSON byte-stable across jobs" `Quick test_lint_jobs_stable;
       Alcotest.test_case "lint: golden quickstart report" `Quick test_lint_golden_quickstart;
       Alcotest.test_case "lint: golden AWP-ODC-GPU rule counts" `Quick test_lint_golden_awp;
       Alcotest.test_case "lint: footprint-drift cross-check" `Quick test_footprint_drift;

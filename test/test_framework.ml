@@ -135,6 +135,51 @@ let test_fission_flows_through () =
   Alcotest.(check bool) "parts or their fusions emitted" true
     (List.length part_names > 0 || List.exists (fun g -> List.length g > 1) r.solution_groups)
 
+(* a source kernel whose name looks like a fission part is still its own
+   kernel: [a__f1] consumes [c]'s output and fuses with it, although
+   [a] -> [m] -> [c] would forbid fusing [a] itself with [c] ([m]
+   updates one row, too little of the grid to be a target) *)
+let test_part_like_name_is_a_kernel () =
+  let dims = (32, 16, 8) in
+  let src =
+    Util.pointwise_src ~name:"a" ~a:"A" ~b:"W" ~dst:"X"
+    ^ {|
+__global__ void m(const double *X, const double *W, double *Y, int nx, int ny, int nz, double c) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  int j = blockIdx.y * blockDim.y + threadIdx.y;
+  if (i < nx && j < 1) {
+    for (int k = 0; k < nz; k++) {
+      Y[(k * ny + j) * nx + i] = c * (X[(k * ny + j) * nx + i] + W[(k * ny + j) * nx + i]);
+    }
+  }
+}
+|}
+    ^ Util.pointwise_src ~name:"c" ~a:"Y" ~b:"W" ~dst:"V"
+    ^ Util.pointwise_src ~name:"a__f1" ~a:"V" ~b:"W" ~dst:"Z"
+  in
+  let launch k args =
+    Kft_cuda.Ast.Launch
+      { l_kernel = k; l_domain = (32, 16, 1); l_block = (16, 4, 1); l_args = Util.std_args dims args 0.5 }
+  in
+  let prog =
+    {
+      Kft_cuda.Ast.p_name = "part_like";
+      p_arrays = List.map (Util.arr3 dims) [ "A"; "W"; "X"; "Y"; "V"; "Z" ];
+      p_kernels = Kft_cuda.Parse.kernels src;
+      p_schedule =
+        [
+          launch "a" [ "A"; "W"; "X" ];
+          launch "m" [ "X"; "W"; "Y" ];
+          launch "c" [ "Y"; "W"; "V" ];
+          launch "a__f1" [ "V"; "W"; "Z" ];
+        ];
+    }
+  in
+  let r = F.transform ~config prog in
+  Alcotest.(check bool) "c and a__f1 fused" true
+    (List.exists (fun g -> List.sort compare g = [ "a__f1"; "c" ]) r.solution_groups);
+  Alcotest.(check bool) "output verified" true (r.verified = Ok ())
+
 (* the caller owns the simulation cache: a second transform on the same
    [Some c] replays every program the first one simulated (the source
    gather and the transformed run), while [None] gives each transform a
@@ -167,6 +212,8 @@ let suite =
     Alcotest.test_case "hook: amend metadata" `Quick test_hook_amend_metadata;
     Alcotest.test_case "stage report text" `Quick test_stage_report_text;
     Alcotest.test_case "fission flows through pipeline" `Quick test_fission_flows_through;
+    Alcotest.test_case "part-like kernel name is not a part" `Quick
+      test_part_like_name_is_a_kernel;
   ]
 
 let test_validation_gate () =

@@ -53,26 +53,36 @@ let test_lint_unknown_subcommand () =
   let rc, _, _ = kft [| "kft"; "frobnicate" |] in
   Alcotest.(check int) "cmdliner cli error" 124 rc
 
+(* all seven programs, so -j 4 really fans out over worker domains *)
+let bundled_programs () =
+  List.map
+    (fun (a : Kft_apps.Apps.app) -> a.program)
+    (Kft_apps.Apps.quickstart () :: Kft_apps.Apps.all ())
+
 let test_lint_trace () =
   with_tmp_files 3 @@ fun files ->
   let f1, f2, f4 = match files with [ a; b; c ] -> (a, b, c) | _ -> assert false in
   let run file jobs =
-    let rc, _, _ =
-      kft
-        [|
-          "kft"; "lint"; "--no-profile"; "-a"; "quickstart"; "-j"; string_of_int jobs;
-          "--trace"; file;
-        |]
+    let rc, out, _ =
+      kft [| "kft"; "lint"; "--json"; "--no-profile"; "-j"; string_of_int jobs; "--trace"; file |]
     in
-    Alcotest.(check bool) "lint with --trace succeeds" true (rc = 0 || rc = 1)
+    Alcotest.(check bool) "lint with --trace succeeds" true (rc = 0 || rc = 1);
+    out
   in
-  run f1 1;
-  run f2 1;
-  run f4 4;
+  let o1 = run f1 1 in
+  let o1' = run f2 1 in
+  let o4 = run f4 4 in
+  let module L = Kft_absint.Lint in
+  Alcotest.(check string) "report is the sequential library lint"
+    (L.render_json (L.normalize (List.concat_map L.program (bundled_programs ()))))
+    o1;
+  Alcotest.(check string) "report byte-identical across two runs" o1 o1';
+  Alcotest.(check string) "report byte-identical across --jobs 1/4" o1 o4;
   let t1 = Util.read_file f1 in
   check_valid_json "lint trace" t1;
   Alcotest.(check bool) "trace header" true (Util.contains t1 "\"tool\":\"kft-trace\"");
-  Alcotest.(check bool) "per-program span" true (Util.contains t1 "lint:quickstart");
+  Alcotest.(check bool) "per-program spans" true
+    (Util.contains t1 "lint:quickstart" && Util.contains t1 "lint:SCALE-LES");
   Alcotest.(check string) "byte-identical across two runs" t1 (Util.read_file f2);
   Alcotest.(check string) "byte-identical across --jobs 1/4" t1 (Util.read_file f4)
 
@@ -102,21 +112,22 @@ let test_schedflow_jobs_identical () =
   let f1, f4 = match files with [ a; b ] -> (a, b) | _ -> assert false in
   let run file jobs =
     let rc, out, _ =
-      kft
-        [|
-          "kft"; "schedflow"; "--json"; "-a"; "quickstart"; "-j"; string_of_int jobs;
-          "--trace"; file;
-        |]
+      kft [| "kft"; "schedflow"; "--json"; "-j"; string_of_int jobs; "--trace"; file |]
     in
     Alcotest.(check int) "clean exit" 0 rc;
     out
   in
   let o1 = run f1 1 in
   let o4 = run f4 4 in
+  let module Sf = Kft_schedflow.Schedflow in
+  Alcotest.(check string) "report is the sequential library analysis"
+    (Sf.render_json (List.map Sf.analyze (bundled_programs ())))
+    o1;
   Alcotest.(check string) "report byte-identical across --jobs 1/4" o1 o4;
   let t1 = Util.read_file f1 in
   check_valid_json "schedflow trace" t1;
-  Alcotest.(check bool) "per-program span" true (Util.contains t1 "schedflow:quickstart");
+  Alcotest.(check bool) "per-program spans" true
+    (Util.contains t1 "schedflow:quickstart" && Util.contains t1 "schedflow:SCALE-LES");
   Alcotest.(check string) "trace byte-identical across --jobs 1/4" t1 (Util.read_file f4)
 
 (* ---------------- kft-transform ---------------- *)

@@ -251,23 +251,6 @@ let test_lint_transient_global () =
       Alcotest.(check bool) "names T" true (Util.contains f.f_message "T")
   | fs' -> Alcotest.failf "expected exactly one transient-global finding, got %d" (List.length fs')
 
-(* findings are deterministic and jobs-independent through the shared
-   lint pipeline *)
-let test_lint_programs_jobs_identical () =
-  let progs =
-    [
-      (program "redcopy" [ "S"; "D"; "B" ]
-         [ launch "copyk" [ "S"; "D" ]; launch "rx" [ "D"; "B" ] ]);
-      (Kft_apps.Apps.quickstart ()).program;
-      (program "deadarr" [ "A"; "X"; "Z" ]
-         [ Copy_to_device "A"; launch "wx" [ "A"; "X" ]; Copy_to_host "X" ]);
-    ]
-  in
-  let f1 = Sf.lint_programs ~jobs:1 progs in
-  let f4 = Sf.lint_programs ~jobs:4 progs in
-  Alcotest.(check bool) "same findings at jobs 1 and 4" true (f1 = f4);
-  Alcotest.(check bool) "normalized (sorted, unique)" true (f1 = L.normalize f1)
-
 (* ------------------------------------------------------------------ *)
 (* liveness-driven arena overlay                                       *)
 (* ------------------------------------------------------------------ *)
@@ -425,8 +408,6 @@ let suite =
     Alcotest.test_case "lint: scaled copy is not redundant" `Quick
       test_lint_no_false_redundant_copy;
     Alcotest.test_case "lint: transient-global" `Quick test_lint_transient_global;
-    Alcotest.test_case "lint_programs identical at any jobs" `Quick
-      test_lint_programs_jobs_identical;
     Alcotest.test_case "arena overlay: placed, smaller, bit-identical stats" `Quick
       test_arena_layout_quickstart;
     QCheck_alcotest.to_alcotest prop_liveness_sound;

@@ -44,12 +44,15 @@ let test_memory_diff () =
   (match Mem.max_abs_diff mem1 mem2 with
   | [ ("A", d) ] -> Util.check_float "max diff" 3.5 d
   | _ -> Alcotest.fail "diff shape");
-  Alcotest.(check bool) "not equal" false (Mem.equal_within ~tol:1.0 mem1 mem2);
-  Alcotest.(check bool) "equal within 4" true (Mem.equal_within ~tol:4.0 mem1 mem2)
+  Alcotest.(check (list string)) "differs beyond 1" [ "A" ]
+    (List.map fst (Kft_sim.Profiler.output_diffs ~tol:1.0 mem1 mem2));
+  Alcotest.(check (list string)) "agrees within 4" []
+    (List.map fst (Kft_sim.Profiler.output_diffs ~tol:4.0 mem1 mem2))
 
-(* bit identity is not the tolerance check: -0.0 and 0.0 differ, a NaN
-   equals itself, and both memories must hold the same arrays. The
-   tolerance check must not let a NaN pass against a number. *)
+(* bit identity is not the tolerance check of output verification:
+   -0.0 and 0.0 differ, a NaN equals itself, and both memories must hold
+   the same arrays. The tolerance check must not let a NaN pass against
+   a number. *)
 let test_memory_bits_equal () =
   let pair a b =
     let m1 = Mem.create [ Util.arr3 dims "A" ] and m2 = Mem.create [ Util.arr3 dims "A" ] in
@@ -57,14 +60,15 @@ let test_memory_bits_equal () =
     (Mem.get m2 "A").{3} <- b;
     (m1, m2)
   in
+  let within ~tol m1 m2 = Kft_sim.Profiler.output_diffs ~tol m1 m2 = [] in
   let m1, m2 = pair (-0.0) 0.0 in
-  Alcotest.(check bool) "-0.0 vs 0.0 within tolerance 0" true (Mem.equal_within ~tol:0.0 m1 m2);
+  Alcotest.(check bool) "-0.0 vs 0.0 within tolerance 0" true (within ~tol:0.0 m1 m2);
   Alcotest.(check bool) "-0.0 vs 0.0 differ bitwise" false (Mem.bits_equal m1 m2);
   let m1, m2 = pair Float.nan 1.0 in
-  Alcotest.(check bool) "NaN vs 1.0 fails any tolerance" false (Mem.equal_within ~tol:1e12 m1 m2);
+  Alcotest.(check bool) "NaN vs 1.0 fails any tolerance" false (within ~tol:1e12 m1 m2);
   Alcotest.(check bool) "NaN vs 1.0 differ bitwise" false (Mem.bits_equal m1 m2);
   let m1, m2 = pair Float.nan Float.nan in
-  Alcotest.(check bool) "NaN vs NaN within tolerance 0" true (Mem.equal_within ~tol:0.0 m1 m2);
+  Alcotest.(check bool) "NaN vs NaN within tolerance 0" true (within ~tol:0.0 m1 m2);
   Alcotest.(check bool) "NaN vs NaN equal bitwise" true (Mem.bits_equal m1 m2);
   let m3 = Mem.create [ Util.arr3 dims "A"; Util.arr3 dims "B" ] in
   Alcotest.(check bool) "different arrays differ" false (Mem.bits_equal m1 m3)
@@ -486,13 +490,11 @@ let test_unknown_array () =
 let test_max_abs_diff_one_sided () =
   let mem1 = Mem.create [ Util.arr3 dims "A" ] in
   let mem2 = Mem.create [ Util.arr3 dims "A"; Util.arr3 dims "B" ] in
-  (match Mem.max_abs_diff mem1 mem2 with
+  match Mem.max_abs_diff mem1 mem2 with
   | [ ("A", a); ("B", b) ] ->
       Util.check_float "shared array agrees" 0.0 a;
       Alcotest.(check bool) "one-sided array reports infinity" true (b = infinity)
-  | _ -> Alcotest.fail "diff shape");
-  Alcotest.(check bool) "one-sided array breaks equality" false
-    (Mem.equal_within ~tol:1e12 mem1 mem2)
+  | _ -> Alcotest.fail "diff shape"
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
