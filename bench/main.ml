@@ -757,7 +757,7 @@ let sim () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Memory substrate: GC allocation per backend + arena pool behaviour  *)
+(* Memory substrate: GC allocation per backend + arena overlay         *)
 (* ------------------------------------------------------------------ *)
 
 (* guarded 7-point stencil with a parametric domain: scaling (nx, ny)
@@ -842,29 +842,23 @@ let assert_alloc_budget () =
   Printf.printf "  %-16s steady-state %.3f words/thread (budget %.1f)\n%!" "compiled-affine"
     per_thread alloc_budget_words_per_thread
 
-(* liveness-driven arena overlay (kft_schedflow): per application, pool
-   high-water of a profiled run with the packed layout vs under the
-   overlay, where arrays whose live intervals never overlap share slots.
-   The overlay is only sound for runs whose final memory is discarded;
-   every per-kernel statistic must be — and is asserted here to be —
-   bit-identical to the packed run, on both execution paths and across
-   worker counts. *)
+(* liveness-driven arena overlay (kft_schedflow): per application, the
+   cells of the packed arena vs the overlay's, where arrays whose live
+   intervals never overlap share slots. The overlay is only sound for
+   runs whose final memory is discarded; every per-kernel statistic must
+   be — and is asserted here to be — bit-identical to the packed run, on
+   both execution paths and across worker counts. *)
 let overlay_bench () =
   print_endline "== liveness-driven arena overlay (kft_schedflow, seed 42) ==";
   print_endline
-    "application   packed-Kcells  overlay-Kcells  high-water saving   stats";
+    "application   packed-Kcells  overlay-Kcells  arena saving   stats";
   let module Sf = Kft_schedflow.Schedflow in
   let run ?engine ?affine ?layout p =
-    Kft_sim.Memory.Pool.reset ();
     let r = Kft_sim.Profiler.profile ?engine ?affine ?layout device p in
-    let sts =
-      List.map
-        (fun (kp : Kft_sim.Profiler.kernel_profile) -> (kp.kernel, kp.stats))
-        r.profiles
-    in
-    let hw = (Kft_sim.Memory.Pool.stats ()).Kft_sim.Memory.Pool.high_water in
     Kft_sim.Memory.release r.memory;
-    (sts, hw)
+    List.map
+      (fun (kp : Kft_sim.Profiler.kernel_profile) -> (kp.kernel, kp.stats))
+      r.profiles
   in
   List.iter
     (fun name ->
@@ -876,8 +870,8 @@ let overlay_bench () =
       | None ->
           Printf.printf "%-13s %13d %15s\n%!" name (packed / 1000) "(no disjoint liveness)"
       | Some layout ->
-          let sts_plain, hw_plain = run p in
-          let sts_ovl, hw_ovl = run ~layout p in
+          let sts_plain = run p in
+          let sts_ovl = run ~layout p in
           (* bit-identity sweep: the overlay run must reproduce the packed
              run's per-kernel stats on both paths, sequential and
              block-parallel *)
@@ -886,7 +880,7 @@ let overlay_bench () =
             sts_plain = sts_ovl
             && List.for_all
                  (fun (label, jobs, affine) ->
-                   let sts, _ =
+                   let sts =
                      if jobs <= 1 then run ~affine ~layout p
                      else
                        Engine.with_engine ~jobs ~memo:false (fun e ->
@@ -900,40 +894,30 @@ let overlay_bench () =
                  combos
           in
           if not identical then exit 1;
-          Printf.printf "%-13s %13d %15d %11.1f%%        bit-identical\n%!" name
-            (hw_plain / 1000)
-            (hw_ovl / 1000)
-            (100.0 *. float_of_int (hw_plain - hw_ovl) /. float_of_int hw_plain))
+          let ovl = layout.Kft_sim.Memory.l_total in
+          Printf.printf "%-13s %13d %15d %11.1f%%   bit-identical\n%!" name (packed / 1000)
+            (ovl / 1000)
+            (100.0 *. float_of_int (packed - ovl) /. float_of_int packed))
     all_app_names;
   print_newline ()
 
 let mem_bench () =
-  print_endline "== memory substrate: GC allocation + arena pool (jobs=1) ==";
-  print_endline "application   config           minor-Mwords  words/thread  pool-hit%";
+  print_endline "== memory substrate: GC allocation (jobs=1) ==";
+  print_endline "application   config           minor-Mwords  words/thread";
   List.iter
     (fun name ->
       let p = (app name).program in
       List.iter
         (fun (cname, affine) ->
-          (* warm run: compile caches, pool warm-up; measured run then
-             reflects the steady state the GGA's fitness loop lives in *)
+          (* warm run: compile caches; the measured run then reflects
+             the steady state *)
           ignore (alloc_words ~affine p);
-          let s0 = Kft_sim.Memory.Pool.stats () in
           let words, threads = alloc_words ~affine p in
-          let s1 = Kft_sim.Memory.Pool.stats () in
-          let dreq = s1.requests - s0.requests and dhit = s1.hits - s0.hits in
-          let hitp = if dreq = 0 then 0.0 else 100.0 *. float_of_int dhit /. float_of_int dreq in
-          Printf.printf "%-13s %-16s %12.3f %13.2f %10.1f\n%!" name cname (words /. 1e6)
-            (words /. float_of_int threads)
-            hitp)
+          Printf.printf "%-13s %-16s %12.3f %13.2f\n%!" name cname (words /. 1e6)
+            (words /. float_of_int threads))
         [ ("interpret", false); ("compiled-affine", true) ])
     all_app_names;
   assert_alloc_budget ();
-  (let s = Kft_sim.Memory.Pool.stats () in
-   Printf.printf
-     "  pool since start: %d requests, %d recycled, %d fresh, high water %.1f Mcells\n%!"
-     s.requests s.hits s.misses
-     (float_of_int s.high_water /. 1e6));
   print_newline ();
   overlay_bench ()
 

@@ -225,19 +225,13 @@ let list_apps () =
     (bundled_apps ())
 
 let transform_run app_name device_name generations population jobs no_memo
-    no_fission no_tuning expert_codegen filter verify seed out_dir emit_cuda quiet list
-    trace_file chrome_file backend_name =
+    no_fission no_tuning expert_codegen filter_mode verify_mode seed out_dir emit_cuda quiet
+    list trace_file chrome_file backend =
   if list then begin
     list_apps ();
     `Ok ()
   end
   else
-    match Kft_sim.Interp.backend_of_string backend_name with
-    | None ->
-        `Error
-          ( false,
-            Printf.sprintf "unknown backend %S (expected affine or interp)" backend_name )
-    | Some backend -> (
     match Kft_apps.Apps.by_name app_name with
     | None ->
         `Error (false, Printf.sprintf "unknown application %S (try --list)" app_name)
@@ -261,16 +255,8 @@ let transform_run app_name device_name generations population jobs no_memo
               {
                 Kft_framework.Framework.default_config with
                 device;
-                filter_mode =
-                  (match filter with
-                  | "auto" -> Kft_framework.Framework.Automated
-                  | "manual" -> Kft_framework.Framework.Manual
-                  | _ -> Kft_framework.Framework.No_filtering);
-                verify_mode =
-                  (match verify with
-                  | "off" -> Kft_framework.Framework.Verify_off
-                  | "fatal" -> Kft_framework.Framework.Verify_fatal
-                  | _ -> Kft_framework.Framework.Verify_advisory);
+                filter_mode;
+                verify_mode;
                 codegen_options;
                 seed;
                 gga_params =
@@ -331,8 +317,8 @@ let transform_run app_name device_name generations population jobs no_memo
               report.verify_report.diagnostics;
             (match report.verified with
             | Ok () -> (
-                match (verify, Kft_verify.Verify.is_clean report.verify_report) with
-                | "fatal", false ->
+                match (verify_mode, Kft_verify.Verify.is_clean report.verify_report) with
+                | Kft_framework.Framework.Verify_fatal, false ->
                     `Error
                       ( false,
                         Printf.sprintf "static verification found %d defects"
@@ -342,7 +328,7 @@ let transform_run app_name device_name generations population jobs no_memo
                 `Error
                   ( false,
                     Printf.sprintf "output verification failed on %d arrays"
-                      (List.length diffs) ))))
+                      (List.length diffs) )))
 
 let transform_cmd =
   let app_arg =
@@ -371,10 +357,12 @@ let transform_cmd =
     Arg.(value & flag & info [ "expert-codegen" ] ~doc:"Use the expert (hand-fusion-style) code generation switches.")
   in
   let filter =
-    Arg.(value & opt string "auto" & info [ "filter" ] ~docv:"auto|manual|none" ~doc:"Target-filtering mode.")
+    let modes = Kft_framework.Framework.[ ("auto", Automated); ("manual", Manual); ("none", No_filtering) ] in
+    Arg.(value & opt (enum modes) Kft_framework.Framework.Automated & info [ "filter" ] ~docv:"auto|manual|none" ~doc:"Target-filtering mode.")
   in
   let verify =
-    Arg.(value & opt string "advisory" & info [ "verify" ] ~docv:"off|advisory|fatal" ~doc:"Static race/barrier/bounds verification and translation validation of the generated kernels: record diagnostics (advisory), reject flagged fused groups and fail on residual defects (fatal), or skip (off).")
+    let modes = Kft_framework.Framework.[ ("off", Verify_off); ("advisory", Verify_advisory); ("fatal", Verify_fatal) ] in
+    Arg.(value & opt (enum modes) Kft_framework.Framework.Verify_advisory & info [ "verify" ] ~docv:"off|advisory|fatal" ~doc:"Static race/barrier/bounds verification and translation validation of the generated kernels: record diagnostics (advisory), reject flagged fused groups and fail on residual defects (fatal), or skip (off).")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed (GGA + data).") in
   let out_dir =
@@ -391,15 +379,16 @@ let transform_cmd =
   let chrome_file =
     Arg.(value & opt (some string) None & info [ "trace-chrome" ] ~docv:"FILE" ~doc:"Write the pipeline trace in Chrome trace_event format; load it in about:tracing or Perfetto.")
   in
-  let backend_name =
-    Arg.(value & opt string "affine" & info [ "backend" ] ~docv:"affine|interp" ~doc:"Simulator execution path for every pipeline run: $(b,affine), the compiled-affine fast path, or $(b,interp), the reference interpreter. Both produce bit-identical results.")
+  let backend =
+    let paths = Kft_sim.Interp.[ ("affine", Affine); ("interp", Interpret) ] in
+    Arg.(value & opt (enum paths) Kft_sim.Interp.Affine & info [ "backend" ] ~docv:"affine|interp" ~doc:"Simulator execution path for every pipeline run: $(b,affine), the compiled-affine fast path, or $(b,interp), the reference interpreter. Both produce bit-identical results.")
   in
   let term =
     Term.ret
       Term.(
         const transform_run $ app_arg $ device $ generations $ population $ jobs $ no_memo
         $ no_fission $ no_tuning $ expert $ filter $ verify $ seed $ out_dir
-        $ emit_cuda $ quiet $ list $ trace_file $ chrome_file $ backend_name)
+        $ emit_cuda $ quiet $ list $ trace_file $ chrome_file $ backend)
   in
   Cmd.v
     (Cmd.info "kft-transform" ~version:"1.0.0"

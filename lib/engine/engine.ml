@@ -5,45 +5,6 @@ let now () = Unix.gettimeofday ()
 (* ------------------------------------------------------------------ *)
 
 module Pool = struct
-  (* Two-list functional deque: [front] holds elements in pop order,
-     [back] holds elements most-recently-pushed first. Owner operations
-     ([push_back] at submission, [pop_front] by the owning worker) are
-     O(1); a steal ([pop_back]) is amortized O(1). Always used under the
-     pool mutex, so no per-deque synchronization. *)
-  module Deque = struct
-    type 'a t = { mutable front : 'a list; mutable back : 'a list }
-
-    let create () = { front = []; back = [] }
-    let length d = List.length d.front + List.length d.back
-    let push_back d x = d.back <- x :: d.back
-
-    let pop_front d =
-      match d.front with
-      | x :: rest ->
-          d.front <- rest;
-          Some x
-      | [] -> (
-          match List.rev d.back with
-          | [] -> None
-          | x :: rest ->
-              d.back <- [];
-              d.front <- rest;
-              Some x)
-
-    let pop_back d =
-      match d.back with
-      | x :: rest ->
-          d.back <- rest;
-          Some x
-      | [] -> (
-          match List.rev d.front with
-          | [] -> None
-          | x :: rest ->
-              d.front <- [];
-              d.back <- rest;
-              Some x)
-  end
-
   type stats = {
     st_jobs : int;
     st_workers : int;
@@ -59,23 +20,20 @@ module Pool = struct
     workers : int;  (** domains spawned on first use: capped at the core count *)
     mutable spawned : bool;
     mutable domains : unit Domain.t list;
-    deques : (unit -> unit) Deque.t array;  (** one per worker *)
-    mutable next_deque : int;  (** round-robin submission cursor *)
+    queue : (unit -> unit) Queue.t;  (** FIFO of submitted chunks *)
     m : Mutex.t;
     nonempty : Condition.t;
     mutable shut : bool;
     (* instrumentation (trace side channel): batches/items count [map]
-       calls and their submission sizes; [max_queue] is the deepest total
-       across the per-worker deques observed at submission; [steals]
-       counts tasks a worker took from another worker's deque;
-       [worker_tasks.(i)] counts tasks executed by worker [i] (slot 0
-       doubles as the inline/sequential path). Each worker_tasks slot is
-       written by exactly one domain and read only after the batch's
-       completion handshake, so the reads are quiescent. *)
+       calls and their submission sizes; [max_queue] is the deepest
+       queue observed at submission; [worker_tasks.(i)] counts tasks
+       executed by worker [i] (slot 0 doubles as the inline/sequential
+       path). Each worker_tasks slot is written by exactly one domain and
+       read only after the batch's completion handshake, so the reads
+       are quiescent. *)
     mutable batches : int;
     mutable items : int;
     mutable max_queue : int;
-    mutable steals : int;
     worker_tasks : int array;
   }
 
@@ -89,39 +47,14 @@ module Pool = struct
       st_batches = t.batches;
       st_items = t.items;
       st_max_queue = t.max_queue;
-      st_steals = t.steals;
+      st_steals = 0;
       st_worker_tasks = Array.to_list t.worker_tasks;
     }
-
-  (* Take the next task for worker [i]: the worker's own deque first
-     (front, FIFO — preserves submission locality), then a round-robin
-     scan of the other workers' deques starting at [i+1], stealing from
-     the back (the opposite end from the victim's own pops, the classic
-     work-stealing discipline — here it only reduces contention on the
-     shared list spines, since everything runs under the pool mutex).
-     Must be called with the mutex held. Determinism is unaffected: a
-     steal only changes {e which domain} runs a task, and [map] reduces
-     results by submission index. *)
-  let try_take pool i =
-    match Deque.pop_front pool.deques.(i) with
-    | Some _ as t -> t
-    | None ->
-        let w = Array.length pool.deques in
-        let rec scan k =
-          if k >= w then None
-          else
-            match Deque.pop_back pool.deques.((i + k) mod w) with
-            | Some _ as t ->
-                pool.steals <- pool.steals + 1;
-                t
-            | None -> scan (k + 1)
-        in
-        scan 1
 
   let rec worker pool i =
     Mutex.lock pool.m;
     let rec next () =
-      match try_take pool i with
+      match Queue.take_opt pool.queue with
       | Some _ as t -> t
       | None ->
           if pool.shut then None
@@ -151,15 +84,13 @@ module Pool = struct
       workers;
       spawned = false;
       domains = [];
-        deques = Array.init workers (fun _ -> Deque.create ());
-      next_deque = 0;
+      queue = Queue.create ();
       m = Mutex.create ();
       nonempty = Condition.create ();
       shut = false;
       batches = 0;
       items = 0;
       max_queue = 0;
-      steals = 0;
       worker_tasks = Array.make workers 0;
     }
 
@@ -169,7 +100,7 @@ module Pool = struct
      launches all take the adaptive serial fallback must cost nothing.
      Called with the pool mutex held, from the single [map] coordinator;
      the fresh workers block on that same mutex until submission
-     completes and then find their deques already dealt. *)
+     completes and then find the queue already filled. *)
   let ensure_spawned pool =
     if not pool.spawned then begin
       pool.spawned <- true;
@@ -225,19 +156,14 @@ module Pool = struct
         in
         pool.batches <- pool.batches + 1;
         pool.items <- pool.items + n;
-        (* deal chunks round-robin across the per-worker deques: an even
-           initial split keeps most pops local, and the cursor persists
-           across batches so short batches don't always land on worker 0 *)
         Mutex.protect pool.m (fun () ->
             ensure_spawned pool;
             for c = 0 to n_chunks - 1 do
               let lo = c * chunk_size in
               let hi = min (n - 1) (lo + chunk_size - 1) in
-              Deque.push_back pool.deques.(pool.next_deque) (task lo hi);
-              pool.next_deque <- (pool.next_deque + 1) mod Array.length pool.deques
+              Queue.add (task lo hi) pool.queue
             done;
-            let depth = Array.fold_left (fun acc d -> acc + Deque.length d) 0 pool.deques in
-            pool.max_queue <- max pool.max_queue depth;
+            pool.max_queue <- max pool.max_queue (Queue.length pool.queue);
             Condition.broadcast pool.nonempty);
         Mutex.lock done_m;
         while !remaining > 0 do

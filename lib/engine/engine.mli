@@ -31,13 +31,11 @@ module Pool : sig
     st_workers : int;
     st_batches : int;  (** {!map} calls submitted over the pool's lifetime *)
     st_items : int;  (** total items across those batches *)
-    st_max_queue : int;
-        (** deepest total across the per-worker deques observed at
-            submission *)
+    st_max_queue : int;  (** deepest queue observed at submission *)
     st_steals : int;
-        (** tasks a worker took from another worker's deque after
-            draining its own. Scheduling-dependent — trace side-channel
-            data only. *)
+        (** always reads 0: the workers share one queue, so nothing is
+            stolen. It stays for the pipeline benchmark, which still
+            reads it. *)
     st_worker_tasks : int list;
         (** tasks executed per worker, in worker index order (slot 0 also
             counts the inline sequential path). The split across workers
@@ -67,16 +65,14 @@ module Pool : sig
       width. *)
 
   val map : t -> ('a -> 'b) -> 'a list -> 'b list
-  (** Deterministic parallel map with work stealing: contiguous chunks
-      of the input are dealt round-robin onto per-worker deques; a
-      worker that drains its own deque steals from the back of another's
-      (see {!stats}[.st_steals]). Stealing only moves work between
-      domains — results are reduced in submission index order, so the
-      returned list is bit-identical at any [jobs] setting. If one or
-      more applications raise, every task still runs to completion (the
-      pool stays reusable) and the exception of the {e lowest submission
-      index} is re-raised in the caller. Raises [Invalid_argument] after
-      {!shutdown}. *)
+  (** Deterministic parallel map: contiguous chunks of the input go onto
+      one FIFO queue that every worker takes from. Which domain runs a
+      chunk varies from run to run, but results are reduced in
+      submission index order, so the returned list is bit-identical at
+      any [jobs] setting. If one or more applications raise, every task
+      still runs to completion (the pool stays reusable) and the
+      exception of the {e lowest submission index} is re-raised in the
+      caller. Raises [Invalid_argument] after {!shutdown}. *)
 
   val shutdown : t -> unit
   (** Join all worker domains. Idempotent. *)

@@ -81,7 +81,7 @@ type report = {
   rejected_groups : (string * string) list;
   sim_cache_stats : Kft_engine.Engine.Cache.stats option;
   launch_memo_stats : Meta.Sim_cache.memo_stats;
-  pool_stats : Kft_sim.Memory.Pool.stats;
+  pool_stats : Kft_sim.Memory.Arenas.stats;
   trace : Trace.t option;
 }
 
@@ -168,7 +168,7 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
   let backend = config.backend in
   let cache_stats_before = Meta.Sim_cache.stats cache in
   let memo_stats_before = Meta.Sim_cache.memo_stats cache in
-  let pool_stats_before = Kft_sim.Memory.Pool.stats () in
+  let pool_stats_before = Kft_sim.Memory.Arenas.stats () in
   (* stage 1: metadata (simulation runs go through the profile cache, so
      re-transforming a program — or verifying against it later — replays
      the stored run instead of re-simulating) *)
@@ -252,8 +252,8 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
                 Meta.gather ~cache ?engine ~backend ?trace ?layout ~seed:config.seed device
                   sf.program
               in
-              (* recycle the profiled run's arena instead of waiting for
-                 the GC *)
+              (* the profiled run's memory is dead: take it off the live
+                 count *)
               Kft_sim.Memory.release grun.Kft_sim.Profiler.memory;
               m)
             fissioned_flow
@@ -734,27 +734,23 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
   Trace.add trace "launch_memo_misses" launch_memo_stats.launch_misses;
   Trace.note trace "hashed_cells" (Trace.Int launch_memo_stats.hashed_cells);
   Trace.note trace "intern_s" (Trace.Float launch_memo_stats.intern_s);
-  (* memory-pool accounting for this run. Requests and cells are a pure
+  (* arena accounting for this run. Requests and cells are a pure
      function of the simulation call sequence, so they live in the
-     canonical (byte-stable) channel; hit/miss/high-water depend on how
-     warm the pool is from earlier runs in the process, so they go to
-     the note side channel like the scheduler counters below. *)
+     canonical (byte-stable) channel; the high-water mark is process-wide
+     and counts earlier runs' unreleased memories, so it goes to the
+     note side channel like the scheduler counters below. *)
   let pool_stats =
-    let s1 = Kft_sim.Memory.Pool.stats () in
+    let s1 = Kft_sim.Memory.Arenas.stats () in
     let s0 = pool_stats_before in
     {
       s1 with
-      Kft_sim.Memory.Pool.requests = s1.requests - s0.requests;
-      hits = s1.hits - s0.hits;
-      misses = s1.misses - s0.misses;
+      Kft_sim.Memory.Arenas.requests = s1.requests - s0.requests;
       cells_requested = s1.cells_requested - s0.cells_requested;
     }
   in
-  Trace.add trace "pool_requests" pool_stats.Kft_sim.Memory.Pool.requests;
-  Trace.add trace "pool_cells" pool_stats.Kft_sim.Memory.Pool.cells_requested;
-  Trace.note trace "pool_hits" (Trace.Int pool_stats.Kft_sim.Memory.Pool.hits);
-  Trace.note trace "pool_misses" (Trace.Int pool_stats.Kft_sim.Memory.Pool.misses);
-  Trace.note trace "pool_high_water" (Trace.Int pool_stats.Kft_sim.Memory.Pool.high_water);
+  Trace.add trace "pool_requests" pool_stats.Kft_sim.Memory.Arenas.requests;
+  Trace.add trace "pool_cells" pool_stats.cells_requested;
+  Trace.note trace "pool_high_water" (Trace.Int pool_stats.high_water);
   (match engine with
   | Some e ->
       let ps = Kft_engine.Engine.pool_stats e in
@@ -763,7 +759,6 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
       Trace.note trace "batches" (Trace.Int ps.Kft_engine.Engine.Pool.st_batches);
       Trace.note trace "batch_items" (Trace.Int ps.Kft_engine.Engine.Pool.st_items);
       Trace.note trace "max_queue" (Trace.Int ps.Kft_engine.Engine.Pool.st_max_queue);
-      Trace.note trace "steals" (Trace.Int ps.Kft_engine.Engine.Pool.st_steals);
       Trace.note trace "worker_tasks"
         (Trace.Str
            (String.concat ","
@@ -809,9 +804,8 @@ let stage_report r =
      m.Meta.Sim_cache.launch_hits m.launch_misses m.contents
      (float_of_int m.stored_cells /. 1e6));
   (let ps = r.pool_stats in
-   if ps.Kft_sim.Memory.Pool.requests > 0 then
-     p "  memory pool: %d arenas (%d recycled, %d fresh), %.1f Mcells requested"
-       ps.Kft_sim.Memory.Pool.requests ps.hits ps.misses
+   if ps.Kft_sim.Memory.Arenas.requests > 0 then
+     p "  memory: %d arenas, %.1f Mcells requested" ps.requests
        (float_of_int ps.cells_requested /. 1e6));
   p "";
   p "== stage 2: target identification ==";

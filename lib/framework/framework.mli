@@ -107,10 +107,10 @@ type report = {
       (** launch-memo hits/misses, hashed cells and interning time
           attributable to this transform (the content counts are the
           cache's totals afterwards) *)
-  pool_stats : Kft_sim.Memory.Pool.stats;
-      (** arena-pool activity attributable to this transform: requests
-          and cells are deltas over the run; [high_water] is the
-          process-wide peak (the pool is global) *)
+  pool_stats : Kft_sim.Memory.Arenas.stats;
+      (** arena allocation accounting for this transform: requests and
+          cells are deltas over the run; [high_water] is the
+          process-wide peak of live cells *)
   trace : Kft_trace.Trace.t option;
       (** the trace handed to {!transform}, echoed back so callers can
           render it next to the report; [None] when tracing was off *)

@@ -1587,11 +1587,6 @@ let backend_name = function
   | Interpret -> "interp"
   | Affine | Auto | Vector -> "affine"
 
-let backend_of_string = function
-  | "interp" -> Some Interpret
-  | "affine" -> Some Affine
-  | _ -> None
-
 (* test hook: force a chunk count so the ordered-merge path can be
    exercised deterministically even on a single-core host (where the
    adaptive policy below always picks 1) *)

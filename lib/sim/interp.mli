@@ -61,9 +61,6 @@ val backend_name : backend -> string
 (** The name of the path that actually runs: ["interp"] or ["affine"]
     (also for the aliases). *)
 
-val backend_of_string : string -> backend option
-(** ["interp"] or ["affine"] (the CLI flag values); [None] otherwise. *)
-
 val selected_backend :
   ?affine:bool -> ?backend:backend ->
   Kft_cuda.Ast.program -> Kft_cuda.Ast.launch -> backend

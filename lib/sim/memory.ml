@@ -16,10 +16,11 @@ type entry = { data : buf; edims : int list }
 (* One contiguous arena per memory; every entry is a zero-copy
    [A1.sub] view into it, laid out in sorted name order. [directory] rows are
    (name, dims, offset); a row's length is the product of its dims, so
-   an overlay layout may alias rows onto shared cells. *)
+   an overlay layout may alias rows onto shared cells. The views are the
+   only references to the arena, so once [release] drops them the GC
+   frees it even while the dead memory record is still reachable. *)
 type t = {
-  arena : buf;  (** may be larger than [total] when recycled from the pool *)
-  total : int;  (** cells actually used, starting at offset 0 *)
+  total : int;  (** arena cells *)
   directory : (string * int list * int) array;
   tbl : (string, entry) Hashtbl.t;
   seed_order : string list;
@@ -45,118 +46,37 @@ type layout = {
 exception Unknown_array of string
 
 (* ------------------------------------------------------------------ *)
-(* Arena pool                                                          *)
+(* Allocation accounting                                               *)
 (* ------------------------------------------------------------------ *)
 
-module Pool = struct
-  type stats = {
-    requests : int;  (** arena acquisitions, one per create *)
-    hits : int;  (** served by recycling a released arena *)
-    misses : int;  (** served by a fresh allocation *)
-    cells_requested : int;  (** total cells across all requests *)
-    high_water : int;  (** peak cells simultaneously checked out *)
-  }
+module Arenas = struct
+  type stats = { requests : int; cells_requested : int; high_water : int }
 
   let m = Mutex.create ()
-
-  (* free arenas sorted by capacity ascending, so acquisition is
-     smallest-fit: the first arena large enough wins, keeping big
-     arenas available for big requests *)
-  let free : buf list ref = ref []
-
-  (* bound the arenas we hoard: a long bench run cycles through many
-     differently-sized programs, and beyond this depth recycling stops
-     paying for the retained address space. A dropped arena is freed by
-     the Bigarray finalizer like any other. *)
-  let max_free = 32
-
   let requests = ref 0
-  let hits = ref 0
-  let misses = ref 0
   let cells_requested = ref 0
   let live = ref 0
   let high_water = ref 0
 
   let stats () =
     Mutex.protect m (fun () ->
-        {
-          requests = !requests;
-          hits = !hits;
-          misses = !misses;
-          cells_requested = !cells_requested;
-          high_water = !high_water;
-        })
-
-  let reset () =
-    Mutex.protect m (fun () ->
-        free := [];
-        requests := 0;
-        hits := 0;
-        misses := 0;
-        cells_requested := 0;
-        live := 0;
-        high_water := 0)
+        { requests = !requests; cells_requested = !cells_requested; high_water = !high_water })
 
   let acquire n =
     Mutex.protect m (fun () ->
         incr requests;
         cells_requested := !cells_requested + n;
-        let rec take acc = function
-          | [] -> None
-          | a :: rest when A1.dim a >= n ->
-              free := List.rev_append acc rest;
-              Some a
-          | a :: rest -> take (a :: acc) rest
-        in
-        let arena =
-          match take [] !free with
-          | Some a ->
-              incr hits;
-              a
-          | None ->
-              incr misses;
-              alloc_buf n
-        in
-        live := !live + A1.dim arena;
-        if !live > !high_water then high_water := !live;
-        arena)
+        live := !live + n;
+        if !live > !high_water then high_water := !live)
 
-  let release_arena a =
-    Mutex.protect m (fun () ->
-        live := !live - A1.dim a;
-        if List.length !free < max_free then begin
-          let d = A1.dim a in
-          let rec insert = function
-            | [] -> [ a ]
-            | b :: rest when A1.dim b >= d -> a :: b :: rest
-            | b :: rest -> b :: insert rest
-          in
-          free := insert !free
-        end)
+  let release n = Mutex.protect m (fun () -> live := !live - n)
 end
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Build the view table over [arena] from a directory whose offsets are
-   a packed prefix of length [total]. The directory is immutable and is
-   shared freely between memories and their copies. *)
 let dims_cells dims = List.fold_left ( * ) 1 dims
-
-let of_arena ?seed_order arena total directory =
-  let n = Array.length directory in
-  let tbl = Hashtbl.create (max 32 n) in
-  Array.iter
-    (fun (name, edims, off) ->
-      Hashtbl.replace tbl name { data = A1.sub arena off (dims_cells edims); edims })
-    directory;
-  let seed_order =
-    match seed_order with
-    | Some o -> o
-    | None -> Array.to_list (Array.map (fun (name, _, _) -> name) directory)
-  in
-  { arena; total; directory; tbl; seed_order; released = false }
 
 let create ?layout decls =
   let seen = Hashtbl.create 32 in
@@ -181,7 +101,7 @@ let create ?layout decls =
               row)
             sorted
         in
-        (Array.of_list rows, !off, None)
+        (Array.of_list rows, !off, List.map (fun d -> d.a_name) sorted)
     | Some l ->
         let rows =
           List.map
@@ -199,13 +119,19 @@ let create ?layout decls =
             if not (List.exists (fun n -> n = d.a_name) l.l_seed_order) then
               invalid_arg ("Memory.create: layout seed order misses " ^ d.a_name))
           sorted;
-        (Array.of_list rows, l.l_total, Some l.l_seed_order)
+        (Array.of_list rows, l.l_total, l.l_seed_order)
   in
-  let arena = Pool.acquire total in
-  (* [A1.create] does not zero memory (and a recycled arena holds the
-     previous tenant's data): restore the zero-initialized contract *)
-  A1.fill (A1.sub arena 0 total) 0.0;
-  of_arena ?seed_order arena total directory
+  Arenas.acquire total;
+  let arena = alloc_buf total in
+  (* [A1.create] does not zero memory: restore the zero-initialized
+     contract *)
+  A1.fill arena 0.0;
+  let tbl = Hashtbl.create (max 32 (Array.length directory)) in
+  Array.iter
+    (fun (name, edims, off) ->
+      Hashtbl.replace tbl name { data = A1.sub arena off (dims_cells edims); edims })
+    directory;
+  { total; directory; tbl; seed_order; released = false }
 
 (* splitmix64-style hash, kept in int range *)
 let mix h =
@@ -270,7 +196,7 @@ let release t =
   if t.released then invalid_arg "Memory.release: memory already released";
   t.released <- true;
   Hashtbl.reset t.tbl;
-  Pool.release_arena t.arena
+  Arenas.release t.total
 
 let array_max_abs_diff a b n =
   if not (mem a n && mem b n) then infinity

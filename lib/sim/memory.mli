@@ -7,11 +7,13 @@
     evaluation of the paper is entirely double precision
     (Section 6.1.2).
 
-    The off-heap representation buys three things with zero behavioural
+    The off-heap representation buys two things with zero behavioural
     change (float64 Bigarray cells are the same IEEE-754 doubles as
-    [float array] cells): the GC never scans grid payloads, a blit is
-    a memcpy, and arenas are recycled through {!Pool} across the GGA's
-    thousands of fitness simulations. *)
+    [float array] cells): the GC never scans grid payloads, and a blit
+    is a memcpy. Every memory gets a fresh arena of exactly its cells;
+    a released one goes back to the GC. Nothing recycles arenas: a
+    transform creates only three or four memories, and keeping released
+    arenas for reuse only raised peak memory (DESIGN.md 3i). *)
 
 type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Backing store of one array: a zero-copy sub-view of the memory's
@@ -19,7 +21,7 @@ type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
     proved paths). *)
 
 val alloc_buf : int -> buf
-(** A fresh (non-pooled, uninitialized) buffer of [n] cells. *)
+(** A fresh, uninitialized buffer of [n] cells. *)
 
 type t
 
@@ -42,8 +44,9 @@ type layout = {
     during the schedule, not the end-of-run contents of shared slots. *)
 
 val create : ?layout:layout -> Kft_cuda.Ast.array_decl list -> t
-(** Allocate every array, zero-initialized, in one pooled arena —
-    packed in sorted name order by default, or placed by [layout].
+(** Allocate every array, zero-initialized, in one fresh arena of
+    exactly the cells it needs — packed in sorted name order by
+    default, or placed by [layout].
     Raises [Invalid_argument] on duplicate names, non-double element
     types, or a layout that misses an array / overflows its arena. *)
 
@@ -84,11 +87,13 @@ val placement : t -> (string * int * int) list
     happens under an overlay {!layout}. *)
 
 val release : t -> unit
-(** Return the memory's arena to {!Pool} for recycling. The memory must
-    not be used afterwards ({!get} raises [Invalid_argument]); releasing
-    twice raises [Invalid_argument]. Releasing is optional — an
-    unreleased memory is reclaimed by the GC like before, its arena
-    simply bypasses the pool. *)
+(** Mark the memory dead and subtract its cells from the live count of
+    {!Arenas}; freeing the arena is left to the GC, which can do so
+    once the caller drops the views it took with {!get}. The memory
+    must not be used afterwards ({!get} raises [Invalid_argument]);
+    releasing twice raises [Invalid_argument]. Releasing is optional:
+    an unreleased memory is reclaimed by the GC all the same, but its
+    cells stay in the live count. *)
 
 val array_max_abs_diff : t -> t -> string -> float
 (** The maximum absolute elementwise difference of one array between two
@@ -110,19 +115,15 @@ val bits_equal : t -> t -> bool
 (** Bit identity of two memories: the same array names, and every array
     {!equal_bufs}. *)
 
-(** Arena recycling across simulations. Global, mutex-guarded;
-    smallest-fit over a bounded free list of released arenas. *)
-module Pool : sig
+(** Allocation accounting: how many arenas {!create} allocated, and how
+    many cells were live at once. Global and mutex-guarded. *)
+module Arenas : sig
   type stats = {
-    requests : int;  (** arena acquisitions, one per create *)
-    hits : int;  (** served by recycling a released arena *)
-    misses : int;  (** served by a fresh allocation *)
+    requests : int;  (** arenas allocated, one per {!create} *)
     cells_requested : int;  (** total cells across all requests *)
-    high_water : int;  (** peak cells simultaneously checked out *)
+    high_water : int;
+        (** peak live cells: created and not yet {!release}d *)
   }
 
   val stats : unit -> stats
-
-  val reset : unit -> unit
-  (** Drop retained arenas and zero the counters (tests, bench). *)
 end

@@ -64,8 +64,8 @@ let verify ?engine ?affine ?backend ?trace ?(seed = 42) ?(tol = 1e-9) device ~or
   let run p = (profile ?engine ?affine ?backend ?trace ~seed device p).memory in
   let m1 = run original and m2 = run transformed in
   let diffs = output_diffs ~tol m1 m2 in
-  (* both memories are private to this verification: recycle their
-     arenas instead of waiting for the GC *)
+  (* both memories are private to this verification: take them off the
+     live count *)
   Memory.release m1;
   Memory.release m2;
   if diffs = [] then Ok () else Error diffs

@@ -158,16 +158,21 @@ let test_transform_bad_flag_value () =
   let rc, _, _ = transform (quickstart_args [| "--generations"; "many" |]) in
   Alcotest.(check int) "non-integer flag value" 124 rc
 
-(* only the two execution paths are valid backend names; the removed
-   ones get the located "unknown backend" error *)
-let test_transform_unknown_backend () =
+(* a value outside an option's table is a command-line error naming the
+   option, never a silent fallback to some default mode *)
+let check_bad_values option values =
   List.iter
-    (fun name ->
-      let rc, _, err = transform (quickstart_args [| "-q"; "--backend"; name |]) in
-      Alcotest.(check int) (name ^ ": command-line error") 124 rc;
-      Alcotest.(check bool) (name ^ ": located unknown-backend error") true
-        (Util.contains err (Printf.sprintf "kft-transform: unknown backend %S" name)))
-    [ "vector"; "auto" ]
+    (fun v ->
+      let rc, _, err = transform (quickstart_args [| "-q"; option; v |]) in
+      Alcotest.(check int) (v ^ ": command-line error") 124 rc;
+      Alcotest.(check bool) (v ^ ": names " ^ option) true
+        (Util.contains err (Printf.sprintf "option '%s': invalid value '%s'" option v)))
+    values
+
+(* only the two execution paths are valid backend names *)
+let test_transform_unknown_backend () = check_bad_values "--backend" [ "vector"; "auto" ]
+let test_transform_bad_filter () = check_bad_values "--filter" [ "manul" ]
+let test_transform_bad_verify () = check_bad_values "--verify" [ "fatl" ]
 
 let test_transform_report () =
   let rc, out, _ = transform (quickstart_args [||]) in
@@ -244,6 +249,8 @@ let cli_suite =
       test_transform_bad_flag_value;
     Alcotest.test_case "transform unknown backend exits 124" `Quick
       test_transform_unknown_backend;
+    Alcotest.test_case "transform bad --filter exits 124" `Quick test_transform_bad_filter;
+    Alcotest.test_case "transform bad --verify exits 124" `Quick test_transform_bad_verify;
     Alcotest.test_case "transform stage report" `Slow test_transform_report;
     Alcotest.test_case "transform --trace/--trace-chrome deterministic" `Slow
       test_transform_traced;

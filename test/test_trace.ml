@@ -202,10 +202,10 @@ let test_golden_stage_tree () =
     [ ("blocks", 8); ("threads", 1024); ("read_bytes", 486080); ("write_bytes", 69440) ]
     (Trace.counters trace "launch:diffuse");
   (* root-span counters: profile-cache and launch-memo attribution plus
-     the memory-pool activity of the whole transform. Requests/cells are
-     a pure function of the simulation call sequence, so exact values
-     are a golden surface (pool hits/misses are warmth-dependent and live
-     in the note side channel, excluded from canonical output). Output
+     the arenas the whole transform allocated. Requests/cells are a pure
+     function of the simulation call sequence, so exact values are a
+     golden surface (the process-wide high-water mark lives in the note
+     side channel, excluded from canonical output). Output
      verification compares the two runs the transform already holds, so
      it neither hits the cache nor takes an arena; the fused program's
      one launch and the source's three all miss the memo. *)
