@@ -1,7 +1,7 @@
 (* Golden bit-exactness regression.
 
    Pins the GGA search outcome (best fitness, fusion groups, fissioned
-   set) for the quickstart example and three of the six applications at
+   set) for the quickstart example and four of the six applications at
    a fixed small budget. The engine determinism contract says these values
    are a pure function of (program, params, seed) — independent of the
    worker count and of whether the memo cache is on — so any drift here
@@ -96,9 +96,15 @@ let render (report : F.report) =
     (Printf.sprintf "fissioned=%s\n" (String.concat "," report.fissioned));
   Buffer.contents b
 
-let check_golden ?(config = config) name program golden () =
+(* [fissions] adds the search's lazy-fission event count to the pin *)
+let check_golden ?(config = config) ?(fissions = false) name program golden () =
   let report = F.transform ~config program in
-  Alcotest.(check string) (name ^ " search outcome pinned") golden (render report)
+  let events =
+    match report.gga with
+    | Some r when fissions -> Printf.sprintf "fission_events=%d\n" r.fission_events
+    | _ -> ""
+  in
+  Alcotest.(check string) (name ^ " search outcome pinned") golden (render report ^ events)
 
 let quickstart_golden =
   "fitness=11.939180487292035\n" ^ "violations=0 evaluations=112\n"
@@ -138,6 +144,14 @@ let scale_les_golden =
      upd_24 upd_25 upd_26 upd_28 vint_01 vint_02 vint_03 vint_04 vint_05 vint_06 \
      vint_07\n" ^ "fissioned=\n"
 
+(* B-CALM's search fissions kernels at the shared [config]: the one
+   golden that pins the lazy-fission path *)
+let bcalm_golden =
+  "fitness=21.335456312465105\n" ^ "violations=0 evaluations=112\n"
+  ^ "groups=flux_e+flux_h+pole_d pole_a__f1+pole_b__f1+pole_c__f1 pole_a__f2+pole_b__f2+pole_c__f2 \
+     pole_a__f3+pole_b__f3+pole_c__f3 upd_e__f1+upd_e__f2+upd_e__f3+upd_h__f1+upd_h__f2+upd_h__f3\n"
+  ^ "fissioned=pole_a,pole_b,pole_c,upd_e,upd_h\n" ^ "fission_events=39\n"
+
 let suite =
   [
     Alcotest.test_case "quickstart golden" `Quick
@@ -150,4 +164,6 @@ let suite =
       (fun () ->
         check_golden ~config:scale_les_config "scale-les" (Apps.scale_les ()).program
           scale_les_golden ());
+    Alcotest.test_case "B-CALM golden" `Quick
+      (fun () -> check_golden ~fissions:true "b-calm" (Apps.bcalm ()).program bcalm_golden ());
   ]
