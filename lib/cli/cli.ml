@@ -275,60 +275,62 @@ let transform_run app_name device_name generations population jobs no_memo
               | None, None -> None
               | _ -> Some (Trace.create "kft-transform")
             in
-            let report =
+            let output_failed diffs =
+              `Error
+                (false, Printf.sprintf "output verification failed on %d arrays" (List.length diffs))
+            in
+            match
               Kft_engine.Engine.with_engine ~jobs ~memo:(not no_memo) (fun engine ->
                   Kft_framework.Framework.transform ~config ~engine ?trace app.program)
-            in
-            if not quiet then print_string (Kft_framework.Framework.stage_report report);
-            (match (trace_file, trace) with
-            | Some path, Some t ->
-                write_file path (Trace.render_json t);
-                if not quiet then Printf.printf "trace written to %s\n" path
-            | _ -> ());
-            (match (chrome_file, trace) with
-            | Some path, Some t ->
-                write_file path (Trace.render_chrome t);
-                if not quiet then Printf.printf "chrome trace written to %s\n" path
-            | _ -> ());
-            (match out_dir with
-            | Some dir ->
-                if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-                Kft_metadata.Metadata.to_files report.metadata ~dir;
-                let write name contents =
-                  write_file (Filename.concat dir name) contents
-                in
-                let new_graphs = Kft_ddg.Ddg.build report.transformed in
-                write "ddg.dot" (Kft_ddg.Ddg.ddg_dot report.graphs);
-                write "oeg.dot" (Kft_ddg.Ddg.oeg_dot report.graphs);
-                write "ddg_new.dot" (Kft_ddg.Ddg.ddg_dot new_graphs);
-                write "oeg_new.dot" (Kft_ddg.Ddg.oeg_dot new_graphs);
-                write "gga.params" (Kft_gga.Gga.params_to_text config.gga_params);
-                Printf.printf "stage artifacts written to %s/\n" dir
-            | None -> ());
-            (match emit_cuda with
-            | Some path ->
-                write_file path (Kft_cuda.Pp.program report.transformed);
-                Printf.printf "transformed CUDA written to %s\n" path
-            | None -> ());
-            List.iter
-              (fun d ->
-                Printf.eprintf "kft-transform: [verify] %s\n"
-                  (Kft_verify.Verify.pp_diagnostic d))
-              report.verify_report.diagnostics;
-            (match report.verified with
-            | Ok () -> (
-                match (verify_mode, Kft_verify.Verify.is_clean report.verify_report) with
-                | Kft_framework.Framework.Verify_fatal, false ->
-                    `Error
-                      ( false,
-                        Printf.sprintf "static verification found %d defects"
-                          (List.length report.verify_report.diagnostics) )
-                | _ -> `Ok ())
-            | Error diffs ->
-                `Error
-                  ( false,
-                    Printf.sprintf "output verification failed on %d arrays"
-                      (List.length diffs) )))
+            with
+            | exception Kft_framework.Framework.Output_mismatch diffs -> output_failed diffs
+            | report ->
+                if not quiet then print_string (Kft_framework.Framework.stage_report report);
+                (match (trace_file, trace) with
+                | Some path, Some t ->
+                    write_file path (Trace.render_json t);
+                    if not quiet then Printf.printf "trace written to %s\n" path
+                | _ -> ());
+                (match (chrome_file, trace) with
+                | Some path, Some t ->
+                    write_file path (Trace.render_chrome t);
+                    if not quiet then Printf.printf "chrome trace written to %s\n" path
+                | _ -> ());
+                (match out_dir with
+                | Some dir ->
+                    if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+                    Kft_metadata.Metadata.to_files report.metadata ~dir;
+                    let write name contents =
+                      write_file (Filename.concat dir name) contents
+                    in
+                    let new_graphs = Kft_ddg.Ddg.build report.transformed in
+                    write "ddg.dot" (Kft_ddg.Ddg.ddg_dot report.graphs);
+                    write "oeg.dot" (Kft_ddg.Ddg.oeg_dot report.graphs);
+                    write "ddg_new.dot" (Kft_ddg.Ddg.ddg_dot new_graphs);
+                    write "oeg_new.dot" (Kft_ddg.Ddg.oeg_dot new_graphs);
+                    write "gga.params" (Kft_gga.Gga.params_to_text config.gga_params);
+                    Printf.printf "stage artifacts written to %s/\n" dir
+                | None -> ());
+                (match emit_cuda with
+                | Some path ->
+                    write_file path (Kft_cuda.Pp.program report.transformed);
+                    Printf.printf "transformed CUDA written to %s\n" path
+                | None -> ());
+                List.iter
+                  (fun d ->
+                    Printf.eprintf "kft-transform: [verify] %s\n"
+                      (Kft_verify.Verify.pp_diagnostic d))
+                  report.verify_report.diagnostics;
+                (match report.verified with
+                | Ok () -> (
+                    match (verify_mode, Kft_verify.Verify.is_clean report.verify_report) with
+                    | Kft_framework.Framework.Verify_fatal, false ->
+                        `Error
+                          ( false,
+                            Printf.sprintf "static verification found %d defects"
+                              (List.length report.verify_report.diagnostics) )
+                    | _ -> `Ok ())
+                | Error diffs -> output_failed diffs))
 
 let transform_cmd =
   let app_arg =
@@ -344,7 +346,7 @@ let transform_cmd =
     Arg.(value & opt int 40 & info [ "population" ] ~doc:"GGA population size (paper default: 100).")
   in
   let jobs =
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains shared by the GGA search and the simulator (profiling, verification and usage pre-runs fan each launch's thread blocks over the pool). Results are bit-identical at any worker count (the paper uses 8 Xeon cores).")
+    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains for the simulator: profiling, verification and usage pre-runs fan each launch's thread blocks over the pool. The GGA search runs in the main domain, scoring each distinct fusion group once. Results are bit-identical at any worker count.")
   in
   let no_memo =
     Arg.(value & flag & info [ "no-memo" ] ~doc:"Disable the genome-keyed fitness memo cache (ablation; results are unchanged, only slower).")

@@ -1,11 +1,11 @@
-(** Parallel, memoized evaluation engine for the GGA search.
-
-    The paper runs its search as "500 generations x 100 individuals on 8
-    Xeon cores (~11 minutes)"; this module supplies the two mechanisms
-    that make that budget tractable here: a fixed-size pool of OCaml 5
-    domains for evaluating a generation's population in parallel, and a
-    string-keyed memo cache so identical genomes (which a converging GA
-    produces in bulk) are never re-evaluated.
+(** Parallel, memoized evaluation engine: a fixed-size pool of OCaml 5
+    domains, over which the simulator runs each launch's thread blocks
+    in parallel, and a memoization policy, which decides whether the GGA
+    search re-scores a genome it has seen. The search itself runs in the
+    calling domain: scoring a genome from its per-search table of group
+    verdicts costs less than handing it to a worker. A string-keyed memo
+    cache with hit/miss counters backs the simulation cache's
+    whole-program entries.
 
     {b Determinism contract.} [Pool.map] reduces results in submission
     index order and never runs caller code concurrently with the

@@ -85,6 +85,8 @@ type report = {
   trace : Trace.t option;
 }
 
+exception Output_mismatch of (string * float) list
+
 (* ------------------------------------------------------------------ *)
 (* Target identification                                               *)
 (* ------------------------------------------------------------------ *)
@@ -316,29 +318,15 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
           (Option.value ~default:max_int (Hashtbl.find_opt unit_pos b)))
       names
   in
-  (* the plan cache is read and written from the engine's worker domains
-     during the GGA search (via [feasible] / [shared_ok]); guard it with a
-     mutex. The plan computation itself runs outside the critical section:
-     two domains may compute the same key concurrently, but the result is
-     a pure function of the key so the duplicate insert is benign (and
-     [member_cache] / [unit_pos] are read-only by then). *)
+  (* one fusion plan per distinct set of units the search asks about;
+     the search runs in this domain, so the cache needs no lock *)
   let group_plan_cache : (string, (Fusion.plan, string) Stdlib.result) Hashtbl.t =
     Hashtbl.create 256
   in
-  let group_plan_mutex = Mutex.create () in
-  (* hit/miss split is scheduling-dependent at jobs > 1 (two workers can
-     miss on the same key concurrently) -> trace side channel; the entry
-     count is the set of distinct keys queried -> deterministic *)
-  let gp_hits = ref 0 and gp_misses = ref 0 in
   let group_plan names =
     let names = schedule_sort names in
     let key = String.concat "|" names in
-    match
-      Mutex.protect group_plan_mutex (fun () ->
-          let r = Hashtbl.find_opt group_plan_cache key in
-          (match r with Some _ -> incr gp_hits | None -> incr gp_misses);
-          r)
-    with
+    match Hashtbl.find_opt group_plan_cache key with
     | Some r -> r
     | None ->
         let r =
@@ -360,8 +348,7 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
               let ms = List.rev ms in
               Fusion.check_group (List.mapi (fun i (m : Canonical.member) -> { m with m_index = i }) ms)
         in
-        Mutex.protect group_plan_mutex (fun () ->
-            if not (Hashtbl.mem group_plan_cache key) then Hashtbl.replace group_plan_cache key r);
+        Hashtbl.replace group_plan_cache key r;
         r
   in
   (* stage 4: GGA *)
@@ -517,7 +504,7 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
       part_arrays;
       feasible;
       solution_feasible;
-      objective = Perfmodel.objective device;
+      eval_group = Perfmodel.eval_group device;
       shared_ok;
     }
   in
@@ -538,8 +525,6 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
             Trace.note trace "search_wall_s" (Trace.Float es.Gga.es_search_wall_s)
         | None -> ());
         Trace.add trace "plan_cache_entries" (Hashtbl.length group_plan_cache);
-        Trace.note trace "plan_cache_hits" (Trace.Int !gp_hits);
-        Trace.note trace "plan_cache_misses" (Trace.Int !gp_misses);
         r)
   in
   let solution_groups =
@@ -694,6 +679,9 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
         Meta.compare_outputs ~cache ~seed:config.seed ~tol:config.verify_tolerance device
           ~original:(prog, baseline) ~transformed:(transformed, transformed_run))
   in
+  (match (config.verify_mode, verified) with
+  | Verify_fatal, Error diffs -> raise (Output_mismatch diffs)
+  | _ -> ());
   (* lint the emitted program; the measured per-kernel traffic from the
      profile run feeds the footprint-drift cross-check *)
   let lint_findings =
@@ -845,11 +833,11 @@ let stage_report r =
       p "  fission events: %d (%.3f per generation), converged at generation %d"
         g.fission_events g.avg_fissions_per_generation g.converged_at;
       let es = g.engine_stats in
-      p "  engine: jobs=%d memo=%s; %d evaluations (%d computed, %.1f%% memo hits); %.3f s (%.2f ms/generation)"
+      p "  engine: jobs=%d memo=%s; %d evaluations (%d computed, %.1f%% memo hits), %d group verdicts; %.3f s (%.2f ms/generation)"
         es.es_jobs
         (if es.es_memo then "on" else "off")
-        es.es_requested es.es_computed (100.0 *. es.es_hit_rate) es.es_search_wall_s
-        (1000.0 *. es.es_gen_wall_s));
+        es.es_requested es.es_computed (100.0 *. es.es_hit_rate) es.es_verdicts
+        es.es_search_wall_s (1000.0 *. es.es_gen_wall_s));
   p "  groups: %s"
     (String.concat " | " (List.map (fun g -> String.concat "+" g) r.solution_groups));
   (if r.fissioned <> [] then p "  fissioned kernels: %s" (String.concat ", " r.fissioned));

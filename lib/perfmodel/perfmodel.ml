@@ -155,15 +155,15 @@ let eval_group (d : Kft_device.Device.t) models =
         saved_launches = List.length models - 1;
       }
 
-let objective d groups =
+let solution_gflops evals =
   let time, flops =
     List.fold_left
-      (fun (t, f) g ->
-        let e = eval_group d g in
-        (t +. e.projected_time_us, f +. e.group_flops))
-      (0.0, 0.0) groups
+      (fun (t, f) e -> (t +. e.projected_time_us, f +. e.group_flops))
+      (0.0, 0.0) evals
   in
   if time <= 0.0 then 0.0 else flops /. (time *. 1e3)
+
+let objective d groups = solution_gflops (List.map (eval_group d) groups)
 
 (* An alternative black-box objective (Section 3.2.4 lets the programmer
    swap the objective function): minimize projected global traffic plus

@@ -60,10 +60,13 @@ val shared_bytes_for_group :
 (** Per-block staging bytes: one 2D tile (block + halo) per array touched
     by two or more members. *)
 
+val solution_gflops : group_eval list -> float
+(** Projected GFLOPS of a solution from its groups' projections (total
+    FLOPs over total projected time, summed in list order). *)
+
 val objective : Kft_device.Device.t -> unit_model list list -> float
 (** Projected GFLOPS of a whole solution (a partition of the target
-    kernels into groups). This is the default objective; the GGA accepts
-    any function of the same shape (Section 3.2.4's pluggable objective). *)
+    kernels into groups): {!solution_gflops} of each {!eval_group}. *)
 
 val objective_traffic : Kft_device.Device.t -> unit_model list list -> float
 (** Alternative objective (the paper lets the programmer plug in his own

@@ -199,6 +199,35 @@ let test_caller_owned_cache () =
   Alcotest.(check (pair int int)) "None: first transform misses" (0, m1) (counts None);
   Alcotest.(check (pair int int)) "None: second transform misses too" (0, m1) (counts None)
 
+(* a launch whose domain (4,4,1) is smaller than the arrays its guard
+   reads: codegen retunes its block from (16,4,1) to (32,4,1), the
+   rounded-up grid then writes cells the source never wrote, and the
+   output check fails; under [Verify_fatal] that must raise, not return *)
+let test_fatal_output_check_raises () =
+  let dims = (32, 16, 2) in
+  let prog =
+    {
+      Kft_cuda.Ast.p_name = "retuned";
+      p_arrays = List.map (Util.arr3 dims) [ "A"; "B"; "X" ];
+      p_kernels = Kft_cuda.Parse.kernels (Util.pointwise_src ~name:"scale" ~a:"A" ~b:"B" ~dst:"X");
+      p_schedule =
+        [
+          Kft_cuda.Ast.Launch
+            {
+              l_kernel = "scale";
+              l_domain = (4, 4, 1);
+              l_block = (16, 4, 1);
+              l_args = Util.std_args dims [ "A"; "B"; "X" ] 0.5;
+            };
+        ];
+    }
+  in
+  let config = { config with filter_mode = F.No_filtering; verify_mode = F.Verify_fatal } in
+  match F.transform ~config prog with
+  | (_ : F.report) -> Alcotest.fail "a failed output check returned a report"
+  | exception F.Output_mismatch diffs ->
+      Alcotest.(check (list string)) "the differing array" [ "X" ] (List.map fst diffs)
+
 let suite =
   [
     Alcotest.test_case "end-to-end verified" `Quick test_end_to_end_verified;
@@ -214,6 +243,8 @@ let suite =
     Alcotest.test_case "fission flows through pipeline" `Quick test_fission_flows_through;
     Alcotest.test_case "part-like kernel name is not a part" `Quick
       test_part_like_name_is_a_kernel;
+    Alcotest.test_case "fatal verify raises on an output mismatch" `Quick
+      test_fatal_output_check_raises;
   ]
 
 let test_validation_gate () =
