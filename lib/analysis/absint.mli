@@ -202,10 +202,11 @@ val prove_race_free :
     it, so aliases meet) or a shared tile.  Requires every bound proved.
     Rules, by name:
     - [read-only]: an array no access writes;
-    - [same-site]: a global write meeting itself in another thread
-      (exempt: halo recompute rewrites the same value);
-    - [injective-write]: a shared write whose form is injective in the
-      thread id and trip counters;
+    - [injective-write]: a write meeting itself whose form is injective
+      in the thread id (block ids too on global memory) and trip
+      counters, so no other thread meets it;
+    - [same-site]: any other global write meeting itself in another
+      thread (exempt: halo recompute rewrites the same value);
     - [barrier]: shared accesses in different barrier intervals;
     - [disjoint-ranges]: disjoint index intervals, or coordinate guard
       boxes ([dims_of] gives a host array's dimensions, innermost first)
@@ -223,3 +224,34 @@ val prove_race_free :
       [2*i + 1]).
     A launch with an access not proved in bounds is unsettled at that
     access, with no rule tried. *)
+
+val launch_race_verdict :
+  Kft_cuda.Ast.program -> Kft_cuda.Ast.launch -> result -> race_verdict
+(** {!prove_race_free} on the analysis of [launch]: array parameters
+    meet through the host arrays the launch binds them to, whose
+    declared dimensions split global indices into coordinates. *)
+
+val thread_box : int * int * int -> int * int * int -> int * int * int
+(** [thread_box domain block]: the threads a launch runs per dimension,
+    [ceil(domain / block) * block]. *)
+
+val block_invariant :
+  Kft_cuda.Ast.program -> Kft_cuda.Ast.launch -> block:int * int * int -> bool
+(** Running [launch] with block [block] instead of its own has the same
+    memory effect and the same simulator stats, apart from
+    [blocks_launched]. It holds when:
+    - the kernel has no [__shared__] array and no [__syncthreads()];
+    - every builtin occurs only as [blockIdx.d * blockDim.d +
+      threadIdx.d] (either operand order), so a thread sees nothing but
+      its global coordinate;
+    - both blocks are nonempty with an x-width that is a multiple of 32,
+      so every warp is the same 32 cells of one row;
+    - the rounded-up thread box [ceil(domain / b) * b] is the same under
+      both blocks in every dimension;
+    - {!launch_race_verdict} proves the launch race-free without the
+      [same-site] exemption.
+    The threads, their warps and each thread's accesses are then the
+    same under both blocks, and no thread touches a cell another one
+    writes, so their order cannot matter. [block = launch.l_block]
+    checks the launch alone: its meaning is then a function of its
+    thread box. *)

@@ -42,14 +42,25 @@ let tune_single device prog (l : launch) =
       0 k.k_body
   in
   let before = occupancy_of device ~block:l.l_block ~regs ~shared in
-  if not (has_top_guard k) then (l.l_block, before, before)
+  if not (has_top_guard k) then (l.l_block, before, before, [])
   else begin
     let dims, result =
       Kft_device.Occupancy.tune device ~regs_per_thread:regs
         ~shared_per_block:(fun _ -> shared)
         ~current:l.l_block
     in
-    (dims, before, result.occupancy)
+    (* a retuned launch must mean what the source launch meant *)
+    if dims = l.l_block || Kft_analysis.Absint.block_invariant prog l ~block:dims then
+      (dims, before, result.occupancy, [])
+    else
+      let pp (x, y, z) = Printf.sprintf "%dx%dx%d" x y z in
+      ( l.l_block,
+        before,
+        before,
+        [
+          Printf.sprintf "kept block %s: retuning to %s is not proved to leave the launch unchanged"
+            (pp l.l_block) (pp dims);
+        ] )
   end
 
 (* tuning for a fused kernel: the staging footprint depends on the block
@@ -83,20 +94,13 @@ let transform ?(options = default_options) device prog ~groups =
   let emit_single ?(notes = []) (l : launch) =
     let k = find_kernel prog l.l_kernel in
     emit_kernel k;
-    let block, occ_before, occ_after =
-      if options.tune_blocks then tune_single device prog l else (l.l_block, 0.0, 0.0)
-    in
-    let block = if options.tune_blocks then block else l.l_block in
-    let occ_before, occ_after =
-      if options.tune_blocks then (occ_before, occ_after)
-      else begin
+    let block, occ_before, occ_after, tune_notes =
+      if options.tune_blocks then tune_single device prog l
+      else
         let o =
-          occupancy_of device ~block:l.l_block
-            ~regs:(Kft_analysis.Cost.estimate_registers k)
-            ~shared:0
+          occupancy_of device ~block:l.l_block ~regs:(Kft_analysis.Cost.estimate_registers k) ~shared:0
         in
-        (o, o)
-      end
+        (l.l_block, o, o, [])
     in
     emit_launch { l with l_block = block };
     reports :=
@@ -110,7 +114,7 @@ let transform ?(options = default_options) device prog ~groups =
         tuned = block <> l.l_block;
         occupancy_before = occ_before;
         occupancy_after = occ_after;
-        notes;
+        notes = notes @ tune_notes;
       }
       :: !reports
   in

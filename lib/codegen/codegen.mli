@@ -41,7 +41,11 @@ val tune_single :
   Kft_device.Device.t ->
   Kft_cuda.Ast.program ->
   Kft_cuda.Ast.launch ->
-  (int * int * int) * float * float
+  (int * int * int) * float * float * string list
 (** Thread-block tuning of an unfused kernel: returns (new block,
-    occupancy before, occupancy after). Kernels without a top-level
-    guard are left untouched (the grid may not overshoot their domain). *)
+    occupancy before, occupancy after, report notes). Kernels without a
+    top-level guard are left untouched (the grid may not overshoot their
+    domain). A tuned block is kept only when
+    {!Kft_analysis.Absint.block_invariant} proves that the launch means
+    the same under it; otherwise the source block stays and a note says
+    which retune was refused. *)

@@ -312,7 +312,8 @@ module Internal = struct
           in
           let sub, remaining = grow [ seed ] sp.arrays.(seed) rest in
           let sub = List.rev sub in
-          (sub, verdict sub) :: greedy_split (remaining, verdict remaining)
+          (sub, verdict sub)
+          :: (if remaining = [] then [] else greedy_split (remaining, verdict remaining))
     in
     let scored =
       List.concat_map

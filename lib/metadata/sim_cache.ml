@@ -248,10 +248,16 @@ let set_written lv written =
    that is exactly "bound to the same host array", offset 0). *)
 type arg_key = Array_arg of int * (int * int) list | Int_arg of int | Double_arg of int64
 
+(* A launch's shape is its domain and block, or only its thread box
+   [ceil(domain / block) * block] when [Absint.block_invariant] proves
+   that the box alone decides its memory effect and every stats field
+   but [blocks_launched]: then a launch retuned to another block, or
+   over a domain rounding up to the same box, replays the entry. *)
+type shape = Launch_shape of (int * int * int) * (int * int * int) | Thread_box of (int * int * int)
+
 type launch_key = {
   code : string;  (** the kernel's parameters and body, marshalled; not its name *)
-  domain : int * int * int;
-  block : int * int * int;
+  shape : shape;
   args : arg_key list;
 }
 
@@ -311,8 +317,8 @@ type t = {
   lock : Mutex.t;
   programs : program_entry Cache.t;
   memo : launch_entry Memo.t;
-  blanks : (string * (int * int * int) * (int * int * int), int list) Hashtbl.t;
-      (** (code, domain, block) -> each non-empty set of blanked positions stored *)
+  blanks : (string * shape, int list) Hashtbl.t;
+      (** (code, shape) -> each non-empty set of blanked positions stored *)
   store : store;
   mutable launch_hits : int;
   mutable launch_misses : int;
@@ -398,7 +404,12 @@ let launch_key st lv code_of prog (l : launch) =
               | Arg_double f -> Double_arg (bits f))
             l.l_args
         in
-        Some ({ code = code_of k; domain = l.l_domain; block = l.l_block; args }, hosts)
+        let shape =
+          if Kft_analysis.Absint.block_invariant prog l ~block:l.l_block then
+            Thread_box (Kft_analysis.Absint.thread_box l.l_domain l.l_block)
+          else Launch_shape (l.l_domain, l.l_block)
+        in
+        Some ({ code = code_of k; shape; args }, hosts)
 
 (* One launch through the memo. A hit blits the stored outputs into the
    live arrays and replays the stats; a miss simulates, interns what it
@@ -412,7 +423,7 @@ let run_launch c lv code_of ?engine ?backend ?trace prog (l : launch) =
       Hashtbl.reset lv.ids;
       stats
   | Some (key, hosts) -> (
-      let shape = (key.code, key.domain, key.block) in
+      let shape = (key.code, key.shape) in
       let lookup positions = Memo.find_opt c.memo (blank positions key) in
       match List.find_map lookup ([] :: Hashtbl.find_all c.blanks shape) with
       | Some e ->
@@ -423,8 +434,13 @@ let run_launch c lv code_of ?engine ?backend ?trace prog (l : launch) =
           in
           List.iter (fun (h, id) -> materialize st id (Memory.get lv.mem h)) written;
           set_written lv written;
-          Interp.record_replay ?backend ?trace prog l e.m_stats;
-          Interp.copy_stats e.m_stats
+          (* a thread-box entry may come from another block *)
+          let stats =
+            let gx, gy, gz = grid_of_launch l in
+            { e.m_stats with Interp.blocks_launched = gx * gy * gz }
+          in
+          Interp.record_replay ?backend ?trace prog l stats;
+          stats
       | None ->
           c.launch_misses <- c.launch_misses + 1;
           Trace.add trace "launch_memo_misses" 1;

@@ -12,10 +12,19 @@
     contents are copied into large slabs when interned.
 
     {b Launch memo.} A launch's stats and writes are a function of its
-    kernel's parameters and body (not its name), [l_domain], [l_block],
-    its scalar arguments (doubles by their bits), and per array
-    argument its content id and which earlier arguments share its
-    storage (and at which offset). An entry holds the stats and, per
+    kernel's parameters and body (not its name), its shape, its scalar
+    arguments (doubles by their bits), and per array argument its
+    content id and which earlier arguments share its storage (and at
+    which offset). The shape is [l_domain] and [l_block], or only the
+    thread box [ceil(l_domain / l_block) * l_block] when
+    {!Kft_analysis.Absint.block_invariant} proves the launch's meaning
+    a function of that box (no shared memory or barrier, builtins only
+    as global coordinates, an x-width that is a multiple of 32, race
+    freedom without the same-site exemption). A launch that block
+    tuning moved to another block of the same box, or whose domain
+    rounds up to the same box, then replays the entry: every stats
+    field but [blocks_launched] is equal, and a hit recomputes that one
+    from the launch's own grid. An entry holds the stats and, per
     written argument, the id of its final contents; a hit blits those
     into the live arrays. A launch that raises is not stored. An
     argument the launch never read and changed in every cell cannot have

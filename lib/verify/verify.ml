@@ -204,23 +204,13 @@ let barrier_pass col (k : kernel) =
 (* Passes 1 & 3: bounds and races, proved from Absint                   *)
 (* ------------------------------------------------------------------ *)
 
-(* the race proof of one analyzed launch: array parameters meet through
-   their host arrays, whose declared dimensions split global indices
-   into coordinates *)
-let race_verdict prog host_of absint =
-  Absint.prove_race_free absint
-    ~host_of:(fun p -> match List.assoc_opt p host_of with Some h -> h | None -> p)
-    ~dims_of:(fun h ->
-      match find_array prog h with d -> Some d.a_dims | exception Not_found -> None)
-
-(* the host array bound to each array parameter, or the first mismatch
-   between the launch's arguments and the kernel's parameters *)
+(* the first mismatch between the launch's arguments and the kernel's
+   parameters *)
 let bind_launch prog k (l : launch) =
   let declared a = List.exists (fun d -> d.a_name = a) prog.p_arrays in
   match Kft_cuda.Check.launch_args ~declared k l.l_args with
   | why :: _ -> Error why
-  | [] ->
-      Ok (List.filter_map (function p, Arg_array a -> Some (p, a) | _ -> None) (bind_args k l.l_args))
+  | [] -> Ok ()
 
 (* Every access must be proved in bounds and the launch race-free; an
    access or a pair the proof leaves open is a diagnostic, never a
@@ -238,7 +228,7 @@ let verify_launch_into col prog (l : launch) =
             ~loc:(match k.k_body with s :: _ -> Loc.find s | [] -> Loc.none)
             ~stmt:"" "launch arguments do not match the parameters of %s: %s; launch not analyzed"
             k.k_name why
-      | Ok host_of ->
+      | Ok () ->
           (* [analyze_launch] binds the same arguments *)
           let absint = Option.get (Absint.analyze_launch prog l) in
           if absint.Absint.res_all_proved then col.bproved <- col.bproved + 1
@@ -270,7 +260,7 @@ let verify_launch_into col prog (l : launch) =
               "race analysis skipped: kernel has statically divergent barriers"
           end
           else begin
-            match race_verdict prog host_of absint with
+            match Absint.launch_race_verdict prog l absint with
             | Absint.Race_free _ -> col.rproved <- col.rproved + 1
             | Absint.Race_unsettled u ->
                 col.rfallback <- col.rfallback + 1;
@@ -447,6 +437,6 @@ module Internal = struct
     | exception Not_found -> None
     | k -> (
         match bind_launch prog k l with
-        | Ok host_of -> Option.map (race_verdict prog host_of) (Absint.analyze_launch prog l)
+        | Ok () -> Option.map (Absint.launch_race_verdict prog l) (Absint.analyze_launch prog l)
         | Error _ -> None)
 end

@@ -331,7 +331,7 @@ __global__ void plain(const double *A, double *B, int nx, int ny, int nz, double
                    l_args = Util.std_args dims [ "A"; "B" ] 1.0 } ];
     }
   in
-  let block, _, _ = Cg.tune_single Util.device prog (Util.launch_of prog "plain") in
+  let block, _, _, _ = Cg.tune_single Util.device prog (Util.launch_of prog "plain") in
   Alcotest.(check bool) "block unchanged" true (block = (16, 4, 1))
 
 let extra_suite =

@@ -200,33 +200,51 @@ let test_caller_owned_cache () =
   Alcotest.(check (pair int int)) "None: second transform misses too" (0, m1) (counts None)
 
 (* a launch whose domain (4,4,1) is smaller than the arrays its guard
-   reads: codegen retunes its block from (16,4,1) to (32,4,1), the
-   rounded-up grid then writes cells the source never wrote, and the
-   output check fails; under [Verify_fatal] that must raise, not return *)
-let test_fatal_output_check_raises () =
+   reads: a block of (32,4,1) would round the grid up and write cells
+   the source never wrote, so codegen keeps the source block (16,4,1) *)
+let retuned_program () =
   let dims = (32, 16, 2) in
-  let prog =
-    {
-      Kft_cuda.Ast.p_name = "retuned";
-      p_arrays = List.map (Util.arr3 dims) [ "A"; "B"; "X" ];
-      p_kernels = Kft_cuda.Parse.kernels (Util.pointwise_src ~name:"scale" ~a:"A" ~b:"B" ~dst:"X");
-      p_schedule =
-        [
-          Kft_cuda.Ast.Launch
-            {
-              l_kernel = "scale";
-              l_domain = (4, 4, 1);
-              l_block = (16, 4, 1);
-              l_args = Util.std_args dims [ "A"; "B"; "X" ] 0.5;
-            };
-        ];
-    }
-  in
+  {
+    Kft_cuda.Ast.p_name = "retuned";
+    p_arrays = List.map (Util.arr3 dims) [ "A"; "B"; "X" ];
+    p_kernels = Kft_cuda.Parse.kernels (Util.pointwise_src ~name:"scale" ~a:"A" ~b:"B" ~dst:"X");
+    p_schedule =
+      [
+        Kft_cuda.Ast.Launch
+          {
+            l_kernel = "scale";
+            l_domain = (4, 4, 1);
+            l_block = (16, 4, 1);
+            l_args = Util.std_args dims [ "A"; "B"; "X" ] 0.5;
+          };
+      ];
+  }
+
+let test_unproved_retune_refused () =
   let config = { config with filter_mode = F.No_filtering; verify_mode = F.Verify_fatal } in
-  match F.transform ~config prog with
+  let r = F.transform ~config (retuned_program ()) in
+  Alcotest.(check bool) "output verified" true (r.verified = Ok ());
+  match r.codegen.reports with
+  | [ k ] ->
+      Alcotest.(check bool) "not tuned" false k.tuned;
+      Alcotest.(check (triple int int int)) "source block kept" (16, 4, 1) k.block;
+      Alcotest.(check bool) "a note names the refused retune" true
+        (List.exists (fun n -> String.starts_with ~prefix:"kept block 16x4x1" n) k.notes)
+  | ks -> Alcotest.failf "expected one kernel, got %d" (List.length ks)
+
+(* no transform of a bundled program fails its output check, so a
+   tolerance below zero (every array differs from itself by 0 > -1)
+   makes the check fail; under [Verify_fatal] that must raise, not
+   return *)
+let test_fatal_output_check_raises () =
+  let config =
+    { config with filter_mode = F.No_filtering; verify_mode = F.Verify_fatal; verify_tolerance = -1.0 }
+  in
+  match F.transform ~config (retuned_program ()) with
   | (_ : F.report) -> Alcotest.fail "a failed output check returned a report"
   | exception F.Output_mismatch diffs ->
-      Alcotest.(check (list string)) "the differing array" [ "X" ] (List.map fst diffs)
+      Alcotest.(check (list string)) "every array, each by 0" [ "A"; "B"; "X" ] (List.map fst diffs);
+      Alcotest.(check bool) "no real difference" true (List.for_all (fun (_, d) -> d = 0.0) diffs)
 
 let suite =
   [
@@ -245,6 +263,7 @@ let suite =
       test_part_like_name_is_a_kernel;
     Alcotest.test_case "fatal verify raises on an output mismatch" `Quick
       test_fatal_output_check_raises;
+    Alcotest.test_case "an unproved block retune is refused" `Quick test_unproved_retune_refused;
   ]
 
 let test_validation_gate () =

@@ -145,6 +145,29 @@ let test_fission_disabled () =
   let r = Gga.run { small with fission_enabled = false } problem in
   Alcotest.(check int) "no fission events" 0 r.fission_events
 
+(* units a, b and c share one array and only a group of two or more led
+   by a overflows, so the greedy split of [a; b; c] grows from a through
+   every other member and leaves nothing behind: no empty group may come
+   out of it *)
+let test_greedy_split_absorbs_all () =
+  let problem =
+    {
+      (pair_problem 2) with
+      Gga.units = List.map (fun n -> unit_model n [ "S" ]) [ "a"; "b"; "c" ];
+      shared_ok =
+        (function (m : PM.unit_model) :: _ :: _ -> m.unit_name <> "a" | _ -> true);
+    }
+  in
+  let sp = Gga.Internal.space problem in
+  let id = Gga.Internal.id sp in
+  let genome = { Gga.Internal.g_groups = [ [ id "a"; id "b"; id "c" ] ]; g_fissioned = [] } in
+  let _, repaired, _ = Gga.Internal.evaluate small sp (Gga.Internal.verdicts ()) genome in
+  Alcotest.(check (list (list int))) "one group, all three units"
+    [ [ id "a"; id "b"; id "c" ] ] repaired.g_groups;
+  let r = Gga.run small problem in
+  Alcotest.(check (list string)) "the search partitions the units" [ "a"; "b"; "c" ]
+    (List.sort compare (List.concat r.best.groups))
+
 let test_history_monotone () =
   let p = pair_problem 8 in
   let r = Gga.run small p in
@@ -461,4 +484,5 @@ let suite =
     Alcotest.test_case "lazy fission triggers" `Quick test_lazy_fission_triggers;
     Alcotest.test_case "fission can be disabled" `Quick test_fission_disabled;
     Alcotest.test_case "history monotone" `Quick test_history_monotone;
+    Alcotest.test_case "greedy split absorbing every member" `Quick test_greedy_split_absorbs_all;
   ]

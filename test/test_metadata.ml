@@ -180,6 +180,86 @@ let test_memo_apps_bit_identical () =
       check_same_run (p.p_name ^ " transformed") tr (Profiler.profile Util.device t))
     apps
 
+let launches_of (p : program) =
+  List.filter_map (function Launch l -> Some l | _ -> None) p.p_schedule
+
+(* Each bundled program is transformed twice, by the automated codegen
+   and by the expert one with block tuning, and each transform profiled
+   on a cache that first profiled its source: launches codegen retuned
+   to another block replay the source's thread-box entries. Their stats
+   (field by field), memory and canonical [launch:<k>] counters must be
+   a fresh simulation's, and they must replay exactly as often as they
+   would under their source block. *)
+let test_memo_retuned_replays () =
+  let module F = Kft_framework.Framework in
+  let retuned = ref 0 in
+  List.iter
+    (fun (app : Kft_apps.Apps.app) ->
+      let p = app.program in
+      List.iter
+        (fun (label, codegen_options) ->
+          let what = p.p_name ^ "/" ^ label in
+          let config =
+            {
+              F.default_config with
+              gga_params = { Kft_gga.Gga.default_params with generations = 2; population = 6 };
+              verify_mode = F.Verify_off;
+              codegen_options;
+            }
+          in
+          let t = (F.transform ~config p).transformed in
+          let source_block (l : launch) =
+            List.find_map
+              (fun (s : launch) ->
+                if s.l_kernel = l.l_kernel && s.l_args = l.l_args && s.l_domain = l.l_domain then
+                  Some s.l_block
+                else None)
+              (launches_of p)
+          in
+          let restored =
+            {
+              t with
+              p_schedule =
+                List.map
+                  (function
+                    | Launch l -> (
+                        match source_block l with
+                        | Some b when b <> l.l_block ->
+                            incr retuned;
+                            Launch { l with l_block = b }
+                        | _ -> Launch l)
+                    | op -> op)
+                  t.p_schedule;
+            }
+          in
+          (* renamed, so that no program entry answers for it *)
+          let hits_after_source prog ?trace () =
+            let c = M.Sim_cache.create () in
+            ignore (M.profile ~cache:c Util.device p);
+            let h0, _ = memo_counts c in
+            let run = M.profile ~cache:c ?trace Util.device { prog with p_name = "probe" } in
+            (run, fst (memo_counts c) - h0)
+          in
+          let tr = Kft_trace.Trace.create "cached" and fresh_tr = Kft_trace.Trace.create "fresh" in
+          let cached, hits = hits_after_source t ~trace:tr () in
+          check_same_run what cached (Profiler.profile ~trace:fresh_tr Util.device t);
+          List.iter
+            (fun (k : kernel) ->
+              let span = "launch:" ^ k.k_name in
+              Alcotest.(check (list (pair string int)))
+                (what ^ ": " ^ span ^ " counters")
+                (Kft_trace.Trace.counters fresh_tr span)
+                (Kft_trace.Trace.counters tr span))
+            t.p_kernels;
+          Alcotest.(check int) (what ^ ": replays as under the source blocks")
+            (snd (hits_after_source restored ())) hits)
+        [
+          ("auto", Kft_codegen.Fusion.auto_options);
+          ("expert-tuned", { Kft_codegen.Fusion.manual_options with tune_blocks = true });
+        ])
+    (Kft_apps.Apps.quickstart () :: Kft_apps.Apps.all ());
+  Alcotest.(check bool) "some launch was retuned" true (!retuned > 0)
+
 (* the fuzzed program, renamed throughout: a program-level miss whose
    every launch is a memo hit *)
 let renamed (p : program) =
@@ -422,6 +502,8 @@ let suite =
     Alcotest.test_case "malformed text rejected" `Quick test_malformed_rejected;
     Alcotest.test_case "memo on/off bit-identical: apps and transforms" `Slow
       test_memo_apps_bit_identical;
+    Alcotest.test_case "memo: block-retuned launches replay like fresh runs" `Slow
+      test_memo_retuned_replays;
     QCheck_alcotest.to_alcotest prop_memo_fuzz;
     Alcotest.test_case "memo: one flipped input cell misses" `Quick test_memo_one_cell_misses;
     Alcotest.test_case "memo: k(A, A) and k(A, B) differ" `Quick test_memo_aliasing_misses;

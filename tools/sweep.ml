@@ -14,6 +14,9 @@
      warning finding on the source or the transformed program, any
      Schedule-pass diagnostic, or incomplete schedule-DDG coverage (no
      source dependence checked end to end, or an unplaced launch);
+   - replay: a transformed run (profiled through the launch memo, where
+     unchanged and block-retuned launches replay earlier entries) whose
+     stats or memory differ from a fresh simulation without a cache;
    - trace: a machine-JSON trace that is not valid JSON, or that differs
      between the two jobs-1 runs or between jobs 1 and jobs 4 (the
      canonical-channel contract of Kft_trace.Trace: sequence numbers and
@@ -65,6 +68,27 @@ let check_outcome what (rep : F.report) =
     (if rep.verified = Ok () then "verified" else "differs");
   if problems <> [] then fail problems
 
+let config =
+  {
+    F.default_config with
+    verify_mode = F.Verify_fatal;
+    gga_params = { Kft_gga.Gga.default_params with population = 12; generations = 10 };
+  }
+
+let check_replay what (rep : F.report) =
+  let module P = Kft_sim.Profiler in
+  let fresh = P.profile ~backend:config.backend ~seed:config.seed config.device rep.transformed in
+  let stats (r : P.run) = List.map (fun (p : P.kernel_profile) -> p.stats) r.profiles in
+  let ok =
+    stats fresh = stats rep.transformed_run
+    && Kft_sim.Memory.bits_equal fresh.memory rep.transformed_run.memory
+  in
+  Kft_sim.Memory.release fresh.memory;
+  line what "replay" (verdict ok) "%d memo hits, %d misses; stats and memory %s a fresh run's"
+    rep.launch_memo_stats.launch_hits rep.launch_memo_stats.launch_misses
+    (if ok then "equal" else "differ from");
+  if not ok then fail [ "the transformed run differs from a fresh simulation" ]
+
 let check_schedflow what prog =
   let sf = Sf.analyze prog in
   let findings = Sf.lint sf in
@@ -103,13 +127,6 @@ let check_traces what j1 j1' j4 =
     (String.length j1);
   if problems <> [] then fail problems
 
-let config =
-  {
-    F.default_config with
-    verify_mode = F.Verify_fatal;
-    gga_params = { Kft_gga.Gga.default_params with population = 12; generations = 10 };
-  }
-
 let transform ~jobs prog =
   let trace = Trace.create "kft-transform" in
   let rep =
@@ -127,6 +144,7 @@ let sweep (a : Apps.app) =
   let _, j4 = transform ~jobs:4 a.program in
   check_verify transformed rep.verify_report;
   check_outcome transformed rep;
+  check_replay transformed rep;
   check_schedflow transformed rep.transformed;
   check_schedule_pass transformed rep.verify_report;
   check_traces transformed j1 j1' j4
