@@ -102,7 +102,7 @@ let max_array_cells prog (graphs : Ddg.t) (inv : Ddg.invocation) =
     (Kft_graph.Digraph.preds graphs.ddg inv.inv_key
     @ Kft_graph.Digraph.succs graphs.ddg inv.inv_key)
 
-let classify_invocation mode (meta : Meta.t) prog graphs (inv : Ddg.invocation) =
+let classify_invocation config (meta : Meta.t) prog graphs (inv : Ddg.invocation) =
   let perf = Meta.find_perf meta inv.inv_kernel in
   let ops = Meta.find_ops meta inv.inv_kernel in
   let dx, dy, dz = ops.domain in
@@ -112,78 +112,66 @@ let classify_invocation mode (meta : Meta.t) prog graphs (inv : Ddg.invocation) 
     List.fold_left (fun acc (l : Meta.loop_op) -> if l.vertical then max acc l.trip else acc) 1
       ops.loops
   in
-  let args =
-    ( perf.flops,
-      perf.bytes,
-      dx * dy * dz * vertical_trip,
-      max_array_cells prog graphs inv,
-      ops.active_fraction )
-  in
-  let flops, bytes, domain_cells, max_cells, active = args in
-  match mode with
+  let device = config.device and flops = perf.flops and bytes = perf.bytes in
+  let domain_cells = dx * dy * dz * vertical_trip in
+  let max_array_cells = max_array_cells prog graphs inv in
+  let active_fraction = ops.active_fraction in
+  match config.filter_mode with
   | No_filtering -> Classify.Memory_bound
   | Automated ->
-      Classify.classify_static ~device:Kft_device.Device.k20x ~flops ~bytes ~domain_cells
-        ~max_array_cells:max_cells ~active_fraction:active
+      Classify.classify_static ~device ~flops ~bytes ~domain_cells ~max_array_cells
+        ~active_fraction
   | Manual ->
-      Classify.classify_measured ~device:Kft_device.Device.k20x ~flops ~bytes ~domain_cells
-        ~max_array_cells:max_cells ~active_fraction:active ~runtime_us:perf.runtime_us
+      Classify.classify_measured ~device ~flops ~bytes ~domain_cells ~max_array_cells
+        ~active_fraction ~runtime_us:perf.runtime_us
 
-let identify_targets config meta prog (graphs : Ddg.t) =
-  List.map
-    (fun (inv : Ddg.invocation) ->
-      let classification = classify_invocation config.filter_mode meta prog graphs inv in
-      let ops = Meta.find_ops meta inv.inv_kernel in
-      let repeated = String.contains inv.inv_key '#' in
-      let eligible, reason =
-        if repeated then (false, "repeated invocation of an already-targeted kernel")
-        else
-          match (classification, ops.irregular) with
-          | _, Some r -> (false, "irregular: " ^ r)
-          | Classify.Compute_bound, _ -> (false, "compute-bound (Roofline)")
-          | Classify.Boundary, _ -> (false, "boundary kernel (small iteration coverage)")
-          | Classify.Latency_bound, _ -> (false, "latency-bound (low achieved bandwidth)")
-          | Classify.Memory_bound, _ -> (true, "memory-bound target")
-      in
-      { invocation = inv; classification; eligible; reason })
-    graphs.invocations
+let identify config meta prog graphs (inv : Ddg.invocation) =
+  let classification = classify_invocation config meta prog graphs inv in
+  let ops = Meta.find_ops meta inv.inv_kernel in
+  let repeated = String.contains inv.inv_key '#' in
+  let eligible, reason =
+    if repeated then (false, "repeated invocation of an already-targeted kernel")
+    else
+      match (classification, ops.irregular) with
+      | _, Some r -> (false, "irregular: " ^ r)
+      | Classify.Compute_bound, _ -> (false, "compute-bound (Roofline)")
+      | Classify.Boundary, _ -> (false, "boundary kernel (small iteration coverage)")
+      | Classify.Latency_bound, _ -> (false, "latency-bound (low achieved bandwidth)")
+      | Classify.Memory_bound, _ -> (true, "memory-bound target")
+  in
+  { invocation = inv; classification; eligible; reason }
 
 (* ------------------------------------------------------------------ *)
-(* Pipeline                                                            *)
+(* Pipeline stages                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog =
-  (* stage 0: frontend validation -- a malformed program would otherwise
-     surface as a confusing simulator fault deep in stage 1 *)
-  (match Kft_cuda.Check.program prog with
-  | [] -> ()
-  | errs ->
-      invalid_arg
-        (Printf.sprintf "Framework.transform: program %s fails validation:\n%s" prog.p_name
-           (String.concat "\n" (List.map Kft_cuda.Check.pp_error errs))));
-  let device = config.device in
-  (* every simulation of this transform goes through one cache: the
-     caller's, to share it with other transforms, or a private one *)
-  let cache =
-    match config.sim_cache with Some c -> c | None -> Meta.Sim_cache.create ()
-  in
-  let backend = config.backend in
-  let cache_stats_before = Meta.Sim_cache.stats cache in
-  let memo_stats_before = Meta.Sim_cache.memo_stats cache in
-  let pool_stats_before = Kft_sim.Memory.Arenas.stats () in
-  (* stage 1: metadata (simulation runs go through the profile cache, so
-     re-transforming a program — or verifying against it later — replays
-     the stored run instead of re-simulating) *)
-  let meta, baseline =
-    Trace.with_span trace "gather" (fun () ->
-        let meta, baseline = Meta.gather ~cache ?engine ~backend ?trace ~seed:config.seed device prog in
-        Trace.add trace "kernels" (List.length meta.Meta.performance);
-        (meta, baseline))
-  in
-  let meta = hooks.amend_metadata meta in
-  (* stage 2/3: graphs + targets. One whole-schedule dataflow analysis
-     yields both the invocation DDG / OEG and the element-region schedule
-     DDG, liveness and issues reported under "schedflow". *)
+(* what every stage reads: the settings, the one simulation cache every
+   simulation of the transform goes through, the engine and the trace *)
+type env = {
+  config : config;
+  cache : Meta.Sim_cache.t;
+  engine : Kft_engine.Engine.t option;
+  trace : Trace.t option;
+}
+
+let gather_meta env ?layout prog =
+  Meta.gather ~cache:env.cache ?engine:env.engine ~backend:env.config.backend ?trace:env.trace
+    ?layout ~seed:env.config.seed env.config.device prog
+
+(* stage 1: metadata (simulation runs go through the profile cache, so
+   re-transforming a program — or verifying against it later — replays
+   the stored run instead of re-simulating) *)
+let gather env prog =
+  Trace.with_span env.trace "gather" (fun () ->
+      let meta, baseline = gather_meta env prog in
+      Trace.add env.trace "kernels" (List.length meta.Meta.performance);
+      (meta, baseline))
+
+(* stage 2/3 graphs: one whole-schedule dataflow analysis yields both the
+   invocation DDG / OEG and the element-region schedule DDG, liveness and
+   issues reported under "schedflow" *)
+let analyze env prog =
+  let trace = env.trace in
   let graphs, schedflow =
     Trace.with_span trace "ddg" (fun () ->
         let sf = Schedflow.analyze prog in
@@ -203,201 +191,181 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
       Trace.add trace "regions_proved" s.st_regions_proved;
       Trace.add trace "regions_fallback" s.st_regions_fallback;
       Trace.add trace "issues" (List.length schedflow.issues));
-  let targets, eligible =
-    Trace.with_span trace "filter" (fun () ->
-        let targets0 = identify_targets config meta prog graphs in
-        let amended =
-          hooks.amend_targets
-            (List.map (fun t -> (t.invocation.inv_key, t.eligible)) targets0)
-        in
-        let targets =
-          List.map
-            (fun t ->
-              match List.assoc_opt t.invocation.inv_key amended with
-              | Some e when e <> t.eligible ->
-                  { t with eligible = e; reason = t.reason ^ " (amended by programmer)" }
-              | _ -> t)
-            targets0
-        in
-        let eligible = List.filter (fun t -> t.eligible) targets in
-        Trace.add trace "invocations" (List.length targets);
-        Trace.add trace "targets" (List.length eligible);
-        (targets, eligible))
-  in
-  (* lazy-fission pre-step: plans + one profiled run of the fully
-     fissioned variant to collect part metadata (Section 4.1) *)
-  let fission_plans, fissioned_flow, meta_fissioned =
-    Trace.with_span trace "fission" (fun () ->
-        let fission_plans =
-          if not config.gga_params.fission_enabled then []
-          else
-            List.filter_map
-              (fun t ->
-                let k = find_kernel prog t.invocation.inv_kernel in
-                Option.map (fun p -> (k.k_name, p)) (Fission.plan ~seed:config.seed k))
-              eligible
-        in
-        let fissioned_flow =
-          if fission_plans = [] then None
-          else Some (Schedflow.analyze (Fission.apply_to_program ~plans:fission_plans prog))
-        in
-        let meta_fissioned =
-          Option.map
-            (fun (sf : Schedflow.t) ->
-              (* only the metadata survives this pre-step, so the run
-                 qualifies for the liveness-driven arena overlay: arrays
-                 whose live intervals never overlap share storage, and
-                 the discarded arena is smaller. Stats and timings are
-                 bit-identical either way (see [Memory.layout]). *)
-              let layout = Schedflow.arena_layout sf in
-              let m, grun =
-                Meta.gather ~cache ?engine ~backend ?trace ?layout ~seed:config.seed device
-                  sf.program
-              in
-              (* the profiled run's memory is dead: take it off the live
-                 count *)
-              Kft_sim.Memory.release grun.Kft_sim.Profiler.memory;
-              m)
-            fissioned_flow
-        in
-        Trace.add trace "plans" (List.length fission_plans);
-        (fission_plans, fissioned_flow, meta_fissioned))
-  in
-  (* canonical-member cache for codegen-level feasibility *)
-  let member_cache : (string, (Canonical.member, string) Stdlib.result) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let cache_member source_prog (invocations : Ddg.invocation list) key =
-    if not (Hashtbl.mem member_cache key) then begin
-      let r =
-        match
-          Canonical.extract ~deep:config.codegen_options.deep_nest_strategy ~index:0 source_prog
-            (List.find (fun (i : Ddg.invocation) -> i.inv_key = key) invocations).inv_launch
-        with
-        | m -> Ok m
-        | exception Canonical.Not_canonical reason -> Error reason
-        | exception Not_found -> Error "launch not found"
+  (graphs, schedflow)
+
+(* stage 2 targets: classification, then the programmer's amendments *)
+let filter env hooks meta prog (graphs : Ddg.t) =
+  Trace.with_span env.trace "filter" (fun () ->
+      let targets0 = List.map (identify env.config meta prog graphs) graphs.invocations in
+      let amended =
+        hooks.amend_targets (List.map (fun t -> (t.invocation.inv_key, t.eligible)) targets0)
       in
-      Hashtbl.replace member_cache key r
-    end
+      let targets =
+        List.map
+          (fun t ->
+            match List.assoc_opt t.invocation.inv_key amended with
+            | Some e when e <> t.eligible ->
+                { t with eligible = e; reason = t.reason ^ " (amended by programmer)" }
+            | _ -> t)
+          targets0
+      in
+      let eligible = List.filter (fun t -> t.eligible) targets in
+      Trace.add env.trace "invocations" (List.length targets);
+      Trace.add env.trace "targets" (List.length eligible);
+      (targets, eligible))
+
+(* lazy-fission pre-step: plans + one profiled run of the fully
+   fissioned variant to collect part metadata (Section 4.1). A plan
+   whose part names are already kernel names of the program is dropped:
+   its parts and those kernels would be one unit. *)
+let fission env prog eligible =
+  Trace.with_span env.trace "fission" (fun () ->
+      let taken (part : Fission.part) =
+        List.exists (fun k -> k.k_name = part.part_kernel.k_name) prog.p_kernels
+      in
+      let plans =
+        if not env.config.gga_params.fission_enabled then []
+        else
+          List.filter_map
+            (fun t ->
+              let k = find_kernel prog t.invocation.inv_kernel in
+              match Fission.plan ~seed:env.config.seed k with
+              | Some p when not (List.exists taken p.parts) -> Some (k.k_name, p)
+              | _ -> None)
+            eligible
+      in
+      let fissioned =
+        if plans = [] then None
+        else begin
+          let sf = Schedflow.analyze (Fission.apply_to_program ~plans prog) in
+          (* only the metadata survives this pre-step, so the run
+             qualifies for the liveness-driven arena overlay: arrays
+             whose live intervals never overlap share storage, and the
+             discarded arena is smaller. Stats and timings are
+             bit-identical either way (see [Memory.layout]). *)
+          let m, grun = gather_meta env ?layout:(Schedflow.arena_layout sf) sf.program in
+          (* the profiled run's memory is dead: take it off the live count *)
+          Kft_sim.Memory.release grun.Kft_sim.Profiler.memory;
+          Some (sf, m)
+        end
+      in
+      Trace.add env.trace "plans" (List.length plans);
+      (plans, fissioned))
+
+(* A search unit is a source invocation or a fission part. *)
+type unit_row = {
+  u_name : string;  (* invocation key, or the part's kernel name *)
+  u_original : int;  (* the invocation the unit is, or whose plan made the part *)
+  u_member : (Canonical.member, string) Stdlib.result option;
+      (* canonical form, for codegen-level feasibility; targets and parts only *)
+  u_model : Perfmodel.unit_model option;  (* targets and parts only *)
+  u_arrays : string list;  (* host arrays a part touches; [] for an invocation *)
+}
+
+(* every unit once, by dense id: invocation [i] is unit [i], the parts
+   follow in plan order. A unit's schedule position is (its original
+   invocation, its id): a part sits right after the invocation it
+   splits. [ids] is the only map from unit names. *)
+type units = {
+  rows : unit_row array;
+  ids : (string, int) Hashtbl.t;
+  parts : int list array;  (* per invocation, its parts; [] without a plan *)
+}
+
+let unit_table env meta prog targets plans fissioned =
+  let extract prog launch =
+    match
+      Canonical.extract ~deep:env.config.codegen_options.deep_nest_strategy ~index:0 prog launch
+    with
+    | m -> Ok m
+    | exception Canonical.Not_canonical reason -> Error reason
   in
-  List.iter (fun t -> cache_member prog graphs.invocations t.invocation.inv_key) eligible;
-  Option.iter
-    (fun (sf : Schedflow.t) ->
-      let invocations = Ddg.invocations sf.program in
-      List.iter
-        (fun (_, (plan : Fission.plan)) ->
-          List.iter
-            (fun (part : Fission.part) ->
-              cache_member sf.program invocations part.part_kernel.k_name)
-            plan.parts)
-        fission_plans)
-    fissioned_flow;
-  (* schedule position of each unit (fission parts take their position in
-     the fully-fissioned schedule); groups coming out of the GGA are
-     unordered, while fusion feasibility and codegen are order-sensitive *)
-  let unit_pos : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (inv : Ddg.invocation) -> Hashtbl.replace unit_pos inv.inv_key (inv.inv_index * 1000))
-    graphs.invocations;
-  List.iter
-    (fun (orig, (plan : Fission.plan)) ->
-      match Hashtbl.find_opt unit_pos orig with
-      | None -> ()
-      | Some base ->
-          List.iteri
-            (fun i (part : Fission.part) ->
-              Hashtbl.replace unit_pos part.part_kernel.k_name (base + i + 1))
-            plan.parts)
-    fission_plans;
-  let schedule_sort names =
-    List.sort
-      (fun a b ->
-        compare
-          (Option.value ~default:max_int (Hashtbl.find_opt unit_pos a))
-          (Option.value ~default:max_int (Hashtbl.find_opt unit_pos b)))
-      names
+  let invocation_row { invocation = inv; eligible; _ } =
+    {
+      u_name = inv.inv_key;
+      u_original = inv.inv_index;
+      u_member = (if eligible then Some (extract prog inv.inv_launch) else None);
+      u_model = (if eligible then Some (Perfmodel.of_metadata meta inv.inv_kernel) else None);
+      u_arrays = [];
+    }
   in
+  let part_rows { invocation = inv; _ } =
+    match (List.assoc_opt inv.inv_key plans, fissioned) with
+    | Some (plan : Fission.plan), Some ((sf : Schedflow.t), mf) ->
+        List.map
+          (fun ((part : Fission.part), launch) ->
+            let member = extract sf.program launch in
+            {
+              u_name = part.part_kernel.k_name;
+              u_original = inv.inv_index;
+              u_member = Some member;
+              u_model = Some (Perfmodel.of_metadata mf part.part_kernel.k_name);
+              u_arrays =
+                (match member with
+                | Ok m -> Canonical.touched_arrays m
+                | Error _ -> part.part_arrays);
+            })
+          (List.combine plan.parts (Fission.split_launch plan.original plan inv.inv_launch))
+    | _ -> []
+  in
+  let rows = Array.of_list (List.map invocation_row targets @ List.concat_map part_rows targets) in
+  let n_inv = List.length targets in
+  let ids = Hashtbl.create (Array.length rows) in
+  Array.iteri (fun u r -> Hashtbl.replace ids r.u_name u) rows;
+  let parts = Array.make n_inv [] in
+  for u = Array.length rows - 1 downto n_inv do
+    let i = rows.(u).u_original in
+    parts.(i) <- u :: parts.(i)
+  done;
+  { rows; ids; parts }
+
+(* stage 4: the GGA over the unit table's targets and parts; returns
+   the search result and its best solution (the targets as singletons
+   when there was nothing to search) *)
+let search env (graphs : Ddg.t) units =
+  let find name = Hashtbl.find_opt units.ids name in
+  let row u = units.rows.(u) in
   (* one fusion plan per distinct set of units the search asks about;
-     the search runs in this domain, so the cache needs no lock *)
-  let group_plan_cache : (string, (Fusion.plan, string) Stdlib.result) Hashtbl.t =
+     the search runs in this domain, so the cache needs no lock. Groups
+     coming out of the GGA are unordered, while fusion feasibility and
+     codegen are order-sensitive: members go in schedule order. *)
+  let plan_cache : (string, (Fusion.plan, string) Stdlib.result) Hashtbl.t =
     Hashtbl.create 256
   in
   let group_plan names =
-    let names = schedule_sort names in
-    let key = String.concat "|" names in
-    match Hashtbl.find_opt group_plan_cache key with
+    let pos = function Some u -> ((row u).u_original, u) | None -> (max_int, max_int) in
+    let members =
+      List.sort
+        (fun (_, a) (_, b) -> compare (pos a) (pos b))
+        (List.map (fun n -> (n, find n)) names)
+    in
+    let key = String.concat "|" (List.map fst members) in
+    match Hashtbl.find_opt plan_cache key with
     | Some r -> r
     | None ->
-        let r =
-          let members =
-            List.fold_left
-              (fun acc name ->
-                match acc with
-                | Error _ -> acc
-                | Ok ms -> (
-                    match Hashtbl.find_opt member_cache name with
-                    | Some (Ok m) -> Ok (m :: ms)
-                    | Some (Error e) -> Error e
-                    | None -> Error ("no canonical form cached for " ^ name)))
-              (Ok []) names
-          in
-          match members with
-          | Error e -> Error e
-          | Ok ms ->
-              let ms = List.rev ms in
-              Fusion.check_group (List.mapi (fun i (m : Canonical.member) -> { m with m_index = i }) ms)
+        let rec check acc = function
+          | [] ->
+              Fusion.check_group
+                (List.mapi (fun i (m : Canonical.member) -> { m with m_index = i }) (List.rev acc))
+          | (name, u) :: rest -> (
+              match Option.bind u (fun u -> (row u).u_member) with
+              | Some (Ok m) -> check (m :: acc) rest
+              | Some (Error e) -> Error e
+              | None -> Error ("no canonical form cached for " ^ name))
         in
-        Hashtbl.replace group_plan_cache key r;
+        let r = check [] members in
+        Hashtbl.replace plan_cache key r;
         r
   in
-  (* stage 4: GGA *)
-  (* a fission part collapses back to the kernel its plan split, for OEG
-     feasibility; every other name is a source kernel *)
-  let original_of =
-    let parts = Hashtbl.create 16 in
-    List.iter
-      (fun (orig, (plan : Fission.plan)) ->
-        List.iter
-          (fun (part : Fission.part) -> Hashtbl.replace parts part.part_kernel.k_name orig)
-          plan.parts)
-      fission_plans;
-    fun name -> Option.value (Hashtbl.find_opt parts name) ~default:name
+  (* OEG feasibility sees a fission part as the kernel its plan split *)
+  let original name =
+    match find name with Some u -> (row (row u).u_original).u_name | None -> name
   in
-  let units =
-    List.map (fun t -> Perfmodel.of_metadata meta t.invocation.inv_kernel) eligible
-  in
-  let fission_parts =
-    match meta_fissioned with
-    | None -> []
-    | Some mf ->
-        List.map
-          (fun (orig, (plan : Fission.plan)) ->
-            ( orig,
-              List.map
-                (fun (part : Fission.part) -> Perfmodel.of_metadata mf part.part_kernel.k_name)
-                plan.parts ))
-          fission_plans
-  in
-  let part_arrays =
-    List.concat_map
-      (fun (_, (plan : Fission.plan)) ->
-        List.map
-          (fun (part : Fission.part) ->
-            ( part.part_kernel.k_name,
-              match Hashtbl.find_opt member_cache part.part_kernel.k_name with
-              | Some (Ok m) -> Canonical.touched_arrays m
-              | _ -> part.part_arrays ))
-          plan.parts)
-      fission_plans
-  in
-  let feasible names =
-    match names with
+  let feasible = function
     | [] | [ _ ] -> true
-    | _ ->
-        let collapsed = List.sort_uniq compare (List.map original_of names) in
-        Ddg.fusion_feasible graphs collapsed
-        && (match group_plan names with Ok _ -> true | Error _ -> false)
+    | names ->
+        Ddg.fusion_feasible graphs (List.sort_uniq compare (List.map original names))
+        && Result.is_ok (group_plan names)
   in
   let shared_ok models =
     match models with
@@ -407,48 +375,25 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
         match group_plan names with
         | Ok plan ->
             let bx, by, _ = first.block in
-            plan.p_shared_bytes bx by <= device.shared_mem_per_block
+            plan.p_shared_bytes bx by <= env.config.device.shared_mem_per_block
         | Error _ -> true)
   in
   (* joint schedulability: expand OEG edges over the units actually
      present in a solution (parts replace their fissioned original),
-     contract all groups at once and check acyclicity. Every unit name
-     gets an integer id up front; a query then only labels units with
-     group ids and runs Kahn over int arrays. *)
-  let unit_id : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  let id_of name =
-    match Hashtbl.find_opt unit_id name with
-    | Some u -> u
-    | None ->
-        let u = Hashtbl.length unit_id in
-        Hashtbl.replace unit_id name u;
-        u
-  in
-  (* invocation [i] is unit [i]; fission parts follow *)
-  List.iter (fun (inv : Ddg.invocation) -> ignore (id_of inv.inv_key)) graphs.invocations;
-  let n_inv = Hashtbl.length unit_id in
-  let part_units =
-    Array.of_list
-      (List.map
-         (fun (inv : Ddg.invocation) ->
-           Option.map
-             (fun (plan : Fission.plan) ->
-               List.map (fun (p : Fission.part) -> id_of p.part_kernel.k_name) plan.parts)
-             (List.assoc_opt inv.inv_key fission_plans))
-         graphs.invocations)
-  in
-  let n_units = Hashtbl.length unit_id in
+     contract all groups at once and check acyclicity. A query only
+     labels unit ids with group ids and runs Kahn over int arrays. *)
+  let n_inv = Array.length units.parts and n_units = Array.length units.rows in
   let oeg_edges =
     List.map
-      (fun (a, b) -> (Hashtbl.find unit_id a, Hashtbl.find unit_id b))
+      (fun (a, b) -> (Hashtbl.find units.ids a, Hashtbl.find units.ids b))
       (Kft_graph.Digraph.edges graphs.oeg)
   in
   let solution_feasible ~groups ~fissioned =
-    let units = Array.init n_inv (fun i -> [ i ]) in
+    let present = Array.init n_inv (fun i -> [ i ]) in
     List.iter
       (fun k ->
-        match Hashtbl.find_opt unit_id k with
-        | Some i when i < n_inv -> Option.iter (fun parts -> units.(i) <- parts) part_units.(i)
+        match find k with
+        | Some i when i < n_inv && units.parts.(i) <> [] -> present.(i) <- units.parts.(i)
         | _ -> ())
       fissioned;
     (* quotient node of each unit: its group's index, or a singleton id
@@ -456,14 +401,11 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
     let n_groups = List.length groups in
     let gid = Array.init n_units (fun u -> n_groups + u) in
     List.iteri
-      (fun g group ->
-        List.iter
-          (fun name -> Option.iter (fun u -> gid.(u) <- g) (Hashtbl.find_opt unit_id name))
-          group)
+      (fun g group -> List.iter (fun n -> Option.iter (fun u -> gid.(u) <- g) (find n)) group)
       groups;
     let n = n_groups + n_units in
-    let present = Array.make n false and indeg = Array.make n 0 and succs = Array.make n [] in
-    Array.iter (List.iter (fun u -> present.(gid.(u)) <- true)) units;
+    let live = Array.make n false and indeg = Array.make n 0 and succs = Array.make n [] in
+    Array.iter (List.iter (fun u -> live.(gid.(u)) <- true)) present;
     List.iter
       (fun (a, b) ->
         List.iter
@@ -475,10 +417,10 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
                   succs.(ga) <- gb :: succs.(ga);
                   indeg.(gb) <- indeg.(gb) + 1
                 end)
-              units.(b))
-          units.(a))
+              present.(b))
+          present.(a))
       oeg_edges;
-    (* Kahn: the quotient is acyclic iff every present node gets emitted *)
+    (* Kahn: the quotient is acyclic iff every live node gets emitted *)
     let ready = Stack.create () and remaining = ref 0 in
     Array.iteri
       (fun q p ->
@@ -486,7 +428,7 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
           incr remaining;
           if indeg.(q) = 0 then Stack.push q ready
         end)
-      present;
+      live;
     while not (Stack.is_empty ready) do
       decr remaining;
       List.iter
@@ -497,97 +439,109 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
     done;
     !remaining = 0
   in
+  let targets =
+    List.filter_map (fun r -> r.u_model) (Array.to_list (Array.sub units.rows 0 n_inv))
+  in
   let problem =
     {
-      Gga.units;
-      fission_parts;
-      part_arrays;
+      Gga.units = targets;
+      fission_parts =
+        List.filter_map
+          (fun i ->
+            match units.parts.(i) with
+            | [] -> None
+            | ps -> Some ((row i).u_name, List.filter_map (fun p -> (row p).u_model) ps))
+          (List.init n_inv Fun.id);
+      part_arrays =
+        List.init (n_units - n_inv) (fun p ->
+            let r = row (n_inv + p) in
+            (r.u_name, r.u_arrays));
       feasible;
       solution_feasible;
-      eval_group = Perfmodel.eval_group device;
+      eval_group = Perfmodel.eval_group env.config.device;
       shared_ok;
     }
   in
-  let gga_result =
-    Trace.with_span trace "search" (fun () ->
-        let r =
-          if List.length units >= 2 then Some (Gga.run ?engine ?trace config.gga_params problem)
-          else None
-        in
-        Trace.add trace "units" (List.length units);
-        (match r with
-        | Some g ->
-            let es = g.Gga.engine_stats in
-            Trace.add trace "memo_requested" es.Gga.es_requested;
-            Trace.add trace "memo_computed" es.Gga.es_computed;
-            Trace.set trace "memo" (Trace.Bool es.Gga.es_memo);
-            Trace.note trace "jobs" (Trace.Int es.Gga.es_jobs);
-            Trace.note trace "search_wall_s" (Trace.Float es.Gga.es_search_wall_s)
-        | None -> ());
-        Trace.add trace "plan_cache_entries" (Hashtbl.length group_plan_cache);
-        r)
-  in
-  let solution_groups =
-    match gga_result with
-    | Some r -> r.best.groups
-    | None -> List.map (fun (m : Perfmodel.unit_model) -> [ m.unit_name ]) units
-  in
-  let solution_groups = hooks.amend_solution solution_groups in
-  let fissioned =
-    match gga_result with Some r -> r.best.fissioned | None -> []
-  in
-  (* stage 5: apply fission, order groups, generate code *)
-  let chosen_plans = List.filter (fun (k, _) -> List.mem k fissioned) fission_plans in
-  let flow', graphs' =
-    match (chosen_plans, fissioned_flow) with
+  let trace = env.trace in
+  Trace.with_span trace "search" (fun () ->
+      let r =
+        if List.length targets >= 2 then
+          Some (Gga.run ?engine:env.engine ?trace env.config.gga_params problem)
+        else None
+      in
+      Trace.add trace "units" (List.length targets);
+      (match r with
+      | Some g ->
+          let es = g.Gga.engine_stats in
+          Trace.add trace "memo_requested" es.Gga.es_requested;
+          Trace.add trace "memo_computed" es.Gga.es_computed;
+          Trace.set trace "memo" (Trace.Bool es.Gga.es_memo);
+          Trace.note trace "jobs" (Trace.Int es.Gga.es_jobs);
+          Trace.note trace "search_wall_s" (Trace.Float es.Gga.es_search_wall_s)
+      | None -> ());
+      Trace.add trace "plan_cache_entries" (Hashtbl.length plan_cache);
+      match r with
+      | Some g -> (r, g.best.groups, g.best.fissioned)
+      | None -> (r, List.map (fun (m : Perfmodel.unit_model) -> [ m.unit_name ]) targets, []))
+
+(* stage 5a: apply the chosen fission and order the groups; returns the
+   post-fission schedule analysis and the groups' launches in an order
+   that respects the OEG *)
+let schedule prog schedflow graphs plans fissioned units ~groups ~chosen =
+  let chosen_plans = List.filter (fun (k, _) -> List.mem k chosen) plans in
+  let flow, graphs =
+    match (chosen_plans, fissioned) with
     | [], _ -> (schedflow, graphs)
-    | _, Some sf when List.length chosen_plans = List.length fission_plans ->
+    | _, Some (sf, _) when List.length chosen_plans = List.length plans ->
         (* every plan chosen: the fully fissioned pre-run program *)
         (sf, Ddg.of_schedflow sf)
     | _ ->
         let sf = Schedflow.analyze (Fission.apply_to_program ~plans:chosen_plans prog) in
         (sf, Ddg.of_schedflow sf)
   in
-  let prog' = flow'.program in
-  let gid_of : (string, string) Hashtbl.t = Hashtbl.create 64 in
+  let group = Array.make (Array.length units.rows) (-1) in
   List.iteri
-    (fun i group -> List.iter (fun u -> Hashtbl.replace gid_of u (Printf.sprintf "g%d" i)) group)
-    solution_groups;
+    (fun g names ->
+      List.iter
+        (fun n -> Option.iter (fun u -> group.(u) <- g) (Hashtbl.find_opt units.ids n))
+        names)
+    groups;
   let group_of key =
-    match Hashtbl.find_opt gid_of key with Some g -> g | None -> "solo:" ^ key
+    match Hashtbl.find_opt units.ids key with
+    | Some u when group.(u) >= 0 -> "g" ^ string_of_int group.(u)
+    | _ -> "solo:" ^ key
   in
-  let quotient = Kft_graph.Digraph.quotient graphs'.oeg ~group_of:(fun k -> group_of k) in
-  let ordered_gids =
-    match Kft_graph.Digraph.topo_sort quotient with
+  let ordered =
+    match Kft_graph.Digraph.topo_sort (Kft_graph.Digraph.quotient graphs.Ddg.oeg ~group_of) with
     | order -> order
     | exception Kft_graph.Digraph.Cycle _ ->
         (* an infeasible grouping slipped through (penalized but still the
            best found, or forced by a programmer amendment): break every
            group up and run the original schedule *)
-        Hashtbl.reset gid_of;
-        List.map
-          (fun (inv : Ddg.invocation) ->
-            Hashtbl.replace gid_of inv.inv_key ("solo:" ^ inv.inv_key);
-            "solo:" ^ inv.inv_key)
-          graphs'.invocations
+        Array.fill group 0 (Array.length group) (-1);
+        List.map (fun (inv : Ddg.invocation) -> "solo:" ^ inv.inv_key) graphs.invocations
   in
-  let launches_of_gid gid =
+  let launches gid =
     List.filter_map
       (fun (inv : Ddg.invocation) ->
         if group_of inv.inv_key = gid then Some inv.inv_launch else None)
-      graphs'.invocations
+      graphs.invocations
   in
-  let groups = List.map launches_of_gid ordered_gids |> List.filter (fun g -> g <> []) in
-  (* post-codegen verification gate: passes 1-3 of [Kft_verify] over every
-     emitted kernel plus translation validation of each fused group
-     against the (post-fission) source program. Advisory mode records the
-     report; fatal mode additionally rejects any fused kernel carrying a
-     diagnostic -- its group is split back into singletons and code
-     generation re-runs, mirroring the codegen's own fallback for
-     infeasible groups. *)
+  (flow, List.filter (fun g -> g <> []) (List.map launches ordered))
+
+(* stage 5b: code generation plus the post-codegen verification gate:
+   passes 1-3 of [Kft_verify] over every emitted kernel plus translation
+   validation of each fused group against the (post-fission) source
+   program. Advisory mode records the report; fatal mode additionally
+   rejects any fused kernel carrying a diagnostic -- its group is split
+   back into singletons and code generation re-runs, mirroring the
+   codegen's own fallback for infeasible groups. *)
+let generate env (source_flow : Schedflow.t) groups =
+  let config = env.config and trace = env.trace in
+  let source = source_flow.program in
   let codegen_run groups =
     Trace.with_span trace "codegen" (fun () ->
-        let cg = Codegen.transform ~options:config.codegen_options device prog' ~groups in
+        let cg = Codegen.transform ~options:config.codegen_options config.device source ~groups in
         Trace.add trace "kernels" (List.length cg.Codegen.reports);
         Trace.add trace "fused"
           (List.length
@@ -605,8 +559,7 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
           | Verify_off -> (Verify.empty_report, None)
           | Verify_advisory | Verify_fatal ->
               let flow = Schedflow.analyze cg.program in
-              ( Verify.validate ~options:config.codegen_options ~source_flow:flow' ~flow
-                  ~source:prog' cg,
+              ( Verify.validate ~options:config.codegen_options ~source_flow ~flow ~source cg,
                 Some flow )
         in
         List.iter (fun (p, n) -> Trace.add trace p n) (Verify.pass_counts vr);
@@ -619,95 +572,99 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
         Trace.add trace "sched_fallback" vr.Verify.stats.sched_fallback;
         (vr, flow))
   in
-  let codegen0 = codegen_run groups in
-  let rec gate attempts groups (cg : Codegen.result) ((vr : Verify.report), flow) rejected =
-    if config.verify_mode <> Verify_fatal || Verify.is_clean vr || attempts <= 0 then
-      (cg, vr, flow, rejected)
-    else begin
-      let flagged_kernels =
-        List.sort_uniq compare (List.map (fun (d : Verify.diagnostic) -> d.d_kernel) vr.diagnostics)
-      in
-      let flagged_reports =
+  (* each round generates and validates; fatal mode splits the flagged
+     fused groups and goes again, at most four times *)
+  let rec gate attempts groups rejected =
+    let cg = codegen_run groups in
+    let vr, flow = validate cg in
+    let flagged =
+      if config.verify_mode <> Verify_fatal || Verify.is_clean vr || attempts <= 0 then []
+      else
+        let kernels = List.map (fun (d : Verify.diagnostic) -> d.d_kernel) vr.diagnostics in
         List.filter
           (fun (r : Codegen.kernel_report) ->
-            r.fusion_kind <> `None && List.mem r.new_kernel flagged_kernels)
+            r.fusion_kind <> `None && List.mem r.new_kernel kernels)
           cg.reports
+    in
+    (* no flagged fused kernel: the defects, if any, are not attributable
+       to fusion (they would have to come from the source kernels
+       themselves), so unfusing further cannot help *)
+    if flagged = [] then (cg, vr, flow, rejected)
+    else
+      let members = List.concat_map (fun (r : Codegen.kernel_report) -> r.members) flagged in
+      let split g =
+        if List.exists (fun (l : launch) -> List.mem l.l_kernel members) g then
+          List.map (fun l -> [ l ]) g
+        else [ g ]
       in
-      if flagged_reports = [] then
-        (* the defects are not attributable to fusion (they would have to
-           come from the source kernels themselves); unfusing further
-           cannot help *)
-        (cg, vr, flow, rejected)
-      else begin
-        let flagged_members =
-          List.concat_map (fun (r : Codegen.kernel_report) -> r.members) flagged_reports
-        in
-        let groups' =
-          List.concat_map
-            (fun g ->
-              if List.exists (fun (l : launch) -> List.mem l.l_kernel flagged_members) g
-              then List.map (fun l -> [ l ]) g
-              else [ g ])
-            groups
-        in
-        let rejected' =
-          rejected
-          @ List.map
-              (fun (r : Codegen.kernel_report) ->
-                ( r.new_kernel,
-                  Printf.sprintf "verification rejected the fused group [%s]"
-                    (String.concat "," r.members) ))
-              flagged_reports
-        in
-        let cg' = codegen_run groups' in
-        gate (attempts - 1) groups' cg' (validate cg') rejected'
-      end
-    end
+      gate (attempts - 1) (List.concat_map split groups)
+        (rejected
+        @ List.map
+            (fun (r : Codegen.kernel_report) ->
+              ( r.new_kernel,
+                Printf.sprintf "verification rejected the fused group [%s]"
+                  (String.concat "," r.members) ))
+            flagged)
   in
-  let codegen, verify_report, transformed_flow, rejected_groups =
-    gate 4 groups codegen0 (validate codegen0) []
+  gate 4 groups []
+
+(* stage 5c: profile the emitted program and check its output against
+   the source run. The comparison uses the two runs already held: arrays
+   whose final content ids match are equal without a comparison. *)
+let check_output env prog baseline transformed =
+  let config = env.config in
+  let run =
+    Trace.with_span env.trace "profile-transformed" (fun () ->
+        Meta.profile ~cache:env.cache ?engine:env.engine ~backend:config.backend ?trace:env.trace
+          ~seed:config.seed config.device transformed)
   in
-  let transformed = codegen.program in
-  let transformed_run =
-    Trace.with_span trace "profile-transformed" (fun () ->
-        Meta.profile ~cache ?engine ~backend ?trace ~seed:config.seed device transformed)
-  in
-  (* output verification compares the two runs already held: arrays
-     whose final content ids match are equal without a comparison *)
   let verified =
-    Trace.with_span trace "output-verify" (fun () ->
-        Meta.compare_outputs ~cache ~seed:config.seed ~tol:config.verify_tolerance device
-          ~original:(prog, baseline) ~transformed:(transformed, transformed_run))
+    Trace.with_span env.trace "output-verify" (fun () ->
+        Meta.compare_outputs ~cache:env.cache ~seed:config.seed ~tol:config.verify_tolerance
+          config.device ~original:(prog, baseline) ~transformed:(transformed, run))
   in
   (match (config.verify_mode, verified) with
   | Verify_fatal, Error diffs -> raise (Output_mismatch diffs)
   | _ -> ());
-  (* lint the emitted program; the measured per-kernel traffic from the
-     profile run feeds the footprint-drift cross-check *)
-  let lint_findings =
-    let measured = Kft_sim.Profiler.traffic_by_kernel transformed_run in
-    Trace.with_span trace "lint" (fun () ->
-        let fs = Kft_absint.Lint.program ~measured transformed in
-        (* schedule-level rules (dead-array / redundant-copy /
-           transient-global) join the per-kernel findings in the same
-           normalized order *)
-        let sched_fs =
-          match transformed_flow with
-          | Some sf -> Schedflow.lint sf
-          | None -> Schedflow.lint_program transformed
-        in
-        let fs = Kft_absint.Lint.normalize (fs @ sched_fs) in
-        List.iter (fun (rule, n) -> Trace.add trace rule n) (Kft_absint.Lint.rule_counts fs);
-        Trace.add trace "warnings" (Kft_absint.Lint.warnings fs);
-        Trace.add trace "infos" (Kft_absint.Lint.infos fs);
-        fs)
-  in
+  (run, verified)
+
+(* lint the emitted program; the measured per-kernel traffic from the
+   profile run feeds the footprint-drift cross-check *)
+let lint env transformed transformed_run transformed_flow =
+  let trace = env.trace in
+  let measured = Kft_sim.Profiler.traffic_by_kernel transformed_run in
+  Trace.with_span trace "lint" (fun () ->
+      let fs = Kft_absint.Lint.program ~measured transformed in
+      (* schedule-level rules (dead-array / redundant-copy /
+         transient-global) join the per-kernel findings in the same
+         normalized order *)
+      let sched_fs =
+        match transformed_flow with
+        | Some sf -> Schedflow.lint sf
+        | None -> Schedflow.lint_program transformed
+      in
+      let fs = Kft_absint.Lint.normalize (fs @ sched_fs) in
+      List.iter (fun (rule, n) -> Trace.add trace rule n) (Kft_absint.Lint.rule_counts fs);
+      Trace.add trace "warnings" (Kft_absint.Lint.warnings fs);
+      Trace.add trace "infos" (Kft_absint.Lint.infos fs);
+      fs)
+
+let counters env =
+  ( Meta.Sim_cache.stats env.cache,
+    Meta.Sim_cache.memo_stats env.cache,
+    Kft_sim.Memory.Arenas.stats () )
+
+(* the cache, launch-memo and arena counters this transform moved, from
+   the [counters] taken before it ran, recorded on the root span *)
+let account env
+    ((s0 : Kft_engine.Engine.Cache.stats), (m0 : Meta.Sim_cache.memo_stats),
+     (p0 : Kft_sim.Memory.Arenas.stats)) =
+  let trace = env.trace in
+  let s1, m1, p1 = counters env in
   let sim_cache_stats =
-    let s1 = Meta.Sim_cache.stats cache and s0 = cache_stats_before in
     { s1 with Kft_engine.Engine.Cache.hits = s1.hits - s0.hits; misses = s1.misses - s0.misses }
   in
   let launch_memo_stats =
-    let m1 = Meta.Sim_cache.memo_stats cache and m0 = memo_stats_before in
     {
       m1 with
       Meta.Sim_cache.launch_hits = m1.launch_hits - m0.launch_hits;
@@ -722,24 +679,22 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
   Trace.add trace "launch_memo_misses" launch_memo_stats.launch_misses;
   Trace.note trace "hashed_cells" (Trace.Int launch_memo_stats.hashed_cells);
   Trace.note trace "intern_s" (Trace.Float launch_memo_stats.intern_s);
-  (* arena accounting for this run. Requests and cells are a pure
-     function of the simulation call sequence, so they live in the
-     canonical (byte-stable) channel; the high-water mark is process-wide
-     and counts earlier runs' unreleased memories, so it goes to the
-     note side channel like the scheduler counters below. *)
+  (* requests and cells are a pure function of the simulation call
+     sequence, so they live in the canonical (byte-stable) channel; the
+     high-water mark is process-wide and counts earlier runs' unreleased
+     memories, so it goes to the note side channel like the scheduler
+     counters below *)
   let pool_stats =
-    let s1 = Kft_sim.Memory.Arenas.stats () in
-    let s0 = pool_stats_before in
     {
-      s1 with
-      Kft_sim.Memory.Arenas.requests = s1.requests - s0.requests;
-      cells_requested = s1.cells_requested - s0.cells_requested;
+      p1 with
+      Kft_sim.Memory.Arenas.requests = p1.requests - p0.requests;
+      cells_requested = p1.cells_requested - p0.cells_requested;
     }
   in
-  Trace.add trace "pool_requests" pool_stats.Kft_sim.Memory.Arenas.requests;
+  Trace.add trace "pool_requests" pool_stats.requests;
   Trace.add trace "pool_cells" pool_stats.cells_requested;
   Trace.note trace "pool_high_water" (Trace.Int pool_stats.high_water);
-  (match engine with
+  (match env.engine with
   | Some e ->
       let ps = Kft_engine.Engine.pool_stats e in
       Trace.note trace "jobs" (Trace.Int ps.Kft_engine.Engine.Pool.st_jobs);
@@ -752,6 +707,45 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
            (String.concat ","
               (List.map string_of_int ps.Kft_engine.Engine.Pool.st_worker_tasks)))
   | None -> ());
+  (sim_cache_stats, launch_memo_stats, pool_stats)
+
+(* ------------------------------------------------------------------ *)
+(* Pipeline                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog =
+  (* frontend validation -- a malformed program would otherwise surface
+     as a confusing simulator fault deep in stage 1 *)
+  (match Kft_cuda.Check.program prog with
+  | [] -> ()
+  | errs ->
+      invalid_arg
+        (Printf.sprintf "Framework.transform: program %s fails validation:\n%s" prog.p_name
+           (String.concat "\n" (List.map Kft_cuda.Check.pp_error errs))));
+  (* every simulation of this transform goes through one cache: the
+     caller's, to share it with other transforms, or a private one *)
+  let cache = match config.sim_cache with Some c -> c | None -> Meta.Sim_cache.create () in
+  let env = { config; cache; engine; trace } in
+  let before = counters env in
+  let meta, baseline = gather env prog in
+  let meta = hooks.amend_metadata meta in
+  let graphs, schedflow = analyze env prog in
+  let targets, eligible = filter env hooks meta prog graphs in
+  let fission_plans, fissioned_run = fission env prog eligible in
+  let units = unit_table env meta prog targets fission_plans fissioned_run in
+  let gga, solution_groups, fissioned = search env graphs units in
+  let solution_groups = hooks.amend_solution solution_groups in
+  let source_flow, groups =
+    schedule prog schedflow graphs fission_plans fissioned_run units ~groups:solution_groups
+      ~chosen:fissioned
+  in
+  let codegen, verify_report, transformed_flow, rejected_groups =
+    generate env source_flow groups
+  in
+  let transformed = codegen.program in
+  let transformed_run, verified = check_output env prog baseline transformed in
+  let lint_findings = lint env transformed transformed_run transformed_flow in
+  let sim_cache_stats, launch_memo_stats, pool_stats = account env before in
   {
     baseline;
     metadata = meta;
@@ -759,7 +753,7 @@ let transform ?(config = default_config) ?(hooks = no_hooks) ?engine ?trace prog
     schedflow;
     targets;
     fission_plans;
-    gga = gga_result;
+    gga;
     solution_groups;
     fissioned;
     codegen;

@@ -1,12 +1,13 @@
 (** End-to-end transformation pipeline (Section 3, Figure 1).
 
-    The five stages — metadata gathering, target identification, DDG/OEG
-    construction, GGA search, code generation — run in sequence; after
-    each stage the programmer can intervene through the [hooks], exactly
+    {!transform} chains one private function per traced stage, from
+    metadata gathering to lint; after the fission pre-step one table
+    numbers the search units (source invocations, then fission parts)
+    for the search and the scheduling. The programmer can intervene
+    through the [hooks] after gathering, filtering and the search,
     mirroring the paper's programmer-guided transformation (Figure 2).
-    Each stage's intermediate results are part of the {!report} so a
-    caller (or the CLI) can stop after any stage, dump the text files /
-    DOT graphs, and resume from amended versions. *)
+    Each stage's results are part of the {!report}, which the CLI dumps
+    as text files and DOT graphs ([-o DIR]). *)
 
 type filter_mode =
   | Automated  (** Roofline + boundary filtering (Section 3.2.2) *)

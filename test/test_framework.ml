@@ -96,18 +96,64 @@ let test_hook_amend_metadata () =
     (fun (p : Kft_metadata.Metadata.perf_entry) -> Util.check_float "amended" 99.0 p.runtime_us)
     r.metadata.performance
 
+(* the whole stage report of the producer/consumer pair; only the
+   engine line's wall-clock fields are masked *)
+let pc_report =
+  {|== stage 1: metadata ==
+kernels profiled: 2, baseline modeled time: 13.0 us
+  profile cache: 0 hits, 2 misses this run (2 cached simulations)
+  launch memo: 0 hits, 3 misses this run (5 contents, 0.0 Mcells stored)
+  memory: 2 arenas, 0.0 Mcells requested
+
+== stage 2: target identification ==
+  produce                  memory-bound   [target] memory-bound target
+  consume                  memory-bound   [target] memory-bound target
+
+== stage 3: DDG / OEG ==
+DDG: 5 nodes, 5 edges; OEG: 2 nodes, 1 edges
+  schedflow: 2 ops (2 launches), 3 arrays, 1 deps (0 refined away by proved regions)
+  schedflow regions: 5 proved, 0 whole-array fallback; 0 dataflow issues
+
+== stage 4: GGA search ==
+  best objective 3.425 GFLOPS (raw 3.425), 0 violations
+  fission events: 0 (0.000 per generation), converged at generation 0
+  engine: jobs=1 memo=on; 1124 evaluations (2 computed, 99.8% memo hits), 3 group verdicts; <wall>
+  groups: consume+produce
+
+== stage 5: code generation ==
+  K_f01      <- [produce,consume] complex-fusion staged:2 shared:2656B block:(32,4,1) occ 0.50->0.75 !! eliminated 2 provably-true guards
+
+== verification (kft_verify) ==
+  1 launches checked
+  bounds: 1 launches proved by absint, 0 unproved
+  races: 1 launches proved by absint, 0 unproved
+  schedule: 1 source dependences checked end-to-end, 0 launches unplaced
+  clean: no races, barrier divergence, bounds violations or order violations
+
+== lint (kft_absint) ==
+  0 warnings, 1 advisory note
+
+== result ==
+speedup: 1.939x (13.0 us -> 6.7 us), verification: OK
+|}
+
+let mask_wall line =
+  if String.starts_with ~prefix:"  engine: " line then
+    String.sub line 0 (String.rindex line ';') ^ "; <wall>"
+  else line
+
 let test_stage_report_text () =
-  let r = F.transform ~config pc in
-  let text = F.stage_report r in
-  List.iter
-    (fun needle ->
-      let found =
-        let n = String.length text and m = String.length needle in
-        let rec go i = i + m <= n && (String.sub text i m = needle || go (i + 1)) in
-        go 0
-      in
-      Alcotest.(check bool) ("report mentions " ^ needle) true found)
-    [ "stage 1"; "stage 2"; "stage 3"; "stage 4"; "stage 5"; "speedup" ]
+  let text = F.stage_report (F.transform ~config pc) in
+  Alcotest.(check string) "stage report" pc_report
+    (String.concat "\n" (List.map mask_wall (String.split_on_char '\n' text)))
+
+(* the roofline filter reads the configured device: at a 1 GFLOPS peak
+   the ridge point lies below the pair's operational intensity *)
+let test_filter_uses_device () =
+  let device = { Kft_device.Device.k20x with peak_gflops_double = 1.0 } in
+  let r = F.transform ~config:{ config with device } pc in
+  Alcotest.(check (list string)) "both kernels compute-bound" [ "compute-bound"; "compute-bound" ]
+    (List.map (fun (t : F.target_info) -> Kft_analysis.Classify.to_string t.classification) r.targets)
 
 let test_fission_flows_through () =
   let app = Kft_apps.Apps.awp_odc () in
@@ -178,6 +224,46 @@ __global__ void m(const double *X, const double *W, double *Y, int nx, int ny, i
   let r = F.transform ~config prog in
   Alcotest.(check bool) "c and a__f1 fused" true
     (List.exists (fun g -> List.sort compare g = [ "a__f1"; "c" ]) r.solution_groups);
+  Alcotest.(check bool) "output verified" true (r.verified = Ok ())
+
+(* [a] splits into [a__f1] and [a__f2], but the program already has a
+   kernel [a__f1]: [a] gets no plan, so the fissioned program stays valid *)
+let test_part_name_clash () =
+  let dims = (32, 16, 8) in
+  let src =
+    {|
+__global__ void a(const double *A, const double *B, double *X, double *Y, int nx, int ny, int nz, double c) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  int j = blockIdx.y * blockDim.y + threadIdx.y;
+  if (i < nx && j < ny) {
+    for (int k = 0; k < nz; k++) {
+      X[(k * ny + j) * nx + i] = c * A[(k * ny + j) * nx + i];
+      Y[(k * ny + j) * nx + i] = c * B[(k * ny + j) * nx + i];
+    }
+  }
+}
+|}
+    ^ Util.pointwise_src ~name:"a__f1" ~a:"X" ~b:"Y" ~dst:"Z"
+  in
+  let launch k args =
+    Kft_cuda.Ast.Launch
+      { l_kernel = k; l_domain = (32, 16, 1); l_block = (16, 4, 1); l_args = Util.std_args dims args 0.5 }
+  in
+  let prog =
+    {
+      Kft_cuda.Ast.p_name = "part_clash";
+      p_arrays = List.map (Util.arr3 dims) [ "A"; "B"; "X"; "Y"; "Z" ];
+      p_kernels = Kft_cuda.Parse.kernels src;
+      p_schedule = [ launch "a" [ "A"; "B"; "X"; "Y" ]; launch "a__f1" [ "X"; "Y"; "Z" ] ];
+    }
+  in
+  Alcotest.(check bool) "a is fissionable" true
+    (Kft_fission.Fission.fissionable (Kft_cuda.Ast.find_kernel prog "a"));
+  let r = F.transform ~config prog in
+  Alcotest.(check (list string)) "no plan for a" [] (List.map fst r.fission_plans);
+  Alcotest.(check (list string)) "fissioned program is valid" []
+    (List.map Kft_cuda.Check.pp_error
+       (Kft_cuda.Check.program (Kft_fission.Fission.apply_to_program ~plans:r.fission_plans prog)));
   Alcotest.(check bool) "output verified" true (r.verified = Ok ())
 
 (* the caller owns the simulation cache: a second transform on the same
@@ -258,9 +344,11 @@ let suite =
     Alcotest.test_case "hook: amend solution" `Quick test_hook_amend_solution;
     Alcotest.test_case "hook: amend metadata" `Quick test_hook_amend_metadata;
     Alcotest.test_case "stage report text" `Quick test_stage_report_text;
+    Alcotest.test_case "target filter uses the configured device" `Quick test_filter_uses_device;
     Alcotest.test_case "fission flows through pipeline" `Quick test_fission_flows_through;
     Alcotest.test_case "part-like kernel name is not a part" `Quick
       test_part_like_name_is_a_kernel;
+    Alcotest.test_case "no fission plan whose part names are taken" `Quick test_part_name_clash;
     Alcotest.test_case "fatal verify raises on an output mismatch" `Quick
       test_fatal_output_check_raises;
     Alcotest.test_case "an unproved block retune is refused" `Quick test_unproved_retune_refused;

@@ -4,7 +4,7 @@
    applications — goes through the full pipeline three times under one
    config (small GGA budget, fatal verification gate): twice at jobs 1
    and once at jobs 4. The first report feeds the static checks, the
-   three traces the determinism check. It fails on
+   three traces and stage reports the determinism checks. It fails on
 
    - verify: any kft_verify diagnostic on the source or the transformed
      program (a launch whose bounds or race freedom the provers leave
@@ -20,7 +20,9 @@
    - trace: a machine-JSON trace that is not valid JSON, or that differs
      between the two jobs-1 runs or between jobs 1 and jobs 4 (the
      canonical-channel contract of Kft_trace.Trace: sequence numbers and
-     counters only, wall clock and scheduling shape on the side channel).
+     counters only, wall clock and scheduling shape on the side channel);
+   - report: a stage report that differs between those runs, up to its
+     trace tree and apart from the engine line (jobs width, wall time).
 
    Usage: sweep [smoke]   -- smoke sweeps the quickstart only (runtest) *)
 
@@ -115,17 +117,33 @@ let check_schedule_pass what (r : V.report) =
       if covered then []
       else [ "(incomplete schedule-DDG coverage: a launch could not be placed)" ])
 
-let check_traces what j1 j1' j4 =
+(* [check]'s texts of the three runs (jobs 1, 1, 4) must be equal *)
+let check_same what check ~invalid (x1, x1', x4) =
   let problems =
-    (match Kft_trace.Json_check.check j1 with
-    | Ok () -> []
-    | Error e -> [ "trace is not valid JSON: " ^ e ])
-    @ (if j1 <> j1' then [ "trace differs between two identical runs" ] else [])
-    @ if j1 <> j4 then [ "trace differs between --jobs 1 and --jobs 4" ] else []
+    invalid
+    @ (if x1 <> x1' then [ check ^ " differs between two identical runs" ] else [])
+    @ if x1 <> x4 then [ check ^ " differs between --jobs 1 and --jobs 4" ] else []
   in
-  line what "trace" (verdict (problems = [])) "%d bytes, identical across runs and jobs {1,1,4}"
-    (String.length j1);
+  line what check (verdict (problems = [])) "%d bytes, identical across runs and jobs {1,1,4}"
+    (String.length x1);
   if problems <> [] then fail problems
+
+let check_traces what ((j1, _, _) as runs) =
+  check_same what "trace" runs
+    ~invalid:
+      (match Kft_trace.Json_check.check j1 with
+      | Ok () -> []
+      | Error e -> [ "trace is not valid JSON: " ^ e ])
+
+(* the stage report up to its trace tree, without the engine line: it
+   carries the jobs width and the search's wall time *)
+let report_text rep =
+  let rec upto = function
+    | [] | "== trace ==" :: _ -> []
+    | l :: rest when String.starts_with ~prefix:"  engine: " l -> upto rest
+    | l :: rest -> l :: upto rest
+  in
+  String.concat "\n" (upto (String.split_on_char '\n' (F.stage_report rep)))
 
 let transform ~jobs prog =
   let trace = Trace.create "kft-transform" in
@@ -133,21 +151,22 @@ let transform ~jobs prog =
     Kft_engine.Engine.with_engine ~jobs ~memo:true (fun engine ->
         F.transform ~config ~engine ~trace prog)
   in
-  (rep, Trace.render_json trace)
+  (rep, Trace.render_json trace, report_text rep)
 
 let sweep (a : Apps.app) =
   let source = a.app_name ^ " (source)" and transformed = a.app_name ^ " (transformed)" in
   check_verify source (V.verify_program a.program);
   check_schedflow source a.program;
-  let rep, j1 = transform ~jobs:1 a.program in
-  let _, j1' = transform ~jobs:1 a.program in
-  let _, j4 = transform ~jobs:4 a.program in
+  let rep, j1, r1 = transform ~jobs:1 a.program in
+  let _, j1', r1' = transform ~jobs:1 a.program in
+  let _, j4, r4 = transform ~jobs:4 a.program in
   check_verify transformed rep.verify_report;
   check_outcome transformed rep;
   check_replay transformed rep;
   check_schedflow transformed rep.transformed;
   check_schedule_pass transformed rep.verify_report;
-  check_traces transformed j1 j1' j4
+  check_traces transformed (j1, j1', j4);
+  check_same transformed "report" ~invalid:[] (r1, r1', r4)
 
 let () =
   let smoke = Array.length Sys.argv > 1 && Sys.argv.(1) = "smoke" in
