@@ -35,9 +35,9 @@ type closure = {
 
 type t = {
   ddg : node G.t;
-  oeg : node G.t;
   invocations : invocation list;
   versioned_arrays : (string * int) list;
+  oeg : int list array;
   closure : closure;
 }
 
@@ -121,11 +121,10 @@ let of_schedflow (sf : Schedflow.t) =
   let versioned_arrays =
     Hashtbl.fold (fun a v acc -> (a, v + 1) :: acc) max_version [] |> List.sort compare
   in
-  (* OEG: every launch pair with a RAW / WAR / WAW dependence at array
-     granularity. The host invocation order orients each one, which is
-     exactly the cycle-breaking heuristic of Section 3.2.3. Region
-     refinement is deliberately ignored: it would make more groups
-     legal and so change the search. *)
+  (* OEG: every launch pair with a RAW / WAR / WAW dependence whose end
+     regions are not proved disjoint. The host invocation order orients
+     each one, which is exactly the cycle-breaking heuristic of Section
+     3.2.3. *)
   let ops = Array.of_list sf.ops in
   let succs = Array.make (List.length invocations) [] in
   List.iter
@@ -137,7 +136,7 @@ let of_schedflow (sf : Schedflow.t) =
           | b' :: _ when b' = b -> ()
           | l -> succs.(a) <- b :: l)
       | _ -> ())
-    sf.array_deps;
+    sf.deps;
   let succs = Array.map List.rev succs in
   let keys = Array.of_list (List.map (fun inv -> inv.inv_key) invocations) in
   let closure = close keys succs in
@@ -146,15 +145,15 @@ let of_schedflow (sf : Schedflow.t) =
      No node reaches itself in a DAG, so the union over all of i's
      successors names only the others. Reachability, and so the
      closure, is unchanged. *)
-  let oeg = G.create () in
-  List.iter (fun inv -> G.add_node oeg ~key:inv.inv_key (Kernel_node inv)) invocations;
-  Array.iteri
-    (fun i js ->
-      let implied = Bits.create (Array.length keys) in
-      List.iter (fun k -> Bits.union_into implied closure.desc.(k)) js;
-      List.iter (fun j -> if not (Bits.mem implied j) then G.add_edge oeg keys.(i) keys.(j)) js)
-    succs;
-  { ddg; oeg; invocations; versioned_arrays; closure }
+  let oeg =
+    Array.map
+      (fun js ->
+        let implied = Bits.create (Array.length keys) in
+        List.iter (fun k -> Bits.union_into implied closure.desc.(k)) js;
+        List.filter (fun j -> not (Bits.mem implied j)) js)
+      succs
+  in
+  { ddg; invocations; versioned_arrays; oeg; closure }
 
 let build prog = of_schedflow (Schedflow.analyze prog)
 
@@ -199,5 +198,13 @@ let node_attrs _key = function
 
 let ddg_dot t = G.to_dot ~graph_name:"DDG" ~node_attrs:(fun k p -> node_attrs k p) t.ddg
 
-let oeg_dot t = G.to_dot ~graph_name:"OEG" ~node_attrs:(fun k p -> node_attrs k p) t.oeg
+let oeg_edge_count t = Array.fold_left (fun n js -> n + List.length js) 0 t.oeg
 
+(* the OEG's nodes and edges in invocation order, rendered as
+   [Kft_graph.Digraph.to_dot] renders the DDG *)
+let oeg_dot t =
+  let g = G.create () in
+  List.iter (fun inv -> G.add_node g ~key:inv.inv_key (Kernel_node inv)) t.invocations;
+  let keys = Array.of_list (List.map (fun inv -> inv.inv_key) t.invocations) in
+  Array.iteri (fun i js -> List.iter (fun j -> G.add_edge g keys.(i) keys.(j)) js) t.oeg;
+  G.to_dot ~graph_name:"OEG" ~node_attrs:(fun k p -> node_attrs k p) g

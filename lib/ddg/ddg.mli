@@ -7,7 +7,8 @@
     the inter-kernel precedences that the transformation must not
     violate. Both are derived from one {!Kft_schedflow.Schedflow}
     analysis: the DDG from its launch ops' access sets, the OEG from its
-    array-granularity dependences.
+    region-refined dependences, the same ones Verify's schedule pass
+    checks.
 
     Two graph optimizations from the paper are implemented:
     - write-read cycles between two kernels are broken by the precedence
@@ -38,15 +39,16 @@ type closure
 
 type t = {
   ddg : node Kft_graph.Digraph.t;
-  oeg : node Kft_graph.Digraph.t;
   invocations : invocation list;  (** in schedule order *)
   versioned_arrays : (string * int) list;
       (** arrays that received redundant instances, with instance count —
           reported to the programmer as changes made to optimize the
           graphs *)
-  closure : closure;
-      (** reachability of [oeg] as built; editing [oeg] afterwards does
-          not update it *)
+  oeg : int list array;
+      (** the OEG, transitively reduced: [oeg.(i)] lists the direct
+          successors of the [i]-th invocation, ascending, every one later
+          than [i] *)
+  closure : closure;  (** reachability of [oeg] *)
 }
 
 val invocations : Kft_cuda.Ast.program -> invocation list
@@ -57,13 +59,13 @@ val of_schedflow : Kft_schedflow.Schedflow.t -> t
 (** Algorithm 1 + graph optimizations + OEG derivation. DDG nodes and
     versioning come from the launch ops' read/write sets. The OEG
     contains an edge Ki -> Kj (i earlier than j in the host schedule)
-    for every launch pair of [array_deps], the dependences at array
-    granularity, not the region-refined [deps]: the OEG decides which
-    groups may fuse. It is reduced transitively by dropping Ki -> Kj
+    for every launch pair of [deps]: a dependence whose two end regions
+    Schedflow proves disjoint orders nothing, so it constrains no
+    fusion. The OEG is reduced transitively by dropping Ki -> Kj
     whenever another direct successor of Ki reaches Kj. Every edge
-    therefore points forward in the schedule, the OEG is a DAG, and its
-    closure takes one sweep in each direction: O(E·V/63) time and
-    2·V²/63 words. *)
+    points forward in the schedule, the OEG is a DAG, and its closure
+    takes one sweep in each direction: O(E·V/63) time and 2·V²/63
+    words. *)
 
 val build : Kft_cuda.Ast.program -> t
 (** [of_schedflow (Kft_schedflow.Schedflow.analyze prog)]. Never raises
@@ -87,4 +89,7 @@ val fusion_feasible : t -> string list -> bool
 val ddg_dot : t -> string
 
 val oeg_dot : t -> string
+(** The OEG's invocations and reduced edges, both in invocation order. *)
+
+val oeg_edge_count : t -> int
 

@@ -168,7 +168,23 @@ let split_launch k plan (l : launch) =
       { l_kernel = part.part_kernel.k_name; l_domain = l.l_domain; l_block = l.l_block; l_args = args })
     plan.parts
 
+let name_clash prog p =
+  List.find_map
+    (fun part ->
+      let name = part.part_kernel.k_name in
+      if List.exists (fun k -> k.k_name = name) prog.p_kernels then Some name else None)
+    p.parts
+
 let apply_to_program ~plans prog =
+  List.iter
+    (fun (k, p) ->
+      Option.iter
+        (fun name ->
+          invalid_arg
+            (Printf.sprintf "Fission.apply_to_program: part %s of %s is already a kernel of %s"
+               name k prog.p_name))
+        (name_clash prog p))
+    plans;
   let kernels =
     List.concat_map
       (fun k ->

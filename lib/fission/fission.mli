@@ -37,8 +37,14 @@ val split_launch : Kft_cuda.Ast.kernel -> plan -> Kft_cuda.Ast.launch -> Kft_cud
     Raises [Invalid_argument] when the launch does not invoke the
     plan's original kernel. *)
 
+val name_clash : Kft_cuda.Ast.program -> plan -> string option
+(** The first part name of the plan that already names a kernel of the
+    program, if any: such a plan cannot be applied. *)
+
 val apply_to_program : plans:(string * plan) list -> Kft_cuda.Ast.program -> Kft_cuda.Ast.program
-(** Replace each planned kernel by its parts, rewriting the schedule. *)
+(** Replace each planned kernel by its parts, rewriting the schedule.
+    Raises [Invalid_argument] naming the part when a plan has a
+    {!name_clash} with the program. *)
 
 val iterate_plan : ?seed:int -> Kft_cuda.Ast.kernel -> plan option
 (** Apply fission iteratively until no part has separable arrays left

@@ -178,8 +178,8 @@ let analyze env prog =
         let g = Ddg.of_schedflow sf in
         Trace.add trace "ddg_nodes" (Kft_graph.Digraph.node_count g.Ddg.ddg);
         Trace.add trace "ddg_edges" (Kft_graph.Digraph.edge_count g.Ddg.ddg);
-        Trace.add trace "oeg_nodes" (Kft_graph.Digraph.node_count g.Ddg.oeg);
-        Trace.add trace "oeg_edges" (Kft_graph.Digraph.edge_count g.Ddg.oeg);
+        Trace.add trace "oeg_nodes" (Array.length g.Ddg.oeg);
+        Trace.add trace "oeg_edges" (Ddg.oeg_edge_count g);
         (g, sf))
   in
   Trace.with_span trace "schedflow" (fun () ->
@@ -216,13 +216,9 @@ let filter env hooks meta prog (graphs : Ddg.t) =
 
 (* lazy-fission pre-step: plans + one profiled run of the fully
    fissioned variant to collect part metadata (Section 4.1). A plan
-   whose part names are already kernel names of the program is dropped:
-   its parts and those kernels would be one unit. *)
+   with a [Fission.name_clash] is dropped: it could not be applied. *)
 let fission env prog eligible =
   Trace.with_span env.trace "fission" (fun () ->
-      let taken (part : Fission.part) =
-        List.exists (fun k -> k.k_name = part.part_kernel.k_name) prog.p_kernels
-      in
       let plans =
         if not env.config.gga_params.fission_enabled then []
         else
@@ -230,7 +226,7 @@ let fission env prog eligible =
             (fun t ->
               let k = find_kernel prog t.invocation.inv_kernel in
               match Fission.plan ~seed:env.config.seed k with
-              | Some p when not (List.exists taken p.parts) -> Some (k.k_name, p)
+              | Some p when Fission.name_clash prog p = None -> Some (k.k_name, p)
               | _ -> None)
             eligible
       in
@@ -319,6 +315,70 @@ let unit_table env meta prog targets plans fissioned =
   done;
   { rows; ids; parts }
 
+(* the one contraction of the OEG, for the search and the schedule:
+   nodes sharing a label become one quotient node, numbered by the
+   label's first occurrence, and Kahn's algorithm emits the lowest ready
+   quotient node first (see [Internal.contract] in the interface) *)
+let contract succs label =
+  let q_of_label = Array.make (Array.fold_left max (-1) label + 1) (-1) and nq = ref 0 in
+  let q =
+    Array.map
+      (fun l ->
+        if q_of_label.(l) < 0 then begin
+          q_of_label.(l) <- !nq;
+          incr nq
+        end;
+        q_of_label.(l))
+      label
+  in
+  let nq = !nq in
+  let members = Array.make nq [] and qsuccs = Array.make nq [] and indeg = Array.make nq 0 in
+  for v = Array.length succs - 1 downto 0 do
+    let a = q.(v) in
+    members.(a) <- v :: members.(a);
+    List.iter
+      (fun s ->
+        let b = q.(s) in
+        if a <> b then begin
+          qsuccs.(a) <- b :: qsuccs.(a);
+          indeg.(b) <- indeg.(b) + 1
+        end)
+      succs.(v)
+  done;
+  (* [ready.(a)]: [a] is not emitted yet and all its predecessors are;
+     every ready node is at [lo] or above *)
+  let ready = Array.map (fun d -> d = 0) indeg in
+  let release lo b =
+    indeg.(b) <- indeg.(b) - 1;
+    if indeg.(b) > 0 then lo
+    else begin
+      ready.(b) <- true;
+      min lo b
+    end
+  in
+  let rec emit order left lo =
+    if lo = nq then if left = 0 then Some (List.rev order) else None
+    else if not ready.(lo) then emit order left (lo + 1)
+    else begin
+      ready.(lo) <- false;
+      emit (members.(lo) :: order) (left - 1) (List.fold_left release (lo + 1) qsuccs.(lo))
+    end
+  in
+  emit [] nq 0
+
+(* the contraction label of every unit: the index of the last group
+   naming it, or its own label past the group range *)
+let unit_labels units groups =
+  let n_groups = List.length groups in
+  let label = Array.init (Array.length units.rows) (fun u -> n_groups + u) in
+  List.iteri
+    (fun g names ->
+      List.iter
+        (fun n -> Option.iter (fun u -> label.(u) <- g) (Hashtbl.find_opt units.ids n))
+        names)
+    groups;
+  label
+
 (* stage 4: the GGA over the unit table's targets and parts; returns
    the search result and its best solution (the targets as singletons
    when there was nothing to search) *)
@@ -378,16 +438,12 @@ let search env (graphs : Ddg.t) units =
             plan.p_shared_bytes bx by <= env.config.device.shared_mem_per_block
         | Error _ -> true)
   in
-  (* joint schedulability: expand OEG edges over the units actually
-     present in a solution (parts replace their fissioned original),
-     contract all groups at once and check acyclicity. A query only
-     labels unit ids with group ids and runs Kahn over int arrays. *)
+  (* joint schedulability: the units present in a solution (parts
+     replace their fissioned original) inherit the OEG edges of their
+     invocations; contracting every group at once must leave them
+     acyclic. The other units stay isolated nodes, which cannot close a
+     cycle. *)
   let n_inv = Array.length units.parts and n_units = Array.length units.rows in
-  let oeg_edges =
-    List.map
-      (fun (a, b) -> (Hashtbl.find units.ids a, Hashtbl.find units.ids b))
-      (Kft_graph.Digraph.edges graphs.oeg)
-  in
   let solution_feasible ~groups ~fissioned =
     let present = Array.init n_inv (fun i -> [ i ]) in
     List.iter
@@ -396,48 +452,13 @@ let search env (graphs : Ddg.t) units =
         | Some i when i < n_inv && units.parts.(i) <> [] -> present.(i) <- units.parts.(i)
         | _ -> ())
       fissioned;
-    (* quotient node of each unit: its group's index, or a singleton id
-       past the group range *)
-    let n_groups = List.length groups in
-    let gid = Array.init n_units (fun u -> n_groups + u) in
-    List.iteri
-      (fun g group -> List.iter (fun n -> Option.iter (fun u -> gid.(u) <- g) (find n)) group)
-      groups;
-    let n = n_groups + n_units in
-    let live = Array.make n false and indeg = Array.make n 0 and succs = Array.make n [] in
-    Array.iter (List.iter (fun u -> live.(gid.(u)) <- true)) present;
-    List.iter
-      (fun (a, b) ->
-        List.iter
-          (fun ua ->
-            List.iter
-              (fun ub ->
-                let ga = gid.(ua) and gb = gid.(ub) in
-                if ga <> gb then begin
-                  succs.(ga) <- gb :: succs.(ga);
-                  indeg.(gb) <- indeg.(gb) + 1
-                end)
-              present.(b))
-          present.(a))
-      oeg_edges;
-    (* Kahn: the quotient is acyclic iff every live node gets emitted *)
-    let ready = Stack.create () and remaining = ref 0 in
+    let succs = Array.make n_units [] in
     Array.iteri
-      (fun q p ->
-        if p then begin
-          incr remaining;
-          if indeg.(q) = 0 then Stack.push q ready
-        end)
-      live;
-    while not (Stack.is_empty ready) do
-      decr remaining;
-      List.iter
-        (fun s ->
-          indeg.(s) <- indeg.(s) - 1;
-          if indeg.(s) = 0 then Stack.push s ready)
-        succs.(Stack.pop ready)
-    done;
-    !remaining = 0
+      (fun i us ->
+        let below = List.fold_right (fun j acc -> present.(j) @ acc) graphs.oeg.(i) [] in
+        List.iter (fun u -> succs.(u) <- below) us)
+      present;
+    Option.is_some (contract succs (unit_labels units groups))
   in
   let targets =
     List.filter_map (fun r -> r.u_model) (Array.to_list (Array.sub units.rows 0 n_inv))
@@ -499,35 +520,26 @@ let schedule prog schedflow graphs plans fissioned units ~groups ~chosen =
         let sf = Schedflow.analyze (Fission.apply_to_program ~plans:chosen_plans prog) in
         (sf, Ddg.of_schedflow sf)
   in
-  let group = Array.make (Array.length units.rows) (-1) in
-  List.iteri
-    (fun g names ->
-      List.iter
-        (fun n -> Option.iter (fun u -> group.(u) <- g) (Hashtbl.find_opt units.ids n))
-        names)
-    groups;
-  let group_of key =
-    match Hashtbl.find_opt units.ids key with
-    | Some u when group.(u) >= 0 -> "g" ^ string_of_int group.(u)
-    | _ -> "solo:" ^ key
+  (* an invocation that is no unit (a re-launch of a part) stays alone *)
+  let labels = unit_labels units groups and invs = Array.of_list graphs.Ddg.invocations in
+  let label =
+    Array.map
+      (fun (inv : Ddg.invocation) ->
+        match Hashtbl.find_opt units.ids inv.inv_key with
+        | Some u -> labels.(u)
+        | None -> Array.length labels + List.length groups + inv.inv_index)
+      invs
   in
-  let ordered =
-    match Kft_graph.Digraph.topo_sort (Kft_graph.Digraph.quotient graphs.Ddg.oeg ~group_of) with
-    | order -> order
-    | exception Kft_graph.Digraph.Cycle _ ->
+  let order =
+    match contract graphs.oeg label with
+    | Some order -> order
+    | None ->
         (* an infeasible grouping slipped through (penalized but still the
            best found, or forced by a programmer amendment): break every
            group up and run the original schedule *)
-        Array.fill group 0 (Array.length group) (-1);
-        List.map (fun (inv : Ddg.invocation) -> "solo:" ^ inv.inv_key) graphs.invocations
+        List.init (Array.length invs) (fun i -> [ i ])
   in
-  let launches gid =
-    List.filter_map
-      (fun (inv : Ddg.invocation) ->
-        if group_of inv.inv_key = gid then Some inv.inv_launch else None)
-      graphs.invocations
-  in
-  (flow, List.filter (fun g -> g <> []) (List.map launches ordered))
+  (flow, List.map (List.map (fun i -> invs.(i).Ddg.inv_launch)) order)
 
 (* stage 5b: code generation plus the post-codegen verification gate:
    passes 1-3 of [Kft_verify] over every emitted kernel plus translation
@@ -803,8 +815,7 @@ let stage_report r =
   p "DDG: %d nodes, %d edges; OEG: %d nodes, %d edges"
     (Kft_graph.Digraph.node_count r.graphs.ddg)
     (Kft_graph.Digraph.edge_count r.graphs.ddg)
-    (Kft_graph.Digraph.node_count r.graphs.oeg)
-    (Kft_graph.Digraph.edge_count r.graphs.oeg);
+    (Array.length r.graphs.oeg) (Ddg.oeg_edge_count r.graphs);
   List.iter
     (fun (a, n) -> p "  redundant instances added for multi-writer array %s (%d copies)" a n)
     r.graphs.versioned_arrays;
@@ -896,3 +907,7 @@ let stage_report r =
       p "== trace ==";
       Buffer.add_string buf (Trace.render_tree t));
   Buffer.contents buf
+
+module Internal = struct
+  let contract = contract
+end

@@ -154,3 +154,18 @@ val transform :
 val stage_report : report -> string
 (** Human-readable multi-stage report (the "report on the output of each
     phase including hints of possible inefficiencies"). *)
+
+(** Pipeline internals exposed for the property-test suite. Not part of
+    the stable API. *)
+module Internal : sig
+  val contract : int list array -> int array -> int list list option
+  (** [contract succs label]: the one contraction of the OEG that both
+      the search's joint feasibility check and the schedule stage run.
+      Nodes [0 .. n-1] are in schedule order, [succs.(v)] their direct
+      successors; nodes sharing a [label] (a non-negative int) become
+      one quotient node, numbered by the label's first occurrence, and
+      edges inside a quotient node drop out. Kahn's algorithm emits the
+      lowest ready quotient node first. Returns the quotient nodes'
+      members, each ascending, in emission order, or [None] when the
+      contraction is cyclic. *)
+end

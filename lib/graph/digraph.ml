@@ -1,4 +1,3 @@
-exception Cycle of string list
 exception Duplicate_node of string
 exception No_such_node of string
 
@@ -6,16 +5,14 @@ type 'a node = {
   mutable payload : 'a;
   mutable succs : string list; (* reverse insertion order *)
   mutable preds : string list;
-  order : int; (* insertion index, for stable traversals *)
 }
 
 type 'a t = {
   tbl : (string, 'a node) Hashtbl.t;
-  mutable insertions : int;
   mutable keys_rev : string list; (* insertion order, reversed *)
 }
 
-let create () = { tbl = Hashtbl.create 64; insertions = 0; keys_rev = [] }
+let create () = { tbl = Hashtbl.create 64; keys_rev = [] }
 
 let node g key =
   match Hashtbl.find_opt g.tbl key with
@@ -26,9 +23,7 @@ let mem_node g key = Hashtbl.mem g.tbl key
 
 let add_node g ~key payload =
   if mem_node g key then raise (Duplicate_node key);
-  Hashtbl.replace g.tbl key
-    { payload; succs = []; preds = []; order = g.insertions };
-  g.insertions <- g.insertions + 1;
+  Hashtbl.replace g.tbl key { payload; succs = []; preds = [] };
   g.keys_rev <- key :: g.keys_rev
 
 let ensure_node g ~key payload = if not (mem_node g key) then add_node g ~key payload
@@ -61,100 +56,6 @@ let edges g =
 let edge_count g = List.length (edges g)
 
 let iter_nodes g ~f = List.iter (fun k -> f k (payload g k)) (nodes g)
-
-(* DFS restricted to [remaining]; used to produce a witness when Kahn's
-   algorithm detects a cycle. *)
-let find_cycle_among g remaining =
-  let restricted = Hashtbl.create 16 in
-  List.iter (fun k -> Hashtbl.replace restricted k ()) remaining;
-  let color = Hashtbl.create 16 in
-  (* 1 = on stack, 2 = done *)
-  let exception Found of string list in
-  let rec dfs path k =
-    match Hashtbl.find_opt color k with
-    | Some 1 ->
-        (* [path] holds the DFS stack most-recent-first; prepending while
-           walking back to [k] restores chronological (edge) order *)
-        let rec cut acc = function
-          | [] -> k :: acc
-          | x :: _ when x = k -> k :: acc
-          | x :: tl -> cut (x :: acc) tl
-        in
-        raise (Found (cut [] path))
-    | Some _ -> ()
-    | None ->
-        Hashtbl.replace color k 1;
-        List.iter (fun s -> if Hashtbl.mem restricted s then dfs (k :: path) s) (succs g k);
-        Hashtbl.replace color k 2
-  in
-  try
-    List.iter (fun k -> dfs [] k) remaining;
-    (* unreachable: callers guarantee a cycle among [remaining] *)
-    assert false
-  with Found c -> c
-
-(* ready nodes ordered by insertion index; the indices are unique, so the
-   key never takes part in the comparison *)
-module Frontier = Set.Make (struct
-  type t = int * string
-
-  let compare (a, _) (b, _) = Int.compare a b
-end)
-
-(* Kahn's algorithm with a stable frontier: among ready nodes always pick
-   the one with the smallest insertion index. O((V + E) log V). *)
-let topo_sort g =
-  let indeg = Hashtbl.create 64 in
-  let ready k frontier = Frontier.add ((node g k).order, k) frontier in
-  let frontier =
-    List.fold_left
-      (fun frontier k ->
-        let d = List.length (node g k).preds in
-        Hashtbl.replace indeg k d;
-        if d = 0 then ready k frontier else frontier)
-      Frontier.empty (nodes g)
-  in
-  let rec loop acc frontier =
-    match Frontier.min_elt_opt frontier with
-    | None ->
-        if Hashtbl.length indeg = 0 then List.rev acc
-        else
-          (* remaining nodes all sit on cycles or downstream of one;
-             report one cycle *)
-          let remaining = Hashtbl.fold (fun k _ l -> k :: l) indeg [] in
-          raise (Cycle (find_cycle_among g remaining))
-    | Some ((_, k) as min) ->
-        Hashtbl.remove indeg k;
-        let frontier =
-          List.fold_left
-            (fun frontier s ->
-              match Hashtbl.find_opt indeg s with
-              | Some d ->
-                  Hashtbl.replace indeg s (d - 1);
-                  if d = 1 then ready s frontier else frontier
-              | None -> frontier)
-            (Frontier.remove min frontier) (succs g k)
-        in
-        loop (k :: acc) frontier
-  in
-  loop [] frontier
-
-let is_dag g = match topo_sort g with (_ : string list) -> true | exception Cycle _ -> false
-
-let reachable g ~src ~dst =
-  let seen = Hashtbl.create 16 in
-  let rec go k =
-    k = dst
-    ||
-    if Hashtbl.mem seen k then false
-    else begin
-      Hashtbl.replace seen k ();
-      List.exists go (succs g k)
-    end
-  in
-  ignore (node g src);
-  ignore (node g dst);
-  go src
 
 let neighbors g k = succs g k @ preds g k
 
@@ -190,16 +91,6 @@ let components g =
       end)
     (nodes g);
   List.rev !comps
-
-let quotient g ~group_of =
-  let q = create () in
-  iter_nodes g ~f:(fun k p -> ensure_node q ~key:(group_of k) p);
-  List.iter
-    (fun (a, b) ->
-      let ga = group_of a and gb = group_of b in
-      if ga <> gb then add_edge q ga gb)
-    (edges g);
-  q
 
 let dot_escape s =
   let buf = Buffer.create (String.length s) in

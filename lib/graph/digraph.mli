@@ -1,16 +1,13 @@
 (** Directed graphs with string-keyed nodes carrying a payload.
 
-    This is the graph substrate underneath the Data Dependency Graph and
-    Order-of-Execution Graph of the paper (Section 3.2.3) and the array
-    dependence graph used by kernel fission (Algorithm 2). Nodes are
+    This is the graph substrate underneath the Data Dependency Graph of
+    the paper (Section 3.2.3), the DOT rendering of its
+    Order-of-Execution Graph, and the array dependence graph used by
+    kernel fission (Algorithm 2). Nodes are
     identified by unique string keys; payloads are arbitrary. Graphs
     only grow: nodes and edges are added, never removed. *)
 
 type 'a t
-
-exception Cycle of string list
-(** Raised by {!topo_sort} with one witness cycle (a list of node keys in
-    order, first = last omitted). *)
 
 exception Duplicate_node of string
 exception No_such_node of string
@@ -50,27 +47,10 @@ val edge_count : 'a t -> int
 
 val iter_nodes : 'a t -> f:(string -> 'a -> unit) -> unit
 
-val topo_sort : 'a t -> string list
-(** Stable topological order: Kahn's algorithm that always emits the
-    ready node with the smallest insertion index. O((V + E) log V).
-    Raises {!Cycle} when the graph is cyclic. *)
-
-val is_dag : 'a t -> bool
-
-val reachable : 'a t -> src:string -> dst:string -> bool
-(** Directed reachability ([src] reaches itself). *)
-
 val components : 'a t -> string list list
 (** Weakly connected components, each in BFS order (edges followed in
     either direction) from its first (insertion-order) node; components
     ordered by their first node. This is the traversal of Algorithm 2. *)
-
-val quotient : 'a t -> group_of:(string -> string) -> 'a t
-(** Condense nodes by the partition [group_of]: the quotient node for
-    group [g] carries the payload of the first member (insertion order)
-    and key [g]. Self-loops arising from intra-group edges are dropped;
-    parallel edges are merged. Used to test fusion feasibility: a fusion
-    grouping is legal iff the quotient of the OEG is acyclic. *)
 
 val to_dot :
   ?graph_name:string ->

@@ -71,7 +71,6 @@ type t = {
   ops : op list;
   arrays : array_info list;
   deps : dep list;
-  array_deps : dep list;
   issues : issue list;
   stats : stats;
 }
@@ -238,25 +237,21 @@ let build_arrays p ops =
 (* Schedule DDG                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Every RAW / WAR / WAW pair, both sorted: the region-refined
-   dependences and the array-granularity ones (refined included). *)
+(* Every RAW / WAR / WAW pair whose end regions are not proved
+   disjoint, sorted; the second component counts the refined-away ones *)
 let build_deps ops =
   let arr = Array.of_list ops in
   let n = Array.length arr in
-  let kept = ref [] and all = ref [] in
+  let kept = ref [] and refined = ref 0 in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
       let consider kind side_i side_j =
         List.iter
           (fun (a, ri) ->
-            match List.assoc_opt a side_j with
-            | None -> ()
-            | Some rj ->
-                let d = { dep_src = i; dep_dst = j; dep_array = a; dep_kind = kind } in
-                all := d :: !all;
-                (match (ri, rj) with
-                | Region r, Region r' when Absint.regions_disjoint r r' -> ()
-                | _ -> kept := d :: !kept))
+            match (ri, List.assoc_opt a side_j) with
+            | _, None -> ()
+            | Region r, Some (Region r') when Absint.regions_disjoint r r' -> incr refined
+            | _ -> kept := { dep_src = i; dep_dst = j; dep_array = a; dep_kind = kind } :: !kept)
           side_i
       in
       consider Raw arr.(i).op_writes arr.(j).op_reads;
@@ -264,13 +259,13 @@ let build_deps ops =
       consider Waw arr.(i).op_writes arr.(j).op_writes
     done
   done;
-  let sort =
-    List.sort (fun a b ->
+  ( List.sort
+      (fun a b ->
         compare
           (a.dep_src, a.dep_dst, a.dep_array, dep_kind_name a.dep_kind)
           (b.dep_src, b.dep_dst, b.dep_array, dep_kind_name b.dep_kind))
-  in
-  (sort !kept, sort !all)
+      !kept,
+    !refined )
 
 (* ------------------------------------------------------------------ *)
 (* Issues                                                              *)
@@ -314,7 +309,7 @@ let count_regions ops =
 let analyze p =
   let ops = build_ops p in
   let arrays = build_arrays p ops in
-  let deps, array_deps = build_deps ops in
+  let deps, refined = build_deps ops in
   let issues = build_issues arrays in
   let proved, fallback = count_regions ops in
   {
@@ -322,7 +317,6 @@ let analyze p =
     ops;
     arrays;
     deps;
-    array_deps;
     issues;
     stats =
       {
@@ -331,7 +325,7 @@ let analyze p =
           List.length (List.filter (fun o -> o.op_launch <> None) ops);
         st_arrays = List.length arrays;
         st_deps = List.length deps;
-        st_deps_refined = List.length array_deps - List.length deps;
+        st_deps_refined = refined;
         st_regions_proved = proved;
         st_regions_fallback = fallback;
       };

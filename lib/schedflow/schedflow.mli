@@ -18,7 +18,7 @@
       program output.
 
     Four clients: the invocation DDG and OEG of [Kft_ddg.Ddg], built
-    from the launch ops' access sets and {!field-array_deps}; the
+    from the launch ops' access sets and {!field-deps}; the
     [schedule] pass of {!Kft_verify.Verify.validate} (issues +
     end-to-end schedule-DDG preservation of transformed schedules);
     three [kft lint] rules ({!lint}); and liveness-driven arena reuse
@@ -99,9 +99,6 @@ type t = {
   ops : op list;  (** in schedule order *)
   arrays : array_info list;  (** name-sorted, one per declared array *)
   deps : dep list;  (** region-refined, ordered by (src, dst, array, kind) *)
-  array_deps : dep list;
-      (** every dependence at array granularity, the refined-away ones
-          included; same order *)
   issues : issue list;
   stats : stats;
 }

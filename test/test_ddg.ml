@@ -7,6 +7,12 @@ module Sf = Kft_schedflow.Schedflow
 
 let prog = Util.producer_consumer_program ()
 
+(* the OEG's edges as invocation key pairs, in invocation order *)
+let oeg_edges (g : D.t) =
+  let key = Array.of_list (List.map (fun (i : D.invocation) -> i.inv_key) g.invocations) in
+  List.concat
+    (Array.to_list (Array.mapi (fun i js -> List.map (fun j -> (key.(i), key.(j))) js) g.oeg))
+
 (* the DDG's array neighbours of an invocation are Schedflow's access
    sets of its launch, in the order the kernel body first uses them
    (the DOT files list edges in that order) *)
@@ -70,7 +76,7 @@ let chain_prog n =
 let test_transitive_reduction () =
   let g = D.build (chain_prog 4) in
   (* the OEG of a chain is exactly the chain after reduction *)
-  Alcotest.(check int) "3 edges" 3 (G.edge_count g.oeg);
+  Alcotest.(check int) "3 edges" 3 (D.oeg_edge_count g);
   Alcotest.(check bool) "k0 still precedes k3 transitively" true (D.oeg_precedes g "k0" "k3")
 
 let test_fusion_feasible () =
@@ -81,43 +87,24 @@ let test_fusion_feasible () =
   Alcotest.(check bool) "k0+k2 infeasible" false (D.fusion_feasible g [ "k0"; "k2" ]);
   Alcotest.(check bool) "singleton trivially ok" true (D.fusion_feasible g [ "k1" ])
 
-(* Two launches write disjoint halves of X. Schedflow proves the
-   regions disjoint and refines the WAW dependence away, but the OEG is
-   built from the array-granularity dependences and still orders them:
-   fusion legality must not change with region refinement. *)
-let halves_prog () =
-  let src =
-    {|
-__global__ void lo(double *X, int m) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  if (i < m) X[i] = 1.0;
-}
-__global__ void hi(double *X, int m) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  if (i < m) X[i + m] = 2.0;
-}
-|}
-  in
-  let launch k =
-    Launch
-      { l_kernel = k; l_domain = (32, 1, 1); l_block = (32, 1, 1);
-        l_args = [ Arg_array "X"; Arg_int 32 ] }
-  in
-  {
-    p_name = "halves";
-    p_arrays = [ { a_name = "X"; a_elem_ty = Double; a_dims = [ 64 ] } ];
-    p_kernels = Kft_cuda.Parse.kernels src;
-    p_schedule = [ launch "lo"; launch "hi" ];
-  }
-
-let test_refined_dependence_still_ordered () =
-  let sf = Sf.analyze (halves_prog ()) in
-  Alcotest.(check int) "no region-refined dependence" 0 (List.length sf.deps);
-  Alcotest.(check int) "one refined away" 1 sf.stats.st_deps_refined;
-  Alcotest.(check int) "one array-granularity dependence" 1 (List.length sf.array_deps);
+(* [Util.halves_program]: [lo] writes the lower half of X, [mid] reads
+   it, [hi] writes the upper half. Schedflow proves the regions and
+   refines the WAR mid -> hi and the WAW lo -> hi away, so the OEG
+   orders only lo -> mid. *)
+let test_refined_dependence_not_ordered () =
+  let sf = Sf.analyze (Util.halves_program ()) in
+  Alcotest.(check int) "one region-refined dependence" 1 (List.length sf.deps);
+  Alcotest.(check int) "two refined away" 2 sf.stats.st_deps_refined;
   let g = D.of_schedflow sf in
-  Alcotest.(check (list (pair string string))) "OEG edge" [ ("lo", "hi") ] (G.edges g.oeg);
-  Alcotest.(check bool) "lo precedes hi" true (D.oeg_precedes g "lo" "hi")
+  Alcotest.(check (list (pair string string))) "OEG edges" [ ("lo", "mid") ] (oeg_edges g);
+  Alcotest.(check bool) "lo does not precede hi" false (D.oeg_precedes g "lo" "hi");
+  Alcotest.(check bool) "mid does not precede hi" false (D.oeg_precedes g "mid" "hi")
+
+(* so [lo] and [hi] may fuse around [mid] *)
+let test_refined_group_legal () =
+  let g = D.build (Util.halves_program ()) in
+  Alcotest.(check bool) "lo+hi feasible" true (D.fusion_feasible g [ "lo"; "hi" ]);
+  Alcotest.(check bool) "lo+mid+hi feasible" true (D.fusion_feasible g [ "lo"; "mid"; "hi" ])
 
 let multi_writer_prog () =
   let dims = (8, 4, 2) in
@@ -158,7 +145,9 @@ let test_repeated_invocation_keys () =
   let p = chain_prog 2 in
   let p = { p with p_schedule = p.p_schedule @ [ List.hd p.p_schedule ] } in
   let g = D.build p in
-  Alcotest.(check bool) "k0#2 key" true (G.mem_node g.oeg "k0#2")
+  Alcotest.(check (list string)) "keys" [ "k0"; "k1"; "k0#2" ]
+    (List.map (fun (i : D.invocation) -> i.inv_key) g.invocations);
+  Alcotest.(check bool) "k1 before k0#2 (WAR on X1)" true (D.oeg_precedes g "k1" "k0#2")
 
 (* host copies are schedule ops but not invocations: [inv_index] counts
    launches only, and [invocations] (a schedule walk) assigns the keys
@@ -189,11 +178,12 @@ let test_unresolved_launch () =
   let p = Util.producer_consumer_program () in
   let ghost = { (Util.launch_of p "produce") with l_kernel = "ghost" } in
   let g = D.build { p with p_schedule = p.p_schedule @ [ Launch ghost ] } in
-  Alcotest.(check (list string)) "OEG nodes" [ "produce"; "consume"; "ghost" ] (G.nodes g.oeg);
+  Alcotest.(check (list string)) "OEG nodes" [ "produce"; "consume"; "ghost" ]
+    (List.map (fun (i : D.invocation) -> i.inv_key) g.invocations);
   Alcotest.(check (list string)) "no DDG preds" [] (G.preds g.ddg "ghost");
   Alcotest.(check (list string)) "no DDG succs" [] (G.succs g.ddg "ghost");
   Alcotest.(check (list (pair string string))) "OEG edges" [ ("produce", "consume") ]
-    (G.edges g.oeg)
+    (oeg_edges g)
 
 let test_dot_outputs () =
   let g = D.build prog in
@@ -249,9 +239,8 @@ let schedule_and_picks_arb =
         (String.concat "," (List.map string_of_int picks)))
     QCheck.Gen.(pair random_schedule_gen (list_size (int_bound 6) (int_bound 13)))
 
-(* launch pairs (a, b) such that a chain of Schedflow's array-granularity
-   launch dependences leads from a to b: Floyd-Warshall over the direct
-   pairs *)
+(* launch pairs (a, b) such that a chain of Schedflow's launch
+   dependences leads from a to b: Floyd-Warshall over the direct pairs *)
 let dependence_chains (sf : Sf.t) n =
   let ops = Array.of_list sf.ops in
   let reach = Array.make_matrix n n false in
@@ -260,7 +249,7 @@ let dependence_chains (sf : Sf.t) n =
       match (ops.(d.dep_src).op_launch, ops.(d.dep_dst).op_launch) with
       | Some a, Some b -> reach.(a).(b) <- true
       | _ -> ())
-    sf.array_deps;
+    sf.deps;
   for k = 0 to n - 1 do
     for i = 0 to n - 1 do
       for j = 0 to n - 1 do
@@ -270,11 +259,28 @@ let dependence_chains (sf : Sf.t) n =
   done;
   reach
 
+(* does [src] reach [dst] through at least one of [edges]? *)
+let reaches edges src dst =
+  let seen = Hashtbl.create 16 in
+  let rec go k =
+    List.exists
+      (fun (a, b) ->
+        a = k
+        && (b = dst
+           || (not (Hashtbl.mem seen b))
+              && begin
+                   Hashtbl.replace seen b ();
+                   go b
+                 end))
+      edges
+  in
+  go src
+
 (* property: the closure test agrees with contracting the group in the
-   OEG and checking the quotient for a cycle, and [oeg_precedes] with a
-   DFS over the OEG and with chains of Schedflow's unrefined launch
-   dependences; the OEG is a minimal transitive reduction; and every
-   region-refined launch dependence is ordered by the OEG *)
+   OEG's edge list and looking for a quotient node that reaches itself,
+   and [oeg_precedes] with a search over those edges and with chains of
+   Schedflow's launch dependences; the OEG is a minimal transitive
+   reduction; and every launch dependence is ordered by the OEG *)
 let prop_closure_matches_quotient =
   QCheck.Test.make ~name:"fusion_feasible = acyclic OEG quotient" ~count:300
     schedule_and_picks_arb
@@ -286,13 +292,16 @@ let prop_closure_matches_quotient =
       let chains = dependence_chains sf (Array.length key) in
       let names = keys @ [ "ghost"; "ka#99"; "__fused__x" ] in
       let group = List.filter_map (List.nth_opt names) picks in
+      let edges = oeg_edges g in
       let group_of k = if List.mem k group then "__fused__" else k in
-      D.fusion_feasible g group = G.is_dag (G.quotient g.oeg ~group_of)
+      let quotient =
+        List.filter_map
+          (fun (a, b) -> if group_of a = group_of b then None else Some (group_of a, group_of b))
+          edges
+      in
+      D.fusion_feasible g group = not (List.exists (fun (a, _) -> reaches quotient a a) quotient)
       && List.for_all
-           (fun a ->
-             List.for_all
-               (fun b -> D.oeg_precedes g a b = (a <> b && G.reachable g.oeg ~src:a ~dst:b))
-               keys)
+           (fun a -> List.for_all (fun b -> D.oeg_precedes g a b = reaches edges a b) keys)
            keys
       && Array.for_all Fun.id
            (Array.mapi
@@ -304,9 +313,9 @@ let prop_closure_matches_quotient =
            (fun (a, b) ->
              not
                (List.exists
-                  (fun c -> c <> b && G.reachable g.oeg ~src:c ~dst:b)
-                  (G.succs g.oeg a)))
-           (G.edges g.oeg)
+                  (fun (a', c) -> a' = a && c <> b && reaches edges c b)
+                  edges))
+           edges
       && List.for_all (fun (a, b, _) -> D.oeg_precedes g key.(a) key.(b)) (Sf.launch_deps sf))
 
 let suite =
@@ -316,8 +325,9 @@ let suite =
     Alcotest.test_case "OEG precedence" `Quick test_oeg_precedence;
     Alcotest.test_case "transitive reduction" `Quick test_transitive_reduction;
     Alcotest.test_case "fusion feasibility" `Quick test_fusion_feasible;
-    Alcotest.test_case "refined dependence still ordered" `Quick
-      test_refined_dependence_still_ordered;
+    Alcotest.test_case "refined dependence not ordered" `Quick
+      test_refined_dependence_not_ordered;
+    Alcotest.test_case "group legal only under refined deps" `Quick test_refined_group_legal;
     Alcotest.test_case "multi-writer versioning" `Quick test_multi_writer_versioning;
     Alcotest.test_case "repeated invocation keys" `Quick test_repeated_invocation_keys;
     Alcotest.test_case "invocations skip host copies" `Quick test_invocations_skip_copies;

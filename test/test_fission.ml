@@ -113,6 +113,22 @@ let test_guard_kept_in_parts () =
       Alcotest.(check bool) "guard preserved" true has_guard)
     plan.parts
 
+(* a plan whose part name is already a kernel of the program cannot be
+   applied: the result would define that kernel twice *)
+let test_part_name_clash_raises () =
+  let plan = Option.get (F.plan fused_built.kernel) in
+  let taken = (List.hd plan.parts).part_kernel.k_name in
+  let prog =
+    { fused_prog with
+      p_kernels = fused_prog.p_kernels @ [ { fused_built.kernel with k_name = taken } ] }
+  in
+  Alcotest.(check (option string)) "clash found" (Some taken) (F.name_clash prog plan);
+  Alcotest.(check (option string)) "no clash without it" None (F.name_clash fused_prog plan);
+  match F.apply_to_program ~plans:[ (fused_built.kernel.k_name, plan) ] prog with
+  | (_ : program) -> Alcotest.fail "a clashing plan was applied"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) "names the part" true (Util.contains msg taken)
+
 let suite =
   [
     Alcotest.test_case "fissionable detection" `Quick test_fissionable;
@@ -124,4 +140,5 @@ let suite =
     Alcotest.test_case "fission of AWP velocity kernel" `Quick test_fission_semantics_all_apps_kernel;
     Alcotest.test_case "iterated fission fixpoint" `Quick test_iterate_plan_fixpoint;
     Alcotest.test_case "guards preserved in parts" `Quick test_guard_kept_in_parts;
+    Alcotest.test_case "part name clash raises" `Quick test_part_name_clash_raises;
   ]

@@ -332,6 +332,39 @@ let test_fatal_output_check_raises () =
       Alcotest.(check (list string)) "every array, each by 0" [ "A"; "B"; "X" ] (List.map fst diffs);
       Alcotest.(check bool) "no real difference" true (List.for_all (fun (_, d) -> d = 0.0) diffs)
 
+(* [lo] and [hi] fuse around [mid] because their halves of X are
+   proved disjoint (see [Util.halves_program]); forced through the
+   solution hook under fatal verification, the pair reaches codegen as
+   one group and the output checks *)
+let test_refined_group_fuses () =
+  let hooks = { F.no_hooks with amend_solution = (fun _ -> [ [ "lo"; "hi" ]; [ "mid" ] ]) } in
+  let r =
+    F.transform ~config:{ config with verify_mode = F.Verify_fatal } ~hooks (Util.halves_program ())
+  in
+  Alcotest.(check (list (list string))) "codegen groups" [ [ "lo"; "hi" ]; [ "mid" ] ]
+    (List.map (fun (k : Kft_codegen.Codegen.kernel_report) -> k.members) r.codegen.reports);
+  Alcotest.(check bool) "lo+hi fused" true ((List.hd r.codegen.reports).fusion_kind <> `None);
+  Alcotest.(check (list string)) "nothing rejected" [] (List.map fst r.rejected_groups);
+  Alcotest.(check bool) "output verified" true (r.verified = Ok ())
+
+(* [diffuse] -> [smooth] -> [relax]: grouping the outer two around the
+   middle one contracts to a cycle, so the schedule stage breaks every
+   group up and keeps the source order *)
+let test_cyclic_grouping_falls_back () =
+  let hooks =
+    { F.no_hooks with amend_solution = (fun _ -> [ [ "diffuse"; "relax" ]; [ "smooth" ] ]) }
+  in
+  let prog = Util.quickstart_program () in
+  let r = F.transform ~config:{ config with verify_mode = F.Verify_fatal } ~hooks prog in
+  Alcotest.(check (list (list string))) "every group broken up, source order"
+    [ [ "diffuse" ]; [ "smooth" ]; [ "relax" ] ]
+    (List.map (fun (k : Kft_codegen.Codegen.kernel_report) -> k.members) r.codegen.reports);
+  Alcotest.(check bool) "nothing fused" true
+    (List.for_all
+       (fun (k : Kft_codegen.Codegen.kernel_report) -> k.fusion_kind = `None)
+       r.codegen.reports);
+  Alcotest.(check bool) "output verified" true (r.verified = Ok ())
+
 let suite =
   [
     Alcotest.test_case "end-to-end verified" `Quick test_end_to_end_verified;
@@ -352,6 +385,9 @@ let suite =
     Alcotest.test_case "fatal verify raises on an output mismatch" `Quick
       test_fatal_output_check_raises;
     Alcotest.test_case "an unproved block retune is refused" `Quick test_unproved_retune_refused;
+    Alcotest.test_case "a group legal under refined deps fuses" `Quick test_refined_group_fuses;
+    Alcotest.test_case "a cyclic grouping falls back to the source" `Quick
+      test_cyclic_grouping_falls_back;
   ]
 
 let test_validation_gate () =

@@ -1,6 +1,19 @@
-(* Digraph substrate tests: structure, traversals, quotient, DOT. *)
+(* Digraph substrate tests (structure, traversals, DOT) and the OEG
+   contraction the search and the schedule share. *)
 
 module G = Kft_graph.Digraph
+
+(* [contract n edges label]: the framework's contraction of nodes
+   [0 .. n-1] with the given edges; [label] defaults to one quotient
+   node per node *)
+let contract ?label n edges =
+  let succs =
+    Array.init n (fun v -> List.filter_map (fun (a, b) -> if a = v then Some b else None) edges)
+  in
+  let label = match label with Some l -> Array.of_list l | None -> Array.init n Fun.id in
+  Kft_framework.Framework.Internal.contract succs label
+
+let order = Alcotest.(option (list (list int)))
 
 let mk edges nodes =
   let g = G.create () in
@@ -39,40 +52,21 @@ let test_add_edge_idempotent () =
   Alcotest.(check int) "single edge" 1 (G.edge_count g)
 
 let test_topo_order () =
-  let g = mk [ ("a", "b"); ("b", "c"); ("a", "c") ] [ "a"; "b"; "c" ] in
-  Alcotest.(check (list string)) "topo" [ "a"; "b"; "c" ] (G.topo_sort g)
+  Alcotest.check order "topo" (Some [ [ 0 ]; [ 1 ]; [ 2 ] ]) (contract 3 [ (0, 1); (1, 2); (0, 2) ])
 
 let test_topo_stable () =
-  (* independent nodes keep insertion order *)
-  let g = mk [] [ "z"; "m"; "a" ] in
-  Alcotest.(check (list string)) "insertion order" [ "z"; "m"; "a" ] (G.topo_sort g)
+  (* among ready nodes the lowest goes first: 2 -> 0 holds 0 back *)
+  Alcotest.check order "schedule order" (Some [ [ 0 ]; [ 1 ]; [ 2 ] ]) (contract 3 []);
+  Alcotest.check order "lowest ready first" (Some [ [ 1 ]; [ 2 ]; [ 0 ] ]) (contract 3 [ (2, 0) ])
 
 let test_cycle_detection () =
-  let g = mk [ ("a", "b"); ("b", "c"); ("c", "a") ] [ "a"; "b"; "c" ] in
-  Alcotest.(check bool) "is_dag false" false (G.is_dag g);
-  match G.topo_sort g with
-  | (_ : string list) -> Alcotest.fail "topo_sort should raise"
-  | exception G.Cycle cycle ->
-      Alcotest.(check bool) "cycle has 3 nodes" true (List.length cycle = 3);
-      (* consecutive edges (with wraparound) must exist *)
-      let ok =
-        List.for_all2
-          (fun a b -> G.mem_edge g a b)
-          cycle
-          (List.tl cycle @ [ List.hd cycle ])
-      in
-      Alcotest.(check bool) "witness edges exist" true ok
+  Alcotest.check order "cyclic" None (contract 3 [ (0, 1); (1, 2); (2, 0) ])
 
 let test_self_loop_cycle () =
-  let g = mk [ ("a", "a") ] [ "a" ] in
-  Alcotest.(check bool) "self loop cyclic" false (G.is_dag g)
-
-let test_reachable () =
-  let g = mk [ ("a", "b"); ("b", "c") ] [ "a"; "b"; "c"; "d" ] in
-  Alcotest.(check bool) "a reaches c" true (G.reachable g ~src:"a" ~dst:"c");
-  Alcotest.(check bool) "c not a" false (G.reachable g ~src:"c" ~dst:"a");
-  Alcotest.(check bool) "self" true (G.reachable g ~src:"a" ~dst:"a");
-  Alcotest.(check bool) "disconnected" false (G.reachable g ~src:"a" ~dst:"d")
+  (* an edge inside one quotient node drops out *)
+  Alcotest.check order "self loop dropped" (Some [ [ 0 ] ]) (contract 1 [ (0, 0) ]);
+  Alcotest.check order "group-internal edge dropped" (Some [ [ 0; 1 ] ])
+    (contract ~label:[ 7; 7 ] 2 [ (0, 1) ])
 
 let test_bfs_undirected () =
   let g = mk [ ("a", "b"); ("c", "b") ] [ "a"; "b"; "c"; "d" ] in
@@ -87,17 +81,16 @@ let test_components () =
     (G.components g)
 
 let test_quotient_collapse () =
-  let g = mk [ ("a", "b"); ("b", "c") ] [ "a"; "b"; "c" ] in
-  let q = G.quotient g ~group_of:(fun k -> if k = "a" || k = "b" then "g" else k) in
-  Alcotest.(check int) "two nodes" 2 (G.node_count q);
-  Alcotest.(check bool) "no self loop" false (G.mem_edge q "g" "g");
-  Alcotest.(check bool) "edge kept" true (G.mem_edge q "g" "c")
+  Alcotest.check order "0+1 then 2" (Some [ [ 0; 1 ]; [ 2 ] ])
+    (contract ~label:[ 0; 0; 2 ] 3 [ (0, 1); (1, 2) ]);
+  (* quotient nodes are numbered by the first occurrence of their label *)
+  Alcotest.check order "first occurrence" (Some [ [ 0; 2 ]; [ 1 ] ])
+    (contract ~label:[ 5; 3; 5 ] 3 [])
 
 let test_quotient_cycle () =
-  (* a -> x -> b with a,b grouped: quotient must be cyclic *)
-  let g = mk [ ("a", "x"); ("x", "b"); ("b", "y") ] [ "a"; "x"; "b"; "y" ] in
-  let q = G.quotient g ~group_of:(fun k -> if k = "a" || k = "b" then "g" else k) in
-  Alcotest.(check bool) "cyclic quotient" false (G.is_dag q)
+  (* 0 -> 1 -> 2 with 0 and 2 grouped: the contraction is cyclic *)
+  Alcotest.check order "cyclic quotient" None
+    (contract ~label:[ 0; 1; 0; 3 ] 4 [ (0, 1); (1, 2); (2, 3) ])
 
 let test_dot_roundtrip () =
   let g = mk [ ("k 1", "arr"); ("arr", "k\"2") ] [ "k 1"; "arr"; "k\"2" ] in
@@ -117,147 +110,95 @@ let test_dot_attrs () =
   let dot = G.to_dot ~node_attrs:(fun k () -> [ ("label", k ^ "!") ]) g in
   Alcotest.(check bool) "label emitted" true (contains dot "label=\"a!\"")
 
-(* property: topological order respects every edge of a random DAG *)
+(* property: with one quotient node per node, the order respects every
+   edge of a random DAG *)
 let prop_topo_respects_edges =
   QCheck.Test.make ~name:"topo order respects edges" ~count:100
     QCheck.(list (pair (int_bound 19) (int_bound 19)))
     (fun pairs ->
-      let g = G.create () in
-      for i = 0 to 19 do
-        G.add_node g ~key:(string_of_int i) ()
-      done;
       (* orient all edges low -> high: always a DAG *)
-      List.iter
-        (fun (a, b) ->
-          if a <> b then
-            let lo, hi = (min a b, max a b) in
-            G.add_edge g (string_of_int lo) (string_of_int hi))
-        pairs;
-      let order = G.topo_sort g in
-      let pos = List.mapi (fun i k -> (k, i)) order in
-      List.for_all
-        (fun (a, b) -> a = b || List.assoc (string_of_int (min a b)) pos < List.assoc (string_of_int (max a b)) pos)
-        pairs)
+      let edges =
+        List.filter_map (fun (a, b) -> if a = b then None else Some (min a b, max a b)) pairs
+      in
+      match contract 20 edges with
+      | None -> false
+      | Some order ->
+          let pos = Array.make 20 (-1) in
+          List.iteri (fun i q -> List.iter (fun v -> pos.(v) <- i) q) order;
+          List.for_all (fun (a, b) -> pos.(a) < pos.(b)) edges)
 
-(* The quadratic Kahn's algorithm [G.topo_sort] replaced: every step
-   scans the whole in-degree table for the ready node with the smallest
-   insertion index. Kept here as the reference the new frontier must
-   match, witness cycles included. *)
-let reference_find_cycle_among g remaining =
-  let restricted = Hashtbl.create 16 in
-  List.iter (fun k -> Hashtbl.replace restricted k ()) remaining;
-  let color = Hashtbl.create 16 in
-  let exception Found of string list in
-  let rec dfs path k =
-    match Hashtbl.find_opt color k with
-    | Some 1 ->
-        let rec cut acc = function
-          | [] -> k :: acc
-          | x :: _ when x = k -> k :: acc
-          | x :: tl -> cut (x :: acc) tl
-        in
-        raise (Found (cut [] path))
-    | Some _ -> ()
-    | None ->
-        Hashtbl.replace color k 1;
-        List.iter (fun s -> if Hashtbl.mem restricted s then dfs (k :: path) s) (G.succs g k);
-        Hashtbl.replace color k 2
+(* Stable Kahn written out plainly: quotient nodes numbered by the first
+   occurrence of their label, and every step scans them all for the
+   lowest one whose quotient predecessors are all emitted. *)
+let reference_contract n edges label =
+  let label = Array.of_list label in
+  let firsts =
+    List.fold_left (fun acc v -> if List.mem label.(v) acc then acc else acc @ [ label.(v) ]) []
+      (List.init n Fun.id)
   in
-  try
-    List.iter (fun k -> dfs [] k) remaining;
-    assert false
-  with Found c -> c
+  (* the position of [v]'s label among the first occurrences *)
+  let q v =
+    let rec find i = function
+      | x :: rest -> if x = label.(v) then i else find (i + 1) rest
+      | [] -> assert false
+    in
+    find 0 firsts
+  and nq = List.length firsts in
+  let qedges = List.filter_map (fun (a, b) -> if q a = q b then None else Some (q a, q b)) edges in
+  let ready emitted x =
+    (not (List.mem x emitted)) && List.for_all (fun (a, b) -> b <> x || List.mem a emitted) qedges
+  in
+  let rec loop emitted acc =
+    if List.length emitted = nq then Some (List.rev acc)
+    else
+      match List.find_opt (ready emitted) (List.init nq Fun.id) with
+      | None -> None
+      | Some x -> loop (x :: emitted) (List.filter (fun v -> q v = x) (List.init n Fun.id) :: acc)
+  in
+  loop [] []
 
-let reference_topo_sort g =
-  let order = Hashtbl.create 64 in
-  List.iteri (fun i k -> Hashtbl.replace order k i) (G.nodes g);
-  let indeg = Hashtbl.create 64 in
-  List.iter (fun k -> Hashtbl.replace indeg k (List.length (G.preds g k))) (G.nodes g);
-  let ready () =
-    let best = ref None in
-    Hashtbl.iter
-      (fun k d ->
-        if d = 0 then
-          match !best with
-          | Some b when Hashtbl.find order b < Hashtbl.find order k -> ()
-          | _ -> best := Some k)
-      indeg;
-    !best
-  in
-  let rec loop acc =
-    match ready () with
-    | None ->
-        if Hashtbl.length indeg = 0 then List.rev acc
-        else
-          let remaining = Hashtbl.fold (fun k _ l -> k :: l) indeg [] in
-          raise (G.Cycle (reference_find_cycle_among g remaining))
-    | Some k ->
-        Hashtbl.remove indeg k;
-        List.iter
-          (fun s ->
-            match Hashtbl.find_opt indeg s with
-            | Some d -> Hashtbl.replace indeg s (d - 1)
-            | None -> ())
-          (G.succs g k);
-        loop (k :: acc)
-  in
-  loop []
-
-(* a random graph: [n] nodes inserted in a shuffled key order, plus edges
-   between node indices; [~dag] orients every edge by a random rank
-   unrelated to insertion order *)
-let random_graph_gen ~dag =
+(* a random graph over nodes [0 .. n-1] with a random label per node;
+   [~dag] orients every edge by a random rank unrelated to the node
+   order, parallel edges included *)
+let random_contraction_gen ~dag =
   QCheck.Gen.(
     int_range 1 16 >>= fun n ->
-    shuffle_l (List.init n Fun.id) >>= fun keys ->
     shuffle_l (List.init n Fun.id) >>= fun rank ->
+    list_repeat n (int_bound (n - 1)) >>= fun label ->
     list_size (int_bound (3 * n)) (pair (int_bound (n - 1)) (int_bound (n - 1)))
     >|= fun pairs ->
-    let key i = Printf.sprintf "n%d" (List.nth keys i) and rank = Array.of_list rank in
+    let rank = Array.of_list rank in
     let edges =
       List.filter_map
         (fun (a, b) ->
-          if not dag then Some (key a, key b)
-          else if rank.(a) < rank.(b) then Some (key a, key b)
-          else if rank.(b) < rank.(a) then Some (key b, key a)
+          if not dag then Some (a, b)
+          else if rank.(a) < rank.(b) then Some (a, b)
+          else if rank.(b) < rank.(a) then Some (b, a)
           else None)
         pairs
     in
-    (List.init n key, edges))
+    (n, edges, label))
 
-let random_graph_arb ~dag =
+let random_contraction_arb ~dag =
   QCheck.make
-    ~print:(fun (nodes, edges) ->
-      Printf.sprintf "nodes=[%s] edges=[%s]" (String.concat ";" nodes)
-        (String.concat ";" (List.map (fun (a, b) -> a ^ "->" ^ b) edges)))
-    (random_graph_gen ~dag)
+    ~print:(fun (n, edges, label) ->
+      Printf.sprintf "n=%d edges=[%s] labels=[%s]" n
+        (String.concat ";" (List.map (fun (a, b) -> Printf.sprintf "%d->%d" a b) edges))
+        (String.concat ";" (List.map string_of_int label)))
+    (random_contraction_gen ~dag)
 
-let topo_outcome f g = match f g with order -> Ok order | exception G.Cycle c -> Error c
+(* property: on random DAGs with random groupings the contraction gives
+   the reference order, and a cycle exactly when the reference does *)
+let prop_contract_matches_reference_dag =
+  QCheck.Test.make ~name:"contract = stable Kahn on DAGs" ~count:300
+    (random_contraction_arb ~dag:true)
+    (fun (n, edges, label) -> contract ~label n edges = reference_contract n edges label)
 
-(* property: on random DAGs the frontier topo_sort returns exactly the
-   reference order *)
-let prop_topo_matches_reference_dag =
-  QCheck.Test.make ~name:"topo_sort = quadratic reference on DAGs" ~count:300
-    (random_graph_arb ~dag:true)
-    (fun (nodes, edges) ->
-      let g = mk edges nodes in
-      G.topo_sort g = reference_topo_sort g)
-
-(* property: on arbitrary graphs both raise Cycle with the same witness,
-   and the witness is a real cycle of the graph *)
-let prop_topo_matches_reference_cyclic =
-  QCheck.Test.make ~name:"topo_sort cycle witness = reference" ~count:300
-    (random_graph_arb ~dag:false)
-    (fun (nodes, edges) ->
-      let g = mk edges nodes in
-      let got = topo_outcome G.topo_sort g in
-      got = topo_outcome reference_topo_sort g
-      &&
-      match got with
-      | Ok _ -> true
-      | Error cycle ->
-          cycle <> []
-          && List.for_all2 (G.mem_edge g) cycle (List.tl cycle @ [ List.hd cycle ]))
+(* property: the same on arbitrary graphs, cycles and self loops included *)
+let prop_contract_matches_reference_cyclic =
+  QCheck.Test.make ~name:"contract = stable Kahn, cyclic" ~count:300
+    (random_contraction_arb ~dag:false)
+    (fun (n, edges, label) -> contract ~label n edges = reference_contract n edges label)
 
 (* property: components partition the node set *)
 let prop_components_partition =
@@ -286,7 +227,6 @@ let suite =
     Alcotest.test_case "topo stability" `Quick test_topo_stable;
     Alcotest.test_case "cycle detection" `Quick test_cycle_detection;
     Alcotest.test_case "self loop" `Quick test_self_loop_cycle;
-    Alcotest.test_case "reachability" `Quick test_reachable;
     Alcotest.test_case "bfs is undirected" `Quick test_bfs_undirected;
     Alcotest.test_case "weak components" `Quick test_components;
     Alcotest.test_case "quotient collapse" `Quick test_quotient_collapse;
@@ -294,7 +234,7 @@ let suite =
     Alcotest.test_case "dot round trip" `Quick test_dot_roundtrip;
     Alcotest.test_case "dot node attributes" `Quick test_dot_attrs;
     QCheck_alcotest.to_alcotest prop_topo_respects_edges;
-    QCheck_alcotest.to_alcotest prop_topo_matches_reference_dag;
-    QCheck_alcotest.to_alcotest prop_topo_matches_reference_cyclic;
+    QCheck_alcotest.to_alcotest prop_contract_matches_reference_dag;
+    QCheck_alcotest.to_alcotest prop_contract_matches_reference_cyclic;
     QCheck_alcotest.to_alcotest prop_components_partition;
   ]

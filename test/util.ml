@@ -78,6 +78,45 @@ let producer_consumer_program ?(dims = (32, 16, 8)) ?(block = (16, 4, 1)) () =
       ];
   }
 
+(* Three launches over the halves of X along k: [lo] writes the lower
+   half, [mid] reads it into Y, [hi] writes the upper half. Schedflow
+   proves the regions, so lo -> mid is the only dependence and [lo]
+   and [hi] may fuse around [mid]. *)
+let halves_program () =
+  let dims = (32, 16, 8) in
+  let kernel name ~src ~dst ~k0 ~k1 =
+    Printf.sprintf
+      {|
+__global__ void %s(const double *%s, const double *B, double *%s, int nx, int ny, int nz, double c) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  int j = blockIdx.y * blockDim.y + threadIdx.y;
+  if (i < nx && j < ny) {
+    for (int k = %s; k < %s; k++) {
+      %s[(k * ny + j) * nx + i] = c * (%s[(k * ny + j) * nx + i] + B[(k * ny + j) * nx + i]);
+    }
+  }
+}
+|}
+      name src dst k0 k1 dst src
+  in
+  let launch k args =
+    Launch
+      { l_kernel = k; l_domain = (32, 16, 1); l_block = (16, 4, 1); l_args = std_args dims args 0.5 }
+  in
+  {
+    p_name = "halves";
+    p_arrays = List.map (arr3 dims) [ "A"; "B"; "X"; "Y" ];
+    p_kernels =
+      Kft_cuda.Parse.kernels
+        (kernel "lo" ~src:"A" ~dst:"X" ~k0:"0" ~k1:"4"
+        ^ kernel "mid" ~src:"X" ~dst:"Y" ~k0:"0" ~k1:"4"
+        ^ kernel "hi" ~src:"A" ~dst:"X" ~k0:"4" ~k1:"nz");
+    p_schedule =
+      [
+        launch "lo" [ "A"; "B"; "X" ]; launch "mid" [ "X"; "B"; "Y" ]; launch "hi" [ "A"; "B"; "X" ];
+      ];
+  }
+
 let launch_of prog kernel =
   List.find_map
     (function Launch l when l.l_kernel = kernel -> Some l | _ -> None)

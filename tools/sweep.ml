@@ -117,16 +117,18 @@ let check_schedule_pass what (r : V.report) =
       if covered then []
       else [ "(incomplete schedule-DDG coverage: a launch could not be placed)" ])
 
-(* [check]'s texts of the three runs (jobs 1, 1, 4) must be equal *)
+(* [check]'s texts of the three runs (jobs 1, 1, 4) must be equal; a
+   failed check's line names what differed *)
 let check_same what check ~invalid (x1, x1', x4) =
   let problems =
     invalid
-    @ (if x1 <> x1' then [ check ^ " differs between two identical runs" ] else [])
-    @ if x1 <> x4 then [ check ^ " differs between --jobs 1 and --jobs 4" ] else []
+    @ (if x1 <> x1' then [ "differs between two identical runs" ] else [])
+    @ if x1 <> x4 then [ "differs between --jobs 1 and --jobs 4" ] else []
   in
-  line what check (verdict (problems = [])) "%d bytes, identical across runs and jobs {1,1,4}"
-    (String.length x1);
-  if problems <> [] then fail problems
+  line what check (verdict (problems = [])) "%d bytes, %s" (String.length x1)
+    (if problems = [] then "identical across runs and jobs {1,1,4}"
+     else String.concat "; " problems);
+  if problems <> [] then fail []
 
 let check_traces what ((j1, _, _) as runs) =
   check_same what "trace" runs
