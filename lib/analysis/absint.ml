@@ -85,9 +85,11 @@ let idiv a b =
   else itop
 
 (* a mod d in the subset follows OCaml semantics: result has the sign
-   of a and magnitude < |d|.  Sound for any positive divisor range. *)
+   of a and magnitude < |d|.  Sound for any positive divisor range;
+   exact for two constants. *)
 let imod a b =
-  if b.lo >= 1 then begin
+  if is_const a && is_const b && b.lo <> 0 then iconst (a.lo mod b.lo)
+  else if b.lo >= 1 then begin
     let m = b.hi - 1 in
     let lo = max (min a.lo 0) (-m) and hi = min (max a.hi 0) m in
     { lo; hi }
@@ -1121,7 +1123,9 @@ let global_affine ~block:(bx, by, bz) ~grid:(gx, gy, gz) (a : form) =
     Some (List.filter (fun (s, _) -> not (is_block s)) (Imap.bindings a.coef), a.const)
   else None
 
-let affine_of_expr ?launch ~vars e =
+(* one expression evaluated outside a kernel walk: [vars] are free
+   symbols, [bindings] constants (the first binding of a name wins) *)
+let eval_alone ?launch ~vars ~bindings e =
   let has_builtin = fold_expr (fun acc e -> acc || match e with Builtin _ -> true | _ -> false) false e in
   match launch with
   | None when has_builtin -> None
@@ -1130,12 +1134,21 @@ let affine_of_expr ?launch ~vars e =
       let ctx = new_ctx ~simplify:false ~block ~grid ~global_cells:[] in
       ctx.record <- false;
       let syms = List.map (fun v -> (fresh_sym ctx { rng = itop; s_uni = false }, v)) vars in
-      let env = List.fold_left (fun env (s, v) -> Senv.add v (sym_val ctx s) env) Senv.empty syms in
-      let names = [ (sym_tx, "gx"); (sym_ty, "gy"); (sym_tz, "gz") ] @ syms in
+      let env = List.fold_right (fun (v, n) env -> Senv.add v (const_val n) env) bindings Senv.empty in
+      let env = List.fold_left (fun env (s, v) -> Senv.add v (sym_val ctx s) env) env syms in
       let v = eval { c = ctx; block; grid } env ~w:{ trips = 1.0; frac = 1.0; w_exact = false } e in
+      Some (v, [ (sym_tx, "gx"); (sym_ty, "gy"); (sym_tz, "gz") ] @ syms, block, grid)
+
+let affine_of_expr ?launch ~vars e =
+  Option.bind (eval_alone ?launch ~vars ~bindings:[] e) (fun (v, names, block, grid) ->
       Option.map
         (fun (ts, c) -> (List.map (fun (s, k) -> (List.assoc s names, k)) ts, c))
-        (Option.bind v.aff (global_affine ~block ~grid))
+        (Option.bind v.aff (global_affine ~block ~grid)))
+
+let const_of_expr ~bindings e =
+  match eval_alone ~vars:[] ~bindings e with
+  | Some (v, _, _, _) when is_const v.itv && abs v.itv.lo < big -> Some v.itv.lo
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* race freedom                                                        *)

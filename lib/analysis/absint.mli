@@ -8,8 +8,9 @@
     and shared access in bounds, to decide generated guards, and to
     predict per-kernel global traffic exactly for affine kernels.
 
-    It is the one place an index expression becomes an affine form.
-    Clients:
+    It is the one place an index expression becomes an affine form, and
+    the one place outside the simulator that evaluates an integer
+    expression.  Clients:
     - {!analyze_kernel} / {!analyze_launch}: proved bounds and per-array
       footprints (kft_verify's bounds pass);
     - {!prove_race_free}: kft_verify's race proof, from the race forms,
@@ -19,9 +20,12 @@
     - the access / guard records consumed by kft_absint's [Lint];
     - {!Access}: stencil offsets, loops and [irregular] reasons of the
       operations metadata, from the product forms ({!acc_aff}) and
-      {!res_loops};
+      {!res_loops}, and the guard coverage, from the {!affine_of_expr}
+      of each conjunct of the top-level guard;
+    - {!Cost}: loop trip counts, through {!const_of_expr};
     - kft_codegen's [Canonical] and [Fusion]: canonical stencil
-      indices, through {!affine_of_expr} and {!split_offset}. *)
+      indices, through {!affine_of_expr} and {!split_offset}, and
+      [Canonical]'s vertical-loop bounds, through {!const_of_expr}. *)
 
 type itv = { lo : int; hi : int }
 (** Closed integer interval, saturating at [+-big] (2{^44}). *)
@@ -169,6 +173,16 @@ val affine_of_expr :
     ["gy"] and ["gz"].  Without [launch] any builtin makes the
     expression non-affine.  [None] when not affine: a [min], [max],
     [%], inexact [/], or a ternary the ranges do not decide. *)
+
+val const_of_expr : bindings:(string * int) list -> Kft_cuda.Ast.expr -> int option
+(** The value of an integer expression whose variables are bound to
+    constants (the first binding of a name wins), folded by the interval
+    domain: literal arithmetic, [/] and [%] with OCaml's truncation,
+    [min], [max], [abs], comparisons, [&&], [||], [!] and decided
+    ternaries.  [None] when it is not one integer: an unbound variable,
+    a builtin, an array read, a double, or a division by zero.  The
+    domain saturates at [+-2{^44}], so a value at that bound is [None]
+    and one that overflows it on the way is not folded exactly. *)
 
 val split_offset : int list -> int -> int list
 (** The constant of a linearized index over [dims] (innermost first),

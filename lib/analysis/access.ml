@@ -59,61 +59,6 @@ let env_of_launch prog (l : launch) =
   { block = l.l_block; domain = l.l_domain; grid = grid_of_launch l; int_args; array_dims; param_binding }
 
 (* ------------------------------------------------------------------ *)
-(* Integer evaluation under a probe assignment                         *)
-(* ------------------------------------------------------------------ *)
-
-exception Not_integer of string
-
-type probe = {
-  thread : int * int * int;  (* tx, ty, tz *)
-  block_idx : int * int * int;  (* bix, biy, biz *)
-  bindings : (string * int) list;  (* loop vars + inlined params *)
-}
-
-let rec eval_int env e =
-  match e with
-  | Int_lit i -> i
-  | Double_lit _ -> raise (Not_integer "double literal in index expression")
-  | Var v -> (
-      match List.assoc_opt v env.bindings with
-      | Some i -> i
-      | None -> raise (Not_integer ("unbound variable " ^ v)))
-  | Builtin b ->
-      let tx, ty, tz = env.thread and bix, biy, biz = env.block_idx in
-      (match b with
-      | Thread_idx X -> tx
-      | Thread_idx Y -> ty
-      | Thread_idx Z -> tz
-      | Block_idx X -> bix
-      | Block_idx Y -> biy
-      | Block_idx Z -> biz
-      | Block_dim _ | Grid_dim _ -> raise (Not_integer "blockDim/gridDim must be inlined before probing"))
-  | Binop (op, a, b) -> (
-      let va = eval_int env a and vb = eval_int env b in
-      match op with
-      | Add -> va + vb
-      | Sub -> va - vb
-      | Mul -> va * vb
-      | Div -> if vb = 0 then raise (Not_integer "division by zero") else va / vb
-      | Mod -> if vb = 0 then raise (Not_integer "mod by zero") else va mod vb
-      | Lt -> if va < vb then 1 else 0
-      | Le -> if va <= vb then 1 else 0
-      | Gt -> if va > vb then 1 else 0
-      | Ge -> if va >= vb then 1 else 0
-      | Eq -> if va = vb then 1 else 0
-      | Ne -> if va <> vb then 1 else 0
-      | And -> if va <> 0 && vb <> 0 then 1 else 0
-      | Or -> if va <> 0 || vb <> 0 then 1 else 0)
-  | Unop (Neg, a) -> -eval_int env a
-  | Unop (Not, a) -> if eval_int env a = 0 then 1 else 0
-  | Ternary (c, a, b) -> if eval_int env c <> 0 then eval_int env a else eval_int env b
-  | Call ("min", [ a; b ]) -> min (eval_int env a) (eval_int env b)
-  | Call ("max", [ a; b ]) -> max (eval_int env a) (eval_int env b)
-  | Call ("abs", [ a ]) -> abs (eval_int env a)
-  | Call (f, _) -> raise (Not_integer ("call to " ^ f ^ " in index expression"))
-  | Index _ -> raise (Not_integer "array access inside an index expression")
-
-(* ------------------------------------------------------------------ *)
 (* Preprocessing: inline immutable int declarations and blockDim       *)
 (* ------------------------------------------------------------------ *)
 
@@ -185,45 +130,51 @@ let stencil_offset dims c =
   | [ dx; dy; dz ] -> (dx, dy, dz)
   | _ -> invalid_arg "Access.stencil_offset: arrays have one to three dimensions"
 
-(* Active fraction of the top-level guard, evaluated numerically. *)
-let compute_active_fraction env body =
-  let dx, dy, dz = env.domain in
-  let guard =
-    (* first If whose branches contain the bulk of the kernel: take the
-       first top-level If following only declarations *)
-    let rec find = function
-      | Decl _ :: rest | Shared_decl _ :: rest -> find rest
-      | If (c, _, []) :: _ -> Some c
-      | _ -> None
-    in
-    find body
+let rec conjuncts = function Binop (And, a, b) -> conjuncts a @ conjuncts b | c -> [ c ]
+
+(* Fraction of the domain's cells passing the top-level guard (the first
+   [If] with an empty else that follows only declarations), counted
+   exactly when the guard is a box: each conjunct is decided by the
+   launch, or bounds one global coordinate with coefficient +-1. Any
+   other guard gets 1.0. *)
+let active_fraction env body =
+  let rec find = function
+    | Decl _ :: rest | Shared_decl _ :: rest -> find rest
+    | If (c, _, []) :: _ -> Some c
+    | _ -> None
   in
-  match guard with
+  let dx, dy, dz = env.domain in
+  match find body with
   | None -> 1.0
-  | Some c ->
-      let bx, by, bz = env.block in
-      let sample_z = if dz > 4 && dx * dy * dz > 1 lsl 18 then [ 0; dz / 2; dz - 1 ] else List.init dz (fun z -> z) in
-      let active = ref 0 and total = ref 0 in
-      for gx = 0 to dx - 1 do
-        for gy = 0 to dy - 1 do
-          List.iter
-            (fun gz ->
-              incr total;
-              let env_probe =
-                {
-                  thread = (gx mod bx, gy mod by, gz mod bz);
-                  block_idx = (gx / bx, gy / by, gz / bz);
-                  bindings = env.int_args;
-                }
-              in
-              match eval_int env_probe c with
-              | 0 -> ()
-              | _ -> incr active
-              | exception Not_integer _ -> incr active)
-            sample_z
-        done
-      done;
-      if !total = 0 then 1.0 else float_of_int !active /. float_of_int !total
+  | Some _ when dx * dy * dz = 0 -> 1.0
+  | Some guard ->
+      let guard =
+        map_expr
+          (function Var v when List.mem_assoc v env.int_args -> Int_lit (List.assoc v env.int_args) | e -> e)
+          guard
+      in
+      let affine e = Absint.affine_of_expr ~launch:(env.block, env.grid) ~vars:[] e in
+      (* the admitted cells [lo, hi] of each global coordinate *)
+      let cut box g lo hi = List.map (fun (g', l, h) -> if g' = g then (g, max l lo, min h hi) else (g', l, h)) box in
+      let far = 1 lsl 50 in
+      let narrow box c =
+        match (affine c, c) with
+        | Some ([], v), _ -> Some (if v = 0 then cut box "gx" 0 (-1) (* no cell *) else box)
+        | _, Binop (((Lt | Le | Gt | Ge | Eq) as op), a, b) -> (
+            match affine (Binop (Sub, a, b)) with
+            | Some ([ (g, s) ], v) when abs s = 1 ->
+                (* s * g + v lies in [lo, hi] *)
+                let lo, hi = match op with Lt -> (-far, -1) | Le -> (-far, 0) | Gt -> (1, far) | Ge -> (0, far) | _ -> (0, 0) in
+                Some (if s = 1 then cut box g (lo - v) (hi - v) else cut box g (v - hi) (v - lo))
+            | _ -> None)
+        | _ -> None
+      in
+      let whole = Some [ ("gx", 0, dx - 1); ("gy", 0, dy - 1); ("gz", 0, dz - 1) ] in
+      match List.fold_left (fun box c -> Option.bind box (fun box -> narrow box c)) whole (conjuncts guard) with
+      | None -> 1.0
+      | Some box ->
+          let cells = List.fold_left (fun n (_, lo, hi) -> n * max 0 (hi - lo + 1)) 1 box in
+          float_of_int cells /. float_of_int (dx * dy * dz)
 
 (* index expressions of the global (non-shared) array accesses *)
 let global_indices body =
@@ -288,7 +239,7 @@ let analyze (k : kernel) env =
     accesses;
     loops;
     max_nest_depth = max_depth body;
-    active_fraction = compute_active_fraction env body;
+    active_fraction = active_fraction env body;
   }
 
 (* dead int-decl pruning after inlining: an inlined declaration is dead

@@ -38,9 +38,12 @@ type kernel_access_info = {
   max_nest_depth : int;  (** loop-nest depth; > 1 flags "deep nested loops" (Fig. 6 defect) *)
   active_fraction : float;
       (** fraction of the launch domain's cells passing the kernel's
-          top-level guard (1.0 when unguarded); evaluated on every cell,
-          or on the z-planes 0, nz/2 and nz-1 when the domain exceeds
-          2{^18} cells and nz > 4 *)
+          top-level guard (the first [if] without an else that follows
+          only declarations; 1.0 when unguarded).  Exact when the guard
+          is a box: a conjunction whose every conjunct is decided by the
+          launch or bounds one global coordinate with coefficient +-1,
+          read from {!Absint.affine_of_expr}.  Any other guard gets 1.0,
+          the value an {!Irregular} kernel gets too. *)
 }
 
 type failure_reason =
@@ -89,23 +92,6 @@ val max_depth : Kft_cuda.Ast.stmt list -> int
 val stencil_offset : int list -> int -> int * int * int
 (** {!Absint.split_offset} of a linearized index's constant over an
     array's dims (one to three, innermost first), as (dx, dy, dz). *)
-
-(** {1 Integer evaluation}
-
-    Used for the active fraction, and exposed for cost estimation (loop
-    trip counts) and codegen (constant loop bounds). *)
-
-type probe = {
-  thread : int * int * int;
-  block_idx : int * int * int;
-  bindings : (string * int) list;
-}
-
-exception Not_integer of string
-
-val eval_int : probe -> Kft_cuda.Ast.expr -> int
-(** Integer evaluation of an index/guard expression under a probe
-    assignment. Raises {!Not_integer} on non-integer constructs. *)
 
 val specialize : launch_env -> Kft_cuda.Ast.kernel -> Kft_cuda.Ast.stmt list
 (** Specialize a kernel body to its launch: substitute

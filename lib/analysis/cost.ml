@@ -50,12 +50,9 @@ let rec expr_chain depths e =
 
 let of_kernel (k : kernel) (env : Access.launch_env) =
   let trip lo hi step bindings =
-    let base =
-      { Access.thread = (0, 0, 0); block_idx = (0, 0, 0); bindings }
-    in
-    match (Access.eval_int base lo, Access.eval_int base hi) with
-    | l, h -> max 1 ((h - l + step - 1) / step)
-    | exception Access.Not_integer _ -> 1
+    match (Absint.const_of_expr ~bindings lo, Absint.const_of_expr ~bindings hi) with
+    | Some l, Some h -> max 1 ((h - l + step - 1) / step)
+    | _ -> 1
   in
   let depths = Hashtbl.create 16 in
   let flops = ref 0.0 and reads = ref 0.0 and writes = ref 0.0 in

@@ -14,8 +14,10 @@ type t = {
 }
 
 val of_kernel : Kft_cuda.Ast.kernel -> Access.launch_env -> t
-(** Counts are static: a loop multiplies its body by the trip count
-    (evaluated at the launch bindings), both branches of thread-dependent
+(** Counts are static: a loop multiplies its body by its trip count,
+    whose bounds {!Absint.const_of_expr} folds with the int arguments
+    bound and each enclosing loop index at 0 (one trip when a bound does
+    not fold); both branches of thread-dependent
     conditionals are averaged at weight 1/2 only for unguarded interior
     conditionals — the kernel-level guard is accounted separately via
     {!Access.kernel_access_info.active_fraction}. *)
@@ -24,7 +26,7 @@ val estimate_registers : Kft_cuda.Ast.kernel -> int
 (** Register-per-thread estimate from declaration count, distinct arrays
     touched and expression depth — the analysis the paper leverages from
     its performance model to feed the occupancy calculator. Clamped to
-    [16, 160]. *)
+    [18, 128]. *)
 
 val flops_of_assignment : Kft_cuda.Ast.expr -> int
 (** Arithmetic operation count of one right-hand side. *)

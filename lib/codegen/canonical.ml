@@ -213,10 +213,9 @@ let collect_locals body =
   List.rev !acc
 
 let const_eval e =
-  let probe = { Access.thread = (0, 0, 0); block_idx = (0, 0, 0); bindings = [] } in
-  match Access.eval_int probe e with
-  | v -> v
-  | exception Access.Not_integer m -> fail "loop bound is not a launch constant: %s" m
+  match Absint.const_of_expr ~bindings:[] e with
+  | Some v -> v
+  | None -> fail "loop bound is not a launch constant: %s" (Kft_cuda.Pp.expr e)
 
 let extract ~deep ~index prog (l : launch) =
   let kernel = find_kernel prog l.l_kernel in

@@ -35,6 +35,43 @@ let test_vertical_loop () =
       Alcotest.(check int) "trip count" 6 l.trip_count
   | _ -> Alcotest.fail "expected one loop"
 
+(* One kernel [g] over arrays A and B of [dims]: [decls] after the
+   coordinates i and j, then [guard], then [loops] (headers, outermost
+   first) around a store to B at (i, j, k). *)
+let kernel_program ?(decls = "") ?(loops = [ "for (int k = 0; k < nz; k++)" ]) ~guard ~dims ~domain ~block () =
+  let src =
+    Printf.sprintf
+      {|
+__global__ void g(const double *A, double *B, int nx, int ny, int nz, double c) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  int j = blockIdx.y * blockDim.y + threadIdx.y;
+  %s
+  if (%s) {
+    %s
+      B[(k * ny + j) * nx + i] = c * A[(k * ny + j) * nx + i];
+    %s
+  }
+}
+|}
+      decls guard
+      (String.concat " " (List.map (Printf.sprintf "%s {") loops))
+      (String.concat " " (List.map (fun _ -> "}") loops))
+  in
+  {
+    p_name = "one-kernel";
+    p_arrays = List.map (Util.arr3 dims) [ "A"; "B" ];
+    p_kernels = Kft_cuda.Parse.kernels src;
+    p_schedule =
+      [ Launch { l_kernel = "g"; l_domain = domain; l_block = block; l_args = Util.std_args dims [ "A"; "B" ] 0.5 } ];
+  }
+
+(* the z coordinate of a 3-D launch *)
+let z_coordinate = "int k = blockIdx.z * blockDim.z + threadIdx.z;"
+
+let guard_coverage prog =
+  let l = Util.launch_of prog "g" in
+  (Access.analyze (find_kernel prog "g") (Access.env_of_launch prog l)).active_fraction
+
 let test_active_fraction () =
   let k = find_kernel stencil_prog "produce" in
   let info = Access.analyze k (env_of stencil_prog "produce") in
@@ -42,7 +79,96 @@ let test_active_fraction () =
   Util.check_float ~eps:1e-3 "guard coverage" (30.0 *. 14.0 /. 512.0) info.active_fraction;
   let k2 = find_kernel stencil_prog "consume" in
   let info2 = Access.analyze k2 (env_of stencil_prog "consume") in
-  Util.check_float "unguarded interior" 1.0 info2.active_fraction
+  Util.check_float "unguarded interior" 1.0 info2.active_fraction;
+  let rows =
+    [
+      (* a 3-D box over 2^18+ cells: counted, not sampled on three planes *)
+      ( "3-D box on 64x64x72",
+        kernel_program ~decls:z_coordinate ~loops:[] ~guard:"i < nx && j < ny && k >= 1 && k < nz - 1"
+          ~dims:(64, 64, 72) ~domain:(64, 64, 72) ~block:(32, 4, 2) (),
+        70.0 /. 72.0 );
+      (* not a box: two coordinates in one conjunct *)
+      ( "non-box guard i < j",
+        kernel_program ~guard:"i < j && j < ny" ~dims:(64, 64, 4) ~domain:(64, 64, 1) ~block:(16, 4, 1) (),
+        1.0 );
+      ( "guard reading an array",
+        kernel_program ~guard:"i < nx && A[j * nx + i] > 0.0" ~dims:(64, 16, 4) ~domain:(64, 16, 1)
+          ~block:(16, 4, 1) (),
+        1.0 );
+    ]
+  in
+  List.iter (fun (what, prog, want) -> Util.check_float what want (guard_coverage prog)) rows
+
+(* Random box guards: margins on each side of each axis, upper bounds
+   past the domain, decided conjuncts, blocks that do not divide the
+   domain, 3-D domains, and domains smaller than the arrays. The guard
+   coverage is the per-cell count, bit for bit. *)
+let box_guard_gen =
+  let open QCheck.Gen in
+  bool >>= fun threed ->
+  triple (int_range 1 40) (int_range 1 12) (if threed then int_range 1 6 else return 1) >>= fun (dx, dy, dz) ->
+  triple (int_range 0 3) (int_range 0 3) (int_range 0 2) >>= fun (px, py, pz) ->
+  triple (oneofl [ 1; 3; 4; 8; 16; 32 ]) (oneofl [ 1; 2; 3; 4 ]) (if threed then oneofl [ 1; 2; 3 ] else return 1)
+  >>= fun block ->
+  let plus n m = if m >= 0 then Printf.sprintf "%s + %d" n m else Printf.sprintf "%s - %d" n (-m) in
+  let axis (v, n) =
+    let lower =
+      int_range (-2) 3 >>= fun m ->
+      oneofl
+        [ Printf.sprintf "%s >= %d" v m; Printf.sprintf "%s > %d" v (m - 1); Printf.sprintf "-%s <= %d" v (-m);
+          Printf.sprintf "%d <= %s" m v ]
+    and upper =
+      int_range (-3) 3 >>= fun m ->
+      oneofl
+        [ Printf.sprintf "%s < %s" v (plus n m); Printf.sprintf "%s <= %s" v (plus n (m - 1));
+          Printf.sprintf "%s > %s" (plus n m) v; Printf.sprintf "-%s > -(%s)" v (plus n m);
+          Printf.sprintf "%s == %d" v m ]
+    in
+    pair (opt lower) (opt upper) >|= fun (l, u) -> List.filter_map Fun.id [ l; u ]
+  in
+  let decided = frequency [ (4, oneofl [ "nx > 0"; "1"; "nz >= 1"; "i >= 0"; "i < nx + 3" ]); (1, oneofl [ "nx < 0"; "0" ]) ] in
+  triple (axis ("i", "nx")) (axis ("j", "ny")) (if threed then axis ("k", "nz") else return []) >>= fun (ci, cj, ck) ->
+  opt decided >>= fun d ->
+  shuffle_l (ci @ cj @ ck @ Option.to_list d) >|= fun conj ->
+  let guard = if conj = [] then "1" else String.concat " && " conj in
+  let decls, loops = if threed then (z_coordinate, []) else ("", [ "for (int k = 0; k < nz; k++)" ]) in
+  kernel_program ~decls ~loops ~guard ~dims:(dx + px, dy + py, dz + pz) ~domain:(dx, dy, dz) ~block ()
+
+let prop_guard_coverage_exact =
+  QCheck.Test.make ~name:"guard coverage is the per-cell count" ~count:300
+    (QCheck.make ~print:Kft_cuda.Pp.program box_guard_gen)
+    (fun prog ->
+      Int64.equal
+        (Int64.bits_of_float (guard_coverage prog))
+        (Int64.bits_of_float (Util.guard_fraction prog (Util.launch_of prog "g"))))
+
+(* Every launch of the seven programs, their fission pre-runs and their
+   transforms: each guard is a box, so the coverage is the per-cell
+   count. A guard that is not a box fails here rather than reading 1.0. *)
+let test_bundled_guard_coverage () =
+  let module F = Kft_framework.Framework in
+  let config = { F.default_config with gga_params = { Kft_gga.Gga.default_params with population = 10; generations = 8 } } in
+  let compared = ref 0 in
+  List.iter
+    (fun (a : Kft_apps.Apps.app) ->
+      let r = F.transform ~config a.program in
+      List.iter
+        (fun prog ->
+          List.iter
+            (function
+              | Launch l -> (
+                  match Access.analyze_result (find_kernel prog l.l_kernel) (Access.env_of_launch prog l) with
+                  | Ok info ->
+                      incr compared;
+                      Alcotest.(check (float 0.0))
+                        (Printf.sprintf "%s %s" prog.p_name l.l_kernel)
+                        (Util.guard_fraction prog l) info.active_fraction
+                  | Error _ -> ())
+              | _ -> ())
+            prog.p_schedule)
+        [ a.program; Kft_fission.Fission.apply_to_program ~plans:r.fission_plans a.program; r.transformed ])
+    (Kft_apps.Apps.quickstart () :: Kft_apps.Apps.all ());
+  Alcotest.(check bool) "launches compared" true (!compared > 300)
 
 let test_nest_depth () =
   let d = { Kft_apps.Gen.nx = 16; ny = 8; nz = 8 } in
@@ -259,6 +385,60 @@ let test_cost_counts () =
   Util.check_float "reads" (2.0 *. 8.0) c.global_reads_per_thread;
   Util.check_float "writes" 8.0 c.global_writes_per_thread
 
+(* Loop-bound folding, one row per bound shape: Cost's trip count (the
+   kernel stores once per iteration, so it is the per-thread write count)
+   and Canonical's vertical-loop bounds, at nx = 16, ny = 8, nz = 12.
+   Cost reads the unspecialized body with the int arguments bound and
+   each enclosing loop index at 0; an unfoldable bound costs one trip.
+   Canonical reads the specialized body, int declarations inlined. *)
+let test_loop_bound_folding () =
+  let k_loop lo hi = [ Printf.sprintf "for (int k = %s; k < %s; k++)" lo hi ] in
+  let not_constant = Error "loop bound is not a launch constant" in
+  let rows =
+    [
+      ("literal arithmetic", "", k_loop "1 + 1" "2 * 3 + 4", 8, Some (Ok (2, 10)));
+      ("int parameter", "", k_loop "1" "nz - 1", 10, Some (Ok (1, 11)));
+      ("min", "", k_loop "0" "min(12, 8)", 8, Some (Ok (0, 8)));
+      ("max", "", k_loop "max(nz - 20, 1)" "nz", 11, Some (Ok (1, 12)));
+      ("abs", "", k_loop "abs(3 - 5)" "nz", 10, Some (Ok (2, 12)));
+      ("inexact division", "", k_loop "0" "(nz + 1) / 2", 6, Some (Ok (0, 6)));
+      ("negative inexact division", "", k_loop "-7 / 2" "1", 4, Some (Ok (-3, 1)));
+      ("% of constants", "", k_loop "0" "29 % 8", 5, Some (Ok (0, 5)));
+      ("% of a parameter", "", k_loop "nz % 5" "nz", 10, Some (Ok (2, 12)));
+      ("ternary", "", k_loop "0" "nz > 8 ? 9 : 7", 9, Some (Ok (0, 9)));
+      (* Cost sees [kmax] unbound; Canonical sees it inlined *)
+      ("int declaration", "int kmax = nz - 1;", k_loop "0" "kmax", 1, Some (Ok (0, 11)));
+      ( "enclosing loop index",
+        "",
+        "for (int r = 2; r < 5; r++)" :: k_loop "r" "r + 4",
+        (* 3 outer trips, the inner one counted at r = 0 *)
+        12,
+        None );
+      ("array read", "", k_loop "0" "A[0]", 1, Some not_constant);
+      ("division by zero", "", k_loop "0" "nz / 0", 1, Some not_constant);
+    ]
+  in
+  List.iter
+    (fun (what, decls, loops, trips, canonical) ->
+      let prog =
+        kernel_program ~decls ~loops ~guard:"i < nx && j < ny" ~dims:(16, 8, 12) ~domain:(16, 8, 1)
+          ~block:(16, 4, 1) ()
+      in
+      let l = Util.launch_of prog "g" in
+      let c = Cost.of_kernel (find_kernel prog "g") (Access.env_of_launch prog l) in
+      Util.check_float (what ^ ": Cost trips") (float_of_int trips) c.global_writes_per_thread;
+      let got =
+        match Canonical.extract ~deep:`Sequential ~index:0 prog l with
+        | m -> Option.to_result ~none:"no vertical loop" m.m_kloop
+        | exception Canonical.Not_canonical why -> Error why
+      in
+      match (canonical, got) with
+      | None, _ -> ()
+      | Some (Ok b), _ -> Alcotest.(check (result (pair int int) string)) (what ^ ": Canonical bounds") (Ok b) got
+      | Some (Error prefix), Error why when Util.contains why prefix -> ()
+      | Some (Error prefix), _ -> Alcotest.failf "%s: expected Canonical failure %S" what prefix)
+    rows
+
 let test_registers_bounded () =
   List.iter
     (fun k ->
@@ -429,6 +609,7 @@ let suite =
     Alcotest.test_case "clamped index is not affine" `Quick test_clamped_index_not_affine;
     Alcotest.test_case "Access and Canonical offsets agree" `Quick test_access_canonical_agree;
     Alcotest.test_case "cost counting" `Quick test_cost_counts;
+    Alcotest.test_case "loop-bound folding" `Quick test_loop_bound_folding;
     Alcotest.test_case "register estimate bounded" `Quick test_registers_bounded;
     Alcotest.test_case "dependent chain" `Quick test_dependent_chain;
     Alcotest.test_case "separable groups" `Quick test_separable_groups;
@@ -437,5 +618,7 @@ let suite =
     Alcotest.test_case "roofline classification" `Quick test_classify_roofline;
     Alcotest.test_case "boundary classification" `Quick test_classify_boundary;
     Alcotest.test_case "latency classification" `Quick test_classify_latency;
+    Alcotest.test_case "guard coverage of the bundled programs" `Quick test_bundled_guard_coverage;
     QCheck_alcotest.to_alcotest prop_offset_reconstruction;
+    QCheck_alcotest.to_alcotest prop_guard_coverage_exact;
   ]

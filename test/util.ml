@@ -161,6 +161,80 @@ let quickstart_program () =
   }
 
 (* ------------------------------------------------------------------ *)
+(* Guard-coverage oracle: the top-level guard on every domain cell     *)
+(* ------------------------------------------------------------------ *)
+
+exception Not_integer
+
+(* The integer value of an expression at one thread, [Not_integer] when
+   it has none: a double, an array read, an unbound variable, another
+   call, a division by zero, or blockDim/gridDim (not yet inlined). *)
+let eval_int ~thread:(tx, ty, tz) ~block:(bx, by, bz) e =
+  let rec ev = function
+    | Int_lit i -> i
+    | Builtin (Thread_idx X) -> tx
+    | Builtin (Thread_idx Y) -> ty
+    | Builtin (Thread_idx Z) -> tz
+    | Builtin (Block_idx X) -> bx
+    | Builtin (Block_idx Y) -> by
+    | Builtin (Block_idx Z) -> bz
+    | Binop (op, a, b) -> (
+        let x = ev a and y = ev b in
+        let bool c = if c then 1 else 0 in
+        match op with
+        | Add -> x + y
+        | Sub -> x - y
+        | Mul -> x * y
+        | (Div | Mod) when y = 0 -> raise Not_integer
+        | Div -> x / y
+        | Mod -> x mod y
+        | Lt -> bool (x < y)
+        | Le -> bool (x <= y)
+        | Gt -> bool (x > y)
+        | Ge -> bool (x >= y)
+        | Eq -> bool (x = y)
+        | Ne -> bool (x <> y)
+        | And -> bool (x <> 0 && y <> 0)
+        | Or -> bool (x <> 0 || y <> 0))
+    | Unop (Neg, a) -> -ev a
+    | Unop (Not, a) -> if ev a = 0 then 1 else 0
+    | Ternary (c, a, b) -> if ev c <> 0 then ev a else ev b
+    | Call ("min", [ a; b ]) -> min (ev a) (ev b)
+    | Call ("max", [ a; b ]) -> max (ev a) (ev b)
+    | Call ("abs", [ a ]) -> abs (ev a)
+    | Double_lit _ | Var _ | Builtin (Block_dim _ | Grid_dim _) | Call _ | Index _ -> raise Not_integer
+  in
+  ev e
+
+(* The fraction of a launch's domain cells whose thread passes the
+   kernel's top-level guard (the first [if] without an else after only
+   declarations), the guard evaluated on every cell of the specialized
+   body; a cell whose guard has no integer value passes. *)
+let guard_fraction prog (l : launch) =
+  let env = Kft_analysis.Access.env_of_launch prog l in
+  let rec guard = function
+    | Decl _ :: rest | Shared_decl _ :: rest -> guard rest
+    | If (c, _, []) :: _ -> Some c
+    | _ -> None
+  in
+  let dx, dy, dz = l.l_domain and bx, by, bz = l.l_block in
+  match guard (Kft_analysis.Access.specialize env (find_kernel prog l.l_kernel)) with
+  | None -> 1.0
+  | Some _ when dx * dy * dz = 0 -> 1.0
+  | Some c ->
+      let active = ref 0 in
+      for x = 0 to dx - 1 do
+        for y = 0 to dy - 1 do
+          for z = 0 to dz - 1 do
+            match eval_int ~thread:(x mod bx, y mod by, z mod bz) ~block:(x / bx, y / by, z / bz) c with
+            | 0 -> ()
+            | _ | (exception Not_integer) -> incr active
+          done
+        done
+      done;
+      float_of_int !active /. float_of_int (dx * dy * dz)
+
+(* ------------------------------------------------------------------ *)
 (* Differential fuzzer: random well-formed stencil programs            *)
 (* ------------------------------------------------------------------ *)
 
