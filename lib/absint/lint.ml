@@ -206,19 +206,24 @@ let render f =
   Printf.sprintf "%s:%s:%d:%d: %s [%s] %s" f.f_program f.f_kernel f.f_loc.Loc.line
     f.f_loc.Loc.col (severity_name f.f_severity) f.f_rule f.f_message
 
-let render_human fs =
-  let b = Buffer.create 1024 in
-  List.iter
-    (fun f ->
-      Buffer.add_string b (render f);
-      Buffer.add_char b '\n')
-    fs;
-  Buffer.add_string b
-    (Printf.sprintf "kft lint: %d warning%s, %d advisory note%s\n" (warnings fs)
-       (if warnings fs = 1 then "" else "s")
-       (infos fs)
-       (if infos fs = 1 then "" else "s"));
-  Buffer.contents b
+let counts fs =
+  Printf.sprintf "%d warning%s, %d advisory note%s" (warnings fs)
+    (if warnings fs = 1 then "" else "s")
+    (infos fs)
+    (if infos fs = 1 then "" else "s")
+
+let render_lines fs =
+  String.concat "" (List.map (fun f -> render f ^ "\n") fs)
+
+let render_human fs = render_lines fs ^ "kft lint: " ^ counts fs ^ "\n"
+
+let render_summary programs fs =
+  String.concat ""
+    (List.map
+       (fun p -> Printf.sprintf "%s: %s\n" p (counts (List.filter (fun f -> f.f_program = p) fs)))
+       programs)
+  ^ render_lines (List.filter (fun f -> f.f_severity = Warn) fs)
+  ^ "kft lint: " ^ counts fs ^ "\n"
 
 let json_escape = Kft_trace.Trace.json_escape
 

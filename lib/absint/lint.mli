@@ -58,6 +58,11 @@ val render : finding -> string
 val render_human : finding list -> string
 (** The full human report, one finding per line plus a summary line. *)
 
+val render_summary : string list -> finding list -> string
+(** The short human report: one line per named program with its
+    warning and note counts, then every warning in full, then the
+    summary line of {!render_human}. *)
+
 val render_json : finding list -> string
 (** The whole report as one JSON document:
     [{"tool":"kft-lint","version":1,"findings":[...],"warnings":N,"infos":N}].

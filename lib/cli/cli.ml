@@ -59,7 +59,7 @@ let map_programs ~jobs f progs =
 (* kft lint                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let lint_run json jobs strict no_profile only trace_file =
+let lint_run json summary jobs strict no_profile only trace_file =
   with_programs ~cmd:"lint" ~tool:"kft-lint" only trace_file @@ fun trace progs ->
   let lint (p : Kft_cuda.Ast.program) =
     let measured =
@@ -86,12 +86,19 @@ let lint_run json jobs strict no_profile only trace_file =
         Trace.note trace "jobs" (Trace.Int jobs);
         fs)
   in
-  print_string (if json then L.render_json findings else L.render_human findings);
+  print_string
+    (if json then L.render_json findings
+     else if summary then
+       L.render_summary (List.map (fun (p : Kft_cuda.Ast.program) -> p.p_name) progs) findings
+     else L.render_human findings);
   if L.warnings findings > 0 || (strict && L.infos findings > 0) then 1 else 0
 
 let lint_cmd =
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as one JSON document (stable field order, byte-identical across $(b,--jobs) settings).")
+  in
+  let summary =
+    Arg.(value & flag & info [ "summary" ] ~doc:"Print one line per program with its warning and note counts, then every warning in full, instead of every finding. Ignored with $(b,--json).")
   in
   let jobs =
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Analyze programs on $(docv) worker domains. The output is identical at any worker count.")
@@ -125,7 +132,7 @@ let lint_cmd =
               ($(b,dead-guard)).";
            `P "Exits 1 if any warning is found (with $(b,--strict), any finding).";
          ])
-    Term.(const lint_run $ json $ jobs $ strict $ no_profile $ only $ trace_file)
+    Term.(const lint_run $ json $ summary $ jobs $ strict $ no_profile $ only $ trace_file)
 
 (* ------------------------------------------------------------------ *)
 (* kft schedflow                                                       *)

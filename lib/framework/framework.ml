@@ -154,9 +154,9 @@ type env = {
   trace : Trace.t option;
 }
 
-let gather_meta env ?layout prog =
+let gather_meta env prog =
   Meta.gather ~cache:env.cache ?engine:env.engine ~backend:env.config.backend ?trace:env.trace
-    ?layout ~seed:env.config.seed env.config.device prog
+    ~seed:env.config.seed env.config.device prog
 
 (* stage 1: metadata (simulation runs go through the profile cache, so
    re-transforming a program — or verifying against it later — replays
@@ -234,14 +234,9 @@ let fission env prog eligible =
         if plans = [] then None
         else begin
           let sf = Schedflow.analyze (Fission.apply_to_program ~plans prog) in
-          (* only the metadata survives this pre-step, so the run
-             qualifies for the liveness-driven arena overlay: arrays
-             whose live intervals never overlap share storage, and the
-             discarded arena is smaller. Stats and timings are
-             bit-identical either way (see [Memory.layout]). *)
-          let m, grun = gather_meta env ?layout:(Schedflow.arena_layout sf) sf.program in
-          (* the profiled run's memory is dead: take it off the live count *)
-          Kft_sim.Memory.release grun.Kft_sim.Profiler.memory;
+          (* only the metadata survives this pre-step; the run's memory
+             holds no cells of its own *)
+          let m, _ = gather_meta env sf.program in
           Some (sf, m)
         end
       in

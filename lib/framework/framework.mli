@@ -109,9 +109,10 @@ type report = {
           attributable to this transform (the content counts are the
           cache's totals afterwards) *)
   pool_stats : Kft_sim.Memory.Arenas.stats;
-      (** arena allocation accounting for this transform: requests and
-          cells are deltas over the run; [high_water] is the
-          process-wide peak of live cells *)
+      (** allocation accounting for this transform (arenas and the
+          private copies cached runs make): requests and cells are
+          deltas over the run; [high_water] is the process-wide peak of
+          live cells *)
   trace : Kft_trace.Trace.t option;
       (** the trace handed to {!transform}, echoed back so callers can
           render it next to the report; [None] when tracing was off *)

@@ -62,8 +62,8 @@ val profile :
     fresh cache private to this call. A cached program is rebuilt from
     the content store, a new one runs launch by launch through the
     launch memo — block-parallel when [engine] is given, on [backend]
-    when given. [layout] runs under a liveness-driven arena overlay,
-    cached separately from packed runs. *)
+    when given. [layout] is ignored: a cached run holds no arena to
+    place (see {!Sim_cache}). *)
 
 val compare_outputs :
   cache:Sim_cache.t -> ?seed:int -> ?tol:float -> Kft_device.Device.t ->
@@ -73,9 +73,8 @@ val compare_outputs :
 (** Output verification of two runs already simulated from the same
     seed: the arrays common to both whose maximum absolute difference
     exceeds [tol] ({!Kft_sim.Profiler.output_diffs}). When both runs
-    are [cache]'s unmodified packed-layout runs of these programs at
-    [seed], arrays with equal final content ids count as equal without
-    a comparison. *)
+    are [cache]'s unmodified runs of these programs at [seed], arrays
+    with equal final content ids count as equal without a comparison. *)
 
 val gather :
   ?cache:Sim_cache.t -> ?engine:Kft_engine.Engine.t ->
@@ -84,7 +83,8 @@ val gather :
   Kft_device.Device.t -> Kft_cuda.Ast.program -> t * Kft_sim.Profiler.run
 (** The metadata-gathering stage: one instrumented run on the simulated
     device ({!profile}, through [cache] or a fresh one) plus static
-    analysis of every kernel. [engine] runs it block-parallel. *)
+    analysis of every kernel. [engine] runs it block-parallel;
+    [layout] is ignored, as in {!profile}. *)
 
 val find_perf : t -> string -> perf_entry
 (** Raises [Not_found]. *)

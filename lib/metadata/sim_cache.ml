@@ -11,15 +11,15 @@ module Cache = Kft_engine.Engine.Cache
 (* ------------------------------------------------------------------ *)
 
 (* An id names exactly one array content (a length and its cells, bit
-   for bit). Seeded contents are named by (seed, name, length) and never
-   hashed: their cells are a pure function of those three
-   ([Memory.seeded_cell]). The first time one is written into a memory
-   its cells are kept, so later memories copy them instead of
-   recomputing the pattern. Every other content is copied into a slab
-   when it is interned. *)
-type content =
-  | Seeded of { seed : int; name : string; len : int; mutable kept : Memory.buf option }
-  | Stored of Memory.buf
+   for bit). Every content's cells live in the store's slabs, and a
+   cached run's memory shares them ([Memory.of_shared]): a launch copies
+   only the arrays it may write, and a new content it writes is donated
+   to the store as it is. Seeded contents are named by (seed, name,
+   length) and never hashed: their cells are a pure function of those
+   three ([Memory.seeded_cell]), computed once straight into a slab. *)
+type content = Seeded of { seed : int; name : string; cells : Memory.buf } | Stored of Memory.buf
+
+let cells_of = function Seeded { cells; _ } | Stored cells -> cells
 
 type store = {
   mutable contents : content array;  (** id -> content; the first [count] are used *)
@@ -28,8 +28,12 @@ type store = {
   by_head : (int * int64, int) Hashtbl.t;  (** (length, first cell's bits) -> stored ids *)
   seeded_by_len : (int, int) Hashtbl.t;  (** length -> seeded ids *)
   seeded_names : (int * string * int, int) Hashtbl.t;  (** (seed, name, length) -> id *)
+  slab_lock : Mutex.t;
+      (** guards the slab: a caller's [Memory.get] on a returned run
+          copies into it without holding the cache's lock *)
   mutable slab : Memory.buf;
   mutable slab_used : int;
+  mutable slab_top : Memory.buf list;  (** views cut from [slab], newest first *)
   mutable stored_cells : int;
   mutable hashed_cells : int;
   mutable intern_s : float;
@@ -43,8 +47,10 @@ let create_store () =
     by_head = Hashtbl.create 64;
     seeded_by_len = Hashtbl.create 16;
     seeded_names = Hashtbl.create 64;
+    slab_lock = Mutex.create ();
     slab = Memory.alloc_buf 0;
     slab_used = 0;
+    slab_top = [];
     stored_cells = 0;
     hashed_cells = 0;
     intern_s = 0.0;
@@ -63,17 +69,7 @@ let hash_buf (b : Memory.buf) =
   done;
   !h
 
-(* a content as a length and a cell reader, for the rare comparisons
-   that involve a seeded content *)
-let cells_of = function
-  | Seeded { kept = Some b; _ } | Stored b -> (A1.dim b, fun i -> A1.unsafe_get b i)
-  | Seeded s -> (s.len, Memory.seeded_cell ~seed:s.seed s.name)
-
-let head (n, cell) = if n = 0 then 0L else bits (cell 0)
-
-let equal_cells (n, f) (m, g) =
-  let rec go i = i >= n || (bits (f i) = bits (g i) && go (i + 1)) in
-  n = m && go 0
+let head (b : Memory.buf) = if A1.dim b = 0 then 0L else bits (A1.unsafe_get b 0)
 
 let add_content st c =
   if st.count = Array.length st.contents then begin
@@ -85,51 +81,64 @@ let add_content st c =
   st.count <- st.count + 1;
   st.count - 1
 
-(* stored contents are sub-views of large slabs, never one Bigarray
-   each: every Bigarray allocation is a custom block the GC accounts
-   for, and per-array ones cost more in GC work than the copies
-   themselves. Slabs double from 64 Kcells up to 4 Mcells (32 MB); a
-   content larger than the next slab gets a slab of its own size. *)
+let keep st c =
+  st.stored_cells <- st.stored_cells + A1.dim (cells_of c);
+  add_content st c
+
+(* Contents and private copies are sub-views of large slabs, never one
+   Bigarray each: every Bigarray allocation is a custom block the GC
+   accounts for, and per-array ones cost more in GC work than the
+   copies themselves. Slabs double from 64 Kcells up to 4 Mcells
+   (32 MB); a buffer larger than the next slab gets a slab of its own
+   size. *)
 let slab_min = 1 lsl 16
 
 let slab_max = 1 lsl 22
 
-let copy_to_slab st (b : Memory.buf) =
-  let n = A1.dim b in
+let alloc st n =
+  Mutex.protect st.slab_lock @@ fun () ->
   if st.slab_used + n > A1.dim st.slab then begin
     st.slab <- Memory.alloc_buf (max n (min slab_max (max slab_min (2 * A1.dim st.slab))));
-    st.slab_used <- 0
+    st.slab_used <- 0;
+    st.slab_top <- []
   end;
   let v = A1.sub st.slab st.slab_used n in
   st.slab_used <- st.slab_used + n;
-  st.stored_cells <- st.stored_cells + n;
-  A1.blit b v;
+  st.slab_top <- v :: st.slab_top;
   v
 
-(* The id of a content: a full hash picks the stored candidates and a
-   bitwise comparison decides; a seeded content of the same length is
-   a candidate when its first cell matches. A new content is copied
-   into the slab. *)
+(* Give back the cells of a view from [alloc] that nothing keeps. Only
+   the newest view of the current slab goes back; an older one stays a
+   hole until the slab dies with the cache. *)
+let reclaim st (v : Memory.buf) =
+  Mutex.protect st.slab_lock @@ fun () ->
+  match st.slab_top with
+  | top :: rest when top == v ->
+      st.slab_used <- st.slab_used - A1.dim v;
+      st.slab_top <- rest
+  | _ -> ()
+
+(* The id of the contents of [b], a buffer from [alloc]: a full hash
+   picks the stored candidates and a bitwise comparison decides; a
+   seeded content of the same length is a candidate when its first cell
+   matches. A new content keeps [b] itself, which nothing may write
+   from then on. *)
 let intern st (b : Memory.buf) =
   let t0 = Kft_engine.Engine.now () in
   let n = A1.dim b in
   st.hashed_cells <- st.hashed_cells + n;
   let h = hash_buf b in
-  let is_b id =
-    match st.contents.(id) with
-    | Stored s | Seeded { kept = Some s; _ } -> Memory.equal_bufs s b
-    | Seeded _ as c -> equal_cells (cells_of c) (cells_of (Stored b))
-  in
+  let is_b id = Memory.equal_bufs (cells_of st.contents.(id)) b in
   let id =
     match List.find_opt is_b (Hashtbl.find_all st.by_hash h) with
     | Some id -> id
     | None -> (
-        let hd = head (cells_of (Stored b)) in
+        let hd = head b in
         let seeded_match id = head (cells_of st.contents.(id)) = hd && is_b id in
         match List.find_opt seeded_match (Hashtbl.find_all st.seeded_by_len n) with
         | Some id -> id
         | None ->
-            let id = add_content st (Stored (copy_to_slab st b)) in
+            let id = keep st (Stored b) in
             Hashtbl.add st.by_hash h id;
             Hashtbl.add st.by_head (n, hd) id;
             id)
@@ -138,103 +147,64 @@ let intern st (b : Memory.buf) =
   id
 
 (* The id of array [name]'s seeded pattern of [len] cells, found
-   without hashing: only contents of the same length whose first cell
-   matches are compared in full. *)
+   without hashing: the pattern is computed once into a slab, and only
+   contents of the same length whose first cell matches are compared
+   in full. *)
 let seeded st ~seed name len =
   match Hashtbl.find_opt st.seeded_names (seed, name, len) with
   | Some id -> id
   | None ->
-      let c = Seeded { seed; name; len; kept = None } in
-      let cells = cells_of c in
+      let cells = alloc st len in
+      Memory.fill_seeded ~seed name cells;
       let hd = head cells in
       let same id =
         let other = cells_of st.contents.(id) in
-        head other = hd && equal_cells cells other
+        head other = hd && Memory.equal_bufs cells other
       in
       let id =
         match
           List.find_opt same
             (Hashtbl.find_all st.seeded_by_len len @ Hashtbl.find_all st.by_head (len, hd))
         with
-        | Some id -> id
+        | Some id ->
+            reclaim st cells;
+            id
         | None ->
-            let id = add_content st c in
+            let id = keep st (Seeded { seed; name; cells }) in
             Hashtbl.add st.seeded_by_len len id;
             id
       in
       Hashtbl.replace st.seeded_names (seed, name, len) id;
       id
 
-let materialize st id (dst : Memory.buf) =
-  match st.contents.(id) with
-  | Stored b | Seeded { kept = Some b; _ } -> A1.blit b dst
-  | Seeded s ->
-      Memory.fill_seeded ~seed:s.seed s.name dst;
-      s.kept <- Some (copy_to_slab st dst)
-
 (* ------------------------------------------------------------------ *)
-(* Content ids of one run's live memory                                *)
+(* One run's memory                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type live = {
-  mem : Memory.t;
-  ids : (string, int) Hashtbl.t;  (** arrays whose content id is known *)
-  extent : (string, int * int) Hashtbl.t;  (** offset, cells *)
-  sharers : (string, string) Hashtbl.t;  (** arrays sharing cells with an array (overlay only) *)
-}
+(* A memory over the store: every array starts as the cells of its
+   content [id_of name], shared, and is copied into a slab only when a
+   launch may write it. *)
+let memory_of st (prog : program) id_of =
+  Memory.of_shared ~alloc:(alloc st)
+    (List.map (fun d -> (d, cells_of st.contents.(id_of d.a_name))) prog.p_arrays)
 
-let overlap (o1, n1) (o2, n2) = o1 < o2 + n2 && o2 < o1 + n1
-
-(* Seeds [mem] as [Memory.init_seeded] does, array by array in placement
-   order, from the store's kept patterns. Initial ids cost nothing: an
-   array holds its own seeded pattern unless a later array shares its
-   cells. Those (overlay layouts only) start unknown and are interned
-   when a launch key first needs them. *)
-let live_create st mem ~seed =
-  let placement = Memory.placement mem in
-  let lv =
-    {
-      mem;
-      ids = Hashtbl.create 64;
-      extent = Hashtbl.create 64;
-      sharers = Hashtbl.create 16;
-    }
-  in
-  let rec go = function
-    | [] -> ()
-    | (name, off, cells) :: later ->
-        let shared =
-          List.filter (fun (_, o, c) -> overlap (off, cells) (o, c)) later
-        in
-        List.iter
-          (fun (other, _, _) ->
-            Hashtbl.add lv.sharers name other;
-            Hashtbl.add lv.sharers other name)
-          shared;
-        let id = seeded st ~seed name cells in
-        materialize st id (Memory.get mem name);
-        if shared = [] then Hashtbl.replace lv.ids name id;
-        Hashtbl.replace lv.extent name (off, cells);
-        go later
-  in
-  go placement;
-  lv
-
-let id_of st lv name =
-  match Hashtbl.find_opt lv.ids name with
-  | Some id -> id
-  | None ->
-      let id = intern st (Memory.get lv.mem name) in
-      Hashtbl.replace lv.ids name id;
-      id
-
-(* after a launch wrote [written] (host, new id): every array sharing
-   cells with a written one changed too and is re-interned lazily *)
-let set_written lv written =
+(* After a launch: every array it made private is shared again, newest
+   copy first so that the slab takes back every copy it does not keep.
+   A written one gets the id of its new contents, its private cells
+   donated when they are new; any other goes back to its content
+   without hashing. [ids] holds every array's content id. *)
+let settle st ids mem ~written hosts =
   List.iter
-    (fun (a, _) -> List.iter (Hashtbl.remove lv.ids) (Hashtbl.find_all lv.sharers a))
-    written;
-  List.iter (fun (a, id) -> Hashtbl.replace lv.ids a id) written
+    (fun h ->
+      if not (Memory.is_shared mem h) then begin
+        let b = Memory.read mem h in
+        let id = if written h then intern st b else Hashtbl.find ids h in
+        let kept = cells_of st.contents.(id) in
+        Memory.set_shared mem h kept;
+        if kept != b then reclaim st b;
+        Hashtbl.replace ids h id
+      end)
+    (List.rev hosts)
 
 (* ------------------------------------------------------------------ *)
 (* Launch memo                                                         *)
@@ -242,11 +212,9 @@ let set_written lv written =
 
 (* A launch's stats and writes are a function of its code, its shape,
    its scalar arguments, the contents of its array arguments and which
-   of those arguments share storage: [Array_arg (id, sharing)] lists,
-   for every earlier array argument whose cells intersect this one's,
-   its position and the offset between the two (under a packed layout
-   that is exactly "bound to the same host array", offset 0). *)
-type arg_key = Array_arg of int * (int * int) list | Int_arg of int | Double_arg of int64
+   of those arguments share storage: [Array_arg (id, sharing)] lists
+   the earlier positions bound to the same host array. *)
+type arg_key = Array_arg of int * int list | Int_arg of int | Double_arg of int64
 
 (* A launch's shape is its domain and block, or only its thread box
    [ceil(domain / block) * block] when [Absint.block_invariant] proves
@@ -294,14 +262,10 @@ let blank positions key =
   }
 
 let overwritten st id (b : Memory.buf) =
-  match st.contents.(id) with
-  | Stored s | Seeded { kept = Some s; _ } ->
-      let n = A1.dim b in
-      let rec go i =
-        i >= n || (bits (A1.unsafe_get s i) <> bits (A1.unsafe_get b i) && go (i + 1))
-      in
-      A1.dim s = n && go 0
-  | Seeded _ -> false
+  let s = cells_of st.contents.(id) in
+  let n = A1.dim b in
+  let rec go i = i >= n || (bits (A1.unsafe_get s i) <> bits (A1.unsafe_get b i) && go (i + 1)) in
+  A1.dim s = n && go 0
 
 (* ------------------------------------------------------------------ *)
 (* The cache                                                           *)
@@ -358,12 +322,9 @@ let memo_stats (c : t) =
         intern_s = st.intern_s;
       })
 
-(* The whole marshalled (program, seed, device, layout) tuple is the
-   key, so equal keys are equal simulations: no digest decides a hit.
-   An overlay layout's runs end with other contents on shared slots, so
-   the layout is part of it. *)
-let program_key ?layout ~seed device (prog : program) =
-  Marshal.to_string (prog, seed, device, (layout : Memory.layout option)) []
+(* The whole marshalled (program, seed, device) tuple is the key, so
+   equal keys are equal simulations: no digest decides a hit. *)
+let program_key ~seed device (prog : program) = Marshal.to_string (prog, seed, device) []
 
 let copy_profiles ps =
   List.map
@@ -374,7 +335,7 @@ let copy_profiles ps =
    host); [None] when the launch cannot be keyed (unknown kernel or
    array, arity mismatch): it then runs unmemoized and fails as it
    would without a cache. *)
-let launch_key st lv code_of prog (l : launch) =
+let launch_key ids mem code_of prog (l : launch) =
   match List.find_opt (fun k -> k.k_name = l.l_kernel) prog.p_kernels with
   | None -> None
   | Some k ->
@@ -384,22 +345,17 @@ let launch_key st lv code_of prog (l : launch) =
       in
       if
         List.length k.k_params <> List.length l.l_args
-        || not (List.for_all (fun (_, h) -> Memory.mem lv.mem h) hosts)
+        || not (List.for_all (fun (_, h) -> Memory.mem mem h) hosts)
       then None
       else
         let sharing i h =
-          let e = Hashtbl.find lv.extent h in
-          List.filter_map
-            (fun (j, h') ->
-              let ((o', _) as e') = Hashtbl.find lv.extent h' in
-              if j < i && overlap e e' then Some (j, fst e - o') else None)
-            hosts
+          List.filter_map (fun (j, h') -> if j < i && h' = h then Some j else None) hosts
         in
         let args =
           List.mapi
             (fun i a ->
               match a with
-              | Arg_array h -> Array_arg (id_of st lv h, sharing i h)
+              | Arg_array h -> Array_arg (Hashtbl.find ids h, sharing i h)
               | Arg_int n -> Int_arg n
               | Arg_double f -> Double_arg (bits f))
             l.l_args
@@ -411,16 +367,18 @@ let launch_key st lv code_of prog (l : launch) =
         in
         Some ({ code = code_of k; shape; args }, hosts)
 
-(* One launch through the memo. A hit blits the stored outputs into the
-   live arrays and replays the stats; a miss simulates, interns what it
-   wrote and stores the entry. A launch that raises is not stored. *)
-let run_launch c lv code_of ?engine ?backend ?trace prog (l : launch) =
+(* One launch through the memo. A hit switches the written arrays to
+   the stored outputs and replays the stats; a miss simulates, settles
+   what it copied and stores the entry. A launch that raises is not
+   stored. *)
+let run_launch c ids mem code_of ?engine ?backend ?trace prog (l : launch) =
   let st = c.store in
-  match launch_key st lv code_of prog l with
+  match launch_key ids mem code_of prog l with
   | None ->
-      (* such a launch raises; were it to return, no id could be trusted *)
-      let stats = Interp.launch ?engine ?backend ?trace lv.mem prog l in
-      Hashtbl.reset lv.ids;
+      (* such a launch raises; were it to return, every array it copied
+         is interned *)
+      let stats = Interp.launch ?engine ?backend ?trace mem prog l in
+      settle st ids mem ~written:(fun _ -> true) (Memory.names mem);
       stats
   | Some (key, hosts) -> (
       let shape = (key.code, key.shape) in
@@ -429,11 +387,12 @@ let run_launch c lv code_of ?engine ?backend ?trace prog (l : launch) =
       | Some e ->
           c.launch_hits <- c.launch_hits + 1;
           Trace.add trace "launch_memo_hits" 1;
-          let written =
-            List.sort_uniq compare (List.map (fun (i, id) -> (List.assoc i hosts, id)) e.m_outputs)
-          in
-          List.iter (fun (h, id) -> materialize st id (Memory.get lv.mem h)) written;
-          set_written lv written;
+          List.iter
+            (fun (i, id) ->
+              let h = List.assoc i hosts in
+              Memory.set_shared mem h (cells_of st.contents.(id));
+              Hashtbl.replace ids h id)
+            e.m_outputs;
           (* a thread-box entry may come from another block *)
           let stats =
             let gx, gy, gz = grid_of_launch l in
@@ -445,41 +404,43 @@ let run_launch c lv code_of ?engine ?backend ?trace prog (l : launch) =
           c.launch_misses <- c.launch_misses + 1;
           Trace.add trace "launch_memo_misses" 1;
           let stats, (reads, writes) =
-            Interp.launch_with_usage ?engine ?backend ?trace lv.mem prog l
+            Interp.launch_with_usage ?engine ?backend ?trace mem prog l
           in
-          let extent h = Hashtbl.find lv.extent h in
           let blanked =
             List.filter_map
               (fun (i, h) ->
                 match List.nth key.args i with
                 | Array_arg (initial, [])
                   when List.mem h writes && (not (List.mem h reads))
-                       && (not
-                             (List.exists
-                                (fun (j, h') -> j <> i && overlap (extent h) (extent h'))
-                                hosts))
-                       && overwritten st initial (Memory.get lv.mem h) ->
+                       && (not (List.exists (fun (j, h') -> j <> i && h' = h) hosts))
+                       && overwritten st initial (Memory.read mem h) ->
                     Some i
                 | _ -> None)
               hosts
           in
           if blanked <> [] && not (List.mem blanked (Hashtbl.find_all c.blanks shape)) then
             Hashtbl.add c.blanks shape blanked;
-          let written = List.map (fun h -> (h, intern st (Memory.get lv.mem h))) writes in
-          set_written lv written;
+          (* [Interp] copied the written hosts in argument order *)
+          let distinct =
+            List.fold_left (fun acc (_, h) -> if List.mem h acc then acc else h :: acc) [] hosts
+          in
+          settle st ids mem ~written:(fun h -> List.mem h writes) (List.rev distinct);
           let outputs =
             List.filter_map
-              (fun (i, h) -> Option.map (fun id -> (i, id)) (List.assoc_opt h written))
+              (fun (i, h) -> if List.mem h writes then Some (i, Hashtbl.find ids h) else None)
               hosts
           in
           Memo.replace c.memo (blank blanked key)
             { m_stats = Interp.copy_stats stats; m_outputs = outputs };
           stats)
 
-let simulate c ?engine ?backend ?trace ?layout ~seed device prog =
+let simulate c ?engine ?backend ?trace ~seed device prog =
   let st = c.store in
-  let mem = Memory.create ?layout prog.p_arrays in
-  let lv = live_create st mem ~seed in
+  let ids = Hashtbl.create 64 in
+  List.iter
+    (fun d -> Hashtbl.replace ids d.a_name (seeded st ~seed d.a_name (array_cells d)))
+    (List.sort (fun a b -> compare a.a_name b.a_name) prog.p_arrays);
+  let mem = memory_of st prog (Hashtbl.find ids) in
   let codes = Hashtbl.create 16 in
   let code_of k =
     match Hashtbl.find_opt codes k.k_name with
@@ -493,32 +454,35 @@ let simulate c ?engine ?backend ?trace ?layout ~seed device prog =
     List.filter_map
       (function
         | Launch l ->
-            let stats = run_launch c lv code_of ?engine ?backend ?trace prog l in
+            let stats = run_launch c ids mem code_of ?engine ?backend ?trace prog l in
             Some (Profiler.profile_of_stats device prog l stats)
         | Copy_to_device _ | Copy_to_host _ -> None)
       prog.p_schedule
   in
   let run = Profiler.run_of_profiles profiles mem in
-  let ids = List.map (fun n -> (n, id_of st lv n)) (Memory.names mem) in
-  (run, ids)
+  (run, List.map (fun n -> (n, Hashtbl.find ids n)) (Memory.names mem))
 
-let restore st ?layout prog e =
-  let mem = Memory.create ?layout prog.p_arrays in
-  List.iter (fun (n, id) -> materialize st id (Memory.get mem n)) e.e_ids;
-  { Profiler.profiles = copy_profiles e.e_profiles; total_time_us = e.e_total_us; memory = mem }
+let restore st prog e =
+  {
+    Profiler.profiles = copy_profiles e.e_profiles;
+    total_time_us = e.e_total_us;
+    memory = memory_of st prog (fun n -> List.assoc n e.e_ids);
+  }
 
-let profile c ?engine ?backend ?trace ?layout ~seed device prog =
+(* A cached run holds no arena, so [layout] changes nothing: the
+   parameter stays for callers that pass one. *)
+let profile c ?engine ?backend ?trace ?layout:_ ~seed device prog =
   Mutex.protect c.lock @@ fun () ->
-  let key = program_key ?layout ~seed device prog in
+  let key = program_key ~seed device prog in
   let hashed0 = c.store.hashed_cells and intern0 = c.store.intern_s in
   let run =
     match Cache.find c.programs key with
     | Some e ->
         Trace.add trace "sim_cache_hits" 1;
-        restore c.store ?layout prog e
+        restore c.store prog e
     | None ->
         Trace.add trace "sim_cache_misses" 1;
-        let run, ids = simulate c ?engine ?backend ?trace ?layout ~seed device prog in
+        let run, ids = simulate c ?engine ?backend ?trace ~seed device prog in
         Cache.add c.programs key
           {
             e_profiles = copy_profiles run.Profiler.profiles;
@@ -531,6 +495,35 @@ let profile c ?engine ?backend ?trace ?layout ~seed device prog =
   Trace.note trace "intern_s" (Trace.Float (c.store.intern_s -. intern0));
   run
 
-let final_ids c ?layout ~seed device prog =
+let final_ids c ?layout:_ ~seed device prog =
   Mutex.protect c.lock (fun () ->
-      Option.map (fun e -> e.e_ids) (Cache.peek c.programs (program_key ?layout ~seed device prog)))
+      Option.map (fun e -> e.e_ids) (Cache.peek c.programs (program_key ~seed device prog)))
+
+module Internal = struct
+  let check_store c =
+    Mutex.protect c.lock @@ fun () ->
+    let st = c.store in
+    let hashed =
+      Hashtbl.fold
+        (fun h id acc ->
+          if hash_buf (cells_of st.contents.(id)) = h then acc
+          else Printf.sprintf "content %d no longer hashes to its interned value" id :: acc)
+        st.by_hash []
+    in
+    let seeded =
+      List.filter_map
+        (fun id ->
+          match st.contents.(id) with
+          | Seeded { seed; name; cells } ->
+              let cell = Memory.seeded_cell ~seed name in
+              let rec go i =
+                i >= A1.dim cells || (bits (A1.unsafe_get cells i) = bits (cell i) && go (i + 1))
+              in
+              if go 0 then None
+              else
+                Some (Printf.sprintf "seeded content %d (%s, seed %d) was overwritten" id name seed)
+          | Stored _ -> None)
+        (List.init st.count Fun.id)
+    in
+    List.sort compare hashed @ seeded
+end

@@ -1652,13 +1652,28 @@ let launch_ext ?engine ?affine ?backend ?trace mem prog (l : launch) =
   let table, n_int, n_float, shared_decls =
     collect_scalar_slots kernel.k_name body kernel.k_params
   in
-  (* parameters become constants / array bindings *)
+  (* parameters become constants / array bindings. A host bound to a
+     parameter the body assigns to is taken writable ([Memory.get]: a
+     shared array is copied here, once, before any block runs), and so
+     is every other parameter bound to it; the rest is only read and
+     never copied *)
+  let assigned =
+    fold_stmts
+      (fun acc s -> match s with Assign (Lindex (a, _), _) -> a :: acc | _ -> acc)
+      [] kernel.k_body
+  in
+  let writable =
+    List.filter_map
+      (fun (p, a) -> match a with Arg_array h when List.mem p assigned -> Some h | _ -> None)
+      bound
+  in
   List.iter
     (fun (p, a) ->
       let b =
         match (p, a) with
         | _, Arg_array host -> (
-            match Memory.get mem host with
+            let access = if List.mem host writable then Memory.get else Memory.read in
+            match access mem host with
             | data -> Global data
             | exception Memory.Unknown_array name ->
                 raise

@@ -104,6 +104,13 @@ val launch :
 
     [backend] overrides [affine] (see {!selected_backend}).
 
+    A host array bound to a parameter the body assigns to is taken
+    through {!Memory.get} (a shared array is copied once, in the calling
+    domain, before any block runs), and so is every other parameter
+    bound to the same host; every other array is bound through
+    {!Memory.read}. So a launch never copies a read-only input and
+    never writes a shared buffer.
+
     [trace] records one [launch:<kernel>] span per call with block,
     thread and read/write byte totals plus the executed path
     ({!backend_name}) in the canonical channel, and the block-chunk

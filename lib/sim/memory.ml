@@ -11,21 +11,30 @@ type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) A1.t
 
 let alloc_buf n : buf = A1.create Bigarray.Float64 Bigarray.C_layout n
 
-type entry = { data : buf; edims : int list }
+(* An entry's buffer is a view into the memory's arena, a private copy
+   [get] made, or shared with others (a content of the simulation
+   cache's store, say). A shared buffer is never written through this
+   memory: [get] first copies it into a buffer from the memory's
+   allocator. *)
+type owner = Arena | Copy | Shared
 
-(* One contiguous arena per memory; every entry is a zero-copy
-   [A1.sub] view into it, laid out in sorted name order. [directory] rows are
-   (name, dims, offset); a row's length is the product of its dims, so
-   an overlay layout may alias rows onto shared cells. The views are the
-   only references to the arena, so once [release] drops them the GC
-   frees it even while the dead memory record is still reachable. *)
+type entry = { mutable data : buf; edims : int list; mutable owner : owner }
+
+(* A memory from [create] holds one contiguous arena; every entry is a
+   zero-copy [A1.sub] view into it, laid out in sorted name order (or
+   placed by an overlay layout, which may alias entries onto shared
+   cells). The views are the only references to the arena, so once
+   [release] drops them the GC frees it even while the dead memory
+   record is still reachable. A memory from [of_shared] holds no arena:
+   its entries start shared and are copied one by one, on first [get]. *)
 type t = {
-  total : int;  (** arena cells *)
-  directory : (string * int list * int) array;
+  names : string list;  (** sorted *)
   tbl : (string, entry) Hashtbl.t;
   seed_order : string list;
       (** [init_seeded] fills arrays in this order; under an overlay
           layout later names win on shared cells *)
+  alloc : int -> buf;  (** where [get] copies a shared entry *)
+  mutable live : int;  (** cells this memory holds on the {!Arenas} live count *)
   mutable released : bool;
 }
 
@@ -76,32 +85,32 @@ end
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let dims_cells dims = List.fold_left ( * ) 1 dims
-
-let create ?layout decls =
+let check_decls what decls =
   let seen = Hashtbl.create 32 in
   List.iter
     (fun d ->
-      if Hashtbl.mem seen d.a_name then
-        invalid_arg ("Memory.create: duplicate array " ^ d.a_name);
+      if Hashtbl.mem seen d.a_name then invalid_arg (what ^ ": duplicate array " ^ d.a_name);
       if d.a_elem_ty <> Double then
-        invalid_arg ("Memory.create: only double arrays are supported: " ^ d.a_name);
+        invalid_arg (what ^ ": only double arrays are supported: " ^ d.a_name);
       Hashtbl.replace seen d.a_name ())
     decls;
-  let sorted = List.sort (fun a b -> compare a.a_name b.a_name) decls in
-  let directory, total, seed_order =
+  List.sort (fun a b -> compare a.a_name b.a_name) decls
+
+let create ?layout decls =
+  let sorted = check_decls "Memory.create" decls in
+  let rows, total, seed_order =
     match layout with
     | None ->
         let off = ref 0 in
         let rows =
           List.map
             (fun d ->
-              let row = (d.a_name, d.a_dims, !off) in
+              let row = (d, !off) in
               off := !off + array_cells d;
               row)
             sorted
         in
-        (Array.of_list rows, !off, List.map (fun d -> d.a_name) sorted)
+        (rows, !off, List.map (fun d -> d.a_name) sorted)
     | Some l ->
         let rows =
           List.map
@@ -111,7 +120,7 @@ let create ?layout decls =
               | Some off ->
                   if off < 0 || off + array_cells d > l.l_total then
                     invalid_arg ("Memory.create: layout overflows arena at " ^ d.a_name);
-                  (d.a_name, d.a_dims, off))
+                  (d, off))
             sorted
         in
         List.iter
@@ -119,19 +128,33 @@ let create ?layout decls =
             if not (List.exists (fun n -> n = d.a_name) l.l_seed_order) then
               invalid_arg ("Memory.create: layout seed order misses " ^ d.a_name))
           sorted;
-        (Array.of_list rows, l.l_total, l.l_seed_order)
+        (rows, l.l_total, l.l_seed_order)
   in
   Arenas.acquire total;
   let arena = alloc_buf total in
   (* [A1.create] does not zero memory: restore the zero-initialized
      contract *)
   A1.fill arena 0.0;
-  let tbl = Hashtbl.create (max 32 (Array.length directory)) in
-  Array.iter
-    (fun (name, edims, off) ->
-      Hashtbl.replace tbl name { data = A1.sub arena off (dims_cells edims); edims })
-    directory;
-  { total; directory; tbl; seed_order; released = false }
+  let tbl = Hashtbl.create (max 32 (List.length rows)) in
+  List.iter
+    (fun (d, off) ->
+      Hashtbl.replace tbl d.a_name
+        { data = A1.sub arena off (array_cells d); edims = d.a_dims; owner = Arena })
+    rows;
+  let names = List.map (fun d -> d.a_name) sorted in
+  { names; tbl; seed_order; alloc = alloc_buf; live = total; released = false }
+
+let of_shared ~alloc arrays =
+  let sorted = check_decls "Memory.of_shared" (List.map fst arrays) in
+  let tbl = Hashtbl.create (max 32 (List.length arrays)) in
+  List.iter
+    (fun (d, data) ->
+      if A1.dim data <> array_cells d then
+        invalid_arg ("Memory.of_shared: buffer length differs from the cells of " ^ d.a_name);
+      Hashtbl.replace tbl d.a_name { data; edims = d.a_dims; owner = Shared })
+    arrays;
+  let names = List.map (fun d -> d.a_name) sorted in
+  { names; tbl; seed_order = names; alloc; live = 0; released = false }
 
 (* splitmix64-style hash, kept in int range *)
 let mix h =
@@ -161,47 +184,63 @@ let fill_seeded ~seed name (b : buf) =
     A1.unsafe_set b i (seeded_value base i)
   done
 
-let init_seeded t ~seed =
-  List.iter
-    (fun name ->
-      match Hashtbl.find_opt t.tbl name with
-      | None -> ()
-      | Some e -> fill_seeded ~seed name e.data)
-    t.seed_order
-
 let find t name =
   if t.released then invalid_arg ("Memory.find: use after release: " ^ name);
   match Hashtbl.find_opt t.tbl name with
   | Some e -> e
   | None -> raise (Unknown_array name)
 
-let get t name = (find t name).data
+let mem t name = Hashtbl.mem t.tbl name
+
+let read t name = (find t name).data
+
+let get t name =
+  let e = find t name in
+  if e.owner = Shared then begin
+    let n = A1.dim e.data in
+    let copy = t.alloc n in
+    A1.blit e.data copy;
+    Arenas.acquire n;
+    t.live <- t.live + n;
+    e.data <- copy;
+    e.owner <- Copy
+  end;
+  e.data
+
+let is_shared t name = (find t name).owner = Shared
+
+let set_shared t name data =
+  let e = find t name in
+  if A1.dim data <> A1.dim e.data then
+    invalid_arg ("Memory.set_shared: buffer length differs from the cells of " ^ name);
+  if e.owner = Copy then begin
+    Arenas.release (A1.dim e.data);
+    t.live <- t.live - A1.dim e.data
+  end;
+  e.data <- data;
+  e.owner <- Shared
+
+let init_seeded t ~seed =
+  List.iter (fun name -> if mem t name then fill_seeded ~seed name (get t name)) t.seed_order
 
 let get_array t name =
-  let b = (find t name).data in
+  let b = read t name in
   Array.init (A1.dim b) (fun i -> A1.unsafe_get b i)
 
 let dims t name = (find t name).edims
 
-let mem t name = Hashtbl.mem t.tbl name
-
-let names t = Array.to_list (Array.map (fun (n, _, _) -> n) t.directory)
-
-let placement t =
-  let row = Hashtbl.create (Array.length t.directory) in
-  Array.iter (fun (n, d, off) -> Hashtbl.replace row n (n, off, dims_cells d)) t.directory;
-  List.filter_map (Hashtbl.find_opt row) t.seed_order
+let names t = t.names
 
 let release t =
   if t.released then invalid_arg "Memory.release: memory already released";
   t.released <- true;
   Hashtbl.reset t.tbl;
-  Arenas.release t.total
+  Arenas.release t.live
 
 let array_max_abs_diff a b n =
   if not (mem a n && mem b n) then infinity
   else
-    let da = get a n and db = get b n in
+    let da = read a n and db = read b n in
     if A1.dim da <> A1.dim db then infinity
     else begin
       let m = ref 0.0 in
@@ -232,4 +271,4 @@ let equal_bufs (a : buf) (b : buf) =
   n = A1.dim b && go 0
 
 let bits_equal a b =
-  names a = names b && List.for_all (fun n -> equal_bufs (get a n) (get b n)) (names a)
+  names a = names b && List.for_all (fun n -> equal_bufs (read a n) (read b n)) (names a)

@@ -10,15 +10,17 @@
     The off-heap representation buys two things with zero behavioural
     change (float64 Bigarray cells are the same IEEE-754 doubles as
     [float array] cells): the GC never scans grid payloads, and a blit
-    is a memcpy. Every memory gets a fresh arena of exactly its cells;
-    a released one goes back to the GC. Nothing recycles arenas: a
-    transform creates only three or four memories, and keeping released
-    arenas for reuse only raised peak memory (DESIGN.md 3i). *)
+    is a memcpy. A memory from {!create} gets a fresh arena of exactly
+    its cells; a released one goes back to the GC. A memory from
+    {!of_shared} holds no arena: its arrays start as buffers shared
+    with others (the contents of the simulation cache's store), and
+    {!get} copies an array's cells the first time it is asked for a
+    writable buffer (copy-on-write, DESIGN.md 3i). *)
 
 type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Backing store of one array: a zero-copy sub-view of the memory's
-    arena. Element [i] is read as [b.{i}] (or [Array1.unsafe_get] on
-    proved paths). *)
+    arena, a private copy, or a shared buffer. Element [i] is read as
+    [b.{i}] (or [Array1.unsafe_get] on proved paths). *)
 
 val alloc_buf : int -> buf
 (** A fresh, uninitialized buffer of [n] cells. *)
@@ -26,7 +28,7 @@ val alloc_buf : int -> buf
 type t
 
 exception Unknown_array of string
-(** Raised by {!get} / {!dims} for an array name this memory does not
+(** Raised by {!get} / {!read} / {!dims} for an array name this memory does not
     hold. Carries the offending name; the interpreter re-wraps it in
     [Interp.Sim_error] together with the launching kernel. *)
 
@@ -41,14 +43,24 @@ type layout = {
     [arena_layout]): arrays whose live ranges never need both values at
     once may share arena cells. Sound only for runs whose final memory
     is discarded — the overlay preserves every value any read observes
-    during the schedule, not the end-of-run contents of shared slots. *)
+    during the schedule, not the end-of-run contents of shared slots.
+    Only {!create} places arrays by it: the simulation cache's runs
+    ({!of_shared}) hold no arena and ignore it. *)
 
 val create : ?layout:layout -> Kft_cuda.Ast.array_decl list -> t
 (** Allocate every array, zero-initialized, in one fresh arena of
     exactly the cells it needs — packed in sorted name order by
-    default, or placed by [layout].
+    default, or placed by [layout]. Every array is private.
     Raises [Invalid_argument] on duplicate names, non-double element
     types, or a layout that misses an array / overflows its arena. *)
+
+val of_shared : alloc:(int -> buf) -> (Kft_cuda.Ast.array_decl * buf) list -> t
+(** A memory whose arrays are the given buffers, shared: nothing is
+    copied or allocated until {!get} asks for a writable array, which
+    then copies it into [alloc n] (a buffer of [n] cells). The buffers
+    are never written through this memory. Raises [Invalid_argument]
+    on duplicate names, non-double element types, or a buffer whose
+    length is not its array's cells. *)
 
 val init_seeded : t -> seed:int -> unit
 (** Fill every array with a deterministic pseudo-random pattern derived
@@ -67,8 +79,24 @@ val fill_seeded : seed:int -> string -> buf -> unit
     cell as {!seeded_cell} gives it. *)
 
 val get : t -> string -> buf
-(** The backing store of an array — an aliasing view, not a copy.
-    Raises {!Unknown_array}. *)
+(** The writable backing store of an array — an aliasing view, not a
+    copy. On a shared array the first call copies its cells into a
+    buffer from the memory's allocator, once, and the array is private
+    from then on. Raises {!Unknown_array}. *)
+
+val read : t -> string -> buf
+(** The backing store of an array without copying it: the caller must
+    not write it (the buffer may be shared). Raises {!Unknown_array}. *)
+
+val is_shared : t -> string -> bool
+(** The array is a shared buffer ({!of_shared}, {!set_shared}), not
+    yet copied by {!get}. Raises {!Unknown_array}. *)
+
+val set_shared : t -> string -> buf -> unit
+(** Make an array the given buffer, shared: the memory drops its
+    private copy, if any (the caller may keep the buffer {!get} gave,
+    say to hand it to others as shared). Raises {!Unknown_array}, and
+    [Invalid_argument] on a buffer of another length. *)
 
 val get_array : t -> string -> float array
 (** A heap copy of an array's contents, for callers that want plain
@@ -81,15 +109,10 @@ val mem : t -> string -> bool
 
 val names : t -> string list
 
-val placement : t -> (string * int * int) list
-(** [(name, offset, cells)] of every array in seeding order. Two arrays
-    share storage exactly when their cell ranges intersect; that only
-    happens under an overlay {!layout}. *)
-
 val release : t -> unit
-(** Mark the memory dead and subtract its cells from the live count of
-    {!Arenas}; freeing the arena is left to the GC, which can do so
-    once the caller drops the views it took with {!get}. The memory
+(** Mark the memory dead and subtract its arena and private copies from
+    the live count of {!Arenas}; freeing them is left to the GC, which
+    can do so once the caller drops the views it took with {!get}. The memory
     must not be used afterwards ({!get} raises [Invalid_argument]);
     releasing twice raises [Invalid_argument]. Releasing is optional:
     an unreleased memory is reclaimed by the GC all the same, but its
@@ -115,14 +138,16 @@ val bits_equal : t -> t -> bool
 (** Bit identity of two memories: the same array names, and every array
     {!equal_bufs}. *)
 
-(** Allocation accounting: how many arenas {!create} allocated, and how
-    many cells were live at once. Global and mutex-guarded. *)
+(** Allocation accounting: how many arenas {!create} allocated plus
+    how many private copies {!get} made, and how many of their cells
+    were live at once. Global and mutex-guarded. *)
 module Arenas : sig
   type stats = {
-    requests : int;  (** arenas allocated, one per {!create} *)
+    requests : int;  (** one per {!create} and one per copy {!get} makes *)
     cells_requested : int;  (** total cells across all requests *)
     high_water : int;
-        (** peak live cells: created and not yet {!release}d *)
+        (** peak live cells: allocated and not yet {!release}d (a copy
+            also leaves the count at {!set_shared}) *)
   }
 
   val stats : unit -> stats

@@ -28,6 +28,8 @@ val profile :
     changes the profile, only how fast it is produced). [layout] places the arrays by a liveness-driven overlay
     (see {!Memory.layout}): statistics and timings are bit-identical,
     only the arena is smaller — use when the run's memory is discarded.
+    The cached path ([Kft_metadata.Sim_cache.profile]) holds no arena
+    and ignores [layout]; this uncached run is its independent oracle.
     [trace] records one span per launch. *)
 
 val profile_of_stats :

@@ -103,7 +103,7 @@ let pc_report =
 kernels profiled: 2, baseline modeled time: 13.0 us
   profile cache: 0 hits, 2 misses this run (2 cached simulations)
   launch memo: 0 hits, 3 misses this run (5 contents, 0.0 Mcells stored)
-  memory: 2 arenas, 0.0 Mcells requested
+  memory: 4 arenas, 0.0 Mcells requested
 
 == stage 2: target identification ==
   produce                  memory-bound   [target] memory-bound target

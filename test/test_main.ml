@@ -59,6 +59,52 @@ let bundled_programs () =
     (fun (a : Kft_apps.Apps.app) -> a.program)
     (Kft_apps.Apps.quickstart () :: Kft_apps.Apps.all ())
 
+(* the summary keeps the full report's counts and exit code in one
+   line per program, and prints warnings (only) in full *)
+let test_lint_summary () =
+  let module L = Kft_absint.Lint in
+  let rc_full, full, _ = kft [| "kft"; "lint"; "--no-profile" |] in
+  let rc, out, _ = kft [| "kft"; "lint"; "--summary"; "--no-profile" |] in
+  Alcotest.(check int) "same exit code" rc_full rc;
+  let lines s = List.filter (fun l -> l <> "") (String.split_on_char '\n' s) in
+  let last l = List.nth l (List.length l - 1) in
+  Alcotest.(check string) "same summary line" (last (lines full)) (last (lines out));
+  let names = List.map (fun (p : Kft_cuda.Ast.program) -> p.p_name) (bundled_programs ()) in
+  let count prog sev =
+    List.length
+      (List.filter
+         (fun l -> String.starts_with ~prefix:(prog ^ ":") l && Util.contains l (": " ^ sev ^ " ["))
+         (lines full))
+  in
+  let plural n word = Printf.sprintf "%d %s%s" n word (if n = 1 then "" else "s") in
+  let expected =
+    List.map
+      (fun p ->
+        Printf.sprintf "%s: %s, %s" p (plural (count p "warning") "warning")
+          (plural (count p "info") "advisory note"))
+      names
+  in
+  let warning_lines = List.filter (fun l -> Util.contains l ": warning [") (lines full) in
+  Alcotest.(check (list string)) "one line per program, then the warnings"
+    (expected @ warning_lines @ [ last (lines full) ])
+    (lines out);
+  (* a warning is printed in full, a note only counted *)
+  let finding sev rule =
+    {
+      L.f_program = "p";
+      f_kernel = "k";
+      f_loc = { Kft_cuda.Loc.line = 3; col = 5 };
+      f_rule = rule;
+      f_severity = sev;
+      f_message = "m";
+    }
+  in
+  let fs = L.normalize [ finding L.Warn "bounds"; finding L.Info "dead-guard" ] in
+  Alcotest.(check string) "rendered summary"
+    ("p: 1 warning, 1 advisory note\n" ^ "p:k:3:5: warning [bounds] m\n"
+   ^ "kft lint: 1 warning, 1 advisory note\n")
+    (L.render_summary [ "p" ] fs)
+
 let test_lint_trace () =
   with_tmp_files 3 @@ fun files ->
   let f1, f2, f4 = match files with [ a; b; c ] -> (a, b, c) | _ -> assert false in
@@ -233,6 +279,7 @@ let cli_suite =
   [
     Alcotest.test_case "lint --json emits valid JSON" `Quick test_lint_json;
     Alcotest.test_case "lint human report" `Quick test_lint_human;
+    Alcotest.test_case "lint --summary: one line per program" `Quick test_lint_summary;
     Alcotest.test_case "lint unknown program exits 2" `Quick test_lint_unknown_program;
     Alcotest.test_case "lint bad flag exits 124" `Quick test_lint_bad_flag;
     Alcotest.test_case "unknown subcommand exits 124" `Quick test_lint_unknown_subcommand;

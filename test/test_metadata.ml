@@ -344,13 +344,22 @@ let tiny ?(name = "tiny") ops =
         ops;
   }
 
-(* profile [p] on [c] and return the memo hits and misses it caused *)
+(* profile [p] on [c] and return the memo hits and misses it caused. A
+   cached run holds no arena and ignores [layout]: it must equal the
+   packed uncached run. *)
 let memo_delta c ?layout p =
   let h0, m0 = memo_counts c in
   let run = M.profile ~cache:c ?layout Util.device p in
   let h1, m1 = memo_counts c in
-  check_same_run p.p_name run (Profiler.profile ?layout Util.device p);
+  check_same_run p.p_name run (Profiler.profile Util.device p);
   (h1 - h0, m1 - m0)
+
+(* the allocations (requests, cells) [f] made *)
+let copies f =
+  let s0 = Mem.Arenas.stats () in
+  let x = f () in
+  let s1 = Mem.Arenas.stats () in
+  (x, (s1.requests - s0.requests, s1.cells_requested - s0.cells_requested))
 
 let with_scalar c (p : program) =
   {
@@ -433,8 +442,10 @@ let test_memo_overlay () =
   (* a packed run stores addone(B, D) with B at its seeded contents *)
   Alcotest.(check (pair int int)) "packed addone(B, D)" (0, 1)
     (memo_delta c (tiny ~name:"packed" [ ("addone", [ "B"; "D" ]) ]));
-  (* A and B share a slot, B seeded last: writing A rewrites B, so the
-     addone(B, D) that follows must not replay the packed entry *)
+  (* A and B share a slot under this layout, B seeded last: an uncached
+     run's write to A rewrites B. A cached run holds no arena, so the
+     layout changes nothing: B keeps its seeded contents and the
+     addone(B, D) that follows replays the packed entry *)
   let layout =
     {
       Mem.l_offsets = [ ("A", 0); ("B", 0); ("C", tiny_n); ("D", 2 * tiny_n) ];
@@ -443,10 +454,14 @@ let test_memo_overlay () =
     }
   in
   let p = tiny ~name:"overlay" [ ("copy", [ "C"; "A" ]); ("addone", [ "B"; "D" ]) ] in
-  Alcotest.(check (pair int int)) "a write to A invalidates B" (0, 2) (memo_delta c ~layout p);
+  Alcotest.(check (pair int int)) "a write to A leaves B alone" (1, 1) (memo_delta c ~layout p);
   let run = M.profile ~cache:c ~layout Util.device p in
   Alcotest.(check int) "overlay program hit" 1 (M.Sim_cache.stats c).hits;
-  check_same_run "overlay program hit" run (Profiler.profile ~layout Util.device p);
+  check_same_run "overlay program hit" run (Profiler.profile Util.device p);
+  let packed = M.profile ~cache:c Util.device p in
+  let s = M.Sim_cache.stats c in
+  Alcotest.(check (pair int int)) "the packed run is the same entry" (2, 2) (s.hits, s.size);
+  Alcotest.(check bool) "the same final memory" true (Mem.bits_equal run.memory packed.memory);
   Alcotest.(check (pair int int)) "renamed overlay program replays" (2, 0)
     (memo_delta c ~layout { p with p_name = "overlay2" })
 
@@ -464,14 +479,66 @@ let test_memo_fission_prerun () =
     | Some l -> l.l_total < List.fold_left (fun n a -> n + array_cells a) 0 pf.p_arrays
     | None -> false
   in
-  Alcotest.(check bool) "the pre-run shares arena slots" true shares;
+  Alcotest.(check bool) "the pre-run has an overlay layout" true shares;
   let c = M.Sim_cache.create () in
   ignore (M.gather ~cache:c Util.device p);
   let meta, run = M.gather ~cache:c ?layout Util.device pf in
   (* a gather without a cache runs on a fresh one: nothing to replay *)
   let meta', _ = M.gather ?layout Util.device pf in
-  check_same_run "B-CALM fission pre-run" run (Profiler.profile ?layout Util.device pf);
-  Alcotest.(check bool) "same metadata" true (meta = meta')
+  check_same_run "B-CALM fission pre-run" run (Profiler.profile Util.device pf);
+  Alcotest.(check bool) "same metadata" true (meta = meta');
+  let hits = (M.Sim_cache.stats c).hits in
+  let _, packed = M.gather ~cache:c Util.device pf in
+  Alcotest.(check int) "the packed pre-run is the same entry" (hits + 1) (M.Sim_cache.stats c).hits;
+  Alcotest.(check bool) "the same final memory" true (Mem.bits_equal run.memory packed.memory)
+
+(* Copy-on-write: a cached run copies only the arrays a missed launch
+   may write, and a replayed launch or program copies nothing *)
+let test_cow_copies () =
+  let c = M.Sim_cache.create () in
+  let p = tiny ~name:"c1" [ ("copy", [ "A"; "B" ]) ] in
+  let delta, allocs = copies (fun () -> memo_delta c p) in
+  Alcotest.(check (pair int int)) "copy(A, B) misses" (0, 1) delta;
+  (* [memo_delta]'s uncached reference run is one arena of four arrays *)
+  Alcotest.(check (pair int int)) "one private copy, of B's cells" (2, tiny_n + (4 * tiny_n)) allocs;
+  let _, allocs = copies (fun () -> M.profile ~cache:c Util.device { p with p_name = "c2" }) in
+  Alcotest.(check (pair int int)) "a memo hit copies nothing" (0, 0) allocs;
+  Alcotest.(check (pair int int)) "it was a memo hit" (1, 1) (memo_counts c);
+  let run, allocs = copies (fun () -> M.profile ~cache:c Util.device p) in
+  Alcotest.(check (pair int int)) "a program hit copies nothing" (0, 0) allocs;
+  Alcotest.(check int) "it was a program hit" 1 (M.Sim_cache.stats c).hits;
+  check_same_run "program hit" run (Profiler.profile Util.device p);
+  (* the caller's write goes to its own copy, never to the store *)
+  (Mem.get run.memory "B").{0} <- -999.0;
+  Alcotest.(check (list string)) "the store is intact" [] (M.Sim_cache.Internal.check_store c);
+  check_same_run "after a caller's write" (M.profile ~cache:c Util.device p)
+    (Profiler.profile Util.device p)
+
+let test_cow_same_host () =
+  let c = M.Sim_cache.create () in
+  (* addone(A, A) reads A through one parameter and writes it through
+     the other: both must see the one private copy *)
+  let p =
+    tiny ~name:"aa" [ ("copy", [ "C"; "A" ]); ("addone", [ "A"; "A" ]); ("addone", [ "A"; "B" ]) ]
+  in
+  let delta, (requests, _) = copies (fun () -> memo_delta c p) in
+  Alcotest.(check (pair int int)) "three misses" (0, 3) delta;
+  (* A twice, B once, plus the reference run's arena *)
+  Alcotest.(check int) "one copy per written host and launch" 4 requests;
+  Alcotest.(check (list string)) "the store is intact" [] (M.Sim_cache.Internal.check_store c)
+
+let test_cow_raising_launch () =
+  let c = M.Sim_cache.create () in
+  let p = tiny ~name:"before" [ ("copy", [ "C"; "D" ]) ] in
+  ignore (memo_delta c p);
+  (* oob writes C in place until its last thread leaves the array *)
+  (match M.profile ~cache:c Util.device (tiny [ ("twice", [ "C" ]); ("oob", [ "C" ]) ]) with
+  | (_ : Profiler.run) -> Alcotest.fail "expected Sim_error"
+  | exception Kft_sim.Interp.Sim_error _ -> ());
+  Alcotest.(check (list string)) "every stored content unchanged" []
+    (M.Sim_cache.Internal.check_store c);
+  check_same_run "a program hit after the failure" (M.profile ~cache:c Util.device p)
+    (Profiler.profile Util.device p)
 
 let test_memo_raising_launch () =
   let c = M.Sim_cache.create () in
@@ -486,6 +553,51 @@ let test_memo_raising_launch () =
   Alcotest.(check (pair string string)) "the same error again" e1 e2;
   Alcotest.(check (pair int int)) "the raising launch is never a hit" (1, 3) (memo_counts c);
   Alcotest.(check int) "no program entry" 0 (M.Sim_cache.stats c).size
+
+(* Store integrity across whole transforms: each program is transformed
+   automated, then programmer-guided on the same cache (fission
+   pre-runs included), and after every transform each stored content
+   still hashes to the value it was interned under and each seeded
+   content is still its pattern. A write that leaked into a store
+   buffer fails here. *)
+let test_store_integrity () =
+  let module F = Kft_framework.Framework in
+  let module Apps = Kft_apps.Apps in
+  let big = { Kft_apps.Gen.nx = 256; ny = 64; nz = 12 } in
+  let runs =
+    List.map (fun a -> (a, 10, 8, F.default_config.verify_mode)) (Apps.quickstart () :: Apps.all ())
+    @ List.map
+        (fun a -> (a, 4, 6, F.Verify_off))
+        [ Apps.mitgcm ~dims:big (); Apps.bcalm ~dims:big () ]
+  in
+  List.iter
+    (fun ((app : Apps.app), generations, population, verify_mode) ->
+      let c = M.Sim_cache.create () in
+      let config =
+        {
+          F.default_config with
+          gga_params = { Kft_gga.Gga.default_params with generations; population };
+          verify_mode;
+          sim_cache = Some c;
+        }
+      in
+      let check what =
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s (%s): the store is intact" app.app_name what)
+          [] (M.Sim_cache.Internal.check_store c)
+      in
+      let r = F.transform ~config app.program in
+      check "automated";
+      let hooks = { F.no_hooks with amend_solution = (fun _ -> r.F.solution_groups) } in
+      let guided =
+        {
+          config with
+          codegen_options = { Kft_codegen.Fusion.manual_options with tune_blocks = true };
+        }
+      in
+      ignore (F.transform ~config:guided ~hooks app.program);
+      check "guided")
+    runs
 
 let suite =
   [
@@ -509,7 +621,12 @@ let suite =
     Alcotest.test_case "memo: k(A, A) and k(A, B) differ" `Quick test_memo_aliasing_misses;
     Alcotest.test_case "memo: write-only full overwrite replays" `Quick test_memo_write_only;
     Alcotest.test_case "memo: -0.0 and 0.0 get distinct ids" `Quick test_memo_signed_zero;
-    Alcotest.test_case "memo: overlay write invalidates shared slot" `Quick test_memo_overlay;
+    Alcotest.test_case "memo: an overlay layout is the packed entry" `Quick test_memo_overlay;
     Alcotest.test_case "memo: B-CALM fission pre-run on and off" `Quick test_memo_fission_prerun;
     Alcotest.test_case "memo: a raising launch is not stored" `Quick test_memo_raising_launch;
+    Alcotest.test_case "cow: one copy of the written array, none on hits" `Quick test_cow_copies;
+    Alcotest.test_case "cow: one host read and written by one launch" `Quick test_cow_same_host;
+    Alcotest.test_case "cow: a raising launch leaves the store intact" `Quick
+      test_cow_raising_launch;
+    Alcotest.test_case "cow: the store is intact after every transform" `Slow test_store_integrity;
   ]

@@ -571,6 +571,44 @@ let test_fresh_memories () =
     (4 * List.fold_left (fun acc d -> acc + Kft_cuda.Ast.array_cells d) 0 decls)
     (s1.cells_requested - s0.cells_requested)
 
+(* a memory over shared buffers copies an array on its first [get]
+   only, into its allocator's buffer, and never writes the shared one *)
+let test_shared_memories () =
+  let decls = [ Util.arr3 dims "A"; Util.arr3 dims "B" ] in
+  let shared name =
+    let b = Mem.alloc_buf cells in
+    Mem.fill_seeded ~seed:9 name b;
+    b
+  in
+  let a = shared "A" and b = shared "B" in
+  let allocated = ref 0 in
+  let alloc n =
+    incr allocated;
+    Mem.alloc_buf n
+  in
+  let s0 = Mem.Arenas.stats () in
+  let m = Mem.of_shared ~alloc [ (List.nth decls 0, a); (List.nth decls 1, b) ] in
+  Alcotest.(check bool) "read does not copy" true (Mem.read m "A" == a);
+  Alcotest.(check bool) "shared until written" true (Mem.is_shared m "A");
+  let a' = Mem.get m "A" in
+  Alcotest.(check bool) "get copies" true (a' != a && Mem.equal_bufs a a');
+  Alcotest.(check bool) "once" true (Mem.get m "A" == a' && Mem.read m "A" == a');
+  a'.{0} <- 7.5;
+  Alcotest.(check bool) "the shared buffer is untouched" true (a.{0} <> 7.5);
+  Alcotest.(check (list int)) "one copy, from the allocator" [ 1; 1; cells ]
+    (let s1 = Mem.Arenas.stats () in
+     [ !allocated; s1.requests - s0.requests; s1.cells_requested - s0.cells_requested ]);
+  Mem.set_shared m "A" a;
+  Alcotest.(check bool) "shared again" true (Mem.is_shared m "A" && Mem.read m "A" == a);
+  (match Mem.set_shared m "B" (Mem.alloc_buf 1) with
+  | () -> Alcotest.fail "expected a length mismatch"
+  | exception Invalid_argument _ -> ());
+  let m2 = Mem.create decls in
+  Mem.init_seeded m2 ~seed:9;
+  Alcotest.(check bool) "same contents as a seeded arena" true (Mem.bits_equal m m2);
+  Mem.release m;
+  Mem.release m2
+
 (* ------------------------------------------------------------------ *)
 (* Execution paths: reference interpreter vs compiled-affine            *)
 (* ------------------------------------------------------------------ *)
@@ -828,4 +866,5 @@ let parallel_suite =
     Alcotest.test_case "zero-length arrays" `Quick test_zero_length_arrays;
     Alcotest.test_case "release lifecycle" `Quick test_release_lifecycle;
     Alcotest.test_case "fresh memories are zeroed and never alias" `Quick test_fresh_memories;
+    Alcotest.test_case "shared memories copy on the first get only" `Quick test_shared_memories;
   ]
