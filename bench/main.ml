@@ -1035,9 +1035,12 @@ let smoke () =
    32-term float chain without and with its vertical loop (per-flop
    cost), a fused kernel's cooperative tile load alone (integer index
    work), and the first shared-memory fused launch of a transformed
-   MITgcm and B-CALM (tile staging and hazard bookkeeping). Each rung
-   is timed best-of-5 on freshly seeded memory, and both paths must
-   agree bit for bit. *)
+   MITgcm and B-CALM (tile staging and hazard bookkeeping). Each of
+   those is licensed, so compiled-affine runs each statement over all
+   of a block's threads; one more rung, the chain behind a read whose
+   bounds are not proved, runs one thread at a time. Each rung is timed
+   best-of-5 on freshly seeded memory, and both paths must agree bit
+   for bit. *)
 let ladder () =
   print_endline "== simulator launch ladder (reference interpreter vs compiled-affine) ==";
   let open Kft_cuda.Ast in
@@ -1123,6 +1126,17 @@ let ladder () =
     \    __syncthreads();\n\
     \  }"
   in
+  (* the 32-term chain behind a read the bounds proof cannot settle (an
+     offset of 0 or 1 picked by data, which the analysis cannot tie to
+     [i > 0]): the launch is not licensed, so compiled-affine runs each
+     statement one lane at a time *)
+  let unproved =
+    ij
+    ^ "  double x0 = A[j * nx + i];\n\
+       \  int o = 0;\n\
+       \  if (i > 0 && x0 > 0.5) { o = 1; }\n\
+       \  double x = A[j * nx + i - o];\n" ^ chain
+  in
   let rungs =
     [
       ("empty body", one_launch "empty" "");
@@ -1136,6 +1150,7 @@ let ladder () =
           p_schedule = [ Launch eos.launch ];
         } );
       ("cooperative tile load", one_launch "coop" coop);
+      ("32-term chain, one lane", one_launch "unproved" unproved);
     ]
     @ fused (Apps.mitgcm ())
     (* at 5x10, B-CALM's K_f01: three tiles, 12 shared reads per statement *)
@@ -1146,6 +1161,11 @@ let ladder () =
   List.iter
     (fun (name, (p : program)) ->
       let l = List.find_map (function Launch l -> Some l | _ -> None) p.p_schedule |> Option.get in
+      let licensed = Kft_analysis.Absint.(licensed (license p l)) in
+      if licensed <> (l.l_kernel <> "unproved") then begin
+        Printf.eprintf "[bench] ladder: %s is %slicensed\n%!" name (if licensed then "" else "not ");
+        exit 1
+      end;
       let once affine =
         let mem = Kft_sim.Memory.create p.p_arrays in
         Kft_sim.Memory.init_seeded mem ~seed:42;

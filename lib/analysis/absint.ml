@@ -1477,7 +1477,65 @@ let thread_box (dx, dy, dz) (bx, by, bz) =
   let up d b = (d + b - 1) / b * b in
   (up dx bx, up dy by, up dz bz)
 
-let block_invariant (p : program) (l : launch) ~block =
+(* The double-typed expressions, as the simulator types them: a name
+   is double when it is declared [double] or bound to a double argument *)
+let rec is_double doubles e =
+  match e with
+  | Double_lit _ | Index _ -> true
+  | Int_lit _ | Builtin _ | Binop ((Lt | Le | Gt | Ge | Eq | Ne | And | Or), _, _) | Unop (Not, _) ->
+      false
+  | Var v -> List.mem v doubles
+  | Binop (_, a, b) | Ternary (_, a, b) -> is_double doubles a || is_double doubles b
+  | Unop (Neg, a) -> is_double doubles a
+  | Call (("min" | "max" | "abs"), args) -> List.exists (is_double doubles) args
+  | Call _ -> true
+
+(* every integer [/] and [%] divides by a nonzero constant of the launch *)
+let divisors_constant (k : kernel) (l : launch) bound =
+  let ints = List.filter_map (fun (n, a) -> match a with Arg_int v -> Some (n, v) | _ -> None) bound in
+  let doubles =
+    List.filter_map (fun (n, a) -> match a with Arg_double _ -> Some n | _ -> None) bound
+    @ fold_stmts (fun acc s -> match s with Decl (Double, v, _) -> v :: acc | _ -> acc) [] k.k_body
+  in
+  let (bx, by, bz), (gx, gy, gz) = (l.l_block, grid_of_launch l) in
+  let launch_consts =
+    map_expr (function
+      | Builtin (Block_dim d) -> Int_lit (match d with X -> bx | Y -> by | Z -> bz)
+      | Builtin (Grid_dim d) -> Int_lit (match d with X -> gx | Y -> gy | Z -> gz)
+      | e -> e)
+  in
+  let ok acc e =
+    acc
+    &&
+    match e with
+    | Binop ((Div | Mod), _, d) when not (is_double doubles e) -> (
+        match const_of_expr ~bindings:ints (launch_consts d) with Some c -> c <> 0 | None -> false)
+    | _ -> true
+  in
+  fold_exprs_in_stmts (fold_expr ok) true k.k_body
+
+type grant = Any_order | Same_site_order | Thread_order
+type license = grant Lazy.t
+
+let license (p : program) (l : launch) =
+  lazy
+    (match find_kernel p l.l_kernel with
+    | exception Not_found -> Thread_order
+    | k -> (
+        match bind_args k l.l_args with
+        | exception Invalid_argument _ -> Thread_order
+        | bound -> (
+            if contains_return k.k_body || not (divisors_constant k l bound) then Thread_order
+            else
+              match Option.map (launch_race_verdict p l) (analyze_launch p l) with
+              | Some (Race_free rules) ->
+                  if List.mem "same-site" rules then Same_site_order else Any_order
+              | Some (Race_unsettled _) | None -> Thread_order)))
+
+let grant = Lazy.force
+let licensed lic = grant lic = Any_order
+
+let block_invariant ?license:lic (p : program) (l : launch) ~block =
   let positive (x, y, z) = x > 0 && y > 0 && z > 0 in
   let warp_rows (x, _, _) = x mod 32 = 0 in
   positive l.l_block && positive block && warp_rows l.l_block && warp_rows block
@@ -1485,14 +1543,11 @@ let block_invariant (p : program) (l : launch) ~block =
   &&
   match find_kernel p l.l_kernel with
   | exception Not_found -> false
-  | k -> (
+  | k ->
       (not (contains_barrier k.k_body))
       && (not
             (fold_stmts
                (fun acc s -> acc || match s with Shared_decl _ -> true | _ -> false)
                false k.k_body))
       && fold_exprs_in_stmts (fun acc e -> acc && coords_only e) true k.k_body
-      &&
-      match Option.map (launch_race_verdict p l) (analyze_launch p l) with
-      | Some (Race_free rules) -> not (List.mem "same-site" rules)
-      | Some (Race_unsettled _) | None -> false)
+      && licensed (match lic with Some lic -> lic | None -> license p l)

@@ -249,7 +249,40 @@ val thread_box : int * int * int -> int * int * int -> int * int * int
 (** [thread_box domain block]: the threads a launch runs per dimension,
     [ceil(domain / block) * block]. *)
 
+type grant =
+  | Any_order
+      (** {!launch_race_verdict} proves the launch race-free without the
+          [same-site] exemption, so every bound is proved and no thread
+          touches a cell another thread writes between two barriers; the
+          kernel has no [return]; and every integer [/] and [%] divides
+          by an expression that folds ({!const_of_expr}) to a nonzero
+          constant under the launch's integer arguments, [blockDim] and
+          [gridDim]. No access can fault and no thread observes another
+          thread's writes, so every order of the threads between
+          barriers gives the same memory and the same simulator stats. *)
+  | Same_site_order
+      (** As [Any_order], except that the race proof used the
+          [same-site] exemption: a global write may meet itself in
+          another thread, and every other pair is settled. A cell such
+          a write hits from two threads is touched by that write only,
+          so any order of the threads that keeps, per cell, the last
+          hit of the highest thread gives the same memory and stats. *)
+  | Thread_order  (** Anything else: threads must run in thread order. *)
+
+type license
+(** The order a launch's threads may run in, statement by statement: a
+    lazy proof, analyzed at most once, when first asked. *)
+
+val license : Kft_cuda.Ast.program -> Kft_cuda.Ast.launch -> license
+
+val grant : license -> grant
+(** Decide the license (analyzing the launch the first time). *)
+
+val licensed : license -> bool
+(** [grant license = Any_order]. *)
+
 val block_invariant :
+  ?license:license ->
   Kft_cuda.Ast.program -> Kft_cuda.Ast.launch -> block:int * int * int -> bool
 (** Running [launch] with block [block] instead of its own has the same
     memory effect and the same simulator stats, apart from
@@ -262,10 +295,9 @@ val block_invariant :
       so every warp is the same 32 cells of one row;
     - the rounded-up thread box [ceil(domain / b) * b] is the same under
       both blocks in every dimension;
-    - {!launch_race_verdict} proves the launch race-free without the
-      [same-site] exemption.
+    - the launch is {!licensed}.
     The threads, their warps and each thread's accesses are then the
-    same under both blocks, and no thread touches a cell another one
-    writes, so their order cannot matter. [block = launch.l_block]
-    checks the launch alone: its meaning is then a function of its
-    thread box. *)
+    same under both blocks, and their order cannot matter. [block =
+    launch.l_block] checks the launch alone: its meaning is then a
+    function of its thread box. [license], when given, is the launch's
+    {!license}; it is decided only if the other conditions hold. *)

@@ -182,10 +182,12 @@ let seeded st ~seed name len =
 (* ------------------------------------------------------------------ *)
 
 (* A memory over the store: every array starts as the cells of its
-   content [id_of name], shared, and is copied into a slab only when a
-   launch may write it. *)
-let memory_of st (prog : program) id_of =
-  Memory.of_shared ~alloc:(alloc st)
+   content [id_of name], shared. A launch copies an array it may write
+   into a slab ([alloc]); a memory handed to the caller copies into a
+   buffer of its own, so the caller's copies die with its memory and
+   take no slab cells. *)
+let memory_of ?(alloc = Memory.alloc_buf) st (prog : program) id_of =
+  Memory.of_shared ~alloc
     (List.map (fun d -> (d, cells_of st.contents.(id_of d.a_name))) prog.p_arrays)
 
 (* After a launch: every array it made private is shared again, newest
@@ -335,7 +337,7 @@ let copy_profiles ps =
    host); [None] when the launch cannot be keyed (unknown kernel or
    array, arity mismatch): it then runs unmemoized and fails as it
    would without a cache. *)
-let launch_key ids mem code_of prog (l : launch) =
+let launch_key ~license ids mem code_of prog (l : launch) =
   match List.find_opt (fun k -> k.k_name = l.l_kernel) prog.p_kernels with
   | None -> None
   | Some k ->
@@ -361,7 +363,7 @@ let launch_key ids mem code_of prog (l : launch) =
             l.l_args
         in
         let shape =
-          if Kft_analysis.Absint.block_invariant prog l ~block:l.l_block then
+          if Kft_analysis.Absint.block_invariant ~license prog l ~block:l.l_block then
             Thread_box (Kft_analysis.Absint.thread_box l.l_domain l.l_block)
           else Launch_shape (l.l_domain, l.l_block)
         in
@@ -373,7 +375,9 @@ let launch_key ids mem code_of prog (l : launch) =
    stored. *)
 let run_launch c ids mem code_of ?engine ?backend ?trace prog (l : launch) =
   let st = c.store in
-  match launch_key ids mem code_of prog l with
+  (* the key and a missed launch's schedule share one analysis *)
+  let license = Kft_analysis.Absint.license prog l in
+  match launch_key ~license ids mem code_of prog l with
   | None ->
       (* such a launch raises; were it to return, every array it copied
          is interned *)
@@ -404,7 +408,7 @@ let run_launch c ids mem code_of ?engine ?backend ?trace prog (l : launch) =
           c.launch_misses <- c.launch_misses + 1;
           Trace.add trace "launch_memo_misses" 1;
           let stats, (reads, writes) =
-            Interp.launch_with_usage ?engine ?backend ?trace mem prog l
+            Interp.launch_with_usage ?engine ?backend ~license ?trace mem prog l
           in
           let blanked =
             List.filter_map
@@ -440,7 +444,7 @@ let simulate c ?engine ?backend ?trace ~seed device prog =
   List.iter
     (fun d -> Hashtbl.replace ids d.a_name (seeded st ~seed d.a_name (array_cells d)))
     (List.sort (fun a b -> compare a.a_name b.a_name) prog.p_arrays);
-  let mem = memory_of st prog (Hashtbl.find ids) in
+  let mem = memory_of ~alloc:(alloc st) st prog (Hashtbl.find ids) in
   let codes = Hashtbl.create 16 in
   let code_of k =
     match Hashtbl.find_opt codes k.k_name with
@@ -459,7 +463,7 @@ let simulate c ?engine ?backend ?trace ~seed device prog =
         | Copy_to_device _ | Copy_to_host _ -> None)
       prog.p_schedule
   in
-  let run = Profiler.run_of_profiles profiles mem in
+  let run = Profiler.run_of_profiles profiles (memory_of st prog (Hashtbl.find ids)) in
   (run, List.map (fun n -> (n, Hashtbl.find ids n)) (Memory.names mem))
 
 let restore st prog e =
@@ -500,6 +504,8 @@ let final_ids c ?layout:_ ~seed device prog =
       Option.map (fun e -> e.e_ids) (Cache.peek c.programs (program_key ~seed device prog)))
 
 module Internal = struct
+  let slab_used c = Mutex.protect c.store.slab_lock (fun () -> c.store.slab_used)
+
   let check_store c =
     Mutex.protect c.lock @@ fun () ->
     let st = c.store in

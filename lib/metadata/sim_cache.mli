@@ -56,8 +56,9 @@
 
     Everything a hit returns is bit-identical to a fresh simulation and
     private to the caller: its profiles are copies, and its memory's
-    {!Kft_sim.Memory.get} copies an array before the caller may write
-    it. The execution path is not part of any key: both paths are
+    {!Kft_sim.Memory.get} copies an array, into a buffer of its own and
+    not into the store's slabs, before the caller may write it. The
+    execution path is not part of any key: both paths are
     bit-identical. *)
 
 type t
@@ -101,6 +102,9 @@ val final_ids :
 
 (** Test hooks. *)
 module Internal : sig
+  val slab_used : t -> int
+  (** Cells the store's current slab has handed out. *)
+
   val check_store : t -> string list
   (** Store integrity: every stored content still hashes to the value it
       was interned under, and every seeded content still equals

@@ -60,9 +60,11 @@ exception Sim_error of { kernel : string; message : string }
 
 exception Thread_exit
 
-(* Single-float-field record: OCaml stores the field flat (unboxed), so
-   [acc.v <- x] is a plain store (see [st.acc]). *)
-type facc = { mutable v : float }
+(* A set of a block's lanes (thread ids): the first [n] entries of
+   [ids]. A lane closure runs over the mask it is given and never
+   changes it; a node that narrows the set (an [if], a loop with
+   per-lane bounds, a short-circuit) fills a mask of its own. *)
+type mask = { ids : int array; mutable n : int }
 
 (* ------------------------------------------------------------------ *)
 (* Compilation environment                                             *)
@@ -78,14 +80,11 @@ type binding =
 
 type st = {
   kernel_name : string;
-  bx : int;
-  by : int;
-  bz : int;
   nthreads : int;
   txs : int array;
   tys : int array;
   tzs : int array;
-  zeros : int array;  (* a register that is always 0: constant indexes *)
+  zeros : int array;  (* a register that is always 0: constant operands *)
   mutable bix : int;
   mutable biy : int;
   mutable biz : int;
@@ -98,23 +97,25 @@ type st = {
   alive : bool array;
   stats : stats;
   has_return : bool;  (* no [return] anywhere: threads can never die *)
-  fast : bool;
-      (* compile the optimized closure forms (fused index reads, unsafe
-         register-file accesses behind the interpreter's own bounds
-         checks, single-pass guard evaluation). [false] keeps the plain
-         reference compilation, which the bit-identity tests run the
-         optimized path against. *)
+  lanes : bool;
+      (* compile lane closures (compiled-affine); [false] compiles the
+         reference interpreter's per-thread closures *)
+  grant : Kft_analysis.Absint.grant;
+      (* the order the launch's threads may run in ({!Absint.license}):
+         any but [Thread_order] runs each lane statement over all lanes
+         at once, [Thread_order] one lane at a time; [Thread_order] on
+         the reference path *)
+  all : mask;  (* every lane, in thread order *)
+  one : mask;  (* a single lane *)
+  mutable stmt_runs : int;  (* lane statements run so far in this chunk *)
+  stamps : (string, int array) Hashtbl.t;
+      (* per global array written inside a loop under [Same_site_order],
+         each cell's last writer (see [lane_stmt]) *)
+  mutable flop_n : int;
+      (* the lane path's flop count, folded into [stats.flops] once per
+         block (a [float] store into the mixed [stats] record boxes) *)
   read_flags : (string, bool ref) Hashtbl.t;
   write_flags : (string, bool ref) Hashtbl.t;
-  acc : facc;
-      (* float-expression accumulator for the fast path: compiled float
-         closures are [int -> unit] writing here instead of returning a
-         float, because a float returned across an indirect call is
-         boxed — an allocation per expression node per thread. The store
-         to a single-float-field record is flat. *)
-  flacc : facc;
-      (* fast-path flop accumulator; folded into [stats.flops] once per
-         block (a [float] store into the mixed [stats] record boxes) *)
 }
 
 let err st msg = raise (Sim_error { kernel = st.kernel_name; message = msg })
@@ -182,7 +183,7 @@ let rec float_flops lookup e =
           float_flops lookup c + max (float_flops lookup a) (float_flops lookup b))
 
 (* ------------------------------------------------------------------ *)
-(* Expression compilation                                              *)
+(* Expression compilation: the reference interpreter                   *)
 (* ------------------------------------------------------------------ *)
 
 let shared_oob st name i d =
@@ -199,161 +200,6 @@ let shared_addr st dims idx_fns name t =
   in
   go dims idx_fns 0
 
-(* Left-leaning [+]/[-] chains, leftmost term first, as [(is_add, term)]
-   pairs: [a + b - c] yields [(true, a); (true, b); (false, c)]. The
-   chain follows the left spine only while the node is float-typed, so
-   an int-typed prefix stays one term and keeps its integer arithmetic. *)
-let rec float_sum_terms lookup e acc =
-  match e with
-  | Binop (((Add | Sub) as op), l, r) when ty_of lookup e = EFloat ->
-      float_sum_terms lookup l ((op = Add, r) :: acc)
-  | _ -> (true, e) :: acc
-
-(* compile-time integer constants: literals, bound scalar parameters and
-   non-trapping arithmetic over them (Div/Mod are left to the runtime so
-   a division by zero still raises per-thread, as the reference does) *)
-let rec static_int lookup e =
-  match e with
-  | Int_lit i -> Some i
-  | Var v -> ( match lookup v with Const_int i -> Some i | _ -> None)
-  | Binop (op, a, b) -> (
-      match (static_int lookup a, static_int lookup b) with
-      | Some x, Some y -> (
-          match op with
-          | Add -> Some (x + y)
-          | Sub -> Some (x - y)
-          | Mul -> Some (x * y)
-          | Div | Mod -> None
-          | Lt -> Some (if x < y then 1 else 0)
-          | Le -> Some (if x <= y then 1 else 0)
-          | Gt -> Some (if x > y then 1 else 0)
-          | Ge -> Some (if x >= y then 1 else 0)
-          | Eq -> Some (if x = y then 1 else 0)
-          | Ne -> Some (if x <> y then 1 else 0)
-          | And -> Some (if x <> 0 && y <> 0 then 1 else 0)
-          | Or -> Some (if x <> 0 || y <> 0 then 1 else 0))
-      | _ -> None)
-  | Unop (Neg, a) -> Option.map (fun x -> -x) (static_int lookup a)
-  | Unop (Not, a) -> Option.map (fun x -> if x = 0 then 1 else 0) (static_int lookup a)
-  | _ -> None
-
-(* compile-time float constants (literals and bound scalar parameters) *)
-let const_float_of lookup e =
-  match e with
-  | Double_lit f -> Some f
-  | Int_lit i -> Some (float_of_int i)
-  | Var v -> (
-      match lookup v with
-      | Const_float f -> Some f
-      | Const_int i -> Some (float_of_int i)
-      | _ -> None)
-  | _ -> None
-
-(* number of global-array reads one evaluation of [e] performs, or
-   [None] when the count is data-dependent (a [Ternary] picks a branch
-   at run time). Shared-memory reads are excluded: they do not touch
-   [global_read_bytes] and keep their per-access hazard accounting. *)
-let static_read_count lookup e =
-  let rec go e =
-    match e with
-    | Index (a, _) -> ( match lookup a with Global _ -> 1 | _ -> 0)
-    | Binop (_, a, b) -> go a + go b
-    | Unop (_, a) -> go a
-    | Call (_, args) -> List.fold_left (fun acc a -> acc + go a) 0 args
-    | Ternary _ -> raise Exit
-    | Int_lit _ | Double_lit _ | Var _ | Builtin _ -> 0
-  in
-  try Some (go e) with Exit -> None
-
-(* An integer expression as the linear form [c + Σ k·reg + Σ b_d·blockIdx_d],
-   each register (an int register file or a threadIdx array) listed once
-   with a nonzero coefficient. Integer arithmetic wraps modulo 2^63, a
-   ring, so regrouping the reference's operations this way is bit-exact. *)
-type linear = { c : int; regs : (int array * int) list; bk : int * int * int }
-
-let lin_const c = { c; regs = []; bk = (0, 0, 0) }
-
-let lin_scale k { c; regs; bk = x, y, z } =
-  {
-    c = k * c;
-    regs = List.filter (fun (_, m) -> m <> 0) (List.map (fun (a, m) -> (a, k * m)) regs);
-    bk = (k * x, k * y, k * z);
-  }
-
-let lin_add p q =
-  let add regs (a, k) =
-    match List.assq_opt a regs with
-    | None -> regs @ [ (a, k) ]
-    | Some m ->
-        let rest = List.filter (fun (b, _) -> b != a) regs in
-        if k + m = 0 then rest else rest @ [ (a, k + m) ]
-  in
-  let x, y, z = p.bk and x', y', z' = q.bk in
-  { c = p.c + q.c; regs = List.fold_left add p.regs q.regs; bk = (x + x', y + y', z + z') }
-
-(* [None] unless [e] is built from [+], [-], unary [-] and [*] by a
-   compile-time constant over int registers, threadIdx, blockIdx and
-   static ints; anything else keeps its reference compilation *)
-let rec linear_form st lookup e =
-  let reg a = Some { (lin_const 0) with regs = [ (a, 1) ] } in
-  match e with
-  | Var v -> (
-      match lookup v with
-      | Int_slot s -> reg st.iregs.(s)
-      | Const_int c -> Some (lin_const c)
-      | _ -> None)
-  | Builtin (Thread_idx d) -> reg (match d with X -> st.txs | Y -> st.tys | Z -> st.tzs)
-  | Builtin (Block_idx d) ->
-      let bk = match d with X -> (1, 0, 0) | Y -> (0, 1, 0) | Z -> (0, 0, 1) in
-      Some { (lin_const 0) with bk }
-  | Binop (((Add | Sub) as op), a, b) -> (
-      match (linear_form st lookup a, linear_form st lookup b) with
-      | Some p, Some q -> Some (lin_add p (if op = Add then q else lin_scale (-1) q))
-      | _ -> None)
-  | Binop (Mul, a, b) -> (
-      match (linear_form st lookup a, linear_form st lookup b) with
-      | Some p, Some { c = k; regs = []; bk = 0, 0, 0 }
-      | Some { c = k; regs = []; bk = 0, 0, 0 }, Some p ->
-          Some (lin_scale k p)
-      | _ -> None)
-  | Unop (Neg, a) -> Option.map (lin_scale (-1)) (linear_form st lookup a)
-  | _ -> Option.map lin_const (static_int lookup e)
-
-(* [e] as one register read in place at a constant offset: [1·reg + c],
-   or a constant, read from a register of zeros *)
-let reg_offset st lookup e =
-  match linear_form st lookup e with
-  | Some { c; regs = [ (a, 1) ]; bk = 0, 0, 0 } -> Some (a, c)
-  | Some { c; regs = []; bk = 0, 0, 0 } -> Some (st.zeros, c)
-  | _ -> None
-
-(* A linear form in one closure. The exec loops keep the thread id inside
-   [0, nthreads), so unchecked register reads are safe. *)
-let compile_linear st { c; regs; bk = kx, ky, kz } : int -> int =
-  let ra = Array.of_list (List.map fst regs) and ka = Array.of_list (List.map snd regs) in
-  let n = Array.length ra in
-  let sum t =
-    let s = ref 0 in
-    for i = 0 to n - 1 do
-      s := !s + (Array.unsafe_get ka i * Array.unsafe_get (Array.unsafe_get ra i) t)
-    done;
-    !s
-  in
-  if kx = 0 && ky = 0 && kz = 0 then
-    match regs with
-    | [] -> fun _ -> c
-    | [ (a, 1) ] -> fun t -> Array.unsafe_get a t + c
-    | [ (a, k) ] -> fun t -> (k * Array.unsafe_get a t) + c
-    | [ (a, k); (b, m) ] -> fun t -> (k * Array.unsafe_get a t) + (m * Array.unsafe_get b t) + c
-    | _ -> fun t -> sum t + c
-  else
-    (* the blockIdx part is fixed for the block being run *)
-    match regs with
-    | [] -> fun _ -> c + (kx * st.bix) + (ky * st.biy) + (kz * st.biz)
-    | [ (a, k) ] ->
-        fun t -> (k * Array.unsafe_get a t) + c + (kx * st.bix) + (ky * st.biy) + (kz * st.biz)
-    | _ -> fun t -> sum t + c + (kx * st.bix) + (ky * st.biy) + (kz * st.biz)
-
 (* the outcomes of a comparison [x op y] as 0/1 when [x < y], [x = y],
    [x > y] and when a NaN leaves the operands unordered *)
 let cmp_outcomes = function
@@ -365,27 +211,6 @@ let cmp_outcomes = function
   | Ne -> Some (1, 0, 1, 1)
   | Add | Sub | Mul | Div | Mod | And | Or -> None
 
-let mirror = function Lt -> Gt | Le -> Ge | Gt -> Lt | Ge -> Le | op -> op
-
-(* A 1-D or 2-D tile access whose index on each dimension is [reg + c] or
-   a constant, as [(d0, r0, c0, d1, r1, c1)]; a 1-D tile is a 2-D one
-   with a leading dimension of size 1 indexed by 0. Other accesses go
-   through [shared_addr]. *)
-let tile_index st lookup dims idxs =
-  match (dims, List.map (reg_offset st lookup) idxs) with
-  | [ d1 ], [ Some (r1, c1) ] -> Some (1, st.zeros, 0, d1, r1, c1)
-  | [ d0; d1 ], [ Some (r0, c0); Some (r1, c1) ] -> Some (d0, r0, c0, d1, r1, c1)
-  | _ -> None
-
-(* [shared_addr]'s per-dimension checks, in its order and with its
-   messages, reading the index registers in place *)
-let[@inline] tile_addr st name d0 r0 c0 d1 r1 c1 t =
-  let i = Array.unsafe_get r0 t + c0 in
-  if i < 0 || i >= d0 then shared_oob st name i d0
-  else
-    let k = Array.unsafe_get r1 t + c1 in
-    if k < 0 || k >= d1 then shared_oob st name k d1 else (i * d1) + k
-
 (* a read of tile cell [i] another thread wrote since the last barrier *)
 let[@inline] note_hazard st writer written i t =
   if Array.unsafe_get written i = st.epoch then begin
@@ -393,197 +218,20 @@ let[@inline] note_hazard st writer written i t =
     if w <> t && w >= 0 then st.stats.shared_hazards <- st.stats.shared_hazards + 1
   end
 
-(* A float operand on the fast path. A register, a compile-time constant
-   or a register scaled by a constant ([reg * k], or [k * reg] when
-   [reg_left] is false) is read inside its parent's closure; anything
-   else is a child closure that deposits its value in [st.acc]. *)
-type operand =
-  | Reg of float array
-  | Imm of float
-  | Scaled of float array * float * bool
-  | Clo of (int -> unit)
+(* [shared_addr]'s per-dimension checks, in its order and with its
+   messages, on the index registers read in place *)
+let[@inline] tile_addr st name d0 r0 o0 d1 r1 o1 t =
+  let i = Array.unsafe_get r0 t + o0 in
+  if i < 0 || i >= d0 then shared_oob st name i d0
+  else
+    let k = Array.unsafe_get r1 t + o1 in
+    if k < 0 || k >= d1 then shared_oob st name k d1 else (i * d1) + k
 
-let[@inline] scaled a k reg_left t =
-  if reg_left then Array.unsafe_get a t *. k else k *. Array.unsafe_get a t
-
-let[@inline] read_operand acc o t =
-  match o with
-  | Reg a -> Array.unsafe_get a t
-  | Imm c -> c
-  | Scaled (a, k, reg_left) -> scaled a k reg_left t
-  | Clo f ->
-      f t;
-      acc.v
-
-let[@inline] arith op x y =
-  match op with
-  | Add -> x +. y
-  | Sub -> x -. y
-  | Mul -> x *. y
-  | Div -> x /. y
-  | _ -> Float.rem x y
-
-(* [l op r] in one closure. Operand order is kept, so rounding is the
-   reference's bit for bit; a register read after the other operand's
-   closure ran sees the same value, since expressions never write
-   registers. [+] and [*], the hot operators, are spelled out: matching
-   on [op] per evaluation costs about as much as the arithmetic. *)
-let float_binop st op l r : int -> unit =
-  let acc = st.acc in
-  match (op, l, r) with
-  | (Add | Sub | Mul | Div | Mod), Imm x, Imm y ->
-      let v = arith op x y in
-      fun _ -> acc.v <- v
-  | Add, Reg a, Imm y -> fun t -> acc.v <- Array.unsafe_get a t +. y
-  | Add, Imm x, Reg b -> fun t -> acc.v <- x +. Array.unsafe_get b t
-  | Add, Reg a, Reg b -> fun t -> acc.v <- Array.unsafe_get a t +. Array.unsafe_get b t
-  | Add, Clo f, Imm y -> fun t -> f t; acc.v <- acc.v +. y
-  | Add, Imm x, Clo g -> fun t -> g t; acc.v <- x +. acc.v
-  | Add, Clo f, Reg b -> fun t -> f t; acc.v <- acc.v +. Array.unsafe_get b t
-  | Add, Reg a, Clo g -> fun t -> g t; acc.v <- Array.unsafe_get a t +. acc.v
-  | Add, Clo f, Clo g -> fun t -> f t; let x = acc.v in g t; acc.v <- x +. acc.v
-  | Mul, Reg a, Imm y -> fun t -> acc.v <- Array.unsafe_get a t *. y
-  | Mul, Imm x, Reg b -> fun t -> acc.v <- x *. Array.unsafe_get b t
-  | Mul, Reg a, Reg b -> fun t -> acc.v <- Array.unsafe_get a t *. Array.unsafe_get b t
-  | Mul, Clo f, Imm y -> fun t -> f t; acc.v <- acc.v *. y
-  | Mul, Imm x, Clo g -> fun t -> g t; acc.v <- x *. acc.v
-  | Mul, Clo f, Reg b -> fun t -> f t; acc.v <- acc.v *. Array.unsafe_get b t
-  | Mul, Reg a, Clo g -> fun t -> g t; acc.v <- Array.unsafe_get a t *. acc.v
-  | Mul, Clo f, Clo g -> fun t -> f t; let x = acc.v in g t; acc.v <- x *. acc.v
-  | (Sub | Div | Mod), Reg a, Imm y -> fun t -> acc.v <- arith op (Array.unsafe_get a t) y
-  | (Sub | Div | Mod), Imm x, Reg b -> fun t -> acc.v <- arith op x (Array.unsafe_get b t)
-  | (Sub | Div | Mod), Reg a, Reg b ->
-      fun t -> acc.v <- arith op (Array.unsafe_get a t) (Array.unsafe_get b t)
-  | (Sub | Div | Mod), Clo f, Imm y -> fun t -> f t; acc.v <- arith op acc.v y
-  | (Sub | Div | Mod), Imm x, Clo g -> fun t -> g t; acc.v <- arith op x acc.v
-  | (Sub | Div | Mod), Clo f, Reg b -> fun t -> f t; acc.v <- arith op acc.v (Array.unsafe_get b t)
-  | (Sub | Div | Mod), Reg a, Clo g -> fun t -> g t; acc.v <- arith op (Array.unsafe_get a t) acc.v
-  | (Sub | Div | Mod), Clo f, Clo g -> fun t -> f t; let x = acc.v in g t; acc.v <- arith op x acc.v
-  | Add, Scaled (a, k, rl), Imm y -> fun t -> acc.v <- scaled a k rl t +. y
-  | Sub, Scaled (a, k, rl), Imm y -> fun t -> acc.v <- scaled a k rl t -. y
-  | (Add | Sub | Mul | Div | Mod), _, _ ->
-      (* the other shapes with a scaled operand *)
-      fun t ->
-        let x = read_operand acc l t in
-        acc.v <- arith op x (read_operand acc r t)
-  | _ -> err st "comparison in float context"
-
-(* a [+]/[-] chain of any length in one closure, left to right, the
-   reference's association order and hence its rounding. A chain of
-   registers only (the compute-bound kernels' sum) or of closures only
-   (a stencil's reads) skips the per-term operand match. *)
-let float_sum_chain st terms : int -> unit =
-  let acc = st.acc in
-  let adds = Array.of_list (List.map fst terms) and ops = Array.of_list (List.map snd terms) in
-  let n = Array.length ops in
-  let all f =
-    let xs = List.filter_map (fun (_, o) -> f o) terms in
-    if List.compare_lengths xs terms = 0 then Some (Array.of_list xs) else None
-  in
-  let regs = all (function Reg a -> Some a | _ -> None)
-  and clos = all (function Clo f -> Some f | _ -> None) in
-  match (regs, clos) with
-  | Some regs, _ ->
-      fun t ->
-        let s = ref (Array.unsafe_get (Array.unsafe_get regs 0) t) in
-        for i = 1 to n - 1 do
-          let x = Array.unsafe_get (Array.unsafe_get regs i) t in
-          s := if Array.unsafe_get adds i then !s +. x else !s -. x
-        done;
-        acc.v <- !s
-  | _, Some fs ->
-      fun t ->
-        (Array.unsafe_get fs 0) t;
-        let s = ref acc.v in
-        for i = 1 to n - 1 do
-          (Array.unsafe_get fs i) t;
-          let x = acc.v in
-          s := if Array.unsafe_get adds i then !s +. x else !s -. x
-        done;
-        acc.v <- !s
-  | _ ->
-      fun t ->
-        let s = ref (read_operand acc (Array.unsafe_get ops 0) t) in
-        for i = 1 to n - 1 do
-          let x = read_operand acc (Array.unsafe_get ops i) t in
-          s := if Array.unsafe_get adds i then !s +. x else !s -. x
-        done;
-        acc.v <- !s
-
-(* [e] as a comparison of an int register against a compile-time
-   constant, [(op, outcomes, reg, c)]; [c op reg] is [reg op' c] with
-   [op] mirrored *)
-let reg_cmp st lookup e =
-  let reg e = match reg_offset st lookup e with Some (r, 0) -> Some r | _ -> None in
-  match e with
-  | Binop (op, a, b) -> (
-      let shape =
-        match (reg a, static_int lookup b, static_int lookup a, reg b) with
-        | Some r, Some c, _, _ -> Some (op, r, c)
-        | _, _, Some c, Some r -> Some (mirror op, r, c)
-        | _ -> None
-      in
-      match shape with
-      | Some (op, r, c) -> Option.map (fun o -> (op, o, r, c)) (cmp_outcomes op)
-      | None -> None)
-  | _ -> None
-
-(* [e] as register ranges [lo <= reg <= hi] that all hold exactly when
-   [e] does: an [&&] chain of [reg_cmp] compares other than [!=]. The
-   compares are pure, so the ranges on one register intersect into one
-   check and their order does not matter. *)
-let rec reg_ranges st lookup e =
-  match e with
-  | Binop (And, a, b) -> (
-      match (reg_ranges st lookup a, reg_ranges st lookup b) with
-      | Some p, Some q ->
-          let meet acc (r, lo, hi) =
-            match List.partition (fun (q, _, _) -> q == r) acc with
-            | [ (_, lo', hi') ], rest -> (r, max lo lo', min hi hi') :: rest
-            | _ -> (r, lo, hi) :: acc
-          in
-          Some (List.fold_left meet p q)
-      | _ -> None)
-  | _ -> (
-      (* an empty range is [(1, 0)] *)
-      match reg_cmp st lookup e with
-      | Some (Lt, _, r, c) -> Some [ (if c = min_int then (r, 1, 0) else (r, min_int, c - 1)) ]
-      | Some (Le, _, r, c) -> Some [ (r, min_int, c) ]
-      | Some (Gt, _, r, c) -> Some [ (if c = max_int then (r, 1, 0) else (r, c + 1, max_int)) ]
-      | Some (Ge, _, r, c) -> Some [ (r, c, max_int) ]
-      | Some (Eq, _, r, c) -> Some [ (r, c, c) ]
-      | _ -> None)
-
-(* register ranges in one closure, 1 when all hold *)
-let compile_ranges (ranges : (int array * int * int) list) : int -> int =
-  match ranges with
-  | [ (r, lo, hi) ] ->
-      fun t ->
-        let x = Array.unsafe_get r t in
-        if lo <= x && x <= hi then 1 else 0
-  | _ ->
-      let ra = Array.of_list (List.map (fun (r, _, _) -> r) ranges)
-      and los = Array.of_list (List.map (fun (_, lo, _) -> lo) ranges)
-      and his = Array.of_list (List.map (fun (_, _, hi) -> hi) ranges) in
-      let n = Array.length ra in
-      fun t ->
-        let i = ref 0 in
-        while
-          !i < n
-          &&
-          let x = Array.unsafe_get (Array.unsafe_get ra !i) t in
-          Array.unsafe_get los !i <= x && x <= Array.unsafe_get his !i
-        do
-          incr i
-        done;
-        if !i = n then 1 else 0
-
-(* Fast-path integer compilation: a linear form is one closure; the rest
-   keeps the reference operators, with two peepholes. *)
+(* Per-thread closures: each returns its value for the thread it is
+   given (a float boxed per indirect call, which is fine for the
+   reference semantics the lane path is diffed against); every global
+   read is individually checked, counted and access-traced. *)
 let rec compile_int st lookup e : int -> int =
-  match (if st.fast then linear_form st lookup e else None) with
-  | Some l -> compile_linear st l
-  | None -> (
   match e with
   | Int_lit i -> fun _ -> i
   | Builtin b -> (
@@ -604,28 +252,6 @@ let rec compile_int st lookup e : int -> int =
           fun t -> arr.(t)
       | Const_float _ | Float_slot _ -> err st (Printf.sprintf "variable %s used as integer but is double" v)
       | Global _ | Shared _ -> err st (Printf.sprintf "array %s used as scalar" v))
-  (* a nonzero constant divisor needs no per-thread zero test; a zero
-     one keeps the reference's per-thread error *)
-  | Binop (((Div | Mod) as op), a, b) when st.fast -> (
-      match static_int lookup b with
-      | Some c when c <> 0 -> (
-          match reg_offset st lookup a with
-          | Some (r, off) ->
-              if op = Div then fun t -> (Array.unsafe_get r t + off) / c
-              else fun t -> (Array.unsafe_get r t + off) mod c
-          | None ->
-              let fa = compile_int st lookup a in
-              if op = Div then fun t -> fa t / c else fun t -> fa t mod c)
-      | _ -> compile_int_binop st lookup op a b)
-  (* a guard compare of a register against a compile-time constant in
-     one closure *)
-  | Binop (op, a, b) when st.fast -> (
-      match reg_cmp st lookup e with
-      | Some (_, (lt, eq, gt, _), r, c) ->
-          fun t ->
-            let x = Array.unsafe_get r t in
-            if x < c then lt else if x > c then gt else eq
-      | None -> compile_int_binop st lookup op a b)
   | Binop (op, a, b) -> compile_int_binop st lookup op a b
   | Unop (Neg, a) ->
       let f = compile_int st lookup a in
@@ -649,10 +275,10 @@ let rec compile_int st lookup e : int -> int =
       fun t -> if fc t <> 0 then fa t else fb t
   | Double_lit _ -> err st "double literal in integer context"
   | Index (a, _) -> err st (Printf.sprintf "array %s read in integer context" a)
-  | Call (f, _) -> err st (Printf.sprintf "call to %s in integer context" f))
+  | Call (f, _) -> err st (Printf.sprintf "call to %s in integer context" f)
 
-(* the reference integer operators; Div/Mod test the divisor per
-   thread so a division by zero raises where it happens *)
+(* Div/Mod test the divisor per thread so a division by zero raises
+   where it happens *)
 and compile_int_binop st lookup op a b : int -> int =
   let fa = compile_int st lookup a and fb = compile_int st lookup b in
   match op with
@@ -686,34 +312,15 @@ and compile_cond st lookup e : int -> int =
   in
   match (float_cmp, e) with
   | Some ((lt, eq, gt, un), a, b), _ ->
-      if st.fast then
-        (* accumulator form, the comparison spelled out: a float returned
-           from a closure or passed to a call would be boxed *)
-        let acc = st.acc and stats = st.stats in
-        let sreads = static_read_count lookup e in
-        let rb = 8 * Option.value sreads ~default:0 in
-        let fa = acompile_float ~count:(sreads = None) st lookup a
-        and fb = acompile_float ~count:(sreads = None) st lookup b in
-        fun t ->
-          fa t;
-          let x = acc.v in
-          fb t;
-          let y = acc.v in
-          stats.global_read_bytes <- stats.global_read_bytes + rb;
-          if x < y then lt else if x > y then gt else if x = y then eq else un
-      else
-        let fa = compile_float st lookup a and fb = compile_float st lookup b in
-        (* the right operand first, as in an application [cmp (fa t) (fb t)] *)
-        fun t ->
-          let y = fb t in
-          let x = fa t in
-          if x < y then lt else if x > y then gt else if x = y then eq else un
-  | None, Binop (And, a, b) -> (
-      match if st.fast then reg_ranges st lookup e else None with
-      | Some ranges -> compile_ranges ranges
-      | None ->
-          let fa = compile_cond st lookup a and fb = compile_cond st lookup b in
-          fun t -> if fa t <> 0 && fb t <> 0 then 1 else 0)
+      let fa = compile_float st lookup a and fb = compile_float st lookup b in
+      (* the right operand first, as in an application [cmp (fa t) (fb t)] *)
+      fun t ->
+        let y = fb t in
+        let x = fa t in
+        if x < y then lt else if x > y then gt else if x = y then eq else un
+  | None, Binop (And, a, b) ->
+      let fa = compile_cond st lookup a and fb = compile_cond st lookup b in
+      fun t -> if fa t <> 0 && fb t <> 0 then 1 else 0
   | None, Binop (Or, a, b) ->
       let fa = compile_cond st lookup a and fb = compile_cond st lookup b in
       fun t -> if fa t <> 0 || fb t <> 0 then 1 else 0
@@ -722,10 +329,6 @@ and compile_cond st lookup e : int -> int =
       fun t -> if f t = 0 then 1 else 0
   | None, e -> compile_int st lookup e
 
-(* Reference float compilation ([st.fast = false] launches): closures
-   return their float (boxed per indirect call — fine for the reference
-   semantics the bit-identity tests diff the fast paths against), every
-   global read is individually checked, counted and access-traced. *)
 and compile_float st lookup e : int -> float =
   match ty_of lookup e with
   | EInt ->
@@ -813,345 +416,16 @@ and compile_float st lookup e : int -> float =
                 (Printf.sprintf "unsupported function %s/%d" fname (List.length args)))
       | Int_lit _ | Builtin _ -> assert false (* EInt-typed *))
 
-(* Fast-path float compilation: closures deposit their result in
-   [st.acc] instead of returning it, so the steady-state inner loop
-   performs no allocation at all (a float return across an indirect call
-   is boxed by the compiler). Every combination saves the left operand
-   in an unboxed local between the two accumulator runs, reproducing the
-   reference's left-associative evaluation — and therefore its rounding —
-   bit for bit. [count = false] elides the per-read
-   [global_read_bytes] bump: the caller has statically counted the reads
-   in the whole expression and bumps the total once per statement
-   execution. Only valid when the read count is not data-dependent (no
-   [Ternary] on any path). *)
-and acompile_float ?(count = true) st lookup e : int -> unit =
-  let acc = st.acc in
-  match ty_of lookup e with
-  | EInt ->
-      let f = compile_int st lookup e in
-      fun t -> acc.v <- float_of_int (f t)
-  | EFloat -> (
-      match e with
-      | Double_lit f -> fun _ -> acc.v <- f
-      | Var v -> (
-          match lookup v with
-          | Const_float f -> fun _ -> acc.v <- f
-          | Float_slot s ->
-              let arr = st.fregs.(s) in
-              fun t -> acc.v <- Array.unsafe_get arr t
-          | Const_int i ->
-              let f = float_of_int i in
-              fun _ -> acc.v <- f
-          | Int_slot s ->
-              let arr = st.iregs.(s) in
-              fun t -> acc.v <- float_of_int (Array.unsafe_get arr t)
-          | Global _ | Shared _ -> err st (Printf.sprintf "array %s used as scalar" v))
-      | Index (a, idxs) -> (
-          match lookup a with
-          | Global data -> (
-              let single =
-                match idxs with
-                | [ i ] -> i
-                | _ -> err st (Printf.sprintf "global array %s must use a single linearized index" a)
-              in
-              let n = A1.dim data in
-              let stats = st.stats in
-              let touched = usage_flag st.read_flags a in
-              let oob i =
-                err st (Printf.sprintf "global array %s index %d out of bounds [0,%d)" a i n)
-              in
-              let read =
-                match reg_offset st lookup single with
-                | Some (r, off) ->
-                    fun t ->
-                      let i = Array.unsafe_get r t + off in
-                      if i < 0 || i >= n then oob i
-                      else begin
-                        touched := true;
-                        acc.v <- A1.unsafe_get data i
-                      end
-                | None ->
-                    let idx = compile_int st lookup single in
-                    fun t ->
-                      let i = idx t in
-                      if i < 0 || i >= n then oob i
-                      else begin
-                        touched := true;
-                        acc.v <- A1.unsafe_get data i
-                      end
-              in
-              (* [count = false]: the statement bumps the byte counter *)
-              if count then
-                fun t ->
-                  read t;
-                  stats.global_read_bytes <- stats.global_read_bytes + 8
-              else read)
-          | Shared (slot, dims) -> (
-              (* tiles are refilled in place per block, never reallocated,
-                 and an address is in range by its per-dimension checks *)
-              let tile = st.shmem.(slot) and writer = st.sh_writer.(slot)
-              and written = st.sh_epoch.(slot) in
-              match tile_index st lookup dims idxs with
-              | Some (d0, r0, c0, d1, r1, c1) ->
-                  fun t ->
-                    let i = tile_addr st a d0 r0 c0 d1 r1 c1 t in
-                    note_hazard st writer written i t;
-                    acc.v <- Array.unsafe_get tile i
-              | None ->
-                  let addr = shared_addr st dims (List.map (compile_int st lookup) idxs) a in
-                  fun t ->
-                    let i = addr t in
-                    note_hazard st writer written i t;
-                    acc.v <- Array.unsafe_get tile i)
-          | _ -> err st (Printf.sprintf "%s indexed but is not an array" a))
-      | Binop (op, a, b) -> (
-          match float_sum_terms lookup e [] with
-          | _ :: _ :: _ :: _ as terms ->
-              float_sum_chain st
-                (List.map (fun (add, term) -> (add, float_operand ~count st lookup term)) terms)
-          | _ ->
-              let l = float_operand ~count st lookup a in
-              let r = float_operand ~count st lookup b in
-              float_binop st op l r)
-      | Unop (Neg, a) ->
-          let f = acompile_float ~count st lookup a in
-          fun t ->
-            f t;
-            acc.v <- -.acc.v
-      | Unop (Not, _) -> err st "logical not in float context"
-      | Ternary (c, a, b) ->
-          let fc = compile_cond st lookup c
-          and fa = acompile_float st lookup a
-          and fb = acompile_float st lookup b in
-          fun t -> if fc t <> 0 then fa t else fb t
-      | Call (fname, args) -> (
-          let fargs = List.map (acompile_float ~count st lookup) args in
-          match (fname, fargs) with
-          | ("sqrt", [ a ]) ->
-              fun t ->
-                a t;
-                acc.v <- sqrt acc.v
-          | ("fabs", [ a ]) | ("abs", [ a ]) ->
-              fun t ->
-                a t;
-                acc.v <- Float.abs acc.v
-          | ("exp", [ a ]) ->
-              fun t ->
-                a t;
-                acc.v <- exp acc.v
-          | ("log", [ a ]) ->
-              fun t ->
-                a t;
-                acc.v <- log acc.v
-          | ("sin", [ a ]) ->
-              fun t ->
-                a t;
-                acc.v <- sin acc.v
-          | ("cos", [ a ]) ->
-              fun t ->
-                a t;
-                acc.v <- cos acc.v
-          | ("pow", [ a; b ]) ->
-              fun t ->
-                a t;
-                let x = acc.v in
-                b t;
-                acc.v <- Float.pow x acc.v
-          | (("min" | "fmin"), [ a; b ]) ->
-              (* Stdlib [Float.min] inlined (its indirect call would box
-                 both arguments): same -0.0 / nan discipline, bit for bit *)
-              fun t ->
-                a t;
-                let x = acc.v in
-                b t;
-                let y = acc.v in
-                acc.v <-
-                  (if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then
-                     if y <> y then y else x
-                   else if x <> x then x
-                   else y)
-          | (("max" | "fmax"), [ a; b ]) ->
-              (* Stdlib [Float.max] inlined, same rationale *)
-              fun t ->
-                a t;
-                let x = acc.v in
-                b t;
-                let y = acc.v in
-                acc.v <-
-                  (if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then
-                     if x <> x then x else y
-                   else if y <> y then y
-                   else x)
-          | ("fma", [ a; b; c ]) ->
-              fun t ->
-                a t;
-                let x = acc.v in
-                b t;
-                let y = acc.v in
-                c t;
-                acc.v <- Float.fma x y acc.v
-          | _ ->
-              err st
-                (Printf.sprintf "unsupported function %s/%d" fname (List.length args)))
-      | Int_lit _ | Builtin _ -> assert false (* EInt-typed *))
-
-and float_operand ~count st lookup e =
-  let reg e =
-    match e with
-    | Var v -> ( match lookup v with Float_slot s -> Some st.fregs.(s) | _ -> None)
-    | _ -> None
-  in
-  match (const_float_of lookup e, e) with
-  | Some c, _ -> Imm c
-  | None, Binop (Mul, a, b) -> (
-      match (reg a, const_float_of lookup b, const_float_of lookup a, reg b) with
-      | Some r, Some k, _, _ -> Scaled (r, k, true)
-      | _, _, Some k, Some r -> Scaled (r, k, false)
-      | _ -> Clo (acompile_float ~count st lookup e))
-  | None, _ -> ( match reg e with Some r -> Reg r | None -> Clo (acompile_float ~count st lookup e))
-
 (* ------------------------------------------------------------------ *)
-(* Statement compilation                                               *)
+(* Statement compilation: the reference interpreter                    *)
 (* ------------------------------------------------------------------ *)
-
-type cstmt =
-  | Leaf of { fn : int -> unit; cond : (int -> int) option }
-  | GLeaf of (int -> int) * (int -> unit) * (int -> unit)
-      (* sync-free [If] whose condition is pure integer arithmetic
-         (no array reads, calls, or trapping Div/Mod): the condition is
-         evaluated once per thread, serving both the warp-divergence
-         accounting and the branch dispatch, where [Leaf] evaluates it
-         twice. Purity makes the single evaluation observationally
-         identical. *)
-  | CIf of (int -> int) * cstmt list * cstmt list
-  | CFor of {
-      set : int -> int -> unit;  (* thread -> value -> () *)
-      get_lo : int -> int;
-      get_hi : int -> int;
-      step : int;
-      body : cstmt list;
-    }
-  | CSync
-
-let stmts_read_var v stmts =
-  let found = ref false in
-  ignore
-    (map_exprs_in_stmts
-       (fun e ->
-         (match e with Var x when x = v -> found := true | _ -> ());
-         e)
-       stmts);
-  !found
-
-(* integer-only, side-effect-free, non-trapping conditions: evaluating
-   them once (GLeaf) or twice (Leaf: divergence pass + dispatch) is
-   indistinguishable — no stats, no memory traffic, no Sim_error *)
-let rec pure_int_cond lookup e =
-  match e with
-  | Int_lit _ -> true
-  | Builtin (Thread_idx _ | Block_idx _) -> true
-  | Builtin _ -> false
-  | Var v -> ( match lookup v with Const_int _ | Int_slot _ -> true | _ -> false)
-  | Binop ((Div | Mod), _, _) -> false
-  | Binop (_, a, b) -> pure_int_cond lookup a && pure_int_cond lookup b
-  | Unop (_, a) -> pure_int_cond lookup a
-  | Ternary (c, a, b) ->
-      pure_int_cond lookup c && pure_int_cond lookup a && pure_int_cond lookup b
-  | Double_lit _ | Index _ | Call _ -> false
-
-(* A run of float register statements in one closure: each root
-   expression runs and its value is stored, then the run's global-read
-   bytes and flops are added once. Every flop addend is an
-   integer-valued float, so one sum per run is exact. The per-read byte
-   order is only observable on an aborting launch, whose stats are
-   unspecified. Entries are [(expression, register file, read bytes,
-   flops)]. *)
-let reg_run st entries : int -> unit =
-  let acc = st.acc and fl = st.flacc and stats = st.stats in
-  let rb = List.fold_left (fun s (_, _, b, _) -> s + b) 0 entries
-  and flops = List.fold_left (fun s (_, _, _, f) -> s +. f) 0.0 entries in
-  match entries with
-  | [ (f, dst, _, _) ] ->
-      fun t ->
-        f t;
-        Array.unsafe_set dst t acc.v;
-        stats.global_read_bytes <- stats.global_read_bytes + rb;
-        fl.v <- fl.v +. flops
-  | _ ->
-      let fs = Array.of_list (List.map (fun (f, _, _, _) -> f) entries)
-      and dsts = Array.of_list (List.map (fun (_, d, _, _) -> d) entries) in
-      let n = Array.length fs in
-      fun t ->
-        for i = 0 to n - 1 do
-          (Array.unsafe_get fs i) t;
-          Array.unsafe_set (Array.unsafe_get dsts i) t acc.v
-        done;
-        stats.global_read_bytes <- stats.global_read_bytes + rb;
-        fl.v <- fl.v +. flops
-
-(* a fast-path float register statement [slot = e] as a [reg_run] entry,
-   and whether its global-read count is static *)
-let reg_entry st lookup slot e =
-  let sreads = static_read_count lookup e in
-  let f = acompile_float ~count:(sreads = None) st lookup e in
-  let rb = 8 * Option.value sreads ~default:0 in
-  ((f, st.fregs.(slot), rb, float_of_int (float_flops lookup e)), sreads <> None)
 
 (* compile a statement list into a single per-thread closure (no syncs
    inside, guaranteed by caller) *)
 let rec compile_thread_fn st lookup stmts : int -> unit =
-  let fns =
-    if st.fast then compile_runs st lookup stmts
-    else List.map (compile_thread_stmt st lookup) stmts
-  in
-  match fns with
+  match List.map (compile_thread_stmt st lookup) stmts with
   | [ f ] -> f
-  | [ f; g ] when st.fast ->
-      fun t ->
-        f t;
-        g t
-  | [ f; g; h ] when st.fast ->
-      fun t ->
-        f t;
-        g t;
-        h t
-  | fns when st.fast ->
-      let a = Array.of_list fns in
-      let n = Array.length a in
-      fun t ->
-        for i = 0 to n - 1 do
-          (Array.unsafe_get a i) t
-        done
   | fns -> fun t -> List.iter (fun f -> f t) fns
-
-(* fast-path statements in order, consecutive float register statements
-   with a static read count grouped into one [reg_run]; a statement
-   whose count is data-dependent (a [Ternary]) is a run of its own *)
-and compile_runs st lookup stmts =
-  let out = ref [] and run = ref [] in
-  let flush () =
-    if !run <> [] then out := reg_run st (List.rev !run) :: !out;
-    run := []
-  in
-  List.iter
-    (fun s ->
-      let float_reg =
-        match s with
-        | Decl (_, v, Some e) | Assign (Lvar v, e) -> (
-            match lookup v with Float_slot slot -> Some (slot, e) | _ -> None)
-        | _ -> None
-      in
-      match Option.map (fun (slot, e) -> reg_entry st lookup slot e) float_reg with
-      | Some (entry, true) -> run := entry :: !run
-      | Some (entry, false) ->
-          flush ();
-          out := reg_run st [ entry ] :: !out
-      | None ->
-          flush ();
-          out := compile_thread_stmt st lookup s :: !out)
-    stmts;
-  flush ();
-  List.rev !out
 
 and compile_thread_stmt st lookup s : int -> unit =
   let stats = st.stats in
@@ -1161,23 +435,10 @@ and compile_thread_stmt st lookup s : int -> unit =
       fun _ -> ()
   | Decl (_, v, Some e) | Assign (Lvar v, e) -> (
       match lookup v with
-      | Int_slot slot -> (
+      | Int_slot slot ->
           let arr = st.iregs.(slot) in
-          (* [v = reg + c] and the affine pass's [v = v + stride] with the
-             registers read in place *)
-          match (if st.fast then linear_form st lookup e else None) with
-          | Some { c; regs = [ (r, 1) ]; bk = 0, 0, 0 } ->
-              fun t -> Array.unsafe_set arr t (Array.unsafe_get r t + c)
-          | Some { c; regs = [ (r, 1) ]; bk = kx, ky, kz } ->
-              fun t ->
-                Array.unsafe_set arr t
-                  (Array.unsafe_get r t + c + (kx * st.bix) + (ky * st.biy) + (kz * st.biz))
-          | Some { c = 0; regs = [ (r, 1); (q, 1) ]; bk = 0, 0, 0 } ->
-              fun t -> Array.unsafe_set arr t (Array.unsafe_get r t + Array.unsafe_get q t)
-          | _ ->
-              let f = compile_int st lookup e in
-              if st.fast then fun t -> Array.unsafe_set arr t (f t) else fun t -> arr.(t) <- f t)
-      | Float_slot slot when st.fast -> reg_run st [ fst (reg_entry st lookup slot e) ]
+          let f = compile_int st lookup e in
+          fun t -> arr.(t) <- f t
       | Float_slot slot ->
           let flops = float_of_int (float_flops lookup e) in
           let arr = st.fregs.(slot) in
@@ -1190,38 +451,6 @@ and compile_thread_stmt st lookup s : int -> unit =
       | _ -> err st (Printf.sprintf "assignment to non-scalar %s" v))
   | Assign (Lindex (a, idxs), e) -> (
       match lookup a with
-      | Global data when st.fast -> (
-          let single =
-            match idxs with
-            | [ i ] -> i
-            | _ -> err st (Printf.sprintf "global array %s must use a single linearized index" a)
-          in
-          let sreads = static_read_count lookup e in
-          let rb = match sreads with Some k -> 8 * k | None -> 0 in
-          let rhs = acompile_float ~count:(sreads = None) st lookup e in
-          let flops = float_of_int (float_flops lookup e) in
-          let n = A1.dim data in
-          let touched = usage_flag st.write_flags a in
-          let oob i =
-            err st (Printf.sprintf "global array %s index %d out of bounds [0,%d)" a i n)
-          in
-          let acc = st.acc and fl = st.flacc in
-          let[@inline] store t i =
-            if i < 0 || i >= n then oob i
-            else begin
-              rhs t;
-              A1.unsafe_set data i acc.v;
-              stats.global_read_bytes <- stats.global_read_bytes + rb;
-              stats.global_write_bytes <- stats.global_write_bytes + 8;
-              fl.v <- fl.v +. flops;
-              touched := true
-            end
-          in
-          match reg_offset st lookup single with
-          | Some (r, off) -> fun t -> store t (Array.unsafe_get r t + off)
-          | None ->
-              let idx = compile_int st lookup single in
-              fun t -> store t (idx t))
       | Global data ->
           let single =
             match idxs with
@@ -1244,30 +473,6 @@ and compile_thread_stmt st lookup s : int -> unit =
               stats.flops <- stats.flops +. flops;
               touched := true
             end
-      | Shared (slot, dims) when st.fast -> (
-          let index =
-            match tile_index st lookup dims idxs with
-            | Some tile -> Either.Left tile
-            | None -> Either.Right (shared_addr st dims (List.map (compile_int st lookup) idxs) a)
-          in
-          let sreads = static_read_count lookup e in
-          let rb = 8 * Option.value sreads ~default:0 in
-          let rhs = acompile_float ~count:(sreads = None) st lookup e in
-          let flops = float_of_int (float_flops lookup e) in
-          let acc = st.acc and fl = st.flacc in
-          let tile = st.shmem.(slot) and writer = st.sh_writer.(slot)
-          and written = st.sh_epoch.(slot) in
-          let[@inline] store t i =
-            rhs t;
-            Array.unsafe_set tile i acc.v;
-            Array.unsafe_set writer i t;
-            Array.unsafe_set written i st.epoch;
-            stats.global_read_bytes <- stats.global_read_bytes + rb;
-            fl.v <- fl.v +. flops
-          in
-          match index with
-          | Left (d0, r0, c0, d1, r1, c1) -> fun t -> store t (tile_addr st a d0 r0 c0 d1 r1 c1 t)
-          | Right addr -> fun t -> store t (addr t))
       | Shared (slot, dims) ->
           let idx_fns = List.map (compile_int st lookup) idxs in
           let flops = float_of_int (float_flops lookup e) in
@@ -1289,99 +494,1021 @@ and compile_thread_stmt st lookup s : int -> unit =
           let flo = compile_int st lookup l.lo and fhi = compile_int st lookup l.hi in
           let arr = st.iregs.(slot) in
           let step = l.step in
-          if st.fast && not (stmts_read_var l.index l.body) then begin
-            (* the body never reads the loop variable (the affine pass
-               replaced every use): keep it in the local ref and publish
-               only the final value, which is all later statements can
-               observe *)
-            (* split the trailing run of induction increments
-               (v = v + c, v = v + stride — the shape the affine pass
-               appends) off the body and drive them from parallel arrays:
-               the hot loop then pays one indirect call per iteration
-               instead of one per increment *)
-            let inc_of s =
-              match s with
-              | Assign (Lvar v, Binop (Add, Var v', addend)) when v = v' -> (
-                  match lookup v with
-                  | Int_slot sl -> (
-                      let nthreads = Array.length arr in
-                      match addend with
-                      | Int_lit c -> Some (st.iregs.(sl), Array.make nthreads c)
-                      | Var sv -> (
-                          match lookup sv with
-                          | Int_slot ss -> Some (st.iregs.(sl), st.iregs.(ss))
-                          | Const_int c -> Some (st.iregs.(sl), Array.make nthreads c)
-                          | _ -> None)
-                      | _ -> None)
-                  | _ -> None)
-              | _ -> None
-            in
-            let rec take_incs rev acc =
-              match rev with
-              | s :: rest -> (
-                  match inc_of s with
-                  | Some i -> take_incs rest (i :: acc)
-                  | None -> (List.rev rev, acc))
-              | [] -> ([], acc)
-            in
-            let prefix, incs = take_incs (List.rev l.body) [] in
-            if List.length incs >= 2 then begin
-              let body = compile_thread_fn st lookup prefix in
-              let tgt = Array.of_list (List.map fst incs) in
-              let adds = Array.of_list (List.map snd incs) in
-              let k = Array.length tgt in
-              fun t ->
-                let hi = fhi t in
-                let i = ref (flo t) in
-                Array.unsafe_set arr t !i;
-                while !i < hi do
-                  body t;
-                  for j = 0 to k - 1 do
-                    let a = Array.unsafe_get tgt j in
-                    Array.unsafe_set a t
-                      (Array.unsafe_get a t
-                      + Array.unsafe_get (Array.unsafe_get adds j) t)
-                  done;
-                  i := !i + step
-                done;
-                Array.unsafe_set arr t !i
-            end
-            else
-              let body = compile_thread_fn st lookup l.body in
-              fun t ->
-                let hi = fhi t in
-                let i = ref (flo t) in
-                Array.unsafe_set arr t !i;
-                while !i < hi do
-                  body t;
-                  i := !i + step
-                done;
-                Array.unsafe_set arr t !i
-          end
-          else
-            let body = compile_thread_fn st lookup l.body in
-            fun t ->
-              let hi = fhi t in
-              let i = ref (flo t) in
-              arr.(t) <- !i;
-              while !i < hi do
-                body t;
-                i := !i + step;
-                arr.(t) <- !i
-              done
+          let body = compile_thread_fn st lookup l.body in
+          fun t ->
+            let hi = fhi t in
+            let i = ref (flo t) in
+            arr.(t) <- !i;
+            while !i < hi do
+              body t;
+              i := !i + step;
+              arr.(t) <- !i
+            done
       | _ -> err st (Printf.sprintf "loop index %s is not an int slot" l.index))
   | Return -> fun t -> st.alive.(t) <- false; raise Thread_exit
   | Shared_decl _ -> fun _ -> ()
   | Syncthreads -> err st "internal: __syncthreads inside a per-thread region"
 
+(* ------------------------------------------------------------------ *)
+(* Lane compilation: compiled-affine                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A statement compiles to one closure over a mask of lanes, so its
+   dispatch is paid once per mask, not once per thread. An expression
+   node leaves its value for lane [t] at index [t] of a buffer of its
+   own (one per chunk, [nthreads] cells) beside the register files,
+   which are already lane arrays; a register or a constant is read in
+   place. Children run before their parent, the right operand first as
+   in the reference's applications, and a node checks, counts and
+   faults over its lanes in lane order: over a single lane this is the
+   reference's exact order of evaluation. *)
+
+(* compile-time integer constants: literals, bound scalar parameters and
+   non-trapping arithmetic over them (Div/Mod are left to the runtime so
+   a division by zero still raises where it happens) *)
+let rec static_int lookup e =
+  match e with
+  | Int_lit i -> Some i
+  | Var v -> ( match lookup v with Const_int i -> Some i | _ -> None)
+  | Binop (op, a, b) -> (
+      match (static_int lookup a, static_int lookup b) with
+      | Some x, Some y -> (
+          match op with
+          | Add -> Some (x + y)
+          | Sub -> Some (x - y)
+          | Mul -> Some (x * y)
+          | Div | Mod -> None
+          | Lt -> Some (if x < y then 1 else 0)
+          | Le -> Some (if x <= y then 1 else 0)
+          | Gt -> Some (if x > y then 1 else 0)
+          | Ge -> Some (if x >= y then 1 else 0)
+          | Eq -> Some (if x = y then 1 else 0)
+          | Ne -> Some (if x <> y then 1 else 0)
+          | And -> Some (if x <> 0 && y <> 0 then 1 else 0)
+          | Or -> Some (if x <> 0 || y <> 0 then 1 else 0))
+      | _ -> None)
+  | Unop (Neg, a) -> Option.map (fun x -> -x) (static_int lookup a)
+  | Unop (Not, a) -> Option.map (fun x -> if x = 0 then 1 else 0) (static_int lookup a)
+  | _ -> None
+
+(* [e] has no effect but its value: no read (a read counts bytes or
+   hazards) and no integer division that may fault. Evaluating it on
+   lanes that would not is unobservable. *)
+let rec pure lookup e =
+  match e with
+  | Index _ -> false
+  | Binop ((Div | Mod), a, b) when ty_of lookup e = EInt ->
+      (match static_int lookup b with Some c -> c <> 0 | None -> false) && pure lookup a
+  | Binop (_, a, b) -> pure lookup a && pure lookup b
+  | Unop (_, a) -> pure lookup a
+  | Call (_, args) -> List.for_all (pure lookup) args
+  | Ternary (c, a, b) -> pure lookup c && pure lookup a && pure lookup b
+  | Int_lit _ | Double_lit _ | Var _ | Builtin _ -> true
+
+(* An integer expression as the linear form [c + Σ k·reg + Σ b_d·blockIdx_d],
+   each register (an int register file or a threadIdx array) listed once
+   with a nonzero coefficient. Integer arithmetic wraps modulo 2^63, a
+   ring, so regrouping the reference's operations this way is bit-exact. *)
+type linear = { c : int; regs : (int array * int) list; bk : int * int * int }
+
+let lin_const c = { c; regs = []; bk = (0, 0, 0) }
+
+let lin_scale k { c; regs; bk = x, y, z } =
+  {
+    c = k * c;
+    regs = List.filter (fun (_, m) -> m <> 0) (List.map (fun (a, m) -> (a, k * m)) regs);
+    bk = (k * x, k * y, k * z);
+  }
+
+let lin_add p q =
+  let add regs (a, k) =
+    match List.assq_opt a regs with
+    | None -> regs @ [ (a, k) ]
+    | Some m ->
+        let rest = List.filter (fun (b, _) -> b != a) regs in
+        if k + m = 0 then rest else rest @ [ (a, k + m) ]
+  in
+  let x, y, z = p.bk and x', y', z' = q.bk in
+  { c = p.c + q.c; regs = List.fold_left add p.regs q.regs; bk = (x + x', y + y', z + z') }
+
+(* [None] unless [e] is built from [+], [-], unary [-] and [*] by a
+   compile-time constant over int registers, threadIdx, blockIdx and
+   static ints *)
+let rec linear_form st lookup e =
+  let reg a = Some { (lin_const 0) with regs = [ (a, 1) ] } in
+  match e with
+  | Var v -> (
+      match lookup v with
+      | Int_slot s -> reg st.iregs.(s)
+      | Const_int c -> Some (lin_const c)
+      | _ -> None)
+  | Builtin (Thread_idx d) -> reg (match d with X -> st.txs | Y -> st.tys | Z -> st.tzs)
+  | Builtin (Block_idx d) ->
+      let bk = match d with X -> (1, 0, 0) | Y -> (0, 1, 0) | Z -> (0, 0, 1) in
+      Some { (lin_const 0) with bk }
+  | Binop (((Add | Sub) as op), a, b) -> (
+      match (linear_form st lookup a, linear_form st lookup b) with
+      | Some p, Some q -> Some (lin_add p (if op = Add then q else lin_scale (-1) q))
+      | _ -> None)
+  | Binop (Mul, a, b) -> (
+      match (linear_form st lookup a, linear_form st lookup b) with
+      | Some p, Some { c = k; regs = []; bk = 0, 0, 0 }
+      | Some { c = k; regs = []; bk = 0, 0, 0 }, Some p ->
+          Some (lin_scale k p)
+      | _ -> None)
+  | Unop (Neg, a) -> Option.map (lin_scale (-1)) (linear_form st lookup a)
+  | _ -> Option.map lin_const (static_int lookup e)
+
+(* An integer operand: once [ipre] ran over a mask, lane [t] of it is
+   [iarr.(t) + ioff]. A float operand: lane [t] is [farr.(t)]; [owned]
+   when [farr] is a node's own buffer, which its one parent may reuse
+   as its output. *)
+type isrc = { ipre : mask -> unit; iarr : int array; ioff : int }
+type fsrc = { fpre : mask -> unit; farr : float array; owned : bool }
+
+let nop (_ : mask) = ()
+
+(* the closures in order, no-ops left out *)
+let seq fs =
+  match List.filter (fun f -> f != nop) fs with
+  | [] -> nop
+  | [ f ] -> f
+  | [ f; g ] ->
+      fun m ->
+        f m;
+        g m
+  | fs ->
+      let a = Array.of_list fs in
+      fun m ->
+        for i = 0 to Array.length a - 1 do
+          (Array.unsafe_get a i) m
+        done
+
+let new_mask st = { ids = Array.make st.nthreads 0; n = 0 }
+let ibuf st = Array.make st.nthreads 0
+let fconst st f = { fpre = nop; farr = Array.make st.nthreads f; owned = false }
+let[@inline] push m t =
+  Array.unsafe_set m.ids m.n t;
+  m.n <- m.n + 1
+
+(* the lanes of [m] whose condition holds into [tm], the rest into [em] *)
+let split (c : isrc) m tm em =
+  let ca = c.iarr and co = c.ioff and ids = m.ids in
+  tm.n <- 0;
+  em.n <- 0;
+  for k = 0 to m.n - 1 do
+    let t = Array.unsafe_get ids k in
+    if Array.unsafe_get ca t + co <> 0 then push tm t else push em t
+  done
+
+(* a linear form: one register plus a constant is read in place; any
+   other is one loop, its blockIdx part folded into the constant once
+   per call *)
+let lane_linear st ?dst { c; regs; bk = kx, ky, kz } : isrc =
+  match (regs, kx, ky, kz) with
+  | [], 0, 0, 0 -> { ipre = nop; iarr = st.zeros; ioff = c }
+  | [ (a, 1) ], 0, 0, 0 -> { ipre = nop; iarr = a; ioff = c }
+  | _ ->
+      let out = match dst with Some d -> d | None -> ibuf st in
+      let base () = c + (kx * st.bix) + (ky * st.biy) + (kz * st.biz) in
+      let run =
+        match regs with
+        | [] ->
+            fun m ->
+              let u = base () in
+              for k = 0 to m.n - 1 do
+                Array.unsafe_set out (Array.unsafe_get m.ids k) u
+              done
+        | [ (a, ka) ] ->
+            fun m ->
+              let u = base () and ids = m.ids in
+              for k = 0 to m.n - 1 do
+                let t = Array.unsafe_get ids k in
+                Array.unsafe_set out t ((ka * Array.unsafe_get a t) + u)
+              done
+        | [ (a, ka); (b, kb) ] ->
+            fun m ->
+              let u = base () and ids = m.ids in
+              for k = 0 to m.n - 1 do
+                let t = Array.unsafe_get ids k in
+                Array.unsafe_set out t ((ka * Array.unsafe_get a t) + (kb * Array.unsafe_get b t) + u)
+              done
+        | [ (a, ka); (b, kb); (c, kc) ] ->
+            fun m ->
+              let u = base () and ids = m.ids in
+              for k = 0 to m.n - 1 do
+                let t = Array.unsafe_get ids k in
+                Array.unsafe_set out t
+                  ((ka * Array.unsafe_get a t) + (kb * Array.unsafe_get b t)
+                  + (kc * Array.unsafe_get c t) + u)
+              done
+        | _ ->
+            let ra = Array.of_list (List.map fst regs) and ks = Array.of_list (List.map snd regs) in
+            fun m ->
+              let u = base () and ids = m.ids in
+              for k = 0 to m.n - 1 do
+                let t = Array.unsafe_get ids k in
+                let s = ref u in
+                for i = 0 to Array.length ra - 1 do
+                  s := !s + (Array.unsafe_get ks i * Array.unsafe_get (Array.unsafe_get ra i) t)
+                done;
+                Array.unsafe_set out t !s
+              done
+      in
+      { ipre = run; iarr = out; ioff = 0 }
+
+(* [x && y] or [x || y] as 0/1. [y] runs only on the lanes [x] does not
+   decide, unless it is [pure]. *)
+let lane_logic st op ~pure (x : isrc) (y : isrc) : isrc =
+  let out = ibuf st and sub = new_mask st in
+  let xa = x.iarr and xo = x.ioff and ya = y.iarr and yo = y.ioff in
+  let go_on = op = And and decided = if op = And then 0 else 1 in
+  let run m =
+    let ids = m.ids in
+    if pure then y.ipre m;
+    sub.n <- 0;
+    for k = 0 to m.n - 1 do
+      let t = Array.unsafe_get ids k in
+      if Array.unsafe_get xa t + xo <> 0 = go_on then push sub t
+      else Array.unsafe_set out t decided
+    done;
+    if sub.n > 0 then begin
+      if not pure then y.ipre sub;
+      for k = 0 to sub.n - 1 do
+        let t = Array.unsafe_get sub.ids k in
+        Array.unsafe_set out t (if Array.unsafe_get ya t + yo <> 0 then 1 else 0)
+      done
+    end
+  in
+  { ipre = seq [ x.ipre; run ]; iarr = out; ioff = 0 }
+
+(* a ternary: [x] on the lanes where [c] holds, [y] on the others *)
+let select_pre (c : isrc) tm em ~copy_x ~copy_y (xpre : mask -> unit) (ypre : mask -> unit) =
+  seq
+    [
+      c.ipre;
+      (fun m ->
+        split c m tm em;
+        if tm.n > 0 then begin
+          xpre tm;
+          copy_x tm
+        end;
+        if em.n > 0 then begin
+          ypre em;
+          copy_y em
+        end);
+    ]
+
+(* A guard box as three ranges [lo <= reg.(t) + off <= hi], fewer padded
+   with one that always holds *)
+type box = {
+  r0 : int array; o0 : int; l0 : int; h0 : int;
+  r1 : int array; o1 : int; l1 : int; h1 : int;
+  r2 : int array; o2 : int; l2 : int; h2 : int;
+}
+
+let[@inline] inside b t =
+  let v0 = Array.unsafe_get b.r0 t + b.o0
+  and v1 = Array.unsafe_get b.r1 t + b.o1
+  and v2 = Array.unsafe_get b.r2 t + b.o2 in
+  b.l0 <= v0 && v0 <= b.h0 && b.l1 <= v1 && v1 <= b.h1 && b.l2 <= v2 && v2 <= b.h2
+
+let rec lane_int st lookup ?dst e : isrc =
+  match linear_form st lookup e with
+  | Some l -> lane_linear st ?dst l
+  | None -> (
+      let node run = { ipre = run; iarr = (match dst with Some d -> d | None -> ibuf st); ioff = 0 } in
+      match e with
+      | Int_lit i -> { ipre = nop; iarr = st.zeros; ioff = i }
+      | Builtin _ -> err st "blockDim/gridDim must be compiled to constants"
+      | Var v -> (
+          match lookup v with
+          | Const_float _ | Float_slot _ ->
+              err st (Printf.sprintf "variable %s used as integer but is double" v)
+          | _ -> err st (Printf.sprintf "array %s used as scalar" v))
+      | Binop (op, a, b) -> lane_int_binop st lookup ?dst op a b
+      | Unop (op, a) ->
+          let x = lane_int st lookup a in
+          let xa = x.iarr and xo = x.ioff in
+          let r = node nop in
+          let out = r.iarr in
+          let run m =
+            let ids = m.ids in
+            for k = 0 to m.n - 1 do
+              let t = Array.unsafe_get ids k in
+              let v = Array.unsafe_get xa t + xo in
+              Array.unsafe_set out t (if op = Neg then -v else if v = 0 then 1 else 0)
+            done
+          in
+          { r with ipre = seq [ x.ipre; run ] }
+      | Call ((("min" | "max") as f), [ a; b ]) ->
+          let x = lane_int st lookup a and y = lane_int st lookup b in
+          let xa = x.iarr and xo = x.ioff and ya = y.iarr and yo = y.ioff in
+          let r = node nop in
+          let out = r.iarr and is_min = f = "min" in
+          let run m =
+            let ids = m.ids in
+            for k = 0 to m.n - 1 do
+              let t = Array.unsafe_get ids k in
+              let u = Array.unsafe_get xa t + xo and v = Array.unsafe_get ya t + yo in
+              Array.unsafe_set out t (if is_min then min u v else max u v)
+            done
+          in
+          { r with ipre = seq [ y.ipre; x.ipre; run ] }
+      | Call ("abs", [ a ]) ->
+          let x = lane_int st lookup a in
+          let xa = x.iarr and xo = x.ioff in
+          let r = node nop in
+          let out = r.iarr in
+          let run m =
+            for k = 0 to m.n - 1 do
+              let t = Array.unsafe_get m.ids k in
+              Array.unsafe_set out t (abs (Array.unsafe_get xa t + xo))
+            done
+          in
+          { r with ipre = seq [ x.ipre; run ] }
+      | Ternary (c, a, b) ->
+          let c = lane_int st lookup c and x = lane_int st lookup a and y = lane_int st lookup b in
+          let out = ibuf st in
+          let copy (s : isrc) m =
+            for k = 0 to m.n - 1 do
+              let t = Array.unsafe_get m.ids k in
+              Array.unsafe_set out t (Array.unsafe_get s.iarr t + s.ioff)
+            done
+          in
+          let pre =
+            select_pre c (new_mask st) (new_mask st) ~copy_x:(copy x) ~copy_y:(copy y) x.ipre y.ipre
+          in
+          { ipre = pre; iarr = out; ioff = 0 }
+      | Double_lit _ -> err st "double literal in integer context"
+      | Index (a, _) -> err st (Printf.sprintf "array %s read in integer context" a)
+      | Call (f, _) -> err st (Printf.sprintf "call to %s in integer context" f))
+
+and lane_int_binop st lookup ?dst op a b : isrc =
+  let out () = match dst with Some d -> d | None -> ibuf st in
+  match op with
+  | And | Or -> lane_logic st op ~pure:(pure lookup b) (lane_int st lookup a) (lane_int st lookup b)
+  | Div | Mod -> (
+      let x = lane_int st lookup a in
+      let xa = x.iarr and xo = x.ioff and out = out () in
+      let div = op = Div in
+      match static_int lookup b with
+      | Some c when c <> 0 ->
+          let run m =
+            let ids = m.ids in
+            for k = 0 to m.n - 1 do
+              let t = Array.unsafe_get ids k in
+              let v = Array.unsafe_get xa t + xo in
+              Array.unsafe_set out t (if div then v / c else v mod c)
+            done
+          in
+          { ipre = seq [ x.ipre; run ]; iarr = out; ioff = 0 }
+      | _ ->
+          (* the divisor first, tested before the dividend runs *)
+          let y = lane_int st lookup b in
+          let ya = y.iarr and yo = y.ioff in
+          let test m =
+            for k = 0 to m.n - 1 do
+              if Array.unsafe_get ya (Array.unsafe_get m.ids k) + yo = 0 then
+                err st (if div then "integer division by zero" else "integer modulo by zero")
+            done
+          in
+          let run m =
+            let ids = m.ids in
+            for k = 0 to m.n - 1 do
+              let t = Array.unsafe_get ids k in
+              let u = Array.unsafe_get xa t + xo and v = Array.unsafe_get ya t + yo in
+              Array.unsafe_set out t (if div then u / v else u mod v)
+            done
+          in
+          { ipre = seq [ y.ipre; test; x.ipre; run ]; iarr = out; ioff = 0 })
+  | Add | Sub | Mul | Lt | Le | Gt | Ge | Eq | Ne ->
+      let x = lane_int st lookup a and y = lane_int st lookup b in
+      let xa = x.iarr and xo = x.ioff and ya = y.iarr and yo = y.ioff and out = out () in
+      let loop f = seq [ y.ipre; x.ipre; f ] in
+      (match (op, cmp_outcomes op) with
+      | _, Some (lt, eq, gt, _) ->
+          let run m =
+            for k = 0 to m.n - 1 do
+              let t = Array.unsafe_get m.ids k in
+              let u = Array.unsafe_get xa t + xo and v = Array.unsafe_get ya t + yo in
+              Array.unsafe_set out t (if u < v then lt else if u > v then gt else eq)
+            done
+          in
+          { ipre = loop run; iarr = out; ioff = 0 }
+      | Mul, _ ->
+          let run m =
+            for k = 0 to m.n - 1 do
+              let t = Array.unsafe_get m.ids k in
+              Array.unsafe_set out t ((Array.unsafe_get xa t + xo) * (Array.unsafe_get ya t + yo))
+            done
+          in
+          { ipre = loop run; iarr = out; ioff = 0 }
+      | _ ->
+          (* [+]/[-] keep the constants in the offset *)
+          let sub = op = Sub in
+          let run m =
+            for k = 0 to m.n - 1 do
+              let t = Array.unsafe_get m.ids k in
+              let u = Array.unsafe_get xa t and v = Array.unsafe_get ya t in
+              Array.unsafe_set out t (if sub then u - v else u + v)
+            done
+          in
+          { ipre = loop run; iarr = out; ioff = (if sub then xo - yo else xo + yo) })
+
+(* Comparison/logic over possibly-float operands, 0/1 per lane. *)
+and lane_cond st lookup e : isrc =
+  match e with
+  | Binop (op, a, b)
+    when join (ty_of lookup a) (ty_of lookup b) = EFloat && cmp_outcomes op <> None ->
+      let lt, eq, gt, un = Option.get (cmp_outcomes op) in
+      let x = lane_float st lookup a and y = lane_float st lookup b in
+      let xa = x.farr and ya = y.farr and out = ibuf st in
+      let run m =
+        let ids = m.ids in
+        for k = 0 to m.n - 1 do
+          let t = Array.unsafe_get ids k in
+          let u = Array.unsafe_get xa t and v = Array.unsafe_get ya t in
+          Array.unsafe_set out t (if u < v then lt else if u > v then gt else if u = v then eq else un)
+        done
+      in
+      { ipre = seq [ y.fpre; x.fpre; run ]; iarr = out; ioff = 0 }
+  | Binop (And, _, _) when Option.is_some (lane_box st lookup e) ->
+      (* a guard box in one loop *)
+      let b = Option.get (lane_box st lookup e) and out = ibuf st in
+      let run m =
+        for k = 0 to m.n - 1 do
+          let t = Array.unsafe_get m.ids k in
+          Array.unsafe_set out t (if inside b t then 1 else 0)
+        done
+      in
+      { ipre = run; iarr = out; ioff = 0 }
+  | Binop (((And | Or) as op), a, b) ->
+      lane_logic st op ~pure:(pure lookup b) (lane_cond st lookup a) (lane_cond st lookup b)
+  | Unop (Not, a) ->
+      let x = lane_cond st lookup a in
+      let xa = x.iarr and xo = x.ioff and out = ibuf st in
+      let run m =
+        for k = 0 to m.n - 1 do
+          let t = Array.unsafe_get m.ids k in
+          Array.unsafe_set out t (if Array.unsafe_get xa t + xo = 0 then 1 else 0)
+        done
+      in
+      { ipre = seq [ x.ipre; run ]; iarr = out; ioff = 0 }
+  | e -> lane_int st lookup e
+
+(* [lane_ranges] as a box, when there are at most three *)
+and lane_box st lookup e =
+  let any = (st.zeros, 0, min_int, max_int) in
+  match Option.map (fun rs -> rs @ [ any; any ]) (lane_ranges st lookup e) with
+  | Some [ (r0, o0, l0, h0); (r1, o1, l1, h1); (r2, o2, l2, h2) ]
+  | Some [ (r0, o0, l0, h0); (r1, o1, l1, h1); (r2, o2, l2, h2); _ ]
+  | Some [ (r0, o0, l0, h0); (r1, o1, l1, h1); (r2, o2, l2, h2); _; _ ] ->
+      Some { r0; o0; l0; h0; r1; o1; l1; h1; r2; o2; l2; h2 }
+  | _ -> None
+
+(* [e] as ranges [lo <= reg + off <= hi] that all hold exactly when [e]
+   does: an [&&] chain of compares, other than [!=], of a register plus
+   a constant against a compile-time constant. The compares are pure, so
+   ranges on one register and offset intersect and their order does not
+   matter; an empty range is [(1, 0)]. *)
+and lane_ranges st lookup e =
+  match e with
+  | Binop (And, a, b) -> (
+      match (lane_ranges st lookup a, lane_ranges st lookup b) with
+      | Some p, Some q ->
+          let meet acc (r, off, lo, hi) =
+            match List.partition (fun (q, o, _, _) -> q == r && o = off) acc with
+            | [ (_, _, lo', hi') ], rest -> (r, off, max lo lo', min hi hi') :: rest
+            | _ -> (r, off, lo, hi) :: acc
+          in
+          Some (List.fold_left meet p q)
+      | _ -> None)
+  | Binop (op, a, b) -> (
+      let leaf e =
+        match linear_form st lookup e with
+        | Some { c; regs = [ (r, 1) ]; bk = 0, 0, 0 } -> Some (r, c)
+        | _ -> None
+      in
+      let mirror = function Lt -> Gt | Le -> Ge | Gt -> Lt | Ge -> Le | op -> op in
+      let cmp =
+        match (leaf a, static_int lookup b, static_int lookup a, leaf b) with
+        | Some (r, off), Some c, _, _ -> Some (op, r, off, c)
+        | _, _, Some c, Some (r, off) -> Some (mirror op, r, off, c)
+        | _ -> None
+      in
+      match cmp with
+      | Some (Lt, r, off, c) -> Some [ (if c = min_int then (r, off, 1, 0) else (r, off, min_int, c - 1)) ]
+      | Some (Le, r, off, c) -> Some [ (r, off, min_int, c) ]
+      | Some (Gt, r, off, c) -> Some [ (if c = max_int then (r, off, 1, 0) else (r, off, c + 1, max_int)) ]
+      | Some (Ge, r, off, c) -> Some [ (r, off, c, max_int) ]
+      | Some (Eq, r, off, c) -> Some [ (r, off, c, c) ]
+      | _ -> None)
+  | _ -> None
+
+and lane_float st lookup ?dst e : fsrc =
+  let out () = match dst with Some d -> d | None -> Array.make st.nthreads 0.0 in
+  (* [dst] is a register: no parent may take it over *)
+  let node fpre farr = { fpre; farr; owned = dst = None } in
+  match (ty_of lookup e, e) with
+  | EInt, _ | _, (Int_lit _ | Builtin _ | Unop (Not, _)) ->
+      let x = lane_int st lookup e in
+      let xa = x.iarr and xo = x.ioff and out = out () in
+      let run m =
+        for k = 0 to m.n - 1 do
+          let t = Array.unsafe_get m.ids k in
+          Array.unsafe_set out t (float_of_int (Array.unsafe_get xa t + xo))
+        done
+      in
+      node (seq [ x.ipre; run ]) out
+  | EFloat, Double_lit f -> fconst st f
+  | EFloat, Var v -> (
+      match lookup v with
+      | Const_float f -> fconst st f
+      | Float_slot s -> { fpre = nop; farr = st.fregs.(s); owned = false }
+      | _ -> err st (Printf.sprintf "array %s used as scalar" v))
+  | EFloat, Index (a, idxs) -> (
+      let out = out () in
+      match lookup a with
+      | Global data ->
+          let x =
+            match idxs with
+            | [ i ] -> lane_int st lookup i
+            | _ -> err st (Printf.sprintf "global array %s must use a single linearized index" a)
+          in
+          let xa = x.iarr and xo = x.ioff in
+          let n = A1.dim data and stats = st.stats and touched = usage_flag st.read_flags a in
+          let run m =
+            let ids = m.ids in
+            for k = 0 to m.n - 1 do
+              let t = Array.unsafe_get ids k in
+              let i = Array.unsafe_get xa t + xo in
+              if i < 0 || i >= n then
+                err st (Printf.sprintf "global array %s index %d out of bounds [0,%d)" a i n);
+              Array.unsafe_set out t (A1.unsafe_get data i)
+            done;
+            if m.n > 0 then begin
+              stats.global_read_bytes <- stats.global_read_bytes + (8 * m.n);
+              touched := true
+            end
+          in
+          node (seq [ x.ipre; run ]) out
+      | Shared (slot, dims) -> (
+          let tile = st.shmem.(slot) and writer = st.sh_writer.(slot)
+          and written = st.sh_epoch.(slot) in
+          match lane_tile st lookup a dims idxs with
+          | Either.Left (d0, r0, o0, d1, r1, o1) ->
+              let run m =
+                let ids = m.ids in
+                for k = 0 to m.n - 1 do
+                  let t = Array.unsafe_get ids k in
+                  let i = tile_addr st a d0 r0 o0 d1 r1 o1 t in
+                  note_hazard st writer written i t;
+                  Array.unsafe_set out t (Array.unsafe_get tile i)
+                done
+              in
+              node run out
+          | Either.Right addr ->
+              let xa = addr.iarr in
+              let run m =
+                let ids = m.ids in
+                for k = 0 to m.n - 1 do
+                  let t = Array.unsafe_get ids k in
+                  let i = Array.unsafe_get xa t in
+                  note_hazard st writer written i t;
+                  Array.unsafe_set out t (Array.unsafe_get tile i)
+                done
+              in
+              node (seq [ addr.ipre; run ]) out)
+      | _ -> err st (Printf.sprintf "%s indexed but is not an array" a))
+  | EFloat, Binop (Add, Binop (Mul, a, b), c) when ty_of lookup (Binop (Mul, a, b)) = EFloat ->
+      (* [a * b + c] in one loop, rounded after each operation *)
+      let z = lane_float st lookup c in
+      let y = lane_float st lookup b in
+      let x = lane_float st lookup a in
+      let xa = x.farr and ya = y.farr and za = z.farr in
+      let out = out () in
+      let run m =
+        for k = 0 to m.n - 1 do
+          let t = Array.unsafe_get m.ids k in
+          Array.unsafe_set out t ((Array.unsafe_get xa t *. Array.unsafe_get ya t) +. Array.unsafe_get za t)
+        done
+      in
+      node (seq [ z.fpre; y.fpre; x.fpre; run ]) out
+  | EFloat, Binop (op, a, b) ->
+      let x = lane_float st lookup a and y = lane_float st lookup b in
+      let xa = x.farr and ya = y.farr in
+      let out =
+        match dst with
+        | Some d -> d
+        | None -> if x.owned then xa else if y.owned then ya else out ()
+      in
+      let run =
+        match op with
+        | Add ->
+            fun m ->
+              let ids = m.ids in
+              for k = 0 to m.n - 1 do
+                let t = Array.unsafe_get ids k in
+                Array.unsafe_set out t (Array.unsafe_get xa t +. Array.unsafe_get ya t)
+              done
+        | Sub ->
+            fun m ->
+              let ids = m.ids in
+              for k = 0 to m.n - 1 do
+                let t = Array.unsafe_get ids k in
+                Array.unsafe_set out t (Array.unsafe_get xa t -. Array.unsafe_get ya t)
+              done
+        | Mul ->
+            fun m ->
+              let ids = m.ids in
+              for k = 0 to m.n - 1 do
+                let t = Array.unsafe_get ids k in
+                Array.unsafe_set out t (Array.unsafe_get xa t *. Array.unsafe_get ya t)
+              done
+        | Div ->
+            fun m ->
+              let ids = m.ids in
+              for k = 0 to m.n - 1 do
+                let t = Array.unsafe_get ids k in
+                Array.unsafe_set out t (Array.unsafe_get xa t /. Array.unsafe_get ya t)
+              done
+        | _ ->
+            fun m ->
+              let ids = m.ids in
+              for k = 0 to m.n - 1 do
+                let t = Array.unsafe_get ids k in
+                Array.unsafe_set out t (Float.rem (Array.unsafe_get xa t) (Array.unsafe_get ya t))
+              done
+      in
+      node (seq [ y.fpre; x.fpre; run ]) out
+  | EFloat, Unop (Neg, a) ->
+      let x = lane_float st lookup a in
+      let xa = x.farr in
+      let out = match dst with None when x.owned -> xa | _ -> out () in
+      let run m =
+        for k = 0 to m.n - 1 do
+          let t = Array.unsafe_get m.ids k in
+          Array.unsafe_set out t (-.Array.unsafe_get xa t)
+        done
+      in
+      node (seq [ x.fpre; run ]) out
+  | EFloat, Ternary (c, a, b) ->
+      let c = lane_cond st lookup c and x = lane_float st lookup a and y = lane_float st lookup b in
+      let out = out () in
+      let copy (s : fsrc) m =
+        for k = 0 to m.n - 1 do
+          let t = Array.unsafe_get m.ids k in
+          Array.unsafe_set out t (Array.unsafe_get s.farr t)
+        done
+      in
+      let pre =
+        select_pre c (new_mask st) (new_mask st) ~copy_x:(copy x) ~copy_y:(copy y) x.fpre y.fpre
+      in
+      node pre out
+  | EFloat, Call (fname, args) ->
+      let xs = List.map (lane_float st lookup) args in
+      let pre = List.rev_map (fun x -> x.fpre) xs in
+      let out =
+        match (dst, xs) with None, { owned = true; farr; _ } :: _ -> farr | _ -> out ()
+      in
+      (* one closure call per lane: no bundled program calls a math
+         function *)
+      let per_lane f m =
+        for k = 0 to m.n - 1 do
+          let t = Array.unsafe_get m.ids k in
+          Array.unsafe_set out t (f t)
+        done
+      in
+      let run =
+        match (fname, List.map (fun x -> x.farr) xs) with
+        | "sqrt", [ a ] -> per_lane (fun t -> sqrt a.(t))
+        | ("fabs" | "abs"), [ a ] -> per_lane (fun t -> Float.abs a.(t))
+        | "exp", [ a ] -> per_lane (fun t -> exp a.(t))
+        | "log", [ a ] -> per_lane (fun t -> log a.(t))
+        | "sin", [ a ] -> per_lane (fun t -> sin a.(t))
+        | "cos", [ a ] -> per_lane (fun t -> cos a.(t))
+        | "pow", [ a; b ] -> per_lane (fun t -> Float.pow a.(t) b.(t))
+        | ("min" | "fmin"), [ a; b ] -> per_lane (fun t -> Float.min a.(t) b.(t))
+        | ("max" | "fmax"), [ a; b ] -> per_lane (fun t -> Float.max a.(t) b.(t))
+        | "fma", [ a; b; c ] -> per_lane (fun t -> Float.fma a.(t) b.(t) c.(t))
+        | _ -> err st (Printf.sprintf "unsupported function %s/%d" fname (List.length args))
+      in
+      node (seq (pre @ [ run ])) out
+
+(* A shared-array address per lane: a 1-D or 2-D tile indexed by
+   registers plus constants is [(d0, r0, o0, d1, r1, o1)], read in place
+   by [tile_addr] (a 1-D tile is a 2-D one of leading dimension 1
+   indexed by 0); any other address is computed into a buffer, each
+   dimension's index run and checked in turn. Both check with
+   [shared_addr]'s messages, in its order. *)
+and lane_tile st lookup name dims idxs =
+  let xs = List.map (lane_int st lookup) idxs in
+  let leaf (x : isrc) = x.ipre == nop in
+  match (dims, xs) with
+  | [ d1 ], [ x1 ] when leaf x1 -> Either.Left (1, st.zeros, 0, d1, x1.iarr, x1.ioff)
+  | [ d0; d1 ], [ x0; x1 ] when leaf x0 && leaf x1 ->
+      Either.Left (d0, x0.iarr, x0.ioff, d1, x1.iarr, x1.ioff)
+  | _ ->
+      let out = ibuf st in
+      if List.compare_lengths dims xs <> 0 then
+        let run m =
+          if m.n > 0 then err st (Printf.sprintf "shared array %s: wrong number of indices" name)
+        in
+        Either.Right { ipre = seq (List.map (fun x -> x.ipre) xs @ [ run ]); iarr = out; ioff = 0 }
+      else
+        let pass first d (x : isrc) =
+          let xa = x.iarr and xo = x.ioff in
+          let run m =
+            for k = 0 to m.n - 1 do
+              let t = Array.unsafe_get m.ids k in
+              let i = Array.unsafe_get xa t + xo in
+              if i < 0 || i >= d then shared_oob st name i d;
+              Array.unsafe_set out t (if first then i else (Array.unsafe_get out t * d) + i)
+            done
+          in
+          [ x.ipre; run ]
+        in
+        let passes =
+          List.concat (List.mapi (fun j (d, x) -> pass (j = 0) d x) (List.combine dims xs))
+        in
+        Either.Right { ipre = seq passes; iarr = out; ioff = 0 }
+
+(* [lane_tile] as a buffer of addresses *)
+and lane_shared_addr st lookup name dims idxs : isrc =
+  match lane_tile st lookup name dims idxs with
+  | Either.Right addr -> addr
+  | Either.Left (d0, r0, o0, d1, r1, o1) ->
+      let out = ibuf st in
+      let run m =
+        for k = 0 to m.n - 1 do
+          let t = Array.unsafe_get m.ids k in
+          Array.unsafe_set out t (tile_addr st name d0 r0 o0 d1 r1 o1 t)
+        done
+      in
+      { ipre = run; iarr = out; ioff = 0 }
+
+(* ------------------------------------------------------------------ *)
+(* Statement compilation: lanes                                        *)
+(* ------------------------------------------------------------------ *)
+
+let stamps st a n =
+  match Hashtbl.find_opt st.stamps a with
+  | Some s -> s
+  | None ->
+      let s = Array.make n (-1) in
+      Hashtbl.replace st.stamps a s;
+      s
+
+(* [looped]: the statement runs inside a loop of the lane statement
+   being compiled *)
+let rec lane_block ?looped st lookup stmts = seq (List.map (lane_stmt ?looped st lookup) stmts)
+
+(* an [if] as its condition and the dispatch that runs each branch on
+   the lanes the condition sends there, once the condition ran *)
+and lane_if ?looped st lookup c tb eb =
+  let box = match c with Binop (And, _, _) -> lane_box st lookup c | _ -> None in
+  let c = lane_cond st lookup c in
+  let tb = lane_block ?looped st lookup tb and eb = lane_block ?looped st lookup eb in
+  let tm = new_mask st and em = new_mask st in
+  let branches () =
+    if tm.n > 0 then tb tm;
+    if em.n > 0 then eb em
+  in
+  let dispatch m =
+    split c m tm em;
+    branches ()
+  in
+  (* a guard box decides and splits the lanes in one loop *)
+  let run =
+    match box with
+    | Some b ->
+        fun m ->
+          tm.n <- 0;
+          em.n <- 0;
+          for k = 0 to m.n - 1 do
+            let t = Array.unsafe_get m.ids k in
+            if inside b t then push tm t else if eb != nop then push em t
+          done;
+          branches ()
+    | None -> seq [ c.ipre; dispatch ]
+  in
+  (c, dispatch, run)
+
+and lane_stmt ?(looped = false) st lookup s : mask -> unit =
+  let stats = st.stats in
+  let count e =
+    let flops = float_flops lookup e in
+    if flops = 0 then nop else fun m -> st.flop_n <- st.flop_n + (flops * m.n)
+  in
+  match s with
+  | Decl (_, v, None) ->
+      ignore (lookup v);
+      nop
+  | Decl (_, v, Some e) | Assign (Lvar v, e) -> (
+      match lookup v with
+      | Int_slot slot ->
+          let dst = st.iregs.(slot) in
+          let x = lane_int st lookup ~dst e in
+          let xa = x.iarr and xo = x.ioff in
+          if xa == dst && xo = 0 then x.ipre
+          else
+            seq
+              [
+                x.ipre;
+                (fun m ->
+                  for k = 0 to m.n - 1 do
+                    let t = Array.unsafe_get m.ids k in
+                    Array.unsafe_set dst t (Array.unsafe_get xa t + xo)
+                  done);
+              ]
+      | Float_slot slot ->
+          let dst = st.fregs.(slot) in
+          let x = lane_float st lookup ~dst e in
+          let xa = x.farr in
+          let copy m =
+            for k = 0 to m.n - 1 do
+              let t = Array.unsafe_get m.ids k in
+              Array.unsafe_set dst t (Array.unsafe_get xa t)
+            done
+          in
+          seq [ x.fpre; (if xa == dst then nop else copy); count e ]
+      | _ -> err st (Printf.sprintf "assignment to non-scalar %s" v))
+  | Assign (Lindex (a, idxs), e) -> (
+      match lookup a with
+      | Global data ->
+          let single =
+            match idxs with
+            | [ i ] -> i
+            | _ -> err st (Printf.sprintf "global array %s must use a single linearized index" a)
+          in
+          let y = lane_float st lookup e in
+          let x = lane_int st lookup single in
+          let xa = x.iarr and xo = x.ioff and ya = y.farr in
+          let n = A1.dim data and touched = usage_flag st.write_flags a in
+          (* the index is checked before the right-hand side runs *)
+          let check m =
+            for k = 0 to m.n - 1 do
+              let i = Array.unsafe_get xa (Array.unsafe_get m.ids k) + xo in
+              if i < 0 || i >= n then
+                err st (Printf.sprintf "global array %s index %d out of bounds [0,%d)" a i n)
+            done
+          in
+          let written m =
+            if m.n > 0 then begin
+              stats.global_write_bytes <- stats.global_write_bytes + (8 * m.n);
+              touched := true
+            end
+          in
+          let store =
+            if looped && st.grant = Same_site_order then begin
+              (* A write the race proof exempted as same-site may hit one
+                 cell from several threads, and over all lanes a loop
+                 runs them iteration by iteration, not thread by thread.
+                 Only this write touches such a cell, so the reference's
+                 final value is that of the highest thread's last hit. A
+                 cell's stamp is [run * nthreads + t] for its last writer
+                 [t] in statement run [run], so a hit from a lower thread
+                 in the same run is the one that finds a larger stamp,
+                 and is dropped. A cell that one thread alone writes,
+                 through any writes of this array, keeps program order. *)
+              let stamp = stamps st a n in
+              fun m ->
+                let ids = m.ids and base = st.stmt_runs * st.nthreads in
+                for k = 0 to m.n - 1 do
+                  let t = Array.unsafe_get ids k in
+                  let i = Array.unsafe_get xa t + xo in
+                  if Array.unsafe_get stamp i <= base + t then begin
+                    A1.unsafe_set data i (Array.unsafe_get ya t);
+                    Array.unsafe_set stamp i (base + t)
+                  end
+                done;
+                written m
+            end
+            else fun m ->
+              let ids = m.ids in
+              for k = 0 to m.n - 1 do
+                let t = Array.unsafe_get ids k in
+                A1.unsafe_set data (Array.unsafe_get xa t + xo) (Array.unsafe_get ya t)
+              done;
+              written m
+          in
+          seq [ x.ipre; check; y.fpre; store; count e ]
+      | Shared (slot, dims) ->
+          let addr = lane_shared_addr st lookup a dims idxs in
+          let y = lane_float st lookup e in
+          let xa = addr.iarr and ya = y.farr in
+          let tile = st.shmem.(slot) and writer = st.sh_writer.(slot)
+          and written = st.sh_epoch.(slot) in
+          let store m =
+            let ids = m.ids and epoch = st.epoch in
+            for k = 0 to m.n - 1 do
+              let t = Array.unsafe_get ids k in
+              let i = Array.unsafe_get xa t in
+              Array.unsafe_set tile i (Array.unsafe_get ya t);
+              Array.unsafe_set writer i t;
+              Array.unsafe_set written i epoch
+            done
+          in
+          seq [ addr.ipre; y.fpre; store; count e ]
+      | _ -> err st (Printf.sprintf "%s is not an array" a))
+  | If (c, tb, eb) ->
+      let _, _, run = lane_if ~looped st lookup c tb eb in
+      run
+  | For l -> (
+      match lookup l.index with
+      | Int_slot slot ->
+          let lo = lane_int st lookup l.lo and hi = lane_int st lookup l.hi in
+          let body = lane_block ~looped:true st lookup l.body in
+          let idx = st.iregs.(slot) and step = l.step in
+          let iv = ibuf st and hv = ibuf st and sub = new_mask st in
+          let la = lo.iarr and lo_off = lo.ioff and ha = hi.iarr and ho = hi.ioff in
+          fun m ->
+            (* the bound first, as the reference reads it *)
+            hi.ipre m;
+            lo.ipre m;
+            if m.n > 0 then begin
+              let ids = m.ids in
+              let t0 = Array.unsafe_get ids 0 in
+              let v0 = Array.unsafe_get la t0 + lo_off and h0 = Array.unsafe_get ha t0 + ho in
+              let uniform = ref true in
+              for k = 0 to m.n - 1 do
+                let t = Array.unsafe_get ids k in
+                let v = Array.unsafe_get la t + lo_off and h = Array.unsafe_get ha t + ho in
+                Array.unsafe_set iv t v;
+                Array.unsafe_set hv t h;
+                Array.unsafe_set idx t v;
+                if v <> v0 || h <> h0 then uniform := false
+              done;
+              if !uniform then begin
+                let v = ref v0 in
+                while !v < h0 do
+                  body m;
+                  v := !v + step;
+                  for k = 0 to m.n - 1 do
+                    Array.unsafe_set idx (Array.unsafe_get ids k) !v
+                  done
+                done
+              end
+              else begin
+                (* per-lane bounds: iterate until no lane is left *)
+                sub.n <- 0;
+                for k = 0 to m.n - 1 do
+                  let t = Array.unsafe_get ids k in
+                  if Array.unsafe_get iv t < Array.unsafe_get hv t then push sub t
+                done;
+                while sub.n > 0 do
+                  body sub;
+                  let left = sub.n in
+                  sub.n <- 0;
+                  for k = 0 to left - 1 do
+                    let t = Array.unsafe_get sub.ids k in
+                    let v = Array.unsafe_get iv t + step in
+                    Array.unsafe_set iv t v;
+                    Array.unsafe_set idx t v;
+                    if v < Array.unsafe_get hv t then push sub t
+                  done
+                done
+              end
+            end
+      | _ -> err st (Printf.sprintf "loop index %s is not an int slot" l.index))
+  | Return ->
+      fun m ->
+        for k = 0 to m.n - 1 do
+          st.alive.(m.ids.(k)) <- false
+        done;
+        if m.n > 0 then raise Thread_exit
+  | Shared_decl _ -> nop
+  | Syncthreads -> err st "internal: __syncthreads inside a per-thread region"
+
+(* ------------------------------------------------------------------ *)
+(* The lockstep skeleton                                               *)
+(* ------------------------------------------------------------------ *)
+
+type cstmt =
+  | Leaf of { fn : int -> unit; cond : (int -> int) option }
+      (* reference: a sync-free statement, one thread at a time; [cond]
+         is an [if]'s condition for the warp-divergence count *)
+  | Lanes of { run : mask -> unit; guard : (isrc * (mask -> unit)) option }
+      (* a sync-free statement over lanes; [guard] is an [if]'s
+         condition and dispatch ([run] is the two in sequence) *)
+  | CIf of (int -> int) * cstmt list * cstmt list
+  | CFor of {
+      idx : int array;  (* the loop index's register *)
+      get_lo : int -> int;
+      get_hi : int -> int;
+      step : int;
+      body : cstmt list;
+    }
+  | CSync
+
 let rec compile_stmt st lookup s : cstmt =
   if not (contains_barrier [ s ]) then
     match s with
-    | If (c, tb, eb) when st.fast && pure_int_cond lookup c ->
-        GLeaf
-          ( compile_cond st lookup c,
-            compile_thread_fn st lookup tb,
-            compile_thread_fn st lookup eb )
+    | If (c, tb, eb) when st.lanes ->
+        let c, dispatch, run = lane_if st lookup c tb eb in
+        Lanes { run; guard = Some (c, dispatch) }
+    | _ when st.lanes -> Lanes { run = lane_stmt st lookup s; guard = None }
     | _ ->
         let cond =
           match s with If (c, _, _) -> Some (compile_cond st lookup c) | _ -> None
@@ -1395,10 +1522,9 @@ let rec compile_stmt st lookup s : cstmt =
     | For l -> (
         match lookup l.index with
         | Int_slot slot ->
-            let arr = st.iregs.(slot) in
             CFor
               {
-                set = (fun t v -> arr.(t) <- v);
+                idx = st.iregs.(slot);
                 get_lo = compile_int st lookup l.lo;
                 get_hi = compile_int st lookup l.hi;
                 step = l.step;
@@ -1433,6 +1559,16 @@ let first_alive st =
   let rec go t = if t >= st.nthreads then None else if st.alive.(t) then Some t else go (t + 1) in
   go 0
 
+(* [f] over each live lane alone, in thread order *)
+let each_lane st f =
+  let one = st.one in
+  for t = 0 to st.nthreads - 1 do
+    if st.alive.(t) then begin
+      Array.unsafe_set one.ids 0 t;
+      try f one with Thread_exit -> ()
+    end
+  done
+
 let rec exec_lockstep st cstmts = List.iter (exec_cstmt st) cstmts
 
 and exec_cstmt st c =
@@ -1450,35 +1586,27 @@ and exec_cstmt st c =
         for t = 0 to st.nthreads - 1 do
           fn t
         done
-  | GLeaf (cond, ft, fe) ->
-      (* one condition evaluation per thread feeds both the warp
-         accounting and the branch dispatch; totals match the Leaf path
-         (divergence pass then execution) because the condition is pure *)
-      let stats = st.stats in
-      let n = st.nthreads in
-      let warp_count = (n + 31) / 32 in
-      for w = 0 to warp_count - 1 do
-        let ones = ref 0 and zeros = ref 0 in
-        if st.has_return then
-          for t = w * 32 to min n ((w + 1) * 32) - 1 do
-            if st.alive.(t) then begin
-              let c = cond t <> 0 in
-              if c then incr ones else incr zeros;
-              try if c then ft t else fe t with Thread_exit -> ()
-            end
-          done
-        else
-          for t = w * 32 to min n ((w + 1) * 32) - 1 do
-            let c = cond t <> 0 in
-            if c then incr ones else incr zeros;
-            if c then ft t else fe t
-          done;
-        if !ones + !zeros > 0 then begin
-          stats.warp_cond_evals <- stats.warp_cond_evals + 1;
-          if !ones > 0 && !zeros > 0 then
-            stats.divergent_warp_cond_evals <- stats.divergent_warp_cond_evals + 1
-        end
-      done
+  | Lanes { run; guard = None } ->
+      st.stmt_runs <- st.stmt_runs + 1;
+      if st.grant <> Thread_order then run st.all else each_lane st run
+  | Lanes { run; guard = Some (c, dispatch) } ->
+      st.stmt_runs <- st.stmt_runs + 1;
+      (* the reference evaluates an [if]'s condition over every thread
+         for the warp count, then once more per thread as it runs it *)
+      let ca = c.iarr and co = c.ioff in
+      if st.grant <> Thread_order then begin
+        let stats = st.stats in
+        let r0 = stats.global_read_bytes in
+        c.ipre st.all;
+        stats.global_read_bytes <- stats.global_read_bytes + (stats.global_read_bytes - r0);
+        record_divergence st (fun t -> Array.unsafe_get ca t + co);
+        dispatch st.all
+      end
+      else begin
+        each_lane st c.ipre;
+        record_divergence st (fun t -> Array.unsafe_get ca t + co);
+        each_lane st run
+      end
   | CIf (cond, tb, eb) -> (
       match first_alive st with
       | None -> ()
@@ -1489,7 +1617,7 @@ and exec_cstmt st c =
               err st "barrier divergence: non-uniform condition guards a __syncthreads region"
           done;
           exec_lockstep st (if v0 then tb else eb))
-  | CFor { set; get_lo; get_hi; step; body } -> (
+  | CFor { idx; get_lo; get_hi; step; body } -> (
       match first_alive st with
       | None -> ()
       | Some t0 ->
@@ -1501,7 +1629,7 @@ and exec_cstmt st c =
           let v = ref lo in
           while !v < hi do
             for t = 0 to st.nthreads - 1 do
-              if st.alive.(t) then set t !v
+              if st.alive.(t) then idx.(t) <- !v
             done;
             exec_lockstep st body;
             v := !v + step
@@ -1625,7 +1753,7 @@ let record_launch trace ~affine stats =
    jobs setting. Kernels with cross-block write overlap are undefined
    behaviour in CUDA itself; for those the sequential path keeps the
    last-writer-in-block-order result while parallel chunks may differ. *)
-let launch_ext ?engine ?affine ?backend ?trace mem prog (l : launch) =
+let launch_ext ?engine ?affine ?backend ?license ?trace mem prog (l : launch) =
   Trace.with_span trace ("launch:" ^ l.l_kernel) @@ fun () ->
   let affine = selected_backend ?affine ?backend prog l = Affine in
   let kernel = find_kernel prog l.l_kernel in
@@ -1698,6 +1826,13 @@ let launch_ext ?engine ?affine ?backend ?trace mem prog (l : launch) =
   let per_block =
     Array.init blocks (fun _ -> zero_stats ~shared_bytes_per_block:shared_bytes ~blocks_launched:1)
   in
+  let grant =
+    if affine then
+      Kft_analysis.Absint.grant
+        (match license with Some lic -> lic | None -> Kft_analysis.Absint.license prog l)
+    else Thread_order
+  in
+  let lanes = Array.init nthreads Fun.id in
   (* Each chunk compiles against its own state (closures capture the
      register files), walks its contiguous block range and returns the
      parameter names it observed reading/writing. [table] and [body] are
@@ -1706,7 +1841,6 @@ let launch_ext ?engine ?affine ?backend ?trace mem prog (l : launch) =
     let st =
       {
         kernel_name = kernel.k_name;
-        bx; by; bz;
         nthreads;
         txs; tys; tzs;
         zeros = Array.make nthreads 0;
@@ -1720,11 +1854,15 @@ let launch_ext ?engine ?affine ?backend ?trace mem prog (l : launch) =
         alive = Array.make nthreads true;
         stats = zero_stats ~shared_bytes_per_block:shared_bytes ~blocks_launched:1;
         has_return;
-        fast = affine;
+        lanes = affine;
+        grant;
+        all = { ids = lanes; n = nthreads };
+        one = { ids = [| 0 |]; n = 1 };
+        stmt_runs = 0;
+        stamps = Hashtbl.create 4;
+        flop_n = 0;
         read_flags = Hashtbl.create 8;
         write_flags = Hashtbl.create 8;
-        acc = { v = 0.0 };
-        flacc = { v = 0.0 };
       }
     in
     let lookup v =
@@ -1746,10 +1884,10 @@ let launch_ext ?engine ?affine ?backend ?trace mem prog (l : launch) =
       Array.iter (fun a -> Array.fill a 0 (Array.length a) (-1)) st.sh_epoch;
       exec_lockstep st compiled;
       Array.iter (fun alive -> if alive then stats.threads_active <- stats.threads_active + 1) st.alive;
-      (* fold the fast path's unboxed flop accumulator into the stats
-         record once per block — [base] saw the previous block's fold, so
-         the delta below is exactly this block's contribution *)
-      if st.fast then stats.flops <- st.flacc.v;
+      (* fold the lane path's flop count into the stats record once per
+         block: [base] saw the previous block's fold, so the delta below
+         is exactly this block's contribution *)
+      if st.lanes then stats.flops <- float_of_int st.flop_n;
       per_block.(b) <- diff_stats stats base
     done;
     let observed tbl = Hashtbl.fold (fun p r acc -> if !r then p :: acc else acc) tbl [] in
@@ -1788,10 +1926,11 @@ let launch_ext ?engine ?affine ?backend ?trace mem prog (l : launch) =
   let reads = List.concat_map fst usages and writes = List.concat_map snd usages in
   record_launch trace ~affine stats;
   Trace.note trace "chunks" (Trace.Int nchunks);
+  Trace.note trace "lanes" (Trace.Str (if grant <> Thread_order then "all" else "one"));
   (stats, usage_to_host kernel l.l_args (List.sort_uniq compare reads, List.sort_uniq compare writes))
 
-let launch ?engine ?affine ?backend ?trace mem prog l =
-  fst (launch_ext ?engine ?affine ?backend ?trace mem prog l)
+let launch ?engine ?affine ?backend ?license ?trace mem prog l =
+  fst (launch_ext ?engine ?affine ?backend ?license ?trace mem prog l)
 
 let launch_with_usage = launch_ext
 

@@ -2,14 +2,25 @@
     for the CUDA subset.
 
     Execution model: thread blocks run independently (optionally in
-    parallel over an engine's domain pool, see {!launch}); inside a
-    block, statements that contain no [__syncthreads()] execute
-    thread-by-thread (two observations make this sound for the supported
-    subset: race-free kernels are order-insensitive, and racy ones are
-    undefined behaviour in real CUDA — the hazard detector reports
-    them); statements that do contain a barrier execute in lockstep with
-    uniformity checks, exactly the discipline real CUDA requires of
-    barriers.
+    parallel over an engine's domain pool, see {!launch}). Inside a
+    block, statements that contain a [__syncthreads()] execute in
+    lockstep with uniformity checks, exactly the discipline real CUDA
+    requires of barriers. A statement that contains no barrier runs in
+    one of two orders:
+    - the reference interpreter ([affine:false]) runs it thread by
+      thread;
+    - compiled-affine compiles it to lane closures, each of which loops
+      over a set of the block's threads. When the launch's
+      {!Kft_analysis.Absint.grant} is [Any_order] (race-free without
+      the same-site exemption, no [return], constant nonzero integer
+      divisors), each statement runs over all the block's threads at
+      once: no thread observes another's writes and no access can
+      fault, so every order gives the reference's memory and counters.
+      So it does under [Same_site_order], where a same-site write inside
+      a loop keeps, per cell, the highest thread's last hit, as thread
+      order would. Any other launch runs each statement one thread at a
+      time, in thread order: the reference's exact order, including its
+      first error, races and hazards.
 
     The interpreter doubles as the instrumentation layer of Section 5.1:
     it counts global traffic, floating-point operations, intra-warp
@@ -83,7 +94,7 @@ val access_trace : (write:bool -> string -> int -> unit) option ref
 
 val launch :
   ?engine:Kft_engine.Engine.t -> ?affine:bool -> ?backend:backend ->
-  ?trace:Kft_trace.Trace.t ->
+  ?license:Kft_analysis.Absint.license -> ?trace:Kft_trace.Trace.t ->
   Memory.t -> Kft_cuda.Ast.program -> Kft_cuda.Ast.launch -> stats
 (** Execute one kernel launch against device memory, returning its
     execution statistics.
@@ -104,6 +115,10 @@ val launch :
 
     [backend] overrides [affine] (see {!selected_backend}).
 
+    [license] is the launch's {!Kft_analysis.Absint.license}, when the
+    caller already holds it; by default compiled-affine computes it.
+    The reference interpreter never decides it.
+
     A host array bound to a parameter the body assigns to is taken
     through {!Memory.get} (a shared array is copied once, in the calling
     domain, before any block runs), and so is every other parameter
@@ -113,13 +128,15 @@ val launch :
 
     [trace] records one [launch:<kernel>] span per call with block,
     thread and read/write byte totals plus the executed path
-    ({!backend_name}) in the canonical channel, and the block-chunk
-    split in the side channel (see {!Kft_trace.Trace}). The trace is only touched from the calling
+    ({!backend_name}) in the canonical channel, and in the side channel
+    the block-chunk split ([chunks]) and the lane schedule ([lanes]:
+    [all] when each sync-free statement ran over all lanes at once,
+    [one] when each ran one lane at a time; see {!Kft_trace.Trace}). The trace is only touched from the calling
     (coordinator) domain. *)
 
 val launch_with_usage :
   ?engine:Kft_engine.Engine.t -> ?affine:bool -> ?backend:backend ->
-  ?trace:Kft_trace.Trace.t ->
+  ?license:Kft_analysis.Absint.license -> ?trace:Kft_trace.Trace.t ->
   Memory.t -> Kft_cuda.Ast.program -> Kft_cuda.Ast.launch ->
   stats * (string list * string list)
 (** Like {!launch}, additionally returning the host arrays the launch

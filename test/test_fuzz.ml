@@ -7,7 +7,9 @@
    Property 2: the simulator's execution strategies agree — the
    compiled-affine fast path ([affine:true]) and the block-parallel
    engine path (jobs=4) reproduce the plain interpreter's memory and
-   launch statistics bit for bit on every fuzzed program.
+   launch statistics bit for bit on every fuzzed program and on its
+   [Framework.transform] output, whose fused kernels stage shared tiles
+   around barriers.
 
    Property 3: codegen's block retunes keep what a fuzzed program
    computes; a third of the samples launch over a domain smaller than
@@ -40,22 +42,37 @@ let prop_roundtrip =
       let ks' = Kft_cuda.Parse.kernels (Kft_cuda.Pp.kernels ks) in
       List.length ks = List.length ks' && List.for_all2 equal_kernel ks ks')
 
+(* the fuzzed chain fused by the whole pipeline: its fused kernels stage
+   shared tiles around barriers *)
+let transformed (p : program) =
+  let module F = Kft_framework.Framework in
+  let config =
+    {
+      F.default_config with
+      gga_params = { Kft_gga.Gga.default_params with generations = 2; population = 6 };
+      verify_mode = F.Verify_off;
+    }
+  in
+  (F.transform ~config p).transformed
+
 let prop_differential =
   QCheck.Test.make
     ~name:"interpret / compiled-affine / block-parallel simulations are bit-identical"
     ~count:120 Util.fuzz_sample_arb
     (fun s ->
-      let p = s.Util.fz_program in
-      let ref_mem, ref_stats = run ~affine:false p in
       List.for_all
-        (fun (engine, affine) ->
-          let mem, stats = run ?engine ~affine p in
-          Memory.bits_equal ref_mem mem && stats = ref_stats)
-        [
-          (None, true);
-          (Some (Lazy.force shared_engine), false);
-          (Some (Lazy.force shared_engine), true);
-        ])
+        (fun p ->
+          let ref_mem, ref_stats = run ~affine:false p in
+          List.for_all
+            (fun (engine, affine) ->
+              let mem, stats = run ?engine ~affine p in
+              Memory.bits_equal ref_mem mem && stats = ref_stats)
+            [
+              (None, true);
+              (Some (Lazy.force shared_engine), false);
+              (Some (Lazy.force shared_engine), true);
+            ])
+        [ s.Util.fz_program; transformed s.Util.fz_program ])
 
 (* Codegen retunes each fuzzed launch on its own. Over a domain smaller
    than the arrays, a wider block would write cells the source never

@@ -508,9 +508,13 @@ let test_cow_copies () =
   Alcotest.(check (pair int int)) "a program hit copies nothing" (0, 0) allocs;
   Alcotest.(check int) "it was a program hit" 1 (M.Sim_cache.stats c).hits;
   check_same_run "program hit" run (Profiler.profile Util.device p);
-  (* the caller's write goes to its own copy, never to the store *)
+  (* the caller's write goes to its own copy, never to the store, and
+     the copy takes no cells of the store's slab *)
+  let used = M.Sim_cache.Internal.slab_used c in
   (Mem.get run.memory "B").{0} <- -999.0;
   Alcotest.(check (list string)) "the store is intact" [] (M.Sim_cache.Internal.check_store c);
+  Alcotest.(check int) "the caller's copy is outside the slab" used
+    (M.Sim_cache.Internal.slab_used c);
   check_same_run "after a caller's write" (M.profile ~cache:c Util.device p)
     (Profiler.profile Util.device p)
 

@@ -711,11 +711,52 @@ let test_trace_backend () =
   Alcotest.(check bool) "an alias records the path that ran" true
     (Util.contains (rendered (Some I.Auto)) "\"backend\":\"affine\"")
 
+(* A launch on both paths from the same seeded memory: final memory,
+   every stats field and the dynamic usage must be identical, or both
+   paths must raise the same [Sim_error]. [expect] pins which of the two
+   the launch is meant to exercise. *)
+let check_paths ?(seed = 23) expect prog (l : launch) =
+  let run affine =
+    let mem = Mem.create prog.p_arrays in
+    Mem.init_seeded mem ~seed;
+    match I.launch_with_usage ~affine mem prog l with
+    | stats, usage -> Ok (mem, stats, usage)
+    | exception I.Sim_error { kernel; message } -> Error (kernel ^ ": " ^ message)
+  in
+  match (run false, run true) with
+  | Ok (m0, s0, u0), Ok (m1, s1, u1) ->
+      Alcotest.(check bool) "memory bit-identical" true (Mem.bits_equal m0 m1);
+      Alcotest.(check bool) "every stats field identical" true (s0 = s1);
+      Alcotest.(check bool) "usage identical" true (u0 = u1);
+      Alcotest.(check bool) "runs as the row expects" true
+        (match expect with `Runs -> true | `Hazards -> s0.shared_hazards > 0 | `Raises -> false)
+  | Error e0, Error e1 ->
+      Alcotest.(check string) "same Sim_error" e0 e1;
+      Alcotest.(check bool) "raises as the row expects" true (expect = `Raises)
+  | Ok _, Error e -> Alcotest.failf "only compiled-affine raised: %s" e
+  | Error e, Ok _ -> Alcotest.failf "only the reference raised: %s" e
+
+(* compiled-affine runs [l]'s statements over all lanes at once *)
+let all_lanes prog l = Kft_analysis.Absint.(grant (license prog l) <> Thread_order)
+
+(* the [lanes] note of a compiled-affine run of [l] ("all" or "one");
+   [None] when the launch raises *)
+let lanes_note prog (l : launch) =
+  let trace = Kft_trace.Trace.create "t" in
+  let mem = Mem.create prog.p_arrays in
+  Mem.init_seeded mem ~seed:23;
+  match I.launch ~trace mem prog l with
+  | _ ->
+      let tree = Kft_trace.Trace.render_tree trace in
+      List.find_opt (fun v -> Util.contains tree ("lanes~" ^ v)) [ "all"; "one" ]
+  | exception I.Sim_error _ -> None
+
 (* Each closure form of the compiled-affine path against the reference
-   interpreter: final memory, every stats field and the dynamic usage
-   must be identical, or both paths must raise the same [Sim_error].
-   [expect] pins which of the two a row is meant to exercise. *)
-let fast_path_case (label, expect, body) =
+   interpreter, in a kernel with the usual coordinates. [lanes], when
+   given, pins the schedule the launch's statements run on: each over
+   all lanes at once ([`All]) or one lane at a time ([`One]); a launch
+   that raises must run one lane at a time. *)
+let fast_path_case ?lanes (label, expect, body) =
   let src =
     Printf.sprintf
       {|
@@ -734,25 +775,17 @@ __global__ void d(const double *A, double *B, int nx, int ny, int nz, double c) 
   in
   let test () =
     let prog = one_kernel_prog src "d" [ "A"; "B" ] 0.75 in
-    let run affine =
-      let mem = Mem.create prog.p_arrays in
-      Mem.init_seeded mem ~seed:23;
-      match I.launch_with_usage ~affine mem prog (Util.launch_of prog "d") with
-      | stats, usage -> Ok (mem, stats, usage)
-      | exception I.Sim_error { kernel; message } -> Error (kernel ^ ": " ^ message)
-    in
-    match (run false, run true) with
-    | Ok (m0, s0, u0), Ok (m1, s1, u1) ->
-        Alcotest.(check bool) "memory bit-identical" true (Mem.bits_equal m0 m1);
-        Alcotest.(check bool) "every stats field identical" true (s0 = s1);
-        Alcotest.(check bool) "usage identical" true (u0 = u1);
-        Alcotest.(check bool) "runs as the row expects" true
-          (match expect with `Runs -> true | `Hazards -> s0.shared_hazards > 0 | `Raises -> false)
-    | Error e0, Error e1 ->
-        Alcotest.(check string) "same Sim_error" e0 e1;
-        Alcotest.(check bool) "raises as the row expects" true (expect = `Raises)
-    | Ok _, Error e -> Alcotest.failf "only compiled-affine raised: %s" e
-    | Error e, Ok _ -> Alcotest.failf "only the reference raised: %s" e
+    let l = Util.launch_of prog "d" in
+    Option.iter
+      (fun lanes ->
+        match lanes_note prog l with
+        | Some note ->
+            Alcotest.(check string) "the schedule the row expects"
+              (match lanes with `All -> "all" | `One -> "one")
+              note
+        | None -> Alcotest.(check bool) "a raising launch runs one lane at a time" false (all_lanes prog l))
+      lanes;
+    check_paths expect prog l
   in
   Alcotest.test_case ("fast path vs reference: " ^ label) `Quick test
 
@@ -849,10 +882,158 @@ let fast_path_rows =
      \      B[g] = (n != n && m != m) ? 1.5 : 2.5;");
   ]
 
-let fast_path_suite = List.map fast_path_case fast_path_rows
+(* Rows pinned to one schedule: licensed launches run each statement
+   over all lanes, with masks for branches, short-circuits, ternaries
+   and per-lane loop bounds. So does a launch whose race proof needs the
+   same-site exemption: a same-site write inside a loop keeps the
+   highest thread's hit, as thread order would ([B[k + tx]] would
+   otherwise end with the last iteration's writer). Every other
+   unlicensed launch runs each statement one lane at a time. *)
+let lane_rows =
+  [
+    (`All, ("&& reads only on the lanes its left side lets through", `Runs,
+     "if (i < 8 && A[g] > 0.5) { B[g] = x; }"));
+    (`All, ("|| reads only on the lanes its left side leaves open", `Runs,
+     "if (i > 10 || A[g + 2] < 0.3) { B[g] = x; } else { B[g] = y; }"));
+    (`All, ("ternaries read per lane", `Runs,
+     "B[g] = (x > 0.5) ? A[g] : A[g + 1] * 2.0 + ((tx < 3) ? y : c);"));
+    (`All, ("a top-level float guard, its reads counted twice", `Runs,
+     "if (A[g + 3] > x) { B[g] = y * 2.0; }"));
+    (`All, ("nested branches", `Runs,
+     "if (tx < 4) { if (ty > 1) { B[g] = x; } else { B[g] = y; } } else { B[g] = x + y; }"));
+    (`All, ("per-lane loop bounds", `Runs,
+     "double s = 0.0; for (int k = tx; k < 12; k += 3) { s = s + A[g + k]; } B[g] = s;"));
+    (`All, ("a cooperative tile load around a barrier", `Runs,
+     "__shared__ double s[40]; for (int q = ty * 8 + tx; q < 40; q += 32) { s[q] = A[q]; }\n\
+     \      __syncthreads(); B[g] = s[tx + 1] + s[tx] * c;"));
+    (`All, ("math calls", `Runs,
+     "B[g] = fma(x, y, c) + pow(fabs(x), 0.5) + fmin(x, y) - fmax(y, -0.0) + exp(-x)\n\
+     \      + log(y + 1.0) + sin(x) * cos(y) + sqrt(x * x) + min(x, 0.25) - max(tx, ty) + abs(-y);"));
+    (`All, ("a modulo by an int argument folds", `Runs,
+     "int h = g % nx; int v = g / nx; B[g] = x + h * 0.5 + v;"));
+    (`All, ("a same-site writer, once per thread", `Runs, "B[0] = x + tx;"));
+    (`All, ("a same-site writer in a loop", `Runs,
+     "double z = x * 2.0; for (int k = 0; k < 4; k++) { B[k + tx] = z + k; }"));
+    (`One, ("a kernel that returns", `Runs,
+     "if (tx == 3) { return; } double z = x * 2.0; if (ty == 1) { return; } B[g] = z + y;"));
+    (`One, ("a zero-literal divisor", `Raises, "B[g] = x + (i / 0);"));
+    (`One, ("a modulo by a zero literal on some lanes", `Raises,
+     "if (i > 5) { B[g] = x + (j % 0); } else { B[g] = y; }"));
+  ]
+
+(* test_metadata's [oob] kernel: the last thread writes past the array,
+   after every other thread wrote in place *)
+let test_oob_one_lane () =
+  let src =
+    {|
+__global__ void oob(double *X, int n) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  if (i < n) { X[i + 1] = 1.0; }
+}
+|}
+  in
+  let n = 256 in
+  let prog =
+    {
+      p_name = "oob";
+      p_arrays = [ { a_name = "C"; a_elem_ty = Double; a_dims = [ n; 1; 1 ] } ];
+      p_kernels = [ Kft_cuda.Parse.kernel src ];
+      p_schedule =
+        [
+          Launch
+            { l_kernel = "oob"; l_domain = (n, 1, 1); l_block = (64, 1, 1);
+              l_args = [ Arg_array "C"; Arg_int n ] };
+        ];
+    }
+  in
+  let l = Util.launch_of prog "oob" in
+  Alcotest.(check bool) "one lane at a time" false (all_lanes prog l);
+  check_paths `Raises prog l
+
+let fast_path_suite =
+  List.map fast_path_case fast_path_rows
+  @ List.map (fun (lanes, row) -> fast_path_case ~lanes row) lane_rows
+  @ [ Alcotest.test_case "fast path vs reference: the oob kernel, one lane at a time" `Quick test_oob_one_lane ]
+
+(* Every launch of [prog] on both paths, in schedule order, each path
+   from one seeded memory: per-launch stats and usage, and the final
+   memory, must be the reference interpreter's. Returns the launches
+   that ran each statement over all lanes, and all launches. *)
+let check_program label (prog : program) =
+  let run affine =
+    let mem = Mem.create prog.p_arrays in
+    Mem.init_seeded mem ~seed:5;
+    let per =
+      List.filter_map
+        (function Launch l -> Some (l, I.launch_with_usage ~affine mem prog l) | _ -> None)
+        prog.p_schedule
+    in
+    (mem, per)
+  in
+  let m0, r0 = run false and m1, r1 = run true in
+  List.iter2
+    (fun ((l : launch), (s0, u0)) (_, (s1, u1)) ->
+      if s0 <> s1 || u0 <> u1 then Alcotest.failf "%s: launch %s differs" label l.l_kernel)
+    r0 r1;
+  Alcotest.(check bool) (label ^ ": memory bit-identical") true (Mem.bits_equal m0 m1);
+  let launches = List.map fst r0 in
+  (List.filter (all_lanes prog) launches, launches)
+
+let staged prog (l : launch) =
+  String.starts_with ~prefix:"K_f" l.l_kernel
+  && fold_stmts
+       (fun acc s -> acc || match s with Shared_decl _ -> true | _ -> false)
+       false (find_kernel prog l.l_kernel).k_body
+
+(* An app's source, its fissioned variant and its transforms under the
+   automated and the expert codegen switches: every staged fused launch
+   (shared tiles and barriers) runs over all lanes at once. *)
+let check_app ?(expert = true) (app : Kft_apps.Apps.app) =
+  let module F = Kft_framework.Framework in
+  let p = app.program in
+  let plans =
+    List.filter_map
+      (fun k -> Option.map (fun pl -> (k.k_name, pl)) (Kft_fission.Fission.plan ~seed:42 k))
+      p.p_kernels
+  in
+  let transform codegen_options =
+    let config =
+      {
+        F.default_config with
+        gga_params = { Kft_gga.Gga.default_params with generations = 2; population = 6 };
+        verify_mode = F.Verify_off;
+        codegen_options;
+      }
+    in
+    (F.transform ~config p).transformed
+  in
+  let programs =
+    [ ("source", p); ("fissioned", Kft_fission.Fission.apply_to_program ~plans p);
+      ("automated", transform Kft_codegen.Fusion.auto_options) ]
+    @ if expert then [ ("expert", transform Kft_codegen.Fusion.manual_options) ] else []
+  in
+  List.iter
+    (fun (what, prog) ->
+      let label = p.p_name ^ " " ^ what in
+      let all, launches = check_program label prog in
+      List.iter
+        (fun l ->
+          if staged prog l && not (List.memq l all) then
+            Alcotest.failf "%s: staged launch %s runs one lane at a time" label l.l_kernel)
+        launches)
+    programs
+
+let test_apps_lanes () =
+  List.iter check_app (Kft_apps.Apps.quickstart () :: Kft_apps.Apps.all ())
+
+let test_big_lanes () =
+  let dims = { Kft_apps.Gen.nx = 256; ny = 64; nz = 12 } in
+  List.iter (check_app ~expert:false) [ Kft_apps.Apps.mitgcm ~dims (); Kft_apps.Apps.bcalm ~dims () ]
 
 let parallel_suite =
   [
+    Alcotest.test_case "lanes vs reference: quickstart and the six apps" `Slow test_apps_lanes;
+    Alcotest.test_case "lanes vs reference: MITgcm and B-CALM at 256x64x12" `Slow test_big_lanes;
     Alcotest.test_case "determinism across jobs x affine" `Quick test_block_parallel_determinism;
     Alcotest.test_case "backend selection and names" `Quick test_backend_selection;
     Alcotest.test_case "chunked ordered merge" `Quick test_chunked_merge;
