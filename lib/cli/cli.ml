@@ -339,6 +339,16 @@ let transform_run app_name device_name generations population jobs no_memo
                     | _ -> `Ok ())
                 | Error diffs -> output_failed diffs))
 
+(* an int at or above [min]: anything else is a command-line error
+   naming the option, as for a value outside an [enum] *)
+let int_at_least min what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | _ -> Error (Printf.sprintf "invalid value '%s', expected %s" s what)
+  in
+  Arg.conv' (parse, Format.pp_print_int)
+
 let transform_cmd =
   let app_arg =
     Arg.(value & opt string "MITgcm" & info [ "a"; "app" ] ~docv:"NAME" ~doc:"Application to transform (see --list).")
@@ -347,10 +357,10 @@ let transform_cmd =
     Arg.(value & opt string "Tesla K20X" & info [ "device" ] ~docv:"NAME" ~doc:"Target device model (Tesla K20X, Tesla K40, Generic Kepler).")
   in
   let generations =
-    Arg.(value & opt int 150 & info [ "generations" ] ~doc:"GGA generations (paper default: 500).")
+    Arg.(value & opt (int_at_least 0 "a non-negative integer") 150 & info [ "generations" ] ~docv:"N" ~doc:"GGA generations (paper default: 500).")
   in
   let population =
-    Arg.(value & opt int 40 & info [ "population" ] ~doc:"GGA population size (paper default: 100).")
+    Arg.(value & opt (int_at_least 1 "a positive integer") 40 & info [ "population" ] ~docv:"N" ~doc:"GGA population size (paper default: 100).")
   in
   let jobs =
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains for the simulator: profiling, verification and usage pre-runs fan each launch's thread blocks over the pool. The GGA search runs in the main domain, scoring each distinct fusion group once. Results are bit-identical at any worker count.")

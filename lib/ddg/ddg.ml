@@ -27,11 +27,7 @@ end
 (* Reachability closure of the OEG: node [i] is the [i]-th invocation;
    [desc.(i)] / [anc.(i)] hold the nodes reachable from / reaching [i]
    through at least one edge. Read-only once built. *)
-type closure = {
-  index : (string, int) Hashtbl.t;
-  desc : int array array;
-  anc : int array array;
-}
+type closure = { desc : int array array; anc : int array array }
 
 type t = {
   ddg : node G.t;
@@ -51,12 +47,10 @@ let invocations prog =
          { inv_key; inv_kernel = l.l_kernel; inv_index = i; inv_launch = l })
 
 (* [succs.(i)] lists the invocations that depend directly on invocation
-   [keys.(i)], every one later than [i] in the schedule, so one sweep in
-   each direction closes the relation. *)
-let close keys succs =
-  let n = Array.length keys in
-  let index = Hashtbl.create n in
-  Array.iteri (fun i k -> Hashtbl.replace index k i) keys;
+   [i], every one later than [i] in the schedule, so one sweep in each
+   direction closes the relation. *)
+let close succs =
+  let n = Array.length succs in
   let desc = Array.init n (fun _ -> Bits.create n) in
   let anc = Array.init n (fun _ -> Bits.create n) in
   (* [reach.(i)] gains [j] and everything [j] already reaches *)
@@ -70,7 +64,7 @@ let close keys succs =
   for i = 0 to n - 1 do
     List.iter (fun j -> extend anc j i) succs.(i)
   done;
-  { index; desc; anc }
+  { desc; anc }
 
 let array_key base version =
   if version = 0 then base else Printf.sprintf "%s@%d" base version
@@ -138,8 +132,7 @@ let of_schedflow (sf : Schedflow.t) =
       | _ -> ())
     sf.deps;
   let succs = Array.map List.rev succs in
-  let keys = Array.of_list (List.map (fun inv -> inv.inv_key) invocations) in
-  let closure = close keys succs in
+  let closure = close succs in
   (* transitive reduction for readability (the DOT files the programmer
      inspects): drop i -> j when another direct successor of i reaches j.
      No node reaches itself in a DAG, so the union over all of i's
@@ -148,7 +141,7 @@ let of_schedflow (sf : Schedflow.t) =
   let oeg =
     Array.map
       (fun js ->
-        let implied = Bits.create (Array.length keys) in
+        let implied = Bits.create (Array.length succs) in
         List.iter (fun k -> Bits.union_into implied closure.desc.(k)) js;
         List.filter (fun j -> not (Bits.mem implied j)) js)
       succs
@@ -157,16 +150,7 @@ let of_schedflow (sf : Schedflow.t) =
 
 let build prog = of_schedflow (Schedflow.analyze prog)
 
-let node_index t k =
-  match Hashtbl.find_opt t.closure.index k with
-  | Some i -> i
-  | None -> raise (G.No_such_node k)
-
-let oeg_precedes t a b =
-  a <> b
-  &&
-  let i = node_index t a and j = node_index t b in
-  Bits.mem t.closure.desc.(i) j
+let oeg_precedes t i j = i <> j && Bits.mem t.closure.desc.(i) j
 
 (* Contracting [group] closes a cycle iff some node outside the group
    lies on a path between two members: a descendant of one member that
@@ -176,13 +160,10 @@ let fusion_feasible t group =
   let n = Array.length c.desc in
   let members = Bits.create n and below = Bits.create n and above = Bits.create n in
   List.iter
-    (fun k ->
-      match Hashtbl.find_opt c.index k with
-      | Some i ->
-          Bits.add members i;
-          Bits.union_into below c.desc.(i);
-          Bits.union_into above c.anc.(i)
-      | None -> ())
+    (fun i ->
+      Bits.add members i;
+      Bits.union_into below c.desc.(i);
+      Bits.union_into above c.anc.(i))
     group;
   Array.iteri (fun w m -> below.(w) <- below.(w) land above.(w) land lnot m) members;
   Array.for_all (fun w -> w = 0) below

@@ -32,7 +32,7 @@ type node =
           multi-writer optimization *)
 
 type closure
-(** Reachability closure of the OEG: per invocation, the set of
+(** Reachability closure of the OEG: per invocation index, the set of
     invocations it reaches and the set that reach it, as bitsets. Built
     once by {!of_schedflow} and read-only afterwards, so concurrent
     queries from several domains are safe. *)
@@ -72,19 +72,20 @@ val build : Kft_cuda.Ast.program -> t
     on unresolved launches: one whose kernel or arguments do not resolve
     reads and writes nothing. *)
 
-val oeg_precedes : t -> string -> string -> bool
-(** [oeg_precedes t a b]: invocation [a] must execute before [b]
-    (transitive). One closure lookup, O(1). Raises
-    {!Kft_graph.Digraph.No_such_node} when [a <> b] and either is not an
-    invocation key. *)
+(** The two closure queries take invocations by [inv_index], which is
+    also their OEG node number; an index outside the schedule's launches
+    raises [Invalid_argument]. *)
 
-val fusion_feasible : t -> string list -> bool
-(** A set of invocation keys may be fused iff contracting them to one
-    node leaves the OEG acyclic (no path leaves the group and comes
-    back). Since the OEG is a DAG this holds iff
+val oeg_precedes : t -> int -> int -> bool
+(** [oeg_precedes t a b]: invocation [a] must execute before [b]
+    (transitive). One closure lookup, O(1). Only tests use it. *)
+
+val fusion_feasible : t -> int list -> bool
+(** A set of invocations may be fused iff contracting them to one node
+    leaves the OEG acyclic (no path leaves the group and comes back).
+    Since the OEG is a DAG this holds iff
     (∪ descendants(G)) ∩ (∪ ancestors(G)) \ G = ∅, checked on the
-    closure in O(|G|·V/63). Keys that are not OEG nodes are ignored;
-    duplicates are harmless. *)
+    closure in O(|G|·V/63). Duplicates are harmless. *)
 
 val ddg_dot : t -> string
 

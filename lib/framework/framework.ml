@@ -247,7 +247,7 @@ let fission env prog eligible =
 type unit_row = {
   u_name : string;  (* invocation key, or the part's kernel name *)
   u_original : int;  (* the invocation the unit is, or whose plan made the part *)
-  u_member : (Canonical.member, string) Stdlib.result option;
+  u_member : (Canonical.member, string) Stdlib.result;
       (* canonical form, for codegen-level feasibility; targets and parts only *)
   u_model : Perfmodel.unit_model option;  (* targets and parts only *)
   u_arrays : string list;  (* host arrays a part touches; [] for an invocation *)
@@ -256,7 +256,8 @@ type unit_row = {
 (* every unit once, by dense id: invocation [i] is unit [i], the parts
    follow in plan order. A unit's schedule position is (its original
    invocation, its id): a part sits right after the invocation it
-   splits. [ids] is the only map from unit names. *)
+   splits. The search runs on these ids; [ids] maps the named groups it
+   returns back to them for the schedule. *)
 type units = {
   rows : unit_row array;
   ids : (string, int) Hashtbl.t;
@@ -275,7 +276,7 @@ let unit_table env meta prog targets plans fissioned =
     {
       u_name = inv.inv_key;
       u_original = inv.inv_index;
-      u_member = (if eligible then Some (extract prog inv.inv_launch) else None);
+      u_member = (if eligible then extract prog inv.inv_launch else Error "not a search target");
       u_model = (if eligible then Some (Perfmodel.of_metadata meta inv.inv_kernel) else None);
       u_arrays = [];
     }
@@ -289,7 +290,7 @@ let unit_table env meta prog targets plans fissioned =
             {
               u_name = part.part_kernel.k_name;
               u_original = inv.inv_index;
-              u_member = Some member;
+              u_member = member;
               u_model = Some (Perfmodel.of_metadata mf part.part_kernel.k_name);
               u_arrays =
                 (match member with
@@ -362,122 +363,97 @@ let contract succs label =
   emit [] nq 0
 
 (* the contraction label of every unit: the index of the last group
-   naming it, or its own label past the group range *)
+   holding it, or its own label past the group range *)
 let unit_labels units groups =
   let n_groups = List.length groups in
   let label = Array.init (Array.length units.rows) (fun u -> n_groups + u) in
-  List.iteri
-    (fun g names ->
-      List.iter
-        (fun n -> Option.iter (fun u -> label.(u) <- g) (Hashtbl.find_opt units.ids n))
-        names)
-    groups;
+  List.iteri (fun g us -> List.iter (fun u -> label.(u) <- g) us) groups;
   label
 
-(* stage 4: the GGA over the unit table's targets and parts; returns
-   the search result and its best solution (the targets as singletons
-   when there was nothing to search) *)
-let search env (graphs : Ddg.t) units =
-  let find name = Hashtbl.find_opt units.ids name in
+(* stage 4's problem: the GGA over the unit table's targets and parts,
+   by unit id. Every callback is keyed by ids; [plan_cache] holds one
+   fusion plan per distinct set of units the search asks about. *)
+let problem env (graphs : Ddg.t) units plan_cache =
   let row u = units.rows.(u) in
-  (* one fusion plan per distinct set of units the search asks about;
-     the search runs in this domain, so the cache needs no lock. Groups
-     coming out of the GGA are unordered, while fusion feasibility and
-     codegen are order-sensitive: members go in schedule order. *)
-  let plan_cache : (string, (Fusion.plan, string) Stdlib.result) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  let group_plan names =
-    let pos = function Some u -> ((row u).u_original, u) | None -> (max_int, max_int) in
-    let members =
-      List.sort
-        (fun (_, a) (_, b) -> compare (pos a) (pos b))
-        (List.map (fun n -> (n, find n)) names)
-    in
-    let key = String.concat "|" (List.map fst members) in
-    match Hashtbl.find_opt plan_cache key with
+  let model u = Option.get (row u).u_model in
+  (* groups coming out of the GGA are unordered, while fusion
+     feasibility and codegen are order-sensitive: members go in schedule
+     order. The search runs in this domain, so the cache needs no lock. *)
+  let pos u = ((row u).u_original, u) in
+  let group_plan g =
+    let members = List.sort (fun a b -> compare (pos a) (pos b)) g in
+    match Gga.Groups.find_opt plan_cache members with
     | Some r -> r
     | None ->
         let rec check acc = function
           | [] ->
               Fusion.check_group
                 (List.mapi (fun i (m : Canonical.member) -> { m with m_index = i }) (List.rev acc))
-          | (name, u) :: rest -> (
-              match Option.bind u (fun u -> (row u).u_member) with
-              | Some (Ok m) -> check (m :: acc) rest
-              | Some (Error e) -> Error e
-              | None -> Error ("no canonical form cached for " ^ name))
+          | u :: rest -> Result.bind (row u).u_member (fun m -> check (m :: acc) rest)
         in
         let r = check [] members in
-        Hashtbl.replace plan_cache key r;
+        Gga.Groups.replace plan_cache members r;
         r
   in
-  (* OEG feasibility sees a fission part as the kernel its plan split *)
-  let original name =
-    match find name with Some u -> (row (row u).u_original).u_name | None -> name
-  in
+  (* OEG feasibility sees a fission part as the invocation its plan split *)
   let feasible = function
     | [] | [ _ ] -> true
-    | names ->
-        Ddg.fusion_feasible graphs (List.sort_uniq compare (List.map original names))
-        && Result.is_ok (group_plan names)
+    | g ->
+        Ddg.fusion_feasible graphs (List.map (fun u -> (row u).u_original) g)
+        && Result.is_ok (group_plan g)
   in
-  let shared_ok models =
-    match models with
+  let shared_ok = function
     | [] | [ _ ] -> true
-    | first :: _ -> (
-        let names = List.map (fun (m : Perfmodel.unit_model) -> m.unit_name) models in
-        match group_plan names with
+    | first :: _ as g -> (
+        match group_plan g with
         | Ok plan ->
-            let bx, by, _ = first.block in
+            let bx, by, _ = (model first).block in
             plan.p_shared_bytes bx by <= env.config.device.shared_mem_per_block
         | Error _ -> true)
   in
   (* joint schedulability: the units present in a solution (parts
      replace their fissioned original) inherit the OEG edges of their
      invocations; contracting every group at once must leave them
-     acyclic. The other units stay isolated nodes, which cannot close a
-     cycle. *)
+     acyclic. The successors are built once, over every unit: each links
+     to all units of its invocation's OEG successors. An absent unit
+     takes the label of a present unit of its own invocation, whose
+     edges it repeats, so it adds no quotient edge. *)
   let n_inv = Array.length units.parts and n_units = Array.length units.rows in
+  let succs =
+    let below = Array.map (List.concat_map (fun j -> j :: units.parts.(j))) graphs.oeg in
+    Array.init n_units (fun u -> below.((row u).u_original))
+  in
   let solution_feasible ~groups ~fissioned =
-    let present = Array.init n_inv (fun i -> [ i ]) in
-    List.iter
-      (fun k ->
-        match find k with
-        | Some i when i < n_inv && units.parts.(i) <> [] -> present.(i) <- units.parts.(i)
-        | _ -> ())
-      fissioned;
-    let succs = Array.make n_units [] in
+    let label = unit_labels units groups in
     Array.iteri
-      (fun i us ->
-        let below = List.fold_right (fun j acc -> present.(j) @ acc) graphs.oeg.(i) [] in
-        List.iter (fun u -> succs.(u) <- below) us)
-      present;
-    Option.is_some (contract succs (unit_labels units groups))
+      (fun i ps ->
+        match ps with
+        | p :: _ when List.exists (Int.equal i) fissioned -> label.(i) <- label.(p)
+        | ps -> List.iter (fun p -> label.(p) <- label.(i)) ps)
+      units.parts;
+    Option.is_some (contract succs label)
   in
-  let targets =
-    List.filter_map (fun r -> r.u_model) (Array.to_list (Array.sub units.rows 0 n_inv))
-  in
-  let problem =
-    {
-      Gga.units = targets;
-      fission_parts =
-        List.filter_map
-          (fun i ->
-            match units.parts.(i) with
-            | [] -> None
-            | ps -> Some ((row i).u_name, List.filter_map (fun p -> (row p).u_model) ps))
-          (List.init n_inv Fun.id);
-      part_arrays =
-        List.init (n_units - n_inv) (fun p ->
-            let r = row (n_inv + p) in
-            (r.u_name, r.u_arrays));
-      feasible;
-      solution_feasible;
-      eval_group = Perfmodel.eval_group env.config.device;
-      shared_ok;
-    }
-  in
+  {
+    Gga.model;
+    units = List.filter (fun i -> Option.is_some (row i).u_model) (List.init n_inv Fun.id);
+    fission_parts =
+      List.filter_map
+        (fun i -> match units.parts.(i) with [] -> None | ps -> Some (i, ps))
+        (List.init n_inv Fun.id);
+    part_arrays = List.init (n_units - n_inv) (fun p -> (n_inv + p, (row (n_inv + p)).u_arrays));
+    feasible;
+    solution_feasible;
+    eval_group = (fun g -> Perfmodel.eval_group env.config.device (List.map model g));
+    shared_ok;
+  }
+
+(* stage 4: the GGA search; returns the search result and its best
+   solution, named (the targets as singletons when there was nothing to
+   search) *)
+let search env graphs units =
+  let plan_cache = Gga.Groups.create 256 in
+  let problem = problem env graphs units plan_cache in
+  let targets = problem.units in
   let trace = env.trace in
   Trace.with_span trace "search" (fun () ->
       let r =
@@ -495,10 +471,10 @@ let search env (graphs : Ddg.t) units =
           Trace.note trace "jobs" (Trace.Int es.Gga.es_jobs);
           Trace.note trace "search_wall_s" (Trace.Float es.Gga.es_search_wall_s)
       | None -> ());
-      Trace.add trace "plan_cache_entries" (Hashtbl.length plan_cache);
+      Trace.add trace "plan_cache_entries" (Gga.Groups.length plan_cache);
       match r with
       | Some g -> (r, g.best.groups, g.best.fissioned)
-      | None -> (r, List.map (fun (m : Perfmodel.unit_model) -> [ m.unit_name ]) targets, []))
+      | None -> (r, List.map (fun u -> [ units.rows.(u).u_name ]) targets, []))
 
 (* stage 5a: apply the chosen fission and order the groups; returns the
    post-fission schedule analysis and the groups' launches in an order
@@ -516,7 +492,8 @@ let schedule prog schedflow graphs plans fissioned units ~groups ~chosen =
         (sf, Ddg.of_schedflow sf)
   in
   (* an invocation that is no unit (a re-launch of a part) stays alone *)
-  let labels = unit_labels units groups and invs = Array.of_list graphs.Ddg.invocations in
+  let labels = unit_labels units (List.map (List.filter_map (Hashtbl.find_opt units.ids)) groups) in
+  let invs = Array.of_list graphs.Ddg.invocations in
   let label =
     Array.map
       (fun (inv : Ddg.invocation) ->
@@ -905,4 +882,13 @@ let stage_report r =
 
 module Internal = struct
   let contract = contract
+
+  let search_problem ?(config = default_config) prog =
+    let env = { config; cache = Meta.Sim_cache.create (); engine = None; trace = None } in
+    let meta, _ = gather env prog in
+    let graphs, _ = analyze env prog in
+    let targets, eligible = filter env no_hooks meta prog graphs in
+    let plans, fissioned = fission env prog eligible in
+    let units = unit_table env meta prog targets plans fissioned in
+    (graphs, problem env graphs units (Gga.Groups.create 16))
 end

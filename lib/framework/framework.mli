@@ -169,4 +169,10 @@ module Internal : sig
       lowest ready quotient node first. Returns the quotient nodes'
       members, each ascending, in emission order, or [None] when the
       contraction is cyclic. *)
+
+  val search_problem : ?config:config -> Kft_cuda.Ast.program -> Kft_ddg.Ddg.t * Kft_gga.Gga.problem
+  (** The graphs of [prog] and the search problem {!transform} hands the
+      GGA for it, over the unit table's ids: invocation [i] is unit [i],
+      fission parts follow. Runs stages 1-3 and the fission pre-step on
+      a private cache, without hooks. *)
 end

@@ -42,43 +42,60 @@ let params_to_text p =
     ]
 
 let params_of_text text =
+  let fail line fmt =
+    Printf.ksprintf (fun s -> failwith (Printf.sprintf "GGA parameter file, line %d: %s" line s)) fmt
+  in
   let kv = Hashtbl.create 16 in
   String.split_on_char '\n' text
-  |> List.iter (fun line ->
+  |> List.iteri (fun i line ->
          let line = String.trim line in
          if line <> "" && line.[0] <> '#' then
            match String.index_opt line '=' with
-           | Some i ->
+           | Some j ->
                Hashtbl.replace kv
-                 (String.trim (String.sub line 0 i))
-                 (String.trim (String.sub line (i + 1) (String.length line - i - 1)))
-           | None -> failwith ("GGA parameter file: malformed line: " ^ line));
+                 (String.trim (String.sub line 0 j))
+                 (i + 1, String.trim (String.sub line (j + 1) (String.length line - j - 1)))
+           | None -> fail (i + 1) "malformed line: %s" line);
   let get name default conv =
-    match Hashtbl.find_opt kv name with Some v -> conv v | None -> default
+    match Hashtbl.find_opt kv name with
+    | None -> default
+    | Some (line, v) -> (
+        match conv v with Some x -> x | None -> fail line "%s = %S is not a valid value" name v)
   in
   {
-    population = get "population" default_params.population int_of_string;
-    generations = get "generations" default_params.generations int_of_string;
-    crossover_rate = get "crossover_rate" default_params.crossover_rate float_of_string;
-    mutation_rate = get "mutation_rate" default_params.mutation_rate float_of_string;
-    tournament = get "tournament" default_params.tournament int_of_string;
-    elitism = get "elitism" default_params.elitism int_of_string;
-    seed = get "seed" default_params.seed int_of_string;
-    c_violation = get "c_violation" default_params.c_violation float_of_string;
-    c_sm_stuck = get "c_sm_stuck" default_params.c_sm_stuck float_of_string;
-    fission_enabled = get "fission_enabled" default_params.fission_enabled bool_of_string;
+    population = get "population" default_params.population int_of_string_opt;
+    generations = get "generations" default_params.generations int_of_string_opt;
+    crossover_rate = get "crossover_rate" default_params.crossover_rate float_of_string_opt;
+    mutation_rate = get "mutation_rate" default_params.mutation_rate float_of_string_opt;
+    tournament = get "tournament" default_params.tournament int_of_string_opt;
+    elitism = get "elitism" default_params.elitism int_of_string_opt;
+    seed = get "seed" default_params.seed int_of_string_opt;
+    c_violation = get "c_violation" default_params.c_violation float_of_string_opt;
+    c_sm_stuck = get "c_sm_stuck" default_params.c_sm_stuck float_of_string_opt;
+    fission_enabled = get "fission_enabled" default_params.fission_enabled bool_of_string_opt;
   }
 
+(* the search's loops assume these; [tournament = 0] would never pick *)
+let check_params p =
+  let need ok field what =
+    if not ok then invalid_arg (Printf.sprintf "Gga.run: %s must be %s" field what)
+  in
+  need (p.population >= 1) "population" "at least 1";
+  need (p.generations >= 0) "generations" "non-negative";
+  need (p.tournament >= 1) "tournament" "at least 1";
+  need (p.elitism >= 0) "elitism" "non-negative"
+
 type problem = {
-  units : Kft_perfmodel.Perfmodel.unit_model list;
-  fission_parts : (string * Kft_perfmodel.Perfmodel.unit_model list) list;
-  part_arrays : (string * string list) list;
-  feasible : string list -> bool;
-  solution_feasible : groups:string list list -> fissioned:string list -> bool;
+  model : int -> Kft_perfmodel.Perfmodel.unit_model;
+  units : int list;
+  fission_parts : (int * int list) list;
+  part_arrays : (int * string list) list;
+  feasible : int list -> bool;
+  solution_feasible : groups:int list list -> fissioned:int list -> bool;
       (** joint schedulability: contracting every group at once must
           leave the order-of-execution graph acyclic *)
-  eval_group : Kft_perfmodel.Perfmodel.unit_model list -> Kft_perfmodel.Perfmodel.group_eval;
-  shared_ok : Kft_perfmodel.Perfmodel.unit_model list -> bool;
+  eval_group : int list -> Kft_perfmodel.Perfmodel.group_eval;
+  shared_ok : int list -> bool;
 }
 
 type solution = {
@@ -114,17 +131,27 @@ module Engine = Kft_engine.Engine
 module Trace = Kft_trace.Trace
 module Perfmodel = Kft_perfmodel.Perfmodel
 
+(* the generic hash stops after ten values, too few to tell large
+   groups apart *)
+let hash_ints = List.fold_left (fun h u -> (h * 31) + u)
+
+module Groups = Hashtbl.Make (struct
+  type t = int list
+
+  let equal = List.equal Int.equal
+  let hash g = hash_ints 17 g land max_int
+end)
+
 module Internal = struct
-  (* Every unit and fission part has a dense id in [compare] order of its
-     name, so ordering ids orders names: canonical forms, memo keys and
-     every tie-break are those of the named genome. Host arrays get ids
-     too, in first-seen order (only their equality matters). Names
-     appear only at the [problem] boundary. *)
+  (* The problem's unit ids are the search's own. Canonical forms and
+     every tie-break order ids by [rank], the position of their names in
+     [compare] order, so they are those of the named genome whatever the
+     caller's numbering. Host arrays get ids in first-seen order (only
+     their equality matters). Names appear only in [solution]. *)
   type space = {
     problem : problem;
-    names : string array;
-    models : Perfmodel.unit_model array;
-    units : int list;  (* the problem's units, in schedule order *)
+    rank : int array;
+    fissionable : int list;  (* the units with parts, by rank *)
     parts : int list option array;  (* a fissionable unit's parts *)
     arrays : int list array;  (* the host arrays a unit's model touches *)
     part_arrays : int list array;  (* the arrays that keep a part in its group *)
@@ -132,38 +159,28 @@ module Internal = struct
   }
 
   let space (problem : problem) =
-    let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun (m : Perfmodel.unit_model) -> Hashtbl.replace tbl m.unit_name m)
-      (problem.units @ List.concat_map snd problem.fission_parts);
-    let names = Array.of_list (List.sort compare (List.of_seq (Hashtbl.to_seq_keys tbl))) in
-    let index = Hashtbl.create 64 in
-    Array.iteri (fun i n -> Hashtbl.replace index n i) names;
-    let id (m : Perfmodel.unit_model) = Hashtbl.find index m.unit_name in
-    let models = Array.map (Hashtbl.find tbl) names in
+    let ids = problem.units @ List.concat_map snd problem.fission_parts in
+    let n = 1 + List.fold_left max (-1) ids in
+    let ranked = List.sort_uniq compare (List.map (fun u -> ((problem.model u).unit_name, u)) ids) in
+    let rank = Array.make n 0 in
+    List.iteri (fun r (_, u) -> rank.(u) <- r) ranked;
     let array_ids = Hashtbl.create 64 in
     let array_id a =
       if not (Hashtbl.mem array_ids a) then Hashtbl.replace array_ids a (Hashtbl.length array_ids);
       Hashtbl.find array_ids a
     in
-    let arrays = Array.map (fun (m : Perfmodel.unit_model) -> List.map (fun a -> array_id a.Perfmodel.host) m.arrays) models in
-    let parts = Array.make (Array.length names) None and part_arrays = Array.copy arrays in
+    let arrays = Array.make n [] in
+    List.iter
+      (fun (_, u) -> arrays.(u) <- List.map (fun a -> array_id a.Perfmodel.host) (problem.model u).arrays)
+      ranked;
+    let parts = Array.make n None and part_arrays = Array.copy arrays in
     (* the first binding wins, as with [List.assoc] *)
-    List.iter
-      (fun (orig, ms) ->
-        match Hashtbl.find_opt index orig with
-        | Some u when parts.(u) = None -> parts.(u) <- Some (List.map id ms)
-        | _ -> ())
-      problem.fission_parts;
-    List.iter
-      (fun (p, arrs) -> Option.iter (fun u -> part_arrays.(u) <- List.map array_id arrs) (Hashtbl.find_opt index p))
-      (List.rev problem.part_arrays);
-    let n_arrays = Hashtbl.length array_ids in
-    { problem; names; models; units = List.map id problem.units; parts; arrays; part_arrays; n_arrays }
+    List.iter (fun (u, ps) -> if parts.(u) = None then parts.(u) <- Some ps) problem.fission_parts;
+    List.iter (fun (p, arrs) -> part_arrays.(p) <- List.map array_id arrs) (List.rev problem.part_arrays);
+    let fissionable = List.filter_map (fun (_, u) -> Option.map (fun _ -> u) parts.(u)) ranked in
+    { problem; rank; fissionable; parts; arrays; part_arrays; n_arrays = Hashtbl.length array_ids }
 
-  let id sp n = Option.get (Array.find_index (String.equal n) sp.names)
-  let name sp u = sp.names.(u)
-  let units sp = sp.units
+  let by_rank sp a b = Int.compare sp.rank.(a) sp.rank.(b)
 
   (* genotype: groups of unit ids + set of fissioned kernels *)
   type genome = { g_groups : int list list; g_fissioned : int list }
@@ -171,17 +188,16 @@ module Internal = struct
   let rec mem_int (x : int) = function [] -> false | y :: l -> x = y || mem_int x l
   let intersects a b = List.exists (fun x -> mem_int x b) a
 
-  let compare_int (a : int) b = compare a b
-
-  (* canonical form: members sorted within groups, groups sorted, fissioned
-     set sorted and deduplicated. Evaluation happens on the canonical form
-     only, which makes the fitness a pure function of the canonical genome
-     -- the property the memo cache relies on (cache on or off produces
-     bit-identical results). *)
-  let normalize genome =
+  (* canonical form, by rank: members sorted within groups, groups
+     sorted, fissioned set sorted and deduplicated. Evaluation happens on
+     the canonical form only, which makes the fitness a pure function of
+     the canonical genome -- the property the memo cache relies on (cache
+     on or off produces bit-identical results). *)
+  let normalize sp genome =
+    let c = by_rank sp in
     {
-      g_groups = List.sort (List.compare compare_int) (List.map (List.sort compare_int) genome.g_groups);
-      g_fissioned = List.sort_uniq compare_int genome.g_fissioned;
+      g_groups = List.sort (List.compare c) (List.map (List.sort c) genome.g_groups);
+      g_fissioned = List.sort_uniq c genome.g_fissioned;
     }
 
   (* structural repair: make [genome] a valid partition of its *effective*
@@ -193,7 +209,7 @@ module Internal = struct
      ids outside the effective set, and appends still-missing units as
      singletons. *)
   let repair_partition sp genome =
-    let n = Array.length sp.names in
+    let n = Array.length sp.rank in
     let fissioned = Array.make n false in
     List.iter (fun u -> if Option.is_some sp.parts.(u) then fissioned.(u) <- true) genome.g_fissioned;
     let any = List.exists (fun u -> fissioned.(u)) genome.g_fissioned in
@@ -201,7 +217,7 @@ module Internal = struct
       if not any then g
       else List.concat_map (fun u -> match sp.parts.(u) with Some ps when fissioned.(u) -> ps | _ -> [ u ]) g
     in
-    let expected = expand sp.units in
+    let expected = expand sp.problem.units in
     let in_expected = Array.make n false and placed = Array.make n false in
     List.iter (fun u -> in_expected.(u) <- true) expected;
     let keep u =
@@ -211,11 +227,7 @@ module Internal = struct
     in
     let groups = List.filter_map (fun g -> match List.filter keep (expand g) with [] -> None | g' -> Some g') genome.g_groups in
     let missing = List.filter_map (fun u -> if placed.(u) then None else Some [ u ]) expected in
-    let g_fissioned = ref [] in
-    for u = n - 1 downto 0 do
-      if fissioned.(u) then g_fissioned := u :: !g_fissioned
-    done;
-    { g_groups = groups @ missing; g_fissioned = !g_fissioned }
+    { g_groups = groups @ missing; g_fissioned = List.filter (fun u -> fissioned.(u)) sp.fissionable }
 
   (* What scoring needs of one group, computed once per distinct ordered
      member list and kept for the whole search: the callbacks are pure,
@@ -230,17 +242,6 @@ module Internal = struct
     projection : Perfmodel.group_eval Lazy.t;
   }
 
-  (* the generic hash stops after ten values, too few to tell large
-     groups apart *)
-  let hash_ints = List.fold_left (fun h u -> (h * 31) + u)
-
-  module Groups = Hashtbl.Make (struct
-    type t = int list
-
-    let equal = List.equal Int.equal
-    let hash g = hash_ints 17 g land max_int
-  end)
-
   type verdicts = verdict Groups.t
 
   let verdicts () : verdicts = Groups.create 1024
@@ -249,15 +250,14 @@ module Internal = struct
     match Groups.find_opt table g with
     | Some v -> v
     | None ->
-        let models = List.map (fun u -> sp.models.(u)) g in
         let illegal =
           lazy
             (if List.compare_length_with g 1 <= 0 then 0
              else
-               Bool.to_int (not (sp.problem.feasible (List.map (name sp) g)))
-               + Bool.to_int (List.exists (fun (m : Perfmodel.unit_model) -> not m.fusable) models))
+               Bool.to_int (not (sp.problem.feasible g))
+               + Bool.to_int (List.exists (fun u -> not (sp.problem.model u).fusable) g))
         in
-        let v = { fits = sp.problem.shared_ok models; illegal; projection = lazy (sp.problem.eval_group models) } in
+        let v = { fits = sp.problem.shared_ok g; illegal; projection = lazy (sp.problem.eval_group g) } in
         Groups.add table g v;
         v
 
@@ -323,9 +323,8 @@ module Internal = struct
         genome.g_groups
     in
     let groups = List.map fst scored in
-    let names = List.map (List.map (name sp)) groups in
     let stuck_groups = List.fold_left (fun acc (_, v) -> acc + Bool.to_int (not v.fits)) 0 scored in
-    let joint = sp.problem.solution_feasible ~groups:names ~fissioned:(List.map (name sp) !fissioned) in
+    let joint = sp.problem.solution_feasible ~groups ~fissioned:!fissioned in
     let violations = List.fold_left (fun acc (_, v) -> acc + Lazy.force v.illegal) stuck_groups scored in
     let violations = violations + Bool.to_int (not joint) in
     (* projections fold in solution order, as in [Perfmodel.objective] *)
@@ -339,12 +338,12 @@ module Internal = struct
       -. (float_of_int violations *. (params.c_violation +. (0.75 *. scale)))
       -. (float_of_int stuck_groups *. (params.c_sm_stuck +. (0.15 *. scale)))
     in
-    let genome = { g_groups = groups; g_fissioned = List.sort_uniq compare_int !fissioned } in
+    let genome = { g_groups = groups; g_fissioned = List.sort_uniq (by_rank sp) !fissioned } in
     ({ fitness; raw_objective = raw; violations }, genome, !fission_counter)
 
   (* names only for the solutions a caller sees *)
   let solution sp (s : score) g =
-    let names = List.map (name sp) in
+    let names = List.map (fun u -> (sp.problem.model u).unit_name) in
     let groups = List.map names g.g_groups and fissioned = names g.g_fissioned in
     { groups; fissioned; fitness = s.fitness; raw_objective = s.raw_objective; violations = s.violations }
 
@@ -368,8 +367,9 @@ module Internal = struct
         List.filter_map (fun g -> match List.filter kept g with [] -> None | g' -> Some g') a.g_groups
       in
       (* units of A fissioned differently than B could mismatch; keep the
-         union of fissioned sets and let repair drop stale units *)
-      { g_groups = remaining @ injected; g_fissioned = List.sort_uniq compare_int (a.g_fissioned @ b.g_fissioned) }
+         union of fissioned sets and let repair drop stale units (and
+         duplicates) *)
+      { g_groups = remaining @ injected; g_fissioned = a.g_fissioned @ b.g_fissioned }
     end
 
   let mutate rng sp genome =
@@ -460,6 +460,7 @@ end)
 (* ------------------------------------------------------------------ *)
 
 let run ?(on_generation = fun _ _ -> ()) ?engine ?trace params problem =
+  check_params params;
   (* the caller's engine sets the memo policy; scoring runs here, in the
      calling domain, whatever the engine's width *)
   let jobs, memo = match engine with Some e -> (Engine.jobs e, Engine.memo_enabled e) | None -> (1, true) in
@@ -473,7 +474,7 @@ let run ?(on_generation = fun _ _ -> ()) ?engine ?trace params problem =
      and evaluated on a miss. The per-genome fission count is replayed on
      memo hits so [fission_events] is independent of the cache setting. *)
   let score g =
-    let g = normalize (repair_partition sp g) in
+    let g = normalize sp (repair_partition sp g) in
     incr requested;
     let s, g, fissions =
       match if memo then Genomes.find_opt cache g else None with
@@ -496,8 +497,8 @@ let run ?(on_generation = fun _ _ -> ()) ?engine ?trace params problem =
   in
   let initial =
     List.init params.population (fun i ->
-        if i = 0 then { g_groups = List.map (fun u -> [ u ]) sp.units; g_fissioned = [] }
-        else { g_groups = random_partition rng sp.units; g_fissioned = [] })
+        if i = 0 then { g_groups = List.map (fun u -> [ u ]) problem.units; g_fissioned = [] }
+        else { g_groups = random_partition rng problem.units; g_fissioned = [] })
   in
   let scored = ref [] in
   (* one span per generation (gen:0 is the initial scoring), with a

@@ -33,36 +33,50 @@ val params_to_text : params -> string
 
 val params_of_text : string -> params
 (** Round-trip of the parameter file the programmer may edit
-    (Section 3.2.4). Raises [Failure] on malformed input. *)
+    (Section 3.2.4). Raises [Failure] naming the line on malformed
+    input: a line without [=], or a value its key cannot take. *)
 
 type problem = {
-  units : Kft_perfmodel.Perfmodel.unit_model list;
-      (** target kernel invocations (filtered; in schedule order) *)
-  fission_parts : (string * Kft_perfmodel.Perfmodel.unit_model list) list;
-      (** lazy-fission pre-step: per fissionable kernel, the models of
-          its parts (each part name is unique) *)
-  part_arrays : (string * string list) list;
+  model : int -> Kft_perfmodel.Perfmodel.unit_model;
+      (** the model of a unit or part id; its [unit_name] is the unit's
+          name in a {!solution} and ranks it (below) *)
+  units : int list;  (** target kernel invocations (filtered; in schedule order) *)
+  fission_parts : (int * int list) list;
+      (** lazy-fission pre-step: per fissionable unit, its parts *)
+  part_arrays : (int * string list) list;
       (** host arrays touched per fission part (to decide which parts
           stay in the violating group) *)
-  feasible : string list -> bool;
+  feasible : int list -> bool;
       (** may this set of units be fused? (OEG quotient acyclicity) *)
-  solution_feasible : groups:string list list -> fissioned:string list -> bool;
+  solution_feasible : groups:int list list -> fissioned:int list -> bool;
       (** joint schedulability of a whole solution: contracting every
           group simultaneously must leave the OEG acyclic (two
           individually feasible groups can still deadlock each other) *)
-  eval_group : Kft_perfmodel.Perfmodel.unit_model list -> Kft_perfmodel.Perfmodel.group_eval;
+  eval_group : int list -> Kft_perfmodel.Perfmodel.group_eval;
       (** projection of one group; a solution's objective (higher is
           better) is {!Kft_perfmodel.Perfmodel.solution_gflops} of its
           groups' projections, in solution order *)
-  shared_ok : Kft_perfmodel.Perfmodel.unit_model list -> bool;
+  shared_ok : int list -> bool;
       (** does the group's staging footprint fit per-block shared memory? *)
 }
-(** The callbacks must be pure functions of their (ordered) argument: the
+(** A search over the caller's unit ids: distinct non-negative ints (the
+    framework's unit table numbers invocations and fission parts
+    densely), used as array indices. Names appear only in the returned
+    {!solution}. Once per search, each id is ranked by its model's
+    [unit_name] in [compare] order, and every canonical form and
+    tie-break orders ids by rank, so the outcome does not depend on the
+    numbering.
+
+    The callbacks must be pure functions of their (ordered) argument: the
     search calls each at most once per distinct member list and reuses
     the verdict. *)
 
+module Groups : Hashtbl.S with type key = int list
+(** Tables keyed by ordered id lists, hashing every id (the generic hash
+    stops after ten values, too few to tell large groups apart). *)
+
 type solution = {
-  groups : string list list;
+  groups : string list list;  (** unit names *)
   fissioned : string list;  (** original kernels replaced by their parts *)
   fitness : float;
   raw_objective : float;
@@ -99,7 +113,10 @@ val run :
   ?engine:Kft_engine.Engine.t ->
   ?trace:Kft_trace.Trace.t ->
   params -> problem -> result
-(** Deterministic for a fixed [params.seed]. Everything runs in the
+(** Raises [Invalid_argument] naming the field unless [population >= 1],
+    [generations >= 0], [tournament >= 1] and [elitism >= 0].
+
+    Deterministic for a fixed [params.seed]. Everything runs in the
     calling domain: each generation is bred (every RNG draw, in a fixed
     order), then scored genome by genome. Genomes are canonicalized
     before evaluation, making fitness a pure function of the canonical
@@ -124,12 +141,10 @@ module Internal : sig
   type genome = { g_groups : int list list; g_fissioned : int list }
 
   type space
-  (** A problem's units and fission parts numbered densely in [compare]
-      order of their names, with their models and host arrays. *)
+  (** A problem's per-search tables over its ids: each id's rank, its
+      parts and the host arrays it touches. *)
 
   val space : problem -> space
-  val id : space -> string -> int
-  val units : space -> int list  (** in schedule order *)
 
   type verdicts
   (** Group verdicts (shared-memory fit, violated constraints,
@@ -137,21 +152,22 @@ module Internal : sig
 
   val verdicts : unit -> verdicts  (** a fresh, empty table *)
 
-  val normalize : genome -> genome
-  (** Canonical form: members sorted within groups, groups sorted,
-      fissioned set sorted + deduplicated. *)
+  val normalize : space -> genome -> genome
+  (** Canonical form, ordering ids by rank: members sorted within
+      groups, groups sorted, fissioned set sorted + deduplicated. *)
 
   val repair_partition : space -> genome -> genome
   (** Make the genome a valid partition of its effective unit set (each
       fissioned original replaced by its parts): duplicates dropped,
-      stale originals expanded, missing units appended as singletons.
-      Idempotent. *)
+      stale originals expanded, missing units appended as singletons,
+      the fissioned set sorted by rank. Idempotent. *)
 
   val random_partition : Random.State.t -> int list -> int list list
 
   val crossover : Random.State.t -> genome -> genome -> genome
   (** Falkenauer-style group injection. May leave the result in need of
-      {!repair_partition} when the parents' fission states differ. *)
+      {!repair_partition} when the parents' fission states differ; the
+      fissioned set is the parents' two lists appended. *)
 
   val mutate : Random.State.t -> space -> genome -> genome
 

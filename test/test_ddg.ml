@@ -7,6 +7,13 @@ module Sf = Kft_schedflow.Schedflow
 
 let prog = Util.producer_consumer_program ()
 
+(* the closure queries take invocation indices; the tests name keys *)
+let index (g : D.t) k =
+  (List.find (fun (i : D.invocation) -> i.inv_key = k) g.invocations).inv_index
+
+let precedes g a b = D.oeg_precedes g (index g a) (index g b)
+let feasible g keys = D.fusion_feasible g (List.map (index g) keys)
+
 (* the OEG's edges as invocation key pairs, in invocation order *)
 let oeg_edges (g : D.t) =
   let key = Array.of_list (List.map (fun (i : D.invocation) -> i.inv_key) g.invocations) in
@@ -38,11 +45,11 @@ let test_ddg_structure () =
 
 let test_oeg_precedence () =
   let g = D.build prog in
-  Alcotest.(check bool) "produce before consume" true (D.oeg_precedes g "produce" "consume");
-  Alcotest.(check bool) "not the reverse" false (D.oeg_precedes g "consume" "produce");
-  Alcotest.(check bool) "not itself" false (D.oeg_precedes g "produce" "produce");
-  Alcotest.check_raises "unknown key" (G.No_such_node "ghost") (fun () ->
-      ignore (D.oeg_precedes g "ghost" "produce"))
+  Alcotest.(check bool) "produce before consume" true (precedes g "produce" "consume");
+  Alcotest.(check bool) "not the reverse" false (precedes g "consume" "produce");
+  Alcotest.(check bool) "not itself" false (precedes g "produce" "produce");
+  Alcotest.check_raises "index past the schedule" (Invalid_argument "index out of bounds")
+    (fun () -> ignore (D.oeg_precedes g 2 0))
 
 let chain_prog n =
   (* k_i : X_i -> X_{i+1}, a pointwise chain *)
@@ -77,15 +84,15 @@ let test_transitive_reduction () =
   let g = D.build (chain_prog 4) in
   (* the OEG of a chain is exactly the chain after reduction *)
   Alcotest.(check int) "3 edges" 3 (D.oeg_edge_count g);
-  Alcotest.(check bool) "k0 still precedes k3 transitively" true (D.oeg_precedes g "k0" "k3")
+  Alcotest.(check bool) "k0 still precedes k3 transitively" true (precedes g "k0" "k3")
 
 let test_fusion_feasible () =
   let g = D.build (chain_prog 4) in
-  Alcotest.(check bool) "adjacent pair" true (D.fusion_feasible g [ "k0"; "k1" ]);
-  Alcotest.(check bool) "whole chain" true (D.fusion_feasible g [ "k0"; "k1"; "k2"; "k3" ]);
+  Alcotest.(check bool) "adjacent pair" true (feasible g [ "k0"; "k1" ]);
+  Alcotest.(check bool) "whole chain" true (feasible g [ "k0"; "k1"; "k2"; "k3" ]);
   (* skipping the middle creates a path out and back: infeasible *)
-  Alcotest.(check bool) "k0+k2 infeasible" false (D.fusion_feasible g [ "k0"; "k2" ]);
-  Alcotest.(check bool) "singleton trivially ok" true (D.fusion_feasible g [ "k1" ])
+  Alcotest.(check bool) "k0+k2 infeasible" false (feasible g [ "k0"; "k2" ]);
+  Alcotest.(check bool) "singleton trivially ok" true (feasible g [ "k1" ])
 
 (* [Util.halves_program]: [lo] writes the lower half of X, [mid] reads
    it, [hi] writes the upper half. Schedflow proves the regions and
@@ -97,14 +104,14 @@ let test_refined_dependence_not_ordered () =
   Alcotest.(check int) "two refined away" 2 sf.stats.st_deps_refined;
   let g = D.of_schedflow sf in
   Alcotest.(check (list (pair string string))) "OEG edges" [ ("lo", "mid") ] (oeg_edges g);
-  Alcotest.(check bool) "lo does not precede hi" false (D.oeg_precedes g "lo" "hi");
-  Alcotest.(check bool) "mid does not precede hi" false (D.oeg_precedes g "mid" "hi")
+  Alcotest.(check bool) "lo does not precede hi" false (precedes g "lo" "hi");
+  Alcotest.(check bool) "mid does not precede hi" false (precedes g "mid" "hi")
 
 (* so [lo] and [hi] may fuse around [mid] *)
 let test_refined_group_legal () =
   let g = D.build (Util.halves_program ()) in
-  Alcotest.(check bool) "lo+hi feasible" true (D.fusion_feasible g [ "lo"; "hi" ]);
-  Alcotest.(check bool) "lo+mid+hi feasible" true (D.fusion_feasible g [ "lo"; "mid"; "hi" ])
+  Alcotest.(check bool) "lo+hi feasible" true (feasible g [ "lo"; "hi" ]);
+  Alcotest.(check bool) "lo+mid+hi feasible" true (feasible g [ "lo"; "mid"; "hi" ])
 
 let multi_writer_prog () =
   let dims = (8, 4, 2) in
@@ -147,7 +154,7 @@ let test_repeated_invocation_keys () =
   let g = D.build p in
   Alcotest.(check (list string)) "keys" [ "k0"; "k1"; "k0#2" ]
     (List.map (fun (i : D.invocation) -> i.inv_key) g.invocations);
-  Alcotest.(check bool) "k1 before k0#2 (WAR on X1)" true (D.oeg_precedes g "k1" "k0#2")
+  Alcotest.(check bool) "k1 before k0#2 (WAR on X1)" true (precedes g "k1" "k0#2")
 
 (* host copies are schedule ops but not invocations: [inv_index] counts
    launches only, and [invocations] (a schedule walk) assigns the keys
@@ -170,7 +177,7 @@ let test_invocations_skip_copies () =
   Alcotest.(check (list (triple string string int))) "same as the analysed DDG"
     (summary walk) (summary g.invocations);
   Alcotest.(check bool) "consume before produce#2 (WAR on B)" true
-    (D.oeg_precedes g "consume" "produce#2")
+    (precedes g "consume" "produce#2")
 
 (* a launch whose kernel is not in the program reads and writes nothing:
    it is a node of both graphs with no edges, and the others keep theirs *)
@@ -228,8 +235,8 @@ let random_schedule_program launches =
   }
 
 (* a random schedule plus random picks into its invocation keys for the
-   group; picks past the keys name nodes that are not in the OEG, and
-   repeated picks give duplicates *)
+   group; picks past the keys are dropped, and repeated picks give
+   duplicates *)
 let schedule_and_picks_arb =
   QCheck.make
     ~print:(fun (launches, picks) ->
@@ -290,8 +297,7 @@ let prop_closure_matches_quotient =
       let keys = List.map (fun (i : D.invocation) -> i.inv_key) g.invocations in
       let key = Array.of_list keys in
       let chains = dependence_chains sf (Array.length key) in
-      let names = keys @ [ "ghost"; "ka#99"; "__fused__x" ] in
-      let group = List.filter_map (List.nth_opt names) picks in
+      let group = List.filter_map (List.nth_opt keys) picks in
       let edges = oeg_edges g in
       let group_of k = if List.mem k group then "__fused__" else k in
       let quotient =
@@ -299,15 +305,15 @@ let prop_closure_matches_quotient =
           (fun (a, b) -> if group_of a = group_of b then None else Some (group_of a, group_of b))
           edges
       in
-      D.fusion_feasible g group = not (List.exists (fun (a, _) -> reaches quotient a a) quotient)
+      feasible g group = not (List.exists (fun (a, _) -> reaches quotient a a) quotient)
       && List.for_all
-           (fun a -> List.for_all (fun b -> D.oeg_precedes g a b = reaches edges a b) keys)
+           (fun a -> List.for_all (fun b -> precedes g a b = reaches edges a b) keys)
            keys
       && Array.for_all Fun.id
            (Array.mapi
               (fun a row ->
                 Array.for_all Fun.id
-                  (Array.mapi (fun b chained -> D.oeg_precedes g key.(a) key.(b) = chained) row))
+                  (Array.mapi (fun b chained -> D.oeg_precedes g a b = chained) row))
               chains)
       && List.for_all
            (fun (a, b) ->
@@ -316,7 +322,7 @@ let prop_closure_matches_quotient =
                   (fun (a', c) -> a' = a && c <> b && reaches edges c b)
                   edges))
            edges
-      && List.for_all (fun (a, b, _) -> D.oeg_precedes g key.(a) key.(b)) (Sf.launch_deps sf))
+      && List.for_all (fun (a, b, _) -> D.oeg_precedes g a b) (Sf.launch_deps sf))
 
 let suite =
   [

@@ -365,6 +365,67 @@ let test_cyclic_grouping_falls_back () =
        r.codegen.reports);
   Alcotest.(check bool) "output verified" true (r.verified = Ok ())
 
+(* the search's joint feasibility reads successor arrays built once per
+   search. It must agree with contracting successors built directly from
+   the OEG for each solution, every fissioned invocation replaced by its
+   parts, over random groupings of B-CALM's units (the one bundled app
+   whose search fissions) with and without each fission plan *)
+let test_joint_feasibility_with_fission () =
+  let graphs, problem = F.Internal.search_problem ~config (Kft_apps.Apps.bcalm ()).program in
+  let plans = problem.fission_parts in
+  Alcotest.(check bool) "B-CALM has fission plans" true (List.length plans >= 2);
+  let n_inv = Array.length graphs.oeg in
+  let n_units = n_inv + List.length (List.concat_map snd plans) in
+  let direct ~groups ~fissioned =
+    let present =
+      Array.init n_inv (fun i ->
+          match List.assoc_opt i plans with Some ps when List.mem i fissioned -> ps | _ -> [ i ])
+    in
+    let succs = Array.make n_units [] in
+    Array.iteri
+      (fun i us ->
+        let below = List.concat_map (fun j -> present.(j)) graphs.oeg.(i) in
+        List.iter (fun u -> succs.(u) <- below) us)
+      present;
+    let label = Array.init n_units (fun u -> List.length groups + u) in
+    List.iteri (fun g us -> List.iter (fun u -> label.(u) <- g) us) groups;
+    Option.is_some (F.Internal.contract succs label)
+  in
+  let originals = List.map fst plans in
+  let subsets =
+    ([] :: originals :: List.map (fun i -> [ i ]) originals)
+    @ List.map (fun i -> List.filter (( <> ) i) originals) originals
+  in
+  let rng = Random.State.make [| 11 |] in
+  let verdicts =
+    List.concat_map
+      (fun fissioned ->
+        let units =
+          List.concat_map
+            (fun u -> if List.mem u fissioned then List.assoc u plans else [ u ])
+            problem.units
+        in
+        let random_grouping () =
+          let buckets = Array.make (1 + Random.State.int rng (List.length units)) [] in
+          List.iter
+            (fun u ->
+              let b = Random.State.int rng (Array.length buckets) in
+              buckets.(b) <- u :: buckets.(b))
+            units;
+          List.filter (( <> ) []) (Array.to_list buckets)
+        in
+        List.map
+          (fun groups ->
+            let expected = direct ~groups ~fissioned in
+            Alcotest.(check bool) "agrees with the direct construction" expected
+              (problem.solution_feasible ~groups ~fissioned);
+            expected)
+          (List.map (fun u -> [ u ]) units :: List.init 40 (fun _ -> random_grouping ())))
+      subsets
+  in
+  Alcotest.(check bool) "both verdicts occur" true
+    (List.mem true verdicts && List.mem false verdicts)
+
 let suite =
   [
     Alcotest.test_case "end-to-end verified" `Quick test_end_to_end_verified;
@@ -379,6 +440,7 @@ let suite =
     Alcotest.test_case "stage report text" `Quick test_stage_report_text;
     Alcotest.test_case "target filter uses the configured device" `Quick test_filter_uses_device;
     Alcotest.test_case "fission flows through pipeline" `Quick test_fission_flows_through;
+    Alcotest.test_case "joint feasibility with fission" `Quick test_joint_feasibility_with_fission;
     Alcotest.test_case "part-like kernel name is not a part" `Quick
       test_part_like_name_is_a_kernel;
     Alcotest.test_case "no fission plan whose part names are taken" `Quick test_part_name_clash;

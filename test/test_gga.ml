@@ -19,6 +19,20 @@ let test_params_malformed () =
   | (_ : Gga.params) -> Alcotest.fail "expected failure"
   | exception Failure _ -> ()
 
+(* a value its key cannot take fails naming the key and the line *)
+let test_params_bad_value () =
+  List.iter
+    (fun (text, expected) ->
+      match Gga.params_of_text text with
+      | (_ : Gga.params) -> Alcotest.fail ("accepted: " ^ text)
+      | exception Failure msg -> Alcotest.(check string) text expected msg)
+    [
+      ("population = many", {|GGA parameter file, line 1: population = "many" is not a valid value|});
+      ( "seed = 3\n\nfission_enabled = maybe",
+        {|GGA parameter file, line 3: fission_enabled = "maybe" is not a valid value|} );
+      ("crossover_rate = ", {|GGA parameter file, line 1: crossover_rate = "" is not a valid value|});
+    ]
+
 (* a synthetic problem: units u0..u(n-1); consecutive pairs share an
    array, so the ideal grouping is pairs {u0,u1} {u2,u3} ... *)
 let unit_model name arrays =
@@ -37,22 +51,63 @@ let unit_model name arrays =
     fusable = true;
   }
 
-let pair_problem n =
-  let units =
-    List.init n (fun i ->
-        unit_model (Printf.sprintf "u%d" i) [ Printf.sprintf "S%d" (i / 2); Printf.sprintf "O%d" i ])
-  in
+(* a problem over named models. Unit ids follow list order (the units,
+   then every fission part), mapped through [renumber]; the callbacks
+   see the members' models, so a test states them by name *)
+let named_problem ?(renumber = Fun.id) ?(fission_parts = []) ?(part_arrays = [])
+    ?(feasible = fun _ -> true) ?(solution_feasible = fun ~groups:_ ~fissioned:_ -> true)
+    ?(shared_ok = fun _ -> true) units =
+  let models = units @ List.concat_map snd fission_parts in
+  let ids = List.mapi (fun i (m : PM.unit_model) -> (m.unit_name, renumber i)) models in
+  let id name = List.assoc name ids in
+  let by_id = Hashtbl.create 16 in
+  List.iter2 (fun (_, u) m -> Hashtbl.replace by_id u m) ids models;
+  let model = Hashtbl.find by_id in
+  let named = List.map model in
+  let name_id (m : PM.unit_model) = id m.unit_name in
   {
-    Gga.units;
-    fission_parts = [];
-    part_arrays = [];
-    feasible = (fun _ -> true);
-    solution_feasible = (fun ~groups:_ ~fissioned:_ -> true);
-    eval_group = PM.eval_group Util.device;
-    shared_ok = (fun _ -> true);
+    Gga.model;
+    units = List.map name_id units;
+    fission_parts = List.map (fun (o, ps) -> (id o, List.map name_id ps)) fission_parts;
+    part_arrays = List.map (fun (p, arrs) -> (id p, arrs)) part_arrays;
+    feasible = (fun g -> feasible (named g));
+    solution_feasible =
+      (fun ~groups ~fissioned ->
+        solution_feasible ~groups:(List.map named groups) ~fissioned:(named fissioned));
+    eval_group = (fun g -> PM.eval_group Util.device (named g));
+    shared_ok = (fun g -> shared_ok (named g));
   }
 
+(* the id a problem gives a unit or part name *)
+let id_of (p : Gga.problem) name =
+  List.find (fun u -> (p.model u).unit_name = name) (p.units @ List.concat_map snd p.fission_parts)
+
+let pair_units n =
+  List.init n (fun i ->
+      unit_model (Printf.sprintf "u%d" i) [ Printf.sprintf "S%d" (i / 2); Printf.sprintf "O%d" i ])
+
+let pair_problem ?renumber n = named_problem ?renumber (pair_units n)
+
 let small = { Gga.default_params with generations = 60; population = 24 }
+
+(* parameters the search's loops cannot run with are refused up front;
+   [tournament = 0] once looped forever *)
+let test_run_rejects_bad_params () =
+  List.iter
+    (fun (field, params) ->
+      match Gga.run params (pair_problem 4) with
+      | (_ : Gga.result) -> Alcotest.fail ("accepted bad " ^ field)
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool) (msg ^ " names " ^ field) true (Util.contains msg field))
+    [
+      ("population", { small with population = 0 });
+      ("population", { small with population = -2 });
+      ("generations", { small with generations = -3 });
+      ("tournament", Gga.params_of_text "tournament = 0");
+      ("elitism", { small with elitism = -1 });
+    ];
+  let r = Gga.run { small with population = 1; generations = 0; elitism = 0 } (pair_problem 4) in
+  Alcotest.(check int) "the smallest search scores its one genome" 1 r.evaluations
 
 let test_deterministic () =
   let p = pair_problem 6 in
@@ -83,64 +138,55 @@ let test_finds_sharing_pairs () =
 let test_improves_over_singletons () =
   let p = pair_problem 6 in
   let r = Gga.run small p in
-  let singletons = PM.objective Util.device (List.map (fun (u : PM.unit_model) -> [ u ]) p.units) in
+  let singletons = PM.objective Util.device (List.map (fun u -> [ p.model u ]) p.units) in
   Alcotest.(check bool) "beats singletons" true (r.best.raw_objective > singletons)
 
 let test_respects_feasibility () =
-  let p = pair_problem 4 in
-  let p = { p with feasible = (fun g -> List.length g <= 1) } in
+  let p = named_problem ~feasible:(fun g -> List.length g <= 1) (pair_units 4) in
   let r = Gga.run small p in
   Alcotest.(check int) "no violations" 0 r.best.violations;
   Alcotest.(check bool) "all singletons" true (List.for_all (fun g -> List.length g = 1) r.best.groups)
 
 let test_joint_feasibility_penalized () =
-  let p = pair_problem 4 in
   (* forbid any solution with more than one multi-group *)
   let p =
-    { p with
-      solution_feasible =
-        (fun ~groups ~fissioned:_ ->
-          List.length (List.filter (fun g -> List.length g > 1) groups) <= 1) }
+    named_problem
+      ~solution_feasible:(fun ~groups ~fissioned:_ ->
+        List.length (List.filter (fun g -> List.length g > 1) groups) <= 1)
+      (pair_units 4)
   in
   let r = Gga.run { small with generations = 120 } p in
   Alcotest.(check int) "no violations in best" 0 r.best.violations;
   Alcotest.(check bool) "at most one fused group" true
     (List.length (List.filter (fun g -> List.length g > 1) r.best.groups) <= 1)
 
-let test_lazy_fission_triggers () =
-  (* one big unit whose staging violates capacity; its parts fit and pair
-     with a small consumer *)
+(* one big unit whose staging violates capacity; its parts fit and pair
+   with a small consumer. Any group of two or more holding "big" whole
+   violates capacity. *)
+let fission_problem ?renumber () =
   let big = unit_model "big" [ "X"; "Y"; "Z"; "W" ] in
   let partner = unit_model "p" [ "X" ] in
   let parts = [ unit_model "big__f1" [ "X" ]; unit_model "big__f2" [ "Y"; "Z"; "W" ] ] in
-  let problem =
-    {
-      Gga.units = [ big; partner ];
-      fission_parts = [ ("big", parts) ];
-      part_arrays = [ ("big__f1", [ "X" ]); ("big__f2", [ "Y"; "Z"; "W" ]) ];
-      feasible = (fun _ -> true);
-      solution_feasible = (fun ~groups:_ ~fissioned:_ -> true);
-      eval_group = PM.eval_group Util.device;
-      shared_ok =
-        (fun models ->
-          (* any group containing "big" whole violates capacity *)
-          not (List.exists (fun (m : PM.unit_model) -> m.unit_name = "big") models
-               && List.length models > 1));
-    }
-  in
-  let r = Gga.run { small with generations = 120 } problem in
+  named_problem ?renumber
+    ~fission_parts:[ ("big", parts) ]
+    ~part_arrays:[ ("big__f1", [ "X" ]); ("big__f2", [ "Y"; "Z"; "W" ]) ]
+    ~shared_ok:(fun models ->
+      not
+        (List.exists (fun (m : PM.unit_model) -> m.unit_name = "big") models
+        && List.length models > 1))
+    [ big; partner ]
+
+let test_lazy_fission_triggers () =
+  let r = Gga.run { small with generations = 120 } (fission_problem ()) in
   Alcotest.(check bool) "fission happened during search" true (r.fission_events > 0);
   Alcotest.(check bool) "avg fissions positive" true (r.avg_fissions_per_generation > 0.0)
 
 let test_fission_disabled () =
-  let big = unit_model "big" [ "X"; "Y" ] in
   let problem =
-    {
-      (pair_problem 2) with
-      Gga.units = [ big ];
-      fission_parts = [ ("big", [ unit_model "big__f1" [ "X" ] ]) ];
-      shared_ok = (fun _ -> false);
-    }
+    named_problem
+      ~fission_parts:[ ("big", [ unit_model "big__f1" [ "X" ] ]) ]
+      ~shared_ok:(fun _ -> false)
+      [ unit_model "big" [ "X"; "Y" ] ]
   in
   let r = Gga.run { small with fission_enabled = false } problem in
   Alcotest.(check int) "no fission events" 0 r.fission_events
@@ -151,15 +197,12 @@ let test_fission_disabled () =
    out of it *)
 let test_greedy_split_absorbs_all () =
   let problem =
-    {
-      (pair_problem 2) with
-      Gga.units = List.map (fun n -> unit_model n [ "S" ]) [ "a"; "b"; "c" ];
-      shared_ok =
-        (function (m : PM.unit_model) :: _ :: _ -> m.unit_name <> "a" | _ -> true);
-    }
+    named_problem
+      ~shared_ok:(function (m : PM.unit_model) :: _ :: _ -> m.unit_name <> "a" | _ -> true)
+      (List.map (fun n -> unit_model n [ "S" ]) [ "a"; "b"; "c" ])
   in
   let sp = Gga.Internal.space problem in
-  let id = Gga.Internal.id sp in
+  let id = id_of problem in
   let genome = { Gga.Internal.g_groups = [ [ id "a"; id "b"; id "c" ] ]; g_fissioned = [] } in
   let _, repaired, _ = Gga.Internal.evaluate small sp (Gga.Internal.verdicts ()) genome in
   Alcotest.(check (list (list int))) "one group, all three units"
@@ -223,7 +266,7 @@ let prop_random_partition_valid =
     QCheck.(pair (int_range 1 12) int)
     (fun (n, seed) ->
       let rng = Random.State.make [| seed |] in
-      let units = I.units (I.space (pair_problem n)) in
+      let units = (pair_problem n).units in
       let groups = I.random_partition rng units in
       check_partition ~expected:units { I.g_groups = groups; g_fissioned = [] })
 
@@ -258,23 +301,19 @@ let prop_mutate_valid =
       let child = I.mutate rng (I.space (pair_problem n)) g in
       check_partition ~expected:(List.init n Fun.id) child)
 
-(* a space for repair tests: u0 and u3 of six units are fissionable *)
-let repair_space =
+(* a problem for repair tests: u0 and u3 of six units are fissionable *)
+let repair_problem =
   let part name = unit_model name [ "P" ] in
-  I.space
-    {
-      (pair_problem 6) with
-      fission_parts =
-        [
-          ("u0", [ part "u0__f1"; part "u0__f2" ]);
-          ("u3", [ part "u3__f1"; part "u3__f2"; part "u3__f3" ]);
-        ];
-    }
+  named_problem
+    ~fission_parts:
+      [
+        ("u0", [ part "u0__f1"; part "u0__f2" ]);
+        ("u3", [ part "u3__f1"; part "u3__f2"; part "u3__f3" ]);
+      ]
+    (pair_units 6)
 
-let repair_parts =
-  List.map
-    (fun (o, ps) -> (I.id repair_space o, List.map (I.id repair_space) ps))
-    [ ("u0", [ "u0__f1"; "u0__f2" ]); ("u3", [ "u3__f1"; "u3__f2"; "u3__f3" ]) ]
+let repair_space = I.space repair_problem
+let repair_parts = repair_problem.fission_parts
 
 (* effective unit set of a genome: fissioned originals replaced by parts *)
 let effective (genome : I.genome) =
@@ -283,18 +322,18 @@ let effective (genome : I.genome) =
       if List.mem u genome.g_fissioned && List.mem_assoc u repair_parts then
         List.assoc u repair_parts
       else [ u ])
-    (I.units repair_space)
+    repair_problem.units
 
 (* generator: a deliberately broken genome — duplicated units, dropped
    units, originals and parts mixed regardless of the fissioned set, and
    units that cannot be fissioned in the fissioned set *)
 let broken_genome_gen =
   let open QCheck.Gen in
-  let n = List.length (I.units repair_space) + List.length (List.concat_map snd repair_parts) in
+  let n = List.length repair_problem.units + List.length (List.concat_map snd repair_parts) in
   let* n_groups = int_range 1 6 in
   let* groups = list_repeat n_groups (list_size (int_range 1 5) (int_range 0 (n - 1))) in
   let* fissioned =
-    list_size (int_range 0 3) (oneofl (List.map (I.id repair_space) [ "u0"; "u3"; "u0__f1"; "u5" ]))
+    list_size (int_range 0 3) (oneofl (List.map (id_of repair_problem) [ "u0"; "u3"; "u0__f1"; "u5" ]))
   in
   return { I.g_groups = groups; g_fissioned = fissioned }
 
@@ -333,27 +372,8 @@ let prop_normalize_canonical =
           g_fissioned = List.rev g.g_fissioned;
         }
       in
-      I.normalize g = I.normalize shuffled && I.normalize (I.normalize g) = I.normalize g)
-
-(* the lazy-fission problem from [test_lazy_fission_triggers], reused for
-   the evaluate-repair fixpoint property *)
-let fission_problem () =
-  let big = unit_model "big" [ "X"; "Y"; "Z"; "W" ] in
-  let partner = unit_model "p" [ "X" ] in
-  let parts = [ unit_model "big__f1" [ "X" ]; unit_model "big__f2" [ "Y"; "Z"; "W" ] ] in
-  {
-    Gga.units = [ big; partner ];
-    fission_parts = [ ("big", parts) ];
-    part_arrays = [ ("big__f1", [ "X" ]); ("big__f2", [ "Y"; "Z"; "W" ]) ];
-    feasible = (fun _ -> true);
-    solution_feasible = (fun ~groups:_ ~fissioned:_ -> true);
-    eval_group = PM.eval_group Util.device;
-    shared_ok =
-      (fun models ->
-        not
-          (List.exists (fun (m : PM.unit_model) -> m.unit_name = "big") models
-          && List.length models > 1));
-  }
+      let sp = I.space (pair_problem 8) in
+      I.normalize sp g = I.normalize sp shuffled && I.normalize sp (I.normalize sp g) = I.normalize sp g)
 
 let prop_evaluate_repair_fixpoint =
   QCheck.Test.make ~name:"evaluate's repaired genome is a fixpoint" ~count:200
@@ -369,8 +389,8 @@ let prop_evaluate_repair_fixpoint =
               return ("pairs", g)
           | `Fission ->
               let* both = bool in
-              (* ids in name order: big = 0, p = 3 *)
-              let groups = if both then [ [ 0; 3 ] ] else [ [ 0 ]; [ 3 ] ] in
+              (* ids in list order: big = 0, p = 1 *)
+              let groups = if both then [ [ 0; 1 ] ] else [ [ 0 ]; [ 1 ] ] in
               return ("fission", { I.g_groups = groups; g_fissioned = [] })))
     (fun (which, g) ->
       let problem = if which = "pairs" then pair_problem 8 else fission_problem () in
@@ -384,15 +404,13 @@ let prop_evaluate_repair_fixpoint =
 (* pairs whose staging fits only in groups of two, or of three when the
    first member is u4 or later: the greedy split then depends on member
    order, which the verdict table must respect *)
-let tight_problem n =
-  {
-    (pair_problem n) with
-    shared_ok =
-      (fun models ->
-        match models with
-        | [] -> true
-        | first :: _ -> List.length models <= if first.unit_name >= "u4" then 3 else 2);
-  }
+let tight_problem ?renumber n =
+  named_problem ?renumber
+    ~shared_ok:(fun models ->
+      match models with
+      | [] -> true
+      | first :: _ -> List.length models <= if first.unit_name >= "u4" then 3 else 2)
+    (pair_units n)
 
 let bits = Int64.bits_of_float
 
@@ -417,7 +435,7 @@ let prop_verdict_table_invisible =
       in
       let sp = I.space problem in
       let rng = Random.State.make [| seed |] in
-      let canonical g = I.normalize (I.repair_partition sp g) in
+      let canonical g = I.normalize sp (I.repair_partition sp g) in
       let shared = I.verdicts () in
       let score g =
         let g = canonical g in
@@ -426,7 +444,7 @@ let prop_verdict_table_invisible =
         (same_solution (I.solution sp s g') (I.solution sp s1 g1) && g' = g1 && f = f1, g')
       in
       let parents =
-        List.init 12 (fun _ -> { I.g_groups = I.random_partition rng (I.units sp); g_fissioned = [] })
+        List.init 12 (fun _ -> { I.g_groups = I.random_partition rng problem.units; g_fissioned = [] })
       in
       let ok1, repaired = List.split (List.map score parents) in
       let pool = Array.of_list repaired in
@@ -457,6 +475,59 @@ let prop_deterministic_across_engines =
         (fun (jobs, memo) -> same_result reference (run_with ~jobs ~memo params problem))
         [ (1, true); (2, true); (4, true); (4, false) ])
 
+(* two fissionable units, listed against their name order, so the
+   fissioned set's order depends on the ranks *)
+let two_fission_problem ?renumber () =
+  let m = unit_model in
+  named_problem ?renumber
+    ~fission_parts:
+      [
+        ("bigb", [ m "bigb__f1" [ "X" ]; m "bigb__f2" [ "V"; "T" ] ]);
+        ("biga", [ m "biga__f1" [ "X" ]; m "biga__f2" [ "Y"; "Z" ]; m "biga__f3" [ "W" ] ]);
+      ]
+    ~part_arrays:
+      [
+        ("biga__f1", [ "X" ]); ("biga__f2", [ "Y"; "Z" ]); ("biga__f3", [ "W" ]);
+        ("bigb__f1", [ "X" ]); ("bigb__f2", [ "V"; "T" ]);
+      ]
+    ~shared_ok:(fun models ->
+      not
+        (List.exists (fun (u : PM.unit_model) -> u.unit_name = "biga" || u.unit_name = "bigb") models
+        && List.length models > 1))
+    [ m "bigb" [ "X"; "V"; "T" ]; m "p" [ "X" ]; m "biga" [ "X"; "Y"; "Z"; "W" ]; m "q" [ "Y" ] ]
+
+(* the search compares ranks, never raw ids: handing it the same problem
+   under another numbering of its units (names unchanged, ids spread
+   out with gaps) gives the same outcome and the same internal counts *)
+let prop_renumbering_invariant =
+  QCheck.Test.make ~name:"run is invariant under a renumbering of the unit ids" ~count:24
+    QCheck.(triple (int_range 0 1000) (oneofl [ `Pairs; `Tight; `Fission ]) int)
+    (fun (seed, which, perm_seed) ->
+      let build ?renumber () =
+        match which with
+        | `Pairs -> pair_problem ?renumber 12
+        | `Tight -> tight_problem ?renumber 12
+        | `Fission -> two_fission_problem ?renumber ()
+      in
+      let n =
+        let p = build () in
+        List.length p.units + List.length (List.concat_map snd p.fission_parts)
+      in
+      let perm = Array.init n Fun.id in
+      let rng = Random.State.make [| perm_seed |] in
+      for i = n - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let t = perm.(i) in
+        perm.(i) <- perm.(j);
+        perm.(j) <- t
+      done;
+      let params = { small with generations = 15; population = 12; seed } in
+      let a = Gga.run params (build ())
+      and b = Gga.run params (build ~renumber:(fun i -> (3 * perm.(i)) + 2) ()) in
+      a.best = b.best && a.history = b.history && a.evaluations = b.evaluations
+      && a.engine_stats.es_computed = b.engine_stats.es_computed
+      && a.engine_stats.es_verdicts = b.engine_stats.es_verdicts)
+
 let property_suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -468,6 +539,7 @@ let property_suite =
       prop_evaluate_repair_fixpoint;
       prop_verdict_table_invisible;
       prop_deterministic_across_engines;
+      prop_renumbering_invariant;
     ]
 
 let suite =
@@ -475,6 +547,8 @@ let suite =
     Alcotest.test_case "parameter file roundtrip" `Quick test_params_roundtrip;
     Alcotest.test_case "partial parameter file" `Quick test_params_partial_file;
     Alcotest.test_case "malformed parameter file" `Quick test_params_malformed;
+    Alcotest.test_case "parameter value naming key and line" `Quick test_params_bad_value;
+    Alcotest.test_case "run rejects bad parameters" `Quick test_run_rejects_bad_params;
     Alcotest.test_case "deterministic for a seed" `Quick test_deterministic;
     Alcotest.test_case "groups partition units" `Quick test_partition_invariant;
     Alcotest.test_case "finds sharing pairs" `Quick test_finds_sharing_pairs;

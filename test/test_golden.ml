@@ -1,12 +1,14 @@
 (* Golden bit-exactness regression.
 
    Pins the GGA search outcome (best fitness, fusion groups, fissioned
-   set) for the quickstart example and four of the six applications at
-   a fixed small budget. The engine determinism contract says these values
-   are a pure function of (program, params, seed) — independent of the
-   worker count and of whether the memo cache is on — so any drift here
-   means a behavioural change in the search, the performance model, or
-   the frontend, and the goldens must be re-derived consciously.
+   set) and its internal counts (computed evaluations, group verdicts,
+   fusion plans) for the quickstart example and four of the six
+   applications at a fixed small budget. The engine determinism
+   contract says these values are a pure function of (program, params,
+   seed) — independent of the worker count and of whether the memo cache
+   is on — so any drift here means a behavioural change in the search,
+   the performance model, or the frontend, and the goldens must be
+   re-derived consciously.
 
    To re-derive: run the suite; the Alcotest diff prints the actual
    rendered summary, which becomes the new golden string. *)
@@ -81,14 +83,20 @@ let config =
       { Kft_gga.Gga.default_params with generations = 10; population = 12; seed = 20260806 };
   }
 
-let render (report : F.report) =
+(* the search's internal counts are pinned too: distinct genomes scored,
+   distinct groups given a verdict and fusion plans built *)
+let render trace (report : F.report) =
   let b = Buffer.create 256 in
   (match report.gga with
   | None -> Buffer.add_string b "gga=none\n"
   | Some r ->
       Buffer.add_string b (Printf.sprintf "fitness=%.17g\n" r.best.fitness);
       Buffer.add_string b
-        (Printf.sprintf "violations=%d evaluations=%d\n" r.best.violations r.evaluations));
+        (Printf.sprintf "violations=%d evaluations=%d\n" r.best.violations r.evaluations);
+      Buffer.add_string b
+        (Printf.sprintf "computed=%d verdicts=%d plans=%d\n" r.engine_stats.es_computed
+           r.engine_stats.es_verdicts
+           (List.assoc "plan_cache_entries" (Kft_trace.Trace.counters trace "search"))));
   Buffer.add_string b
     (Printf.sprintf "groups=%s\n"
        (String.concat " " (List.map (String.concat "+") report.solution_groups)));
@@ -98,25 +106,29 @@ let render (report : F.report) =
 
 (* [fissions] adds the search's lazy-fission event count to the pin *)
 let check_golden ?(config = config) ?(fissions = false) name program golden () =
-  let report = F.transform ~config program in
+  let trace = Kft_trace.Trace.create name in
+  let report = F.transform ~config ~trace program in
   let events =
     match report.gga with
     | Some r when fissions -> Printf.sprintf "fission_events=%d\n" r.fission_events
     | _ -> ""
   in
-  Alcotest.(check string) (name ^ " search outcome pinned") golden (render report ^ events)
+  Alcotest.(check string) (name ^ " search outcome pinned") golden (render trace report ^ events)
 
 let quickstart_golden =
   "fitness=11.939180487292035\n" ^ "violations=0 evaluations=112\n"
+  ^ "computed=5 verdicts=7 plans=4\n"
   ^ "groups=diffuse+relax+smooth\n" ^ "fissioned=\n"
 
 let mitgcm_golden =
   "fitness=7.0158016449894038\n" ^ "violations=0 evaluations=112\n"
+  ^ "computed=34 verdicts=72 plans=58\n"
   ^ "groups=axpy_01+lap_01 axpy_02+lap_03 axpy_03 axpy_04 axpy_05 axpy_06+lap_07 axpy_07 \
      lap_02 lap_04 lap_05 lap_06\n" ^ "fissioned=\n"
 
 let fluam_golden =
   "fitness=5.0422491561703335\n" ^ "violations=0 evaluations=112\n"
+  ^ "computed=47 verdicts=211 plans=169\n"
   ^ "groups=acc_01 acc_02 acc_03 acc_04 acc_05 acc_06 acc_07 acc_08 acc_09 acc_10 fvol_01 \
      fvol_02+rk_08 fvol_03 fvol_04 fvol_05+fvol_06 fvol_07 fvol_08 fvol_09 fvol_10 part_01 \
      part_02 part_03 part_04 part_05 part_06 part_07 part_08 part_09 part_10 part_11 part_12 \
@@ -133,6 +145,7 @@ let scale_les_config =
 
 let scale_les_golden =
   "fitness=10.607728507775059\n" ^ "violations=0 evaluations=380\n"
+  ^ "computed=217 verdicts=749 plans=658\n"
   ^ "groups=flux_01+flux_10 flux_02 flux_03 flux_04+flux_05+tend_25 flux_06 flux_07+upd_08 \
      flux_08+flux_09+tend_15+tend_17 flux_11 flux_12+tend_03 flux_13 flux_14+upd_17 \
      flux_15+tend_04 flux_16+upd_27 flux_17 flux_18 flux_19+tend_10 flux_20 flux_21 \
@@ -148,6 +161,7 @@ let scale_les_golden =
    golden that pins the lazy-fission path *)
 let bcalm_golden =
   "fitness=21.335456312465105\n" ^ "violations=0 evaluations=112\n"
+  ^ "computed=52 verdicts=195 plans=167\n"
   ^ "groups=flux_e+flux_h+pole_d pole_a__f1+pole_b__f1+pole_c__f1 pole_a__f2+pole_b__f2+pole_c__f2 \
      pole_a__f3+pole_b__f3+pole_c__f3 upd_e__f1+upd_e__f2+upd_e__f3+upd_h__f1+upd_h__f2+upd_h__f3\n"
   ^ "fissioned=pole_a,pole_b,pole_c,upd_e,upd_h\n" ^ "fission_events=39\n"

@@ -204,12 +204,14 @@ let test_transform_bad_flag_value () =
   let rc, _, _ = transform (quickstart_args [| "--generations"; "many" |]) in
   Alcotest.(check int) "non-integer flag value" 124 rc
 
-(* a value outside an option's table is a command-line error naming the
-   option, never a silent fallback to some default mode *)
+(* a value outside an option's table or range is a command-line error
+   naming the option, never a silent fallback to some default mode. The
+   value is passed as [--option=value], so a negative one is not read
+   as an option of its own, and alone, since an option may not repeat. *)
 let check_bad_values option values =
   List.iter
     (fun v ->
-      let rc, _, err = transform (quickstart_args [| "-q"; option; v |]) in
+      let rc, _, err = transform [| "kft-transform"; "-a"; "quickstart"; "-q"; option ^ "=" ^ v |] in
       Alcotest.(check int) (v ^ ": command-line error") 124 rc;
       Alcotest.(check bool) (v ^ ": names " ^ option) true
         (Util.contains err (Printf.sprintf "option '%s': invalid value '%s'" option v)))
@@ -219,6 +221,11 @@ let check_bad_values option values =
 let test_transform_unknown_backend () = check_bad_values "--backend" [ "vector"; "auto" ]
 let test_transform_bad_filter () = check_bad_values "--filter" [ "manul" ]
 let test_transform_bad_verify () = check_bad_values "--verify" [ "fatl" ]
+
+(* the search needs at least one genome and cannot run backwards *)
+let test_transform_bad_search_size () =
+  check_bad_values "--population" [ "0"; "-2" ];
+  check_bad_values "--generations" [ "-3" ]
 
 let test_transform_report () =
   let rc, out, _ = transform (quickstart_args [||]) in
@@ -298,6 +305,8 @@ let cli_suite =
       test_transform_unknown_backend;
     Alcotest.test_case "transform bad --filter exits 124" `Quick test_transform_bad_filter;
     Alcotest.test_case "transform bad --verify exits 124" `Quick test_transform_bad_verify;
+    Alcotest.test_case "transform bad --population/--generations exits 124" `Quick
+      test_transform_bad_search_size;
     Alcotest.test_case "transform stage report" `Slow test_transform_report;
     Alcotest.test_case "transform --trace/--trace-chrome deterministic" `Slow
       test_transform_traced;
